@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-json fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
+.PHONY: build vet lint test bench-test race bench bench-json fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
 
 # Pinned staticcheck version; CI installs exactly this, so lint results are
 # reproducible. Update deliberately alongside toolchain bumps.
@@ -30,6 +30,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own Go module (the end-to-end benchmark), so the root
+# `go test ./...` skips it; this runs its seed-1 bundle-digest,
+# request-generator and traced-wrapper tests.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The experiment suite under the race detector is CPU-bound and can exceed
 # go test's default 10m per-package timeout on small machines.
@@ -102,4 +108,4 @@ serve-smoke:
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
-check: build vet lint race bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke
+check: build vet lint race bench-test bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke

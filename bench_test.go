@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"baryon/internal/compress"
-	"baryon/internal/compress/pipeline"
 	"baryon/internal/config"
 	"baryon/internal/cpu"
 	"baryon/internal/experiment"
@@ -219,82 +217,6 @@ func BenchmarkSingleRun(b *testing.B) {
 			b.Fatal("no cycles")
 		}
 	}
-}
-
-// pipelineCorpus builds a deterministic writeback-style batch: nRanges
-// sub-block ranges of 256 bytes each, mixing zero, small-delta and noise
-// content so fit checks exercise both cheap accepts and full-algorithm
-// rejections.
-func pipelineCorpus(nRanges int) [][]byte {
-	rng := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	ranges := make([][]byte, nRanges)
-	for i := range ranges {
-		buf := make([]byte, 256)
-		switch i % 3 {
-		case 0: // zeros — cheapest accept
-		case 1: // small deltas from a shared base — BDI-friendly
-			base := next()
-			for o := 0; o < len(buf); o += 8 {
-				v := base + uint64(o)
-				for k := 0; k < 8; k++ {
-					buf[o+k] = byte(v >> (8 * k))
-				}
-			}
-		default: // noise — every algorithm must run to completion and fail
-			for o := 0; o < len(buf); o += 8 {
-				v := next()
-				for k := 0; k < 8; k++ {
-					buf[o+k] = byte(v >> (8 * k))
-				}
-			}
-		}
-		ranges[i] = buf
-	}
-	return ranges
-}
-
-// BenchmarkCompressPipeline measures the fit-check arena over a
-// writeback-sized batch of CF-2 ranges: the serial (workers=1) arena is
-// timed before the timer starts, the parallel arena is measured, and the
-// ratio is reported as speedup-vs-serial (1.0 on a single-CPU machine).
-func BenchmarkCompressPipeline(b *testing.B) {
-	comp := compress.New(true)
-	ranges := pipelineCorpus(512)
-	drive := func(a *pipeline.Arena, rounds int) {
-		for r := 0; r < rounds; r++ {
-			a.Begin()
-			for _, rg := range ranges {
-				a.AddChunked(rg, 128, 64)
-			}
-			a.Run()
-			for g := range ranges {
-				_ = a.Fits(g)
-			}
-		}
-	}
-
-	serialArena := pipeline.New(comp, 1)
-	drive(serialArena, 1) // warm the arena's task storage
-	serialStart := time.Now()
-	drive(serialArena, 8)
-	serial := time.Since(serialStart) / 8
-
-	par := pipeline.New(comp, 0)
-	drive(par, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drive(par, 1)
-	}
-	parallel := b.Elapsed() / time.Duration(b.N)
-	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup-vs-serial")
-	b.ReportMetric(float64(par.Workers()), "workers")
 }
 
 // BenchmarkSingleRunSteadyState isolates the post-construction hot path:

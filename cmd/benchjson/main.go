@@ -13,7 +13,7 @@
 // (the least-noise estimator for a deterministic workload — every repeat
 // does identical work, so the minimum is the run least disturbed by the
 // machine). Custom b.ReportMetric values take the mean, since metrics like
-// speedup-vs-serial are ratios that wobble in both directions.
+// steady-allocs/window can wobble in both directions.
 //
 // The threshold check compares allocs/op only: allocation counts are exact
 // for a deterministic benchmark, so a >10% delta is a real regression, not
@@ -50,7 +50,7 @@ type report struct {
 }
 
 func main() {
-	benchRe := flag.String("bench", "SingleRun|CompressPipeline", "benchmark regexp passed to go test -bench")
+	benchRe := flag.String("bench", "SingleRun", "benchmark regexp passed to go test -bench")
 	count := flag.Int("count", 5, "repeats per benchmark (go test -count)")
 	benchtime := flag.String("benchtime", "2x", "fixed iteration budget (go test -benchtime)")
 	pkg := flag.String("pkg", ".", "package holding the benchmarks")

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"baryon/internal/compress"
-	"baryon/internal/compress/pipeline"
 	"baryon/internal/hybrid"
 	"baryon/internal/mem"
 	"baryon/internal/obs"
@@ -31,7 +30,6 @@ type DICE struct {
 	store *hybrid.Store
 	stats *sim.Stats
 	comp  *compress.Compressor
-	arena *pipeline.Arena
 
 	dir               *hybrid.Dir[diceSlot]
 	cfCache           map[uint64]uint8 // group -> current CF (the CF predictor)
@@ -63,7 +61,6 @@ func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompress
 		cfCache:           make(map[uint64]uint8),
 		decompressLatency: decompressLatency,
 	}
-	d.arena = d.eng.InitCompression(d.comp, 0)
 	cstats := stats.Scope("dice")
 	d.accesses = cstats.Counter("accesses")
 	d.hits = cstats.Counter("hits")
@@ -97,20 +94,12 @@ func (d *DICE) groupCF(group uint64) uint8 {
 		return cf
 	}
 	content := d.store.Bytes(group*256, 256)
-	// Fan the CF-4 whole-group trial and both CF-2 half trials through the
-	// engine's fit arena as one batch. The verdicts are pure predicates, so
-	// evaluating the halves even when the whole group fits cannot change
-	// the chosen CF.
-	a := d.arena
-	a.Begin()
-	g4 := a.AddWhole(content, 64)
-	g2 := a.AddChunked(content, 128, 64)
-	a.Run()
+	// The whole group in one 64 B line, else each half in one line.
 	var cf uint8
 	switch {
-	case a.Fits(g4):
+	case d.comp.RangeFits(content, 4):
 		cf = 4
-	case a.Fits(g2):
+	case d.comp.RangeFits(content, 2):
 		cf = 2
 	default:
 		cf = 1

@@ -11,9 +11,6 @@ const (
 	SubBlockSize  = 256
 )
 
-// CFs supported by Baryon's metadata formats.
-var SupportedCFs = [3]int{4, 2, 1}
-
 // Compressor selects the best of its enabled algorithms per unit and
 // applies Baryon's fit rules. The zero value is a plain (non-aligned)
 // FPC+BDI compressor, the paper's default pairing.
@@ -29,10 +26,6 @@ type Compressor struct {
 	fpc       FPC
 	bdi       BDI
 	cpack     CPack
-	// scratch backs MaxCF's candidate-range assembly; lazily allocated so
-	// the zero value stays usable. A Compressor is owned by one controller,
-	// so the buffer is never shared across goroutines.
-	scratch []byte
 }
 
 // New returns a compressor; aligned selects cacheline-aligned mode
@@ -85,19 +78,17 @@ func (c *Compressor) FitsWithin(data []byte, budget int) bool {
 // IsZero reports whether data is entirely zero (the Z-bit special case).
 func (c *Compressor) IsZero(data []byte) bool { return allZero(data) }
 
-// RangeFits reports whether a contiguous range of cf sub-blocks (data, with
-// len(data) == cf*SubBlockSize) can be stored in a single sub-block slot at
-// compression factor cf. CF 1 always fits. In aligned mode each of the four
-// 64·cf-byte chunks must independently compress into one cacheline.
+// RangeFits reports whether a contiguous range of cf sub-blocks (data) can
+// be stored in a single sub-block slot of len(data)/cf bytes at compression
+// factor cf, so any sub-block size works (256 B for Baryon, 64 B for
+// Baryon-64B). CF 1 always fits. In aligned mode each 64·cf-byte chunk must
+// independently compress into one cacheline (Fig. 7).
 func (c *Compressor) RangeFits(data []byte, cf int) bool {
-	if len(data) != cf*SubBlockSize {
-		panic("compress: RangeFits length mismatch")
-	}
 	if cf == 1 {
 		return true
 	}
 	if !c.Aligned {
-		return c.FitsWithin(data, SubBlockSize)
+		return c.FitsWithin(data, len(data)/cf)
 	}
 	chunk := CachelineSize * cf
 	for off := 0; off < len(data); off += chunk {
@@ -106,30 +97,6 @@ func (c *Compressor) RangeFits(data []byte, cf int) bool {
 		}
 	}
 	return true
-}
-
-// MaxCF returns the largest supported CF at which the range starting with
-// the given sub-blocks fits in one slot. sub returns the data of the i-th
-// sub-block of the candidate range (i in [0,4)); the caller guarantees the
-// range is contiguous and aligned (Rule 2). The result is 4, 2 or 1.
-func (c *Compressor) MaxCF(sub func(i int) []byte) int {
-	if c.scratch == nil {
-		c.scratch = make([]byte, 4*SubBlockSize)
-	}
-	buf := c.scratch
-	for _, cf := range SupportedCFs {
-		if cf == 1 {
-			return 1
-		}
-		data := buf[:cf*SubBlockSize]
-		for i := 0; i < cf; i++ {
-			copy(data[i*SubBlockSize:], sub(i))
-		}
-		if c.RangeFits(data, cf) {
-			return cf
-		}
-	}
-	return 1
 }
 
 // AchievedCF returns len(data) divided by its best compressed size — the

@@ -144,65 +144,59 @@ func TestLineCF(t *testing.T) {
 	}
 }
 
+// The fit tests run at Baryon's 256 B sub-blocks and at Baryon-64B's 64 B
+// ones: RangeFits derives the slot size from len(data)/cf.
+var subBlockSizes = []int{SubBlockSize, CachelineSize}
+
 func TestRangeFitsCF1Always(t *testing.T) {
 	c := New(true)
 	rng := sim.NewRNG(5)
-	data := make([]byte, 256)
-	for i := range data {
-		data[i] = byte(rng.Uint32())
-	}
-	if !c.RangeFits(data, 1) {
-		t.Fatal("CF=1 must always fit")
+	for _, sub := range subBlockSizes {
+		data := make([]byte, sub)
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		if !c.RangeFits(data, 1) {
+			t.Fatalf("%d B sub-block: CF=1 must always fit", sub)
+		}
 	}
 }
 
 func TestAlignedStricterThanUnaligned(t *testing.T) {
-	// Cacheline-aligned compression is a strictly stronger requirement: any
-	// range that fits aligned must also fit unaligned-style... not exactly
-	// (sizes are per-chunk), but a range the aligned mode accepts must have
-	// total compressed size <= 4*64 = 256. Verify on synthetic ranges.
+	// Cacheline-aligned compression is a strictly stronger requirement: a
+	// range the aligned mode accepts must also fit whole, and the plain
+	// mode accepts exactly the ranges whose best encoding fits one slot.
 	aligned := New(true)
 	plain := New(false)
 	rng := sim.NewRNG(6)
-	acceptedAligned, acceptedPlain := 0, 0
-	for i := 0; i < 300; i++ {
-		data := make([]byte, 512)
-		for off := 0; off < 512; off += 64 {
-			copy(data[off:], randomLine(rng))
-		}
-		if aligned.RangeFits(data, 2) {
-			acceptedAligned++
-			if !plain.RangeFits(data, 2) {
-				t.Fatal("aligned-accepted range rejected by plain mode")
+	for _, sub := range subBlockSizes {
+		acceptedAligned, acceptedPlain := 0, 0
+		for i := 0; i < 300; i++ {
+			data := make([]byte, 2*sub)
+			for off := 0; off < len(data); off += 64 {
+				copy(data[off:], randomLine(rng))
+			}
+			fits := plain.RangeFits(data, 2)
+			if fits != (plain.CompressedSize(data) <= sub) {
+				t.Fatalf("%d B sub-block: plain RangeFits=%v for a %d B encoding",
+					sub, fits, plain.CompressedSize(data))
+			}
+			if aligned.RangeFits(data, 2) {
+				acceptedAligned++
+				if !fits {
+					t.Fatalf("%d B sub-block: aligned-accepted range rejected by plain mode", sub)
+				}
+			}
+			if fits {
+				acceptedPlain++
 			}
 		}
-		if plain.RangeFits(data, 2) {
-			acceptedPlain++
+		if acceptedAligned > acceptedPlain {
+			t.Fatalf("%d B sub-block: aligned accepted %d > plain %d", sub, acceptedAligned, acceptedPlain)
 		}
-	}
-	if acceptedAligned > acceptedPlain {
-		t.Fatalf("aligned accepted %d > plain %d", acceptedAligned, acceptedPlain)
-	}
-	if acceptedPlain == 0 {
-		t.Fatal("generator produced no compressible ranges; test is vacuous")
-	}
-}
-
-func TestMaxCF(t *testing.T) {
-	c := New(true)
-	zero := make([]byte, 256)
-	cf := c.MaxCF(func(i int) []byte { return zero })
-	if cf != 4 {
-		t.Fatalf("all-zero range MaxCF=%d, want 4", cf)
-	}
-	rng := sim.NewRNG(7)
-	random := make([]byte, 256)
-	for i := range random {
-		random[i] = byte(rng.Uint32())
-	}
-	cf = c.MaxCF(func(i int) []byte { return random })
-	if cf != 1 {
-		t.Fatalf("random range MaxCF=%d, want 1", cf)
+		if acceptedPlain == 0 || acceptedPlain == 300 {
+			t.Fatalf("%d B sub-block: plain accepted %d of 300 ranges; test is vacuous", sub, acceptedPlain)
+		}
 	}
 }
 

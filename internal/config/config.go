@@ -74,12 +74,6 @@ type Config struct {
 	// shrink it with the stage so counters age a few times per stage-frame
 	// lifetime, as the paper's constant does at full scale).
 	StageAgeInterval uint32
-	// CompressWorkers sizes the fit-check arena that fans compression
-	// trials (aligned chunk checks, compressed-writeback batches) across
-	// helper goroutines. 0 uses the process default (GOMAXPROCS), 1 forces
-	// the serial inline path. Output is byte-identical at any value — the
-	// knob trades wall-clock only.
-	CompressWorkers int
 
 	// CPU model.
 	MLPOverlap float64 // memory stalls divided by this overlap factor

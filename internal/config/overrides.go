@@ -43,7 +43,6 @@ type Overrides struct {
 	CommitAll           *bool    `json:"commitAll,omitempty"`
 	UseStageArea        *bool    `json:"useStageArea,omitempty"`
 	StageAgeInterval    *uint32  `json:"stageAgeInterval,omitempty"`
-	CompressWorkers     *int     `json:"compressWorkers,omitempty"`
 
 	MLPOverlap    *float64 `json:"mlpOverlap,omitempty"`
 	LLCKB         *int     `json:"llcKB,omitempty"`
@@ -108,7 +107,6 @@ func (o *Overrides) Apply(c *Config) error {
 	setIf(&c.CommitAll, o.CommitAll)
 	setIf(&c.UseStageArea, o.UseStageArea)
 	setIf(&c.StageAgeInterval, o.StageAgeInterval)
-	setIf(&c.CompressWorkers, o.CompressWorkers)
 	setIf(&c.MLPOverlap, o.MLPOverlap)
 	setIf(&c.LLCKB, o.LLCKB)
 	setIf(&c.NoLLCPrefetch, o.NoLLCPrefetch)

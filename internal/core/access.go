@@ -137,7 +137,7 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 	// Write hit in the stage area: update content, recompress; a CF change
 	// removes and reinserts the range as if newly fetched (Section III-D).
 	copy(fr.data[slot][lineInRange*64:], data)
-	if c.rangeStillFits(fr.data[slot], cf) {
+	if c.rangeFits(fr.data[slot], cf) {
 		fr.tag.Slots[slot].Dirty = true
 		c.eng.FillFast(now, c.stageFrameAddr(ssi, sw, slot), 64)
 		return hybrid.Result{Done: now}
@@ -147,44 +147,15 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 	return hybrid.Result{Done: now}
 }
 
-// rangeStillFits checks whether updated range content still compresses into
-// one sub-block slot at its current CF.
-func (c *Controller) rangeStillFits(content []byte, cf int) bool {
-	if cf == 1 {
-		return true
-	}
-	return c.rangeFits(content, cf)
-}
-
-// rangeFits adapts compress.RangeFits to the controller's sub-block size
-// (256 B default, 64 B for Baryon-64B). The trial runs on the engine's
-// fit-check arena, which fans the per-chunk checks of aligned mode across
-// the shared worker pool; the verdict is byte-identical to evaluating them
-// serially (pure predicates, index-slotted results).
+// rangeFits reports whether content, a range of cf sub-blocks,
+// compresses into one sub-block slot. compress.RangeFits derives the slot
+// size from len(content)/cf, so Baryon-64B's 64 B sub-blocks need no
+// adaptation. With compression off only CF 1 fits.
 func (c *Controller) rangeFits(content []byte, cf int) bool {
-	if cf == 1 {
-		return true
-	}
-	if c.cfg.CompressionOff {
+	if cf > 1 && c.cfg.CompressionOff {
 		return false
 	}
-	a := c.arena
-	a.Begin()
-	g := c.addRangeFit(content, cf)
-	a.Run()
-	return a.Fits(g)
-}
-
-// addRangeFit queues one range's fit trial on the arena and returns its
-// group handle: in aligned mode each 64*cf-byte chunk must independently
-// compress into one cacheline (Fig. 7); otherwise the whole range must fit
-// one sub-block slot. Callers batching several ranges (frame evictions)
-// call this between Begin and Run; rangeFits wraps the single-range case.
-func (c *Controller) addRangeFit(content []byte, cf int) int {
-	if !c.cfg.CachelineAligned {
-		return c.arena.AddWhole(content, int(c.geom.subBytes))
-	}
-	return c.arena.AddChunked(content, 64*cf, 64)
+	return c.comp.RangeFits(content, cf)
 }
 
 // restageOverflowedRange removes the overflowed range and reinserts its
@@ -279,7 +250,7 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
 	// evicts the whole block to slow memory.
 	copy(rg.data[lineInRange*64:], data)
-	if c.rangeStillFits(rg.data, cf) {
+	if c.rangeFits(rg.data, cf) {
 		rg.dirty = true
 		c.eng.FillFast(now, c.frameAddr(si, int(ri.way), idx), 64)
 		return hybrid.Result{Done: now}

@@ -156,49 +156,13 @@ func (c *Controller) frameHoldsNative(m *hybrid.WayMeta, f *fastFrame) bool {
 		findOcc(f, uint8(c.blkOff(f.native)), 0) >= 0
 }
 
-// evictStageFrame writes the frame's dirty ranges back to slow memory. The
-// compressed-writeback fit trials of every dirty slot are evaluated first
-// in one parallel arena batch, then the writebacks consume the verdicts in
-// slot order — the same order and outcomes as trial-per-slot serially.
+// evictStageFrame writes the frame's dirty ranges back to slow memory.
 func (c *Controller) evictStageFrame(now uint64, ssi, w int) {
 	fr := c.stageDir.Payload(ssi, w)
-	var fits [8]bool
-	c.stageFitBatch(fr, &fits)
 	for slot := range fr.tag.Slots {
-		c.writebackStageSlotFit(now, fr, slot, fits[slot])
+		c.writebackStageSlot(now, fr, slot)
 	}
 	c.ctr.evictsToSlow.Inc()
-}
-
-// stageFitBatch precomputes the compressed-writeback fit verdict of every
-// dirty CF>1 slot of fr in a single arena batch. Slots whose writeback
-// cannot be compressed (clean, zero, CF 1, or the optimisation disabled)
-// keep fits[slot] == false, matching the short-circuit of the lazy path.
-func (c *Controller) stageFitBatch(fr *stageFrame, fits *[8]bool) {
-	if !c.cfg.CompressedWriteback || c.cfg.CompressionOff {
-		return
-	}
-	a := c.arena
-	a.Begin()
-	var groups [8]int
-	queued := false
-	for slot, rg := range fr.tag.Slots {
-		groups[slot] = -1
-		if !rg.Valid || rg.Zero || !rg.Dirty || rg.CF <= 1 {
-			continue
-		}
-		groups[slot] = c.addRangeFit(fr.data[slot], int(rg.CF))
-		queued = true
-	}
-	if !queued {
-		return
-	}
-	a.Run()
-	for slot, g := range groups {
-		if g >= 0 {
-			fits[slot] = a.Fits(g)
-		}
-	}
 }
 
 // commitStageFrame moves the frame's contents into the cache/flat area:
@@ -371,38 +335,6 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 	flat := c.cfg.Mode == config.ModeFlat
 	nativeResident := c.frameHoldsNative(m, f)
 
-	// Batch the compressed-writeback fit trials of every range that will
-	// write back below. The verdicts are pure functions of the range
-	// contents, which the store copies below do not alter, so evaluating
-	// them up front in parallel matches the lazy serial outcome exactly.
-	var fits [8]bool
-	if c.cfg.CompressedWriteback && !c.cfg.CompressionOff {
-		a := c.arena
-		a.Begin()
-		var groups [8]int
-		queued := false
-		for i := range f.occ {
-			groups[i] = -1
-			rg := &f.occ[i]
-			if int(rg.cf) <= 1 || (flat && c.blockID(super, rg.blkOff) == f.native) {
-				continue
-			}
-			if !flat && !rg.dirty {
-				continue
-			}
-			groups[i] = c.addRangeFit(rg.data, int(rg.cf))
-			queued = true
-		}
-		if queued {
-			a.Run()
-			for i := range f.occ {
-				if groups[i] >= 0 {
-					fits[i] = a.Fits(groups[i])
-				}
-			}
-		}
-	}
-
 	if flat && !nativeResident && len(f.occ) > 0 {
 		// Three-way swap (Section III-F): the frame's original content is
 		// spread over the super-block; rearranging it so the evicted
@@ -427,11 +359,10 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 		switch {
 		case isNative:
 			// Handled below as a single spread write.
-		case flat:
-			// Migrated blocks swap back entirely (all sub-blocks move).
-			c.writeRangeToSlowFit(now, b, int(rg.subOff), int(rg.cf), fits[i])
-		case rg.dirty:
-			c.writeRangeToSlowFit(now, b, int(rg.subOff), int(rg.cf), fits[i])
+		case flat, rg.dirty:
+			// Migrated blocks swap back entirely (all sub-blocks move); in
+			// the cache scheme only dirty ranges write back.
+			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf), rg.data)
 		}
 	}
 	if nativeResident {

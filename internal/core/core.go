@@ -10,7 +10,6 @@ package core
 
 import (
 	"baryon/internal/compress"
-	"baryon/internal/compress/pipeline"
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
 	"baryon/internal/mem"
@@ -117,12 +116,6 @@ type Controller struct {
 	// deviceRegion bases (fast device address space).
 	stageBase, tableBase uint64
 
-	// arena batches the compression fit trials of the access flow — the
-	// aligned per-chunk checks of rangeFits and the compressed-writeback
-	// verdicts of frame evictions — across the shared worker pool of
-	// compress/pipeline. Output is byte-identical at any worker count.
-	arena *pipeline.Arena
-
 	// Per-controller scratch reused across Access calls to keep the hot
 	// path allocation-free. lineScratch backs the Data of slow-memory
 	// reads, prefetchScratch backs Result.Prefetched, and trialScratch
@@ -215,7 +208,6 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 		panic(err)
 	}
 	c.eng = hybrid.NewEngineTiers(specs, stats)
-	c.arena = c.eng.InitCompression(c.comp, cfg.CompressWorkers)
 
 	c.fastDir = hybrid.NewDirSets[fastFrame](g.sets, g.ways)
 	c.fastRep = hybrid.Replacer(hybrid.LRU{})

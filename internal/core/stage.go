@@ -76,21 +76,8 @@ func (c *Controller) stageVictimSlot(now uint64, ssi, sw int) int {
 
 // writebackStageSlot pushes a dirty range's content to the canonical store
 // and charges the slow-memory write traffic (compressed when the
-// optimisation of Section III-F applies). The fit trial runs lazily;
-// batched eviction paths precompute it and call writebackStageSlotFit.
+// optimisation of Section III-F applies).
 func (c *Controller) writebackStageSlot(now uint64, fr *stageFrame, slot int) {
-	rg := fr.tag.Slots[slot]
-	if !rg.Valid || rg.Zero || !rg.Dirty {
-		return
-	}
-	fit := c.cfg.CompressedWriteback && int(rg.CF) > 1 && c.rangeFits(fr.data[slot], int(rg.CF))
-	c.writebackStageSlotFit(now, fr, slot, fit)
-}
-
-// writebackStageSlotFit is writebackStageSlot with the compressed-writeback
-// fit verdict precomputed (frame evictions batch the trials of all dirty
-// slots through the arena before writing any of them back).
-func (c *Controller) writebackStageSlotFit(now uint64, fr *stageFrame, slot int, fit bool) {
 	rg := fr.tag.Slots[slot]
 	if !rg.Valid || rg.Zero || !rg.Dirty {
 		return
@@ -101,23 +88,14 @@ func (c *Controller) writebackStageSlotFit(now uint64, fr *stageFrame, slot int,
 		copy(c.slowSub(b, int(rg.SubOff)+i), content[uint64(i)*c.geom.subBytes:])
 		c.clearHints(b, int(rg.SubOff)+i)
 	}
-	c.writeRangeToSlowFit(now, b, int(rg.SubOff), int(rg.CF), fit)
+	c.writeRangeToSlow(now, b, int(rg.SubOff), int(rg.CF), content)
 }
 
 // writeRangeToSlow accounts the slow-device traffic of writing a range back,
 // keeping it compressed when enabled and recording the CF hint for future
 // slow-to-stage prefetching.
 func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int, content []byte) {
-	fit := c.cfg.CompressedWriteback && cf > 1 && c.rangeFits(content, cf)
-	c.writeRangeToSlowFit(now, b, subOff, cf, fit)
-}
-
-// writeRangeToSlowFit is writeRangeToSlow with the fit trial hoisted out,
-// so eviction paths can evaluate a whole frame's trials in one parallel
-// arena batch. The verdict is a pure function of the range content, which
-// the caller reads before any store mutation, so precomputing it cannot
-// change the outcome.
-func (c *Controller) writeRangeToSlowFit(now uint64, b uint64, subOff, cf int, compressed bool) {
+	compressed := c.cfg.CompressedWriteback && cf > 1 && c.rangeFits(content, cf)
 	bytes := uint64(cf) * c.geom.subBytes
 	if compressed {
 		bytes = c.geom.subBytes

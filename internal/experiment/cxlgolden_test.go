@@ -3,13 +3,10 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
-	"baryon/internal/compress/pipeline"
 	"baryon/internal/trace"
 )
 
@@ -51,6 +48,23 @@ func compareGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// diffLine reports the first line where two dumps diverge.
+func diffLine(t *testing.T, label string, got, want []byte) {
+	t.Helper()
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	n := len(gl)
+	if len(wl) < n {
+		n = len(wl)
+	}
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s diverges at line %d:\n got: %s\nwant: %s",
+				label, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s diverges in length: got %d lines, want %d", label, len(gl), len(wl))
+}
+
 // TestDesignsTiersGolden locks the three-tier designs' observable behaviour:
 // every counter, histogram and headline metric of the DRAM+NVM+CXL runs.
 // Regenerate deliberately with
@@ -69,25 +83,6 @@ func TestCXLSweepGolden(t *testing.T) {
 	var buf bytes.Buffer
 	table.Render(&buf)
 	compareGolden(t, "cxl_quick.golden", buf.Bytes())
-}
-
-// TestTiersParityAcrossWorkerCounts extends the compression arena's
-// determinism contract to the three-tier designs: the full DRAM+NVM+CXL dump
-// must be byte-identical whether fit checks run serially or fanned over any
-// number of workers. Under -race this also sweeps the CXL link state for
-// data races.
-func TestTiersParityAcrossWorkerCounts(t *testing.T) {
-	defer pipeline.SetDefaultWorkers(0)
-
-	pipeline.SetDefaultWorkers(1)
-	serial := tiersGoldenDump()
-
-	for _, n := range []int{2, runtime.GOMAXPROCS(0)} {
-		pipeline.SetDefaultWorkers(n)
-		if got := tiersGoldenDump(); !bytes.Equal(got, serial) {
-			diffLine(t, fmt.Sprintf("workers=%d tiers dump", n), got, serial)
-		}
-	}
 }
 
 // TestTierSpecFilesEndToEnd exercises the -design-file path for three-tier

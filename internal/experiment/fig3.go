@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/core"
 	"baryon/internal/cpu"
@@ -35,7 +37,7 @@ func Fig3a(cfg config.Config) ([]Fig3aRow, *Table) {
 	}
 	workloads := trace.SPEC()
 	rows := make([]Fig3aRow, len(workloads))
-	forEach(len(workloads), func(i int) {
+	forEach(context.Background(), len(workloads), func(i int) {
 		rows[i] = Fig3aRow{Workload: workloads[i].Name, Breakdown: runBaryonForBreakdown(cfg, workloads[i])}
 	})
 	for _, row := range rows {
@@ -74,7 +76,7 @@ func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
 	workloads := trace.SPEC()[:4]
 	sizes := Fig3bSizes(cfg)
 	rows := make([]Fig3bRow, len(workloads)*len(sizes))
-	forEach(len(rows), func(i int) {
+	forEach(context.Background(), len(rows), func(i int) {
 		w, sz := workloads[i/len(sizes)], sizes[i%len(sizes)]
 		c := cfg
 		c.StageBytes = sz

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/core"
 	"baryon/internal/cpu"
@@ -26,7 +28,7 @@ func Fig4(cfg config.Config) (Fig4Result, *Table) {
 	// (percentiles sort, so the merged boxes are order-independent anyway).
 	workloads := trace.SPEC()[:4]
 	samplers := make([]*core.StagePhaseSampler, len(workloads))
-	forEach(len(workloads), func(i int) {
+	forEach(context.Background(), len(workloads), func(i int) {
 		samplers[i] = core.NewStagePhaseSampler()
 		r := cpu.NewRunner(cfg, workloads[i], Factory(DesignBaryon))
 		ctrl := r.Controller().(*core.Controller)

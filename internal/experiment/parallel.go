@@ -44,40 +44,6 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach invokes fn(i) for every i in [0, n) using the configured worker
-// count. fn must write its outputs to slots indexed by i only; under that
-// contract the observable result is identical to the serial loop. With one
-// worker (or one job) it degenerates to the plain loop, with zero goroutine
-// overhead.
-func forEach(n int, fn func(i int)) {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // runContext holds the package-level context consulted by the legacy
 // (context-free) entry points, so existing harness code can be made
 // cancellable from one place. The context lives in a single-field struct
@@ -105,15 +71,13 @@ func RunContext() context.Context {
 	return runContext.Load().(ctxBox).ctx
 }
 
-// forEachCtx is forEach with cooperative cancellation: workers stop pulling
-// new indices once ctx is cancelled (indices already running finish via the
-// runner's own cancellation checks). A non-cancellable context delegates to
-// the plain loop.
-func forEachCtx(ctx context.Context, n int, fn func(i int)) {
-	if ctx.Done() == nil {
-		forEach(n, fn)
-		return
-	}
+// forEach invokes fn(i) for every i in [0, n) using the configured worker
+// count. fn must write its outputs to slots indexed by i only; under that
+// contract the observable result is identical to the serial loop. With one
+// worker (or one job) it degenerates to the plain loop, with zero goroutine
+// overhead. Workers stop pulling new indices once ctx is cancelled (indices
+// already running finish via the runner's own cancellation checks).
+func forEach(ctx context.Context, n int, fn func(i int)) {
 	workers := Parallelism()
 	if workers > n {
 		workers = n
@@ -331,7 +295,7 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 func RunPairsCtx(ctx context.Context, pairs []Pair) []PairResult {
 	out := make([]PairResult, len(pairs))
 	ran := make([]bool, len(pairs))
-	forEachCtx(ctx, len(pairs), func(i int) {
+	forEach(ctx, len(pairs), func(i int) {
 		ran[i] = true
 		out[i] = runPairIsolated(ctx, pairs[i])
 		observePair(pairs[i], out[i])

@@ -3,8 +3,6 @@ package hybrid
 import (
 	"fmt"
 
-	"baryon/internal/compress"
-	"baryon/internal/compress/pipeline"
 	"baryon/internal/fault"
 	"baryon/internal/mem"
 	"baryon/internal/obs"
@@ -79,10 +77,6 @@ type Engine struct {
 	retryPenalty uint64
 	remapPenalty uint64
 	latRetry     map[*mem.Device]*sim.Histogram
-
-	// arena batches compression fit checks across helper goroutines
-	// (InitCompression). Nil when the controller does no compression.
-	arena *pipeline.Arena
 }
 
 // NewEngine builds a classic two-tier engine, registering device counters on
@@ -197,18 +191,6 @@ func (e *Engine) EnableFaults(fc fault.Config, seed uint64) {
 
 // FaultsEnabled reports whether the degradation path is armed.
 func (e *Engine) FaultsEnabled() bool { return e.faultsOn }
-
-// InitCompression attaches a fit-check arena evaluating compression trials
-// with comp across workers goroutines (0 = process default, 1 = serial) and
-// returns it. Part of the kit so every compressing controller — Baryon and
-// the compressed baselines alike — shares the same parallel pipeline.
-func (e *Engine) InitCompression(comp *compress.Compressor, workers int) *pipeline.Arena {
-	e.arena = pipeline.New(comp, workers)
-	return e.arena
-}
-
-// CompressArena returns the arena attached by InitCompression, or nil.
-func (e *Engine) CompressArena() *pipeline.Arena { return e.arena }
 
 // SetContentProbe attaches a content probe, addressed canonically, to every
 // tier device: each tier's probe re-adds its base so a CXL expander's
