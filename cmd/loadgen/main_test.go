@@ -20,7 +20,7 @@ func testDaemon(t *testing.T) (*service.Service, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(service.NewHandler(s, context.Background()))
+	srv := httptest.NewServer(service.NewHandlerOpts(s, service.HandlerOptions{RunCtx: context.Background()}))
 	t.Cleanup(srv.Close)
 	return s, srv.URL
 }

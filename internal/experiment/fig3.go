@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 
 	"baryon/internal/config"
 	"baryon/internal/core"
@@ -18,10 +19,12 @@ type Fig3aRow struct {
 
 // runBaryonForBreakdown runs Baryon in cache mode and extracts the
 // controller's stage/commit breakdown.
-func runBaryonForBreakdown(cfg config.Config, w trace.Workload) core.StageBreakdown {
+func runBaryonForBreakdown(ctx context.Context, cfg config.Config, w trace.Workload) (core.StageBreakdown, error) {
 	r := cpu.NewRunner(cfg, w, Factory(DesignBaryon))
-	r.Run()
-	return r.Controller().(*core.Controller).Breakdown()
+	if _, err := r.RunCtx(ctx); err != nil {
+		return core.StageBreakdown{}, fmt.Errorf("%s/%s: %w", w.Name, DesignBaryon, err)
+	}
+	return r.Controller().(*core.Controller).Breakdown(), nil
 }
 
 // Fig3a reproduces Fig. 3(a): the hit / read-miss / write-overflow split of
@@ -37,8 +40,10 @@ func Fig3a(cfg config.Config) ([]Fig3aRow, *Table) {
 	}
 	workloads := trace.SPEC()
 	rows := make([]Fig3aRow, len(workloads))
-	forEach(context.Background(), len(workloads), func(i int) {
-		rows[i] = Fig3aRow{Workload: workloads[i].Name, Breakdown: runBaryonForBreakdown(cfg, workloads[i])}
+	forEachRun(len(workloads), func(ctx context.Context, i int) (err error) {
+		rows[i].Workload = workloads[i].Name
+		rows[i].Breakdown, err = runBaryonForBreakdown(ctx, cfg, workloads[i])
+		return err
 	})
 	for _, row := range rows {
 		bd := row.Breakdown
@@ -76,11 +81,13 @@ func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
 	workloads := trace.SPEC()[:4]
 	sizes := Fig3bSizes(cfg)
 	rows := make([]Fig3bRow, len(workloads)*len(sizes))
-	forEach(context.Background(), len(rows), func(i int) {
+	forEachRun(len(rows), func(ctx context.Context, i int) (err error) {
 		w, sz := workloads[i/len(sizes)], sizes[i%len(sizes)]
 		c := cfg
 		c.StageBytes = sz
-		rows[i] = Fig3bRow{Workload: w.Name, StageBytes: sz, Breakdown: runBaryonForBreakdown(c, w)}
+		rows[i] = Fig3bRow{Workload: w.Name, StageBytes: sz}
+		rows[i].Breakdown, err = runBaryonForBreakdown(ctx, c, w)
+		return err
 	})
 	for _, row := range rows {
 		bd := row.Breakdown

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 
 	"baryon/internal/config"
 	"baryon/internal/core"
@@ -28,12 +29,15 @@ func Fig4(cfg config.Config) (Fig4Result, *Table) {
 	// (percentiles sort, so the merged boxes are order-independent anyway).
 	workloads := trace.SPEC()[:4]
 	samplers := make([]*core.StagePhaseSampler, len(workloads))
-	forEach(context.Background(), len(workloads), func(i int) {
+	forEachRun(len(workloads), func(ctx context.Context, i int) error {
 		samplers[i] = core.NewStagePhaseSampler()
 		r := cpu.NewRunner(cfg, workloads[i], Factory(DesignBaryon))
 		ctrl := r.Controller().(*core.Controller)
 		ctrl.SetInstrumentation(core.Instrumentation{StagePhase: samplers[i]})
-		r.Run()
+		if _, err := r.RunCtx(ctx); err != nil {
+			return fmt.Errorf("%s/%s: %w", workloads[i].Name, DesignBaryon, err)
+		}
+		return nil
 	})
 	sampler := samplers[0]
 	for _, o := range samplers[1:] {

@@ -76,7 +76,10 @@ func RunContext() context.Context {
 // contract the observable result is identical to the serial loop. With one
 // worker (or one job) it degenerates to the plain loop, with zero goroutine
 // overhead. Workers stop pulling new indices once ctx is cancelled (indices
-// already running finish via the runner's own cancellation checks).
+// already running finish via the runner's own cancellation checks). A panic
+// in fn stops the other workers pulling indices and is re-raised on the
+// calling goroutine once they return, so the caller's recover sees it
+// exactly as in the serial loop.
 func forEach(ctx context.Context, n int, fn func(i int)) {
 	workers := Parallelism()
 	if workers > n {
@@ -91,12 +94,22 @@ func forEach(ctx context.Context, n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked any
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { panicked = p })
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				if ctx.Err() != nil {
 					return
@@ -110,6 +123,31 @@ func forEach(ctx context.Context, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
+// forEachRun is forEach under RunContext() for harnesses that drive their
+// own runners. fn runs index i under ctx; the first failure — fn's error, or
+// the context stopping the loop before i ran — escalates to a panic, the
+// strict contract RunPairs keeps.
+func forEachRun(n int, fn func(ctx context.Context, i int) error) {
+	ctx := RunContext()
+	errs := make([]error, n)
+	ran := make([]bool, n)
+	forEach(ctx, n, func(i int) {
+		ran[i] = true
+		errs[i] = fn(ctx, i)
+	})
+	for i, err := range errs {
+		if !ran[i] {
+			err = ctx.Err()
+		}
+		if err != nil {
+			panic(fmt.Errorf("experiment: run %d of %d failed: %w", i+1, n, err))
+		}
+	}
 }
 
 // pairObservers is the registry behind AddPairObserver: every installed
@@ -323,23 +361,6 @@ func RunPairs(pairs []Pair) []cpu.Result {
 				pairs[i].Workload.Name, pairs[i].Design, pr.Err))
 		}
 		out[i] = pr.Result
-	}
-	return out
-}
-
-// RunMatrixCtx runs the full workloads x designs grid under cfg and returns
-// per-job outcomes indexed as [workload][design], matching the input slices.
-func RunMatrixCtx(ctx context.Context, cfg config.Config, workloads []trace.Workload, designs []string) [][]PairResult {
-	pairs := make([]Pair, 0, len(workloads)*len(designs))
-	for _, w := range workloads {
-		for _, d := range designs {
-			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
-		}
-	}
-	flat := RunPairsCtx(ctx, pairs)
-	out := make([][]PairResult, len(workloads))
-	for wi := range workloads {
-		out[wi] = flat[wi*len(designs) : (wi+1)*len(designs)]
 	}
 	return out
 }

@@ -125,3 +125,39 @@ func TestLegacyRunPairsStrict(t *testing.T) {
 	}()
 	RunPairs([]Pair{{Cfg: cfg, Workload: w, Design: "Poisoned-Legacy"}})
 }
+
+// TestFig3aHonoursRunContext: a harness that drives its own runners stops
+// under a cancelled SetRunContext and escalates the context's error the way
+// RunPairs does, instead of running every workload to completion.
+func TestFig3aHonoursRunContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	SetRunContext(ctx)
+	defer SetRunContext(nil)
+	defer func() {
+		rec := recover()
+		err, ok := rec.(error)
+		if !ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("Fig3a under a cancelled run context: recovered %v, want a context.Canceled panic", rec)
+		}
+	}()
+	Fig3a(parallelConfig())
+}
+
+// TestForEachReraisesWorkerPanic: a panic on a pool worker surfaces on the
+// calling goroutine, where the caller's recover (cmd/experiments'
+// per-harness boundary) can contain it.
+func TestForEachReraisesWorkerPanic(t *testing.T) {
+	SetParallelism(4)
+	defer SetParallelism(0)
+	defer func() {
+		if rec := recover(); rec != "boom" {
+			t.Fatalf("recovered %v, want the worker's panic value", rec)
+		}
+	}()
+	forEach(context.Background(), 16, func(i int) {
+		if i == 5 {
+			panic("boom")
+		}
+	})
+}

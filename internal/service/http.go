@@ -67,14 +67,6 @@ type HandlerOptions struct {
 	Log io.Writer
 }
 
-// NewHandler builds the daemon's HTTP API over s with default options.
-// runCtx bounds asynchronously submitted jobs (the daemon passes its
-// lifetime context); synchronous runs are bounded by their request's
-// context.
-func NewHandler(s *Service, runCtx context.Context) http.Handler {
-	return NewHandlerOpts(s, HandlerOptions{RunCtx: runCtx})
-}
-
 // requestBudget derives one request's execution context from the default
 // budget and the client's DeadlineHeader, clamped to the server cap.
 func requestBudget(parent context.Context, r *http.Request, cap time.Duration) (context.Context, context.CancelFunc, error) {

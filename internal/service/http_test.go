@@ -277,7 +277,7 @@ func TestPanicMiddleware(t *testing.T) {
 // answer the first attempt would have produced.
 func TestClientRetryConvergence(t *testing.T) {
 	s := quickService(t, Options{})
-	inner := NewHandler(s, context.Background())
+	inner := NewHandlerOpts(s, HandlerOptions{RunCtx: context.Background()})
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/api/v1/run" && calls.Add(1) <= 2 {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"io"
@@ -80,7 +79,6 @@ func (o Outcome) ServedWithoutSim() bool { return o.CacheHit || o.Collapsed }
 type Service struct {
 	base    config.Config
 	cache   *Cache
-	flight  flightGroup
 	sem     chan struct{}
 	workers int
 
@@ -88,9 +86,9 @@ type Service struct {
 	maxSyncWaiters int
 
 	mu       sync.Mutex
-	jobs     map[string]*jobState
-	finished *list.List // finished jobStates, oldest at front
-	jobsCap  int        // bound on retained finished entries
+	jobs     map[string]*record // live and failed records, one per spec hash
+	retained []*record          // failed records, oldest first
+	jobsCap  int                // bound on retained failed records
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -123,10 +121,10 @@ func New(opts Options) (*Service, error) {
 		workers:        workers,
 		maxQueue:       opts.MaxQueue,
 		maxSyncWaiters: opts.MaxSyncWaiters,
-		jobs:           make(map[string]*jobState),
-		finished:       list.New(),
-		// The job table keeps as many finished entries as the cache keeps
-		// bundles; beyond that, Status falls back to the result store.
+		jobs:           make(map[string]*record),
+		// The job table keeps as many failed records as the cache keeps
+		// bundles; older failures report not-found and are retried on
+		// resubmission.
 		jobsCap: cache.cap,
 	}, nil
 }
@@ -166,20 +164,14 @@ func (s *Service) Run(ctx context.Context, job Job) (Outcome, error) {
 	return s.RunResolved(ctx, r)
 }
 
-// RunResolved is Run for a pre-resolved job.
+// RunResolved is Run for a pre-resolved job. ctx bounds only this caller's
+// wait: the simulation it starts or joins is cancelled when its last
+// waiter leaves, never by one caller's deadline while others still wait.
 func (s *Service) RunResolved(ctx context.Context, r Resolved) (Outcome, error) {
 	if !s.acquire() {
 		return Outcome{}, ErrDraining
 	}
 	defer s.wg.Done()
-	return s.runAccepted(ctx, r, true)
-}
-
-// runAccepted executes an already-accepted job; the caller holds the
-// work unit (acquire) that keeps Wait from returning early. sync marks
-// request-scoped callers, which the MaxSyncWaiters admission bound applies
-// to (async work is bounded at Submit instead).
-func (s *Service) runAccepted(ctx context.Context, r Resolved, sync bool) (Outcome, error) {
 	s.submitted.Add(1)
 	if data, ok := s.cache.Get(r.Hash); ok {
 		s.completed.Add(1)
@@ -189,7 +181,7 @@ func (s *Service) runAccepted(ctx context.Context, r Resolved, sync bool) (Outco
 	// (its goroutine, connection and buffers) until a simulation finishes;
 	// past the configured bound the memory-safe answer is "retry later",
 	// never an unbounded pile of waiters.
-	if sync && s.maxSyncWaiters > 0 {
+	if s.maxSyncWaiters > 0 {
 		if n := s.syncWaiters.Add(1); n > int64(s.maxSyncWaiters) {
 			s.syncWaiters.Add(-1)
 			s.admissionRejected.Add(1)
@@ -198,86 +190,13 @@ func (s *Service) runAccepted(ctx context.Context, r Resolved, sync bool) (Outco
 		}
 		defer s.syncWaiters.Add(-1)
 	}
-	out, shared, err := s.flight.do(ctx, r.Hash, func() (Outcome, error) {
-		return s.simulate(ctx, r)
-	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.deadlinesExceeded.Add(1)
-		}
-		s.failed.Add(1)
-		return Outcome{}, err
-	}
-	if shared {
-		// Followers share only the immutable bundle bytes, never the
-		// leader's live Stats registry.
-		s.collapsed.Add(1)
-		s.completed.Add(1)
-		return Outcome{Hash: r.Hash, Bundle: out.Bundle, Collapsed: true}, nil
-	}
-	s.completed.Add(1)
-	return out, nil
+	s.mu.Lock()
+	rec, leader := s.join(r)
+	s.mu.Unlock()
+	return s.await(ctx, rec, leader)
 }
 
-// simulate runs r on the worker pool and stores its canonical bundle. It is
-// only ever entered once per in-flight hash (flightGroup).
-func (s *Service) simulate(ctx context.Context, r Resolved) (Outcome, error) {
-	s.waiting.Add(1)
-	select {
-	case s.sem <- struct{}{}:
-		s.waiting.Add(^uint64(0))
-	case <-ctx.Done():
-		s.waiting.Add(^uint64(0))
-		return Outcome{}, ctx.Err()
-	}
-	defer func() { <-s.sem }()
-	s.simulations.Add(1)
-
-	st := s.state(r)
-	st.setRunning()
-	out, err := s.runPair(ctx, r, st)
-	// Record the terminal state here, where the run actually ends: the sync
-	// path (Run/RunResolved) has no Submit goroutine to finish the table
-	// entry, and without this a completed synchronous miss would report
-	// "running" forever.
-	if st.finish(out, err) {
-		s.retire(st)
-	}
-	return out, err
-}
-
-// runPair executes the resolved job as a one-pair batch and stores its
-// canonical bundle in the result store.
-func (s *Service) runPair(ctx context.Context, r Resolved, st *jobState) (Outcome, error) {
-	pair := experiment.Pair{
-		Cfg:      r.Cfg,
-		Workload: r.W,
-		Design:   r.Job.Design,
-		Obs:      &experiment.RunObs{Introspector: st.intro},
-	}
-	// A one-pair batch through the shared pool entry point buys the same
-	// per-pair panic isolation sweeps get: a controller bug fails the job,
-	// not the server.
-	pr := experiment.RunPairsCtx(ctx, []experiment.Pair{pair})[0]
-	if pr.Err != nil {
-		return Outcome{}, pr.Err
-	}
-	b, err := report.New(r.Key, pr.Result)
-	if err != nil {
-		return Outcome{}, err
-	}
-	data, err := b.MarshalCanonical()
-	if err != nil {
-		return Outcome{}, err
-	}
-	// Put never fails the job: a disk-write failure degrades the store to
-	// memory-only (counted, logged, visible on /metrics) while this result
-	// is served from memory like any other.
-	s.cache.Put(r.Hash, data)
-	return Outcome{Hash: r.Hash, Bundle: data, Result: &pr.Result}, nil
-}
-
-// --- Async submissions (the daemon's job table) --------------------------
+// --- The job table: one record per spec hash ----------------------------
 
 // Job lifecycle states reported by Status.
 const (
@@ -309,111 +228,202 @@ type JobStatus struct {
 	Progress  *Progress `json:"progress,omitempty"`
 }
 
-// jobState tracks one hash's lifecycle. The introspector is created with
-// the state so status readers can stream progress while the run is live.
-type jobState struct {
-	mu        sync.Mutex
-	hash      string
-	job       Job
-	state     string
-	cacheHit  bool
-	collapsed bool
-	errMsg    string
-	intro     *obs.Introspector
+// record is one spec hash's lifecycle and its singleflight: every caller
+// for the hash, sync or async, joins the same record and waits on done.
+// It stays in Service.jobs while queued or running; a success leaves the
+// table once its bundle is in the result store (Status then answers done
+// from the store), and a failure stays, bounded by jobsCap, until retried.
+type record struct {
+	hash   string
+	job    Job
+	intro  *obs.Introspector
+	cancel context.CancelFunc // stops the run; its last waiter calls it
+	done   chan struct{}      // closed once out and err are final
+
+	// Guarded by Service.mu.
+	state   string
+	waiters int  // callers waiting on done
+	async   bool // a Submit waiter is attached
+	out     Outcome
+	err     error
 }
 
-func (st *jobState) setRunning() {
-	st.mu.Lock()
-	if st.state == StateQueued {
-		st.state = StateRunning
+// status snapshots rec; the caller holds Service.mu.
+func (rec *record) status() JobStatus {
+	js := JobStatus{Hash: rec.hash, Job: rec.job, State: rec.state}
+	if rec.err != nil {
+		js.Error = rec.err.Error()
 	}
-	st.mu.Unlock()
-}
-
-// finish records the terminal state and reports whether this call performed
-// the transition. Once done or failed the entry is immutable: a simulate
-// leader and a Submit goroutine may both call finish for the same hash, and
-// the first (the run that actually ended) wins.
-func (st *jobState) finish(out Outcome, err error) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.state == StateDone || st.state == StateFailed {
-		return false
-	}
-	if err != nil {
-		st.state = StateFailed
-		st.errMsg = err.Error()
-		return true
-	}
-	st.state = StateDone
-	st.cacheHit = out.CacheHit
-	st.collapsed = out.Collapsed
-	return true
-}
-
-func (st *jobState) status() JobStatus {
-	st.mu.Lock()
-	js := JobStatus{
-		Hash:      st.hash,
-		Job:       st.job,
-		State:     st.state,
-		CacheHit:  st.cacheHit,
-		Collapsed: st.collapsed,
-		Error:     st.errMsg,
-	}
-	st.mu.Unlock()
-	if js.State == StateRunning {
-		if rs := st.intro.Latest(); rs != nil {
-			js.Progress = &Progress{
-				Phase:          rs.Phase,
-				Accesses:       rs.Accesses,
-				TargetAccesses: rs.TargetAccesses,
-				Cycles:         rs.Cycles,
-				Instructions:   rs.Instructions,
-				UpdatedAt:      rs.UpdatedAt,
-			}
+	if rs := rec.intro.Latest(); rs != nil && rec.state == StateRunning {
+		js.Progress = &Progress{
+			Phase:          rs.Phase,
+			Accesses:       rs.Accesses,
+			TargetAccesses: rs.TargetAccesses,
+			Cycles:         rs.Cycles,
+			Instructions:   rs.Instructions,
+			UpdatedAt:      rs.UpdatedAt,
 		}
 	}
 	return js
 }
 
-// state returns (creating if needed) the job table entry for r.
-func (s *Service) state(r Resolved) *jobState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.jobs[r.Hash]
-	if !ok {
-		st = &jobState{hash: r.Hash, job: r.Job, state: StateQueued, intro: &obs.Introspector{}}
-		s.jobs[r.Hash] = st
+// join registers one waiter on r's record. When the hash has no record, or
+// only a failed one, it creates the record and starts its one simulation;
+// leader reports that this call did. The run's context derives from no
+// caller's: the record owns it, so only leave cancels it. The caller holds
+// s.mu and a work unit (acquire), so the simulation's own unit cannot race
+// Wait.
+func (s *Service) join(r Resolved) (rec *record, leader bool) {
+	rec = s.jobs[r.Hash]
+	if rec == nil || rec.state == StateFailed {
+		ctx, cancel := context.WithCancel(context.Background())
+		rec = &record{hash: r.Hash, job: r.Job, intro: &obs.Introspector{},
+			cancel: cancel, done: make(chan struct{}), state: StateQueued}
+		s.jobs[r.Hash] = rec
+		s.wg.Add(1)
+		go s.simulate(ctx, rec, r)
+		leader = true
 	}
-	return st
+	rec.waiters++
+	return rec, leader
 }
 
-// retire enrolls a finished jobState in the bounded retention list and
-// evicts the oldest finished entries beyond the bound, keeping the job table
-// from growing without limit in a long-running daemon. Only the caller that
-// performed the finish transition retires an entry, so each appears at most
-// once. Eviction re-checks identity: a failed hash resubmitted (and so
-// replaced in the map) is not clobbered by its predecessor's retirement.
-func (s *Service) retire(st *jobState) {
+// await waits on rec for one joined caller until the run ends or ctx does,
+// then leaves the record and settles the caller's counters. Only the leader
+// gets the live Result; every other caller shares the immutable bundle
+// bytes, never the leader's Stats registry.
+func (s *Service) await(ctx context.Context, rec *record, leader bool) (Outcome, error) {
+	var err error
+	select {
+	case <-rec.done:
+		err = rec.err
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	s.leave(rec)
+	switch {
+	case err != nil:
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.deadlinesExceeded.Add(1)
+		}
+		s.failed.Add(1)
+		return Outcome{}, err
+	case leader:
+		s.completed.Add(1)
+		return rec.out, nil
+	}
+	s.collapsed.Add(1)
+	s.completed.Add(1)
+	return Outcome{Hash: rec.hash, Bundle: rec.out.Bundle, Collapsed: true}, nil
+}
+
+// leave unregisters one waiter. The last waiter to leave an unfinished run
+// cancels it, freeing its worker, and takes the record out of the table so
+// a later caller starts afresh instead of joining a dying run.
+func (s *Service) leave(rec *record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.finished.PushBack(st)
-	for s.finished.Len() > s.jobsCap {
-		el := s.finished.Front()
-		s.finished.Remove(el)
-		old := el.Value.(*jobState)
-		if cur, ok := s.jobs[old.hash]; ok && cur == old {
+	rec.waiters--
+	if rec.waiters > 0 || rec.state == StateDone || rec.state == StateFailed {
+		return
+	}
+	rec.cancel()
+	if s.jobs[rec.hash] == rec {
+		delete(s.jobs, rec.hash)
+	}
+}
+
+// simulate runs rec's one simulation on the worker pool and publishes the
+// outcome: a success leaves the table (its bundle is already in the store),
+// a failure is retained for Status under the jobsCap bound.
+func (s *Service) simulate(ctx context.Context, rec *record, r Resolved) {
+	defer s.wg.Done()
+	defer rec.cancel()
+	out, err := s.runOnWorker(ctx, rec, r)
+	s.mu.Lock()
+	rec.out, rec.err = out, err
+	if s.jobs[rec.hash] == rec {
+		if err == nil {
+			delete(s.jobs, rec.hash)
+		} else {
+			s.retain(rec)
+		}
+	}
+	rec.state = StateDone
+	if err != nil {
+		rec.state = StateFailed
+	}
+	s.mu.Unlock()
+	close(rec.done)
+}
+
+// retain enrolls a failed record in the bounded retention list and drops
+// the oldest beyond the bound, keeping the table from growing without limit
+// in a long-running daemon. Eviction re-checks identity: a failed hash that
+// was retried (and so replaced in the map) is not clobbered by its
+// predecessor. The caller holds s.mu.
+func (s *Service) retain(rec *record) {
+	s.retained = append(s.retained, rec)
+	for len(s.retained) > s.jobsCap {
+		old := s.retained[0]
+		s.retained[0] = nil
+		s.retained = s.retained[1:]
+		if s.jobs[old.hash] == old {
 			delete(s.jobs, old.hash)
 		}
 	}
 }
 
+// runOnWorker waits for a worker slot, executes r as a one-pair batch and
+// stores its canonical bundle in the result store.
+func (s *Service) runOnWorker(ctx context.Context, rec *record, r Resolved) (Outcome, error) {
+	s.waiting.Add(1)
+	select {
+	case s.sem <- struct{}{}:
+		s.waiting.Add(^uint64(0))
+	case <-ctx.Done():
+		s.waiting.Add(^uint64(0))
+		return Outcome{}, ctx.Err()
+	}
+	defer func() { <-s.sem }()
+	s.simulations.Add(1)
+	s.mu.Lock()
+	rec.state = StateRunning
+	s.mu.Unlock()
+
+	pair := experiment.Pair{
+		Cfg:      r.Cfg,
+		Workload: r.W,
+		Design:   r.Job.Design,
+		Obs:      &experiment.RunObs{Introspector: rec.intro},
+	}
+	// A one-pair batch through the shared pool entry point buys the same
+	// per-pair panic isolation sweeps get: a controller bug fails the job,
+	// not the server.
+	pr := experiment.RunPairsCtx(ctx, []experiment.Pair{pair})[0]
+	if pr.Err != nil {
+		return Outcome{}, pr.Err
+	}
+	b, err := report.New(r.Key, pr.Result)
+	if err != nil {
+		return Outcome{}, err
+	}
+	data, err := b.MarshalCanonical()
+	if err != nil {
+		return Outcome{}, err
+	}
+	// Put never fails the job: a disk-write failure degrades the store to
+	// memory-only (counted, logged, visible on /metrics) while this result
+	// is served from memory like any other.
+	s.cache.Put(r.Hash, data)
+	return Outcome{Hash: r.Hash, Bundle: data, Result: &pr.Result}, nil
+}
+
 // Submit enqueues a job asynchronously and returns its immediate status.
-// The job is content-addressed: submitting an identical job returns the
-// existing entry (done, running or queued) instead of a duplicate; a failed
-// entry is retried. ctx bounds the job's whole execution — the daemon
-// passes its lifetime context, not the HTTP request's.
+// The job is content-addressed: a stored result answers done at once, and
+// an identical in-flight job is joined instead of duplicated; a failed
+// record is retried. ctx bounds this submission's wait on the run — the
+// daemon passes its lifetime context, not the HTTP request's.
 func (s *Service) Submit(ctx context.Context, job Job) (JobStatus, error) {
 	if s.draining.Load() {
 		return JobStatus{}, ErrDraining
@@ -422,72 +432,60 @@ func (s *Service) Submit(ctx context.Context, job Job) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
+	if _, ok := s.cache.Get(r.Hash); ok {
+		s.submitted.Add(1)
+		s.completed.Add(1)
+		return JobStatus{Hash: r.Hash, Job: r.Job, State: StateDone, CacheHit: true}, nil
+	}
 	s.mu.Lock()
-	st, ok := s.jobs[r.Hash]
-	launch := false
-	if !ok || st.status().State == StateFailed {
-		st = &jobState{hash: r.Hash, job: r.Job, state: StateQueued, intro: &obs.Introspector{}}
-		s.jobs[r.Hash] = st
-		launch = true
+	defer s.mu.Unlock()
+	if rec := s.jobs[r.Hash]; rec != nil && rec.async && rec.state != StateFailed {
+		// An identical re-submission: the record already has its async
+		// waiter, so this costs nothing and is never refused.
+		return rec.status(), nil
 	}
-	s.mu.Unlock()
-	if launch {
-		rollback := func() {
-			s.mu.Lock()
-			if cur, ok := s.jobs[r.Hash]; ok && cur == st {
-				delete(s.jobs, r.Hash)
-			}
-			s.mu.Unlock()
-		}
-		// Admission control for the async path: every accepted submission
-		// is a goroutine plus a job-table entry until it finishes, so the
-		// queue bound is what keeps a load spike from growing the heap
-		// without limit. Add-then-check keeps the bound exact under
-		// concurrent submissions. Identical re-submissions never get here —
-		// they reuse the existing entry above and cost nothing.
-		if s.maxQueue > 0 {
-			if n := s.asyncPending.Add(1); n > int64(s.maxQueue) {
-				s.asyncPending.Add(-1)
-				s.admissionRejected.Add(1)
-				rollback()
-				return JobStatus{}, ErrOverloaded
-			}
-		} else {
-			s.asyncPending.Add(1)
-		}
-		if !s.acquire() {
-			// Drain raced the submission: roll back the queued entry (if
-			// still ours) instead of leaving a job no goroutine will run.
-			s.asyncPending.Add(-1)
-			rollback()
-			return JobStatus{}, ErrDraining
-		}
-		go func() {
-			defer s.wg.Done()
-			defer s.asyncPending.Add(-1)
-			// runAccepted, not RunResolved: this goroutine already holds an
-			// accepted work unit, and a Drain between Submit and here must
-			// not fail a job the service promised to run.
-			out, err := s.runAccepted(ctx, r, false)
-			if st.finish(out, err) {
-				s.retire(st)
-			}
-		}()
+	// Admission control for the async path: every accepted submission is a
+	// waiting goroutine until its run finishes, so the queue bound is what
+	// keeps a load spike from growing the heap without limit. Add-then-check
+	// keeps the bound exact under concurrent submissions.
+	if n := s.asyncPending.Add(1); s.maxQueue > 0 && n > int64(s.maxQueue) {
+		s.asyncPending.Add(-1)
+		s.admissionRejected.Add(1)
+		return JobStatus{}, ErrOverloaded
 	}
-	return st.status(), nil
+	if !s.acquire() {
+		s.asyncPending.Add(-1)
+		return JobStatus{}, ErrDraining
+	}
+	s.submitted.Add(1)
+	rec, leader := s.join(r)
+	rec.async = true
+	go func() {
+		defer s.wg.Done()
+		defer s.asyncPending.Add(-1)
+		s.await(ctx, rec, leader)
+	}()
+	st := rec.status()
+	st.Collapsed = !leader
+	return st, nil
 }
 
-// Status returns the status of a previously submitted hash. A hash that was
-// never submitted this process — or whose finished table entry was evicted
-// by the retention bound — but whose bundle is in the result store reports
-// as done (the store outlives the job table across restarts and evictions).
-// Evicted failed entries report not-found; resubmitting retries them.
+// Status returns the status of a previously submitted hash. The job table
+// holds only queued, running and failed records: a completed hash — from
+// this process, an earlier one sharing the cache directory, or a sync run —
+// reports done from the result store, so done always means its result is
+// servable. Evicted failed records report not-found; resubmitting retries
+// them.
 func (s *Service) Status(hash string) (JobStatus, bool) {
 	s.mu.Lock()
-	st, ok := s.jobs[hash]
+	rec, ok := s.jobs[hash]
+	var st JobStatus
+	if ok {
+		st = rec.status()
+	}
 	s.mu.Unlock()
 	if ok {
-		return st.status(), true
+		return st, true
 	}
 	if _, ok := s.cache.Get(hash); ok {
 		return JobStatus{Hash: hash, State: StateDone, CacheHit: true}, true

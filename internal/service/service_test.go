@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"baryon/internal/config"
+	"baryon/internal/experiment"
 	"baryon/internal/report"
 )
 
@@ -694,5 +696,228 @@ func TestWorkerPoolBounds(t *testing.T) {
 	}
 	if sims := s.Simulations(); sims != 4 {
 		t.Fatalf("%d simulations, want 4 distinct", sims)
+	}
+}
+
+// TestSyncFollowerOutlivesLeaderDeadline: a sync run without a deadline
+// that collapses into an in-flight run must not inherit the deadline of the
+// caller that started it. The leader times out; the follower still gets the
+// bundle from the one simulation.
+func TestSyncFollowerOutlivesLeaderDeadline(t *testing.T) {
+	s := quickService(t, Options{Workers: 1, MaxSyncWaiters: 2})
+	release := fillWorkers(s)
+	t.Cleanup(release)
+
+	lctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := s.Run(lctx, quickJob)
+		leader <- err
+	}()
+	waitCond(t, "the leader to park at the worker pool", func() bool { return s.waiting.Load() == 1 })
+	follower := make(chan error, 1)
+	var out Outcome
+	go func() {
+		var err error
+		out, err = s.Run(context.Background(), quickJob)
+		follower <- err
+	}()
+	waitCond(t, "the follower to park", func() bool { return s.syncWaiters.Load() == 2 })
+	if err := <-leader; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader: %v, want DeadlineExceeded", err)
+	}
+	release()
+	if err := <-follower; err != nil {
+		t.Fatalf("follower without a deadline failed: %v", err)
+	}
+	if len(out.Bundle) == 0 {
+		t.Fatal("follower got no bundle")
+	}
+	if n := s.Simulations(); n != 1 {
+		t.Fatalf("%d simulations, want 1", n)
+	}
+}
+
+// TestSubmitOutlivesSyncDeadline: an async submission that arrives while a
+// sync miss for the same hash is in flight waits on its own context, so the
+// sync caller's deadline cannot fail the async job.
+func TestSubmitOutlivesSyncDeadline(t *testing.T) {
+	s := quickService(t, Options{Workers: 1})
+	release := fillWorkers(s)
+	t.Cleanup(release)
+
+	sctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	syncErr := make(chan error, 1)
+	go func() {
+		_, err := s.Run(sctx, quickJob)
+		syncErr <- err
+	}()
+	waitCond(t, "the sync run to park at the worker pool", func() bool { return s.waiting.Load() == 1 })
+	st, err := s.Submit(context.Background(), quickJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-syncErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("sync run: %v, want DeadlineExceeded", err)
+	}
+	release()
+	var cur JobStatus
+	waitCond(t, "the async job to finish", func() bool {
+		var ok bool
+		cur, ok = s.Status(st.Hash)
+		return ok && (cur.State == StateDone || cur.State == StateFailed)
+	})
+	if cur.State != StateDone {
+		t.Fatalf("async job = %+v, want done", cur)
+	}
+	if _, ok := s.ResultBytes(st.Hash); !ok {
+		t.Fatal("done async job has no result")
+	}
+}
+
+// TestStatusDoneAfterRetriedFailure: a hash whose async submission failed
+// and that a later sync run completes reports done, matching the result
+// endpoint, instead of the stale failure.
+func TestStatusDoneAfterRetriedFailure(t *testing.T) {
+	s := quickService(t, Options{Workers: 1})
+	release := fillWorkers(s)
+	t.Cleanup(release)
+
+	actx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	st, err := s.Submit(actx, quickJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the async submission to give up", func() bool {
+		cur, ok := s.Status(st.Hash)
+		return !ok || cur.State == StateFailed
+	})
+	release()
+	if _, err := s.Run(context.Background(), quickJob); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.ResultBytes(st.Hash); !ok {
+		t.Fatal("sync run left no result")
+	}
+	if cur, ok := s.Status(st.Hash); !ok || cur.State != StateDone {
+		t.Fatalf("status after a successful retry = %+v, %v; want done", cur, ok)
+	}
+}
+
+// TestResubmitAfterStoreEviction: with a memory-only store, a hash the LRU
+// has evicted must not report done while its result is gone; resubmitting
+// it runs it again and the result is served.
+func TestResubmitAfterStoreEviction(t *testing.T) {
+	s := quickService(t, Options{CacheEntries: 2})
+	ctx := context.Background()
+	run := func(seed uint64) string {
+		job := quickJob
+		job.Seed = seed
+		out, err := s.Run(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Hash
+	}
+	run(1)
+	h2 := run(2)
+	run(1) // a hit: seed 1 becomes the most recently used bundle
+	run(3) // evicts seed 2 from the store
+	if _, ok := s.ResultBytes(h2); ok {
+		t.Fatal("seed 2 was not evicted; the test premise does not hold")
+	}
+	job := quickJob
+	job.Seed = 2
+	if _, err := s.Submit(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the resubmitted job to finish", func() bool {
+		cur, ok := s.Status(h2)
+		return ok && (cur.State == StateDone || cur.State == StateFailed)
+	})
+	if _, ok := s.ResultBytes(h2); !ok {
+		cur, _ := s.Status(h2)
+		t.Fatalf("status %q but no result for the resubmitted hash", cur.State)
+	}
+}
+
+// TestLastWaiterCancelsRun pins the last-waiter rule: a lone sync caller
+// whose deadline fires while its simulation is running cancels the run and
+// frees the worker.
+func TestLastWaiterCancelsRun(t *testing.T) {
+	s := quickService(t, Options{Workers: 1})
+	long := quickJob
+	long.Accesses = 1 << 30
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Run(ctx, long)
+		done <- err
+	}()
+	waitCond(t, "the run to hold a worker", func() bool { return s.Simulations() == 1 })
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run: %v, want DeadlineExceeded", err)
+	}
+	waitCond(t, "the worker to be freed", func() bool { return len(s.sem) == 0 })
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	if err := s.Wait(wctx); err != nil {
+		t.Fatalf("Wait after the cancelled run: %v", err)
+	}
+}
+
+// TestFailedRecordsRetainedAndRetried: a run that fails stays in the job
+// table as failed (bounded by the cache capacity), and resubmitting it
+// starts a fresh run instead of returning the stale failure.
+func TestFailedRecordsRetainedAndRetried(t *testing.T) {
+	// BlockBytes 0 passes spec validation but panics in the controller
+	// factory, so every run of this design fails. The registry is global
+	// and outlives one test run (-count).
+	if _, ok := experiment.Lookup("Poisoned-Service"); !ok {
+		if err := experiment.Register(experiment.DesignSpec{
+			Name:      "Poisoned-Service",
+			Kind:      experiment.KindBaryon,
+			Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := quickService(t, Options{CacheEntries: 2})
+	ctx := context.Background()
+	submitFailed := func(seed uint64) string {
+		t.Helper()
+		st, err := s.Submit(ctx, Job{Design: "Poisoned-Service", Workload: "505.mcf_r", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur JobStatus
+		waitCond(t, "the poisoned run to fail", func() bool {
+			cur, _ = s.Status(st.Hash)
+			return cur.State == StateFailed
+		})
+		if !strings.Contains(cur.Error, "panicked") {
+			t.Fatalf("failed status error = %q, want the captured panic", cur.Error)
+		}
+		return st.Hash
+	}
+	h1 := submitFailed(1)
+	submitFailed(1)
+	if n := s.Simulations(); n != 2 {
+		t.Fatalf("resubmitting a failed job ran %d simulations in total, want 2", n)
+	}
+	submitFailed(2)
+	submitFailed(3)
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("job table holds %d failed records, want 2 (the cache cap)", n)
+	}
+	if _, ok := s.Status(h1); ok {
+		t.Fatal("the oldest failed record survived past the bound")
 	}
 }
