@@ -72,6 +72,11 @@ func (c *Cache) find(addr uint64) (int, int) {
 // Access looks up the line at addr (line-aligned), updating LRU and
 // counters. If write is true and the line hits, it is marked dirty.
 func (c *Cache) Access(addr uint64, write bool) bool {
+	return c.access(addr, write) >= 0
+}
+
+// access is Access returning the hit line's slot, or -1 on a miss.
+func (c *Cache) access(addr uint64, write bool) int {
 	c.tick++
 	if si, w := c.find(addr); w >= 0 {
 		m, line := c.dir.Way(si, w)
@@ -80,16 +85,29 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 			line.dirty = true
 		}
 		c.hits.Inc()
-		return true
+		return c.slot(si, w)
 	}
 	c.misses.Inc()
-	return false
+	return -1
 }
 
 // Probe reports presence without LRU or counter side effects.
 func (c *Cache) Probe(addr uint64) bool {
 	_, w := c.find(addr)
 	return w >= 0
+}
+
+// slot flattens (set, way) into the level's way index, set*ways+way: the
+// index of a side array with one entry per way.
+func (c *Cache) slot(si, w int) int { return si*c.cfg.Ways + w }
+
+// slotOf returns the slot holding addr, or -1 if it is absent, without LRU
+// or counter side effects.
+func (c *Cache) slotOf(addr uint64) int {
+	if si, w := c.find(addr); w >= 0 {
+		return c.slot(si, w)
+	}
+	return -1
 }
 
 // Victim describes a line displaced by Install.
@@ -103,13 +121,19 @@ type Victim struct {
 // the set is full. It returns the displaced victim, if any. Installing an
 // already-present line just refreshes it.
 func (c *Cache) Install(addr uint64, dirty bool) Victim {
+	v, _ := c.install(addr, dirty)
+	return v
+}
+
+// install is Install also returning the slot that now holds addr.
+func (c *Cache) install(addr uint64, dirty bool) (Victim, int) {
 	c.tick++
 	si, w := c.find(addr)
 	if w >= 0 {
 		m, line := c.dir.Way(si, w)
 		m.LastUse = c.tick
 		line.dirty = line.dirty || dirty
-		return Victim{}
+		return Victim{}, c.slot(si, w)
 	}
 	vw := c.dir.Victim(si, c.rep)
 	m, line := c.dir.Way(si, vw)
@@ -119,7 +143,7 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 	}
 	*m = hybrid.WayMeta{Key: addr, Valid: true, LastUse: c.tick}
 	*line = cacheLine{dirty: dirty}
-	return v
+	return v, c.slot(si, vw)
 }
 
 // MarkDirty sets the dirty bit if the line is present and reports presence.

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"baryon/internal/hybrid"
 	"baryon/internal/obs"
@@ -37,6 +39,18 @@ func DefaultHierarchy(cores, llcKB int) HierarchyConfig {
 	}
 }
 
+// MaxCores is the largest core count a Hierarchy supports: the LLC sharer
+// mask has one bit per core in a uint64.
+const MaxCores = 64
+
+// CheckCores reports whether n cores fit the LLC sharer mask.
+func CheckCores(n int) error {
+	if n < 1 || n > MaxCores {
+		return fmt.Errorf("cores = %d, want 1..%d (the LLC sharer mask has one bit per core)", n, MaxCores)
+	}
+	return nil
+}
+
 // Hierarchy drives per-core L1/L2 and a shared LLC in front of one memory
 // controller. LineData supplies the current functional content of a line for
 // dirty writebacks (owned by the run harness).
@@ -46,6 +60,12 @@ type Hierarchy struct {
 	l2   []*Cache
 	llc  *Cache
 	ctrl hybrid.Controller
+
+	// sharers is the LLC snoop filter, indexed by LLC slot: bit c is set
+	// when the line was filled into core c's L2 since the slot was last
+	// filled. It is a superset of the L2 (and, by L1 ⊆ L2, the L1) holders,
+	// so back-invalidation probes only the cores it names.
+	sharers []uint64
 
 	// LineData returns the 64 B functional content of a line for writebacks.
 	LineData func(addr uint64) []byte
@@ -66,8 +86,12 @@ type Hierarchy struct {
 // registry behind stats: the per-core levels live under "l1.coreK." and
 // "l2.coreK." scopes, so their hit/miss counts survive the run and
 // participate in snapshots instead of vanishing into private collections.
+// It panics if cfg.Cores is outside 1..MaxCores.
 func NewHierarchy(cfg HierarchyConfig, ctrl hybrid.Controller, stats *sim.Stats) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, ctrl: ctrl}
+	if err := CheckCores(cfg.Cores); err != nil {
+		panic("cache: " + err.Error())
+	}
+	h := &Hierarchy{cfg: cfg, ctrl: ctrl, sharers: make([]uint64, cfg.LLC.Sets*cfg.LLC.Ways)}
 	h.l1 = make([]*Cache, cfg.Cores)
 	h.l2 = make([]*Cache, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
@@ -174,8 +198,8 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 		h.tracer.Span("L2", "miss", now+lat, now+lat+h.cfg.L2.Latency)
 	}
 	lat += h.cfg.L2.Latency
-	if h.llc.Access(addr, false) {
-		h.fillL2(core, addr, now)
+	if slot := h.llc.access(addr, false); slot >= 0 {
+		h.fillL2(core, addr, slot, now)
 		h.fillL1(core, addr, write, now)
 		done := now + lat + h.cfg.LLC.Latency
 		h.latLLC.Observe(done - now)
@@ -207,7 +231,9 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 		}
 		h.tracer.Span("ctrl", cat, now+lat, res.Done)
 	}
-	h.installLLC(addr, false, now)
+	// addr is its set's MRU line, so the prefetch installs below leave it in
+	// slot unless they fill every way of that set.
+	slot := h.installLLC(addr, false, now)
 	if h.cfg.InstallPrefetched {
 		for _, p := range res.Prefetched {
 			if p.Addr != addr && !h.llc.Probe(p.Addr) {
@@ -216,7 +242,7 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 			}
 		}
 	}
-	h.fillL2(core, addr, now)
+	h.fillL2(core, addr, slot, now)
 	h.fillL1(core, addr, write, now)
 	return res.Done
 }
@@ -234,9 +260,13 @@ func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool, now uint64) {
 	}
 }
 
-// fillL2 installs into a core's L2, back-invalidating the L1 copy of any
-// displaced victim and propagating dirtiness to the LLC.
-func (h *Hierarchy) fillL2(core int, addr uint64, now uint64) {
+// fillL2 installs into a core's L2, recording the core as a sharer of the
+// LLC line at llcSlot, back-invalidating the L1 copy of any displaced victim
+// and propagating dirtiness to the LLC. The victim's sharer bit is left set:
+// a stale bit costs one wasted probe at LLC eviction, clearing it an LLC
+// lookup on every L2 eviction.
+func (h *Hierarchy) fillL2(core int, addr uint64, llcSlot int, now uint64) {
+	h.sharers[llcSlot] |= 1 << core
 	v := h.l2[core].Install(addr, false)
 	if !v.Valid {
 		return
@@ -249,15 +279,19 @@ func (h *Hierarchy) fillL2(core int, addr uint64, now uint64) {
 	}
 }
 
-// installLLC installs into the shared LLC, back-invalidating all upper-level
-// copies of the victim and writing it back if dirty anywhere.
-func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) {
-	v := h.llc.Install(addr, dirty)
+// installLLC installs addr, which must be absent, into the shared LLC and
+// returns its slot. The victim's upper-level copies are back-invalidated in
+// the cores its sharer mask names, and it is written back if dirty anywhere.
+func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) int {
+	v, slot := h.llc.install(addr, dirty)
+	sharers := h.sharers[slot]
+	h.sharers[slot] = 0
 	if !v.Valid {
-		return
+		return slot
 	}
 	anyDirty := v.Dirty
-	for core := 0; core < h.cfg.Cores; core++ {
+	for ; sharers != 0; sharers &= sharers - 1 {
+		core := bits.TrailingZeros64(sharers)
 		if _, d := h.l1[core].Invalidate(v.Addr); d {
 			anyDirty = true
 		}
@@ -268,6 +302,7 @@ func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) {
 	if anyDirty {
 		h.writeback(v.Addr, now)
 	}
+	return slot
 }
 
 func (h *Hierarchy) writeback(addr uint64, now uint64) {
@@ -280,22 +315,17 @@ func (h *Hierarchy) writeback(addr uint64, now uint64) {
 }
 
 // Flush writes every dirty line in the hierarchy back to the memory
-// controller and invalidates all levels, leaving the controller's data plane
-// equal to the functional image. Used by integrity tests and at end of runs.
+// controller in ascending address order and invalidates all levels, leaving
+// the controller's data plane equal to the functional image. Used by
+// integrity tests and at end of runs.
 func (h *Hierarchy) Flush(now uint64) {
-	seen := make(map[uint64]bool)
+	dirty := h.llc.DirtyLines()
 	for core := 0; core < h.cfg.Cores; core++ {
-		for _, a := range h.l1[core].DirtyLines() {
-			seen[a] = true
-		}
-		for _, a := range h.l2[core].DirtyLines() {
-			seen[a] = true
-		}
+		dirty = append(dirty, h.l1[core].DirtyLines()...)
+		dirty = append(dirty, h.l2[core].DirtyLines()...)
 	}
-	for _, a := range h.llc.DirtyLines() {
-		seen[a] = true
-	}
-	for a := range seen {
+	slices.Sort(dirty)
+	for _, a := range slices.Compact(dirty) {
 		h.writeback(a, now)
 	}
 	for core := 0; core < h.cfg.Cores; core++ {
@@ -309,4 +339,28 @@ func (h *Hierarchy) Flush(now uint64) {
 	for _, a := range h.llc.Lines() {
 		h.llc.Invalidate(a)
 	}
+	clear(h.sharers)
+}
+
+// CheckInclusion verifies the hierarchy's structural invariants: for every
+// core, L1 ⊆ L2 ⊆ LLC, and every line in core c's L2 has bit c set in its
+// LLC sharer mask. It returns the first violation found.
+func (h *Hierarchy) CheckInclusion() error {
+	for core := 0; core < h.cfg.Cores; core++ {
+		for _, a := range h.l1[core].Lines() {
+			if !h.l2[core].Probe(a) {
+				return fmt.Errorf("cache: core %d: line %#x in L1 but not in L2", core, a)
+			}
+		}
+		for _, a := range h.l2[core].Lines() {
+			slot := h.llc.slotOf(a)
+			if slot < 0 {
+				return fmt.Errorf("cache: core %d: line %#x in L2 but not in LLC", core, a)
+			}
+			if h.sharers[slot]&(1<<core) == 0 {
+				return fmt.Errorf("cache: core %d: line %#x in L2 but its LLC sharer bit is clear", core, a)
+			}
+		}
+	}
+	return nil
 }

@@ -1,0 +1,171 @@
+package cache
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"baryon/internal/hybrid"
+	"baryon/internal/sim"
+)
+
+// newSharedHierarchy builds a 4-core hierarchy whose LLC is small enough to
+// evict lines that several cores' L2s hold.
+func newSharedHierarchy() (*Hierarchy, *stubCtrl) {
+	stats := sim.NewStats()
+	ctrl := &stubCtrl{stats: stats}
+	cfg := HierarchyConfig{
+		Cores:             4,
+		L1:                Config{Name: "L1", Sets: 2, Ways: 2, Latency: 1},
+		L2:                Config{Name: "L2", Sets: 4, Ways: 2, Latency: 4},
+		LLC:               Config{Name: "LLC", Sets: 8, Ways: 4, Latency: 10},
+		InstallPrefetched: true,
+	}
+	h := NewHierarchy(cfg, ctrl, stats)
+	h.LineData = func(addr uint64) []byte { return make([]byte, 64) }
+	return h, ctrl
+}
+
+// driveRandom sends n random loads and stores from random cores over a
+// footprint of 96 lines (3x the LLC), checking the hierarchy's invariants
+// after every access when check is set.
+func driveRandom(t *testing.T, h *Hierarchy, seed uint64, n int, check bool) {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		core := rng.Intn(4)
+		addr := rng.Uint64n(96) * hybrid.CachelineSize
+		h.Access(core, uint64(i)*10, addr, rng.Bool(0.3))
+		if !check {
+			continue
+		}
+		if err := h.CheckInclusion(); err != nil {
+			t.Fatalf("access %d (core %d, %#x): %v", i, core, addr, err)
+		}
+	}
+}
+
+// TestHierarchyInclusionRandomStream drives a 4-core hierarchy, with the
+// stub's prefetch installs, through a random stream: L1 ⊆ L2 ⊆ LLC and the
+// sharer bits must hold after every access, and LLC evictions must have
+// happened for the check to mean anything.
+func TestHierarchyInclusionRandomStream(t *testing.T) {
+	h, ctrl := newSharedHierarchy()
+	driveRandom(t, h, 7, 5000, true)
+	if len(ctrl.writes) == 0 || h.Counters().PrefetchInstalls.Value() == 0 {
+		t.Fatalf("stream too gentle: %d writebacks, %d prefetch installs",
+			len(ctrl.writes), h.Counters().PrefetchInstalls.Value())
+	}
+	h.Flush(1 << 20)
+	if err := h.CheckInclusion(); err != nil {
+		t.Fatalf("after flush: %v", err)
+	}
+}
+
+// TestCheckInclusionDetectsViolations breaks each invariant by hand and
+// expects CheckInclusion to name it.
+func TestCheckInclusionDetectsViolations(t *testing.T) {
+	h, _ := newSharedHierarchy()
+	h.Access(2, 0, 0x40, false)
+	if err := h.CheckInclusion(); err != nil {
+		t.Fatalf("fresh fill: %v", err)
+	}
+	h.sharers[h.llc.slotOf(0x40)] = 0
+	if err := h.CheckInclusion(); err == nil || !strings.Contains(err.Error(), "sharer bit") {
+		t.Fatalf("cleared sharer bit not reported: %v", err)
+	}
+	h.LLC().Invalidate(0x40)
+	if err := h.CheckInclusion(); err == nil || !strings.Contains(err.Error(), "not in LLC") {
+		t.Fatalf("L2 line missing from LLC not reported: %v", err)
+	}
+	h.Level(2, 2).Invalidate(0x40)
+	if err := h.CheckInclusion(); err == nil || !strings.Contains(err.Error(), "not in L2") {
+		t.Fatalf("L1 line missing from L2 not reported: %v", err)
+	}
+}
+
+// TestHierarchyFlushOrderDeterministic drives two hierarchies identically and
+// checks their flushes hand the controller the same writes, in ascending
+// address order.
+func TestHierarchyFlushOrderDeterministic(t *testing.T) {
+	var logs [2][]uint64
+	for i := range logs {
+		h, ctrl := newSharedHierarchy()
+		driveRandom(t, h, 11, 2000, false)
+		before := len(ctrl.writes)
+		h.Flush(1 << 20)
+		logs[i] = ctrl.writes[before:]
+	}
+	if len(logs[0]) < 8 {
+		t.Fatalf("only %d dirty lines flushed", len(logs[0]))
+	}
+	if !slices.Equal(logs[0], logs[1]) {
+		t.Fatalf("flush orders differ:\n%x\n%x", logs[0], logs[1])
+	}
+	if !slices.IsSorted(logs[0]) {
+		t.Fatalf("flush order not ascending: %x", logs[0])
+	}
+}
+
+// TestNewHierarchyCoreLimit checks the core count is bounded by the sharer
+// mask width.
+func TestNewHierarchyCoreLimit(t *testing.T) {
+	for _, cores := range []int{0, MaxCores + 1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "want 1..64") {
+					t.Errorf("cores=%d: panic %q, want the 1..64 limit", cores, msg)
+				}
+			}()
+			NewHierarchy(DefaultHierarchy(cores, 64), &stubCtrl{}, sim.NewStats())
+		}()
+	}
+	NewHierarchy(DefaultHierarchy(MaxCores, 64), &stubCtrl{}, sim.NewStats())
+}
+
+// nullCtrl serves every read as a fast hit with one prefetched neighbour,
+// without recording anything, so a benchmark measures the hierarchy alone.
+type nullCtrl struct {
+	stats *sim.Stats
+	pf    [1]hybrid.PrefetchedLine
+}
+
+func (c *nullCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
+	if write {
+		return hybrid.Result{Done: now}
+	}
+	c.pf[0] = hybrid.PrefetchedLine{Addr: addr ^ hybrid.CachelineSize}
+	return hybrid.Result{Done: now + 100, ServedByFast: true, Prefetched: c.pf[:]}
+}
+func (c *nullCtrl) Stats() *sim.Stats { return c.stats }
+func (c *nullCtrl) Name() string      { return "null" }
+
+// BenchmarkHierarchyAccess drives the Table I hierarchy (16 cores, 64 kB
+// LLC) with a stream that thrashes the LLC: each core draws random lines from
+// a 4 MB footprint, a quarter of them stores, so most accesses fill the LLC
+// and back-invalidate a victim. One op is 4096 accesses, round-robin over
+// the cores.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	const cores, lines, perOp = 16, 4 << 20 / hybrid.CachelineSize, 4096
+	stats := sim.NewStats()
+	h := NewHierarchy(DefaultHierarchy(cores, 64), &nullCtrl{stats: stats}, stats)
+	rng := sim.NewRNG(1)
+	now := uint64(0)
+	op := func() {
+		for i := 0; i < perOp; i++ {
+			addr := rng.Uint64n(lines) * hybrid.CachelineSize
+			h.Access(i%cores, now, addr, rng.Bool(0.25))
+			now++
+		}
+	}
+	for i := 0; i < 16; i++ { // fill every level before timing
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/access")
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"baryon/internal/cache"
 	"baryon/internal/hybrid"
 	"baryon/internal/mem"
 )
@@ -81,8 +82,12 @@ func (c *Config) TierSpecs() ([]hybrid.TierSpec, error) {
 // Validate checks the configuration's device topology up front, so an
 // unknown preset or a malformed tier list fails at config-validation time
 // with an actionable message instead of deep in construction. It mirrors
-// how unknown -design names are rejected.
+// how unknown -design names are rejected. It also bounds the core count to
+// what the cache hierarchy supports.
 func (c *Config) Validate() error {
+	if err := cache.CheckCores(c.Cores); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
 	if c.SlowMemory != "" {
 		known := false
 		for _, name := range mem.SlowPresetNames() {

@@ -91,6 +91,8 @@ func TestValidateRejections(t *testing.T) {
 			c.Tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "cxl-dram",
 				CXL: &mem.CXLParams{LinkLatencyCycles: 10, Compression: "zip"}}}
 		}, "unknown cxl compression"},
+		{"no cores", func(c *Config) { c.Cores = 0 }, "want 1..64"},
+		{"too many cores", func(c *Config) { c.Cores = 65 }, "want 1..64"},
 	}
 	for _, tc := range cases {
 		cfg := Scaled()

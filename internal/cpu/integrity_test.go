@@ -13,9 +13,9 @@ import (
 )
 
 // endToEndIntegrity runs a workload through the full stack (cores -> L1/L2
-// -> LLC -> controller), flushes the hierarchy, and verifies that the
-// controller's data plane then equals the functional image for every line
-// the run wrote — the strongest whole-system correctness check: every
+// -> LLC -> controller), checks the hierarchy's inclusion and sharer
+// invariant, flushes the hierarchy, and verifies that the controller's data
+// plane then equals the functional image for every line the run wrote — the strongest whole-system correctness check: every
 // migration, compression, commit, swap and writeback in between must have
 // preserved the bytes.
 func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactory, wname string) {
@@ -28,6 +28,9 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 	res := r.Run()
 	if res.Cycles == 0 {
 		t.Fatal("no cycles")
+	}
+	if err := r.Hierarchy().CheckInclusion(); err != nil {
+		t.Fatalf("%s/%s: %v", r.ctrl.Name(), wname, err)
 	}
 	r.Hierarchy().Flush(res.Cycles)
 	peeker, ok := r.Controller().(hybrid.DataPeeker)

@@ -7,7 +7,10 @@
 // and seed, so every experiment in this repository is exactly reproducible.
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** seeded via splitmix64). It is not safe for concurrent use;
@@ -126,7 +129,29 @@ func NewZipf(rng *RNG, n uint64, theta float64, scramble bool) *Zipf {
 	return z
 }
 
+// zetaKey identifies one zetaStatic input; theta is keyed by its bits so
+// every float, NaN included, has a stable key.
+type zetaKey struct {
+	n     uint64
+	theta uint64
+}
+
+// zetaMemo caches zetaStatic by (n, theta): every core's stream of a run has
+// the same parameters, and service runs build streams concurrently.
+var zetaMemo sync.Map // zetaKey -> float64
+
+// zetaStatic returns the generalized harmonic number H(n, theta), memoized.
 func zetaStatic(n uint64, theta float64) float64 {
+	key := zetaKey{n, math.Float64bits(theta)}
+	if v, ok := zetaMemo.Load(key); ok {
+		return v.(float64)
+	}
+	v := zetaCompute(n, theta)
+	zetaMemo.Store(key, v)
+	return v
+}
+
+func zetaCompute(n uint64, theta float64) float64 {
 	// For large n, approximate the tail of the generalized harmonic number
 	// with an integral; exact summation for the head keeps the error tiny
 	// while avoiding O(n) setup for multi-million-item spaces.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,40 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(3, 4) != 0.75 {
 		t.Fatal("ratio wrong")
+	}
+}
+
+// TestZetaMemoBitIdentical checks that the memoized harmonic number equals a
+// direct computation bit for bit, on first and repeated lookups, and that
+// concurrent NewZipf calls agree (run under -race).
+func TestZetaMemoBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		n     uint64
+		theta float64
+	}{{2, 0.99}, {1000, 0.99}, {10000, 0.8}, {1 << 20, 0.99}, {123457, 0.5}} {
+		want := math.Float64bits(zetaCompute(tc.n, tc.theta))
+		for i := 0; i < 2; i++ {
+			if got := math.Float64bits(zetaStatic(tc.n, tc.theta)); got != want {
+				t.Fatalf("zetaStatic(%d, %v) lookup %d = %#x, want %#x", tc.n, tc.theta, i, got, want)
+			}
+		}
+	}
+
+	const workers = 8
+	zs := make([]*Zipf, workers)
+	var wg sync.WaitGroup
+	for i := range zs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			zs[i] = NewZipf(NewRNG(1), 77777, 0.9, true)
+		}(i)
+	}
+	wg.Wait()
+	want := math.Float64bits(zetaCompute(77777, 0.9))
+	for i, z := range zs {
+		if got := math.Float64bits(z.zetan); got != want {
+			t.Fatalf("worker %d: zetan %#x, want %#x", i, got, want)
+		}
 	}
 }
