@@ -7,6 +7,10 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+
 	"baryon/internal/hybrid"
 	"baryon/internal/sim"
 )
@@ -19,18 +23,24 @@ type Config struct {
 	Latency uint64 // access latency in cycles
 }
 
-// cacheLine is the per-way payload in the kit's tag directory; the line
-// address, valid bit and LRU rank live in the directory's WayMeta.
-type cacheLine struct {
-	dirty bool
-}
+// noLine tags an empty way. Lines are 64 B aligned, so no line address has
+// all bits set.
+const noLine = ^uint64(0)
 
-// Cache is one set-associative, LRU, write-back cache level on the shared
-// controller-kit directory (hybrid.Dir + hybrid.LRU).
+// Cache is one set-associative, LRU, write-back cache level. Its way state
+// lives in flat set-major arrays indexed by slot, set*ways+way: the line
+// address (noLine when empty), the tick of the last touch, and the dirty
+// bit; an empty way's tick and dirty bit mean nothing. Ticks are unique per
+// level, so LRU order has no ties.
 type Cache struct {
-	cfg  Config
-	dir  *hybrid.Dir[cacheLine]
-	rep  hybrid.Replacer
+	cfg   Config
+	tags  []uint64
+	lru   []uint64
+	dirty []bool
+	used  []int32 // valid ways per set
+	// pow2 is set when Sets is a power of two: index then masks the line
+	// number with Sets-1 instead of dividing by Sets.
+	pow2 bool
 	tick uint64
 
 	hits, misses *sim.Counter
@@ -40,11 +50,16 @@ type Cache struct {
 // level's name scope. A config with an empty Name registers bare
 // "hits"/"misses", for callers that hand in an already-scoped view.
 func New(cfg Config, stats *sim.Stats) *Cache {
+	n := cfg.Sets * cfg.Ways
 	c := &Cache{
-		cfg: cfg,
-		dir: hybrid.NewDirSets[cacheLine](uint64(cfg.Sets), cfg.Ways),
-		rep: hybrid.LRU{},
+		cfg:   cfg,
+		tags:  make([]uint64, n),
+		lru:   make([]uint64, n),
+		dirty: make([]bool, n),
+		used:  make([]int32, cfg.Sets),
 	}
+	c.pow2 = bits.OnesCount(uint(cfg.Sets)) == 1
+	c.reset()
 	s := stats.Scope(cfg.Name)
 	c.hits = s.Counter("hits")
 	c.misses = s.Counter("misses")
@@ -60,13 +75,26 @@ func (c *Cache) Misses() *sim.Counter { return c.misses }
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// index returns the set of the line at addr.
 func (c *Cache) index(addr uint64) int {
-	return int((addr / hybrid.CachelineSize) % uint64(c.cfg.Sets))
+	line := addr / hybrid.CachelineSize
+	if c.pow2 {
+		return int(line & uint64(c.cfg.Sets-1))
+	}
+	return int(line % uint64(c.cfg.Sets))
 }
 
+// find returns addr's set and the slot holding it, or -1 if it is absent,
+// without LRU or counter side effects.
 func (c *Cache) find(addr uint64) (int, int) {
 	si := c.index(addr)
-	return si, c.dir.Lookup(si, addr)
+	base := si * c.cfg.Ways
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == addr {
+			return si, base + w
+		}
+	}
+	return si, -1
 }
 
 // Access looks up the line at addr (line-aligned), updating LRU and
@@ -78,14 +106,13 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // access is Access returning the hit line's slot, or -1 on a miss.
 func (c *Cache) access(addr uint64, write bool) int {
 	c.tick++
-	if si, w := c.find(addr); w >= 0 {
-		m, line := c.dir.Way(si, w)
-		m.LastUse = c.tick
+	if _, s := c.find(addr); s >= 0 {
+		c.lru[s] = c.tick
 		if write {
-			line.dirty = true
+			c.dirty[s] = true
 		}
 		c.hits.Inc()
-		return c.slot(si, w)
+		return s
 	}
 	c.misses.Inc()
 	return -1
@@ -93,21 +120,8 @@ func (c *Cache) access(addr uint64, write bool) int {
 
 // Probe reports presence without LRU or counter side effects.
 func (c *Cache) Probe(addr uint64) bool {
-	_, w := c.find(addr)
-	return w >= 0
-}
-
-// slot flattens (set, way) into the level's way index, set*ways+way: the
-// index of a side array with one entry per way.
-func (c *Cache) slot(si, w int) int { return si*c.cfg.Ways + w }
-
-// slotOf returns the slot holding addr, or -1 if it is absent, without LRU
-// or counter side effects.
-func (c *Cache) slotOf(addr uint64) int {
-	if si, w := c.find(addr); w >= 0 {
-		return c.slot(si, w)
-	}
-	return -1
+	_, s := c.find(addr)
+	return s >= 0
 }
 
 // Victim describes a line displaced by Install.
@@ -121,35 +135,47 @@ type Victim struct {
 // the set is full. It returns the displaced victim, if any. Installing an
 // already-present line just refreshes it.
 func (c *Cache) Install(addr uint64, dirty bool) Victim {
-	v, _ := c.install(addr, dirty)
+	if _, s := c.find(addr); s >= 0 {
+		c.tick++
+		c.lru[s] = c.tick
+		c.dirty[s] = c.dirty[s] || dirty
+		return Victim{}
+	}
+	v, _ := c.installAbsent(addr, dirty)
 	return v
 }
 
-// install is Install also returning the slot that now holds addr.
-func (c *Cache) install(addr uint64, dirty bool) (Victim, int) {
+// installAbsent installs addr, which must be absent, and returns the
+// displaced victim and the slot that now holds addr. The victim is the
+// first empty way of the set, otherwise its least recently used way.
+func (c *Cache) installAbsent(addr uint64, dirty bool) (Victim, int) {
 	c.tick++
-	si, w := c.find(addr)
-	if w >= 0 {
-		m, line := c.dir.Way(si, w)
-		m.LastUse = c.tick
-		line.dirty = line.dirty || dirty
-		return Victim{}, c.slot(si, w)
+	si := c.index(addr)
+	base := si * c.cfg.Ways
+	set := c.tags[base : base+c.cfg.Ways]
+	var v Victim
+	var s int
+	if int(c.used[si]) < len(set) {
+		s = base + slices.Index(set, noLine)
+		c.used[si]++
+	} else {
+		s = base
+		oldest := c.lru[base]
+		for i, t := range c.lru[base : base+len(set)] {
+			if t < oldest {
+				s, oldest = base+i, t
+			}
+		}
+		v = Victim{Addr: c.tags[s], Dirty: c.dirty[s], Valid: true}
 	}
-	vw := c.dir.Victim(si, c.rep)
-	m, line := c.dir.Way(si, vw)
-	v := Victim{}
-	if m.Valid {
-		v = Victim{Addr: m.Key, Dirty: line.dirty, Valid: true}
-	}
-	*m = hybrid.WayMeta{Key: addr, Valid: true, LastUse: c.tick}
-	*line = cacheLine{dirty: dirty}
-	return v, c.slot(si, vw)
+	c.tags[s], c.lru[s], c.dirty[s] = addr, c.tick, dirty
+	return v, s
 }
 
 // MarkDirty sets the dirty bit if the line is present and reports presence.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	if si, w := c.find(addr); w >= 0 {
-		c.dir.Payload(si, w).dirty = true
+	if _, s := c.find(addr); s >= 0 {
+		c.dirty[s] = true
 		return true
 	}
 	return false
@@ -157,24 +183,29 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 
 // Invalidate removes the line if present, reporting (present, wasDirty).
 func (c *Cache) Invalidate(addr uint64) (bool, bool) {
-	if si, w := c.find(addr); w >= 0 {
-		m, line := c.dir.Way(si, w)
-		dirty := line.dirty
-		*m = hybrid.WayMeta{}
-		*line = cacheLine{}
-		return true, dirty
+	si, s := c.find(addr)
+	if s < 0 {
+		return false, false
 	}
-	return false, false
+	c.tags[s] = noLine
+	c.used[si]--
+	return true, c.dirty[s]
+}
+
+// reset empties every way.
+func (c *Cache) reset() {
+	for i := range c.tags {
+		c.tags[i] = noLine
+	}
+	clear(c.used)
 }
 
 // DirtyLines returns the addresses of all dirty lines (used by Flush).
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
-	for si := 0; si < c.cfg.Sets; si++ {
-		for w := 0; w < c.cfg.Ways; w++ {
-			if m, line := c.dir.Way(si, w); m.Valid && line.dirty {
-				out = append(out, m.Key)
-			}
+	for s, t := range c.tags {
+		if t != noLine && c.dirty[s] {
+			out = append(out, t)
 		}
 	}
 	return out
@@ -183,12 +214,37 @@ func (c *Cache) DirtyLines() []uint64 {
 // Lines returns the addresses of all valid lines.
 func (c *Cache) Lines() []uint64 {
 	var out []uint64
-	for si := 0; si < c.cfg.Sets; si++ {
-		for w := 0; w < c.cfg.Ways; w++ {
-			if m, _ := c.dir.Way(si, w); m.Valid {
-				out = append(out, m.Key)
-			}
+	for _, t := range c.tags {
+		if t != noLine {
+			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// check verifies the level's structural invariants: every line sits in the
+// set it maps to, no set holds a line twice, and each set's occupancy count
+// equals its valid ways. It returns the first violation found.
+func (c *Cache) check() error {
+	for si := range c.used {
+		base := si * c.cfg.Ways
+		set := c.tags[base : base+c.cfg.Ways]
+		n := 0
+		for w, t := range set {
+			if t == noLine {
+				continue
+			}
+			n++
+			if got := c.index(t); got != si {
+				return fmt.Errorf("set %d way %d: line %#x maps to set %d", si, w, t, got)
+			}
+			if slices.Contains(set[:w], t) {
+				return fmt.Errorf("set %d: line %#x held twice", si, t)
+			}
+		}
+		if u := int(c.used[si]); u != n || u > c.cfg.Ways {
+			return fmt.Errorf("set %d: occupancy count %d, %d valid ways of %d", si, u, n, c.cfg.Ways)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"baryon/internal/hybrid"
@@ -185,5 +187,177 @@ func TestDefaultHierarchyShape(t *testing.T) {
 	llcLines := cfg.LLC.Sets * cfg.LLC.Ways
 	if llcLines*hybrid.CachelineSize != 64*1024 {
 		t.Fatalf("LLC capacity %d B, want 64 kB", llcLines*hybrid.CachelineSize)
+	}
+}
+
+// refWay is one way of the reference model.
+type refWay struct {
+	addr, tick   uint64
+	valid, dirty bool
+}
+
+// refCache is an independent model of one LRU write-back level: per-set
+// slices of ways, a tick per Access/Install, and the victim rule "first
+// empty way, otherwise the smallest tick".
+type refCache struct {
+	sets [][]refWay
+	tick uint64
+}
+
+func newRefCache(sets, ways int) *refCache {
+	r := &refCache{sets: make([][]refWay, sets)}
+	for i := range r.sets {
+		r.sets[i] = make([]refWay, ways)
+	}
+	return r
+}
+
+func (r *refCache) way(addr uint64) (set []refWay, w int) {
+	set = r.sets[addr/64%uint64(len(r.sets))]
+	for w := range set {
+		if set[w].valid && set[w].addr == addr {
+			return set, w
+		}
+	}
+	return set, -1
+}
+
+func (r *refCache) access(addr uint64, write bool) bool {
+	r.tick++
+	set, w := r.way(addr)
+	if w < 0 {
+		return false
+	}
+	set[w].tick = r.tick
+	set[w].dirty = set[w].dirty || write
+	return true
+}
+
+func (r *refCache) install(addr uint64, dirty bool) Victim {
+	r.tick++
+	set, w := r.way(addr)
+	if w >= 0 {
+		set[w].tick = r.tick
+		set[w].dirty = set[w].dirty || dirty
+		return Victim{}
+	}
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+	}
+	var v Victim
+	if victim < 0 {
+		victim = 0
+		for i := range set {
+			if set[i].tick < set[victim].tick {
+				victim = i
+			}
+		}
+		v = Victim{Addr: set[victim].addr, Dirty: set[victim].dirty, Valid: true}
+	}
+	set[victim] = refWay{addr: addr, tick: r.tick, valid: true, dirty: dirty}
+	return v
+}
+
+func (r *refCache) lines(dirtyOnly bool) []uint64 {
+	var out []uint64
+	for _, set := range r.sets {
+		for _, w := range set {
+			if w.valid && (w.dirty || !dirtyOnly) {
+				out = append(out, w.addr)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func sorted(a []uint64) []uint64 {
+	slices.Sort(a)
+	return a
+}
+
+// TestCacheMatchesReference drives random Access/Install/Invalidate/
+// MarkDirty/Probe sequences, plus the hierarchy's absent-line install, into
+// Cache and the reference model over a footprint of twice the capacity, and
+// requires identical results, victims and contents. The geometries cover a
+// fully-associative set, odd and non-power-of-two set counts, the Table I
+// L1/L2 shape and a direct-mapped cache.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{
+		{1, 16}, {3, 2}, {48, 16}, {128, 8}, {4, 1},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
+			c, _ := newTestCache(g.sets, g.ways)
+			ref := newRefCache(g.sets, g.ways)
+			rng := sim.NewRNG(uint64(g.sets*100 + g.ways))
+			lines := uint64(2 * g.sets * g.ways)
+			for i := 0; i < 20000; i++ {
+				addr := rng.Uint64n(lines) * 64
+				flag := rng.Bool(0.3)
+				switch op := rng.Intn(6); op {
+				case 0:
+					if got, want := c.Access(addr, flag), ref.access(addr, flag); got != want {
+						t.Fatalf("op %d: Access(%#x, %v) = %v, want %v", i, addr, flag, got, want)
+					}
+				case 1:
+					if got, want := c.Install(addr, flag), ref.install(addr, flag); got != want {
+						t.Fatalf("op %d: Install(%#x, %v) = %+v, want %+v", i, addr, flag, got, want)
+					}
+				case 2:
+					if _, w := ref.way(addr); w >= 0 {
+						continue // installAbsent requires an absent line
+					}
+					got, slot := c.installAbsent(addr, flag)
+					if want := ref.install(addr, flag); got != want {
+						t.Fatalf("op %d: installAbsent(%#x, %v) = %+v, want %+v", i, addr, flag, got, want)
+					}
+					if c.tags[slot] != addr {
+						t.Fatalf("op %d: installAbsent returned slot %d holding %#x", i, slot, c.tags[slot])
+					}
+				case 3:
+					set, w := ref.way(addr)
+					wantDirty := w >= 0 && set[w].dirty
+					if w >= 0 {
+						set[w] = refWay{}
+					}
+					if present, dirty := c.Invalidate(addr); present != (w >= 0) || dirty != wantDirty {
+						t.Fatalf("op %d: Invalidate(%#x) = %v, %v, want %v, %v", i, addr, present, dirty, w >= 0, wantDirty)
+					}
+				case 4:
+					set, w := ref.way(addr)
+					if w >= 0 {
+						set[w].dirty = true
+					}
+					if got := c.MarkDirty(addr); got != (w >= 0) {
+						t.Fatalf("op %d: MarkDirty(%#x) = %v, want %v", i, addr, got, w >= 0)
+					}
+				case 5:
+					_, w := ref.way(addr)
+					if got := c.Probe(addr); got != (w >= 0) {
+						t.Fatalf("op %d: Probe(%#x) = %v, want %v", i, addr, got, w >= 0)
+					}
+				}
+				if i%97 != 0 {
+					continue
+				}
+				if err := c.check(); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				if got, want := sorted(c.Lines()), ref.lines(false); !slices.Equal(got, want) {
+					t.Fatalf("op %d: Lines() = %x, want %x", i, got, want)
+				}
+				if got, want := sorted(c.DirtyLines()), ref.lines(true); !slices.Equal(got, want) {
+					t.Fatalf("op %d: DirtyLines() = %x, want %x", i, got, want)
+				}
+			}
+			c.reset()
+			if err := c.check(); err != nil || len(c.Lines()) != 0 {
+				t.Fatalf("after reset: %v, %d lines", err, len(c.Lines()))
+			}
+		})
 	}
 }

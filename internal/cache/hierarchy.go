@@ -247,10 +247,11 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 	return res.Done
 }
 
-// fillL1 installs into a core's L1; a displaced dirty victim propagates its
-// dirtiness to the L2 copy (present by inclusion).
+// fillL1 installs addr, which just missed it, into a core's L1; a displaced
+// dirty victim propagates its dirtiness to the L2 copy (present by
+// inclusion).
 func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool, now uint64) {
-	v := h.l1[core].Install(addr, dirty)
+	v, _ := h.l1[core].installAbsent(addr, dirty)
 	if v.Valid && v.Dirty {
 		if !h.l2[core].MarkDirty(v.Addr) {
 			// Inclusion was broken by a concurrent back-invalidate path;
@@ -260,14 +261,14 @@ func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool, now uint64) {
 	}
 }
 
-// fillL2 installs into a core's L2, recording the core as a sharer of the
-// LLC line at llcSlot, back-invalidating the L1 copy of any displaced victim
-// and propagating dirtiness to the LLC. The victim's sharer bit is left set:
-// a stale bit costs one wasted probe at LLC eviction, clearing it an LLC
-// lookup on every L2 eviction.
+// fillL2 installs addr, which just missed it, into a core's L2, recording
+// the core as a sharer of the LLC line at llcSlot, back-invalidating the L1
+// copy of any displaced victim and propagating dirtiness to the LLC. The
+// victim's sharer bit is left set: a stale bit costs one wasted probe at LLC
+// eviction, clearing it an LLC lookup on every L2 eviction.
 func (h *Hierarchy) fillL2(core int, addr uint64, llcSlot int, now uint64) {
 	h.sharers[llcSlot] |= 1 << core
-	v := h.l2[core].Install(addr, false)
+	v, _ := h.l2[core].installAbsent(addr, false)
 	if !v.Valid {
 		return
 	}
@@ -283,7 +284,7 @@ func (h *Hierarchy) fillL2(core int, addr uint64, llcSlot int, now uint64) {
 // returns its slot. The victim's upper-level copies are back-invalidated in
 // the cores its sharer mask names, and it is written back if dirty anywhere.
 func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) int {
-	v, slot := h.llc.install(addr, dirty)
+	v, slot := h.llc.installAbsent(addr, dirty)
 	sharers := h.sharers[slot]
 	h.sharers[slot] = 0
 	if !v.Valid {
@@ -329,31 +330,35 @@ func (h *Hierarchy) Flush(now uint64) {
 		h.writeback(a, now)
 	}
 	for core := 0; core < h.cfg.Cores; core++ {
-		for _, a := range h.l1[core].Lines() {
-			h.l1[core].Invalidate(a)
-		}
-		for _, a := range h.l2[core].Lines() {
-			h.l2[core].Invalidate(a)
-		}
+		h.l1[core].reset()
+		h.l2[core].reset()
 	}
-	for _, a := range h.llc.Lines() {
-		h.llc.Invalidate(a)
-	}
+	h.llc.reset()
 	clear(h.sharers)
 }
 
-// CheckInclusion verifies the hierarchy's structural invariants: for every
-// core, L1 ⊆ L2 ⊆ LLC, and every line in core c's L2 has bit c set in its
-// LLC sharer mask. It returns the first violation found.
+// CheckInclusion verifies the hierarchy's structural invariants: every level
+// passes its own set check, for every core L1 ⊆ L2 ⊆ LLC, and every line in
+// core c's L2 has bit c set in its LLC sharer mask. It returns the first
+// violation found.
 func (h *Hierarchy) CheckInclusion() error {
+	if err := h.llc.check(); err != nil {
+		return fmt.Errorf("cache: LLC: %w", err)
+	}
 	for core := 0; core < h.cfg.Cores; core++ {
+		if err := h.l1[core].check(); err != nil {
+			return fmt.Errorf("cache: core %d: L1: %w", core, err)
+		}
+		if err := h.l2[core].check(); err != nil {
+			return fmt.Errorf("cache: core %d: L2: %w", core, err)
+		}
 		for _, a := range h.l1[core].Lines() {
 			if !h.l2[core].Probe(a) {
 				return fmt.Errorf("cache: core %d: line %#x in L1 but not in L2", core, a)
 			}
 		}
 		for _, a := range h.l2[core].Lines() {
-			slot := h.llc.slotOf(a)
+			_, slot := h.llc.find(a)
 			if slot < 0 {
 				return fmt.Errorf("cache: core %d: line %#x in L2 but not in LLC", core, a)
 			}

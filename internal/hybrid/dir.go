@@ -1,13 +1,14 @@
 package hybrid
 
 // This file is the first layer of the shared controller kit: a generic
-// set-associative tag directory. Every controller in this repository — the
-// Baryon core's cache/flat area and each baseline's own organisation — is a
-// directory of (key, payload) ways grouped into sets, differing only in
-// geometry, payload type and replacement policy. The directory keeps the
-// replacement-relevant state (WayMeta) separate from the controller-specific
-// payload so that policies can be written once, against WayMeta alone, and
-// shared by every design (see replacer.go).
+// set-associative tag directory. Every memory controller in this repository
+// — the Baryon core's cache/flat area and each baseline's own organisation —
+// is a directory of (key, payload) ways grouped into sets, differing only in
+// geometry, payload type and replacement policy. (The processor caches in
+// internal/cache are LRU-only and keep their own flat tag arrays.) The
+// directory keeps the replacement-relevant state (WayMeta) separate from the
+// controller-specific payload so that policies can be written once, against
+// WayMeta alone, and shared by every design (see replacer.go).
 
 // WayMeta is the design-independent state of one directory way: the tag key,
 // a valid bit, and the recency/age ranks replacement policies order by.

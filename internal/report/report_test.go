@@ -20,7 +20,7 @@ func quickConfig() config.Config {
 	return cfg
 }
 
-func buildBundle(t *testing.T, cfg config.Config, workload, design string) Bundle {
+func buildBundle(t testing.TB, cfg config.Config, workload, design string) Bundle {
 	t.Helper()
 	w, ok := trace.ByName(workload)
 	if !ok {
@@ -227,6 +227,42 @@ func TestObservePairs(t *testing.T) {
 		}
 		if b.Spec.Workload != "505.mcf_r" {
 			t.Fatalf("bundle %s has workload %q", e.Name(), b.Spec.Workload)
+		}
+	}
+}
+
+// Benchmark results land in these so the compiler keeps the measured calls.
+var (
+	marshalSink []byte
+	decodeSink  Bundle
+)
+
+// BenchmarkMarshalCanonical times encoding one bundle, from a short Baryon
+// run, to its canonical bytes, the form the store hashes and serves.
+func BenchmarkMarshalCanonical(b *testing.B) {
+	bundle := buildBundle(b, quickConfig(), "505.mcf_r", "Baryon")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if marshalSink, err = bundle.MarshalCanonical(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecode times the strict decode of the same bundle's canonical
+// bytes, the path every verified store read takes.
+func BenchmarkDecode(b *testing.B) {
+	data, err := buildBundle(b, quickConfig(), "505.mcf_r", "Baryon").MarshalCanonical()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if decodeSink, err = Decode(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
