@@ -7,6 +7,8 @@
 package baryon
 
 import (
+	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,6 +27,17 @@ func benchConfig() config.Config {
 	return cfg
 }
 
+// run regenerates one experiment with zero Options (one worker per CPU),
+// failing b on any error, and returns its typed results.
+func run[R any](b *testing.B, h func(context.Context, experiment.Options, config.Config) (R, *experiment.Table, error), cfg config.Config) R {
+	b.Helper()
+	r, _, err := h(context.Background(), experiment.Options{}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 func BenchmarkTableI_Metadata(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.TableI()
@@ -37,7 +50,7 @@ func BenchmarkTableI_Metadata(b *testing.B) {
 func BenchmarkFig3_StageBreakdown(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.Fig3a(cfg)
+		rows := run(b, experiment.Fig3a, cfg)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -54,7 +67,7 @@ func BenchmarkFig3_StageBreakdown(b *testing.B) {
 func BenchmarkFig4_StagePhase(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res, _ := experiment.Fig4(cfg)
+		res := run(b, experiment.Fig4, cfg)
 		if len(res.Boxes) != 10 {
 			b.Fatal("bad bucket count")
 		}
@@ -68,7 +81,7 @@ func BenchmarkFig4_StagePhase(b *testing.B) {
 func BenchmarkFig9_CacheMode(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, _ := experiment.Fig9(cfg)
+		m := run(b, experiment.Fig9, cfg)
 		b.ReportMetric(m.GeoMean[experiment.DesignBaryon], "baryon-geomean")
 		b.ReportMetric(m.GeoMean[experiment.DesignUnison], "unison-geomean")
 		b.ReportMetric(m.GeoMean[experiment.DesignDICE], "dice-geomean")
@@ -78,7 +91,7 @@ func BenchmarkFig9_CacheMode(b *testing.B) {
 func BenchmarkFig10_FlatMode(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, _ := experiment.Fig10(cfg)
+		m := run(b, experiment.Fig10, cfg)
 		b.ReportMetric(m.GeoMean[experiment.DesignBaryonFA], "fa-over-hybrid2")
 	}
 }
@@ -86,7 +99,7 @@ func BenchmarkFig10_FlatMode(b *testing.B) {
 func BenchmarkFig11_ServeBloat(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.Fig11(cfg)
+		rows := run(b, experiment.Fig11, cfg)
 		if len(rows) != len(trace.All()) {
 			b.Fatal("missing workloads")
 		}
@@ -96,7 +109,7 @@ func BenchmarkFig11_ServeBloat(b *testing.B) {
 func BenchmarkFig12_CompressionAblation(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.Fig12(cfg)
+		rows := run(b, experiment.Fig12, cfg)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -106,35 +119,35 @@ func BenchmarkFig12_CompressionAblation(b *testing.B) {
 func BenchmarkFig13a_TwoLevelReplacement(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13a(cfg)
+		run(b, experiment.Fig13a, cfg)
 	}
 }
 
 func BenchmarkFig13b_SuperBlockSize(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13b(cfg)
+		run(b, experiment.Fig13b, cfg)
 	}
 }
 
 func BenchmarkFig13c_StageSize(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13c(cfg)
+		run(b, experiment.Fig13c, cfg)
 	}
 }
 
 func BenchmarkFig13d_CommitPolicy(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13d(cfg)
+		run(b, experiment.Fig13d, cfg)
 	}
 }
 
 func BenchmarkEnergy(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res, _ := experiment.Energy(cfg)
+		res := run(b, experiment.Energy, cfg)
 		b.ReportMetric(res.SavingsVsUnison, "saving-vs-unison")
 		b.ReportMetric(res.SavingsVsDICE, "saving-vs-dice")
 	}
@@ -143,28 +156,28 @@ func BenchmarkEnergy(b *testing.B) {
 func BenchmarkExtra_AssocSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.AssocSweep(cfg)
+		run(b, experiment.AssocSweep, cfg)
 	}
 }
 
 func BenchmarkExtra_SubBlockSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.SubBlockSweep(cfg)
+		run(b, experiment.SubBlockSweep, cfg)
 	}
 }
 
 func BenchmarkExtra_CompressorComparison(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.CompressorComparison(cfg)
+		run(b, experiment.CompressorComparison, cfg)
 	}
 }
 
 func BenchmarkExtra_RemapCacheSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.RemapCacheSweep(cfg)
+		rows := run(b, experiment.RemapCacheSweep, cfg)
 		// Report the biggest cache's mean hit rate (paper: >90%).
 		sum, n := 0.0, 0
 		for _, r := range rows {
@@ -185,22 +198,26 @@ func BenchmarkExtra_RemapCacheSweep(b *testing.B) {
 // single-CPU machine, approaching the worker count on larger ones).
 func BenchmarkFig9Parallel(b *testing.B) {
 	cfg := benchConfig()
-	defer experiment.SetParallelism(0)
+	ctx := context.Background()
+	fig9 := func(o experiment.Options) {
+		if _, _, err := experiment.Fig9(ctx, o, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 
-	experiment.SetParallelism(1)
 	serialStart := time.Now()
-	experiment.Fig9(cfg)
+	fig9(experiment.Options{Workers: 1})
 	serial := time.Since(serialStart)
 
-	experiment.SetParallelism(0) // GOMAXPROCS workers
+	o := experiment.Options{Workers: runtime.GOMAXPROCS(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig9(cfg)
+		fig9(o)
 	}
 	parallel := b.Elapsed() / time.Duration(b.N)
 	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup-vs-serial")
-	b.ReportMetric(float64(experiment.Parallelism()), "workers")
+	b.ReportMetric(float64(o.Workers), "workers")
 }
 
 // BenchmarkSingleRun measures the simulator's own throughput on one
@@ -212,7 +229,10 @@ func BenchmarkSingleRun(b *testing.B) {
 	w, _ := trace.ByName("505.mcf_r")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunOne(cfg, w, experiment.DesignBaryon)
+		res, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: experiment.DesignBaryon})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Cycles == 0 {
 			b.Fatal("no cycles")
 		}

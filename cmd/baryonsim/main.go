@@ -67,7 +67,7 @@ func main() {
 	defer stopSignals()
 	// The shared service-layer lifecycle: -timeout deadline and -design-file
 	// registration.
-	ctx, cleanup, err := common.Setup(ctx, os.Stderr)
+	ctx, _, cleanup, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

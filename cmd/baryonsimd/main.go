@@ -46,7 +46,7 @@ func main() {
 	defer stop()
 	// Setup registers -design-files specs so clients can run custom designs
 	// by name. No timeout flag: the daemon runs until signalled.
-	_, cleanup, err := common.Setup(ctx, os.Stderr)
+	_, _, cleanup, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

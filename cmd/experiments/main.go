@@ -2,7 +2,7 @@
 // evaluation section. By default it runs everything; -only selects a single
 // experiment and -quick shrinks the per-core access budget for a fast pass.
 //
-//	go run ./cmd/experiments            # full regeneration (~10-20 minutes)
+//	go run ./cmd/experiments            # full regeneration (~3 minutes on 2 cores)
 //	go run ./cmd/experiments -quick     # fast pass
 //	go run ./cmd/experiments -only fig9
 //
@@ -15,6 +15,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,18 +40,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// The shared service-layer lifecycle: -timeout deadline, -parallel pool
-	// size, -bundle-dir observer.
-	ctx, cleanup, err := common.Setup(ctx, os.Stderr)
+	// The shared service-layer lifecycle: -timeout deadline, and the
+	// -parallel worker count and -bundle-dir observer every harness batch
+	// runs with.
+	ctx, opts, cancel, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	defer cleanup()
-	// The figure harnesses run through the legacy strict entry points;
-	// installing the command's context makes all of them cancellable at the
-	// worker-pool level.
-	experiment.SetRunContext(ctx)
+	defer cancel()
 
 	cfg := config.Scaled()
 	cfg.Seed = *seed
@@ -58,35 +56,36 @@ func main() {
 		cfg.AccessesPerCore = 8000
 	}
 
-	type exp struct {
+	experiments := []struct {
 		name string
-		run  func() *experiment.Table
-	}
-	experiments := []exp{
-		{"tablei", func() *experiment.Table { return experiment.TableI() }},
-		{"fig3a", func() *experiment.Table { _, t := experiment.Fig3a(cfg); return t }},
-		{"fig3b", func() *experiment.Table { _, t := experiment.Fig3b(cfg); return t }},
-		{"fig4", func() *experiment.Table { _, t := experiment.Fig4(cfg); return t }},
-		{"fig9", func() *experiment.Table { _, t := experiment.Fig9(cfg); return t }},
-		{"fig10", func() *experiment.Table { _, t := experiment.Fig10(cfg); return t }},
-		{"fig11", func() *experiment.Table { _, t := experiment.Fig11(cfg); return t }},
-		{"fig12", func() *experiment.Table { _, t := experiment.Fig12(cfg); return t }},
-		{"fig13a", func() *experiment.Table { _, t := experiment.Fig13a(cfg); return t }},
-		{"fig13b", func() *experiment.Table { _, t := experiment.Fig13b(cfg); return t }},
-		{"fig13c", func() *experiment.Table { _, t := experiment.Fig13c(cfg); return t }},
-		{"fig13d", func() *experiment.Table { _, t := experiment.Fig13d(cfg); return t }},
-		{"energy", func() *experiment.Table { _, t := experiment.Energy(cfg); return t }},
-		{"assoc", func() *experiment.Table { _, t := experiment.AssocSweep(cfg); return t }},
-		{"subblock", func() *experiment.Table { _, t := experiment.SubBlockSweep(cfg); return t }},
-		{"cpack", func() *experiment.Table { _, t := experiment.CompressorComparison(cfg); return t }},
-		{"remapcache", func() *experiment.Table { _, t := experiment.RemapCacheSweep(cfg); return t }},
-		{"slowmem", func() *experiment.Table { _, t := experiment.SlowMemSweep(cfg); return t }},
-		{"llcprefetch", func() *experiment.Table { _, t := experiment.PrefetchAblation(cfg); return t }},
-		{"osvshw", func() *experiment.Table { _, t := experiment.OSvsHW(cfg); return t }},
-		{"ddrfidelity", func() *experiment.Table { _, t := experiment.DDRFidelitySweep(cfg); return t }},
-		{"taillat", func() *experiment.Table { return experiment.TailLatency(cfg) }},
-		{"resilience", func() *experiment.Table { _, t := experiment.Resilience(cfg); return t }},
-		{"cxl", func() *experiment.Table { _, t := experiment.CXLSweep(cfg); return t }},
+		run  harness
+	}{
+		{"tablei", func(context.Context, experiment.Options, config.Config) (*experiment.Table, error) {
+			return experiment.TableI(), nil
+		}},
+		{"fig3a", tableOf(experiment.Fig3a)},
+		{"fig3b", tableOf(experiment.Fig3b)},
+		{"fig4", tableOf(experiment.Fig4)},
+		{"fig9", tableOf(experiment.Fig9)},
+		{"fig10", tableOf(experiment.Fig10)},
+		{"fig11", tableOf(experiment.Fig11)},
+		{"fig12", tableOf(experiment.Fig12)},
+		{"fig13a", tableOf(experiment.Fig13a)},
+		{"fig13b", tableOf(experiment.Fig13b)},
+		{"fig13c", tableOf(experiment.Fig13c)},
+		{"fig13d", tableOf(experiment.Fig13d)},
+		{"energy", tableOf(experiment.Energy)},
+		{"assoc", tableOf(experiment.AssocSweep)},
+		{"subblock", tableOf(experiment.SubBlockSweep)},
+		{"cpack", tableOf(experiment.CompressorComparison)},
+		{"remapcache", tableOf(experiment.RemapCacheSweep)},
+		{"slowmem", tableOf(experiment.SlowMemSweep)},
+		{"llcprefetch", tableOf(experiment.PrefetchAblation)},
+		{"osvshw", tableOf(experiment.OSvsHW)},
+		{"ddrfidelity", tableOf(experiment.DDRFidelitySweep)},
+		{"taillat", experiment.TailLatency},
+		{"resilience", tableOf(experiment.Resilience)},
+		{"cxl", tableOf(experiment.CXLSweep)},
 	}
 
 	// Buffer stdout and check the flush: a deferred or implicit flush would
@@ -102,11 +101,9 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		table, err := runIsolated(e.run)
+		table, err := runIsolated(func() (*experiment.Table, error) { return e.run(ctx, opts, cfg) })
 		if err != nil {
-			// A cancelled worker pool surfaces as a panic from the strict
-			// entry points; classify it by the context state.
-			if ctx.Err() != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "[%s cancelled after %.1fs]\n", e.name, time.Since(start).Seconds())
 				skipped++
 				continue
@@ -134,16 +131,29 @@ func main() {
 	}
 }
 
-// runIsolated runs one experiment harness behind a panic boundary so a bad
-// run (or a cancelled worker pool escalating through the strict entry
-// points) fails only that experiment.
-func runIsolated(run func() *experiment.Table) (t *experiment.Table, err error) {
+// harness is the shape every experiment runs through: a batch under ctx and
+// o, rendered as one table.
+type harness func(context.Context, experiment.Options, config.Config) (*experiment.Table, error)
+
+// tableOf adapts a harness that also returns typed results, which this
+// command does not print.
+func tableOf[R any](h func(context.Context, experiment.Options, config.Config) (R, *experiment.Table, error)) harness {
+	return func(ctx context.Context, o experiment.Options, cfg config.Config) (*experiment.Table, error) {
+		_, t, err := h(ctx, o, cfg)
+		return t, err
+	}
+}
+
+// runIsolated runs one experiment harness behind a panic boundary, so a
+// controller panic in a harness that drives its own runners (Fig. 3a/3b/4
+// run outside the pool's per-pair isolation) fails only that experiment.
+func runIsolated(run func() (*experiment.Table, error)) (t *experiment.Table, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("%v", rec)
 		}
 	}()
-	return run(), nil
+	return run()
 }
 
 func firstLine(s string) string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,10 @@ func writeBundle(t *testing.T, dir, design string, seed uint64, mutate func(*rep
 	if !ok {
 		t.Fatalf("unknown design %q", design)
 	}
-	res := experiment.RunOne(cfg, w, design)
+	res, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: design})
+	if err != nil {
+		t.Fatal(err)
+	}
 	key, err := report.Key(spec, cfg, w.Name)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// The shared service-layer lifecycle: -timeout deadline, -parallel pool
 	// size, -design-files registration, -bundle-dir observer.
-	ctx, cleanup, err := common.Setup(ctx, stderr)
+	ctx, opts, cleanup, err := common.Setup(ctx, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -132,7 +132,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				pairs = append(pairs, experiment.Pair{Cfg: cfg, Workload: w, Design: d})
 			}
 		}
-		results := experiment.RunPairsCtx(ctx, pairs)
+		results := experiment.RunPairsCtx(ctx, opts, pairs)
 		for i, pr := range results {
 			res := pr.Result
 			status := "ok"

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"baryon/internal/config"
 	"baryon/internal/experiment"
@@ -36,7 +38,10 @@ func main() {
 	for _, p := range points {
 		c := cfg
 		p.mut(&c)
-		res := experiment.RunOne(c, w, experiment.DesignBaryon)
+		res, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: c, Workload: w, Design: experiment.DesignBaryon})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if base == 0 {
 			base = float64(res.Cycles)
 		}

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"baryon/internal/config"
 	"baryon/internal/experiment"
@@ -23,12 +25,18 @@ func main() {
 
 		cacheCfg := cfg
 		cacheCfg.Mode = config.ModeCache
-		cacheRes := experiment.RunOne(cacheCfg, w, experiment.DesignBaryon)
+		cacheRes, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: cacheCfg, Workload: w, Design: experiment.DesignBaryon})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		flatCfg := cfg
 		flatCfg.Mode = config.ModeFlat
 		flatCfg.FullyAssociative = true
-		flatRes := experiment.RunOne(flatCfg, w, experiment.DesignBaryonFA)
+		flatRes, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: flatCfg, Workload: w, Design: experiment.DesignBaryonFA})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		fmt.Printf("%-18s  cache   %-9s  %-9d  %6.1f%%   %6.1f\n",
 			name, cacheRes.Design, cacheRes.Cycles, 100*cacheRes.FastServeRate,

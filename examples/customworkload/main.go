@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"baryon/internal/config"
 	"baryon/internal/datagen"
@@ -40,7 +42,10 @@ func main() {
 		experiment.DesignSimple, experiment.DesignUnison,
 		experiment.DesignDICE, experiment.DesignBaryon,
 	} {
-		res := experiment.RunOne(cfg, analytics, d)
+		res, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: cfg, Workload: analytics, Design: d})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if base == 0 {
 			base = float64(res.Cycles)
 		}

@@ -6,9 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"baryon/internal/config"
+	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 	"baryon/internal/trace"
 )
@@ -21,12 +24,12 @@ func main() {
 		w, _ := trace.ByName(name)
 		fmt.Printf("=== %s (%.0f%% writes, zipfian keys) ===\n", name, 100*w.WriteRatio)
 
-		dice := experiment.RunOne(cfg, w, experiment.DesignDICE)
-		baryon := experiment.RunOne(cfg, w, experiment.DesignBaryon)
+		dice := run(cfg, w, experiment.DesignDICE)
+		baryon := run(cfg, w, experiment.DesignBaryon)
 
 		noZ := cfg
 		noZ.ZeroBlockOpt = false
-		baryonNoZ := experiment.RunOne(noZ, w, experiment.DesignBaryon)
+		baryonNoZ := run(noZ, w, experiment.DesignBaryon)
 
 		fmt.Printf("  DICE:              %9d cycles, serve %5.1f%%\n",
 			dice.Cycles, 100*dice.FastServeRate)
@@ -36,4 +39,13 @@ func main() {
 			baryonNoZ.Cycles, 100*(float64(baryonNoZ.Cycles)/float64(baryon.Cycles)-1))
 		fmt.Printf("  Baryon vs DICE:    %.2fx\n\n", float64(dice.Cycles)/float64(baryon.Cycles))
 	}
+}
+
+// run simulates one (workload, design) pair, exiting on any error.
+func run(cfg config.Config, w trace.Workload, design string) cpu.Result {
+	res, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: design})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

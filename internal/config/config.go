@@ -118,7 +118,7 @@ type Config struct {
 
 // Scaled returns the default configuration for timing runs: Table I scaled
 // by 1/256 in capacity with all ratios preserved (16 MB fast + 128 MB slow,
-// 256 kB stage, 64 kB LLC). The scale is chosen so that steady-state
+// 1 MB stage, 64 kB LLC). The scale is chosen so that steady-state
 // capacity pressure — the regime the paper's results live in — is reached
 // within runs of a few hundred thousand accesses.
 func Scaled() Config {

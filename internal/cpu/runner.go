@@ -291,11 +291,10 @@ type Runner struct {
 	// tracer, when set, brackets every demand access with request-lifecycle
 	// events. Nil (the default) keeps the hot path on a single branch.
 	tracer *obs.Tracer
-	// intro, when set, receives RunStatus snapshots every progressEvery
+	// intro, when set, receives RunStatus snapshots every statusEvery
 	// accesses (published from the run goroutine; readers see immutable
 	// copies, never the live registry).
-	intro         *obs.Introspector
-	progressEvery uint64
+	intro *obs.Introspector
 
 	// ctxDone is the cancellation channel of the RunCtx context; nil (the
 	// Run path, or a Background context) skips the cancellation checks
@@ -341,17 +340,14 @@ func (r *Runner) SetTracer(t *obs.Tracer) {
 	r.hier.SetTracer(t)
 }
 
+// statusEvery is the live-introspection publish interval in accesses.
+const statusEvery = 65536
+
 // SetIntrospector points the runner at a live-introspection publisher: a
-// fresh RunStatus is published every `every` accesses (and at window
+// fresh RunStatus is published every statusEvery accesses (and at window
 // boundaries). The runner remains the only goroutine touching the registry;
 // HTTP handlers read only the published immutable snapshots.
-func (r *Runner) SetIntrospector(in *obs.Introspector, every uint64) {
-	if every == 0 {
-		every = 65536
-	}
-	r.intro = in
-	r.progressEvery = every
-}
+func (r *Runner) SetIntrospector(in *obs.Introspector) { r.intro = in }
 
 // Controller returns the controller under test.
 func (r *Runner) Controller() hybrid.Controller { return r.ctrl }
@@ -461,7 +457,7 @@ func (r *Runner) runWindow(st *runState, perCore int, epochEvery uint64, onEpoch
 		}
 		if r.intro != nil {
 			sinceProgress++
-			if sinceProgress >= r.progressEvery {
+			if sinceProgress >= statusEvery {
 				r.publishStatus(st)
 				sinceProgress = 0
 			}

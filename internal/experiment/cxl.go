@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -61,7 +62,7 @@ func cxlSweepTiers(linkBW float64) []config.TierConfig {
 // three-tier DRAM+NVM+CXL topology and reports cycles, speedup over
 // UnisonCache at the same bandwidth, and the expander's link vs internal
 // traffic. Runs are deterministic per cfg.Seed.
-func CXLSweep(cfg config.Config) ([]CXLRow, *Table) {
+func CXLSweep(ctx context.Context, o Options, cfg config.Config) ([]CXLRow, *Table, error) {
 	w := trace.Representative()[0]
 	pairs := make([]Pair, 0, len(CXLDesigns)*len(CXLLinkBandwidths))
 	for _, bw := range CXLLinkBandwidths {
@@ -71,7 +72,10 @@ func CXLSweep(cfg config.Config) ([]CXLRow, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
 		}
 	}
-	results := RunPairs(pairs)
+	results, err := runPairs(ctx, o, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	var rows []CXLRow
 	t := &Table{
@@ -88,7 +92,7 @@ func CXLSweep(cfg config.Config) ([]CXLRow, *Table) {
 		p := pairs[i]
 		bw := p.Cfg.Tiers[2].CXL.LinkBytesPerCycle
 		if p.Design == DesignUnison && res.Cycles == 0 {
-			panic("experiment: cxl baseline run produced zero cycles")
+			return nil, nil, fmt.Errorf("experiment: cxl baseline run at %.0f B/cycle produced zero cycles", bw)
 		}
 		row := CXLRow{
 			Workload:      p.Workload.Name,
@@ -112,7 +116,7 @@ func CXLSweep(cfg config.Config) ([]CXLRow, *Table) {
 			fmt.Sprintf("%.2f", row.LinkMB), fmt.Sprintf("%.2f", row.InternalMB),
 			fmt.Sprintf("%.1f", row.P99))
 	}
-	return rows, t
+	return rows, t, nil
 }
 
 // sumCounterSuffix totals every counter whose name ends in suffix across a

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,7 +56,10 @@ func dumpDesignRun(buf *bytes.Buffer, cfg config.Config, workload, design string
 	if !ok {
 		panic("designgolden: unknown workload " + workload)
 	}
-	res := RunOne(cfg, w, design)
+	res, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: design})
+	if err != nil {
+		panic(fmt.Sprintf("designgolden: %s/%s: %v", workload, design, err))
+	}
 	fmt.Fprintf(buf, "== design=%s mode=%s workload=%s\n", design, cfg.Mode, workload)
 	fmt.Fprintf(buf, "cycles=%d instructions=%d\n", res.Cycles, res.Instructions)
 	fmt.Fprintf(buf, "fastServeRate=%.6f bloatFactor=%.6f\n", res.FastServeRate, res.BloatFactor)

@@ -8,7 +8,6 @@
 package experiment
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -22,7 +21,6 @@ import (
 	"baryon/internal/cpu"
 	"baryon/internal/hybrid"
 	"baryon/internal/sim"
-	"baryon/internal/trace"
 )
 
 // Design names used throughout the harnesses.
@@ -322,21 +320,4 @@ func Factory(design string) cpu.ControllerFactory {
 		panic("experiment: unknown design " + design)
 	}
 	return FactorySpec(spec)
-}
-
-// RunOne executes one (workload, design) pair and returns its metrics.
-func RunOne(cfg config.Config, w trace.Workload, design string) cpu.Result {
-	r := cpu.NewRunner(cfg, w, Factory(design))
-	res := r.Run()
-	res.Design = design
-	return res
-}
-
-// RunOneCtx is RunOne with error reporting and cooperative cancellation: an
-// unknown design or an invalid spec returns an error instead of panicking,
-// and a cancelled ctx stops the replay and returns the partial metrics with
-// ctx's error. With a background context the result is bit-identical to
-// RunOne.
-func RunOneCtx(ctx context.Context, cfg config.Config, w trace.Workload, design string) (cpu.Result, error) {
-	return RunPairCtx(ctx, Pair{Cfg: cfg, Workload: w, Design: design})
 }

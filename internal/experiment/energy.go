@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/sim"
 	"baryon/internal/trace"
@@ -24,7 +26,7 @@ type EnergyResult struct {
 // Energy reproduces the Section IV-B energy numbers: the paper reports mean
 // memory-energy reductions of 31.9% vs Unison, 13.0% vs DICE (cache mode)
 // and 14.5% vs Hybrid2 (flat mode), mostly from lower slow-memory traffic.
-func Energy(cfg config.Config) (EnergyResult, *Table) {
+func Energy(ctx context.Context, o Options, cfg config.Config) (EnergyResult, *Table, error) {
 	res := EnergyResult{}
 	t := &Table{
 		Title:  "Section IV-B: memory-system energy (relative to Baryon = 1.0)",
@@ -51,7 +53,10 @@ func Energy(cfg config.Config) (EnergyResult, *Table) {
 			pairs = append(pairs, Pair{Cfg: fcfg, Workload: w, Design: d})
 		}
 	}
-	results := RunPairs(pairs)
+	results, err := runPairs(ctx, o, pairs)
+	if err != nil {
+		return EnergyResult{}, nil, err
+	}
 	for wi, w := range workloads {
 		cRow := EnergyRow{Workload: w.Name, EnergyPJ: map[string]float64{}}
 		for di, d := range cacheDesigns {
@@ -77,5 +82,5 @@ func Energy(cfg config.Config) (EnergyResult, *Table) {
 	res.SavingsVsHybrid2 = 1 - 1/sim.GeoMean(rh)
 	t.AddRow("mean saving", pct(res.SavingsVsUnison), pct(res.SavingsVsDICE), "-",
 		pct(res.SavingsVsHybrid2), "-")
-	return res, t
+	return res, t, nil
 }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/cpu"
 	"baryon/internal/trace"
 )
 
@@ -15,12 +17,34 @@ func quickConfig() config.Config {
 	return cfg
 }
 
+// runOne runs one (workload, design) pair through RunPairCtx and fails the
+// test on any error.
+func runOne(t testing.TB, cfg config.Config, w trace.Workload, design string) cpu.Result {
+	t.Helper()
+	res, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: design})
+	if err != nil {
+		t.Fatalf("%s/%s: %v", w.Name, design, err)
+	}
+	return res
+}
+
+// harness runs one experiment harness with zero Options and fails the test
+// on any error.
+func harness[R any](t testing.TB, h func(context.Context, Options, config.Config) (R, *Table, error), cfg config.Config) (R, *Table) {
+	t.Helper()
+	r, tab, err := h(context.Background(), Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, tab
+}
+
 func TestFactoryAllDesigns(t *testing.T) {
 	cfg := quickConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	for _, d := range []string{DesignSimple, DesignUnison, DesignDICE,
 		DesignBaryon, DesignBaryon64B, DesignBaryonFA, DesignHybrid2} {
-		res := RunOne(cfg, w, d)
+		res := runOne(t, cfg, w, d)
 		if res.Cycles == 0 {
 			t.Fatalf("%s: no cycles", d)
 		}
@@ -52,7 +76,7 @@ func TestTableIRenders(t *testing.T) {
 }
 
 func TestFig3aBreakdownSane(t *testing.T) {
-	rows, tab := Fig3a(quickConfig())
+	rows, tab := harness(t, Fig3a, quickConfig())
 	if len(rows) != len(trace.SPEC()) {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -80,7 +104,7 @@ func TestFig3aBreakdownSane(t *testing.T) {
 func TestFig3CommittedMoreStable(t *testing.T) {
 	cfg := quickConfig()
 	cfg.AccessesPerCore = 6000
-	rows, _ := Fig3a(cfg)
+	rows, _ := harness(t, Fig3a, cfg)
 	better := 0
 	for _, r := range rows {
 		if r.Breakdown.CReadMisses+r.Breakdown.CWriteOverflows <
@@ -96,7 +120,7 @@ func TestFig3CommittedMoreStable(t *testing.T) {
 func TestFig4PhaseStabilises(t *testing.T) {
 	cfg := quickConfig()
 	cfg.AccessesPerCore = 6000
-	res, _ := Fig4(cfg)
+	res, _ := harness(t, Fig4, cfg)
 	if res.Phases == 0 {
 		t.Fatal("no phases sampled")
 	}
@@ -115,7 +139,7 @@ func TestFig9ShapeHolds(t *testing.T) {
 	}
 	cfg := quickConfig()
 	cfg.AccessesPerCore = 10000
-	m, _ := Fig9(cfg)
+	m, _ := harness(t, Fig9, cfg)
 	// Every design must beat Simple on average, and Baryon must lead. The
 	// margin is loose because this test runs at a third of the default
 	// access budget, before the steady state fully forms.
@@ -132,7 +156,7 @@ func TestFig9ShapeHolds(t *testing.T) {
 
 func TestFig12DefaultIsReference(t *testing.T) {
 	cfg := quickConfig()
-	rows, _ := Fig12(cfg)
+	rows, _ := harness(t, Fig12, cfg)
 	for _, r := range rows {
 		if r.Variant == "default" && r.Speedup != 1.0 {
 			t.Fatalf("default variant speedup %.3f != 1", r.Speedup)
@@ -148,10 +172,10 @@ func TestFig13SweepsRun(t *testing.T) {
 		t.Skip("sweeps in short mode")
 	}
 	cfg := quickConfig()
-	for name, fn := range map[string]func(config.Config) ([]Fig13Row, *Table){
+	for name, fn := range map[string]func(context.Context, Options, config.Config) ([]Fig13Row, *Table, error){
 		"a": Fig13a, "b": Fig13b, "c": Fig13c, "d": Fig13d,
 	} {
-		rows, tab := fn(cfg)
+		rows, tab := harness(t, fn, cfg)
 		if len(rows) == 0 || len(tab.Rows) == 0 {
 			t.Fatalf("fig13%s empty", name)
 		}

@@ -22,7 +22,7 @@ func TestBudgetPaperScale(t *testing.T) {
 
 func TestRemapCacheSweepMonotonicIsh(t *testing.T) {
 	cfg := quickConfig()
-	rows, _ := RemapCacheSweep(cfg)
+	rows, _ := harness(t, RemapCacheSweep, cfg)
 	// Per workload, the biggest cache must not have a (meaningfully) lower
 	// hit rate than the smallest.
 	small := map[string]float64{}
@@ -44,7 +44,7 @@ func TestRemapCacheSweepMonotonicIsh(t *testing.T) {
 
 func TestCompressorComparisonRuns(t *testing.T) {
 	cfg := quickConfig()
-	rows, tab := CompressorComparison(cfg)
+	rows, tab := harness(t, CompressorComparison, cfg)
 	if len(rows) != len(trace.Representative()) {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -69,7 +69,7 @@ func TestAssocSweepRuns(t *testing.T) {
 		t.Skip("sweep in short mode")
 	}
 	cfg := quickConfig()
-	rows, _ := AssocSweep(cfg)
+	rows, _ := harness(t, AssocSweep, cfg)
 	for _, r := range rows {
 		if r.Speedup <= 0 {
 			t.Fatalf("%s@%s: speedup %.3f", r.Workload, r.Point, r.Speedup)
@@ -82,7 +82,7 @@ func TestSubBlockSweepRuns(t *testing.T) {
 		t.Skip("sweep in short mode")
 	}
 	cfg := quickConfig()
-	rows, _ := SubBlockSweep(cfg)
+	rows, _ := harness(t, SubBlockSweep, cfg)
 	points := map[string]bool{}
 	for _, r := range rows {
 		points[r.Point] = true

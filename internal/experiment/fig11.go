@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/sim"
 	"baryon/internal/trace"
@@ -21,7 +23,12 @@ var Fig11Designs = []string{DesignUnison, DesignDICE, DesignBaryon}
 // memory (left; higher is better) and the bandwidth bloat factor — fast
 // memory traffic over useful LLC fill traffic (right; lower is better) —
 // for representative workloads plus the geometric mean of the whole suite.
-func Fig11(cfg config.Config) ([]Fig11Row, *Table) {
+func Fig11(ctx context.Context, o Options, cfg config.Config) ([]Fig11Row, *Table, error) {
+	workloads := trace.All()
+	grid, err := runGrid(ctx, o, cfg, workloads, Fig11Designs)
+	if err != nil {
+		return nil, nil, err
+	}
 	var rows []Fig11Row
 	t := &Table{
 		Title:  "Fig 11: fast-memory serve rate (left) / bandwidth bloat factor (right)",
@@ -39,9 +46,6 @@ func Fig11(cfg config.Config) ([]Fig11Row, *Table) {
 	for _, w := range trace.Representative() {
 		repr[w.Name] = true
 	}
-	var reprRows []Fig11Row
-	workloads := trace.All()
-	grid := RunMatrix(cfg, workloads, Fig11Designs)
 	for wi, w := range workloads {
 		row := Fig11Row{Workload: w.Name, ServeRate: map[string]float64{}, Bloat: map[string]float64{}}
 		for di, d := range Fig11Designs {
@@ -53,7 +57,6 @@ func Fig11(cfg config.Config) ([]Fig11Row, *Table) {
 		}
 		rows = append(rows, row)
 		if repr[w.Name] {
-			reprRows = append(reprRows, row)
 			t.AddRow(w.Name,
 				pct(row.ServeRate[DesignUnison]), pct(row.ServeRate[DesignDICE]), pct(row.ServeRate[DesignBaryon]),
 				f2(row.Bloat[DesignUnison]), f2(row.Bloat[DesignDICE]), f2(row.Bloat[DesignBaryon]))
@@ -62,5 +65,5 @@ func Fig11(cfg config.Config) ([]Fig11Row, *Table) {
 	t.AddRow("geomean(all)",
 		pct(sim.GeoMean(serveAll[DesignUnison])), pct(sim.GeoMean(serveAll[DesignDICE])), pct(sim.GeoMean(serveAll[DesignBaryon])),
 		f2(sim.GeoMean(bloatAll[DesignUnison])), f2(sim.GeoMean(bloatAll[DesignDICE])), f2(sim.GeoMean(bloatAll[DesignBaryon])))
-	return rows, t
+	return rows, t, nil
 }

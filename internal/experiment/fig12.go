@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/trace"
 )
@@ -38,7 +40,7 @@ type Fig12Row struct {
 
 // Fig12 reproduces Fig. 12: the impact of the compression-scheme choices on
 // performance and compression factors.
-func Fig12(cfg config.Config) ([]Fig12Row, *Table) {
+func Fig12(ctx context.Context, o Options, cfg config.Config) ([]Fig12Row, *Table, error) {
 	var rows []Fig12Row
 	t := &Table{
 		Title:  "Fig 12: compression-scheme ablations (speedup vs default Baryon, mean range CF)",
@@ -59,7 +61,10 @@ func Fig12(cfg config.Config) ([]Fig12Row, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
 		}
 	}
-	results := RunPairs(pairs)
+	results, err := runPairs(ctx, o, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
 	for wi, w := range workloads {
 		var baseCycles float64
 		for vi, v := range variants {
@@ -77,5 +82,5 @@ func Fig12(cfg config.Config) ([]Fig12Row, *Table) {
 			t.AddRow(w.Name, v.Name, f2(row.Speedup), f2(row.MeanRangeCF))
 		}
 	}
-	return rows, t
+	return rows, t, nil
 }

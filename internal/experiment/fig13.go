@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"baryon/internal/config"
@@ -15,12 +16,10 @@ type Fig13Row struct {
 	Speedup  float64
 }
 
-// sweep runs the representative workloads over configuration points — the
-// full (workload, point) grid fans out across the worker pool — and
+// sweepTable runs the representative workloads over configuration points —
+// the full (workload, point) grid fans out across the worker pool — and
 // normalises each workload to its named baseline point.
-func sweep(cfg config.Config, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, map[string][]string) {
-	var rows []Fig13Row
-	cells := map[string][]string{}
+func sweepTable(ctx context.Context, o Options, cfg config.Config, title string, notes []string, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, *Table, error) {
 	workloads := trace.Representative()
 	pairs := make([]Pair, 0, len(workloads)*len(points))
 	for _, w := range workloads {
@@ -30,7 +29,12 @@ func sweep(cfg config.Config, points []string, mut func(*config.Config, string),
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
 		}
 	}
-	results := RunPairs(pairs)
+	results, err := runPairs(ctx, o, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rows []Fig13Row
+	t := &Table{Title: title, Header: append([]string{"workload"}, points...), Notes: notes}
 	for wi, w := range workloads {
 		base := 0.0
 		perPoint := map[string]float64{}
@@ -41,31 +45,22 @@ func sweep(cfg config.Config, points []string, mut func(*config.Config, string),
 				base = cycles
 			}
 		}
-		row := []string{w.Name}
+		cells := []string{w.Name}
 		for _, p := range points {
 			sp := base / perPoint[p]
 			rows = append(rows, Fig13Row{Workload: w.Name, Point: p, Speedup: sp})
-			row = append(row, f2(sp))
+			cells = append(cells, f2(sp))
 		}
-		cells[w.Name] = row
+		t.AddRow(cells...)
 	}
-	return rows, cells
-}
-
-func sweepTable(cfg config.Config, title string, notes []string, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, *Table) {
-	rows, cells := sweep(cfg, points, mut, baseline)
-	t := &Table{Title: title, Header: append([]string{"workload"}, points...), Notes: notes}
-	for _, w := range trace.Representative() {
-		t.AddRow(cells[w.Name]...)
-	}
-	return rows, t
+	return rows, t, nil
 }
 
 // Fig13a reproduces Fig. 13(a): disabling block-level replacements (so a
 // super-block is confined to one stage frame) versus the two-level policy.
-func Fig13a(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13a(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	points := []string{"two-level", "sub-block-only"}
-	return sweepTable(cfg,
+	return sweepTable(ctx, o, cfg,
 		"Fig 13(a): two-level stage replacement vs sub-block-only",
 		[]string{"paper: sub-block-only loses about 25%"},
 		points,
@@ -74,9 +69,9 @@ func Fig13a(cfg config.Config) ([]Fig13Row, *Table) {
 }
 
 // Fig13b reproduces Fig. 13(b): the super-block size sweep (in blocks).
-func Fig13b(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13b(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	points := []string{"1", "2", "8", "32"}
-	return sweepTable(cfg,
+	return sweepTable(ctx, o, cfg,
 		"Fig 13(b): super-block size in blocks (default 8)",
 		[]string{"paper: 8 blocks suffices; very large super-blocks add conflict misses"},
 		points,
@@ -86,10 +81,10 @@ func Fig13b(cfg config.Config) ([]Fig13Row, *Table) {
 
 // Fig13c reproduces Fig. 13(c): the stage-area size sweep plus the
 // no-stage-area configuration.
-func Fig13c(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13c(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	base := cfg.StageBytes
 	points := []string{"1/8", "1/4", "1/2", "1x", "2x", "none"}
-	return sweepTable(cfg,
+	return sweepTable(ctx, o, cfg,
 		"Fig 13(c): stage-area size (fractions of default) and no-stage ablation",
 		[]string{
 			"paper: 8 MB is enough for some workloads; 64 MB gives up to 24% more;",
@@ -118,9 +113,9 @@ func Fig13c(cfg config.Config) ([]Fig13Row, *Table) {
 // Fig13d reproduces Fig. 13(d): the selective-commit parameter k, the two
 // degenerate policies (k=0 write-cost-only, k=inf stability-only) and the
 // commit-all policy.
-func Fig13d(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13d(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	points := []string{"k=0", "k=1", "k=2", "k=4", "k=inf", "commit-all"}
-	return sweepTable(cfg,
+	return sweepTable(ctx, o, cfg,
 		"Fig 13(d): selective commit policy parameter",
 		[]string{
 			"paper: k in {1,2,4} performs similarly and beats k=0, k=inf and commit-all",

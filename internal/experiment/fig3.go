@@ -30,7 +30,7 @@ func runBaryonForBreakdown(ctx context.Context, cfg config.Config, w trace.Workl
 // Fig3a reproduces Fig. 3(a): the hit / read-miss / write-overflow split of
 // accesses to just-staged (S) versus committed (C) blocks at the default
 // stage size, over the SPEC-like workloads.
-func Fig3a(cfg config.Config) ([]Fig3aRow, *Table) {
+func Fig3a(ctx context.Context, o Options, cfg config.Config) ([]Fig3aRow, *Table, error) {
 	t := &Table{
 		Title:  "Fig 3(a): access breakdown, staged (S) vs committed (C) blocks",
 		Header: []string{"workload", "S.hit", "S.rdMiss", "S.wrOvfl", "C.hit", "C.rdMiss", "C.wrOvfl"},
@@ -40,17 +40,20 @@ func Fig3a(cfg config.Config) ([]Fig3aRow, *Table) {
 	}
 	workloads := trace.SPEC()
 	rows := make([]Fig3aRow, len(workloads))
-	forEachRun(len(workloads), func(ctx context.Context, i int) (err error) {
+	err := forEachRun(ctx, o, len(workloads), func(ctx context.Context, i int) (err error) {
 		rows[i].Workload = workloads[i].Name
 		rows[i].Breakdown, err = runBaryonForBreakdown(ctx, cfg, workloads[i])
 		return err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, row := range rows {
 		bd := row.Breakdown
 		t.AddRow(row.Workload, pct(bd.SHits), pct(bd.SReadMisses), pct(bd.SWriteOverflows),
 			pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}
-	return rows, t
+	return rows, t, nil
 }
 
 // Fig3bRow is one (stage size, workload) commit-state breakdown (Fig. 3(b)).
@@ -69,7 +72,7 @@ func Fig3bSizes(cfg config.Config) []uint64 {
 
 // Fig3b reproduces Fig. 3(b): the committed-block breakdown across stage
 // area sizes.
-func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
+func Fig3b(ctx context.Context, o Options, cfg config.Config) ([]Fig3bRow, *Table, error) {
 	t := &Table{
 		Title:  "Fig 3(b): committed-block breakdown vs stage area size",
 		Header: []string{"workload", "stage", "C.hit", "C.rdMiss", "C.wrOvfl"},
@@ -81,7 +84,7 @@ func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
 	workloads := trace.SPEC()[:4]
 	sizes := Fig3bSizes(cfg)
 	rows := make([]Fig3bRow, len(workloads)*len(sizes))
-	forEachRun(len(rows), func(ctx context.Context, i int) (err error) {
+	err := forEachRun(ctx, o, len(rows), func(ctx context.Context, i int) (err error) {
 		w, sz := workloads[i/len(sizes)], sizes[i%len(sizes)]
 		c := cfg
 		c.StageBytes = sz
@@ -89,11 +92,14 @@ func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
 		rows[i].Breakdown, err = runBaryonForBreakdown(ctx, c, w)
 		return err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, row := range rows {
 		bd := row.Breakdown
 		t.AddRow(row.Workload, byteSize(row.StageBytes), pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}
-	return rows, t
+	return rows, t, nil
 }
 
 func byteSize(b uint64) string {

@@ -23,13 +23,13 @@ type Fig4Result struct {
 // normalised to each block's stage-phase length. The paper's observation —
 // an order-of-magnitude MPKI drop by the mid-phase that stays low — is the
 // justification for the stage area and the selective commit policy.
-func Fig4(cfg config.Config) (Fig4Result, *Table) {
+func Fig4(ctx context.Context, o Options, cfg config.Config) (Fig4Result, *Table, error) {
 	// Each workload samples into a private sampler so the runs can execute
 	// concurrently; the samplers are merged in workload order afterwards
 	// (percentiles sort, so the merged boxes are order-independent anyway).
 	workloads := trace.SPEC()[:4]
 	samplers := make([]*core.StagePhaseSampler, len(workloads))
-	forEachRun(len(workloads), func(ctx context.Context, i int) error {
+	err := forEachRun(ctx, o, len(workloads), func(ctx context.Context, i int) error {
 		samplers[i] = core.NewStagePhaseSampler()
 		r := cpu.NewRunner(cfg, workloads[i], Factory(DesignBaryon))
 		ctrl := r.Controller().(*core.Controller)
@@ -39,9 +39,12 @@ func Fig4(cfg config.Config) (Fig4Result, *Table) {
 		}
 		return nil
 	})
+	if err != nil {
+		return Fig4Result{}, nil, err
+	}
 	sampler := samplers[0]
-	for _, o := range samplers[1:] {
-		sampler.Merge(o)
+	for _, s := range samplers[1:] {
+		sampler.Merge(s)
 	}
 	agg := Fig4Result{}
 	t := &Table{
@@ -59,5 +62,5 @@ func Fig4(cfg config.Config) (Fig4Result, *Table) {
 		t.AddRow(f2(x), f2(box.P5), f2(box.P25), f2(box.P50), f2(box.P75), f2(box.P95))
 	}
 	agg.Phases = sampler.Phases()
-	return agg, t
+	return agg, t, nil
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/cpu"
 	"baryon/internal/sim"
@@ -27,10 +29,13 @@ type PerfMatrix struct {
 
 // runMatrix executes every (workload, design) pair — fanned out across the
 // worker pool — and normalises each row to its baseline design.
-func runMatrix(cfg config.Config, workloads []trace.Workload, designs []string, baseline string) PerfMatrix {
+func runMatrix(ctx context.Context, o Options, cfg config.Config, workloads []trace.Workload, designs []string, baseline string) (PerfMatrix, error) {
+	grid, err := runGrid(ctx, o, cfg, workloads, designs)
+	if err != nil {
+		return PerfMatrix{}, err
+	}
 	m := PerfMatrix{Designs: designs, Baseline: baseline, GeoMean: map[string]float64{}}
 	per := map[string][]float64{}
-	grid := RunMatrix(cfg, workloads, designs)
 	for wi, w := range workloads {
 		row := PerfRow{Workload: w.Name, Speedup: map[string]float64{}, Results: map[string]cpu.Result{}}
 		var base float64
@@ -51,7 +56,7 @@ func runMatrix(cfg config.Config, workloads []trace.Workload, designs []string, 
 	for _, d := range designs {
 		m.GeoMean[d] = sim.GeoMean(per[d])
 	}
-	return m
+	return m, nil
 }
 
 // Fig9Designs is the cache-mode comparison set of Fig. 9.
@@ -60,9 +65,12 @@ var Fig9Designs = []string{DesignSimple, DesignUnison, DesignDICE, DesignBaryon6
 // Fig9 reproduces Fig. 9: cache-mode performance of Unison Cache, DICE,
 // Baryon-64B and Baryon across the whole suite, normalised to the Simple
 // DRAM cache.
-func Fig9(cfg config.Config) (PerfMatrix, *Table) {
+func Fig9(ctx context.Context, o Options, cfg config.Config) (PerfMatrix, *Table, error) {
 	cfg.Mode = config.ModeCache
-	m := runMatrix(cfg, trace.All(), Fig9Designs, DesignSimple)
+	m, err := runMatrix(ctx, o, cfg, trace.All(), Fig9Designs, DesignSimple)
+	if err != nil {
+		return PerfMatrix{}, nil, err
+	}
 	t := &Table{
 		Title:  "Fig 9: cache-mode speedup over Simple",
 		Header: append([]string{"workload"}, Fig9Designs...),
@@ -83,7 +91,7 @@ func Fig9(cfg config.Config) (PerfMatrix, *Table) {
 		cells = append(cells, f3(m.GeoMean[d]))
 	}
 	t.AddRow(cells...)
-	return m, t
+	return m, t, nil
 }
 
 // Fig10Designs is the flat-mode comparison of Fig. 10.
@@ -91,9 +99,12 @@ var Fig10Designs = []string{DesignHybrid2, DesignBaryonFA}
 
 // Fig10 reproduces Fig. 10: fully-associative flat-mode performance of
 // Baryon-FA normalised to Hybrid2.
-func Fig10(cfg config.Config) (PerfMatrix, *Table) {
+func Fig10(ctx context.Context, o Options, cfg config.Config) (PerfMatrix, *Table, error) {
 	cfg.Mode = config.ModeFlat
-	m := runMatrix(cfg, trace.All(), Fig10Designs, DesignHybrid2)
+	m, err := runMatrix(ctx, o, cfg, trace.All(), Fig10Designs, DesignHybrid2)
+	if err != nil {
+		return PerfMatrix{}, nil, err
+	}
 	t := &Table{
 		Title:  "Fig 10: flat-mode speedup of Baryon-FA over Hybrid2",
 		Header: []string{"workload", "Baryon-FA/Hybrid2", "srFA", "srH2"},
@@ -106,5 +117,5 @@ func Fig10(cfg config.Config) (PerfMatrix, *Table) {
 			pct(row.Results[DesignBaryonFA].FastServeRate), pct(row.Results[DesignHybrid2].FastServeRate))
 	}
 	t.AddRow("geomean", f3(m.GeoMean[DesignBaryonFA]), "", "")
-	return m, t
+	return m, t, nil
 }

@@ -27,17 +27,15 @@ func goldenConfig() config.Config {
 // output that the golden file pins down: the static Table I plus the three
 // figure families that read counters through every layer of the metrics
 // plane (hierarchy serve counters, device traffic/energy, controller CFs).
-func goldenTables() []byte {
+func goldenTables(t *testing.T) []byte {
 	cfg := goldenConfig()
+	_, fig9 := harness(t, Fig9, cfg)
+	_, fig11 := harness(t, Fig11, cfg)
+	_, fig12 := harness(t, Fig12, cfg)
+	_, energy := harness(t, Energy, cfg)
 	var buf bytes.Buffer
-	for _, run := range []func() *Table{
-		func() *Table { return TableI() },
-		func() *Table { _, t := Fig9(cfg); return t },
-		func() *Table { _, t := Fig11(cfg); return t },
-		func() *Table { _, t := Fig12(cfg); return t },
-		func() *Table { _, t := Energy(cfg); return t },
-	} {
-		run().Render(&buf)
+	for _, tab := range []*Table{TableI(), fig9, fig11, fig12, energy} {
+		tab.Render(&buf)
 	}
 	return buf.Bytes()
 }
@@ -49,7 +47,7 @@ func goldenTables() []byte {
 //	go test ./internal/experiment -run Golden -update-golden
 func TestExperimentTablesGolden(t *testing.T) {
 	path := filepath.Join("testdata", "tables_quick.golden")
-	got := goldenTables()
+	got := goldenTables(t)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -2,89 +2,102 @@ package experiment
 
 import (
 	"context"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"baryon/internal/trace"
 )
 
-// observerPairs is a small grid the observer tests run repeatedly.
-func observerPairs(cfg, n int) []Pair {
+// observerPairs is a small batch of Baryon runs on distinct seeds
+// [first, first+n), so an observer can tell exactly which pairs it saw.
+func observerPairs(accesses, first, n int) []Pair {
 	c := parallelConfig()
-	c.AccessesPerCore = cfg
+	c.AccessesPerCore = accesses
 	w, _ := trace.ByName("505.mcf_r")
 	pairs := make([]Pair, n)
 	for i := range pairs {
-		c.Seed = uint64(i + 1)
+		c.Seed = uint64(first + i)
 		pairs[i] = Pair{Cfg: c, Workload: w, Design: DesignBaryon}
 	}
 	return pairs
 }
 
-// TestPairObserverMultipleOwners is the regression test for the old
-// process-global SetPairObserver: two owners observe the same runs without
-// clobbering each other, and removing one leaves the other installed.
-func TestPairObserverMultipleOwners(t *testing.T) {
-	var a, b atomic.Uint64
-	ha := AddPairObserver(func(Pair, PairResult) { a.Add(1) })
-	hb := AddPairObserver(func(Pair, PairResult) { b.Add(1) })
-	defer ha.Remove()
-	defer hb.Remove()
-
-	pairs := observerPairs(400, 3)
-	for _, pr := range RunPairsCtx(context.Background(), pairs) {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
-		}
+// recordSeeds returns a goroutine-safe Options.Observe that records the seed
+// of every pair it sees, and a func returning those seeds in order.
+func recordSeeds() (func(Pair, PairResult), func() []uint64) {
+	var mu sync.Mutex
+	var seeds []uint64
+	observe := func(p Pair, _ PairResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		seeds = append(seeds, p.Cfg.Seed)
 	}
-	if a.Load() != 3 || b.Load() != 3 {
-		t.Fatalf("observer counts a=%d b=%d, want 3 each", a.Load(), b.Load())
+	return observe, func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		slices.Sort(seeds)
+		return slices.Clone(seeds)
 	}
-
-	ha.Remove()
-	for _, pr := range RunPairsCtx(context.Background(), pairs) {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
-		}
-	}
-	if a.Load() != 3 {
-		t.Fatalf("removed observer still fired: a=%d", a.Load())
-	}
-	if b.Load() != 6 {
-		t.Fatalf("surviving observer missed runs: b=%d, want 6", b.Load())
-	}
-	// Remove is idempotent and a nil add is a safe no-op handle.
-	ha.Remove()
-	AddPairObserver(nil).Remove()
 }
 
-// TestPairObserverConcurrentOwners churns observer registration from many
-// goroutines while runs execute — the -race regression for the registry's
-// copy-on-write snapshot.
+// runBatch runs pairs under o and checks that wantOK of them succeeded.
+func runBatch(t *testing.T, o Options, pairs []Pair, wantOK int) {
+	t.Helper()
+	ok := 0
+	for _, pr := range RunPairsCtx(context.Background(), o, pairs) {
+		if pr.Err == nil {
+			ok++
+		}
+	}
+	if ok != wantOK {
+		t.Errorf("%d of %d pairs succeeded, want %d", ok, len(pairs), wantOK)
+	}
+}
+
+// TestPairObserverMultipleOwners: an observer belongs to its batch. It sees
+// exactly that batch's successful pairs (a failed pair is not observed), and
+// a later batch run with another observer or with zero Options — the job
+// server's path — never reaches it.
+func TestPairObserverMultipleOwners(t *testing.T) {
+	observeA, seenA := recordSeeds()
+	observeB, seenB := recordSeeds()
+	pairs := observerPairs(400, 1, 3)
+	failing := append(slices.Clone(pairs), Pair{Cfg: pairs[0].Cfg, Workload: pairs[0].Workload, Design: "No-Such-Design"})
+	runBatch(t, Options{Workers: 2, Observe: observeA}, failing, 3)
+	runBatch(t, Options{Workers: 2, Observe: observeB}, observerPairs(400, 10, 2), 2)
+	runBatch(t, Options{}, pairs, 3)
+	if got, want := seenA(), []uint64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("observer A saw seeds %v, want %v", got, want)
+	}
+	if got, want := seenB(), []uint64{10, 11}; !slices.Equal(got, want) {
+		t.Errorf("observer B saw seeds %v, want %v", got, want)
+	}
+}
+
+// TestPairObserverConcurrentOwners runs batches with different observers
+// concurrently, beside a zero-Options batch: each observer sees exactly its
+// own batch's pairs, none of its neighbours'. Under -race it also checks
+// that batches share no observer state.
 func TestPairObserverConcurrentOwners(t *testing.T) {
-	pairs := observerPairs(200, 2)
+	const owners = 3
+	seen := make([]func() []uint64, owners)
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g <= owners; g++ {
+		o := Options{Workers: 2}
+		if g < owners {
+			o.Observe, seen[g] = recordSeeds()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var n atomic.Uint64
-			for i := 0; i < 5; i++ {
-				h := AddPairObserver(func(Pair, PairResult) { n.Add(1) })
-				for _, pr := range RunPairsCtx(context.Background(), pairs) {
-					if pr.Err != nil {
-						t.Errorf("run: %v", pr.Err)
-					}
-				}
-				h.Remove()
-			}
-			// Each owner sees at least its own runs; concurrent owners' runs
-			// may add more.
-			if n.Load() < uint64(5*len(pairs)) {
-				t.Errorf("observer saw %d pairs, want >= %d", n.Load(), 5*len(pairs))
-			}
+			runBatch(t, o, observerPairs(200, 100*(g+1), 2), 2)
 		}()
 	}
 	wg.Wait()
+	for g := range seen {
+		if got, want := seen[g](), []uint64{uint64(100 * (g + 1)), uint64(100*(g+1) + 1)}; !slices.Equal(got, want) {
+			t.Errorf("observer %d saw seeds %v, want %v", g, got, want)
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,69 +21,47 @@ import (
 // deterministic — every result is slotted by its input index, so tables and
 // figures are byte-identical to a serial run regardless of completion order.
 
-// parallelism holds the configured worker count; 0 means "one worker per
-// available CPU" (runtime.GOMAXPROCS).
-var parallelism atomic.Int32
-
-// SetParallelism sets the worker count used by RunPairs/RunMatrix and every
-// harness built on them. n <= 0 restores the default (one worker per CPU);
-// n == 1 forces fully serial execution.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int32(n))
+// Options configures one batch of runs. The zero value runs one worker per
+// CPU and observes nothing; every batch entry point takes it by value, so
+// concurrent batches in one process (a CLI export beside a server job)
+// never see each other's settings.
+type Options struct {
+	// Workers is the worker count: <= 0 means one per available CPU
+	// (runtime.GOMAXPROCS), 1 forces fully serial execution.
+	Workers int
+	// Observe, when set, receives every successfully completed pair of a
+	// RunPairsCtx batch as it finishes, before the batch returns — the seam
+	// export layers (e.g. per-run report bundles) use to see each
+	// cpu.Result while its Stats registry is still reachable. It runs on
+	// worker goroutines, possibly concurrently, and must be goroutine-safe;
+	// failed pairs are not observed.
+	Observe func(Pair, PairResult)
 }
 
-// Parallelism returns the effective worker count.
-func Parallelism() int {
-	if v := parallelism.Load(); v > 0 {
-		return int(v)
+// workers resolves o.Workers for a batch of n jobs: a non-positive count
+// becomes one per available CPU, and no batch gets more workers than jobs.
+func (o Options) workers(n int) int {
+	w := o.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	if w > n {
+		w = n
+	}
+	return w
 }
 
-// runContext holds the package-level context consulted by the legacy
-// (context-free) entry points, so existing harness code can be made
-// cancellable from one place. The context lives in a single-field struct
-// because atomic.Value requires a consistent concrete type and contexts
-// come in many.
-type ctxBox struct{ ctx context.Context }
-
-var runContext atomic.Value
-
-func init() { runContext.Store(ctxBox{context.Background()}) }
-
-// SetRunContext installs the context the legacy RunPairs/RunMatrix/harness
-// entry points run under. The default is context.Background() (never
-// cancelled, zero overhead). Commands that own a shutdown context call this
-// once at startup; new code should prefer the explicit ...Ctx variants.
-func SetRunContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runContext.Store(ctxBox{ctx})
-}
-
-// RunContext returns the context installed by SetRunContext.
-func RunContext() context.Context {
-	return runContext.Load().(ctxBox).ctx
-}
-
-// forEach invokes fn(i) for every i in [0, n) using the configured worker
-// count. fn must write its outputs to slots indexed by i only; under that
-// contract the observable result is identical to the serial loop. With one
-// worker (or one job) it degenerates to the plain loop, with zero goroutine
-// overhead. Workers stop pulling new indices once ctx is cancelled (indices
-// already running finish via the runner's own cancellation checks). A panic
-// in fn stops the other workers pulling indices and is re-raised on the
-// calling goroutine once they return, so the caller's recover sees it
-// exactly as in the serial loop.
-func forEach(ctx context.Context, n int, fn func(i int)) {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+// forEach invokes fn(i) for every i in [0, n) using o.Workers workers. fn
+// must write its outputs to slots indexed by i only; under that contract the
+// observable result is identical to the serial loop. With one worker (or one
+// job) it degenerates to the plain loop, with zero goroutine overhead.
+// Workers stop pulling new indices once ctx is cancelled (indices already
+// running finish via the runner's own cancellation checks). A panic in fn
+// stops the other workers pulling indices and is re-raised on the calling
+// goroutine once they return, so the caller's recover sees it exactly as in
+// the serial loop.
+func forEach(ctx context.Context, o Options, n int, fn func(i int)) {
+	workers := o.workers(n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
@@ -128,15 +105,13 @@ func forEach(ctx context.Context, n int, fn func(i int)) {
 	}
 }
 
-// forEachRun is forEach under RunContext() for harnesses that drive their
-// own runners. fn runs index i under ctx; the first failure — fn's error, or
-// the context stopping the loop before i ran — escalates to a panic, the
-// strict contract RunPairs keeps.
-func forEachRun(n int, fn func(ctx context.Context, i int) error) {
-	ctx := RunContext()
+// forEachRun is forEach for harnesses that drive their own runners: fn runs
+// index i under ctx, and the first failure — fn's error, or the context
+// stopping the loop before i ran — is returned.
+func forEachRun(ctx context.Context, o Options, n int, fn func(ctx context.Context, i int) error) error {
 	errs := make([]error, n)
 	ran := make([]bool, n)
-	forEach(ctx, n, func(i int) {
+	forEach(ctx, o, n, func(i int) {
 		ran[i] = true
 		errs[i] = fn(ctx, i)
 	})
@@ -145,98 +120,10 @@ func forEachRun(n int, fn func(ctx context.Context, i int) error) {
 			err = ctx.Err()
 		}
 		if err != nil {
-			panic(fmt.Errorf("experiment: run %d of %d failed: %w", i+1, n, err))
+			return fmt.Errorf("experiment: run %d of %d failed: %w", i+1, n, err)
 		}
 	}
-}
-
-// pairObservers is the registry behind AddPairObserver: every installed
-// observer keyed by handle id, plus a copy-on-write snapshot slice the hot
-// path iterates lock-free. Multiple owners — a CLI's bundle-dir export and a
-// server job running concurrently — each hold their own handle, so removing
-// one never tears down another's hook (the old process-global
-// SetPairObserver atomic.Value made concurrent owners clobber each other).
-var pairObservers struct {
-	sync.Mutex
-	seq  uint64
-	m    map[uint64]func(Pair, PairResult)
-	snap atomic.Value // []func(Pair, PairResult), rebuilt under the mutex
-}
-
-func init() {
-	var empty []func(Pair, PairResult)
-	pairObservers.snap.Store(empty)
-}
-
-// ObserverHandle identifies one installed pair observer; Remove uninstalls
-// exactly that observer and no other.
-type ObserverHandle struct {
-	id   uint64
-	once sync.Once
-}
-
-// AddPairObserver installs a hook that receives every successfully completed
-// pair as it finishes, before the batch returns — the seam export layers
-// (e.g. per-run report bundles) use to see each cpu.Result while its Stats
-// registry is still reachable, without every harness growing an export
-// parameter. The hook runs on worker goroutines, possibly concurrently, and
-// must be goroutine-safe; failed pairs are not observed. Any number of
-// observers can be installed concurrently; each is removed only through its
-// own handle.
-func AddPairObserver(fn func(Pair, PairResult)) *ObserverHandle {
-	if fn == nil {
-		return &ObserverHandle{}
-	}
-	pairObservers.Lock()
-	defer pairObservers.Unlock()
-	if pairObservers.m == nil {
-		pairObservers.m = make(map[uint64]func(Pair, PairResult))
-	}
-	pairObservers.seq++
-	h := &ObserverHandle{id: pairObservers.seq}
-	pairObservers.m[h.id] = fn
-	rebuildObserverSnap()
-	return h
-}
-
-// Remove uninstalls the observer this handle was returned for. Safe to call
-// multiple times; a handle from a nil AddPairObserver is a no-op. Pairs
-// already in flight when Remove returns may still be observed once.
-func (h *ObserverHandle) Remove() {
-	h.once.Do(func() {
-		if h.id == 0 {
-			return
-		}
-		pairObservers.Lock()
-		defer pairObservers.Unlock()
-		delete(pairObservers.m, h.id)
-		rebuildObserverSnap()
-	})
-}
-
-// rebuildObserverSnap republishes the snapshot slice. Caller holds the
-// mutex. Iteration order is by handle id, so observation order is stable.
-func rebuildObserverSnap() {
-	ids := make([]uint64, 0, len(pairObservers.m))
-	for id := range pairObservers.m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	fns := make([]func(Pair, PairResult), 0, len(ids))
-	for _, id := range ids {
-		fns = append(fns, pairObservers.m[id])
-	}
-	pairObservers.snap.Store(fns)
-}
-
-// observePair invokes every installed observer for a completed job.
-func observePair(p Pair, pr PairResult) {
-	if pr.Err != nil {
-		return
-	}
-	for _, fn := range pairObservers.snap.Load().([]func(Pair, PairResult)) {
-		fn(p, pr)
-	}
+	return nil
 }
 
 // RunObs optionally attaches live instrumentation to one pair's runner —
@@ -247,9 +134,6 @@ type RunObs struct {
 	Tracer *obs.Tracer
 	// Introspector receives RunStatus snapshots from the run goroutine.
 	Introspector *obs.Introspector
-	// StatusEvery is the introspector publish interval in accesses
-	// (0 = the runner's default).
-	StatusEvery uint64
 }
 
 // Pair is one independent simulation job: a full configuration (so sweeps
@@ -315,7 +199,7 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 			r.SetTracer(o.Tracer)
 		}
 		if o.Introspector != nil {
-			r.SetIntrospector(o.Introspector, o.StatusEvery)
+			r.SetIntrospector(o.Introspector)
 		}
 	}
 	res, err := r.RunCtx(ctx)
@@ -323,20 +207,22 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	return res, err
 }
 
-// RunPairsCtx executes every job concurrently and returns per-job outcomes
-// in input order. Each job builds its own runner, store, controller and
-// statistics, so jobs share no mutable state; successful slots are
-// bit-identical to calling RunOne in a loop. A job that fails — invalid
-// design, panic, cancellation — reports through its slot's Err while every
-// other job completes; jobs not yet started when ctx is cancelled get
-// ctx's error without running.
-func RunPairsCtx(ctx context.Context, pairs []Pair) []PairResult {
+// RunPairsCtx executes every job on o.Workers workers and returns per-job
+// outcomes in input order, calling o.Observe for each success. Each job
+// builds its own runner, store, controller and statistics, so jobs share no
+// mutable state; successful slots are bit-identical to calling RunPairCtx in
+// a loop. A job that fails — invalid design, panic, cancellation — reports
+// through its slot's Err while every other job completes; jobs not yet
+// started when ctx is cancelled get ctx's error without running.
+func RunPairsCtx(ctx context.Context, o Options, pairs []Pair) []PairResult {
 	out := make([]PairResult, len(pairs))
 	ran := make([]bool, len(pairs))
-	forEach(ctx, len(pairs), func(i int) {
+	forEach(ctx, o, len(pairs), func(i int) {
 		ran[i] = true
 		out[i] = runPairIsolated(ctx, pairs[i])
-		observePair(pairs[i], out[i])
+		if o.Observe != nil && out[i].Err == nil {
+			o.Observe(pairs[i], out[i])
+		}
 	})
 	for i := range out {
 		if !ran[i] {
@@ -346,39 +232,37 @@ func RunPairsCtx(ctx context.Context, pairs []Pair) []PairResult {
 	return out
 }
 
-// RunPairs executes every job concurrently and returns the results in input
-// order, bit-identical to calling RunOne in a loop. It is the legacy strict
-// entry point: any per-job error — including cancellation of the
-// SetRunContext context — escalates to a panic, which the resilient
-// commands catch at their per-harness isolation boundary. Callers that want
-// per-job errors use RunPairsCtx.
-func RunPairs(pairs []Pair) []cpu.Result {
-	prs := RunPairsCtx(RunContext(), pairs)
-	out := make([]cpu.Result, len(prs))
-	for i, pr := range prs {
+// runPairs is the strict form of RunPairsCtx the harnesses build on: the
+// results in input order, or the first pair's error.
+func runPairs(ctx context.Context, o Options, pairs []Pair) ([]cpu.Result, error) {
+	out := make([]cpu.Result, len(pairs))
+	for i, pr := range RunPairsCtx(ctx, o, pairs) {
 		if pr.Err != nil {
-			panic(fmt.Sprintf("experiment: pair %s/%s failed: %v",
-				pairs[i].Workload.Name, pairs[i].Design, pr.Err))
+			return nil, fmt.Errorf("experiment: pair %s/%s failed: %w",
+				pairs[i].Workload.Name, pairs[i].Design, pr.Err)
 		}
 		out[i] = pr.Result
 	}
-	return out
+	return out, nil
 }
 
-// RunMatrix runs the full workloads x designs grid under cfg and returns
+// runGrid runs the full workloads x designs grid under cfg and returns
 // results indexed as [workload][design], matching the input slices. Like
-// RunPairs it is strict: per-job errors escalate to panics.
-func RunMatrix(cfg config.Config, workloads []trace.Workload, designs []string) [][]cpu.Result {
+// runPairs it is strict: the first pair error is returned.
+func runGrid(ctx context.Context, o Options, cfg config.Config, workloads []trace.Workload, designs []string) ([][]cpu.Result, error) {
 	pairs := make([]Pair, 0, len(workloads)*len(designs))
 	for _, w := range workloads {
 		for _, d := range designs {
 			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
 		}
 	}
-	flat := RunPairs(pairs)
+	flat, err := runPairs(ctx, o, pairs)
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]cpu.Result, len(workloads))
 	for wi := range workloads {
 		out[wi] = flat[wi*len(designs) : (wi+1)*len(designs)]
 	}
-	return out
+	return out, nil
 }

@@ -1,13 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"baryon/internal/trace"
 )
 
 // TestRunPairsRegistriesNotShared enforces the registry concurrency
-// contract (see sim.Stats and DESIGN.md): RunPairs gets goroutine safety by
+// contract (see sim.Stats and DESIGN.md): RunPairsCtx gets goroutine safety by
 // giving every job its own registry, never by locking one. If two jobs ever
 // shared a registry the race detector would fire on the counter increments;
 // this test additionally pins the structural property that every result
@@ -22,7 +23,10 @@ func TestRunPairsRegistriesNotShared(t *testing.T) {
 			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
 			Pair{Cfg: cfg, Workload: w, Design: DesignDICE})
 	}
-	results := RunPairs(pairs)
+	results, err := runPairs(context.Background(), Options{Workers: 4}, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(pairs) {
 		t.Fatalf("%d results for %d pairs", len(results), len(pairs))
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -43,7 +44,7 @@ var ResilienceDesigns = []string{DesignUnison, DesignDICE, DesignBaryon}
 // event totals, and the feedback into serve rate and tail latency. Runs are
 // deterministic per (cfg.Seed, fault seed); the BER=0 column doubles as a
 // fault-off control, byte-identical to a run without the fault subsystem.
-func Resilience(cfg config.Config) ([]ResilienceRow, *Table) {
+func Resilience(ctx context.Context, o Options, cfg config.Config) ([]ResilienceRow, *Table, error) {
 	w := trace.Representative()[0]
 	pairs := make([]Pair, 0, len(ResilienceDesigns)*len(ResilienceBERs))
 	for _, d := range ResilienceDesigns {
@@ -54,7 +55,10 @@ func Resilience(cfg config.Config) ([]ResilienceRow, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
 		}
 	}
-	results := RunPairs(pairs)
+	results, err := runPairs(ctx, o, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	var rows []ResilienceRow
 	t := &Table{
@@ -96,7 +100,7 @@ func Resilience(cfg config.Config) ([]ResilienceRow, *Table) {
 			pct(row.FastServeRate),
 			fmt.Sprintf("%.1f", row.P99))
 	}
-	return rows, t
+	return rows, t, nil
 }
 
 // sumFaultCounter totals "<device>.fault.<name>" across every device of a

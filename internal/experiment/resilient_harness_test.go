@@ -14,9 +14,13 @@ import (
 // registerPoisonedDesign registers a design that passes every load-time and
 // spec-level validation but panics inside the controller factory (BlockBytes
 // 0 divides by zero in the geometry math) — the shape of bug panic isolation
-// exists for. Each test registers its own name; the registry is global.
+// exists for. Each test registers its own name; the registry is global, so
+// a repeated run (-count) reuses the earlier registration.
 func registerPoisonedDesign(t *testing.T, name string) {
 	t.Helper()
+	if _, ok := Lookup(name); ok {
+		return
+	}
 	err := Register(DesignSpec{
 		Name:      name,
 		Kind:      KindBaryon,
@@ -38,7 +42,7 @@ func TestPanicIsolation(t *testing.T) {
 		{Cfg: cfg, Workload: w, Design: "Poisoned-Isolation"},
 		{Cfg: cfg, Workload: w, Design: DesignBaryon},
 	}
-	out := RunPairsCtx(context.Background(), pairs)
+	out := RunPairsCtx(context.Background(), Options{}, pairs)
 	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "panicked") {
 		t.Fatalf("poisoned pair error = %v, want captured panic", out[1].Err)
 	}
@@ -52,12 +56,12 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRunOneCtxErrors pins the error (not panic) contract of the validated
-// entry point.
-func TestRunOneCtxErrors(t *testing.T) {
+// TestRunPairCtxErrors pins the error (not panic) contract of the validated
+// single-run entry point.
+func TestRunPairCtxErrors(t *testing.T) {
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	if _, err := RunOneCtx(context.Background(), cfg, w, "No-Such-Design"); err == nil {
+	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "No-Such-Design"}); err == nil {
 		t.Fatal("unknown design did not error")
 	}
 	// A replacement knob on a kind without one is a spec-level error.
@@ -68,14 +72,14 @@ func TestRunOneCtxErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if _, err := RunOneCtx(context.Background(), cfg, w, "BadKnob-Baryon"); err == nil ||
+	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil ||
 		!strings.Contains(err.Error(), "replacement-policy") {
 		t.Fatalf("bad knob error = %v, want replacement-policy error", err)
 	}
 	// A pre-cancelled context refuses to run at all.
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunOneCtx(done, cfg, w, DesignSimple); !errors.Is(err, context.Canceled) {
+	if _, err := RunPairCtx(done, Pair{Cfg: cfg, Workload: w, Design: DesignSimple}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run error = %v, want context.Canceled", err)
 	}
 }
@@ -97,7 +101,7 @@ func TestCancellationMidSweep(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	out := RunPairsCtx(ctx, pairs)
+	out := RunPairsCtx(ctx, Options{}, pairs)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancelled sweep still took %s", elapsed)
 	}
@@ -112,50 +116,50 @@ func TestCancellationMidSweep(t *testing.T) {
 	}
 }
 
-// TestLegacyRunPairsStrict pins the legacy contract: per-pair errors
-// escalate to a panic rather than being silently dropped.
-func TestLegacyRunPairsStrict(t *testing.T) {
-	registerPoisonedDesign(t, "Poisoned-Legacy")
-	cfg := parallelConfig()
-	w, _ := trace.ByName("505.mcf_r")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunPairs with a poisoned pair did not panic")
-		}
-	}()
-	RunPairs([]Pair{{Cfg: cfg, Workload: w, Design: "Poisoned-Legacy"}})
+// TestStrictHarnessReturnsPairError: the Fig. 9/10 harness core, built on
+// runPairs, returns the failing pair's error — here a design that panics in
+// its factory — instead of panicking or dropping it.
+func TestStrictHarnessReturnsPairError(t *testing.T) {
+	registerPoisonedDesign(t, "Poisoned-Strict")
+	workloads := trace.Representative()[:2]
+	_, err := runMatrix(context.Background(), Options{Workers: 2}, parallelConfig(),
+		workloads, []string{DesignSimple, "Poisoned-Strict"}, DesignSimple)
+	if err == nil || !strings.Contains(err.Error(), "Poisoned-Strict") || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("runMatrix with a poisoned design: err = %v, want the pair's captured panic", err)
+	}
 }
 
-// TestFig3aHonoursRunContext: a harness that drives its own runners stops
-// under a cancelled SetRunContext and escalates the context's error the way
-// RunPairs does, instead of running every workload to completion.
+// TestFig3aHonoursRunContext: a harness that drives its own runners (the
+// forEachRun path) stops under a cancelled ctx and returns the context's
+// error instead of panicking or running every workload to completion.
 func TestFig3aHonoursRunContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	SetRunContext(ctx)
-	defer SetRunContext(nil)
-	defer func() {
-		rec := recover()
-		err, ok := rec.(error)
-		if !ok || !errors.Is(err, context.Canceled) {
-			t.Fatalf("Fig3a under a cancelled run context: recovered %v, want a context.Canceled panic", rec)
-		}
-	}()
-	Fig3a(parallelConfig())
+	if _, _, err := Fig3a(ctx, Options{Workers: 2}, parallelConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig3a under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFig9HonoursRunContext is the grid-path (runGrid) twin of
+// TestFig3aHonoursRunContext.
+func TestFig9HonoursRunContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Fig9(ctx, Options{Workers: 2}, parallelConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig9 under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
 }
 
 // TestForEachReraisesWorkerPanic: a panic on a pool worker surfaces on the
 // calling goroutine, where the caller's recover (cmd/experiments'
 // per-harness boundary) can contain it.
 func TestForEachReraisesWorkerPanic(t *testing.T) {
-	SetParallelism(4)
-	defer SetParallelism(0)
 	defer func() {
 		if rec := recover(); rec != "boom" {
 			t.Fatalf("recovered %v, want the worker's panic value", rec)
 		}
 	}()
-	forEach(context.Background(), 16, func(i int) {
+	forEach(context.Background(), Options{Workers: 4}, 16, func(i int) {
 		if i == 5 {
 			panic("boom")
 		}

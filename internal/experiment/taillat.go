@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"baryon/internal/config"
@@ -16,7 +17,7 @@ var TailLatencyDesigns = []string{DesignUnison, DesignDICE, DesignBaryon}
 // the bimodality Baryon's mechanisms create (stage hits vs. slow-path NVM
 // reads), which the percentile spread makes visible. All values are cycles,
 // measured over the post-warmup window via histogram window deltas.
-func TailLatency(cfg config.Config) *Table {
+func TailLatency(ctx context.Context, o Options, cfg config.Config) (*Table, error) {
 	t := &Table{
 		Title:  "Tail latency: demand completion latency per design (cycles)",
 		Header: []string{"workload", "design", "mean", "p50", "p90", "p99", "p99.9", "max"},
@@ -27,7 +28,10 @@ func TailLatency(cfg config.Config) *Table {
 		},
 	}
 	workloads := trace.Representative()
-	grid := RunMatrix(cfg, workloads, TailLatencyDesigns)
+	grid, err := runGrid(ctx, o, cfg, workloads, TailLatencyDesigns)
+	if err != nil {
+		return nil, err
+	}
 	for wi, w := range workloads {
 		for di, d := range TailLatencyDesigns {
 			m := grid[wi][di].Measured.MemLat
@@ -40,5 +44,5 @@ func TailLatency(cfg config.Config) *Table {
 				fmt.Sprintf("%d", m.Max))
 		}
 	}
-	return t
+	return t, nil
 }

@@ -40,7 +40,6 @@ type Flags struct {
 	// Setup, already registered and runnable by name.
 	Specs []experiment.DesignSpec
 
-	which       FlagOpt
 	designFiles string
 }
 
@@ -48,7 +47,7 @@ type Flags struct {
 // the full -timeout help text (each command describes its own expiry
 // behavior); ignored unless FlagTimeout is selected.
 func RegisterFlags(fs *flag.FlagSet, which FlagOpt, timeoutUsage string) *Flags {
-	f := &Flags{which: which}
+	f := &Flags{}
 	if which&FlagTimeout != 0 {
 		fs.DurationVar(&f.Timeout, "timeout", 0, timeoutUsage)
 	}
@@ -70,41 +69,33 @@ func RegisterFlags(fs *flag.FlagSet, which FlagOpt, timeoutUsage string) *Flags 
 	return f
 }
 
-// Setup applies the parsed flags to a command lifecycle: wraps ctx in the
-// -timeout deadline, installs -parallel on the experiment pool, loads and
-// registers every -design-file(s) spec (exposed as Specs), and installs the
-// -bundle-dir pair observer. The returned cleanup cancels the deadline and
-// removes this command's observer (other owners' observers are untouched);
-// it is safe to skip on process exit.
-func (f *Flags) Setup(ctx context.Context, errw io.Writer) (context.Context, func(), error) {
-	cancel := context.CancelFunc(func() {})
-	if f.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
-	}
-	if f.which&FlagParallel != 0 {
-		experiment.SetParallelism(f.Parallel)
-	}
+// Setup applies the parsed flags to a command lifecycle: it wraps ctx in
+// the -timeout deadline, loads and registers every -design-file(s) spec
+// (exposed as Specs), and returns the experiment.Options for the command's
+// batches: -parallel as Workers and the -bundle-dir bundle writer as
+// Observe. The returned cancel releases the deadline; it is safe to skip on
+// process exit.
+func (f *Flags) Setup(ctx context.Context, errw io.Writer) (context.Context, experiment.Options, context.CancelFunc, error) {
+	opts := experiment.Options{Workers: f.Parallel}
 	if f.designFiles != "" {
 		for _, path := range strings.Split(f.designFiles, ",") {
 			spec, err := experiment.LoadSpecFile(strings.TrimSpace(path))
 			if err != nil {
-				cancel()
-				return ctx, func() {}, fmt.Errorf("loading design file: %w", err)
+				return ctx, opts, func() {}, fmt.Errorf("loading design file: %w", err)
 			}
 			f.Specs = append(f.Specs, spec)
 		}
 	}
-	cleanup := func() { cancel() }
 	if f.BundleDir != "" {
-		h, err := report.ObservePairs(f.BundleDir, errw)
+		observe, err := report.ObservePairs(f.BundleDir, errw)
 		if err != nil {
-			cancel()
-			return ctx, func() {}, fmt.Errorf("bundle dir: %w", err)
+			return ctx, opts, func() {}, fmt.Errorf("bundle dir: %w", err)
 		}
-		cleanup = func() {
-			h.Remove()
-			cancel()
-		}
+		opts.Observe = observe
 	}
-	return ctx, cleanup, nil
+	cancel := context.CancelFunc(func() {})
+	if f.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
+	}
+	return ctx, opts, cancel, nil
 }

@@ -399,8 +399,9 @@ func (s *Service) runOnWorker(ctx context.Context, rec *record, r Resolved) (Out
 	}
 	// A one-pair batch through the shared pool entry point buys the same
 	// per-pair panic isolation sweeps get: a controller bug fails the job,
-	// not the server.
-	pr := experiment.RunPairsCtx(ctx, []experiment.Pair{pair})[0]
+	// not the server. Zero Options: the batch has no observer, so no CLI
+	// export in the same process sees server jobs.
+	pr := experiment.RunPairsCtx(ctx, experiment.Options{}, []experiment.Pair{pair})[0]
 	if pr.Err != nil {
 		return Outcome{}, pr.Err
 	}

@@ -15,10 +15,10 @@ import (
 )
 
 // SingleRun describes one instrumented foreground simulation — the shared
-// core behind cmd/baryonsim: spec validation, timeout and stall-watchdog
-// wiring, tracer and introspector attachment. It bypasses the result cache
-// (a foreground run may replay arbitrary trace files and custom workloads
-// the content-address cannot cover).
+// core behind cmd/baryonsim: spec validation, stall-watchdog wiring, tracer
+// and introspector attachment. It bypasses the result cache (a foreground
+// run may replay arbitrary trace files and custom workloads the
+// content-address cannot cover).
 type SingleRun struct {
 	Cfg      config.Config
 	Workload trace.Workload
@@ -27,8 +27,6 @@ type SingleRun struct {
 	Source trace.Source
 	Design string
 
-	// Timeout bounds the run's wall clock (0 = none).
-	Timeout time.Duration
 	// StallTimeout aborts the run when the introspector's progress
 	// heartbeats freeze for this long (0 = off).
 	StallTimeout time.Duration
@@ -42,15 +40,11 @@ type SingleRun struct {
 	StallWarnings io.Writer
 }
 
-// RunSingle executes one foreground run with the request's timeout,
-// watchdog and instrumentation wired. Like cpu.Runner.RunCtx it returns the
-// partial metrics alongside the error when the run is cut short.
+// RunSingle executes one foreground run under ctx, which bounds its wall
+// clock, with the request's watchdog and instrumentation wired. Like
+// cpu.Runner.RunCtx it returns the partial metrics alongside the error when
+// the run is cut short.
 func RunSingle(ctx context.Context, req SingleRun) (cpu.Result, error) {
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
-	}
 	in := req.Introspector
 	if req.StallTimeout > 0 {
 		if in == nil {

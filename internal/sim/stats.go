@@ -62,7 +62,7 @@ type registry struct {
 // Concurrency contract: a registry is per-run state, NOT goroutine-safe.
 // Every run (cpu.Runner) builds its own registry via NewStats and mutates it
 // from the single goroutine executing that run; parallel harnesses
-// (experiment.RunPairs) get isolation by never sharing a registry between
+// (experiment.RunPairsCtx) get isolation by never sharing a registry between
 // jobs, not by locking. Cross-goroutine readers (e.g. a live debug server)
 // must consume immutable Snapshot values published by the run goroutine,
 // never the live Stats.
