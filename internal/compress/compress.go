@@ -32,11 +32,6 @@ type Compressor struct {
 // (Baryon's default).
 func New(aligned bool) *Compressor { return &Compressor{Aligned: aligned} }
 
-// NewWithCPack returns a compressor that also considers C-Pack.
-func NewWithCPack(aligned bool) *Compressor {
-	return &Compressor{Aligned: aligned, WithCPack: true}
-}
-
 // CompressedSize returns the smallest enabled encoding of data, clamped to
 // len(data) (hardware stores the original when compression loses).
 func (c *Compressor) CompressedSize(data []byte) int {

@@ -326,7 +326,8 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 
 	// Move b's ranges to the new frame to keep Rule 3 (the move also gives
 	// re-grouping a chance to reduce fragmentation, as the paper notes).
-	// Slots are scanned in ascending order, matching BlockRanges.
+	// Slots are scanned in ascending order, so b's ranges keep their
+	// relative order in the new frame.
 	slot := 0
 	for oldSlot := range old.tag.Slots {
 		if r := old.tag.Slots[oldSlot]; !r.Valid || int(r.BlkOff) != blkOff {

@@ -465,11 +465,6 @@ func (d *Device) EnergyPJ() float64 { return d.energy.Value() }
 // TotalBytes returns the total bytes moved in either direction.
 func (d *Device) TotalBytes() uint64 { return d.bytesRead.Value() + d.bytesWritten.Value() }
 
-// AvgReadLatency returns the mean observed read latency in cycles.
-func (d *Device) AvgReadLatency() float64 {
-	return sim.Ratio(d.readLat.Value(), d.reads.Value())
-}
-
 // Reset clears all timing state and the non-registry accumulators. The
 // traffic/energy/latency counters live on the run's Stats registry and are
 // reset there (Stats.Reset on the device's scope).

@@ -149,20 +149,7 @@ func (t *StageTag) FreeSlot() int {
 	return -1
 }
 
-// BlockRanges returns the slot indices holding ranges of block blkOff.
-func (t *StageTag) BlockRanges(blkOff int) []int {
-	var out []int
-	for i, r := range t.Slots {
-		if r.Valid && int(r.BlkOff) == blkOff {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// HasBlock reports whether any slot holds a range of block blkOff — the
-// allocation-free form of len(BlockRanges(blkOff)) > 0 for the access hot
-// path.
+// HasBlock reports whether any slot holds a range of block blkOff.
 func (t *StageTag) HasBlock(blkOff int) bool {
 	for _, r := range t.Slots {
 		if r.Valid && int(r.BlkOff) == blkOff {
