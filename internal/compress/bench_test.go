@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"testing"
 
 	"baryon/internal/sim"
@@ -82,6 +83,9 @@ func BenchmarkBDIAppendRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeFitsAligned times a CF-4 trial on random lines, which
+// mostly fail on the first chunk; BenchmarkFitsWithin times the chunk
+// trials on the content the controller sees.
 func BenchmarkRangeFitsAligned(b *testing.B) {
 	c := New(true)
 	rng := sim.NewRNG(9)
@@ -93,5 +97,24 @@ func BenchmarkRangeFitsAligned(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.RangeFits(data, 4)
+	}
+}
+
+// fitSink keeps the benchmarked predicate's result live.
+var fitSink bool
+
+// BenchmarkFitsWithin times the aligned-mode chunk trial on datagen
+// content: a 256 B CF-4 chunk or a 128 B CF-2 chunk into one cacheline.
+func BenchmarkFitsWithin(b *testing.B) {
+	subs := datagenSubs(64)
+	for _, n := range []int{256, 128} {
+		b.Run(fmt.Sprintf("%d-64", n), func(b *testing.B) {
+			c := New(true)
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fitSink = c.FitsWithin(subs[i%len(subs)][:n], CachelineSize)
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // FPC implements Frequent Pattern Compression over 32-bit words. Each word is
 // encoded with a 3-bit prefix selecting one of eight patterns; runs of zero
@@ -52,13 +56,59 @@ func fpcClassify(w uint32) (pattern int, payloadBits uint) {
 	}
 }
 
+// fpcNarrowPayload is the payload width of a word whose sign-folded value
+// has n < 16 significant bits: the narrowest of the sign-extended 4-, 8- and
+// 16-bit patterns that holds it.
+var fpcNarrowPayload = [16]uint8{4, 4, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 16, 16, 16, 16}
+
+// fpcPayloadBits returns the payload bit count fpcClassify assigns to w
+// without walking its pattern list: bits.Len32 of the sign-folded word
+// settles the three sign-extended patterns, and only wider words test the
+// half-zero, two-byte and repeated-byte patterns.
+func fpcPayloadBits(w uint32) int {
+	s := int32(w)
+	if n := bits.Len32(uint32(s ^ s>>31)); n < 16 {
+		return int(fpcNarrowPayload[n])
+	}
+	switch {
+	case w&0xFFFF == 0, w&0xFF80FF80 == 0: // half-zero; two bytes in 0..127
+		return 16
+	case w == w&0xFF*0x01010101:
+		return 8
+	}
+	return 32
+}
+
+// fpcBits returns the bit length of the FPC encoding of data, or any value
+// above maxBits as soon as the running count exceeds it. A zero word opens
+// a new zero-run code when it follows a non-zero word or completes a run of
+// eight.
+func fpcBits(data []byte, maxBits int) int {
+	n, run := 0, 0
+	for ; len(data) >= 4; data = data[4:] {
+		w := binary.LittleEndian.Uint32(data)
+		if w == 0 {
+			if run == 0 {
+				n += fpcPrefixLen + 3
+			}
+			run = (run + 1) & 7
+			continue
+		}
+		run = 0
+		n += fpcPrefixLen + fpcPayloadBits(w)
+		if n > maxBits {
+			return n
+		}
+	}
+	return n
+}
+
 // CompressedSize returns the size in bytes of the FPC encoding of data.
 // len(data) must be a multiple of 4. The result is at most len(data)+len/4
 // rounded up (every word uncompressed plus prefixes), and the simulator
 // clamps to the original size when compression does not pay off.
 func (FPC) CompressedSize(data []byte) int {
-	bits := fpcBitSize(data)
-	return (bits + 7) / 8
+	return (fpcBits(data, math.MaxInt) + 7) / 8
 }
 
 // SizeAtMost reports whether the FPC encoding of data fits in budget bytes,
@@ -66,48 +116,7 @@ func (FPC) CompressedSize(data []byte) int {
 // bit count exceeds the budget. Equivalent to CompressedSize(data) <= budget.
 func (FPC) SizeAtMost(data []byte, budget int) bool {
 	maxBits := budget * 8
-	bits := 0
-	nwords := len(data) / 4
-	for i := 0; i < nwords; {
-		w := binary.LittleEndian.Uint32(data[i*4:])
-		if w == 0 {
-			run := 1
-			for i+run < nwords && run < 8 && binary.LittleEndian.Uint32(data[(i+run)*4:]) == 0 {
-				run++
-			}
-			bits += fpcPrefixLen + 3
-			i += run
-		} else {
-			_, payload := fpcClassify(w)
-			bits += fpcPrefixLen + int(payload)
-			i++
-		}
-		if bits > maxBits {
-			return false
-		}
-	}
-	return true
-}
-
-func fpcBitSize(data []byte) int {
-	bits := 0
-	nwords := len(data) / 4
-	for i := 0; i < nwords; {
-		w := binary.LittleEndian.Uint32(data[i*4:])
-		if w == 0 {
-			run := 1
-			for i+run < nwords && run < 8 && binary.LittleEndian.Uint32(data[(i+run)*4:]) == 0 {
-				run++
-			}
-			bits += fpcPrefixLen + 3
-			i += run
-			continue
-		}
-		_, payload := fpcClassify(w)
-		bits += fpcPrefixLen + int(payload)
-		i++
-	}
-	return bits
+	return fpcBits(data, maxBits) <= maxBits
 }
 
 // Compress encodes data (len multiple of 4) into an FPC bit stream.

@@ -15,8 +15,19 @@ func fuzzInput(data []byte) []byte {
 	return data[:len(data)/8*8]
 }
 
+// checkSizeAtMost asserts SizeAtMost(data, b) == (CompressedSize(data) <= b)
+// for a budget b drawn from the raw fuzz bytes, spanning 0 to past
+// len(data) so both verdicts occur.
+func checkSizeAtMost(t *testing.T, raw, data []byte, size int, sizeAtMost func([]byte, int) bool) {
+	t.Helper()
+	budget := (int(raw[0]) | int(raw[len(raw)-1])<<8) % (len(data) + 9)
+	if got, want := sizeAtMost(data, budget), size <= budget; got != want {
+		t.Fatalf("SizeAtMost(%d)=%v but CompressedSize=%d", budget, got, size)
+	}
+}
+
 // FuzzFPCRoundTrip checks Compress/Decompress inverse-ness and the
-// CompressedSize contract on arbitrary word-aligned input.
+// CompressedSize and SizeAtMost contracts on arbitrary word-aligned input.
 func FuzzFPCRoundTrip(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Add(bytes.Repeat([]byte{0xff, 0, 0, 0}, 16))
@@ -31,6 +42,7 @@ func FuzzFPCRoundTrip(f *testing.F) {
 		if got := c.CompressedSize(data); got != len(comp) {
 			t.Fatalf("CompressedSize=%d but Compress produced %d bytes", got, len(comp))
 		}
+		checkSizeAtMost(t, raw, data, len(comp), c.SizeAtMost)
 		back := c.Decompress(comp, len(data))
 		if !bytes.Equal(back, data) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", data, back)
@@ -52,6 +64,7 @@ func FuzzBDIRoundTrip(f *testing.F) {
 		if got := c.CompressedSize(data); got != len(comp) {
 			t.Fatalf("CompressedSize=%d but Compress produced %d bytes", got, len(comp))
 		}
+		checkSizeAtMost(t, raw, data, len(comp), c.SizeAtMost)
 		back := c.Decompress(comp, len(data))
 		if !bytes.Equal(back, data) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", data, back)
@@ -73,6 +86,7 @@ func FuzzCPackRoundTrip(f *testing.F) {
 		if got := c.CompressedSize(data); got != len(comp) {
 			t.Fatalf("CompressedSize=%d but Compress produced %d bytes", got, len(comp))
 		}
+		checkSizeAtMost(t, raw, data, len(comp), c.SizeAtMost)
 		back := c.Decompress(comp, len(data))
 		if !bytes.Equal(back, data) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", data, back)

@@ -3,6 +3,8 @@ package compress
 import (
 	"fmt"
 	"testing"
+
+	"baryon/internal/datagen"
 )
 
 // sizeAlgo is the algorithm surface the size-only fast paths must agree
@@ -124,25 +126,88 @@ func TestCompressedSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
+// datagenSubs returns n generated sub-blocks per value class, at fresh and
+// written versions: the content the Baryon controller's fit trials see.
+func datagenSubs(n int) [][]byte {
+	var out [][]byte
+	for class := datagen.ClassZero; class <= datagen.ClassRandom; class++ {
+		for blk := uint64(0); blk < uint64(n); blk++ {
+			sub := make([]byte, SubBlockSize)
+			datagen.FillSub(sub, blk, int(blk%8), uint32(blk%4), class)
+			out = append(out, sub)
+		}
+	}
+	return out
+}
+
+// datagenCorpus cuts generated sub-blocks into every length a fit trial
+// passes the compressors: whole, and the 128 B and 64 B chunks of
+// cacheline-aligned CF 2 and CF 4.
+func datagenCorpus() [][]byte {
+	var corpus [][]byte
+	for _, sub := range datagenSubs(16) {
+		corpus = append(corpus, sub, sub[:128], sub[128:], sub[64:128])
+	}
+	return corpus
+}
+
 // TestSizeAtMostAgreesWithCompressedSize checks the early-exit budget
-// predicates against the exact sizes at every interesting budget: around
-// the exact size, the cacheline and sub-block budgets, and degenerate ones.
+// predicates against the exact sizes: on the structured corpus at every
+// interesting budget (around the exact size, the cacheline and sub-block
+// budgets, and degenerate ones), and on datagen content at every budget
+// from 0 to the input length.
 func TestSizeAtMostAgreesWithCompressedSize(t *testing.T) {
 	for _, a := range sizeAlgos() {
 		t.Run(a.name, func(t *testing.T) {
+			check := func(i int, data []byte, budget int) {
+				t.Helper()
+				if got, want := a.sizeAtMost(data, budget), a.size(data) <= budget; got != want {
+					t.Fatalf("input %d (len %d): SizeAtMost(%d)=%v but CompressedSize=%d",
+						i, len(data), budget, got, a.size(data))
+				}
+			}
 			for i, data := range sizeCorpus() {
 				sz := a.size(data)
 				for _, budget := range []int{0, 1, 16, sz - 1, sz, sz + 1, 64, 256, len(data), len(data) + 8} {
-					if budget < 0 {
-						continue
-					}
-					if got, want := a.sizeAtMost(data, budget), sz <= budget; got != want {
-						t.Fatalf("input %d (len %d): SizeAtMost(%d)=%v but CompressedSize=%d",
-							i, len(data), budget, got, sz)
+					if budget >= 0 {
+						check(i, data, budget)
 					}
 				}
 			}
+			for i, data := range datagenCorpus() {
+				for budget := 0; budget <= len(data); budget++ {
+					check(i, data, budget)
+				}
+			}
 		})
+	}
+}
+
+// TestFPCPayloadBitsMatchesClassify pins the table-driven size kernel to the
+// pattern classifier the encoder uses, over word sweeps that cross every
+// pattern boundary: all 16-bit values, their negations and shifts, repeated
+// bytes, and two-byte words.
+func TestFPCPayloadBitsMatchesClassify(t *testing.T) {
+	check := func(w uint32) {
+		if w == 0 {
+			return // zero words are run-coded, never classified
+		}
+		if _, want := fpcClassify(w); fpcPayloadBits(w) != int(want) {
+			t.Fatalf("word %#08x: fpcPayloadBits=%d, fpcClassify payload=%d", w, fpcPayloadBits(w), want)
+		}
+	}
+	for v := uint32(0); v <= 0xFFFF; v++ {
+		for shift := 0; shift <= 16; shift++ {
+			check(v << shift)
+			check(-(v << shift))
+		}
+	}
+	for hi := uint32(0); hi <= 0xFF; hi++ {
+		check(hi * 0x01010101)
+		for lo := uint32(0); lo <= 0xFF; lo++ {
+			check(hi<<16 | lo)
+			check(hi<<24 | lo<<8)
+		}
 	}
 }
 

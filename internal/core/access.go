@@ -249,6 +249,7 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
 	// evicts the whole block to slow memory.
+	// Known defect (ROADMAP, "lost write"): a clean range's overflow never charges this write.
 	copy(rg.data[lineInRange*64:], data)
 	if c.rangeFits(rg.data, cf) {
 		rg.dirty = true

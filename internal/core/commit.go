@@ -450,7 +450,7 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 	start, cf := s, 1
 	for _, try := range []int{4, 2} {
 		st := s &^ (try - 1)
-		if c.rangeFits(c.rangeContentScratch(b, st, try), try) {
+		if c.rangeFits(c.rangeView(b, st, try), try) {
 			start, cf = st, try
 			break
 		}
@@ -515,7 +515,7 @@ func (c *Controller) directInsertSub(now uint64, b uint64, s int, dirty bool) {
 		if overlaps {
 			continue
 		}
-		if c.rangeFits(c.rangeContentScratch(b, st, try), try) {
+		if c.rangeFits(c.rangeView(b, st, try), try) {
 			start, cf = st, try
 			break
 		}

@@ -118,13 +118,11 @@ type Controller struct {
 
 	// Per-controller scratch reused across Access calls to keep the hot
 	// path allocation-free. lineScratch backs the Data of slow-memory
-	// reads, prefetchScratch backs Result.Prefetched, and trialScratch
-	// holds range content assembled only for fit trials. Results handed
+	// reads and prefetchScratch backs Result.Prefetched. Results handed
 	// out through these buffers are valid until the next Access, which is
 	// the contract hybrid.Result documents.
 	lineScratch     [hybrid.CachelineSize]byte
 	prefetchScratch []hybrid.PrefetchedLine
-	trialScratch    []byte
 
 	// rangePool recycles range content buffers by CF class (index = cf;
 	// buffer length = cf*subBytes). Range buffers move between stage

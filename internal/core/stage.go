@@ -144,12 +144,18 @@ func (c *Controller) chooseRange(ssi int, super hybrid.SuperBlockID, blkOff int,
 		if hinted {
 			return start, cf
 		}
-		content := c.rangeContentScratch(b, start, cf)
-		if c.rangeFits(content, cf) {
+		if c.rangeFits(c.rangeView(b, start, cf), cf) {
 			return start, cf
 		}
 	}
 	return s, 1
+}
+
+// rangeView returns the canonical content of cf sub-blocks starting at
+// subOff of block b in place, as a view into the store. Fit trials read
+// it without a copy; nothing may write through it or keep it.
+func (c *Controller) rangeView(b uint64, subOff, cf int) []byte {
+	return c.store.Bytes(c.slowAddr(b, subOff), cf*int(c.geom.subBytes))
 }
 
 // rangeContent copies the canonical content of cf sub-blocks starting at
@@ -157,7 +163,9 @@ func (c *Controller) chooseRange(ssi int, super hybrid.SuperBlockID, blkOff int,
 // kept (range buffers move between frames and must own their storage); it
 // comes from the controller's per-CF free list when one is available.
 func (c *Controller) rangeContent(b uint64, subOff, cf int) []byte {
-	return c.fillRange(c.newRangeBuf(cf), b, subOff, cf)
+	buf := c.newRangeBuf(cf)
+	copy(buf, c.rangeView(b, subOff, cf))
+	return buf
 }
 
 // newRangeBuf returns an owned buffer of cf sub-blocks, recycling a freed
@@ -196,23 +204,6 @@ func (c *Controller) freeRangeBuf(buf []byte) {
 	}
 	cf := uint64(len(buf)) / c.geom.subBytes
 	c.rangePool[cf] = append(c.rangePool[cf], buf)
-}
-
-// rangeContentScratch assembles the same bytes into the controller's trial
-// scratch. Only fit trials may use it — the buffer is recycled on the next
-// trial, so it must never be installed in a frame.
-func (c *Controller) rangeContentScratch(b uint64, subOff, cf int) []byte {
-	if c.trialScratch == nil {
-		c.trialScratch = make([]byte, 4*c.geom.subBytes)
-	}
-	return c.fillRange(c.trialScratch[:uint64(cf)*c.geom.subBytes], b, subOff, cf)
-}
-
-func (c *Controller) fillRange(out []byte, b uint64, subOff, cf int) []byte {
-	for i := 0; i < cf; i++ {
-		copy(out[uint64(i)*c.geom.subBytes:], c.slowSub(b, subOff+i))
-	}
-	return out
 }
 
 // blockAllZero reports whether block b's full canonical content is zero.
