@@ -77,3 +77,21 @@ func TestExperimentTablesGolden(t *testing.T) {
 		t.Fatalf("experiment tables diverge from golden in length: got %d lines, want %d", len(gl), len(wl))
 	}
 }
+
+// TestExtraTablesGolden pins the three extra experiments that vary the
+// device topology or its faults — the slow-memory technology sweep, the
+// fast-memory timing-model sweep and the resilience ramp — at
+// goldenConfig. Regenerate deliberately with
+//
+//	go test ./internal/experiment -run ExtraTablesGolden -update-golden
+func TestExtraTablesGolden(t *testing.T) {
+	cfg := goldenConfig()
+	_, slow := harness(t, SlowMemSweep, cfg)
+	_, ddr := harness(t, DDRFidelitySweep, cfg)
+	_, res := harness(t, Resilience, cfg)
+	var buf bytes.Buffer
+	for _, tab := range []*Table{slow, ddr, res} {
+		tab.Render(&buf)
+	}
+	compareGolden(t, "extras_quick.golden", buf.Bytes())
+}
