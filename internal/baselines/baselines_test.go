@@ -7,8 +7,14 @@ import (
 	"baryon/internal/config"
 	"baryon/internal/datagen"
 	"baryon/internal/hybrid"
+	"baryon/internal/mem"
 	"baryon/internal/sim"
 )
+
+// tableI is Table I's two-tier topology, DDR4 over NVM.
+func tableI() []hybrid.TierSpec {
+	return []hybrid.TierSpec{{Cfg: mem.DDR4Config()}, {Cfg: mem.NVMConfig()}}
+}
 
 func testStore() *hybrid.Store {
 	mix := datagen.UniformMix()
@@ -51,7 +57,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 func TestSimpleBasics(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, store, stats, nil)
+	s := NewSimple(64, 4, store, stats, tableI())
 	driveController(t, s, 20000, 1<<20, 7)
 	if stats.Get("simple.hits") == 0 || stats.Get("simple.misses") == 0 {
 		t.Fatalf("hits=%d misses=%d; want both nonzero",
@@ -65,7 +71,7 @@ func TestSimpleBasics(t *testing.T) {
 func TestSimpleWholeBlockTraffic(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, store, stats, nil)
+	s := NewSimple(64, 4, store, stats, tableI())
 	s.Access(0, 0, false, nil)
 	// A single miss fills a whole 2 kB block from slow memory.
 	if got := stats.Get("NVM.bytesRead"); got < hybrid.BlockSize {
@@ -76,7 +82,7 @@ func TestSimpleWholeBlockTraffic(t *testing.T) {
 func TestUnisonFootprintLearning(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(16, 4, store, stats, 1, nil)
+	u := NewUnison(16, 4, store, stats, 1, tableI())
 	// Touch two sub-blocks of block 0, then force an eviction by filling
 	// the set, then return: the footprint should be prefetched.
 	u.Access(0, 0, false, nil)
@@ -96,7 +102,7 @@ func TestUnisonFootprintLearning(t *testing.T) {
 func TestUnisonDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(128, 4, store, stats, 2, nil)
+	u := NewUnison(128, 4, store, stats, 2, tableI())
 	driveController(t, u, 20000, 2<<20, 8)
 	if stats.Get("unison.blockMisses") == 0 || stats.Get("unison.subHits") == 0 {
 		t.Fatal("unison did not exercise hit and miss paths")
@@ -108,7 +114,7 @@ func TestDICECompressionCapacity(t *testing.T) {
 	// second line of a group hits without a second miss.
 	store := hybrid.NewStore(nil)
 	stats := sim.NewStats()
-	d := NewDICE(1<<16, store, stats, 5, nil)
+	d := NewDICE(1<<16, store, stats, 5, tableI())
 	d.Access(0, 0, false, nil)
 	res := d.Access(100, 64, false, nil)
 	if !res.ServedByFast {
@@ -122,7 +128,7 @@ func TestDICECompressionCapacity(t *testing.T) {
 func TestDICEPrefetchLines(t *testing.T) {
 	store := hybrid.NewStore(nil)
 	stats := sim.NewStats()
-	d := NewDICE(1<<16, store, stats, 5, nil)
+	d := NewDICE(1<<16, store, stats, 5, tableI())
 	d.Access(0, 0, false, nil)
 	res := d.Access(10, 0, false, nil)
 	if len(res.Prefetched) == 0 {
@@ -133,7 +139,7 @@ func TestDICEPrefetchLines(t *testing.T) {
 func TestDICEDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	d := NewDICE(1<<18, store, stats, 5, nil)
+	d := NewDICE(1<<18, store, stats, 5, tableI())
 	driveController(t, d, 20000, 2<<20, 9)
 	if stats.Get("dice.hits") == 0 || stats.Get("dice.misses") == 0 {
 		t.Fatal("DICE did not exercise both paths")
@@ -177,9 +183,9 @@ func TestHybrid2Drive(t *testing.T) {
 
 func TestControllersImplementInterface(t *testing.T) {
 	store := testStore()
-	var _ hybrid.Controller = NewSimple(16, 4, store, sim.NewStats(), nil)
-	var _ hybrid.Controller = NewUnison(16, 4, store, sim.NewStats(), 1, nil)
-	var _ hybrid.Controller = NewDICE(1<<14, store, sim.NewStats(), 5, nil)
+	var _ hybrid.Controller = NewSimple(16, 4, store, sim.NewStats(), tableI())
+	var _ hybrid.Controller = NewUnison(16, 4, store, sim.NewStats(), 1, tableI())
+	var _ hybrid.Controller = NewDICE(1<<14, store, sim.NewStats(), 5, tableI())
 	cfg := config.Scaled()
 	cfg.FastBytes = 1 << 20
 	cfg.StageBytes = 128 << 10
@@ -190,7 +196,7 @@ func TestControllersImplementInterface(t *testing.T) {
 func TestOSPagingDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, nil)
+	o := NewOSPaging(1<<20, store, stats, tableI())
 	driveController(t, o, 120000, 2<<20, 12)
 	if stats.Get("ospaging.migrations") == 0 {
 		t.Fatal("no migrations across epochs")
@@ -203,7 +209,7 @@ func TestOSPagingDrive(t *testing.T) {
 func TestOSPagingEpochMigratesHotPages(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, nil)
+	o := NewOSPaging(1<<20, store, stats, tableI())
 	// Hammer a small hot set across an epoch boundary; afterwards it must
 	// be fast-resident.
 	now := uint64(0)
@@ -224,7 +230,7 @@ func TestOSPagingCoarseGranularity(t *testing.T) {
 	// page is hot.
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, nil)
+	o := NewOSPaging(1<<20, store, stats, tableI())
 	now := uint64(0)
 	for i := 0; i < int(osEpochLen)+1; i++ {
 		addr := uint64(i%64) * osPageSize // one line per page

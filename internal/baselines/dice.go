@@ -3,7 +3,6 @@ package baselines
 import (
 	"baryon/internal/compress"
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
@@ -50,13 +49,13 @@ type diceSlot struct {
 	dirty   uint8
 }
 
-// NewDICE builds the DICE baseline with fastBytes of cache. tiers selects
-// the device topology; nil keeps the classic DDR4-over-NVM pair.
+// NewDICE builds the DICE baseline with fastBytes of cache. tiers is
+// the device topology (tier 0 = fast).
 func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompressLatency uint64, tiers []hybrid.TierSpec) *DICE {
 	d := &DICE{
 		store: store, stats: stats,
 		comp:              compress.New(true),
-		eng:               hybrid.NewEngineFrom(tiers, stats),
+		eng:               hybrid.NewEngineTiers(tiers, stats),
 		dir:               hybrid.NewDirSets[diceSlot](fastBytes/hybrid.CachelineSize, 1),
 		cfCache:           make(map[uint64]uint8),
 		decompressLatency: decompressLatency,
@@ -81,12 +80,6 @@ func (d *DICE) Engine() *hybrid.Engine { return d.eng }
 
 // Stats returns the counter collection.
 func (d *DICE) Stats() *sim.Stats { return d.stats }
-
-// FastDevice returns the DDR4 device model.
-func (d *DICE) FastDevice() *mem.Device { return d.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (d *DICE) SlowDevice() *mem.Device { return d.eng.Slow() }
 
 // groupCF computes (and caches) the quantised CF of the 4-line group.
 func (d *DICE) groupCF(group uint64) uint8 {

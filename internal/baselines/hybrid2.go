@@ -4,7 +4,6 @@ import (
 	"baryon/internal/config"
 	"baryon/internal/core"
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/sim"
 )
 
@@ -50,9 +49,3 @@ func NewHybrid2(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Hybri
 
 // Name identifies the design.
 func (h *Hybrid2) Name() string { return "Hybrid2" }
-
-// FastDevice returns the DDR4 device model.
-func (h *Hybrid2) FastDevice() *mem.Device { return h.Controller.FastDevice() }
-
-// SlowDevice returns the NVM device model.
-func (h *Hybrid2) SlowDevice() *mem.Device { return h.Controller.SlowDevice() }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
@@ -55,11 +54,10 @@ const (
 )
 
 // NewOSPaging builds the OS-managed baseline with fastBytes of fast memory.
-// tiers selects the device topology; nil keeps the classic DDR4-over-NVM
-// pair.
+// tiers is the device topology (tier 0 = fast).
 func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *OSPaging {
 	o := &OSPaging{
-		eng:        hybrid.NewEngineFrom(tiers, stats),
+		eng:        hybrid.NewEngineTiers(tiers, stats),
 		store:      store,
 		stats:      stats,
 		fastPages:  int(fastBytes / osPageSize),
@@ -87,12 +85,6 @@ func (o *OSPaging) Engine() *hybrid.Engine { return o.eng }
 
 // Stats returns the counter collection.
 func (o *OSPaging) Stats() *sim.Stats { return o.stats }
-
-// FastDevice returns the DDR4 device model.
-func (o *OSPaging) FastDevice() *mem.Device { return o.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (o *OSPaging) SlowDevice() *mem.Device { return o.eng.Slow() }
 
 // Access implements hybrid.Controller.
 func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {

@@ -18,7 +18,6 @@ package baselines
 
 import (
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
@@ -54,12 +53,12 @@ func (s *Simple) SetTracer(t *obs.Tracer) { s.eng.SetTracer(t) }
 func (s *Simple) SetReplacer(r hybrid.Replacer) { s.rep = r }
 
 // NewSimple builds the Simple baseline with fastBlocks block frames at the
-// given associativity over an osBlocks physical space. tiers selects the
-// device topology; nil keeps the classic DDR4-over-NVM pair.
+// given associativity over an osBlocks physical space. tiers is the
+// device topology (tier 0 = fast).
 func NewSimple(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
 	s := &Simple{
 		store: store, stats: stats, assoc: assoc,
-		eng: hybrid.NewEngineFrom(tiers, stats),
+		eng: hybrid.NewEngineTiers(tiers, stats),
 		dir: hybrid.NewDir[simpleWay](fastBlocks, assoc),
 		rep: hybrid.LRU{},
 		// Remap metadata lookup (on-chip remap cache path).
@@ -84,12 +83,6 @@ func (s *Simple) Engine() *hybrid.Engine { return s.eng }
 
 // Stats returns the counter collection.
 func (s *Simple) Stats() *sim.Stats { return s.stats }
-
-// FastDevice returns the DDR4 device model.
-func (s *Simple) FastDevice() *mem.Device { return s.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (s *Simple) SlowDevice() *mem.Device { return s.eng.Slow() }
 
 // Access implements hybrid.Controller.
 func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
@@ -66,12 +65,12 @@ const wayPredictAccuracy = 0.95
 // unisonSub is the 64 B sub-block size of Unison Cache.
 const unisonSub = 64
 
-// NewUnison builds the Unison baseline. tiers selects the device topology;
-// nil keeps the classic DDR4-over-NVM pair.
+// NewUnison builds the Unison baseline. tiers is the device topology
+// (tier 0 = fast).
 func NewUnison(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
 	u := &Unison{
 		store: store, stats: stats, assoc: assoc,
-		eng:     hybrid.NewEngineFrom(tiers, stats),
+		eng:     hybrid.NewEngineTiers(tiers, stats),
 		dir:     hybrid.NewDir[unisonWay](fastBlocks, assoc),
 		rep:     hybrid.LRU{},
 		rng:     sim.NewRNG(seed ^ 0x0550A11),
@@ -99,12 +98,6 @@ func (u *Unison) Engine() *hybrid.Engine { return u.eng }
 
 // Stats returns the counter collection.
 func (u *Unison) Stats() *sim.Stats { return u.stats }
-
-// FastDevice returns the DDR4 device model.
-func (u *Unison) FastDevice() *mem.Device { return u.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (u *Unison) SlowDevice() *mem.Device { return u.eng.Slow() }
 
 func (u *Unison) frameAddr(set uint64, way int) uint64 {
 	return (set*uint64(u.assoc) + uint64(way)) * hybrid.BlockSize

@@ -81,17 +81,9 @@ type Config struct {
 	// NoLLCPrefetch disables installing decompression by-products in the
 	// LLC (the memory-to-LLC prefetching of Section III-E).
 	NoLLCPrefetch bool
-	// SlowMemory selects the slow-memory device preset: "nvm" (Table I,
-	// default), "optane" or "pcm".
-	SlowMemory string
-	// DetailedDDR drives the fast memory with the protocol-level DDR4
-	// bank-state engine (JEDEC timings + refresh) instead of the busy-until
-	// model.
-	DetailedDDR bool
-	// Tiers, when non-empty, declares the full ordered device topology
-	// (tier 0 = fast) and supersedes the SlowMemory/DetailedDDR two-tier
-	// shorthand; see TierSpecs. Empty — the default everywhere — keeps the
-	// classic DDR4-over-SlowMemory pair.
+	// Tiers declares the ordered device topology (tier 0 = fast); see
+	// TierSpecs. Empty — the default everywhere — is Table I's DDR4 over
+	// NVM.
 	Tiers []TierConfig
 
 	// Run shape.

@@ -14,7 +14,7 @@ func FuzzOverridesJSON(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"mode": "flat", "blockBytes": 512, "subBlockBytes": 64}`)
 	f.Add(`{"commitK": -1, "fullyAssociative": true}`)
-	f.Add(`{"fault": {"slow": {"ber": 1e-4, "stuckAt": [{"addr": 0, "size": 4096}]}, "eccCorrectBits": 2}}`)
+	f.Add(`{"fault": {"tiers": [{}, {"ber": 1e-4, "stuckAt": [{"addr": 0, "size": 4096}]}], "eccCorrectBits": 2}}`)
 	f.Add(`{"mode": "bogus"}`)
 	f.Add(`{"tiers": [{"preset": "ddr4"}, {"preset": "nvm", "bytes": 67108864}, {"preset": "cxl-dram"}]}`)
 	f.Add(`{"tiers": [{"preset": "ddr4"}, {"preset": "cxl-ibex", "name": "far", "cxl": {"linkLatencyCycles": 96, "linkBytesPerCycle": 8, "internalBytesPerCycle": 12, "compression": "best"}}]}`)

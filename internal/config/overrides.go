@@ -47,8 +47,6 @@ type Overrides struct {
 	MLPOverlap    *float64 `json:"mlpOverlap,omitempty"`
 	LLCKB         *int     `json:"llcKB,omitempty"`
 	NoLLCPrefetch *bool    `json:"noLLCPrefetch,omitempty"`
-	SlowMemory    *string  `json:"slowMemory,omitempty"`
-	DetailedDDR   *bool    `json:"detailedDDR,omitempty"`
 
 	// Run shape. Designs rarely pin these; they exist so a run's full
 	// configuration delta — including the access budget and window layout —
@@ -110,8 +108,6 @@ func (o *Overrides) Apply(c *Config) error {
 	setIf(&c.MLPOverlap, o.MLPOverlap)
 	setIf(&c.LLCKB, o.LLCKB)
 	setIf(&c.NoLLCPrefetch, o.NoLLCPrefetch)
-	setIf(&c.SlowMemory, o.SlowMemory)
-	setIf(&c.DetailedDDR, o.DetailedDDR)
 	setIf(&c.AccessesPerCore, o.AccessesPerCore)
 	setIf(&c.WarmupAccessesPerCore, o.WarmupAccessesPerCore)
 	setIf(&c.EpochAccesses, o.EpochAccesses)

@@ -45,36 +45,28 @@ func (t *TierConfig) resolve() (mem.Config, error) {
 	return cfg, nil
 }
 
-// TierSpecs returns the engine tier list this config describes. An empty
-// Tiers section canonicalizes to the classic two-tier topology — DDR4
-// (honouring DetailedDDR) over the SlowMemory preset — which is what keeps
-// every historical config loading and behaving bit-identically. A non-empty
-// section resolves each declared tier in order.
+// TierSpecs returns the engine tier list this config describes, resolving
+// each declared tier in order. An empty Tiers section is Table I's two-tier
+// topology, DDR4 over NVM.
 func (c *Config) TierSpecs() ([]hybrid.TierSpec, error) {
-	if len(c.Tiers) == 0 {
-		fastCfg := mem.DDR4Config()
-		if c.DetailedDDR {
-			fastCfg = mem.DDR4DetailedConfig()
-		}
-		return []hybrid.TierSpec{
-			{Cfg: fastCfg},
-			{Cfg: mem.SlowPreset(c.SlowMemory)},
-		}, nil
+	tiers := c.Tiers
+	if len(tiers) == 0 {
+		tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "nvm"}}
 	}
-	if len(c.Tiers) < 2 {
-		return nil, fmt.Errorf("config: tiers needs at least 2 entries, got %d", len(c.Tiers))
+	if len(tiers) < 2 {
+		return nil, fmt.Errorf("config: tiers needs at least 2 entries, got %d", len(tiers))
 	}
-	specs := make([]hybrid.TierSpec, 0, len(c.Tiers))
-	for i := range c.Tiers {
-		devCfg, err := c.Tiers[i].resolve()
+	specs := make([]hybrid.TierSpec, 0, len(tiers))
+	for i := range tiers {
+		devCfg, err := tiers[i].resolve()
 		if err != nil {
 			return nil, fmt.Errorf("tier %d: %w", i, err)
 		}
-		if i >= 1 && i < len(c.Tiers)-1 && c.Tiers[i].Bytes == 0 {
+		if i >= 1 && i < len(tiers)-1 && tiers[i].Bytes == 0 {
 			return nil, fmt.Errorf("config: tier %d (%s) is an intermediate far tier and needs bytes set",
 				i, devCfg.Name)
 		}
-		specs = append(specs, hybrid.TierSpec{Cfg: devCfg, Bytes: c.Tiers[i].Bytes})
+		specs = append(specs, hybrid.TierSpec{Cfg: devCfg, Bytes: tiers[i].Bytes})
 	}
 	return specs, nil
 }
@@ -87,22 +79,6 @@ func (c *Config) TierSpecs() ([]hybrid.TierSpec, error) {
 func (c *Config) Validate() error {
 	if err := cache.CheckCores(c.Cores); err != nil {
 		return fmt.Errorf("config: %w", err)
-	}
-	if c.SlowMemory != "" {
-		known := false
-		for _, name := range mem.SlowPresetNames() {
-			if c.SlowMemory == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("config: unknown slowMemory preset %q (registered: %s)",
-				c.SlowMemory, strings.Join(mem.SlowPresetNames(), ", "))
-		}
-	}
-	if len(c.Tiers) == 0 {
-		return nil
 	}
 	specs, err := c.TierSpecs()
 	if err != nil {

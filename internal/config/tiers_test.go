@@ -9,9 +9,9 @@ import (
 	"baryon/internal/mem"
 )
 
-// TestTierSpecsCanonicalizeTwoTier pins the back-compat contract: an empty
-// Tiers section resolves to the exact DDR4-over-SlowMemory pair the engine
-// was historically built from.
+// TestTierSpecsCanonicalizeTwoTier pins the default topology: an empty Tiers
+// section resolves to Table I's DDR4 over NVM, and a two-entry list swaps
+// either device by preset name.
 func TestTierSpecsCanonicalizeTwoTier(t *testing.T) {
 	cfg := Scaled()
 	specs, err := cfg.TierSpecs()
@@ -25,17 +25,16 @@ func TestTierSpecsCanonicalizeTwoTier(t *testing.T) {
 		t.Fatalf("canonical pair = %s/%s, want DDR4-3200/NVM", specs[0].Cfg.Name, specs[1].Cfg.Name)
 	}
 
-	cfg.DetailedDDR = true
-	cfg.SlowMemory = "optane"
+	cfg.Tiers = []TierConfig{{Preset: "ddr4-detailed"}, {Preset: "optane"}}
 	specs, err = cfg.TierSpecs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if specs[0].Cfg.DetailedTiming == nil {
-		t.Fatalf("DetailedDDR not honoured by canonical tier 0")
+		t.Fatalf("ddr4-detailed preset lost its protocol timing")
 	}
 	if specs[1].Cfg.Name != "Optane" {
-		t.Fatalf("SlowMemory not honoured: got %s", specs[1].Cfg.Name)
+		t.Fatalf("optane preset not resolved: got %s", specs[1].Cfg.Name)
 	}
 }
 
@@ -74,7 +73,6 @@ func TestValidateRejections(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
-		{"unknown slow preset", func(c *Config) { c.SlowMemory = "mram" }, "unknown slowMemory preset"},
 		{"unknown tier preset", func(c *Config) {
 			c.Tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "hbm9"}}
 		}, "registered:"},

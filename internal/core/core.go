@@ -12,7 +12,6 @@ import (
 	"baryon/internal/compress"
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/metadata"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
@@ -198,9 +197,9 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	g.osBlocks = cfg.OSBlocks()
 	g.fastBlocks = cfg.FastBlocks()
 
-	// The tier list comes from the config (empty Tiers canonicalizes to the
-	// classic DDR4-over-SlowMemory pair). A resolve error here is a
-	// programming error: user-facing paths run Config.Validate first.
+	// The tier list comes from the config (empty Tiers is DDR4 over NVM).
+	// A resolve error here is a programming error: user-facing paths run
+	// Config.Validate first.
 	specs, err := cfg.TierSpecs()
 	if err != nil {
 		panic(err)
@@ -384,12 +383,6 @@ func (c *Controller) MeanRangeCF() float64 {
 // RemapCacheHitRate returns the remap cache's hit rate (Section III-B
 // sizing claim).
 func (c *Controller) RemapCacheHitRate() float64 { return c.rcache.HitRate() }
-
-// FastDevice and SlowDevice expose the devices for traffic/energy reports.
-func (c *Controller) FastDevice() *mem.Device { return c.eng.Fast() }
-
-// SlowDevice returns the slow-memory device model.
-func (c *Controller) SlowDevice() *mem.Device { return c.eng.Slow() }
 
 // AddInstructions advances the retired-instruction clock used by MPKI
 // statistics (called by the CPU runner).

@@ -74,7 +74,7 @@ func TestEndToEndIntegrityBaryon(t *testing.T) {
 
 func TestEndToEndIntegrityDetailedDDR(t *testing.T) {
 	cfg := smallIntegrityConfig()
-	cfg.DetailedDDR = true
+	cfg.Tiers = []config.TierConfig{{Preset: "ddr4-detailed"}, {Preset: "nvm"}}
 	factory := func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 		return core.New(cfg, store, stats)
 	}
@@ -93,21 +93,25 @@ func TestEndToEndIntegrityBaryonFlat(t *testing.T) {
 
 func TestEndToEndIntegrityBaselines(t *testing.T) {
 	cfg := smallIntegrityConfig()
+	tiers, err := cfg.TierSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	factories := map[string]ControllerFactory{
 		"simple": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, nil)
+			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, tiers)
 		},
 		"unison": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, nil)
+			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, tiers)
 		},
 		"dice": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, nil)
+			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)
 		},
 		"hybrid2": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 			return baselines.NewHybrid2(cfg, store, stats)
 		},
 		"ospaging": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewOSPaging(cfg.FastBytes, store, stats, nil)
+			return baselines.NewOSPaging(cfg.FastBytes, store, stats, tiers)
 		},
 	}
 	for name, f := range factories {

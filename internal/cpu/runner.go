@@ -24,8 +24,9 @@ import (
 // nonMemIPC is the retire rate of non-memory instructions.
 const nonMemIPC = 2.0
 
-// DeviceProvider exposes the two memory devices for traffic/energy reports;
-// every controller in this repository implements it.
+// DeviceProvider exposes a controller's fast and slow devices. The runner
+// reads device traffic through hybrid.EngineProvider instead; no controller
+// in this module implements DeviceProvider.
 type DeviceProvider interface {
 	FastDevice() *mem.Device
 	SlowDevice() *mem.Device
@@ -287,6 +288,9 @@ type Runner struct {
 	store *hybrid.Store
 	world *world
 	stats *sim.Stats
+	// design labels the run's Result and published RunStatus snapshots;
+	// ctrl.Name() unless SetDesign names the design spec.
+	design string
 
 	// tracer, when set, brackets every demand access with request-lifecycle
 	// events. Nil (the default) keeps the hot path on a single branch.
@@ -326,7 +330,7 @@ func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFact
 	hcfg := cache.DefaultHierarchy(cfg.Cores, cfg.LLCKB)
 	hcfg.InstallPrefetched = !cfg.NoLLCPrefetch
 	hier := cache.NewHierarchy(hcfg, ctrl, stats)
-	r := &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats}
+	r := &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats, design: ctrl.Name()}
 	r.world = newWorld(mix, store)
 	hier.LineData = r.world.lineData
 	return r
@@ -348,6 +352,11 @@ const statusEvery = 65536
 // boundaries). The runner remains the only goroutine touching the registry;
 // HTTP handlers read only the published immutable snapshots.
 func (r *Runner) SetIntrospector(in *obs.Introspector) { r.intro = in }
+
+// SetDesign labels the run with a design name — the design spec's, where
+// several designs share one controller kind — in its Result and in every
+// published RunStatus. Must be called before Run.
+func (r *Runner) SetDesign(name string) { r.design = name }
 
 // Controller returns the controller under test.
 func (r *Runner) Controller() hybrid.Controller { return r.ctrl }
@@ -474,7 +483,7 @@ func (r *Runner) runWindow(st *runState, perCore int, epochEvery uint64, onEpoch
 func (r *Runner) publishStatus(st *runState) {
 	rs := &obs.RunStatus{
 		Workload:       r.src.SourceName(),
-		Design:         r.ctrl.Name(),
+		Design:         r.design,
 		Seed:           r.cfg.Seed,
 		TargetAccesses: uint64(r.cfg.Cores) * uint64(r.cfg.WarmupAccessesPerCore+r.cfg.AccessesPerCore),
 		Accesses:       st.accesses,
@@ -527,32 +536,27 @@ func (r *Runner) windowSince(m mark, st *runState) Window {
 	}
 	demandLat := m.snap.DeltaOfHist(hc.DemandLat)
 	w.MemLat = demandLat.Summary()
-	if dp, ok := r.ctrl.(DeviceProvider); ok {
-		fc := dp.FastDevice().Counters()
-		sc := dp.SlowDevice().Counters()
-		w.FastBytes = m.snap.DeltaOf(fc.BytesRead) + m.snap.DeltaOf(fc.BytesWritten)
-		w.SlowBytes = m.snap.DeltaOf(sc.BytesRead) + m.snap.DeltaOf(sc.BytesWritten)
-		w.EnergyPJ = m.snap.DeltaOfFloat(fc.EnergyPJ) + m.snap.DeltaOfFloat(sc.EnergyPJ)
-		useful := m.snap.DeltaOf(hc.LLCMisses) * hybrid.CachelineSize
-		w.BloatFactor = sim.Ratio(w.FastBytes, useful)
-	}
 	if ep, ok := r.ctrl.(hybrid.EngineProvider); ok {
 		tiers := ep.Engine().Tiers()
 		if len(tiers) > 2 {
-			// Beyond two tiers the fast/slow pair under-reports: break
-			// traffic down per tier and fold every far tier (and its
-			// energy) into the far-side aggregates.
+			// Beyond two tiers the fast/slow pair hides the far side's
+			// shape: break traffic down per tier as well.
 			w.TierBytes = make([]uint64, len(tiers))
 		}
+		// Tier 0 is the fast side and every later tier the slow side;
+		// energy sums in tier order.
 		for i, t := range tiers {
 			tc := t.Device().Counters()
-			if w.TierBytes != nil {
-				w.TierBytes[i] = m.snap.DeltaOf(tc.BytesRead) + m.snap.DeltaOf(tc.BytesWritten)
-				if i >= 2 {
-					w.SlowBytes += w.TierBytes[i]
-					w.EnergyPJ += m.snap.DeltaOfFloat(tc.EnergyPJ)
-				}
+			bytes := m.snap.DeltaOf(tc.BytesRead) + m.snap.DeltaOf(tc.BytesWritten)
+			if i == 0 {
+				w.FastBytes = bytes
+			} else {
+				w.SlowBytes += bytes
 			}
+			if w.TierBytes != nil {
+				w.TierBytes[i] = bytes
+			}
+			w.EnergyPJ += m.snap.DeltaOfFloat(tc.EnergyPJ)
 			// The link/internal split exists at any tier count — a two-tier
 			// topology can already put its far tier behind a CXL link.
 			if tc.CXLLinkBytes != nil {
@@ -560,6 +564,8 @@ func (r *Runner) windowSince(m mark, st *runState) Window {
 				w.CXLInternalBytes += m.snap.DeltaOf(tc.CXLInternalBytes)
 			}
 		}
+		useful := m.snap.DeltaOf(hc.LLCMisses) * hybrid.CachelineSize
+		w.BloatFactor = sim.Ratio(w.FastBytes, useful)
 	}
 	return w
 }
@@ -653,7 +659,7 @@ func (r *Runner) RunCtx(ctx context.Context) (Result, error) {
 
 	res := Result{
 		Workload:      r.src.SourceName(),
-		Design:        r.ctrl.Name(),
+		Design:        r.design,
 		Cycles:        measured.Cycles,
 		Instructions:  measured.Instructions,
 		FastServeRate: measured.FastServeRate,

@@ -273,11 +273,7 @@ func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 
 func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 	// The tier list reaches every kind: Baryon/Hybrid2 resolve it inside
-	// core.New from the config; the other baselines take it directly. An
-	// empty Tiers section yields the canonical two-tier list, whose specs
-	// the baselines' nil-default matches device-for-device — but resolving
-	// it here (rather than passing nil) keeps SlowMemory/DetailedDDR
-	// honoured uniformly across kinds.
+	// core.New from the config; the other baselines take it directly.
 	tiers, err := cfg.TierSpecs()
 	if err != nil {
 		panic("experiment: design " + spec.Name + ": " + err.Error())

@@ -73,6 +73,35 @@ func TestLoadSpecFileRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadSpecFileRejectsRemovedKeys pins that the deleted two-tier
+// shorthands fail with an unknown-field error instead of being ignored:
+// "tiers" replaces slowMemory and detailedDDR, and "fault.tiers" replaces
+// fault.fast and fault.slow.
+func TestLoadSpecFileRejectsRemovedKeys(t *testing.T) {
+	cases := []struct{ name, overrides, field string }{
+		{"slowMemory", `{"slowMemory":"pcm"}`, "slowMemory"},
+		{"detailedDDR", `{"detailedDDR":true}`, "detailedDDR"},
+		{"fault.fast", `{"fault":{"fast":{"ber":1e-6}}}`, "fast"},
+		{"fault.slow", `{"fault":{"slow":{"ber":1e-4}}}`, "slow"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			name := "X-Removed-" + tc.name
+			path := filepath.Join(t.TempDir(), "removed.json")
+			if err := writeFile(path, `{"name":"`+name+`","kind":"baryon","overrides":`+tc.overrides+`}`); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadSpecFile(path)
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+				t.Fatalf("LoadSpecFile error = %v, want an unknown field %q error", err, tc.field)
+			}
+			if IsDesign(name) {
+				t.Fatalf("rejected spec %q was registered", name)
+			}
+		})
+	}
+}
+
 // TestUnknownDesignError pins that the rejection lists the registered
 // names, which is what both commands print.
 func TestUnknownDesignError(t *testing.T) {

@@ -150,14 +150,14 @@ func RemapCacheSweep(ctx context.Context, o Options, cfg config.Config) ([]Remap
 // technology: the paper's Table I NVM versus Optane-like and PCM-like
 // presets. The speed gap between the tiers is the resource Baryon manages,
 // so a slower bottom tier should widen its absolute cycle counts while the
-// mechanisms stay effective.
+// mechanisms stay effective. Each point runs DDR4 over the named preset.
 func SlowMemSweep(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	points := []string{"nvm", "optane", "pcm"}
 	return sweepTable(ctx, o, cfg,
 		"Extra: slow-memory technology sensitivity",
 		[]string{"values are speedups relative to the Table I NVM (slower devices < 1)"},
 		points,
-		func(c *config.Config, p string) { c.SlowMemory = p },
+		func(c *config.Config, p string) { c.Tiers = []config.TierConfig{{Preset: "ddr4"}, {Preset: p}} },
 		"nvm")
 }
 
@@ -177,13 +177,20 @@ func PrefetchAblation(ctx context.Context, o Options, cfg config.Config) ([]Fig1
 // DDRFidelitySweep compares the busy-until fast-memory model against the
 // protocol-level DDR4 engine (tRCD/tRP/tFAW/refresh): the shape of the
 // results should be model-independent, which this sweep lets users verify.
+// Each point runs the "ddr4" or "ddr4-detailed" preset over NVM.
 func DDRFidelitySweep(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	points := []string{"busy-until", "protocol"}
 	return sweepTable(ctx, o, cfg,
 		"Extra: fast-memory timing-model fidelity",
 		[]string{"speedups relative to the busy-until model; shape should hold across models"},
 		points,
-		func(c *config.Config, p string) { c.DetailedDDR = p == "protocol" },
+		func(c *config.Config, p string) {
+			fast := "ddr4"
+			if p == "protocol" {
+				fast = "ddr4-detailed"
+			}
+			c.Tiers = []config.TierConfig{{Preset: fast}, {Preset: "nvm"}}
+		},
 		"busy-until")
 }
 

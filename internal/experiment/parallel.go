@@ -194,6 +194,7 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	} else {
 		r = cpu.NewRunner(p.Cfg, p.Workload, FactorySpec(spec))
 	}
+	r.SetDesign(p.Design)
 	if o := p.Obs; o != nil {
 		if o.Tracer != nil {
 			r.SetTracer(o.Tracer)
@@ -202,9 +203,7 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 			r.SetIntrospector(o.Introspector)
 		}
 	}
-	res, err := r.RunCtx(ctx)
-	res.Design = p.Design
-	return res, err
+	return r.RunCtx(ctx)
 }
 
 // RunPairsCtx executes every job on o.Workers workers and returns per-job

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/obs"
 	"baryon/internal/trace"
 )
 
@@ -107,5 +108,27 @@ func TestFig9TableDeterministic(t *testing.T) {
 		if parallel := render(workers); serial != parallel {
 			t.Fatalf("Fig9 table differs between serial and workers=%d runs:\n--- serial ---\n%s\n--- parallel ---\n%s", workers, serial, parallel)
 		}
+	}
+}
+
+// TestRunPairPublishesDesignName pins the run label: a design that shares
+// its controller kind with another (Baryon-CXL is the baryon kind) is
+// published live and reported under its own name, not the controller's.
+func TestRunPairPublishesDesignName(t *testing.T) {
+	w, _ := trace.ByName("505.mcf_r")
+	in := &obs.Introspector{}
+	res, err := RunPairCtx(context.Background(), Pair{
+		Cfg: parallelConfig(), Workload: w, Design: DesignBaryonCXL,
+		Obs: &RunObs{Introspector: in},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := in.Latest()
+	if st == nil {
+		t.Fatal("no RunStatus published")
+	}
+	if st.Design != DesignBaryonCXL || res.Design != DesignBaryonCXL {
+		t.Fatalf("published design %q, result design %q, want %q", st.Design, res.Design, DesignBaryonCXL)
 	}
 }

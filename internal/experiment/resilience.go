@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"baryon/internal/config"
+	"baryon/internal/fault"
 	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
@@ -50,7 +51,7 @@ func Resilience(ctx context.Context, o Options, cfg config.Config) ([]Resilience
 	for _, d := range ResilienceDesigns {
 		for _, ber := range ResilienceBERs {
 			c := cfg
-			c.Fault.Slow.BER = ber
+			c.Fault.Tiers = []fault.Params{{}, {BER: ber}}
 			c.Fault.ECCCorrectBits = 2
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
 		}
@@ -83,7 +84,7 @@ func Resilience(ctx context.Context, o Options, cfg config.Config) ([]Resilience
 		row := ResilienceRow{
 			Workload:      p.Workload.Name,
 			Design:        p.Design,
-			BER:           p.Cfg.Fault.Slow.BER,
+			BER:           p.Cfg.Fault.Tiers[1].BER,
 			CleanServe:    clean,
 			Corrected:     corrected,
 			Uncorrectable: uncorr,

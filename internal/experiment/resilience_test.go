@@ -45,7 +45,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
 	run := func(faultSeed uint64) string {
 		cfg := resilienceConfig()
-		cfg.Fault.Slow.BER = 1e-4
+		cfg.Fault.Tiers = []fault.Params{{}, {BER: 1e-4}}
 		cfg.Fault.ECCCorrectBits = 2
 		cfg.Fault.Seed = faultSeed
 		res := runOne(t, cfg, w, DesignBaryon)

@@ -51,17 +51,12 @@ func (p *Params) Enabled() bool {
 	return p.BER > 0 || len(p.StuckAt) > 0 || (p.WearUnit > 0 && p.WearRBERStep > 0)
 }
 
-// Config configures fault injection for one run: a per-device model plus the
-// shared ECC and degradation-path parameters. The zero value disables
-// everything.
+// Config configures fault injection for one run: a per-tier device model
+// plus the shared ECC and degradation-path parameters. The zero value
+// disables everything.
 type Config struct {
-	Fast Params `json:"fast,omitempty"`
-	Slow Params `json:"slow,omitempty"`
-
-	// Tiers, when non-empty, replaces Fast/Slow wholesale with per-tier
-	// params indexed by engine tier (0 = fast). Tiers beyond the list get
-	// the zero (disabled) params. A partial merge with Fast/Slow would be
-	// ambiguous, so like Overrides.Fault the list wins outright.
+	// Tiers lists the fault params of each engine tier (0 = fast). Tiers
+	// beyond the list get the zero (disabled) params.
 	Tiers []Params `json:"tiers,omitempty"`
 
 	// ECCCorrectBits is the per-64B-line correction budget: up to this many
@@ -84,32 +79,19 @@ type Config struct {
 
 // Enabled reports whether any device has a fault source configured.
 func (c *Config) Enabled() bool {
-	if len(c.Tiers) > 0 {
-		for i := range c.Tiers {
-			if c.Tiers[i].Enabled() {
-				return true
-			}
+	for i := range c.Tiers {
+		if c.Tiers[i].Enabled() {
+			return true
 		}
-		return false
 	}
-	return c.Fast.Enabled() || c.Slow.Enabled()
+	return false
 }
 
-// ForTier returns the fault params of engine tier i: Tiers[i] when the
-// per-tier list is set (zero params beyond its length), otherwise the
-// classic Fast/Slow mapping for tiers 0/1 and disabled for the rest.
+// ForTier returns the fault params of engine tier i (zero params beyond the
+// Tiers list).
 func (c *Config) ForTier(i int) Params {
-	if len(c.Tiers) > 0 {
-		if i < len(c.Tiers) {
-			return c.Tiers[i]
-		}
-		return Params{}
-	}
-	switch i {
-	case 0:
-		return c.Fast
-	case 1:
-		return c.Slow
+	if i < len(c.Tiers) {
+		return c.Tiers[i]
 	}
 	return Params{}
 }

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"testing"
 
+	"baryon/internal/mem"
 	"baryon/internal/sim"
 )
 
@@ -13,7 +14,7 @@ import (
 // last one completes, so the devices never queue unboundedly. One op is
 // one swap, so ns/op reads as ns per swap.
 func BenchmarkEngineSwap(b *testing.B) {
-	e := NewEngineFrom(nil, sim.NewStats())
+	e := NewEngineTiers([]TierSpec{{Cfg: mem.DDR4Config()}, {Cfg: mem.NVMConfig()}}, sim.NewStats())
 	const (
 		fastFrames = 1 << 12 // 8 MiB of fast frames
 		slowBlocks = 1 << 18 // 512 MiB of slow blocks

@@ -53,10 +53,9 @@ type TierSpec struct {
 //
 // Controllers address the far space canonically; the engine routes each far
 // access to the owning tier and rebases it into that device's local address
-// space. Fast()/Slow() and the *Fast/*Slow traffic methods are the two-tier
-// API every controller was written against: they alias tiers 0 and 1 (with
-// far routing underneath), so a controller needs no changes to run on a
-// three-tier topology.
+// space. The *Fast/*Slow traffic methods address tier 0 and the far space
+// (with far routing underneath), so a controller needs no changes to run on
+// a three-tier topology.
 //
 // Demand reads go through FastRead/SlowRead (critical path, returns the
 // completion cycle); fills, writebacks and migrations go through the
@@ -77,22 +76,6 @@ type Engine struct {
 	retryPenalty uint64
 	remapPenalty uint64
 	latRetry     map[*mem.Device]*sim.Histogram
-}
-
-// DefaultTierSpecs returns the classic Table I two-tier topology (DDR4 over
-// NVM) every baseline historically hard-coded.
-func DefaultTierSpecs() []TierSpec {
-	return []TierSpec{{Cfg: mem.DDR4Config()}, {Cfg: mem.NVMConfig()}}
-}
-
-// NewEngineFrom builds the engine over tiers, falling back to
-// DefaultTierSpecs for an empty list — the constructor baselines use so a
-// nil tier argument keeps their historical devices.
-func NewEngineFrom(tiers []TierSpec, stats *sim.Stats) *Engine {
-	if len(tiers) == 0 {
-		tiers = DefaultTierSpecs()
-	}
-	return NewEngineTiers(tiers, stats)
 }
 
 // NewEngineTiers builds the engine over an ordered tier list. Devices are
@@ -253,14 +236,6 @@ func (e *Engine) InstrumentLatency(scope *sim.Stats) (latFast, latSlow *sim.Hist
 // writeback counter (each controller registers it among its own counters so
 // counter order is design-controlled).
 func (e *Engine) CountWritebacks(c *sim.Counter) { e.writebacks = c }
-
-// Fast returns the near-tier (tier 0) device.
-func (e *Engine) Fast() *mem.Device { return e.tiers[0].dev }
-
-// Slow returns the first far-tier (tier 1) device. Far traffic methods
-// route by address and may hit later tiers; Slow is the device handle for
-// code that reports on the classic slow tier.
-func (e *Engine) Slow() *mem.Device { return e.tiers[1].dev }
 
 // SetTracer attaches a request-lifecycle tracer to the engine and every
 // tier device. Nil detaches.

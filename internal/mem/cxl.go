@@ -158,8 +158,7 @@ func (l *cxlLink) admit(now, addr, size uint64) float64 {
 }
 
 // Preset registry. Names are what config.TierConfig.Preset and the
-// -design-file JSON refer to; PresetByName is the strict lookup behind
-// config validation, while SlowPreset keeps its historical lenient fallback.
+// -design-file JSON refer to.
 var presetFuncs = map[string]func() Config{
 	"ddr4":          DDR4Config,
 	"ddr4-detailed": DDR4DetailedConfig,
@@ -170,8 +169,8 @@ var presetFuncs = map[string]func() Config{
 	"cxl-ibex":      CXLIBEXConfig,
 }
 
-// PresetByName resolves a registered device preset. Unlike SlowPreset it
-// reports unknown names instead of falling back.
+// PresetByName resolves a registered device preset, reporting unknown
+// names.
 func PresetByName(name string) (Config, bool) {
 	fn, ok := presetFuncs[name]
 	if !ok {
@@ -189,10 +188,6 @@ func Presets() []string {
 	sort.Strings(out)
 	return out
 }
-
-// SlowPresetNames lists the names SlowPreset resolves without falling back —
-// the valid values of config.Config.SlowMemory besides "".
-func SlowPresetNames() []string { return []string{"nvm", "optane", "pcm"} }
 
 // CXLDRAMConfig returns a CXL-attached DRAM expander: DDR4-class media
 // behind a x8 serdes link. The ~30 ns one-way flit latency and the

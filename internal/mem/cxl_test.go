@@ -187,7 +187,7 @@ func TestCXLExpanderCompression(t *testing.T) {
 }
 
 // TestPresetRegistry pins the strict preset lookup the config layer
-// validates against, alongside SlowPreset's historical lenient fallback.
+// validates against.
 func TestPresetRegistry(t *testing.T) {
 	for _, name := range Presets() {
 		cfg, ok := PresetByName(name)
@@ -197,11 +197,6 @@ func TestPresetRegistry(t *testing.T) {
 	}
 	if _, ok := PresetByName("bogus"); ok {
 		t.Fatalf("unknown preset must not resolve")
-	}
-	for _, name := range SlowPresetNames() {
-		if _, ok := PresetByName(name); !ok {
-			t.Fatalf("slow preset %q missing from registry", name)
-		}
 	}
 	if got := len(Presets()); got < 7 {
 		t.Fatalf("expected at least 7 registered presets, got %d", got)

@@ -119,7 +119,10 @@ func TestNVMBandwidthGap(t *testing.T) {
 func TestSlowPresets(t *testing.T) {
 	stats := sim.NewStats()
 	for _, name := range []string{"nvm", "optane", "pcm"} {
-		cfg := SlowPreset(name)
+		cfg, ok := PresetByName(name)
+		if !ok {
+			t.Fatalf("%s: preset not registered", name)
+		}
 		d := NewDevice(cfg, stats)
 		r := d.Access(0, 0, 64, false)
 		d.Reset()
@@ -127,10 +130,6 @@ func TestSlowPresets(t *testing.T) {
 		if w <= r {
 			t.Fatalf("%s: write (%d) not slower than read (%d)", name, w, r)
 		}
-	}
-	// Unknown preset falls back to the Table I NVM.
-	if SlowPreset("bogus").Name != "NVM" {
-		t.Fatal("fallback preset wrong")
 	}
 	// PCM writes must be the most expensive of the three.
 	if PCMConfig().WritePJPerBit <= NVMConfig().WritePJPerBit {

@@ -48,16 +48,3 @@ func PCMConfig() Config {
 		WritePJPerBit:  49.0,
 	}
 }
-
-// SlowPreset resolves a named slow-memory preset ("nvm", "optane", "pcm").
-// Unknown names fall back to the Table I NVM.
-func SlowPreset(name string) Config {
-	switch name {
-	case "optane":
-		return OptaneConfig()
-	case "pcm":
-		return PCMConfig()
-	default:
-		return NVMConfig()
-	}
-}

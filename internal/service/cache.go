@@ -110,13 +110,6 @@ type StoreConfig struct {
 	FS storeFS
 }
 
-// NewCache builds a store holding up to entries bundles in memory
-// (entries <= 0 selects the default) and, when dir is non-empty, mirroring
-// every stored bundle into dir for persistence across restarts.
-func NewCache(entries int, dir string) (*Cache, error) {
-	return NewStore(StoreConfig{Entries: entries, Dir: dir})
-}
-
 // NewStore builds a Cache from a full StoreConfig and, when a directory is
 // configured, runs the startup recovery scan: orphaned *.tmp files (a crash
 // mid-write) are deleted, quarantined entries are counted, and a one-line

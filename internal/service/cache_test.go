@@ -114,7 +114,7 @@ func mustRead(t *testing.T, path string) []byte {
 // entries untouched.
 func TestStoreRecoverySweepsTmp(t *testing.T) {
 	dir := t.TempDir()
-	seed, err := NewCache(4, dir)
+	seed, err := NewStore(StoreConfig{Entries: 4, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

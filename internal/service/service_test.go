@@ -157,7 +157,7 @@ func TestSingleflightCollapse(t *testing.T) {
 // TestCacheLRUEviction bounds the in-memory store: with capacity 2, the
 // least recently used entry is evicted and re-misses.
 func TestCacheLRUEviction(t *testing.T) {
-	c, err := NewCache(2, "")
+	c, err := NewStore(StoreConfig{Entries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDiskColdStartReload(t *testing.T) {
 		t.Fatalf("cache stats = %+v, want 1 disk hit", st)
 	}
 	// An in-memory eviction falls back to the disk copy too.
-	c, err := NewCache(1, dir)
+	c, err := NewStore(StoreConfig{Entries: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,14 @@ func TestDiskColdStartReload(t *testing.T) {
 // return the correct bytes and settle on one in-memory entry.
 func TestCacheConcurrentDiskGet(t *testing.T) {
 	dir := t.TempDir()
-	seed, err := NewCache(4, dir)
+	seed, err := NewStore(StoreConfig{Entries: 4, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash, want := fakeBundle(t, 7)
 	seed.Put(hash, want)
 
-	c, err := NewCache(4, dir) // cold: memory empty, bundle on disk
+	c, err := NewStore(StoreConfig{Entries: 4, Dir: dir}) // cold: memory empty, bundle on disk
 	if err != nil {
 		t.Fatal(err)
 	}
