@@ -95,3 +95,21 @@ func TestExtraTablesGolden(t *testing.T) {
 	}
 	compareGolden(t, "extras_quick.golden", buf.Bytes())
 }
+
+// TestStageTablesGolden pins the stage-area evidence — Fig. 3(a)'s
+// staged/committed access breakdown, Fig. 3(b)'s stage-size sweep and
+// Fig. 4's stage-phase MPKI boxes — at goldenConfig. Regenerate
+// deliberately with
+//
+//	go test ./internal/experiment -run StageTablesGolden -update-golden
+func TestStageTablesGolden(t *testing.T) {
+	cfg := goldenConfig()
+	_, fig3a := harness(t, Fig3a, cfg)
+	_, fig3b := harness(t, Fig3b, cfg)
+	_, fig4 := harness(t, Fig4, cfg)
+	var buf bytes.Buffer
+	for _, tab := range []*Table{fig3a, fig3b, fig4} {
+		tab.Render(&buf)
+	}
+	compareGolden(t, "stage_quick.golden", buf.Bytes())
+}
