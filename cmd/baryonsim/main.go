@@ -252,7 +252,7 @@ func main() {
 		}
 		if cfg.WarmupAccessesPerCore > 0 {
 			out["warmup"] = res.Warmup
-			out["measured"] = res.Measured
+			out["measured"] = res.Window
 		}
 		if len(res.Epochs) > 0 {
 			out["epochs"] = res.Epochs

@@ -6,10 +6,13 @@
 //	go run ./cmd/experiments -quick     # fast pass
 //	go run ./cmd/experiments -only fig9
 //
-// The runner is resilient: an experiment that fails is reported and skipped
-// while the rest complete; SIGINT, SIGTERM or -timeout stop the current
-// experiment gracefully and flush everything already rendered. The exit
-// status is 0 only when every selected experiment completed.
+// Every experiment runs its simulations as pairs of one experiment.Options
+// batch, so -parallel sets the worker count and -bundle-dir writes one
+// bundle per run for every figure alike. The runner is resilient: a pair
+// that fails or panics fails only its experiment, which is reported and
+// skipped while the rest complete; SIGINT, SIGTERM or -timeout stop the
+// current experiment gracefully and flush everything already rendered. The
+// exit status is 0 only when every selected experiment completed.
 package main
 
 import (
@@ -101,7 +104,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		table, err := runIsolated(func() (*experiment.Table, error) { return e.run(ctx, opts, cfg) })
+		table, err := e.run(ctx, opts, cfg)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "[%s cancelled after %.1fs]\n", e.name, time.Since(start).Seconds())
@@ -142,18 +145,6 @@ func tableOf[R any](h func(context.Context, experiment.Options, config.Config) (
 		_, t, err := h(ctx, o, cfg)
 		return t, err
 	}
-}
-
-// runIsolated runs one experiment harness behind a panic boundary, so a
-// controller panic in a harness that drives its own runners (Fig. 3a/3b/4
-// run outside the pool's per-pair isolation) fails only that experiment.
-func runIsolated(run func() (*experiment.Table, error)) (t *experiment.Table, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("%v", rec)
-		}
-	}()
-	return run()
 }
 
 func firstLine(s string) string {

@@ -41,7 +41,7 @@ func writeBundle(t *testing.T, dir, design string, seed uint64, mutate func(*rep
 	if mutate != nil {
 		mutate(&b)
 	}
-	path := filepath.Join(dir, report.FileName(key))
+	path := filepath.Join(dir, report.FileName(b))
 	if err := report.WriteFile(path, b); err != nil {
 		t.Fatal(err)
 	}

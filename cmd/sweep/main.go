@@ -158,9 +158,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				strconv.FormatUint(res.FastBytes, 10),
 				strconv.FormatUint(res.SlowBytes, 10),
 				fmt.Sprintf("%.0f", res.EnergyPJ),
-				fmt.Sprintf("%.1f", res.Measured.MemLat.P50),
-				fmt.Sprintf("%.1f", res.Measured.MemLat.P99),
-				strconv.FormatUint(res.Measured.MemLat.Max, 10),
+				fmt.Sprintf("%.1f", res.MemLat.P50),
+				fmt.Sprintf("%.1f", res.MemLat.P99),
+				strconv.FormatUint(res.MemLat.Max, 10),
 				strings.Join(res.TierNames, "+"),
 				tierBytesCell(res.TierBytes),
 				errorCell(pr.Err),

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"reflect"
 
 	"baryon/internal/fault"
 )
@@ -114,6 +115,59 @@ func (o *Overrides) Apply(c *Config) error {
 	setIf(&c.Tiers, o.Tiers)
 	setIf(&c.Fault, o.Fault)
 	return nil
+}
+
+// Diff returns the Overrides that turn base into c: one non-nil field per
+// overridable value that differs, so Apply(Diff(base, c)) onto base yields
+// c on every field Overrides covers. Fields Overrides cannot express
+// (Cores, Seed) are not compared.
+func Diff(base, c Config) Overrides {
+	var o Overrides
+	if base.Mode != c.Mode {
+		o.Mode = Ptr(c.Mode.String())
+	}
+	diffIf(&o.FastBytes, base.FastBytes, c.FastBytes)
+	diffIf(&o.SlowBytes, base.SlowBytes, c.SlowBytes)
+	diffIf(&o.StageBytes, base.StageBytes, c.StageBytes)
+	diffIf(&o.Assoc, base.Assoc, c.Assoc)
+	diffIf(&o.FullyAssociative, base.FullyAssociative, c.FullyAssociative)
+	diffIf(&o.BlockBytes, base.BlockBytes, c.BlockBytes)
+	diffIf(&o.SubBlockBytes, base.SubBlockBytes, c.SubBlockBytes)
+	diffIf(&o.SuperBlockBlocks, base.SuperBlockBlocks, c.SuperBlockBlocks)
+	diffIf(&o.StageTagLatency, base.StageTagLatency, c.StageTagLatency)
+	diffIf(&o.RemapCacheLatency, base.RemapCacheLatency, c.RemapCacheLatency)
+	diffIf(&o.DecompressLatency, base.DecompressLatency, c.DecompressLatency)
+	diffIf(&o.RemapCacheSets, base.RemapCacheSets, c.RemapCacheSets)
+	diffIf(&o.RemapCacheWays, base.RemapCacheWays, c.RemapCacheWays)
+	diffIf(&o.CompressionOff, base.CompressionOff, c.CompressionOff)
+	diffIf(&o.UseCPack, base.UseCPack, c.UseCPack)
+	diffIf(&o.CachelineAligned, base.CachelineAligned, c.CachelineAligned)
+	diffIf(&o.ZeroBlockOpt, base.ZeroBlockOpt, c.ZeroBlockOpt)
+	diffIf(&o.CompressedWriteback, base.CompressedWriteback, c.CompressedWriteback)
+	diffIf(&o.TwoLevelReplacement, base.TwoLevelReplacement, c.TwoLevelReplacement)
+	diffIf(&o.CommitK, base.CommitK, c.CommitK)
+	diffIf(&o.CommitAll, base.CommitAll, c.CommitAll)
+	diffIf(&o.UseStageArea, base.UseStageArea, c.UseStageArea)
+	diffIf(&o.StageAgeInterval, base.StageAgeInterval, c.StageAgeInterval)
+	diffIf(&o.MLPOverlap, base.MLPOverlap, c.MLPOverlap)
+	diffIf(&o.LLCKB, base.LLCKB, c.LLCKB)
+	diffIf(&o.NoLLCPrefetch, base.NoLLCPrefetch, c.NoLLCPrefetch)
+	diffIf(&o.AccessesPerCore, base.AccessesPerCore, c.AccessesPerCore)
+	diffIf(&o.WarmupAccessesPerCore, base.WarmupAccessesPerCore, c.WarmupAccessesPerCore)
+	diffIf(&o.EpochAccesses, base.EpochAccesses, c.EpochAccesses)
+	if !reflect.DeepEqual(base.Tiers, c.Tiers) {
+		o.Tiers = Ptr(c.Tiers)
+	}
+	if !reflect.DeepEqual(base.Fault, c.Fault) {
+		o.Fault = Ptr(c.Fault)
+	}
+	return o
+}
+
+func diffIf[T comparable](dst **T, base, c T) {
+	if base != c {
+		*dst = Ptr(c)
+	}
 }
 
 func setIf[T any](dst *T, src *T) {

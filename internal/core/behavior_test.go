@@ -240,7 +240,7 @@ func TestStageBreakdownImproves(t *testing.T) {
 			}
 		}
 	}
-	bd := c.Breakdown()
+	bd := Breakdown(c.Stats())
 	if bd.CHits == 0 {
 		t.Fatal("no committed activity")
 	}

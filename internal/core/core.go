@@ -106,7 +106,8 @@ type Controller struct {
 	stats *sim.Stats
 	ctr   counters
 
-	instr Instrumentation
+	// stagePhase, when set, samples stage-phase MPKI for Fig. 4.
+	stagePhase *StagePhaseSampler
 
 	// instructionsSeen approximates retired instructions for MPKI-based
 	// statistics; the runner advances it via AddInstructions.

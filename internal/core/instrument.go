@@ -2,18 +2,10 @@ package core
 
 import "baryon/internal/sim"
 
-// Instrumentation collects the research-grade statistics behind Figs. 3
-// and 4 of the paper. It is optional: a zero value disables sampling and
-// costs nothing on the access path beyond a nil check.
-type Instrumentation struct {
-	// StagePhase, when non-nil, receives per-decile MPKI observations of
-	// sampled stage phases (Fig. 4).
-	StagePhase *StagePhaseSampler
-}
-
-// SetInstrumentation installs samplers; pass a zero Instrumentation to
-// disable.
-func (c *Controller) SetInstrumentation(in Instrumentation) { c.instr = in }
+// SetStagePhaseSampler installs the Fig. 4 sampler, which receives
+// per-decile MPKI observations of sampled stage phases; nil (the default)
+// disables sampling, which then costs one nil check per staged access.
+func (c *Controller) SetStagePhaseSampler(sp *StagePhaseSampler) { c.stagePhase = sp }
 
 // StagePhaseSampler aggregates the miss-rate trajectory of stage phases,
 // normalised to each phase's own length as in Fig. 4: bucket i covers
@@ -83,7 +75,7 @@ const maxStageEvents = 4096
 // recordStageEvent logs one access to a staged block for Fig. 4 sampling.
 func (c *Controller) recordStageEvent(fr *stageFrame, miss bool) {
 	fr.accesses++
-	if c.instr.StagePhase == nil {
+	if c.stagePhase == nil {
 		return
 	}
 	if len(fr.events) < maxStageEvents {
@@ -93,10 +85,10 @@ func (c *Controller) recordStageEvent(fr *stageFrame, miss bool) {
 
 // emitStagePhase flushes a finished stage phase into the sampler.
 func (c *Controller) emitStagePhase(fr *stageFrame) {
-	if c.instr.StagePhase == nil {
+	if c.stagePhase == nil {
 		return
 	}
-	c.instr.StagePhase.observe(fr.events, c.instructionsSeen-fr.instStart)
+	c.stagePhase.observe(fr.events, c.instructionsSeen-fr.instStart)
 }
 
 // StageBreakdown summarises the access-type ratios of Fig. 3 for blocks
@@ -107,20 +99,23 @@ type StageBreakdown struct {
 	CHits, CReadMisses, CWriteOverflows float64
 }
 
-// Breakdown computes the Fig. 3 ratios from the controller's counters.
-func (c *Controller) Breakdown() StageBreakdown {
-	sTotal := float64(c.ctr.stageHits.Value() + c.ctr.stageSubMiss.Value() + c.ctr.stageWriteOverflow.Value())
-	cTotal := float64(c.ctr.fastHits.Value() + c.ctr.fastSubMiss.Value() + c.ctr.fastOverflow.Value())
+// Breakdown computes the Fig. 3 ratios from a run's cumulative
+// "baryon.stage.*" and "baryon.fast.*" access counters.
+func Breakdown(st *sim.Stats) StageBreakdown {
+	sHits, sMiss, sOvfl := st.Get("baryon.stage.hits"), st.Get("baryon.stage.subMisses"), st.Get("baryon.stage.writeOverflows")
+	cHits, cMiss, cOvfl := st.Get("baryon.fast.hits"), st.Get("baryon.fast.subMisses"), st.Get("baryon.fast.writeOverflows")
+	sTotal := float64(sHits + sMiss + sOvfl)
+	cTotal := float64(cHits + cMiss + cOvfl)
 	bd := StageBreakdown{}
 	if sTotal > 0 {
-		bd.SHits = float64(c.ctr.stageHits.Value()) / sTotal
-		bd.SReadMisses = float64(c.ctr.stageSubMiss.Value()) / sTotal
-		bd.SWriteOverflows = float64(c.ctr.stageWriteOverflow.Value()) / sTotal
+		bd.SHits = float64(sHits) / sTotal
+		bd.SReadMisses = float64(sMiss) / sTotal
+		bd.SWriteOverflows = float64(sOvfl) / sTotal
 	}
 	if cTotal > 0 {
-		bd.CHits = float64(c.ctr.fastHits.Value()) / cTotal
-		bd.CReadMisses = float64(c.ctr.fastSubMiss.Value()) / cTotal
-		bd.CWriteOverflows = float64(c.ctr.fastOverflow.Value()) / cTotal
+		bd.CHits = float64(cHits) / cTotal
+		bd.CReadMisses = float64(cMiss) / cTotal
+		bd.CWriteOverflows = float64(cOvfl) / cTotal
 	}
 	return bd
 }

@@ -46,7 +46,7 @@ func TestRunCtxCancelStopsEarly(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunCtx error = %v, want context.Canceled", err)
 	}
-	total := res.Warmup.Accesses + res.Measured.Accesses
+	total := res.Warmup.Accesses + res.Accesses
 	if total == 0 {
 		t.Fatal("cancelled run reports no partial progress")
 	}

@@ -3,7 +3,10 @@ package cpu_test
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"baryon/internal/cpu"
@@ -94,8 +97,8 @@ func TestResultLatencyHistograms(t *testing.T) {
 		t.Fatalf("demand summary not ordered: %+v", demand)
 	}
 	// The measured window summary mirrors the same histogram.
-	if res.Measured.MemLat.Count != demand.Count {
-		t.Fatalf("Measured.MemLat count %d != %d", res.Measured.MemLat.Count, demand.Count)
+	if res.MemLat.Count != demand.Count {
+		t.Fatalf("MemLat count %d != %d", res.MemLat.Count, demand.Count)
 	}
 	// Device-level histograms exist for both tiers.
 	for _, name := range []string{"DDR4-3200.lat.service", "NVM.lat.service"} {
@@ -112,4 +115,42 @@ func keys(m map[string]sim.HistSummary) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestRunzMatchesMetricsAfterWarmup: /runz and /metrics render the same
+// published snapshot, so after a warmup window a counter on /runz carries
+// its measurement-window value, exactly as /metrics does, rather than the
+// cumulative registry value that still counts warmup traffic.
+func TestRunzMatchesMetricsAfterWarmup(t *testing.T) {
+	cfg := smallConfig()
+	cfg.WarmupAccessesPerCore = 500
+	w, _ := trace.ByName("505.mcf_r")
+	in := &obs.Introspector{}
+	r := cpu.NewRunner(cfg, w, baryonFactory)
+	r.SetIntrospector(in)
+	r.Run()
+
+	mux := obs.NewDebugMux(in)
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Body.String()
+	}
+	// value returns the last field of the first line of body whose first
+	// field starts with prefix.
+	value := func(body, prefix string) string {
+		for _, line := range strings.Split(body, "\n") {
+			if f := strings.Fields(line); len(f) >= 2 && strings.HasPrefix(f[0], prefix) {
+				return f[len(f)-1]
+			}
+		}
+		t.Fatalf("no %q line in:\n%s", prefix, body)
+		return ""
+	}
+	runz := value(get("/runz"), "hierarchy.demandLines")
+	metrics := value(get("/metrics"), "baryon_hierarchy_demandLines_total{")
+	want := strconv.Itoa(cfg.AccessesPerCore * cfg.Cores)
+	if runz != metrics || metrics != want {
+		t.Fatalf("hierarchy.demandLines: /runz %s, /metrics %s, want both %s (the measured window)", runz, metrics, want)
+	}
 }

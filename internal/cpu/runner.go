@@ -88,29 +88,21 @@ type Epoch struct {
 	Window
 }
 
-// Result summarises one run. With warmup disabled (the default) the
-// headline fields cover the whole run, bit-identical to the historical
-// cold-start accounting; with cfg.WarmupAccessesPerCore > 0 they are the
-// measurement-window deltas and Warmup holds the discarded transient.
+// Result summarises one run: the measured Window plus the run's identity,
+// registry and derived series. With warmup disabled (the default) the
+// measured window covers the whole run, bit-identical to the historical
+// cold-start accounting; with cfg.WarmupAccessesPerCore > 0 it is the
+// measurement-window delta and Warmup holds the discarded transient.
 type Result struct {
-	Workload     string
-	Design       string
-	Cycles       uint64
-	Instructions uint64
-	// FastServeRate is the fraction of LLC misses served by fast memory
-	// (Fig. 11 left).
-	FastServeRate float64
-	// BloatFactor is fast-memory traffic divided by useful LLC fill traffic
-	// (Fig. 11 right).
-	BloatFactor float64
-	// EnergyPJ is the total memory-system access energy.
-	EnergyPJ float64
-	// FastBytes/SlowBytes are total device traffic.
-	FastBytes, SlowBytes uint64
-	// TierNames/TierBytes break traffic down per device tier (tier 0
-	// first); populated only for topologies beyond the classic two tiers.
+	Workload string
+	Design   string
+	// Window is the measurement window: cycles, instructions, serve rate
+	// (Fig. 11 left), bloat factor (Fig. 11 right), energy, device traffic
+	// and demand latency, all promoted as Result's headline fields.
+	Window
+	// TierNames names the tiers of Window.TierBytes (tier 0 first);
+	// populated only for topologies beyond the classic two tiers.
 	TierNames []string
-	TierBytes []uint64
 	Stats     *sim.Stats
 	// MeanRangeCF is the mean quantised compression factor of staged
 	// ranges (Fig. 12); nonzero only for controllers that track it.
@@ -120,8 +112,6 @@ type Result struct {
 	RemapCacheHitRate float64
 	// Warmup is the warmup-window breakdown (zero when warmup is off).
 	Warmup Window
-	// Measured mirrors the headline metrics as an explicit window.
-	Measured Window
 	// Epochs is the per-epoch time-series of the measurement window
 	// (nil unless cfg.EpochAccesses > 0).
 	Epochs []Epoch
@@ -136,14 +126,6 @@ type Result struct {
 	// warmup disabled the snapshot is effectively empty, so the delta
 	// equals the cumulative registry.
 	MeasureStart sim.Snapshot
-}
-
-// IPC returns retired instructions per cycle.
-func (r *Result) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Instructions) / float64(r.Cycles)
 }
 
 // MeanRangeCFProvider is implemented by controllers that track staged-range
@@ -493,7 +475,6 @@ func (r *Runner) publishStatus(st *runState) {
 		Phase:          st.phase,
 		UpdatedAt:      time.Now(),
 	}
-	obs.StatusFromStats(r.stats, rs)
 	// The published snapshot is window-correct: raw registry values during
 	// warmup, deltas since the warmup boundary once measurement starts.
 	if st.phase == "measure" && st.warmBase != nil {
@@ -655,23 +636,14 @@ func (r *Runner) RunCtx(ctx context.Context) (Result, error) {
 		// Close the partial tail epoch so the series covers the window.
 		onEpoch()
 	}
-	measured := r.windowSince(warm, st)
-
 	res := Result{
-		Workload:      r.src.SourceName(),
-		Design:        r.design,
-		Cycles:        measured.Cycles,
-		Instructions:  measured.Instructions,
-		FastServeRate: measured.FastServeRate,
-		BloatFactor:   measured.BloatFactor,
-		EnergyPJ:      measured.EnergyPJ,
-		FastBytes:     measured.FastBytes,
-		SlowBytes:     measured.SlowBytes,
-		Stats:         r.stats,
-		Warmup:        warmup,
-		Measured:      measured,
-		Epochs:        epochs,
-		MeasureStart:  warm.snap,
+		Workload:     r.src.SourceName(),
+		Design:       r.design,
+		Window:       r.windowSince(warm, st),
+		Stats:        r.stats,
+		Warmup:       warmup,
+		Epochs:       epochs,
+		MeasureStart: warm.snap,
 	}
 	if ep, ok := r.ctrl.(hybrid.EngineProvider); ok {
 		if tiers := ep.Engine().Tiers(); len(tiers) > 2 {
@@ -679,7 +651,6 @@ func (r *Runner) RunCtx(ctx context.Context) (Result, error) {
 			for i, t := range tiers {
 				res.TierNames[i] = t.Name()
 			}
-			res.TierBytes = measured.TierBytes
 		}
 	}
 	if p, ok := r.ctrl.(MeanRangeCFProvider); ok {

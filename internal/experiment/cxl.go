@@ -102,7 +102,7 @@ func CXLSweep(ctx context.Context, o Options, cfg config.Config) ([]CXLRow, *Tab
 			FastServeRate: res.FastServeRate,
 			LinkMB:        float64(sumCounterSuffix(res.Stats, ".cxlLinkBytes")) / (1 << 20),
 			InternalMB:    float64(sumCounterSuffix(res.Stats, ".cxlInternalBytes")) / (1 << 20),
-			P99:           res.Measured.MemLat.P99,
+			P99:           res.MemLat.P99,
 		}
 		// The Unison run at this bandwidth is the first of its triplet.
 		base := results[i-i%len(CXLDesigns)]

@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
 	"baryon/internal/config"
 	"baryon/internal/core"
-	"baryon/internal/cpu"
 	"baryon/internal/trace"
 )
 
@@ -15,16 +13,6 @@ import (
 type Fig3aRow struct {
 	Workload  string
 	Breakdown core.StageBreakdown
-}
-
-// runBaryonForBreakdown runs Baryon in cache mode and extracts the
-// controller's stage/commit breakdown.
-func runBaryonForBreakdown(ctx context.Context, cfg config.Config, w trace.Workload) (core.StageBreakdown, error) {
-	r := cpu.NewRunner(cfg, w, Factory(DesignBaryon))
-	if _, err := r.RunCtx(ctx); err != nil {
-		return core.StageBreakdown{}, fmt.Errorf("%s/%s: %w", w.Name, DesignBaryon, err)
-	}
-	return r.Controller().(*core.Controller).Breakdown(), nil
 }
 
 // Fig3a reproduces Fig. 3(a): the hit / read-miss / write-overflow split of
@@ -39,18 +27,19 @@ func Fig3a(ctx context.Context, o Options, cfg config.Config) ([]Fig3aRow, *Tabl
 		},
 	}
 	workloads := trace.SPEC()
-	rows := make([]Fig3aRow, len(workloads))
-	err := forEachRun(ctx, o, len(workloads), func(ctx context.Context, i int) (err error) {
-		rows[i].Workload = workloads[i].Name
-		rows[i].Breakdown, err = runBaryonForBreakdown(ctx, cfg, workloads[i])
-		return err
-	})
+	pairs := make([]Pair, len(workloads))
+	for i, w := range workloads {
+		pairs[i] = Pair{Cfg: cfg, Workload: w, Design: DesignBaryon}
+	}
+	results, err := runPairs(ctx, o, pairs)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, row := range rows {
-		bd := row.Breakdown
-		t.AddRow(row.Workload, pct(bd.SHits), pct(bd.SReadMisses), pct(bd.SWriteOverflows),
+	rows := make([]Fig3aRow, len(results))
+	for i, res := range results {
+		bd := core.Breakdown(res.Stats)
+		rows[i] = Fig3aRow{Workload: workloads[i].Name, Breakdown: bd}
+		t.AddRow(workloads[i].Name, pct(bd.SHits), pct(bd.SReadMisses), pct(bd.SWriteOverflows),
 			pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}
 	return rows, t, nil
@@ -81,23 +70,24 @@ func Fig3b(ctx context.Context, o Options, cfg config.Config) ([]Fig3bRow, *Tabl
 			"paper: larger stage areas reduce post-commit misses/overflows; 64 MB suffices",
 		},
 	}
-	workloads := trace.SPEC()[:4]
-	sizes := Fig3bSizes(cfg)
-	rows := make([]Fig3bRow, len(workloads)*len(sizes))
-	err := forEachRun(ctx, o, len(rows), func(ctx context.Context, i int) (err error) {
-		w, sz := workloads[i/len(sizes)], sizes[i%len(sizes)]
-		c := cfg
-		c.StageBytes = sz
-		rows[i] = Fig3bRow{Workload: w.Name, StageBytes: sz}
-		rows[i].Breakdown, err = runBaryonForBreakdown(ctx, c, w)
-		return err
-	})
+	var pairs []Pair
+	for _, w := range trace.SPEC()[:4] {
+		for _, sz := range Fig3bSizes(cfg) {
+			c := cfg
+			c.StageBytes = sz
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
+		}
+	}
+	results, err := runPairs(ctx, o, pairs)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, row := range rows {
-		bd := row.Breakdown
-		t.AddRow(row.Workload, byteSize(row.StageBytes), pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
+	rows := make([]Fig3bRow, len(results))
+	for i, res := range results {
+		p := pairs[i]
+		bd := core.Breakdown(res.Stats)
+		rows[i] = Fig3bRow{Workload: p.Workload.Name, StageBytes: p.Cfg.StageBytes, Breakdown: bd}
+		t.AddRow(p.Workload.Name, byteSize(p.Cfg.StageBytes), pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}
 	return rows, t, nil
 }

@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
 	"baryon/internal/config"
 	"baryon/internal/core"
-	"baryon/internal/cpu"
 	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
@@ -29,17 +27,12 @@ func Fig4(ctx context.Context, o Options, cfg config.Config) (Fig4Result, *Table
 	// (percentiles sort, so the merged boxes are order-independent anyway).
 	workloads := trace.SPEC()[:4]
 	samplers := make([]*core.StagePhaseSampler, len(workloads))
-	err := forEachRun(ctx, o, len(workloads), func(ctx context.Context, i int) error {
+	pairs := make([]Pair, len(workloads))
+	for i, w := range workloads {
 		samplers[i] = core.NewStagePhaseSampler()
-		r := cpu.NewRunner(cfg, workloads[i], Factory(DesignBaryon))
-		ctrl := r.Controller().(*core.Controller)
-		ctrl.SetInstrumentation(core.Instrumentation{StagePhase: samplers[i]})
-		if _, err := r.RunCtx(ctx); err != nil {
-			return fmt.Errorf("%s/%s: %w", workloads[i].Name, DesignBaryon, err)
-		}
-		return nil
-	})
-	if err != nil {
+		pairs[i] = Pair{Cfg: cfg, Workload: w, Design: DesignBaryon, Obs: &RunObs{StagePhase: samplers[i]}}
+	}
+	if _, err := runPairs(ctx, o, pairs); err != nil {
 		return Fig4Result{}, nil, err
 	}
 	sampler := samplers[0]

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"baryon/internal/config"
+	"baryon/internal/core"
 	"baryon/internal/cpu"
 	"baryon/internal/obs"
 	"baryon/internal/trace"
@@ -34,7 +35,8 @@ type Options struct {
 	// export layers (e.g. per-run report bundles) use to see each
 	// cpu.Result while its Stats registry is still reachable. It runs on
 	// worker goroutines, possibly concurrently, and must be goroutine-safe;
-	// failed pairs are not observed.
+	// failed pairs are not observed, and a panicking observer fails only
+	// its own pair.
 	Observe func(Pair, PairResult)
 }
 
@@ -52,14 +54,12 @@ func (o Options) workers(n int) int {
 }
 
 // forEach invokes fn(i) for every i in [0, n) using o.Workers workers. fn
-// must write its outputs to slots indexed by i only; under that contract the
-// observable result is identical to the serial loop. With one worker (or one
-// job) it degenerates to the plain loop, with zero goroutine overhead.
-// Workers stop pulling new indices once ctx is cancelled (indices already
-// running finish via the runner's own cancellation checks). A panic in fn
-// stops the other workers pulling indices and is re-raised on the calling
-// goroutine once they return, so the caller's recover sees it exactly as in
-// the serial loop.
+// must write its outputs to slots indexed by i only, and must not panic;
+// under that contract the observable result is identical to the serial
+// loop. With one worker (or one job) it degenerates to the plain loop, with
+// zero goroutine overhead. Workers stop pulling new indices once ctx is
+// cancelled (indices already running finish via the runner's own
+// cancellation checks).
 func forEach(ctx context.Context, o Options, n int, fn func(i int)) {
 	workers := o.workers(n)
 	if workers <= 1 {
@@ -72,21 +72,13 @@ func forEach(ctx context.Context, o Options, n int, fn func(i int)) {
 		return
 	}
 	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		once     sync.Once
-		panicked any
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					once.Do(func() { panicked = p })
-					next.Store(int64(n))
-				}
-			}()
 			for {
 				if ctx.Err() != nil {
 					return
@@ -100,40 +92,20 @@ func forEach(ctx context.Context, o Options, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-// forEachRun is forEach for harnesses that drive their own runners: fn runs
-// index i under ctx, and the first failure — fn's error, or the context
-// stopping the loop before i ran — is returned.
-func forEachRun(ctx context.Context, o Options, n int, fn func(ctx context.Context, i int) error) error {
-	errs := make([]error, n)
-	ran := make([]bool, n)
-	forEach(ctx, o, n, func(i int) {
-		ran[i] = true
-		errs[i] = fn(ctx, i)
-	})
-	for i, err := range errs {
-		if !ran[i] {
-			err = ctx.Err()
-		}
-		if err != nil {
-			return fmt.Errorf("experiment: run %d of %d failed: %w", i+1, n, err)
-		}
-	}
-	return nil
 }
 
 // RunObs optionally attaches live instrumentation to one pair's runner —
 // the seam the service layer and cmd/baryonsim use to stream status and
-// request lifecycles out of a run without touching its registry.
+// request lifecycles out of a run without touching its registry, and Fig. 4
+// uses to sample stage phases.
 type RunObs struct {
 	// Tracer samples request lifecycles into a ring buffer (obs.Tracer).
 	Tracer *obs.Tracer
 	// Introspector receives RunStatus snapshots from the run goroutine.
 	Introspector *obs.Introspector
+	// StagePhase receives the run's Fig. 4 stage-phase MPKI samples; only
+	// designs with a stage area (the Baryon controller) can be sampled.
+	StagePhase *core.StagePhaseSampler
 }
 
 // Pair is one independent simulation job: a full configuration (so sweeps
@@ -159,9 +131,10 @@ type PairResult struct {
 	Err    error
 }
 
-// runPairIsolated executes one job with a panic boundary: a panicking
-// controller or workload poisons only its own slot, never the sweep.
-func runPairIsolated(ctx context.Context, p Pair) (pr PairResult) {
+// runPairIsolated executes one job, and observes it on success, behind a
+// panic boundary: a panicking controller, workload or observer poisons only
+// its own slot, never the sweep.
+func runPairIsolated(ctx context.Context, o Options, p Pair) (pr PairResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			pr.Err = fmt.Errorf("experiment: %s/%s panicked: %v\n%s",
@@ -169,6 +142,9 @@ func runPairIsolated(ctx context.Context, p Pair) (pr PairResult) {
 		}
 	}()
 	pr.Result, pr.Err = RunPairCtx(ctx, p)
+	if o.Observe != nil && pr.Err == nil {
+		o.Observe(p, pr)
+	}
 	return pr
 }
 
@@ -202,6 +178,13 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 		if o.Introspector != nil {
 			r.SetIntrospector(o.Introspector)
 		}
+		if o.StagePhase != nil {
+			c, ok := r.Controller().(*core.Controller)
+			if !ok {
+				return cpu.Result{}, fmt.Errorf("experiment: design %s has no stage area to sample", p.Design)
+			}
+			c.SetStagePhaseSampler(o.StagePhase)
+		}
 	}
 	return r.RunCtx(ctx)
 }
@@ -218,10 +201,7 @@ func RunPairsCtx(ctx context.Context, o Options, pairs []Pair) []PairResult {
 	ran := make([]bool, len(pairs))
 	forEach(ctx, o, len(pairs), func(i int) {
 		ran[i] = true
-		out[i] = runPairIsolated(ctx, pairs[i])
-		if o.Observe != nil && out[i].Err == nil {
-			o.Observe(pairs[i], out[i])
-		}
+		out[i] = runPairIsolated(ctx, o, pairs[i])
 	})
 	for i := range out {
 		if !ran[i] {

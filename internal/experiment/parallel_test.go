@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/core"
 	"baryon/internal/obs"
 	"baryon/internal/trace"
 )
@@ -130,5 +131,40 @@ func TestRunPairPublishesDesignName(t *testing.T) {
 	}
 	if st.Design != DesignBaryonCXL || res.Design != DesignBaryonCXL {
 		t.Fatalf("published design %q, result design %q, want %q", st.Design, res.Design, DesignBaryonCXL)
+	}
+}
+
+// TestRunPairStagePhaseNeedsStageArea: a stage-phase sampler on a design
+// without a stage area is an error, not a silently empty Fig. 4.
+func TestRunPairStagePhaseNeedsStageArea(t *testing.T) {
+	w, _ := trace.ByName("505.mcf_r")
+	_, err := RunPairCtx(context.Background(), Pair{
+		Cfg: parallelConfig(), Workload: w, Design: DesignSimple,
+		Obs: &RunObs{StagePhase: core.NewStagePhaseSampler()},
+	})
+	if err == nil || !strings.Contains(err.Error(), "no stage area") {
+		t.Fatalf("err = %v, want a no-stage-area error", err)
+	}
+}
+
+// TestObserverPanicIsolated: the observer runs inside its pair's panic
+// boundary, so a panicking observer fails only that pair.
+func TestObserverPanicIsolated(t *testing.T) {
+	w, _ := trace.ByName("505.mcf_r")
+	pairs := []Pair{
+		{Cfg: parallelConfig(), Workload: w, Design: DesignSimple},
+		{Cfg: parallelConfig(), Workload: w, Design: DesignUnison},
+	}
+	o := Options{Workers: 2, Observe: func(p Pair, _ PairResult) {
+		if p.Design == DesignUnison {
+			panic("observer boom")
+		}
+	}}
+	out := RunPairsCtx(context.Background(), o, pairs)
+	if out[0].Err != nil {
+		t.Fatalf("healthy pair: %v", out[0].Err)
+	}
+	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "observer boom") {
+		t.Fatalf("observed pair err = %v, want the observer's captured panic", out[1].Err)
 	}
 }

@@ -90,7 +90,7 @@ func Resilience(ctx context.Context, o Options, cfg config.Config) ([]Resilience
 			Uncorrectable: uncorr,
 			Remaps:        remaps,
 			FastServeRate: res.FastServeRate,
-			P99:           res.Measured.MemLat.P99,
+			P99:           res.MemLat.P99,
 		}
 		rows = append(rows, row)
 		t.AddRow(p.Design, fmt.Sprintf("%.0e", row.BER),

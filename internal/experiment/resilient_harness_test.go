@@ -129,9 +129,9 @@ func TestStrictHarnessReturnsPairError(t *testing.T) {
 	}
 }
 
-// TestFig3aHonoursRunContext: a harness that drives its own runners (the
-// forEachRun path) stops under a cancelled ctx and returns the context's
-// error instead of panicking or running every workload to completion.
+// TestFig3aHonoursRunContext: a stage-area harness stops under a cancelled
+// ctx and returns the context's error instead of panicking or running every
+// workload to completion.
 func TestFig3aHonoursRunContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -148,20 +148,4 @@ func TestFig9HonoursRunContext(t *testing.T) {
 	if _, _, err := Fig9(ctx, Options{Workers: 2}, parallelConfig()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Fig9 under a cancelled ctx: err = %v, want context.Canceled", err)
 	}
-}
-
-// TestForEachReraisesWorkerPanic: a panic on a pool worker surfaces on the
-// calling goroutine, where the caller's recover (cmd/experiments'
-// per-harness boundary) can contain it.
-func TestForEachReraisesWorkerPanic(t *testing.T) {
-	defer func() {
-		if rec := recover(); rec != "boom" {
-			t.Fatalf("recovered %v, want the worker's panic value", rec)
-		}
-	}()
-	forEach(context.Background(), Options{Workers: 4}, 16, func(i int) {
-		if i == 5 {
-			panic("boom")
-		}
-	})
 }

@@ -34,7 +34,7 @@ func TailLatency(ctx context.Context, o Options, cfg config.Config) (*Table, err
 	}
 	for wi, w := range workloads {
 		for di, d := range TailLatencyDesigns {
-			m := grid[wi][di].Measured.MemLat
+			m := grid[wi][di].MemLat
 			t.AddRow(w.Name, d,
 				fmt.Sprintf("%.1f", m.Mean),
 				fmt.Sprintf("%.0f", m.P50),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,41 +13,26 @@ import (
 	"baryon/internal/sim"
 )
 
-// NamedValue is one counter (or float accumulator) in a published snapshot.
-type NamedValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-// NamedHist is one histogram summary in a published snapshot.
-type NamedHist struct {
-	Name    string          `json:"name"`
-	Summary sim.HistSummary `json:"summary"`
-}
-
 // RunStatus is an immutable point-in-time view of a running simulation,
 // published by the run goroutine and read by HTTP handlers. Because the
 // sim.Stats registry is per-run and not goroutine-safe, handlers never touch
 // live registry state: they only see these published copies.
 type RunStatus struct {
-	Workload       string       `json:"workload"`
-	Design         string       `json:"design"`
-	Seed           uint64       `json:"seed"`
-	TargetAccesses uint64       `json:"targetAccesses"`
-	Accesses       uint64       `json:"accesses"`
-	Instructions   uint64       `json:"instructions"`
-	Cycles         uint64       `json:"cycles"`
-	CoreClocks     []uint64     `json:"coreClocks"`
-	Counters       []NamedValue `json:"counters"`
-	Floats         []NamedValue `json:"floats"`
-	Hists          []NamedHist  `json:"hists"`
-	Phase          string       `json:"phase"` // "warmup" or "measure"
-	UpdatedAt      time.Time    `json:"updatedAt"`
-	// Snap is the full registry snapshot behind the summaries above, the
-	// input /metrics renders with complete histogram buckets. During the
-	// measurement phase it is the delta since the warmup boundary, so
-	// scrapes never conflate warmup transients with measured metrics.
-	// Excluded from JSON: expvar/runz consumers read the digests above.
+	Workload       string    `json:"workload"`
+	Design         string    `json:"design"`
+	Seed           uint64    `json:"seed"`
+	TargetAccesses uint64    `json:"targetAccesses"`
+	Accesses       uint64    `json:"accesses"`
+	Instructions   uint64    `json:"instructions"`
+	Cycles         uint64    `json:"cycles"`
+	CoreClocks     []uint64  `json:"coreClocks"`
+	Phase          string    `json:"phase"` // "warmup" or "measure"
+	UpdatedAt      time.Time `json:"updatedAt"`
+	// Snap is the registry snapshot both /metrics and /runz render. During
+	// the measurement phase it is the delta since the warmup boundary, so
+	// neither conflates warmup transients with measured metrics. Excluded
+	// from JSON: expvar carries the progress fields above, and metric
+	// values are read from /metrics.
 	Snap sim.Snapshot `json:"-"`
 }
 
@@ -64,22 +48,6 @@ func (in *Introspector) Publish(st *RunStatus) { in.latest.Store(st) }
 // Latest returns the most recently published status, or nil before the
 // first publish. The returned value is immutable; do not modify it.
 func (in *Introspector) Latest() *RunStatus { return in.latest.Load() }
-
-// StatusFromStats builds the counter/float/histogram sections of a
-// RunStatus from a registry. Must be called on the goroutine that owns st.
-func StatusFromStats(st *sim.Stats, dst *RunStatus) {
-	for _, name := range st.Names() {
-		dst.Counters = append(dst.Counters, NamedValue{Name: name, Value: float64(st.Get(name))})
-	}
-	for _, name := range st.FloatNames() {
-		dst.Floats = append(dst.Floats, NamedValue{Name: name, Value: st.GetFloat(name)})
-	}
-	for _, name := range st.HistNames() {
-		if h := st.GetHistogram(name); h != nil {
-			dst.Hists = append(dst.Hists, NamedHist{Name: name, Summary: h.Summary()})
-		}
-	}
-}
 
 // expvarIntro is the Introspector behind the process-wide "baryon.run"
 // expvar. expvar.Publish is once-per-process (republishing panics), so the
@@ -178,26 +146,24 @@ func writeRunz(w http.ResponseWriter, st *RunStatus) {
 	for i, c := range st.CoreClocks {
 		fmt.Fprintf(w, "  core %d  %d\n", i, c)
 	}
-	if len(st.Hists) > 0 {
+	sn := st.Snap
+	if names := sn.HistNames(); len(names) > 0 {
 		fmt.Fprintln(w, "\nlatency histograms (cycles):")
-		for _, h := range st.Hists {
-			fmt.Fprintf(w, "  %-28s %s\n", h.Name, h.Summary)
+		for _, name := range names {
+			h, _ := sn.Hist(name)
+			fmt.Fprintf(w, "  %-28s %s\n", name, h.Summary())
 		}
 	}
-	if len(st.Counters) > 0 {
+	if names := sn.CounterNames(); len(names) > 0 {
 		fmt.Fprintln(w, "\ncounters:")
-		sorted := append([]NamedValue(nil), st.Counters...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-		for _, c := range sorted {
-			fmt.Fprintf(w, "  %-36s %.0f\n", c.Name, c.Value)
+		for _, name := range names {
+			fmt.Fprintf(w, "  %-36s %d\n", name, sn.Get(name))
 		}
 	}
-	if len(st.Floats) > 0 {
+	if names := sn.FloatNames(); len(names) > 0 {
 		fmt.Fprintln(w, "\nfloat accumulators:")
-		sorted := append([]NamedValue(nil), st.Floats...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-		for _, f := range sorted {
-			fmt.Fprintf(w, "  %-36s %.3f\n", f.Name, f.Value)
+		for _, name := range names {
+			fmt.Fprintf(w, "  %-36s %.3f\n", name, sn.GetFloat(name))
 		}
 	}
 }

@@ -25,21 +25,8 @@ func sampleStatus() *RunStatus {
 		CoreClocks: []uint64{1200, 1199},
 		UpdatedAt:  time.Unix(1700000000, 0).UTC(),
 	}
-	StatusFromStats(st, rs)
+	rs.Snap = st.Snapshot()
 	return rs
-}
-
-func TestStatusFromStats(t *testing.T) {
-	rs := sampleStatus()
-	if len(rs.Counters) != 1 || rs.Counters[0].Name != "baryon.servedFast" || rs.Counters[0].Value != 9000 {
-		t.Fatalf("counters: %+v", rs.Counters)
-	}
-	if len(rs.Floats) != 1 || rs.Floats[0].Value != 2.5 {
-		t.Fatalf("floats: %+v", rs.Floats)
-	}
-	if len(rs.Hists) != 1 || rs.Hists[0].Summary.Count != 100 || rs.Hists[0].Summary.Max != 199 {
-		t.Fatalf("hists: %+v", rs.Hists)
-	}
 }
 
 func TestIntrospectorPublishLatest(t *testing.T) {

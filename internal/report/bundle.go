@@ -44,27 +44,27 @@ type SpecKey struct {
 	Seed     uint64                `json:"seed"`
 }
 
-// Key builds the SpecKey for one run. The Run section records the effective
-// run-shape values — mode, access budget, warmup and epoch windows — after
-// the design's own overrides are applied to cfg, so two invocations that
-// reach the same effective configuration through different flag spellings
-// get the same key.
+// Key builds the SpecKey for one run. The Run section records every value
+// cfg changes from config.Scaled (a harness's stage-size sweep point, a
+// CLI's LLC size), compared after the design's own overrides are applied to
+// both, so a design that pins a field hides cfg's value for it. It then
+// records the effective run shape — mode, access budget, warmup and epoch
+// windows — explicitly, so a default-config key names its run shape and two
+// invocations that reach the same effective configuration through
+// different flag spellings get the same key.
 func Key(spec experiment.DesignSpec, cfg config.Config, workload string) (SpecKey, error) {
-	eff := cfg
-	if err := spec.Overrides.Apply(&eff); err != nil {
-		return SpecKey{}, fmt.Errorf("report: design %q overrides: %w", spec.Name, err)
+	base, eff := config.Scaled(), cfg
+	for _, c := range []*config.Config{&base, &eff} {
+		if err := spec.Overrides.Apply(c); err != nil {
+			return SpecKey{}, fmt.Errorf("report: design %q overrides: %w", spec.Name, err)
+		}
 	}
-	return SpecKey{
-		Design: spec,
-		Run: config.Overrides{
-			Mode:                  config.Ptr(eff.Mode.String()),
-			AccessesPerCore:       config.Ptr(eff.AccessesPerCore),
-			WarmupAccessesPerCore: config.Ptr(eff.WarmupAccessesPerCore),
-			EpochAccesses:         config.Ptr(eff.EpochAccesses),
-		},
-		Workload: workload,
-		Seed:     eff.Seed,
-	}, nil
+	run := config.Diff(base, eff)
+	run.Mode = config.Ptr(eff.Mode.String())
+	run.AccessesPerCore = config.Ptr(eff.AccessesPerCore)
+	run.WarmupAccessesPerCore = config.Ptr(eff.WarmupAccessesPerCore)
+	run.EpochAccesses = config.Ptr(eff.EpochAccesses)
+	return SpecKey{Design: spec, Run: run, Workload: workload, Seed: eff.Seed}, nil
 }
 
 // CanonicalJSON returns the canonical byte encoding of the key: compact
@@ -157,8 +157,8 @@ func New(key SpecKey, res cpu.Result) (Bundle, error) {
 		FastBytes:     res.FastBytes,
 		SlowBytes:     res.SlowBytes,
 
-		CXLLinkBytes:     res.Measured.CXLLinkBytes,
-		CXLInternalBytes: res.Measured.CXLInternalBytes,
+		CXLLinkBytes:     res.CXLLinkBytes,
+		CXLInternalBytes: res.CXLInternalBytes,
 
 		Counters: make(map[string]uint64),
 		Floats:   make(map[string]float64),
@@ -243,12 +243,18 @@ func (b Bundle) PairID() string {
 	return fmt.Sprintf("%s/%s/seed%d", b.Spec.Design.Name, b.Spec.Workload, b.Spec.Seed)
 }
 
-// FileName returns the conventional bundle file name for the key:
-// "<design>__<workload>__seed<seed>.bundle.json" with path-hostile
-// characters sanitised.
-func FileName(key SpecKey) string {
-	return fmt.Sprintf("%s__%s__seed%d.bundle.json",
-		sanitize(key.Design.Name), sanitize(key.Workload), key.Seed)
+// FileName returns the conventional bundle file name:
+// "<design>__<workload>__seed<seed>__<hash>.bundle.json", where <hash> is
+// the first 12 hex digits of the spec hash, so runs that differ only in
+// configuration (a sweep's points) get distinct files. Path-hostile
+// characters are sanitised.
+func FileName(b Bundle) string {
+	hash := strings.TrimPrefix(b.SpecHash, "sha256:")
+	if len(hash) > 12 {
+		hash = hash[:12]
+	}
+	return fmt.Sprintf("%s__%s__seed%d__%s.bundle.json",
+		sanitize(b.Spec.Design.Name), sanitize(b.Spec.Workload), b.Spec.Seed, hash)
 }
 
 // sanitize rewrites a name for file-system use: anything outside

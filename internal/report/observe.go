@@ -35,7 +35,7 @@ func ObservePairs(dir string, errw io.Writer) (func(experiment.Pair, experiment.
 			fmt.Fprintf(errw, "report: %v\n", err)
 			return
 		}
-		if err := WriteFile(filepath.Join(dir, FileName(key)), b); err != nil {
+		if err := WriteFile(filepath.Join(dir, FileName(b)), b); err != nil {
 			fmt.Fprintf(errw, "report: %v\n", err)
 		}
 	}, nil

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"baryon/internal/config"
@@ -105,7 +106,7 @@ func TestBundleMeasurementWindow(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	b := buildBundle(t, quickConfig(), "505.mcf_r", "Simple")
 	dir := t.TempDir()
-	path := filepath.Join(dir, FileName(b.Spec))
+	path := filepath.Join(dir, FileName(b))
 	if err := WriteFile(path, b); err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +268,65 @@ func BenchmarkDecode(b *testing.B) {
 		if decodeSink, err = Decode(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestKeyDefaultConfigUnchanged pins default-config spec hashes: recording
+// a harness's config changes in the key must not move the key of a run
+// that changes nothing beyond its run shape, or every stored result and
+// committed digest would go stale.
+func TestKeyDefaultConfigUnchanged(t *testing.T) {
+	quick := quickConfig()
+	quick.EpochAccesses = 5000
+	for _, tc := range []struct {
+		design string
+		cfg    config.Config
+		want   string
+	}{
+		{"Baryon", config.Scaled(), "sha256:cf3f387b9be8bda80d64bd8617b465b9b409726af8403985c4a15278f27a791c"},
+		{"Baryon", quick, "sha256:72f71fca0a7cc0c146260a563cd618bbbc22d42022e2ad71910b848c2e4b6501"},
+		{"Baryon-CXL", config.Scaled(), "sha256:2d390bb8539fe838032a4f4ca5ccbead9ccea84ddcbf8dff451aac7646df613b"},
+		{"Baryon-CXL", quick, "sha256:0c7e456e1d6429685976f6581a4a308fc8394692f2b6381ed9e7c5452dcf9541"},
+	} {
+		spec, _ := experiment.Lookup(tc.design)
+		key, err := Key(spec, tc.cfg, "505.mcf_r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := key.Hash(); got != tc.want {
+			t.Errorf("%s key hash = %s, want %s", tc.design, got, tc.want)
+		}
+	}
+}
+
+// TestKeyRecordsHarnessConfig: a sweep harness changes the config per pair,
+// and the key must say so — Fig. 13(c)'s 6 workloads x 6 stage points give
+// 36 distinct spec hashes, so their bundles cannot overwrite each other.
+func TestKeyRecordsHarnessConfig(t *testing.T) {
+	cfg := config.Scaled()
+	cfg.AccessesPerCore = 200
+	var (
+		mu     sync.Mutex
+		hashes = map[string]bool{}
+		runs   int
+	)
+	observe := func(p experiment.Pair, _ experiment.PairResult) {
+		spec, _ := experiment.Lookup(p.Design)
+		key, err := Key(spec, p.Cfg, p.Workload.Name)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h, _ := key.Hash()
+		mu.Lock()
+		defer mu.Unlock()
+		hashes[h] = true
+		runs++
+	}
+	if _, _, err := experiment.Fig13c(t.Context(), experiment.Options{Observe: observe}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 36 || len(hashes) != 36 {
+		t.Fatalf("Fig. 13(c): %d runs, %d distinct spec hashes, want 36 and 36", runs, len(hashes))
 	}
 }

@@ -9,8 +9,9 @@
 // cmd/baryonsimd serves its HTTP API; cmd/loadgen drives that API.
 //
 // The cache is sound because runs are deterministic: the spec hash covers
-// the full design spec plus the effective run shape (mode, access budget,
-// warmup/epoch windows, seed, workload), and bundle bytes are canonical
+// the full design spec, every config value the run changes from the
+// default, the effective run shape (mode, access budget, warmup/epoch
+// windows) and the seed and workload, and bundle bytes are canonical
 // (internal/report's determinism contract), so two jobs with equal hashes
 // would simulate to byte-identical bundles — serving the stored bytes is
 // indistinguishable from re-running.

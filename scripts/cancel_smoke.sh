@@ -5,7 +5,8 @@
 # contract is covered in-process by cmd/sweep's tests, so this script is the
 # end-to-end check that the signal path itself works. It then drives
 # cmd/experiments end to end: output independent of -parallel, one
-# -bundle-dir bundle per run, and -timeout reported as cancelled, not failed.
+# -bundle-dir bundle per run (a sweep's config points included), and
+# -timeout reported as cancelled, not failed.
 set -eu
 
 tmp=$(mktemp -d)
@@ -77,8 +78,19 @@ if [ "$bundles" -ne 32 ]; then
     exit 1
 fi
 
-# A -timeout that expires mid-experiment is a cancellation, on the pool path
-# (fig10) and on the harness-driven runner path (fig3a).
+# Fig. 3(b) sweeps the stage size: 4 workloads x 4 sizes = 16 runs, and each
+# must land in its own bundle under its own spec hash.
+"$tmp/experiments" -quick -only fig3b -parallel 2 -bundle-dir "$tmp/fig3b" \
+    >/dev/null 2>"$tmp/exp.err"
+bundles3b=$(find "$tmp/fig3b" -name '*.bundle.json' | wc -l)
+hashes3b=$(cat "$tmp"/fig3b/*.bundle.json | grep '"specHash"' | sort -u | wc -l)
+if [ "$bundles3b" -ne 16 ] || [ "$hashes3b" -ne 16 ]; then
+    echo "FAIL: fig3b -bundle-dir wrote $bundles3b bundles with $hashes3b distinct specHash values, want 16 and 16" >&2
+    exit 1
+fi
+
+# A -timeout that expires mid-experiment is a cancellation, for a grid
+# (fig10) and for a stage-area harness (fig3a) alike.
 for args in "-only fig10 -timeout 1s" "-only fig3a -timeout 100ms"; do
     status=0
     # shellcheck disable=SC2086 # args is a deliberate word list
@@ -94,4 +106,4 @@ for args in "-only fig10 -timeout 1s" "-only fig3a -timeout 100ms"; do
     fi
 done
 
-echo "cancel-smoke OK: experiments -parallel 1/2 identical, $bundles bundles, -timeout cancelled"
+echo "cancel-smoke OK: experiments -parallel 1/2 identical, $bundles bundles, fig3b $bundles3b distinct bundles, -timeout cancelled"
