@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test bench-test race bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
+.PHONY: build vet lint test bench-test race bench fuzz-smoke examples-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
 
 # Pinned staticcheck version; CI installs exactly this, so lint results are
 # reproducible. Update deliberately alongside toolchain bumps.
@@ -73,6 +73,11 @@ fuzz-smoke:
 	done
 	$(GO) test ./internal/report -run '^$$' -fuzz FuzzBundleDecode -fuzztime $(FUZZTIME)
 
+# Runs every examples/* program: each must exit 0, and quickstart must read
+# its written line back (see scripts/examples_smoke.sh).
+examples-smoke:
+	sh scripts/examples_smoke.sh
+
 # End-to-end graceful-shutdown check: SIGINT a running sweep, assert a valid
 # partial CSV + non-zero exit (see scripts/cancel_smoke.sh).
 cancel-smoke:
@@ -110,4 +115,4 @@ serve-smoke:
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
-check: build vet lint race bench-test bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke
+check: build vet lint race bench-test bench fuzz-smoke examples-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke

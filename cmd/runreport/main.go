@@ -1,7 +1,8 @@
 // Command runreport diffs deterministic run-report bundles (see
 // internal/report): two bundle files, or two directories of them matched by
-// design/workload/seed. It prints every out-of-tolerance metric change and
-// exits non-zero when any pair regressed, which makes it the regression
+// report.Bundle.PairID (design, workload, seed and any configuration change
+// other than the run shape). It prints every out-of-tolerance metric change
+// and exits non-zero when any pair regressed, which makes it the regression
 // gate between two commits' bundle artifacts:
 //
 //	go run ./cmd/runreport old.bundle.json new.bundle.json
@@ -62,8 +63,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Pair bundles by design/workload/seed identity; bundles present on one
-	// side only are themselves findings (a run disappeared or appeared).
+	// Pair bundles by PairID; bundles present on one side only are
+	// themselves findings (a run disappeared or appeared).
 	var clean, dirty, unmatched int
 	for _, id := range unionIDs(bundlesA, bundlesB) {
 		a, okA := bundlesA[id]

@@ -103,6 +103,29 @@ func TestRunreportDirectoryPairing(t *testing.T) {
 	}
 }
 
+// TestRunreportPairsSweepPoints diffs two bundle directories of the Fig.
+// 3(b) stage-size sweep from one commit: the four stage sizes of each
+// workload share design, workload and seed, so they must pair by their
+// configuration too, and every pair must diff clean.
+func TestRunreportPairsSweepPoints(t *testing.T) {
+	cfg := config.Scaled()
+	cfg.AccessesPerCore = 300
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		observe, err := report.ObservePairs(dir, os.Stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := experiment.Fig3b(context.Background(), experiment.Options{Observe: observe}, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, out, errw := runCLI(t, dirs[0], dirs[1])
+	if code != 0 || !strings.Contains(out, "16 clean, 0 differing, 0 unmatched") {
+		t.Fatalf("sweep diff exit %d, want 0 with 16 clean pairs\nstdout:\n%s\nstderr:\n%s", code, out, errw)
+	}
+}
+
 func TestRunreportUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t); code != 2 {
 		t.Fatal("no args should exit 2")

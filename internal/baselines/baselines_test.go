@@ -16,19 +16,30 @@ func tableI() []hybrid.TierSpec {
 	return []hybrid.TierSpec{{Cfg: mem.DDR4Config()}, {Cfg: mem.NVMConfig()}}
 }
 
+var testMix = datagen.UniformMix()
+
 func testStore() *hybrid.Store {
-	mix := datagen.UniformMix()
 	return hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
-		datagen.Filler(mix)(uint64(b), dst)
+		datagen.Filler(testMix)(uint64(b), dst)
 	})
 }
 
-// driveController exercises a controller with mixed traffic and checks read
-// data against the store (which baselines use as their data plane).
+// testLine is the content testStore gives the unwritten line at addr.
+func testLine(addr uint64) []byte {
+	line := make([]byte, hybrid.CachelineSize)
+	b := uint64(hybrid.BlockOf(addr))
+	datagen.FillLine(line, b, hybrid.SubOf(addr), hybrid.LineOf(addr), 0, testMix.ClassFor(b))
+	return line
+}
+
+// driveController exercises a controller with mixed traffic over a
+// testStore and checks, through PeekLine, that every read sees the last
+// line written there, or testStore's fill if none was.
 func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footprint uint64, seed uint64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	peeker := ctrl.(hybrid.DataPeeker)
+	written := make(map[uint64][]byte)
 	now := uint64(0)
 	for i := 0; i < accesses; i++ {
 		addr := rng.Uint64n(footprint) &^ 63
@@ -38,13 +49,18 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 				data[j] = byte(rng.Uint32())
 			}
 			ctrl.Access(now, addr, true, data)
+			written[addr] = data
 			if got := peeker.PeekLine(addr); !bytes.Equal(got, data) {
 				t.Fatalf("%s: write not visible at %x", ctrl.Name(), addr)
 			}
 		} else {
 			res := ctrl.Access(now, addr, false, nil)
-			if want := peeker.PeekLine(addr); !bytes.Equal(res.Data, want) {
-				t.Fatalf("%s: read mismatch at %x", ctrl.Name(), addr)
+			want, ok := written[addr]
+			if !ok {
+				want = testLine(addr)
+			}
+			if got := peeker.PeekLine(addr); !bytes.Equal(got, want) {
+				t.Fatalf("%s: read mismatch at %x\n got %x\nwant %x", ctrl.Name(), addr, got, want)
 			}
 			if res.Done < now {
 				t.Fatalf("%s: completion %d before issue %d", ctrl.Name(), res.Done, now)
@@ -65,6 +81,29 @@ func TestSimpleBasics(t *testing.T) {
 	}
 	if stats.Get("simple.writebacks") == 0 {
 		t.Fatal("no writebacks despite dirty evictions")
+	}
+}
+
+// TestReadsLeaveStoreUntouched checks that designs which never inspect
+// content serve reads without materialising any store block: reads return
+// timing only.
+func TestReadsLeaveStoreUntouched(t *testing.T) {
+	for _, mk := range []func(*hybrid.Store) hybrid.Controller{
+		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, st, sim.NewStats(), tableI()) },
+		func(st *hybrid.Store) hybrid.Controller { return NewUnison(128, 4, st, sim.NewStats(), 2, tableI()) },
+		func(st *hybrid.Store) hybrid.Controller { return NewOSPaging(1<<20, st, sim.NewStats(), tableI()) },
+	} {
+		store := testStore()
+		ctrl := mk(store)
+		rng := sim.NewRNG(13)
+		now := uint64(0)
+		for i := 0; i < 20000; i++ {
+			ctrl.Access(now, rng.Uint64n(4<<20)&^63, false, nil)
+			now += 40
+		}
+		if n := store.Touched(); n != 0 {
+			t.Errorf("%s: read-only stream materialised %d store blocks, want 0", ctrl.Name(), n)
+		}
 	}
 }
 

@@ -147,14 +147,12 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 		}
 		d.servedFast.Inc()
 		d.eng.ObserveFast(now, done, "hit")
-		res := hybrid.Result{Done: done, ServedByFast: true, Data: d.store.Line(addr)}
+		res := hybrid.Result{Done: done, ServedByFast: true}
 		base := run * uint64(cf) * 64
 		for l := uint8(0); l < cf; l++ {
-			if l == within || slot.present&(1<<l) == 0 {
-				continue
+			if l != within && slot.present&(1<<l) != 0 {
+				res.Prefetched = append(res.Prefetched, base+uint64(l)*64)
 			}
-			laddr := base + uint64(l)*64
-			res.Prefetched = append(res.Prefetched, hybrid.PrefetchedLine{Addr: laddr, Data: d.store.Line(laddr)})
 		}
 		return res
 	}
@@ -169,7 +167,7 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 	} else {
 		done := d.eng.SlowRead(probe, addr, 64)
 		d.eng.ObserveSlow(now, done, "miss")
-		res = hybrid.Result{Done: done, Data: d.store.Line(addr)}
+		res = hybrid.Result{Done: done}
 	}
 	d.installRun(now, lineIdx, cf, write)
 	return res

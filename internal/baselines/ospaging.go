@@ -111,7 +111,7 @@ func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybr
 		} else {
 			done := o.eng.FastRead(issue, page*osPageSize%uint64(o.fastPages*osPageSize)+addr%osPageSize, 64)
 			o.eng.ObserveFast(now, done, "pageHit")
-			res = hybrid.Result{Done: done, ServedByFast: true, Data: o.store.Line(addr)}
+			res = hybrid.Result{Done: done, ServedByFast: true}
 		}
 	} else {
 		o.misses.Inc()
@@ -121,7 +121,7 @@ func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybr
 		} else {
 			done := o.eng.SlowRead(issue, addr, 64)
 			o.eng.ObserveSlow(now, done, "pageMiss")
-			res = hybrid.Result{Done: done, Data: o.store.Line(addr)}
+			res = hybrid.Result{Done: done}
 		}
 	}
 

@@ -107,7 +107,7 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 		done := s.eng.FastRead(now+s.metaLatency, s.frameAddr(block, w), 64)
 		s.servedFast.Inc()
 		s.eng.ObserveFast(now, done, "hit")
-		return hybrid.Result{Done: done, ServedByFast: true, Data: s.store.Line(addr)}
+		return hybrid.Result{Done: done, ServedByFast: true}
 	}
 	s.misses.Inc()
 
@@ -119,7 +119,7 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	} else {
 		done := s.eng.SlowRead(now+s.metaLatency, addr, 64)
 		s.eng.ObserveSlow(now, done, "miss")
-		res = hybrid.Result{Done: done, Data: s.store.Line(addr)}
+		res = hybrid.Result{Done: done}
 	}
 
 	// Background: fill the whole 2 kB block, evicting the policy's victim.

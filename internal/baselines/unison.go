@@ -138,7 +138,7 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 			done := u.eng.FastRead(t, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
 			u.servedFast.Inc()
 			u.eng.ObserveFast(now, done, "subHit")
-			return hybrid.Result{Done: done, ServedByFast: true, Data: u.store.Line(addr)}
+			return hybrid.Result{Done: done, ServedByFast: true}
 		}
 		// Sub-block miss within an allocated block: fetch just the sub.
 		// The growing footprint feeds the class history incrementally so
@@ -154,7 +154,7 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 		done := u.eng.SlowRead(now, addr, 64)
 		u.eng.ObserveSlow(now, done, "subMiss")
 		u.eng.FillFast(now, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
-		return hybrid.Result{Done: done, Data: u.store.Line(addr)}
+		return hybrid.Result{Done: done}
 	}
 
 	// Block miss: tags are embedded in DRAM, so discovering the miss costs
@@ -167,7 +167,7 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	} else {
 		done := u.eng.SlowRead(probe, addr, 64)
 		u.eng.ObserveSlow(now, done, "blockMiss")
-		res = hybrid.Result{Done: done, Data: u.store.Line(addr)}
+		res = hybrid.Result{Done: done}
 	}
 
 	victim := u.dir.Victim(si, u.rep)

@@ -89,8 +89,8 @@ func (s *stubCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	}
 	s.reads = append(s.reads, addr)
 	return hybrid.Result{
-		Done: now + 100, ServedByFast: true, Data: make([]byte, 64),
-		Prefetched: []hybrid.PrefetchedLine{{Addr: addr ^ 64, Data: make([]byte, 64)}},
+		Done: now + 100, ServedByFast: true,
+		Prefetched: []uint64{addr ^ 64},
 	}
 }
 func (s *stubCtrl) Stats() *sim.Stats { return s.stats }

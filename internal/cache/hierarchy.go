@@ -236,8 +236,8 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 	slot := h.installLLC(addr, false, now)
 	if h.cfg.InstallPrefetched {
 		for _, p := range res.Prefetched {
-			if p.Addr != addr && !h.llc.Probe(p.Addr) {
-				h.installLLC(p.Addr, false, now)
+			if p != addr && !h.llc.Probe(p) {
+				h.installLLC(p, false, now)
 				h.prefetchInstalls.Inc()
 			}
 		}

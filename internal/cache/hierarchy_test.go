@@ -202,7 +202,7 @@ func TestNewHierarchyCoreLimit(t *testing.T) {
 type nullCtrl struct {
 	stats    *sim.Stats
 	prefetch bool
-	pf       [1]hybrid.PrefetchedLine
+	pf       [1]uint64
 }
 
 func (c *nullCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
@@ -211,7 +211,7 @@ func (c *nullCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	}
 	res := hybrid.Result{Done: now + 100, ServedByFast: true}
 	if c.prefetch {
-		c.pf[0] = hybrid.PrefetchedLine{Addr: addr ^ hybrid.CachelineSize}
+		c.pf[0] = addr ^ hybrid.CachelineSize
 		res.Prefetched = c.pf[:]
 	}
 	return res

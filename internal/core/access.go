@@ -105,7 +105,7 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 			c.ctr.servedZero.Inc()
 			c.ctr.servedFast.Inc()
 			c.ctr.latStageHit.Observe(stageT - now)
-			return hybrid.Result{Done: stageT, ServedByFast: true, Data: zeroLine()}
+			return hybrid.Result{Done: stageT, ServedByFast: true}
 		}
 		// Writing non-zero data to an all-zero block: drop the zero
 		// descriptor and restage the written sub-block with real content.
@@ -128,10 +128,7 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 		}
 		c.ctr.servedFast.Inc()
 		c.ctr.latStageHit.Observe(done - now)
-		lineData := fr.data[slot][lineInRange*64 : lineInRange*64+64]
-		res := hybrid.Result{Done: done, ServedByFast: true, Data: lineData}
-		res.Prefetched = c.chunkPrefetch(b, start, cf, lineInRange, fr.data[slot])
-		return res
+		return hybrid.Result{Done: done, ServedByFast: true, Prefetched: c.chunkPrefetch(b, start, cf, lineInRange)}
 	}
 
 	// Write hit in the stage area: update content, recompress; a CF change
@@ -182,26 +179,13 @@ func (c *Controller) restageOverflowedRange(now uint64, ssi, sw, slot int, b uin
 
 // --- Z-block service ----------------------------------------------------
 
-// zeroLineBuf backs every zero-line result; consumers treat Result.Data as
-// read-only, so one shared buffer serves all controllers.
-var zeroLineBuf [hybrid.CachelineSize]byte
-
-func zeroLine() []byte { return zeroLineBuf[:] }
-
-// copyStoreLine copies the canonical content of one line into the
-// controller's line scratch, valid until the next Access.
-func (c *Controller) copyStoreLine(lineAddr uint64) []byte {
-	copy(c.lineScratch[:], c.store.Bytes(lineAddr, 64))
-	return c.lineScratch[:]
-}
-
 func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
 	if !write {
 		c.ctr.servedZero.Inc()
 		c.ctr.servedFast.Inc()
 		c.ctr.fastHits.Inc()
 		c.ctr.latFastHit.Observe(rmT - now)
-		return hybrid.Result{Done: rmT, ServedByFast: true, Data: zeroLine()}
+		return hybrid.Result{Done: rmT, ServedByFast: true}
 	}
 	// A non-zero write invalidates Z; the block falls back to the slow
 	// memory until it is staged again.
@@ -241,10 +225,7 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 		}
 		c.ctr.servedFast.Inc()
 		c.ctr.latFastHit.Observe(done - now)
-		lineData := rg.data[lineInRange*64 : lineInRange*64+64]
-		res := hybrid.Result{Done: done, ServedByFast: true, Data: lineData}
-		res.Prefetched = c.chunkPrefetch(b, start, cf, lineInRange, rg.data)
-		return res
+		return hybrid.Result{Done: done, ServedByFast: true, Prefetched: c.chunkPrefetch(b, start, cf, lineInRange)}
 	}
 
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
@@ -276,7 +257,7 @@ func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, wri
 		done := c.eng.SlowRead(rmT, c.slowAddr(b, s)+uint64(line)*64, 64)
 		c.ctr.servedSlow.Inc()
 		c.ctr.latSlowPath.Observe(done - now)
-		res = hybrid.Result{Done: done, Data: c.copyStoreLine(lineAddr)}
+		res = hybrid.Result{Done: done}
 	}
 	if !c.cfg.UseStageArea {
 		// Without a stage area there is no frozen-layout rule to respect:
@@ -309,7 +290,7 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 		done := c.eng.SlowRead(stageT, c.slowAddr(b, s)+uint64(line)*64, 64)
 		c.ctr.servedSlow.Inc()
 		c.ctr.latSlowPath.Observe(done - now)
-		res = hybrid.Result{Done: done, Data: c.copyStoreLine(lineAddr)}
+		res = hybrid.Result{Done: done}
 	}
 	// Background: stage the maximal compressible range around s (Rule 3
 	// pins it to the same physical block as the block's other ranges).
@@ -333,7 +314,7 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 		done := c.eng.SlowRead(metaT, c.slowAddr(b, s)+uint64(line)*64, 64)
 		c.ctr.servedSlow.Inc()
 		c.ctr.latSlowPath.Observe(done - now)
-		res = hybrid.Result{Done: done, Data: c.copyStoreLine(lineAddr)}
+		res = hybrid.Result{Done: done}
 	}
 
 	if !c.cfg.UseStageArea {
@@ -342,7 +323,6 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 	}
 
 	super := c.superOf(b)
-	blkOff := c.blkOff(b)
 	// Find stage ways already holding this super-block; pick one at random
 	// when several exist (Section III-D, case 5). stageWays is at most 8,
 	// so the candidate list lives on the stack.
@@ -366,7 +346,6 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 	default:
 		sw = candidates[c.rng.Intn(nc)]
 	}
-	_ = blkOff
 	c.stageInsertRange(now, ssi, sw, b, s, write)
 	c.prefetchHintedRanges(now, ssi, sw, b, s)
 	return res
@@ -421,7 +400,7 @@ func (c *Controller) readXferBytes(cf int) uint64 {
 // With cacheline-aligned compression one 64 B transfer decodes into cf
 // lines; without it the whole compressed range must be transferred and every
 // line of the range is decoded (bandwidth waste and LLC pollution, Fig. 7).
-func (c *Controller) chunkPrefetch(b uint64, start, cf, lineInRange int, content []byte) []hybrid.PrefetchedLine {
+func (c *Controller) chunkPrefetch(b uint64, start, cf, lineInRange int) []uint64 {
 	if cf <= 1 {
 		return nil
 	}
@@ -439,10 +418,7 @@ func (c *Controller) chunkPrefetch(b uint64, start, cf, lineInRange int, content
 		if k == lineInRange {
 			continue
 		}
-		out = append(out, hybrid.PrefetchedLine{
-			Addr: rangeBase + uint64(k)*64,
-			Data: content[k*64 : k*64+64],
-		})
+		out = append(out, rangeBase+uint64(k)*64)
 	}
 	c.prefetchScratch = out
 	return out

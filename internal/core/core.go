@@ -116,21 +116,16 @@ type Controller struct {
 	// deviceRegion bases (fast device address space).
 	stageBase, tableBase uint64
 
-	// Per-controller scratch reused across Access calls to keep the hot
-	// path allocation-free. lineScratch backs the Data of slow-memory
-	// reads and prefetchScratch backs Result.Prefetched. Results handed
-	// out through these buffers are valid until the next Access, which is
-	// the contract hybrid.Result documents.
-	lineScratch     [hybrid.CachelineSize]byte
-	prefetchScratch []hybrid.PrefetchedLine
+	// prefetchScratch backs Result.Prefetched, reused across Access calls
+	// to keep the hot path allocation-free; it is valid until the next
+	// Access, the contract hybrid.Result documents.
+	prefetchScratch []uint64
 
 	// rangePool recycles range content buffers by CF class (index = cf;
 	// buffer length = cf*subBytes). Range buffers move between stage
 	// frames and committed frames and must own their storage, so every
 	// site that drops a range's last reference returns the buffer here
-	// (freeRangeBuf) and rangeContent draws from the pool first. A reused
-	// buffer may still back the previous Access's Result.Data, which the
-	// hybrid.Result contract allows.
+	// (freeRangeBuf) and rangeContent draws from the pool first.
 	rangePool [5][][]byte
 	// rangeSlab backs pool misses: fresh buffers are carved from these
 	// per-CF slabs in rangeSlabBufs-buffer chunks.

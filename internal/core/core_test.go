@@ -86,12 +86,15 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 			c.Access(now, addr, true, data)
 		} else {
 			res := c.Access(now, addr, false, nil)
-			if !bytes.Equal(res.Data, ref.line(addr)) {
-				t.Fatalf("access %d: read %x mismatch\n got %x\nwant %x", i, addr, res.Data, ref.line(addr))
+			if got := c.PeekLine(addr); !bytes.Equal(got, ref.line(addr)) {
+				t.Fatalf("access %d: read %x mismatch\n got %x\nwant %x", i, addr, got, ref.line(addr))
 			}
 			for _, p := range res.Prefetched {
-				if !bytes.Equal(p.Data, ref.line(p.Addr)) {
-					t.Fatalf("access %d: prefetched line %x mismatch", i, p.Addr)
+				if p%hybrid.CachelineSize != 0 || p == addr || p/cfg.BlockBytes != addr/cfg.BlockBytes {
+					t.Fatalf("access %d: prefetched %x is not another line of %x's block", i, p, addr)
+				}
+				if !bytes.Equal(c.PeekLine(p), ref.line(p)) {
+					t.Fatalf("access %d: prefetched line %x mismatch", i, p)
 				}
 			}
 		}
@@ -204,8 +207,8 @@ func TestZeroBlockService(t *testing.T) {
 	now := uint64(0)
 	for i := 0; i < 5000; i++ {
 		addr := uint64(i%512) * 64
-		res := c.Access(now, addr, false, nil)
-		for _, b := range res.Data {
+		c.Access(now, addr, false, nil)
+		for _, b := range c.PeekLine(addr) {
 			if b != 0 {
 				t.Fatal("zero block served non-zero data")
 			}

@@ -2,6 +2,10 @@ package core
 
 import "baryon/internal/hybrid"
 
+// zeroLine is the content PeekLine reports for a zero-block line; callers
+// treat it as read-only.
+var zeroLine [hybrid.CachelineSize]byte
+
 // PeekLine returns the current canonical content of the 64 B line at addr
 // with no timing or statistics side effects. It walks the same priority
 // order as the access flow (stage area, then committed fast memory, then
@@ -20,7 +24,7 @@ func (c *Controller) PeekLine(addr uint64) []byte {
 		fr := c.stageDir.Payload(ssi, w)
 		rg := fr.tag.Slots[slot]
 		if rg.Zero {
-			return zeroLine()
+			return zeroLine[:]
 		}
 		lineInRange := (s-int(rg.SubOff))*c.geom.linesPerSub + line
 		return fr.data[slot][lineInRange*64 : lineInRange*64+64]
@@ -29,7 +33,7 @@ func (c *Controller) PeekLine(addr uint64) []byte {
 	ri := &c.remap[b]
 	switch {
 	case ri.z:
-		return zeroLine()
+		return zeroLine[:]
 	case ri.remap&(1<<s) != 0:
 		si := c.setIdx(super)
 		_, fr := c.fastDir.Way(si, int(ri.way))

@@ -194,10 +194,7 @@ func (c *Controller) newRangeBuf(cf int) []byte {
 // rangeSlabBufs is the number of range buffers carved from one slab chunk.
 const rangeSlabBufs = 64
 
-// freeRangeBuf returns a dead range buffer to its CF class's free list. The
-// buffer may still back the previous Access's Result.Data — reuse only
-// happens through a later rangeContent call, which the hybrid.Result
-// lifetime contract permits.
+// freeRangeBuf returns a dead range buffer to its CF class's free list.
 func (c *Controller) freeRangeBuf(buf []byte) {
 	if buf == nil {
 		return

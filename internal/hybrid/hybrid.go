@@ -73,18 +73,10 @@ type Result struct {
 	// ServedByFast is true when the demanded data came from fast memory
 	// (the "fast memory serve rate" of Fig. 11).
 	ServedByFast bool
-	// Data is the 64 B content of the demanded cacheline (reads only).
-	Data []byte
 	// Prefetched lists additional cacheline addresses whose data became
 	// available for free (memory-to-LLC prefetch from decompression,
 	// Section III-E); the hierarchy may install them in the LLC.
-	Prefetched []PrefetchedLine
-}
-
-// PrefetchedLine is one bandwidth-free extra line from decompression.
-type PrefetchedLine struct {
-	Addr uint64
-	Data []byte
+	Prefetched []uint64
 }
 
 // Controller is a hybrid-memory controller: it owns both memory devices and
@@ -92,9 +84,10 @@ type PrefetchedLine struct {
 type Controller interface {
 	// Access performs a 64 B read or write at physical address addr (already
 	// line-aligned) starting at cycle now. For writes, data is the new line
-	// content. For reads, Result.Data is the line content. Result.Data and
-	// Result.Prefetched are read-only and may alias controller-owned scratch:
-	// consume (or copy) them before the next Access on the same controller.
+	// content. A read returns timing only; its content is observable
+	// through DataPeeker. Result.Prefetched is read-only and may alias
+	// controller-owned scratch: consume (or copy) it before the next Access
+	// on the same controller.
 	Access(now uint64, addr uint64, write bool, data []byte) Result
 	// Stats exposes the controller's counters.
 	Stats() *sim.Stats

@@ -97,7 +97,7 @@ func TestStoreWriteRead(t *testing.T) {
 		t.Fatal("line write lost")
 	}
 	sub := bytes.Repeat([]byte{0xCD}, SubBlockSize)
-	s.WriteSub(5, 2, sub)
+	copy(s.Sub(5, 2), sub)
 	if !bytes.Equal(s.Sub(5, 2), sub) {
 		t.Fatal("sub write lost")
 	}

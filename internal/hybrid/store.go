@@ -55,11 +55,6 @@ func (s *Store) Line(addr uint64) []byte {
 	return blk[off : off+CachelineSize]
 }
 
-// WriteSub replaces sub-block sub of block b with data (256 B).
-func (s *Store) WriteSub(b BlockID, sub int, data []byte) {
-	copy(s.Sub(b, sub), data)
-}
-
 // WriteLine replaces the 64 B line at addr with data.
 func (s *Store) WriteLine(addr uint64, data []byte) {
 	copy(s.Line(addr), data)

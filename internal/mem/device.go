@@ -122,15 +122,14 @@ type Device struct {
 	engine   *DDREngine
 	channels []channel
 
-	reads, writes              *sim.Counter
-	bytesRead, bytesWritten    *sim.Counter
-	rowHits, rowMisses         *sim.Counter
-	energy                     *sim.FloatAccum
-	readLat                    *sim.Counter
-	queueHist, svcHist         *sim.Histogram
-	tracer                     *obs.Tracer
-	maxQueueing                uint64
-	dbgChan, dbgBank, dbgSpill uint64
+	reads, writes           *sim.Counter
+	bytesRead, bytesWritten *sim.Counter
+	rowHits, rowMisses      *sim.Counter
+	energy                  *sim.FloatAccum
+	readLat                 *sim.Counter
+	queueHist, svcHist      *sim.Histogram
+	tracer                  *obs.Tracer
+	maxQueueing             uint64
 
 	// faults, when non-nil, injects read faults and tracks write wear; the
 	// outcome of the last demand access is kept for the engine's
@@ -384,18 +383,14 @@ func (d *Device) access(now uint64, addr uint64, size uint64, write bool) uint64
 	start := float64(now)
 	if ch.freeAt > start {
 		start = ch.freeAt
-		d.dbgChan++
 	}
 	// A saturated background queue spills onto the demand path.
 	if ch.bgBytes > bgHighWater {
-		spill := (ch.bgBytes - bgHighWater) / d.cfg.BytesPerCycle
-		start += spill
+		start += (ch.bgBytes - bgHighWater) / d.cfg.BytesPerCycle
 		ch.bgBytes = bgHighWater
-		d.dbgSpill += uint64(spill)
 	}
 	if float64(bk.busyUntil) > start {
 		start = float64(bk.busyUntil)
-		d.dbgBank++
 	}
 	queue := uint64(start) - now
 	if queue > d.maxQueueing {
@@ -477,7 +472,6 @@ func (d *Device) Reset() {
 		}
 	}
 	d.maxQueueing = 0
-	d.dbgChan, d.dbgBank, d.dbgSpill = 0, 0, 0
 	d.lastFault = fault.None
 	if d.link != nil {
 		d.link.freeAt = 0
@@ -530,6 +524,3 @@ func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool
 
 // MaxQueueing returns the worst demand-access queueing delay observed.
 func (d *Device) MaxQueueing() uint64 { return d.maxQueueing }
-
-// DebugQueueing reports (channel-queued count, bank-queued count, total spill cycles).
-func (d *Device) DebugQueueing() (uint64, uint64, uint64) { return d.dbgChan, d.dbgBank, d.dbgSpill }

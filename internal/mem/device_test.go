@@ -137,22 +137,18 @@ func TestSlowPresets(t *testing.T) {
 	}
 }
 
-func TestResetClearsDebugCounters(t *testing.T) {
+func TestResetClearsMaxQueueing(t *testing.T) {
 	// Hammer one channel so demand accesses queue behind each other and
-	// behind background traffic, populating every debug accumulator.
+	// behind background traffic.
 	d := NewDevice(DDR4Config(), sim.NewStats())
 	d.AccessBackground(0, 0, 16*bgHighWater, true)
 	for i := 0; i < 64; i++ {
 		d.Access(0, uint64(i%2)*(DDR4Config().RowBufferBytes*32), 64, false)
 	}
-	ch, bank, spill := d.DebugQueueing()
-	if ch == 0 && bank == 0 && spill == 0 {
-		t.Fatal("expected some debug queueing before reset")
+	if d.MaxQueueing() == 0 {
+		t.Fatal("expected some demand queueing before reset")
 	}
 	d.Reset()
-	if ch, bank, spill := d.DebugQueueing(); ch != 0 || bank != 0 || spill != 0 {
-		t.Fatalf("Reset left debug counters at (%d, %d, %d)", ch, bank, spill)
-	}
 	if d.MaxQueueing() != 0 {
 		t.Fatalf("Reset left maxQueueing at %d", d.MaxQueueing())
 	}

@@ -237,10 +237,19 @@ func ReadFile(path string) (Bundle, error) {
 }
 
 // PairID is the human identity bundles are matched by when diffing
-// directories: design, workload, seed (the spec hash also covers the run
-// shape, which a cross-commit comparison deliberately ignores).
+// directories: design, workload, seed and the key's Run overrides other
+// than the run shape (mode, access budget, warmup and epoch windows), which
+// a cross-commit comparison deliberately ignores. A sweep's points (one
+// stage size each, say) are therefore distinct pairs, and a default-config
+// run is just "<design>/<workload>/seed<N>".
 func (b Bundle) PairID() string {
-	return fmt.Sprintf("%s/%s/seed%d", b.Spec.Design.Name, b.Spec.Workload, b.Spec.Seed)
+	id := fmt.Sprintf("%s/%s/seed%d", b.Spec.Design.Name, b.Spec.Workload, b.Spec.Seed)
+	run := b.Spec.Run
+	run.Mode, run.AccessesPerCore, run.WarmupAccessesPerCore, run.EpochAccesses = nil, nil, nil, nil
+	if cfg, err := json.Marshal(run); err == nil && string(cfg) != "{}" {
+		id += " " + string(cfg)
+	}
+	return id
 }
 
 // FileName returns the conventional bundle file name:
