@@ -47,15 +47,17 @@ race:
 	$(GO) test -race -timeout 40m ./...
 
 # One-iteration benchmark smoke: the single-run benchmarks, the cache
-# hierarchy, bundle marshal/decode, the hybrid engine's migration swap and
-# the compressor's aligned fit trial must still build and run. Timing
+# hierarchy, bundle marshal/decode, the hybrid engine's migration swap, the
+# store's first line writes, datagen's line content and the compressor's
+# aligned fit trial must still build and run. Timing
 # comparisons belong to bench/ (see README "Benchmarks and the allocation
 # gate").
 bench:
 	$(GO) test -run '^$$' -bench SingleRun -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench HierarchyAccess -benchtime 1x ./internal/cache
 	$(GO) test -run '^$$' -bench 'MarshalCanonical|Decode' -benchtime 1x ./internal/report
-	$(GO) test -run '^$$' -bench EngineSwap -benchtime 1x ./internal/hybrid
+	$(GO) test -run '^$$' -bench 'EngineSwap|StoreWriteLine' -benchtime 1x ./internal/hybrid
+	$(GO) test -run '^$$' -bench FillLine -benchtime 1x ./internal/datagen
 	$(GO) test -run '^$$' -bench FitsWithin -benchtime 1x ./internal/compress
 
 # Short native-fuzz bursts over the compressor round-trips, the design-file

@@ -16,7 +16,7 @@ import (
 // Allocation counts of a deterministic run move by a few between runs,
 // so unlike wall-clock time they can fail a build. Each limit is a
 // recorded baseline plus 10% and half an allocation: cold 1253, traced
-// 1256 and steady 28 allocations. Raise a limit only with the change that
+// 1252 and steady 21 allocations. Raise a limit only with the change that
 // needs it.
 func TestSingleRunAllocs(t *testing.T) {
 	cfg := benchConfig()
@@ -42,7 +42,7 @@ func TestSingleRunAllocs(t *testing.T) {
 		}},
 		// The same run with the request-lifecycle tracer at 1-in-64
 		// sampling, as BenchmarkSingleRunTraced runs it.
-		{"traced", 1382, func(t *testing.T) float64 {
+		{"traced", 1377, func(t *testing.T) float64 {
 			return testing.AllocsPerRun(2, func() {
 				r := newRunner()
 				r.SetTracer(obs.NewTracer(64, 0))
@@ -53,7 +53,7 @@ func TestSingleRunAllocs(t *testing.T) {
 		// cfg.AccessesPerCore. Per-window counts are lumpy (single windows
 		// range from about 10 to about 150 allocations), so the gate takes
 		// the least mean over five fresh runners.
-		{"steady", 31, func(t *testing.T) float64 {
+		{"steady", 23, func(t *testing.T) float64 {
 			least := math.Inf(1)
 			for range 5 {
 				s := newRunner().Stepper()

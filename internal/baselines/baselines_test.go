@@ -107,6 +107,41 @@ func TestReadsLeaveStoreUntouched(t *testing.T) {
 	}
 }
 
+// TestWriteOnlyStoreNeverFills checks that designs which never inspect
+// content store written lines without running the store's fill: a block is
+// filled on its first read, and these designs never read one.
+func TestWriteOnlyStoreNeverFills(t *testing.T) {
+	for _, mk := range []func(*hybrid.Store) hybrid.Controller{
+		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, st, sim.NewStats(), tableI()) },
+		func(st *hybrid.Store) hybrid.Controller { return NewUnison(128, 4, st, sim.NewStats(), 2, tableI()) },
+		func(st *hybrid.Store) hybrid.Controller { return NewOSPaging(1<<20, st, sim.NewStats(), tableI()) },
+	} {
+		fills := 0
+		store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+			fills++
+			datagen.Filler(testMix)(uint64(b), dst)
+		})
+		ctrl := mk(store)
+		rng := sim.NewRNG(17)
+		data := make([]byte, hybrid.CachelineSize)
+		now := uint64(0)
+		for i := 0; i < 20000; i++ {
+			for j := range data {
+				data[j] = byte(rng.Uint32())
+			}
+			ctrl.Access(now, rng.Uint64n(4<<20)&^63, true, data)
+			now += 40
+		}
+		if store.Touched() == 0 {
+			t.Fatalf("%s: writes stored nothing", ctrl.Name())
+		}
+		if fills != 0 {
+			t.Errorf("%s: write-only stream ran the fill %d times over %d blocks, want 0",
+				ctrl.Name(), fills, store.Touched())
+		}
+	}
+}
+
 func TestSimpleWholeBlockTraffic(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()

@@ -38,7 +38,8 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 		t.Fatal("controller does not expose PeekLine")
 	}
 	checked := 0
-	for addr, want := range r.world.dirty {
+	for addr := range r.world.dirty {
+		want := r.world.lineData(addr)
 		if got := peeker.PeekLine(addr); !bytes.Equal(got, want) {
 			t.Fatalf("%s/%s: line %#x diverged after flush\n got %x\nwant %x",
 				r.ctrl.Name(), wname, addr, got, want)
@@ -122,21 +123,25 @@ func TestEndToEndIntegrityBaselines(t *testing.T) {
 }
 
 // TestWorldWriteVersioning verifies the functional image: repeated writes to
-// a line change its value, and lineData always returns the latest.
+// a line change its value, a write to a neighbouring line of the same
+// sub-block leaves it as it was, and lineData always returns the latest.
 func TestWorldWriteVersioning(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
 	store := hybrid.NewStore(nil)
 	wd := newWorld(w.Mix, store)
 	addr := uint64(4096)
-	v1 := append([]byte(nil), wd.writeValue(addr)...)
-	v2 := wd.writeValue(addr)
+	wd.writeValue(addr)
+	v1 := append([]byte(nil), wd.lineData(addr)...)
+	wd.writeValue(addr)
+	v2 := append([]byte(nil), wd.lineData(addr)...)
 	if bytes.Equal(v1, v2) {
 		t.Fatal("two writes produced identical values")
 	}
+	wd.writeValue(addr + 64)
 	if !bytes.Equal(wd.lineData(addr), v2) {
 		t.Fatal("lineData not the latest write")
 	}
-	if !bytes.Equal(wd.lineData(addr+64), store.Line(addr+64)) {
+	if !bytes.Equal(wd.lineData(addr+128), store.Line(addr+128)) {
 		t.Fatal("clean line not served from store")
 	}
 }

@@ -141,17 +141,17 @@ type RemapCacheHitRateProvider interface {
 }
 
 // world tracks the functional value of dirty lines (written by cores but not
-// necessarily propagated to the memory controller yet) and generates write
-// values with per-sub-block version counters so compressibility evolves as
-// the paper's write-overflow analysis requires.
+// necessarily propagated to the memory controller yet) with per-sub-block
+// version counters, so compressibility evolves as the paper's write-overflow
+// analysis requires. A written line's value is datagen.FillLine at its
+// sub-block's version when the line was last written, so the world keeps
+// versions and makes a line's bytes only when it is written back.
 type world struct {
 	mix      datagen.Mix
 	store    *hybrid.Store
-	versions map[uint64]uint32 // (block<<3|sub) -> version
-	dirty    map[uint64][]byte // lineAddr -> latest value
-	// arena carves dirty-line buffers out of a shared slab, so the first
-	// write to each line costs 1/256th of an allocation instead of one.
-	arena []byte
+	versions map[uint64]uint32 // addr/SubBlockSize -> sub-block version
+	dirty    map[uint64]uint32 // lineAddr -> version at its last write
+	line     [hybrid.CachelineSize]byte
 }
 
 // worldSizeHint pre-sizes the world maps: runs touch thousands of distinct
@@ -165,39 +165,32 @@ func newWorld(mix datagen.Mix, store *hybrid.Store) *world {
 		mix:      mix,
 		store:    store,
 		versions: make(map[uint64]uint32, worldSizeHint),
-		dirty:    make(map[uint64][]byte, worldSizeHint),
+		dirty:    make(map[uint64]uint32, worldSizeHint),
 	}
 }
 
-// writeValue produces the next value of the line at addr. The returned slice
-// is the world's own buffer for the line and is rewritten in place by the
-// next write to the same line; callers must copy if they need the value to
-// outlive that.
-func (w *world) writeValue(addr uint64) []byte {
-	block := addr / hybrid.BlockSize
-	sub := int(addr % hybrid.BlockSize / hybrid.SubBlockSize)
-	line := int(addr % hybrid.SubBlockSize / hybrid.CachelineSize)
-	key := block<<3 | uint64(sub)
-	w.versions[key]++
-	buf, ok := w.dirty[addr]
-	if !ok {
-		if len(w.arena) < hybrid.CachelineSize {
-			w.arena = make([]byte, 256*hybrid.CachelineSize)
-		}
-		buf = w.arena[:hybrid.CachelineSize:hybrid.CachelineSize]
-		w.arena = w.arena[hybrid.CachelineSize:]
-		w.dirty[addr] = buf
-	}
-	datagen.FillLine(buf, block, sub, line, w.versions[key], w.mix.ClassFor(block))
-	return buf
+// writeValue records a core's write to the line at addr: it bumps the
+// sub-block's version, which is the line's new value.
+func (w *world) writeValue(addr uint64) {
+	key := addr / hybrid.SubBlockSize
+	v := w.versions[key] + 1
+	w.versions[key] = v
+	w.dirty[addr] = v
 }
 
 // lineData returns the latest functional value of a line (for writebacks).
+// A written line's bytes land in the world's one line buffer, rewritten by
+// the next call; callers must copy if they need the value to outlive that.
 func (w *world) lineData(addr uint64) []byte {
-	if d, ok := w.dirty[addr]; ok {
-		return d
+	v, ok := w.dirty[addr]
+	if !ok {
+		return w.store.Line(addr)
 	}
-	return w.store.Line(addr)
+	block := addr / hybrid.BlockSize
+	sub := int(addr % hybrid.BlockSize / hybrid.SubBlockSize)
+	line := int(addr % hybrid.SubBlockSize / hybrid.CachelineSize)
+	datagen.FillLine(w.line[:], block, sub, line, v, w.mix.ClassFor(block))
+	return w.line[:]
 }
 
 // coreClock is one ready core in the scheduling heap.

@@ -87,6 +87,15 @@ func FillSub(dst []byte, block uint64, sub int, version uint32, base Class) {
 	if len(dst) != 256 {
 		panic("datagen: FillSub needs a 256-byte destination")
 	}
+	fillPrefix(dst, block, sub, version, base)
+}
+
+// fillPrefix writes the first len(dst) bytes of FillSub's content into dst;
+// len(dst) is a multiple of 64 up to 256. Every class draws its words from
+// one sequential hash chain, so a prefix costs only the words it holds and
+// equals the leading bytes of the whole sub-block.
+func fillPrefix(dst []byte, block uint64, sub int, version uint32, base Class) {
+	n := len(dst)
 	c := effectiveClass(base, block, version)
 	seed := hash64(block<<8 | uint64(sub)<<3 | uint64(version)<<32 | uint64(c))
 	switch c {
@@ -95,13 +104,12 @@ func FillSub(dst []byte, block uint64, sub int, version uint32, base Class) {
 			dst[i] = 0
 		}
 		// A sparse handful of small values so the data is not pure zero.
-		if seed%4 == 0 {
-			off := int(seed % 63 * 4)
+		if off := int(seed % 63 * 4); seed%4 == 0 && off < n {
 			binary.LittleEndian.PutUint32(dst[off:], uint32(seed%100+1))
 		}
 	case ClassSmallInt:
 		x := seed
-		for off := 0; off < 256; off += 4 {
+		for off := 0; off < n; off += 4 {
 			x = hash64(x)
 			binary.LittleEndian.PutUint32(dst[off:], uint32(x%256))
 		}
@@ -112,7 +120,7 @@ func FillSub(dst []byte, block uint64, sub int, version uint32, base Class) {
 		// quantisation, including on 128-byte aligned chunks).
 		base := (seed &^ 0xFFFF) | 0x7F0000000000
 		x := seed
-		for off := 0; off < 256; off += 8 {
+		for off := 0; off < n; off += 8 {
 			x = hash64(x)
 			binary.LittleEndian.PutUint64(dst[off:], base|(x%(1<<9))*64)
 		}
@@ -122,7 +130,7 @@ func FillSub(dst []byte, block uint64, sub int, version uint32, base Class) {
 		// pattern captures at ~19 bits/word; sparse exact zeros bring the
 		// chunk under CF 2 on 128-byte aligned chunks.
 		x := seed
-		for off := 0; off < 256; off += 4 {
+		for off := 0; off < n; off += 4 {
 			x = hash64(x)
 			if x%4 == 0 {
 				binary.LittleEndian.PutUint32(dst[off:], 0)
@@ -132,7 +140,7 @@ func FillSub(dst []byte, block uint64, sub int, version uint32, base Class) {
 		}
 	default: // ClassRandom
 		x := seed
-		for off := 0; off < 256; off += 8 {
+		for off := 0; off < n; off += 8 {
 			x = hash64(x)
 			binary.LittleEndian.PutUint64(dst[off:], x)
 		}
@@ -151,20 +159,12 @@ func Filler(mix Mix) func(block uint64, dst *[2048]byte) {
 }
 
 // FillLine writes the 64-byte line content for a write at the given version
-// into dst (len(dst) must be at least 64), derived from the sub-block
-// content so written data stays consistent with the block's class. It is the
-// allocation-free form of LineContent.
+// into dst (len(dst) must be at least 64): bytes line*64 to (line+1)*64 of
+// FillSub's content, so written data stays consistent with the block's
+// class. It generates only the sub-block prefix that ends at the line.
 func FillLine(dst []byte, block uint64, sub, line int, version uint32, base Class) {
 	var buf [256]byte
-	FillSub(buf[:], block, sub, version, base)
-	copy(dst, buf[line*64:(line+1)*64])
-}
-
-// LineContent returns the 64-byte line content for a write at the given
-// version, derived from the sub-block content so written data stays
-// consistent with the block's class.
-func LineContent(block uint64, sub, line int, version uint32, base Class) []byte {
-	out := make([]byte, 64)
-	FillLine(out, block, sub, line, version, base)
-	return out
+	end := (line + 1) * 64
+	fillPrefix(buf[:end], block, sub, version, base)
+	copy(dst, buf[line*64:end])
 }

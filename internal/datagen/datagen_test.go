@@ -132,15 +132,36 @@ func TestFillerCoversBlock(t *testing.T) {
 	}
 }
 
-func TestLineContentConsistent(t *testing.T) {
-	line := LineContent(9, 2, 1, 4, ClassFloat)
+// TestFillLineIsSubBlockPrefix checks that FillLine, which generates only
+// the sub-block prefix ending at its line, returns exactly the matching 64
+// bytes of FillSub for every class, sub-block, line and version.
+func TestFillLineIsSubBlockPrefix(t *testing.T) {
 	var sub [256]byte
-	FillSub(sub[:], 9, 2, 4, ClassFloat)
-	if !bytes.Equal(line, sub[64:128]) {
-		t.Fatal("LineContent disagrees with FillSub")
+	line := make([]byte, 64)
+	for c := ClassZero; c < numClasses; c++ {
+		for block := uint64(0); block < 256; block++ {
+			for version := uint32(0); version <= 12; version++ {
+				for s := 0; s < 8; s++ {
+					FillSub(sub[:], block, s, version, c)
+					for l := 0; l < 4; l++ {
+						FillLine(line, block, s, l, version, c)
+						if !bytes.Equal(line, sub[l*64:(l+1)*64]) {
+							t.Fatalf("class %d block %d sub %d line %d version %d: FillLine disagrees with FillSub",
+								c, block, s, l, version)
+						}
+					}
+				}
+			}
+		}
 	}
-	if len(line) != 64 {
-		t.Fatalf("line length %d", len(line))
+}
+
+// BenchmarkFillLine times one line's content over every class and line
+// position (the runner generates one at each writeback of a written line).
+func BenchmarkFillLine(b *testing.B) {
+	line := make([]byte, 64)
+	for i := 0; i < b.N; i++ {
+		FillLine(line, uint64(i), i%8, i%4, uint32(i%5), Class(i%int(numClasses)))
 	}
 }
 

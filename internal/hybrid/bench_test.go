@@ -3,6 +3,7 @@ package hybrid
 import (
 	"testing"
 
+	"baryon/internal/datagen"
 	"baryon/internal/mem"
 	"baryon/internal/sim"
 )
@@ -28,5 +29,36 @@ func BenchmarkEngineSwap(b *testing.B) {
 		out := e.WriteSlowBG(e.ReadFastBG(now, frame, BlockSize), far, BlockSize)
 		in := e.FillFast(e.FetchSlow(now, far, BlockSize), frame, BlockSize)
 		now = max(out, in)
+	}
+}
+
+// BenchmarkStoreWriteLine times the first write of a line into a block on
+// a store filled by the uniform datagen mix, as an LLC writeback stores it.
+// One op is one block's first write; a fresh store is started after every
+// 4 MB of blocks. write-only never reads the block back, as Simple, Unison
+// and OSPaging do not; write-then-read reads its sub-block next, which runs
+// the block's fill, as a Baryon stage insert does.
+func BenchmarkStoreWriteLine(b *testing.B) {
+	fill := datagen.Filler(datagen.UniformMix())
+	const blocks = 2048
+	for _, bc := range []struct {
+		name string
+		read bool
+	}{{"write-only", false}, {"write-then-read", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			line := make([]byte, CachelineSize)
+			var s *Store
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%blocks == 0 {
+					s = NewStore(func(blk BlockID, dst *[BlockSize]byte) { fill(uint64(blk), dst) })
+				}
+				addr := uint64(i%blocks)*BlockSize + uint64(i/blocks%(BlockSize/CachelineSize))*CachelineSize
+				s.WriteLine(addr, line)
+				if bc.read {
+					s.Sub(BlockOf(addr), SubOf(addr))
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"baryon/internal/sim"
 )
 
 func TestGeometryHelpers(t *testing.T) {
@@ -118,4 +120,56 @@ func TestStoreBytesWithinBlock(t *testing.T) {
 		}
 	}()
 	s.Bytes(BlockSize-10, 20)
+}
+
+// TestStoreLazyFillMatchesEager drives a seeded random mix of line writes
+// and reads through every view, and checks each read against an eager
+// reference that fills a block on its first touch and copies writes in.
+func TestStoreLazyFillMatchesEager(t *testing.T) {
+	fill := func(b BlockID, dst *[BlockSize]byte) {
+		for i := range dst {
+			dst[i] = byte(uint64(b)*31 + uint64(i)*7 + uint64(i)>>8)
+		}
+	}
+	s := NewStore(fill)
+	ref := map[BlockID]*[BlockSize]byte{}
+	refBlock := func(b BlockID) *[BlockSize]byte {
+		if blk, ok := ref[b]; ok {
+			return blk
+		}
+		blk := new([BlockSize]byte)
+		fill(b, blk)
+		ref[b] = blk
+		return blk
+	}
+	rng := sim.NewRNG(21)
+	const blocks = 64
+	for i := 0; i < 20000; i++ {
+		addr := rng.Uint64n(blocks*BlockSize) &^ (CachelineSize - 1)
+		b, off := BlockOf(addr), addr%BlockSize
+		var got, want []byte
+		switch op := rng.Intn(10); {
+		case op < 6:
+			data := make([]byte, CachelineSize)
+			for j := range data {
+				data[j] = byte(rng.Uint32())
+			}
+			s.WriteLine(addr, data)
+			copy(refBlock(b)[off:], data)
+			continue
+		case op == 6:
+			got, want = s.Line(addr), refBlock(b)[off:off+CachelineSize]
+		case op == 7:
+			sub := SubOf(addr)
+			got, want = s.Sub(b, sub), refBlock(b)[sub*SubBlockSize:(sub+1)*SubBlockSize]
+		case op == 8:
+			n := int(rng.Uint64n(BlockSize-off)) + 1
+			got, want = s.Bytes(addr, n), refBlock(b)[off:off+uint64(n)]
+		default:
+			got, want = s.Block(b)[:], refBlock(b)[:]
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d at %#x: lazy store diverged from the eager reference", i, addr)
+		}
+	}
 }

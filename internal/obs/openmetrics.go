@@ -12,10 +12,11 @@ import (
 )
 
 // OpenMetrics export of a run's metric registry. The renderer turns an
-// immutable sim.Snapshot — counters, float accumulators and histograms —
-// into OpenMetrics text (the Prometheus exposition format's standardised
-// successor): counters become `<name>_total` counter families, histograms
-// become cumulative `_bucket`/`_sum`/`_count` families. Device-scoped
+// immutable sim.Snapshot — counters, float accumulators, gauges and
+// histograms — into OpenMetrics text (the Prometheus exposition format's
+// standardised successor): counters become `<name>_total` counter families,
+// gauges unsuffixed gauge families, histograms cumulative
+// `_bucket`/`_sum`/`_count` families. Device-scoped
 // metrics ("DDR4-3200.bytesRead") are folded into shared families with a
 // `tier` label, so a multi-tier run exposes one `baryon_device_bytesRead`
 // family with one series per device instead of one family per device name.
@@ -141,10 +142,10 @@ func omGroup(names []string, devices map[string]bool) []omFamily {
 
 // WriteOpenMetrics renders the snapshot as an OpenMetrics text exposition:
 // counter and float-accumulator families first (both are monotone within a
-// window, so both render as counters), then histogram families with
-// cumulative buckets, closed by the mandatory "# EOF" terminator. Output is
-// deterministic: families and series are sorted, floats use the shortest
-// round-trip encoding.
+// window, so both render as counters), then unsuffixed gauge families, then
+// histogram families with cumulative buckets, closed by the mandatory
+// "# EOF" terminator. Output is deterministic: families and series are
+// sorted, floats use the shortest round-trip encoding.
 func WriteOpenMetrics(w io.Writer, snap sim.Snapshot, opts OMOptions) error {
 	bw := bufio.NewWriter(w)
 	devices := omDeviceScopes(snap)
@@ -162,6 +163,13 @@ func WriteOpenMetrics(w io.Writer, snap sim.Snapshot, opts OMOptions) error {
 		for _, s := range fam.series {
 			fmt.Fprintf(bw, "%s_total%s %s\n", name, omLabels(opts, s.tier),
 				strconv.FormatFloat(snap.GetFloat(s.name), 'g', -1, 64))
+		}
+	}
+	for _, fam := range omGroup(snap.GaugeNames(), devices) {
+		name := omNamePrefix + fam.family
+		fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
+		for _, s := range fam.series {
+			fmt.Fprintf(bw, "%s%s %d\n", name, omLabels(opts, s.tier), snap.GetGauge(s.name))
 		}
 	}
 	var buckets []sim.CumBucket

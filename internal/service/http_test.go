@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -156,6 +157,45 @@ func TestHTTPMetricsLint(t *testing.T) {
 	}
 	if err := obs.LintOpenMetrics(resp.Body); err != nil {
 		t.Fatalf("/metrics is not valid OpenMetrics: %v", err)
+	}
+}
+
+// TestHTTPMetricsGauges checks that the point-in-time queue and cache values
+// on /metrics are typed gauge with unsuffixed samples, so a rate() over them
+// is never taken, while the cumulative job counts stay counters.
+func TestHTTPMetricsGauges(t *testing.T) {
+	_, c := testServer(t)
+	if _, _, _, err := c.RunSync(context.Background(), quickJob); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(c.Base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintOpenMetrics(bytes.NewReader(body)); err != nil {
+		t.Fatalf("/metrics is not valid OpenMetrics: %v", err)
+	}
+	out := string(body)
+	for _, fam := range []string{"queue_running", "queue_waiting", "queue_queued",
+		"queue_syncWaiters", "cache_entries", "cache_degraded"} {
+		name := "baryon_" + fam
+		if !strings.Contains(out, "# TYPE "+name+" gauge\n") {
+			t.Errorf("%s is not typed gauge", name)
+		}
+		if strings.Contains(out, name+"_total") {
+			t.Errorf("%s has a _total sample", name)
+		}
+		if !strings.Contains(out, "\n"+name+" ") {
+			t.Errorf("%s has no unsuffixed sample", name)
+		}
+	}
+	if !strings.Contains(out, "# TYPE baryon_jobs_completed counter\nbaryon_jobs_completed_total 1\n") {
+		t.Errorf("jobs.completed is not a counter at 1:\n%s", out)
 	}
 }
 

@@ -521,8 +521,9 @@ func (s *Service) Wait(ctx context.Context) error {
 	}
 }
 
-// MetricsSnapshot renders the service's cache and queue gauges as a
-// registry snapshot for the PR 8 OpenMetrics path (obs.WriteOpenMetrics).
+// MetricsSnapshot renders the service's cache and job counters and its
+// queue and cache gauges as a registry snapshot for the OpenMetrics path
+// (obs.WriteOpenMetrics).
 func (s *Service) MetricsSnapshot() sim.Snapshot {
 	st := sim.NewStats()
 	cs := s.cache.Stats()
@@ -530,25 +531,25 @@ func (s *Service) MetricsSnapshot() sim.Snapshot {
 	st.Counter("cache.diskHits").Add(cs.DiskHits)
 	st.Counter("cache.misses").Add(cs.Misses)
 	st.Counter("cache.evictions").Add(cs.Evictions)
-	st.Counter("cache.entries").Add(uint64(cs.Entries))
+	st.Gauge("cache.entries").Set(int64(cs.Entries))
 	st.Counter("cache.corrupt").Add(cs.Corrupt)
 	st.Counter("cache.quarantined").Add(cs.Quarantined)
 	st.Counter("cache.diskError").Add(cs.DiskErrors)
 	st.Counter("cache.recoveredTmp").Add(cs.RecoveredTmp)
+	degraded := int64(0)
 	if cs.Degraded {
-		st.Counter("cache.degraded").Add(1)
-	} else {
-		st.Counter("cache.degraded").Add(0)
+		degraded = 1
 	}
+	st.Gauge("cache.degraded").Set(degraded)
 	st.Counter("jobs.submitted").Add(s.submitted.Load())
 	st.Counter("jobs.completed").Add(s.completed.Load())
 	st.Counter("jobs.failed").Add(s.failed.Load())
 	st.Counter("jobs.collapsed").Add(s.collapsed.Load())
 	st.Counter("jobs.simulations").Add(s.simulations.Load())
-	st.Counter("queue.running").Add(uint64(len(s.sem)))
-	st.Counter("queue.waiting").Add(s.waiting.Load())
-	st.Counter("queue.queued").Add(uint64(max(0, s.asyncPending.Load())))
-	st.Counter("queue.syncWaiters").Add(uint64(max(0, s.syncWaiters.Load())))
+	st.Gauge("queue.running").Set(int64(len(s.sem)))
+	st.Gauge("queue.waiting").Set(int64(s.waiting.Load()))
+	st.Gauge("queue.queued").Set(max(0, s.asyncPending.Load()))
+	st.Gauge("queue.syncWaiters").Set(max(0, s.syncWaiters.Load()))
 	st.Counter("admission.rejected").Add(s.admissionRejected.Load())
 	st.Counter("deadline.exceeded").Add(s.deadlinesExceeded.Load())
 	return st.Snapshot()

@@ -124,6 +124,33 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsGaugeDeltaKeepsValue checks that a gauge is a point-in-time
+// value: snapshots carry it, and a window delta keeps the current value
+// instead of subtracting, even when the gauge went down.
+func TestStatsGaugeDeltaKeepsValue(t *testing.T) {
+	s := NewStats()
+	g := s.Scope("queue").Gauge("running")
+	if s.Gauge("queue.running") != g {
+		t.Fatal("Gauge not idempotent across scopes")
+	}
+	g.Set(5)
+	base := s.Snapshot()
+	if got := base.GetGauge("queue.running"); got != 5 {
+		t.Fatalf("snapshot gauge = %d, want 5", got)
+	}
+	g.Set(2)
+	d := s.Delta(base)
+	if got := d.GetGauge("queue.running"); got != 2 {
+		t.Fatalf("delta gauge = %d, want the current value 2", got)
+	}
+	if names := d.GaugeNames(); len(names) != 1 || names[0] != "queue.running" {
+		t.Fatalf("gauge names = %v", names)
+	}
+	if names := d.CounterNames(); len(names) != 0 {
+		t.Fatalf("a gauge leaked into the counters: %v", names)
+	}
+}
+
 func TestSamplePercentiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {

@@ -42,6 +42,15 @@ func (f *FloatAccum) Value() float64 { return f.v }
 // Name returns the accumulator's fully-qualified registered name.
 func (f *FloatAccum) Name() string { return f.name }
 
+// Gauge is a point-in-time value (a queue depth, a cache size) that can go
+// down as well as up. Window deltas keep a gauge's current value.
+type Gauge struct {
+	v int64
+}
+
+// Set replaces the gauge's value.
+func (g *Gauge) Set(v int64) { g.v = v }
+
 // registry is the single shared store behind every Stats view of a run:
 // one registry owns every counter, however deep the component that
 // registered it sits in the hierarchy.
@@ -50,6 +59,7 @@ type registry struct {
 	counters map[string]*Counter
 	forder   []string
 	floats   map[string]*FloatAccum
+	gauges   map[string]*Gauge
 	horder   []string
 	hists    map[string]*Histogram
 }
@@ -76,6 +86,7 @@ func NewStats() *Stats {
 	return &Stats{reg: &registry{
 		counters: make(map[string]*Counter),
 		floats:   make(map[string]*FloatAccum),
+		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}}
 }
@@ -114,6 +125,18 @@ func (s *Stats) Float(name string) *FloatAccum {
 	s.reg.floats[full] = f
 	s.reg.forder = append(s.reg.forder, full)
 	return f
+}
+
+// Gauge returns the gauge with the given name under this view's scope,
+// creating it on first use.
+func (s *Stats) Gauge(name string) *Gauge {
+	full := s.prefix + name
+	if g, ok := s.reg.gauges[full]; ok {
+		return g
+	}
+	g := &Gauge{}
+	s.reg.gauges[full] = g
+	return g
 }
 
 // Histogram returns the latency histogram with the given name under this
@@ -190,8 +213,8 @@ func (s *Stats) FloatNames() []string {
 	return out
 }
 
-// Reset zeroes every counter, accumulator and histogram visible to this
-// view but keeps the registrations.
+// Reset zeroes every counter, accumulator, gauge and histogram visible to
+// this view but keeps the registrations.
 func (s *Stats) Reset() {
 	for name, c := range s.reg.counters {
 		if strings.HasPrefix(name, s.prefix) {
@@ -201,6 +224,11 @@ func (s *Stats) Reset() {
 	for name, f := range s.reg.floats {
 		if strings.HasPrefix(name, s.prefix) {
 			f.v = 0
+		}
+	}
+	for name, g := range s.reg.gauges {
+		if strings.HasPrefix(name, s.prefix) {
+			g.v = 0
 		}
 	}
 	for name, h := range s.reg.hists {
@@ -232,6 +260,7 @@ func (s *Stats) String() string {
 type Snapshot struct {
 	counters map[string]uint64
 	floats   map[string]float64
+	gauges   map[string]int64
 	hists    map[string]Histogram
 }
 
@@ -243,6 +272,7 @@ func (s *Stats) Snapshot() Snapshot {
 	sn := Snapshot{
 		counters: make(map[string]uint64, len(s.reg.counters)),
 		floats:   make(map[string]float64, len(s.reg.floats)),
+		gauges:   make(map[string]int64, len(s.reg.gauges)),
 		hists:    make(map[string]Histogram, len(s.reg.hists)),
 	}
 	for name, c := range s.reg.counters {
@@ -255,6 +285,11 @@ func (s *Stats) Snapshot() Snapshot {
 			sn.floats[name] = f.v
 		}
 	}
+	for name, g := range s.reg.gauges {
+		if strings.HasPrefix(name, s.prefix) {
+			sn.gauges[name] = g.v
+		}
+	}
 	for name, h := range s.reg.hists {
 		if strings.HasPrefix(name, s.prefix) {
 			sn.hists[name] = *h
@@ -265,12 +300,14 @@ func (s *Stats) Snapshot() Snapshot {
 
 // Delta returns the per-metric change since snap, as a new Snapshot whose
 // values are current-minus-snapshotted. Counters registered after snap was
-// taken delta against zero. Like Snapshot, Delta reads the live registry
+// taken delta against zero. Gauges are not cumulative, so the delta keeps
+// their current values. Like Snapshot, Delta reads the live registry
 // and must run on the run's own goroutine.
 func (s *Stats) Delta(snap Snapshot) Snapshot {
 	d := Snapshot{
 		counters: make(map[string]uint64, len(s.reg.counters)),
 		floats:   make(map[string]float64, len(s.reg.floats)),
+		gauges:   make(map[string]int64, len(s.reg.gauges)),
 		hists:    make(map[string]Histogram, len(s.reg.hists)),
 	}
 	for name, c := range s.reg.counters {
@@ -281,6 +318,11 @@ func (s *Stats) Delta(snap Snapshot) Snapshot {
 	for name, f := range s.reg.floats {
 		if strings.HasPrefix(name, s.prefix) {
 			d.floats[name] = f.v - snap.floats[name]
+		}
+	}
+	for name, g := range s.reg.gauges {
+		if strings.HasPrefix(name, s.prefix) {
+			d.gauges[name] = g.v
 		}
 	}
 	for name, h := range s.reg.hists {
@@ -297,6 +339,9 @@ func (sn Snapshot) Get(name string) uint64 { return sn.counters[name] }
 // GetFloat returns the snapshotted value of a fully-qualified accumulator
 // name.
 func (sn Snapshot) GetFloat(name string) float64 { return sn.floats[name] }
+
+// GetGauge returns the snapshotted value of a fully-qualified gauge name.
+func (sn Snapshot) GetGauge(name string) int64 { return sn.gauges[name] }
 
 // DeltaOf returns how much counter c has advanced since the snapshot was
 // taken. Counters registered after the snapshot delta against zero.
@@ -325,6 +370,9 @@ func (sn Snapshot) CounterNames() []string { return sortedKeys(sn.counters) }
 
 // FloatNames returns every float-accumulator name in the snapshot, sorted.
 func (sn Snapshot) FloatNames() []string { return sortedKeys(sn.floats) }
+
+// GaugeNames returns every gauge name in the snapshot, sorted.
+func (sn Snapshot) GaugeNames() []string { return sortedKeys(sn.gauges) }
 
 // HistNames returns every histogram name in the snapshot, sorted.
 func (sn Snapshot) HistNames() []string { return sortedKeys(sn.hists) }
