@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 	"baryon/internal/obs"
 	"baryon/internal/trace"
@@ -21,9 +20,6 @@ import (
 func TestSingleRunAllocs(t *testing.T) {
 	cfg := benchConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	newRunner := func() *cpu.Runner {
-		return cpu.NewRunner(cfg, w, experiment.Factory(experiment.DesignBaryon))
-	}
 	const window = 1000 // accesses per core in one steady-state window
 
 	for _, c := range []struct {
@@ -44,9 +40,11 @@ func TestSingleRunAllocs(t *testing.T) {
 		// sampling, as BenchmarkSingleRunTraced runs it.
 		{"traced", 1377, func(t *testing.T) float64 {
 			return testing.AllocsPerRun(2, func() {
-				r := newRunner()
+				r := baryonRunner(cfg, w)
 				r.SetTracer(obs.NewTracer(64, 0))
-				r.Run()
+				if _, err := r.RunCtx(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}},
 		// Windows 7 and 8 of 1000 accesses per core, after a warm-up of
@@ -56,7 +54,7 @@ func TestSingleRunAllocs(t *testing.T) {
 		{"steady", 23, func(t *testing.T) float64 {
 			least := math.Inf(1)
 			for range 5 {
-				s := newRunner().Stepper()
+				s := baryonRunner(cfg, w).Stepper()
 				s.Window(cfg.AccessesPerCore)
 				for range 5 {
 					s.Window(window)

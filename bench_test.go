@@ -246,8 +246,7 @@ func BenchmarkSingleRun(b *testing.B) {
 func BenchmarkSingleRunSteadyState(b *testing.B) {
 	cfg := benchConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	r := cpu.NewRunner(cfg, w, experiment.Factory(experiment.DesignBaryon))
-	s := r.Stepper()
+	s := baryonRunner(cfg, w).Stepper()
 	s.Window(cfg.AccessesPerCore) // fill caches, buffer pools and slabs
 	const windowPerCore = 1000
 	b.ReportAllocs()
@@ -268,11 +267,21 @@ func BenchmarkSingleRunTraced(b *testing.B) {
 	w, _ := trace.ByName("505.mcf_r")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := cpu.NewRunner(cfg, w, experiment.Factory(experiment.DesignBaryon))
+		r := baryonRunner(cfg, w)
 		r.SetTracer(obs.NewTracer(64, 0))
-		res := r.Run()
+		res, err := r.RunCtx(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Cycles == 0 {
 			b.Fatal("no cycles")
 		}
 	}
+}
+
+// baryonRunner builds a runner for Baryon on w with the controller factory
+// RunPairCtx uses.
+func baryonRunner(cfg config.Config, w trace.Workload) *cpu.Runner {
+	spec, _ := experiment.Lookup(experiment.DesignBaryon)
+	return cpu.NewRunnerSource(cfg, w, experiment.FactorySpec(spec))
 }

@@ -16,7 +16,7 @@ func tableI() []hybrid.TierSpec {
 	return []hybrid.TierSpec{{Cfg: mem.DDR4Config()}, {Cfg: mem.NVMConfig()}}
 }
 
-var testMix = datagen.UniformMix()
+var testMix = datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 
 func testStore() *hybrid.Store {
 	return hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
@@ -28,7 +28,8 @@ func testStore() *hybrid.Store {
 func testLine(addr uint64) []byte {
 	line := make([]byte, hybrid.CachelineSize)
 	b := uint64(hybrid.BlockOf(addr))
-	datagen.FillLine(line, b, hybrid.SubOf(addr), hybrid.LineOf(addr), 0, testMix.ClassFor(b))
+	sub := int(addr % hybrid.BlockSize / hybrid.SubBlockSize)
+	datagen.FillLine(line, b, sub, int(addr%hybrid.SubBlockSize/hybrid.CachelineSize), 0, testMix.ClassFor(b))
 	return line
 }
 
@@ -38,7 +39,6 @@ func testLine(addr uint64) []byte {
 func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footprint uint64, seed uint64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
-	peeker := ctrl.(hybrid.DataPeeker)
 	written := make(map[uint64][]byte)
 	now := uint64(0)
 	for i := 0; i < accesses; i++ {
@@ -50,7 +50,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 			}
 			ctrl.Access(now, addr, true, data)
 			written[addr] = data
-			if got := peeker.PeekLine(addr); !bytes.Equal(got, data) {
+			if got := ctrl.PeekLine(addr); !bytes.Equal(got, data) {
 				t.Fatalf("%s: write not visible at %x", ctrl.Name(), addr)
 			}
 		} else {
@@ -59,7 +59,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 			if !ok {
 				want = testLine(addr)
 			}
-			if got := peeker.PeekLine(addr); !bytes.Equal(got, want) {
+			if got := ctrl.PeekLine(addr); !bytes.Equal(got, want) {
 				t.Fatalf("%s: read mismatch at %x\n got %x\nwant %x", ctrl.Name(), addr, got, want)
 			}
 			if res.Done < now {
@@ -73,7 +73,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 func TestSimpleBasics(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, store, stats, tableI())
+	s := NewSimple(64, 4, nil, store, stats, tableI())
 	driveController(t, s, 20000, 1<<20, 7)
 	if stats.Get("simple.hits") == 0 || stats.Get("simple.misses") == 0 {
 		t.Fatalf("hits=%d misses=%d; want both nonzero",
@@ -89,8 +89,10 @@ func TestSimpleBasics(t *testing.T) {
 // timing only.
 func TestReadsLeaveStoreUntouched(t *testing.T) {
 	for _, mk := range []func(*hybrid.Store) hybrid.Controller{
-		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, st, sim.NewStats(), tableI()) },
-		func(st *hybrid.Store) hybrid.Controller { return NewUnison(128, 4, st, sim.NewStats(), 2, tableI()) },
+		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, nil, st, sim.NewStats(), tableI()) },
+		func(st *hybrid.Store) hybrid.Controller {
+			return NewUnison(128, 4, nil, st, sim.NewStats(), 2, tableI())
+		},
 		func(st *hybrid.Store) hybrid.Controller { return NewOSPaging(1<<20, st, sim.NewStats(), tableI()) },
 	} {
 		store := testStore()
@@ -112,8 +114,10 @@ func TestReadsLeaveStoreUntouched(t *testing.T) {
 // filled on its first read, and these designs never read one.
 func TestWriteOnlyStoreNeverFills(t *testing.T) {
 	for _, mk := range []func(*hybrid.Store) hybrid.Controller{
-		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, st, sim.NewStats(), tableI()) },
-		func(st *hybrid.Store) hybrid.Controller { return NewUnison(128, 4, st, sim.NewStats(), 2, tableI()) },
+		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, nil, st, sim.NewStats(), tableI()) },
+		func(st *hybrid.Store) hybrid.Controller {
+			return NewUnison(128, 4, nil, st, sim.NewStats(), 2, tableI())
+		},
 		func(st *hybrid.Store) hybrid.Controller { return NewOSPaging(1<<20, st, sim.NewStats(), tableI()) },
 	} {
 		fills := 0
@@ -145,7 +149,7 @@ func TestWriteOnlyStoreNeverFills(t *testing.T) {
 func TestSimpleWholeBlockTraffic(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, store, stats, tableI())
+	s := NewSimple(64, 4, nil, store, stats, tableI())
 	s.Access(0, 0, false, nil)
 	// A single miss fills a whole 2 kB block from slow memory.
 	if got := stats.Get("NVM.bytesRead"); got < hybrid.BlockSize {
@@ -156,7 +160,7 @@ func TestSimpleWholeBlockTraffic(t *testing.T) {
 func TestUnisonFootprintLearning(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(16, 4, store, stats, 1, tableI())
+	u := NewUnison(16, 4, nil, store, stats, 1, tableI())
 	// Touch two sub-blocks of block 0, then force an eviction by filling
 	// the set, then return: the footprint should be prefetched.
 	u.Access(0, 0, false, nil)
@@ -176,7 +180,7 @@ func TestUnisonFootprintLearning(t *testing.T) {
 func TestUnisonDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(128, 4, store, stats, 2, tableI())
+	u := NewUnison(128, 4, nil, store, stats, 2, tableI())
 	driveController(t, u, 20000, 2<<20, 8)
 	if stats.Get("unison.blockMisses") == 0 || stats.Get("unison.subHits") == 0 {
 		t.Fatal("unison did not exercise hit and miss paths")
@@ -257,8 +261,8 @@ func TestHybrid2Drive(t *testing.T) {
 
 func TestControllersImplementInterface(t *testing.T) {
 	store := testStore()
-	var _ hybrid.Controller = NewSimple(16, 4, store, sim.NewStats(), tableI())
-	var _ hybrid.Controller = NewUnison(16, 4, store, sim.NewStats(), 1, tableI())
+	var _ hybrid.Controller = NewSimple(16, 4, nil, store, sim.NewStats(), tableI())
+	var _ hybrid.Controller = NewUnison(16, 4, nil, store, sim.NewStats(), 1, tableI())
 	var _ hybrid.Controller = NewDICE(1<<14, store, sim.NewStats(), 5, tableI())
 	cfg := config.Scaled()
 	cfg.FastBytes = 1 << 20

@@ -3,7 +3,6 @@ package baselines
 import (
 	"baryon/internal/compress"
 	"baryon/internal/hybrid"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -27,7 +26,6 @@ import (
 type DICE struct {
 	eng   *hybrid.Engine
 	store *hybrid.Store
-	stats *sim.Stats
 	comp  *compress.Compressor
 
 	dir               *hybrid.Dir[diceSlot]
@@ -37,9 +35,6 @@ type DICE struct {
 	accesses, hits, misses, writebacks *sim.Counter
 	servedFast, decompressions         *sim.Counter
 }
-
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (d *DICE) SetTracer(t *obs.Tracer) { d.eng.SetTracer(t) }
 
 // diceSlot is the directory payload of one direct-mapped slot; the run id
 // lives in the way's Key.
@@ -53,7 +48,7 @@ type diceSlot struct {
 // the device topology (tier 0 = fast).
 func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompressLatency uint64, tiers []hybrid.TierSpec) *DICE {
 	d := &DICE{
-		store: store, stats: stats,
+		store:             store,
 		comp:              compress.New(true),
 		eng:               hybrid.NewEngineTiers(tiers, stats),
 		dir:               hybrid.NewDirSets[diceSlot](fastBytes/hybrid.CachelineSize, 1),
@@ -75,11 +70,8 @@ func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompress
 // Name identifies the design.
 func (d *DICE) Name() string { return "DICE" }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
+// Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (d *DICE) Engine() *hybrid.Engine { return d.eng }
-
-// Stats returns the counter collection.
-func (d *DICE) Stats() *sim.Stats { return d.stats }
 
 // groupCF computes (and caches) the quantised CF of the 4-line group.
 func (d *DICE) groupCF(group uint64) uint8 {
@@ -212,5 +204,5 @@ func (d *DICE) writebackSlot(now uint64, meta *hybrid.WayMeta, slot *diceSlot) {
 	slot.dirty = 0
 }
 
-// PeekLine implements hybrid.DataPeeker.
+// PeekLine implements hybrid.Controller.
 func (d *DICE) PeekLine(addr uint64) []byte { return d.store.Line(addr) }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"baryon/internal/hybrid"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -18,7 +17,6 @@ import (
 type OSPaging struct {
 	eng   *hybrid.Engine
 	store *hybrid.Store
-	stats *sim.Stats
 
 	fastPages int // capacity of the fast tier in 4 kB pages
 
@@ -36,9 +34,6 @@ type OSPaging struct {
 
 	hits, misses, migrations, writebacks *sim.Counter
 }
-
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (o *OSPaging) SetTracer(t *obs.Tracer) { o.eng.SetTracer(t) }
 
 // osPageSize is the migration granularity (4 kB OS pages = 2 blocks).
 const osPageSize = 4096
@@ -59,7 +54,6 @@ func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers 
 	o := &OSPaging{
 		eng:        hybrid.NewEngineTiers(tiers, stats),
 		store:      store,
-		stats:      stats,
 		fastPages:  int(fastBytes / osPageSize),
 		inFast:     make(map[uint64]bool),
 		hotness:    make(map[uint64]uint32),
@@ -80,11 +74,8 @@ func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers 
 // Name identifies the design.
 func (o *OSPaging) Name() string { return "OSPaging" }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
+// Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (o *OSPaging) Engine() *hybrid.Engine { return o.eng }
-
-// Stats returns the counter collection.
-func (o *OSPaging) Stats() *sim.Stats { return o.stats }
 
 // Access implements hybrid.Controller.
 func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
@@ -207,5 +198,5 @@ func (o *OSPaging) epoch(now uint64) {
 	}
 }
 
-// PeekLine implements hybrid.DataPeeker.
+// PeekLine implements hybrid.Controller.
 func (o *OSPaging) PeekLine(addr uint64) []byte { return o.store.Line(addr) }

@@ -18,7 +18,6 @@ package baselines
 
 import (
 	"baryon/internal/hybrid"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -27,7 +26,6 @@ import (
 type Simple struct {
 	eng   *hybrid.Engine
 	store *hybrid.Store
-	stats *sim.Stats
 
 	dir   *hybrid.Dir[simpleWay]
 	rep   hybrid.Replacer
@@ -45,22 +43,18 @@ type simpleWay struct {
 	dirty bool
 }
 
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (s *Simple) SetTracer(t *obs.Tracer) { s.eng.SetTracer(t) }
-
-// SetReplacer overrides the replacement policy (default LRU). Intended for
-// DesignSpec policy knobs; call before the first access.
-func (s *Simple) SetReplacer(r hybrid.Replacer) { s.rep = r }
-
 // NewSimple builds the Simple baseline with fastBlocks block frames at the
-// given associativity over an osBlocks physical space. tiers is the
+// given associativity, replacing victims by rep (nil = LRU). tiers is the
 // device topology (tier 0 = fast).
-func NewSimple(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
+func NewSimple(fastBlocks uint64, assoc int, rep hybrid.Replacer, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
+	if rep == nil {
+		rep = hybrid.LRU{}
+	}
 	s := &Simple{
-		store: store, stats: stats, assoc: assoc,
+		store: store, assoc: assoc,
 		eng: hybrid.NewEngineTiers(tiers, stats),
 		dir: hybrid.NewDir[simpleWay](fastBlocks, assoc),
-		rep: hybrid.LRU{},
+		rep: rep,
 		// Remap metadata lookup (on-chip remap cache path).
 		metaLatency: 3,
 	}
@@ -78,11 +72,8 @@ func NewSimple(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Sta
 // Name identifies the design.
 func (s *Simple) Name() string { return "Simple" }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
+// Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (s *Simple) Engine() *hybrid.Engine { return s.eng }
-
-// Stats returns the counter collection.
-func (s *Simple) Stats() *sim.Stats { return s.stats }
 
 // Access implements hybrid.Controller.
 func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
@@ -139,5 +130,5 @@ func (s *Simple) frameAddr(block uint64, way int) uint64 {
 	return (block%s.dir.Sets())*uint64(s.assoc)*hybrid.BlockSize + uint64(way)*hybrid.BlockSize
 }
 
-// PeekLine implements hybrid.DataPeeker (the store is always current).
+// PeekLine implements hybrid.Controller (the store is always current).
 func (s *Simple) PeekLine(addr uint64) []byte { return s.store.Line(addr) }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"baryon/internal/hybrid"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -21,7 +20,6 @@ import (
 type Unison struct {
 	eng   *hybrid.Engine
 	store *hybrid.Store
-	stats *sim.Stats
 	rng   *sim.RNG
 
 	dir   *hybrid.Dir[unisonWay]
@@ -42,13 +40,6 @@ type Unison struct {
 	wayMispredicts, writebacks, servedFast               *sim.Counter
 }
 
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (u *Unison) SetTracer(t *obs.Tracer) { u.eng.SetTracer(t) }
-
-// SetReplacer overrides the replacement policy (default LRU). Intended for
-// DesignSpec policy knobs; call before the first access.
-func (u *Unison) SetReplacer(r hybrid.Replacer) { u.rep = r }
-
 // unisonWay is the directory payload: sub-block presence/dirty/footprint
 // bitmaps plus the class-history key.
 type unisonWay struct {
@@ -65,14 +56,17 @@ const wayPredictAccuracy = 0.95
 // unisonSub is the 64 B sub-block size of Unison Cache.
 const unisonSub = 64
 
-// NewUnison builds the Unison baseline. tiers is the device topology
-// (tier 0 = fast).
-func NewUnison(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
+// NewUnison builds the Unison baseline, replacing victims by rep (nil =
+// LRU). tiers is the device topology (tier 0 = fast).
+func NewUnison(fastBlocks uint64, assoc int, rep hybrid.Replacer, store *hybrid.Store, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
+	if rep == nil {
+		rep = hybrid.LRU{}
+	}
 	u := &Unison{
-		store: store, stats: stats, assoc: assoc,
+		store: store, assoc: assoc,
 		eng:     hybrid.NewEngineTiers(tiers, stats),
 		dir:     hybrid.NewDir[unisonWay](fastBlocks, assoc),
-		rep:     hybrid.LRU{},
+		rep:     rep,
 		rng:     sim.NewRNG(seed ^ 0x0550A11),
 		history: make(map[uint64]uint32),
 	}
@@ -93,11 +87,8 @@ func NewUnison(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Sta
 // Name identifies the design.
 func (u *Unison) Name() string { return "UnisonCache" }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
+// Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (u *Unison) Engine() *hybrid.Engine { return u.eng }
-
-// Stats returns the counter collection.
-func (u *Unison) Stats() *sim.Stats { return u.stats }
 
 func (u *Unison) frameAddr(set uint64, way int) uint64 {
 	return (set*uint64(u.assoc) + uint64(way)) * hybrid.BlockSize
@@ -200,5 +191,5 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	return res
 }
 
-// PeekLine implements hybrid.DataPeeker.
+// PeekLine implements hybrid.Controller.
 func (u *Unison) PeekLine(addr uint64) []byte { return u.store.Line(addr) }

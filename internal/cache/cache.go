@@ -66,15 +66,6 @@ func New(cfg Config, stats *sim.Stats) *Cache {
 	return c
 }
 
-// Hits returns the typed handle of the level's hit counter.
-func (c *Cache) Hits() *sim.Counter { return c.hits }
-
-// Misses returns the typed handle of the level's miss counter.
-func (c *Cache) Misses() *sim.Counter { return c.misses }
-
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // index returns the set of the line at addr.
 func (c *Cache) index(addr uint64) int {
 	line := addr / hybrid.CachelineSize
@@ -129,20 +120,6 @@ type Victim struct {
 	Addr  uint64
 	Dirty bool
 	Valid bool
-}
-
-// Install inserts the line at addr (line-aligned), evicting the LRU way if
-// the set is full. It returns the displaced victim, if any. Installing an
-// already-present line just refreshes it.
-func (c *Cache) Install(addr uint64, dirty bool) Victim {
-	if _, s := c.find(addr); s >= 0 {
-		c.tick++
-		c.lru[s] = c.tick
-		c.dirty[s] = c.dirty[s] || dirty
-		return Victim{}
-	}
-	v, _ := c.installAbsent(addr, dirty)
-	return v
 }
 
 // installAbsent installs addr, which must be absent, and returns the

@@ -77,7 +77,6 @@ func TestDirtyLines(t *testing.T) {
 
 // controller stub records accesses for hierarchy tests.
 type stubCtrl struct {
-	stats  *sim.Stats
 	reads  []uint64
 	writes []uint64
 }
@@ -93,13 +92,14 @@ func (s *stubCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 		Prefetched: []uint64{addr ^ 64},
 	}
 }
-func (s *stubCtrl) Stats() *sim.Stats { return s.stats }
-func (s *stubCtrl) Name() string      { return "stub" }
+func (s *stubCtrl) Engine() *hybrid.Engine      { return nil }
+func (s *stubCtrl) PeekLine(addr uint64) []byte { return nil }
+func (s *stubCtrl) Name() string                { return "stub" }
 
 func newTestHierarchy(t *testing.T) (*Hierarchy, *stubCtrl, *sim.Stats) {
 	t.Helper()
 	stats := sim.NewStats()
-	ctrl := &stubCtrl{stats: stats}
+	ctrl := &stubCtrl{}
 	cfg := HierarchyConfig{
 		Cores:             2,
 		L1:                Config{Name: "L1", Sets: 2, Ways: 2, Latency: 1},
@@ -360,4 +360,18 @@ func TestCacheMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Install inserts the line at addr (line-aligned), evicting the LRU way if
+// the set is full. It returns the displaced victim, if any. Installing an
+// already-present line just refreshes it.
+func (c *Cache) Install(addr uint64, dirty bool) Victim {
+	if _, s := c.find(addr); s >= 0 {
+		c.tick++
+		c.lru[s] = c.tick
+		c.dirty[s] = c.dirty[s] || dirty
+		return Victim{}
+	}
+	v, _ := c.installAbsent(addr, dirty)
+	return v
 }

@@ -117,14 +117,9 @@ func NewHierarchy(cfg HierarchyConfig, ctrl hybrid.Controller, stats *sim.Stats)
 	return h
 }
 
-// SetTracer attaches a request-lifecycle tracer to the hierarchy and, when
-// the controller supports it, propagates it downstream. Nil detaches.
-func (h *Hierarchy) SetTracer(t *obs.Tracer) {
-	h.tracer = t
-	if sink, ok := h.ctrl.(obs.TracerSink); ok {
-		sink.SetTracer(t)
-	}
-}
+// SetTracer attaches a request-lifecycle tracer to the hierarchy's own
+// levels. Nil detaches.
+func (h *Hierarchy) SetTracer(t *obs.Tracer) { h.tracer = t }
 
 // Counters exposes the hierarchy's typed counter handles so the run loop
 // reads its own metrics (and window deltas) without string-keyed lookups.
@@ -147,21 +142,6 @@ func (h *Hierarchy) Counters() Counters {
 		DemandLat: h.lat,
 	}
 }
-
-// Level returns the per-core L1 or L2 cache (level 1 or 2) for tests and
-// instrumentation.
-func (h *Hierarchy) Level(level, core int) *Cache {
-	if level == 1 {
-		return h.l1[core]
-	}
-	return h.l2[core]
-}
-
-// LLC returns the shared last-level cache.
-func (h *Hierarchy) LLC() *Cache { return h.llc }
-
-// Controller returns the memory controller behind the hierarchy.
-func (h *Hierarchy) Controller() hybrid.Controller { return h.ctrl }
 
 // Access performs one 64 B load or store for core at cycle now and returns
 // the completion cycle. Stores are write-allocate; the caller is responsible

@@ -22,7 +22,7 @@ var sharedConfig = HierarchyConfig{
 // newStubHierarchy builds cfg in front of a recording stub.
 func newStubHierarchy(cfg HierarchyConfig) (*Hierarchy, *stubCtrl) {
 	stats := sim.NewStats()
-	ctrl := &stubCtrl{stats: stats}
+	ctrl := &stubCtrl{}
 	h := NewHierarchy(cfg, ctrl, stats)
 	h.LineData = func(addr uint64) []byte { return make([]byte, 64) }
 	return h, ctrl
@@ -200,7 +200,6 @@ func TestNewHierarchyCoreLimit(t *testing.T) {
 // when prefetch is set, without recording anything, so a benchmark measures
 // the hierarchy alone.
 type nullCtrl struct {
-	stats    *sim.Stats
 	prefetch bool
 	pf       [1]uint64
 }
@@ -216,8 +215,9 @@ func (c *nullCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	}
 	return res
 }
-func (c *nullCtrl) Stats() *sim.Stats { return c.stats }
-func (c *nullCtrl) Name() string      { return "null" }
+func (c *nullCtrl) Engine() *hybrid.Engine      { return nil }
+func (c *nullCtrl) PeekLine(addr uint64) []byte { return nil }
+func (c *nullCtrl) Name() string                { return "null" }
 
 // BenchmarkHierarchyAccess drives the Table I hierarchy (16 cores, 64 kB
 // LLC) with a stream that thrashes the LLC: each core draws random lines from
@@ -238,7 +238,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 func benchHierarchyAccess(b *testing.B, prefetch bool) {
 	const cores, lines, perOp = 16, 4 << 20 / hybrid.CachelineSize, 4096
 	stats := sim.NewStats()
-	h := NewHierarchy(DefaultHierarchy(cores, 64), &nullCtrl{stats: stats, prefetch: prefetch}, stats)
+	h := NewHierarchy(DefaultHierarchy(cores, 64), &nullCtrl{prefetch: prefetch}, stats)
 	rng := sim.NewRNG(1)
 	now := uint64(0)
 	op := func() {
@@ -258,3 +258,15 @@ func benchHierarchyAccess(b *testing.B, prefetch bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/access")
 }
+
+// Level returns the per-core L1 or L2 cache (level 1 or 2) for tests and
+// instrumentation.
+func (h *Hierarchy) Level(level, core int) *Cache {
+	if level == 1 {
+		return h.l1[core]
+	}
+	return h.l2[core]
+}
+
+// LLC returns the shared last-level cache.
+func (h *Hierarchy) LLC() *Cache { return h.llc }

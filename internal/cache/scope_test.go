@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"baryon/internal/sim"
+)
 
 // TestHierarchyRegistersPerCoreLevels pins the fix for the dropped per-core
 // stats: every core's L1/L2 must register its counters on the run registry
@@ -52,3 +56,6 @@ func TestHierarchyPerCoreCountersCount(t *testing.T) {
 		t.Error("LLC().Hits() disagrees with registry")
 	}
 }
+
+// Hits returns the typed handle of the level's hit counter.
+func (c *Cache) Hits() *sim.Counter { return c.hits }

@@ -14,9 +14,6 @@ import "encoding/binary"
 // is what the cacheline-aligned mode of the paper needs (64·n-byte chunks).
 type BDI struct{}
 
-// Name returns the algorithm name.
-func (BDI) Name() string { return "BDI" }
-
 // bdiConfig is one base-size/delta-size combination.
 type bdiConfig struct {
 	id    byte
@@ -70,17 +67,6 @@ func chunkVal(data []byte, off, size int) uint64 {
 		return uint64(binary.LittleEndian.Uint16(data[off:]))
 	}
 	panic("compress: bad BDI chunk size")
-}
-
-func putChunk(out []byte, off int, v uint64, size int) {
-	switch size {
-	case 8:
-		binary.LittleEndian.PutUint64(out[off:], v)
-	case 4:
-		binary.LittleEndian.PutUint32(out[off:], uint32(v))
-	case 2:
-		binary.LittleEndian.PutUint16(out[off:], uint16(v))
-	}
 }
 
 // deltaFits reports whether v-base fits in a signed delta of d bytes.
@@ -173,112 +159,4 @@ func (BDI) SizeAtMost(data []byte, budget int) bool {
 		}
 	}
 	return false
-}
-
-// Compress encodes data with the best BDI configuration.
-func (b BDI) Compress(data []byte) []byte { return b.AppendCompress(nil, data) }
-
-// AppendCompress appends the best BDI encoding of data to dst and returns
-// the extended slice. Passing a reused buffer (sliced to length 0) makes the
-// encode allocation-free once the buffer has grown to a steady state.
-func (BDI) AppendCompress(dst, data []byte) []byte {
-	if allZero(data) {
-		return append(dst, bdiZeros)
-	}
-	if isRep8(data) {
-		dst = append(dst, bdiRep8)
-		return append(dst, data[:8]...)
-	}
-	bestSize := 1 + len(data)
-	var bestCfg *bdiConfig
-	for i := range bdiConfigs {
-		if sz, ok := tryConfig(data, bdiConfigs[i]); ok && sz < bestSize {
-			bestSize, bestCfg = sz, &bdiConfigs[i]
-		}
-	}
-	if bestCfg == nil {
-		dst = append(dst, bdiUncompressed)
-		return append(dst, data...)
-	}
-	cfg := *bestCfg
-	n := len(data) / cfg.base
-	full := growZero(dst, bestSize)
-	out := full[len(full)-bestSize:]
-	out[0] = cfg.id
-	maskOff := 1 + cfg.base
-	deltaOff := maskOff + (n+7)/8
-	var base uint64
-	haveBase := false
-	for i := 0; i < n; i++ {
-		v := chunkVal(data, i*cfg.base, cfg.base)
-		useZero := deltaFits(v, 0, cfg.base, cfg.delta)
-		var d uint64
-		if useZero {
-			d = v
-		} else {
-			if !haveBase {
-				base, haveBase = v, true
-				putChunk(out, 1, base, cfg.base)
-			}
-			d = v - base
-			out[maskOff+i/8] |= 1 << (i % 8) // mask bit 1: use arbitrary base
-		}
-		for b := 0; b < cfg.delta; b++ {
-			out[deltaOff+i*cfg.delta+b] = byte(d >> (8 * b))
-		}
-	}
-	return full
-}
-
-// Decompress reconstructs origLen bytes from a BDI stream.
-func (b BDI) Decompress(comp []byte, origLen int) []byte {
-	return b.AppendDecompress(nil, comp, origLen)
-}
-
-// AppendDecompress appends the origLen reconstructed bytes to dst and
-// returns the extended slice.
-func (BDI) AppendDecompress(dst, comp []byte, origLen int) []byte {
-	full := growZero(dst, origLen)
-	out := full[len(full)-origLen:]
-	if len(comp) == 0 {
-		return full
-	}
-	switch comp[0] {
-	case bdiZeros:
-		return full
-	case bdiRep8:
-		for off := 0; off < origLen; off += 8 {
-			copy(out[off:], comp[1:9])
-		}
-		return full
-	case bdiUncompressed:
-		copy(out, comp[1:])
-		return full
-	}
-	var cfg bdiConfig
-	for _, c := range bdiConfigs {
-		if c.id == comp[0] {
-			cfg = c
-			break
-		}
-	}
-	n := origLen / cfg.base
-	maskOff := 1 + cfg.base
-	deltaOff := maskOff + (n+7)/8
-	base := chunkVal(comp, 1, cfg.base)
-	for i := 0; i < n; i++ {
-		var d uint64
-		for b := cfg.delta - 1; b >= 0; b-- {
-			d = d<<8 | uint64(comp[deltaOff+i*cfg.delta+b])
-		}
-		// Sign-extend the delta.
-		shift := uint(64 - cfg.delta*8)
-		sd := uint64(int64(d<<shift) >> shift)
-		v := sd
-		if comp[maskOff+i/8]&(1<<(i%8)) != 0 {
-			v = base + sd
-		}
-		putChunk(out, i*cfg.base, v, cfg.base)
-	}
-	return full
 }

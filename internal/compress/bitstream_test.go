@@ -1,14 +1,3 @@
-// Package compress implements the two hardware compression algorithms Baryon
-// uses — FPC (Frequent Pattern Compression, Alameldeen & Wood) and BDI
-// (Base-Delta-Immediate, Pekhimenko et al.) — plus the best-of-both selector,
-// the quantised compression factors (CF in {1,2,4}) and the cacheline-aligned
-// compression mode of Section III-E of the paper.
-//
-// Both algorithms are implemented for real: Compress produces a byte stream
-// and Decompress reconstructs the original data exactly, which lets the test
-// suite verify round-trips by property testing rather than trusting size
-// formulas. The simulator's hot path only needs CompressedSize, which avoids
-// materialising the streams.
 package compress
 
 // bitWriter accumulates a big-endian bit stream. Seeding buf with an

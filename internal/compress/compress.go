@@ -1,3 +1,15 @@
+// Package compress implements the two hardware compression algorithms Baryon
+// uses — FPC (Frequent Pattern Compression, Alameldeen & Wood) and BDI
+// (Base-Delta-Immediate, Pekhimenko et al.) — plus the best-of-both selector,
+// the quantised compression factors (CF in {1,2,4}) and the cacheline-aligned
+// compression mode of Section III-E of the paper.
+//
+// The simulator only needs encoded sizes, so the package holds size
+// estimators that never materialise a stream. The full encoders and decoders
+// live in the package's tests: Compress produces a byte stream and
+// Decompress reconstructs the original data exactly, which lets the test
+// suite check every estimated size against a real encoding by property
+// testing rather than trusting size formulas.
 package compress
 
 // The paper feeds to-be-compressed data into both FPC and BDI hardware
@@ -5,11 +17,9 @@ package compress
 // (Section III-B). Compressor bundles that policy together with Baryon's CF
 // quantisation and the cacheline-aligned restriction of Section III-E.
 
-// Baryon data geometry (Section III-B): 64 B cachelines, 256 B sub-blocks.
-const (
-	CachelineSize = 64
-	SubBlockSize  = 256
-)
+// CachelineSize is the 64 B cacheline of Baryon's data geometry (Section
+// III-B), the unit of cacheline-aligned compression.
+const CachelineSize = 64
 
 // Compressor selects the best of its enabled algorithms per unit and
 // applies Baryon's fit rules. The zero value is a plain (non-aligned)
@@ -92,28 +102,4 @@ func (c *Compressor) RangeFits(data []byte, cf int) bool {
 		}
 	}
 	return true
-}
-
-// AchievedCF returns len(data) divided by its best compressed size — the
-// unquantised compression factor used for the CF statistics in Fig. 12.
-func (c *Compressor) AchievedCF(data []byte) float64 {
-	sz := c.CompressedSize(data)
-	if sz == 0 {
-		return float64(len(data))
-	}
-	return float64(len(data)) / float64(sz)
-}
-
-// LineCF quantises one 64 B cacheline's compressibility to {1,2,4}: 4 if it
-// fits in 16 B, 2 if it fits in 32 B, else 1. DICE packs lines this way.
-func (c *Compressor) LineCF(line []byte) int {
-	sz := c.CompressedSize(line)
-	switch {
-	case sz <= CachelineSize/4:
-		return 4
-	case sz <= CachelineSize/2:
-		return 2
-	default:
-		return 1
-	}
 }

@@ -11,8 +11,8 @@ import (
 // sub-blocks holding low-entropy data compresses into one 256 B slot
 // (CF = 4), even under the cacheline-aligned restriction.
 func ExampleCompressor_RangeFits() {
-	c := compress.New(true) // cacheline-aligned mode
-	data := make([]byte, 4*compress.SubBlockSize)
+	c := compress.New(true)     // cacheline-aligned mode
+	data := make([]byte, 4*256) // four 256 B sub-blocks
 	for off := 0; off < len(data); off += 4 {
 		binary.LittleEndian.PutUint32(data[off:], uint32(off%8))
 	}

@@ -132,7 +132,7 @@ func datagenSubs(n int) [][]byte {
 	var out [][]byte
 	for class := datagen.ClassZero; class <= datagen.ClassRandom; class++ {
 		for blk := uint64(0); blk < uint64(n); blk++ {
-			sub := make([]byte, SubBlockSize)
+			sub := make([]byte, subBlockSize)
 			datagen.FillSub(sub, blk, int(blk%8), uint32(blk%4), class)
 			out = append(out, sub)
 		}

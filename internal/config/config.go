@@ -7,10 +7,7 @@
 // block/sub-block/super-block sizes preserved.
 package config
 
-import (
-	"baryon/internal/fault"
-	"baryon/internal/hybrid"
-)
+import "baryon/internal/fault"
 
 // Mode selects how the fast memory is used (Section II-A).
 type Mode int
@@ -208,11 +205,6 @@ func (c *Config) StageSets() uint64 {
 
 // SubBlocksPerBlock is fixed at eight by the metadata formats.
 const SubBlocksPerBlock = 8
-
-// Geometry returns the hybrid geometry implied by the configuration.
-func (c *Config) Geometry() hybrid.Geometry {
-	return hybrid.Geometry{SuperBlockBlocks: c.SuperBlockBlocks}
-}
 
 // StageTagArrayBytes returns the on-chip stage tag array budget: one 14 B
 // entry per stage block (448 kB at paper scale).

@@ -13,7 +13,7 @@ import (
 // repository.
 func BenchmarkAccess(b *testing.B) {
 	cfg := testConfig()
-	mix := datagen.UniformMix()
+	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(blk hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(blk), dst)
 	})

@@ -13,7 +13,6 @@ import (
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
 	"baryon/internal/metadata"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -270,10 +269,6 @@ func (c *Controller) initCounters() {
 	c.ctr.latWriteback = s.Histogram("lat.writeback")
 }
 
-// SetTracer attaches a request-lifecycle tracer to the controller and its
-// devices. Nil detaches.
-func (c *Controller) SetTracer(t *obs.Tracer) { c.eng.SetTracer(t) }
-
 // traceDecision records the controller's access-flow case for the current
 // sampled request as an instant event (no-op when tracing is off).
 func (c *Controller) traceDecision(now uint64, cat string) { c.eng.Decision(now, cat) }
@@ -351,7 +346,7 @@ func (c *Controller) stageFrameAddr(setIdx, way, slot int) uint64 {
 	return c.stageBase + frame*c.geom.blockBytes + uint64(slot)*c.geom.subBytes
 }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
+// Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (c *Controller) Engine() *hybrid.Engine { return c.eng }
 
 // Name identifies the configuration for reports.
@@ -368,17 +363,6 @@ func (c *Controller) Name() string {
 
 // Stats returns the controller's counters.
 func (c *Controller) Stats() *sim.Stats { return c.stats }
-
-// MeanRangeCF returns the average quantised compression factor of staged
-// ranges (the Fig. 12 metric), read through the controller's typed counter
-// handles.
-func (c *Controller) MeanRangeCF() float64 {
-	return sim.Ratio(c.ctr.rangeCFSum.Value(), c.ctr.rangeFetches.Value())
-}
-
-// RemapCacheHitRate returns the remap cache's hit rate (Section III-B
-// sizing claim).
-func (c *Controller) RemapCacheHitRate() float64 { return c.rcache.HitRate() }
 
 // AddInstructions advances the retired-instruction clock used by MPKI
 // statistics (called by the CPU runner).

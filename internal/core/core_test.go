@@ -53,7 +53,7 @@ func (r *refModel) write(addr uint64, data []byte) {
 // invariants hold.
 func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *Controller {
 	t.Helper()
-	mix := datagen.UniformMix()
+	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
 	})

@@ -1,11 +1,23 @@
 package core
 
-import "baryon/internal/sim"
+import (
+	"errors"
+
+	"baryon/internal/sim"
+)
 
 // SetStagePhaseSampler installs the Fig. 4 sampler, which receives
 // per-decile MPKI observations of sampled stage phases; nil (the default)
-// disables sampling, which then costs one nil check per staged access.
-func (c *Controller) SetStagePhaseSampler(sp *StagePhaseSampler) { c.stagePhase = sp }
+// disables sampling, which then costs one nil check per staged access. A
+// controller configured without a stage area has no phases to sample, so
+// installing a sampler on it is an error rather than an empty Fig. 4.
+func (c *Controller) SetStagePhaseSampler(sp *StagePhaseSampler) error {
+	if sp != nil && !c.cfg.UseStageArea {
+		return errors.New("core: no stage area to sample (useStageArea is off)")
+	}
+	c.stagePhase = sp
+	return nil
+}
 
 // StagePhaseSampler aggregates the miss-rate trajectory of stage phases,
 // normalised to each phase's own length as in Fig. 4: bucket i covers
@@ -97,6 +109,21 @@ func (c *Controller) emitStagePhase(fr *stageFrame) {
 type StageBreakdown struct {
 	SHits, SReadMisses, SWriteOverflows float64
 	CHits, CReadMisses, CWriteOverflows float64
+}
+
+// MeanRangeCF returns the average quantised compression factor of staged
+// ranges (the Fig. 12 metric) from a run's counters, e.g. the measured
+// window's res.Stats.Delta(res.MeasureStart); 0 for designs that stage no
+// ranges.
+func MeanRangeCF(snap sim.Snapshot) float64 {
+	return sim.Ratio(snap.Get("baryon.rangeCFSum"), snap.Get("baryon.rangeFetches"))
+}
+
+// RemapCacheHitRate returns the remap cache's hit rate (the Section III-B
+// sizing claim) from a run's counters; 0 for designs without a remap cache.
+func RemapCacheHitRate(snap sim.Snapshot) float64 {
+	hits := snap.Get("remapCache.hits")
+	return sim.Ratio(hits, hits+snap.Get("remapCache.misses"))
 }
 
 // Breakdown computes the Fig. 3 ratios from a run's cumulative

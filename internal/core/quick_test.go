@@ -16,7 +16,7 @@ import (
 // tests: it drives random traffic and returns the first divergence from the
 // functional reference, or nil.
 func integrityErr(cfg config.Config, accesses int, seed uint64) error {
-	mix := datagen.UniformMix()
+	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
 	})

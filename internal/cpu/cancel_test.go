@@ -10,19 +10,22 @@ import (
 	"baryon/internal/trace"
 )
 
-// TestRunCtxBackgroundIdentity pins that RunCtx with an uncancellable
-// context is bit-identical to Run: the cancellation support must be free
-// when unused.
+// TestRunCtxBackgroundIdentity pins that a cancellable context that is
+// never cancelled leaves a run bit-identical to one under an uncancellable
+// context, which skips the cancellation checks: the checks must be free of
+// side effects.
 func TestRunCtxBackgroundIdentity(t *testing.T) {
 	cfg := smallConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	plain := cpu.NewRunner(cfg, w, baryonFactory).Run()
-	viaCtx, err := cpu.NewRunner(cfg, w, baryonFactory).RunCtx(context.Background())
+	plain := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	viaCtx, err := cpu.NewRunnerSource(cfg, w, baryonFactory).RunCtx(ctx)
 	if err != nil {
-		t.Fatalf("RunCtx(Background) returned error: %v", err)
+		t.Fatalf("RunCtx with a live context returned error: %v", err)
 	}
 	if plain.Stats.String() != viaCtx.Stats.String() {
-		t.Fatal("RunCtx(Background) diverged from Run")
+		t.Fatal("RunCtx with a cancellable context diverged from RunCtx(Background)")
 	}
 }
 
@@ -32,7 +35,7 @@ func TestRunCtxCancelStopsEarly(t *testing.T) {
 	cfg := smallConfig()
 	cfg.AccessesPerCore = 2_000_000
 	w, _ := trace.ByName("505.mcf_r")
-	r := cpu.NewRunner(cfg, w, baryonFactory)
+	r := cpu.NewRunnerSource(cfg, w, baryonFactory)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)

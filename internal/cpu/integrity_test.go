@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"baryon/internal/baselines"
@@ -24,23 +25,22 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 	if !ok {
 		t.Fatalf("workload %s missing", wname)
 	}
-	r := NewRunner(cfg, w, factory)
-	res := r.Run()
+	r := NewRunnerSource(cfg, w, factory)
+	res, err := r.RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Cycles == 0 {
 		t.Fatal("no cycles")
 	}
-	if err := r.Hierarchy().CheckInclusion(); err != nil {
+	if err := r.hier.CheckInclusion(); err != nil {
 		t.Fatalf("%s/%s: %v", r.ctrl.Name(), wname, err)
 	}
-	r.Hierarchy().Flush(res.Cycles)
-	peeker, ok := r.Controller().(hybrid.DataPeeker)
-	if !ok {
-		t.Fatal("controller does not expose PeekLine")
-	}
+	r.hier.Flush(res.Cycles)
 	checked := 0
 	for addr := range r.world.dirty {
 		want := r.world.lineData(addr)
-		if got := peeker.PeekLine(addr); !bytes.Equal(got, want) {
+		if got := r.ctrl.PeekLine(addr); !bytes.Equal(got, want) {
 			t.Fatalf("%s/%s: line %#x diverged after flush\n got %x\nwant %x",
 				r.ctrl.Name(), wname, addr, got, want)
 		}
@@ -100,10 +100,10 @@ func TestEndToEndIntegrityBaselines(t *testing.T) {
 	}
 	factories := map[string]ControllerFactory{
 		"simple": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, tiers)
+			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, nil, store, stats, tiers)
 		},
 		"unison": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, tiers)
+			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, nil, store, stats, cfg.Seed, tiers)
 		},
 		"dice": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)

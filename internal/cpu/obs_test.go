@@ -10,68 +10,93 @@ import (
 	"testing"
 
 	"baryon/internal/cpu"
+	"baryon/internal/experiment"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
 
 // TestTracerDoesNotPerturbSimulation pins the tracing plane's core
-// guarantee: attaching a tracer (even at 1-in-1 sampling) observes the
-// simulation without changing it. Every architectural output must be
-// byte-identical with and without the tracer.
+// guarantee for every controller kind: attaching a tracer (even at 1-in-1
+// sampling) observes the simulation without changing it. Every
+// architectural output must be byte-identical with and without the tracer,
+// and the runner must have reached the controller's engine and devices:
+// the trace holds a controller decision and an NVM device span.
 func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
+	for _, design := range []string{
+		experiment.DesignSimple, experiment.DesignUnison, experiment.DesignDICE,
+		experiment.DesignBaryon, experiment.DesignHybrid2, experiment.DesignOSPaging,
+	} {
+		t.Run(design, func(t *testing.T) {
+			spec, ok := experiment.Lookup(design)
+			if !ok {
+				t.Fatalf("design %s not registered", design)
+			}
+			factory := experiment.FactorySpec(spec)
+			plain := mustRun(t, cpu.NewRunnerSource(cfg, w, factory))
 
-	plain := cpu.NewRunner(cfg, w, baryonFactory).Run()
+			traced := cpu.NewRunnerSource(cfg, w, factory)
+			tr := obs.NewTracer(1, 0)
+			traced.SetTracer(tr)
+			res := mustRun(t, traced)
 
-	traced := cpu.NewRunner(cfg, w, baryonFactory)
-	tr := obs.NewTracer(1, 0)
-	traced.SetTracer(tr)
-	res := traced.Run()
+			if res.Cycles != plain.Cycles || res.Instructions != plain.Instructions {
+				t.Fatalf("tracer perturbed timing: cycles %d vs %d, instr %d vs %d",
+					res.Cycles, plain.Cycles, res.Instructions, plain.Instructions)
+			}
+			if res.FastBytes != plain.FastBytes || res.SlowBytes != plain.SlowBytes {
+				t.Fatalf("tracer perturbed traffic: fast %d vs %d, slow %d vs %d",
+					res.FastBytes, plain.FastBytes, res.SlowBytes, plain.SlowBytes)
+			}
+			if res.FastServeRate != plain.FastServeRate || res.EnergyPJ != plain.EnergyPJ {
+				t.Fatalf("tracer perturbed metrics: serve %f vs %f, energy %f vs %f",
+					res.FastServeRate, plain.FastServeRate, res.EnergyPJ, plain.EnergyPJ)
+			}
+			if res.Stats.String() != plain.Stats.String() {
+				t.Fatal("tracer perturbed the run's counters")
+			}
 
-	if res.Cycles != plain.Cycles || res.Instructions != plain.Instructions {
-		t.Fatalf("tracer perturbed timing: cycles %d vs %d, instr %d vs %d",
-			res.Cycles, plain.Cycles, res.Instructions, plain.Instructions)
-	}
-	if res.FastBytes != plain.FastBytes || res.SlowBytes != plain.SlowBytes {
-		t.Fatalf("tracer perturbed traffic: fast %d vs %d, slow %d vs %d",
-			res.FastBytes, plain.FastBytes, res.SlowBytes, plain.SlowBytes)
-	}
-	if res.FastServeRate != plain.FastServeRate || res.EnergyPJ != plain.EnergyPJ {
-		t.Fatalf("tracer perturbed metrics: serve %f vs %f, energy %f vs %f",
-			res.FastServeRate, plain.FastServeRate, res.EnergyPJ, plain.EnergyPJ)
-	}
+			if tr.Reqs() == 0 || tr.SampledReqs() != tr.Reqs() {
+				t.Fatalf("tracer saw %d reqs, sampled %d (want all at 1-in-1)", tr.Reqs(), tr.SampledReqs())
+			}
+			// A run must produce at least one request that walked the full
+			// plane: issue -> caches -> controller decision -> device ->
+			// completion.
+			phases := map[uint64]map[string]bool{}
+			names := map[string]bool{}
+			for _, e := range tr.Events() {
+				if phases[e.Req] == nil {
+					phases[e.Req] = map[string]bool{}
+				}
+				phases[e.Req][e.Name] = true
+				names[e.Name] = true
+			}
+			for _, name := range []string{"decision", "NVM"} {
+				if !names[name] {
+					t.Fatalf("trace has no %q event", name)
+				}
+			}
+			best := 0
+			for _, set := range phases {
+				if len(set) > best {
+					best = len(set)
+				}
+			}
+			if best < 5 {
+				t.Fatalf("deepest request has %d distinct span phases, want >= 5", best)
+			}
 
-	if tr.Reqs() == 0 || tr.SampledReqs() != tr.Reqs() {
-		t.Fatalf("tracer saw %d reqs, sampled %d (want all at 1-in-1)", tr.Reqs(), tr.SampledReqs())
-	}
-	// A run must produce at least one request that walked the full plane:
-	// issue -> caches -> controller decision -> device -> completion.
-	phases := map[uint64]map[string]bool{}
-	for _, e := range tr.Events() {
-		if phases[e.Req] == nil {
-			phases[e.Req] = map[string]bool{}
-		}
-		phases[e.Req][e.Name] = true
-	}
-	best := 0
-	for _, set := range phases {
-		if len(set) > best {
-			best = len(set)
-		}
-	}
-	if best < 5 {
-		t.Fatalf("deepest request has %d distinct span phases, want >= 5", best)
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("trace JSON invalid")
+			var buf bytes.Buffer
+			if err := tr.WriteChromeJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !json.Valid(buf.Bytes()) {
+				t.Fatal("trace JSON invalid")
+			}
+		})
 	}
 }
 
@@ -82,7 +107,7 @@ func TestResultLatencyHistograms(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 
 	demand, ok := res.Latency["hierarchy.lat.demand"]
 	if !ok {
@@ -126,9 +151,9 @@ func TestRunzMatchesMetricsAfterWarmup(t *testing.T) {
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
 	in := &obs.Introspector{}
-	r := cpu.NewRunner(cfg, w, baryonFactory)
+	r := cpu.NewRunnerSource(cfg, w, baryonFactory)
 	r.SetIntrospector(in)
-	r.Run()
+	mustRun(t, r)
 
 	mux := obs.NewDebugMux(in)
 	get := func(path string) string {

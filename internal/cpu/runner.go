@@ -24,9 +24,10 @@ import (
 // nonMemIPC is the retire rate of non-memory instructions.
 const nonMemIPC = 2.0
 
-// DeviceProvider exposes a controller's fast and slow devices. The runner
-// reads device traffic through hybrid.EngineProvider instead; no controller
-// in this module implements DeviceProvider.
+// DeviceProvider exposes a controller's fast and slow devices. Nothing in
+// this module uses it: the runner reads device traffic through
+// hybrid.Controller's Engine, and no controller implements it. It stays only
+// because the end-to-end benchmark module (bench/) compiles against it.
 type DeviceProvider interface {
 	FastDevice() *mem.Device
 	SlowDevice() *mem.Device
@@ -104,12 +105,6 @@ type Result struct {
 	// populated only for topologies beyond the classic two tiers.
 	TierNames []string
 	Stats     *sim.Stats
-	// MeanRangeCF is the mean quantised compression factor of staged
-	// ranges (Fig. 12); nonzero only for controllers that track it.
-	MeanRangeCF float64
-	// RemapCacheHitRate is the remap-cache hit rate (Section III-B);
-	// nonzero only for controllers with a remap cache.
-	RemapCacheHitRate float64
 	// Warmup is the warmup-window breakdown (zero when warmup is off).
 	Warmup Window
 	// Epochs is the per-epoch time-series of the measurement window
@@ -126,18 +121,6 @@ type Result struct {
 	// warmup disabled the snapshot is effectively empty, so the delta
 	// equals the cumulative registry.
 	MeasureStart sim.Snapshot
-}
-
-// MeanRangeCFProvider is implemented by controllers that track staged-range
-// compression factors (the Baryon controller).
-type MeanRangeCFProvider interface {
-	MeanRangeCF() float64
-}
-
-// RemapCacheHitRateProvider is implemented by controllers with a remap
-// cache.
-type RemapCacheHitRateProvider interface {
-	RemapCacheHitRate() float64
 }
 
 // world tracks the functional value of dirty lines (written by cores but not
@@ -275,8 +258,8 @@ type Runner struct {
 	// copies, never the live registry).
 	intro *obs.Introspector
 
-	// ctxDone is the cancellation channel of the RunCtx context; nil (the
-	// Run path, or a Background context) skips the cancellation checks
+	// ctxDone is the cancellation channel of the RunCtx context; nil (a
+	// context that cannot be cancelled) skips the cancellation checks
 	// entirely so uncancellable runs stay bit-identical. aborted records
 	// that a window stopped early.
 	ctxDone <-chan struct{}
@@ -286,15 +269,10 @@ type Runner struct {
 // ControllerFactory builds a controller over a canonical store.
 type ControllerFactory func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller
 
-// NewRunner wires a synthetic workload, a fresh canonical store filled with
-// the workload's value mix, the cache hierarchy and the controller produced
-// by factory.
-func NewRunner(cfg config.Config, w trace.Workload, factory ControllerFactory) *Runner {
-	return NewRunnerSource(cfg, w, factory)
-}
-
-// NewRunnerSource is NewRunner for an arbitrary trace source (synthetic
-// workloads or recorded replays, see trace.Source).
+// NewRunnerSource wires a trace source (a synthetic trace.Workload or a
+// recorded replay, see trace.Source), a fresh canonical store filled with
+// the source's value mix, the cache hierarchy and the controller produced by
+// factory.
 func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFactory) *Runner {
 	stats := sim.NewStats()
 	mix := src.ValueMix()
@@ -312,11 +290,12 @@ func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFact
 }
 
 // SetTracer attaches a request-lifecycle tracer to the runner, the cache
-// hierarchy and (through obs.TracerSink) the controller and its devices.
-// Must be called before Run; nil detaches everywhere.
+// hierarchy and the controller's engine with its devices. Must be called
+// before RunCtx; nil detaches everywhere.
 func (r *Runner) SetTracer(t *obs.Tracer) {
 	r.tracer = t
 	r.hier.SetTracer(t)
+	r.ctrl.Engine().SetTracer(t)
 }
 
 // statusEvery is the live-introspection publish interval in accesses.
@@ -335,9 +314,6 @@ func (r *Runner) SetDesign(name string) { r.design = name }
 
 // Controller returns the controller under test.
 func (r *Runner) Controller() hybrid.Controller { return r.ctrl }
-
-// Hierarchy returns the cache stack.
-func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
 // runState carries the simulation frontier across windows: per-core clocks
 // survive the warmup/measurement boundary so measurement continues the same
@@ -510,37 +486,35 @@ func (r *Runner) windowSince(m mark, st *runState) Window {
 	}
 	demandLat := m.snap.DeltaOfHist(hc.DemandLat)
 	w.MemLat = demandLat.Summary()
-	if ep, ok := r.ctrl.(hybrid.EngineProvider); ok {
-		tiers := ep.Engine().Tiers()
-		if len(tiers) > 2 {
-			// Beyond two tiers the fast/slow pair hides the far side's
-			// shape: break traffic down per tier as well.
-			w.TierBytes = make([]uint64, len(tiers))
-		}
-		// Tier 0 is the fast side and every later tier the slow side;
-		// energy sums in tier order.
-		for i, t := range tiers {
-			tc := t.Device().Counters()
-			bytes := m.snap.DeltaOf(tc.BytesRead) + m.snap.DeltaOf(tc.BytesWritten)
-			if i == 0 {
-				w.FastBytes = bytes
-			} else {
-				w.SlowBytes += bytes
-			}
-			if w.TierBytes != nil {
-				w.TierBytes[i] = bytes
-			}
-			w.EnergyPJ += m.snap.DeltaOfFloat(tc.EnergyPJ)
-			// The link/internal split exists at any tier count — a two-tier
-			// topology can already put its far tier behind a CXL link.
-			if tc.CXLLinkBytes != nil {
-				w.CXLLinkBytes += m.snap.DeltaOf(tc.CXLLinkBytes)
-				w.CXLInternalBytes += m.snap.DeltaOf(tc.CXLInternalBytes)
-			}
-		}
-		useful := m.snap.DeltaOf(hc.LLCMisses) * hybrid.CachelineSize
-		w.BloatFactor = sim.Ratio(w.FastBytes, useful)
+	tiers := r.ctrl.Engine().Tiers()
+	if len(tiers) > 2 {
+		// Beyond two tiers the fast/slow pair hides the far side's shape:
+		// break traffic down per tier as well.
+		w.TierBytes = make([]uint64, len(tiers))
 	}
+	// Tier 0 is the fast side and every later tier the slow side; energy
+	// sums in tier order.
+	for i, t := range tiers {
+		tc := t.Device().Counters()
+		bytes := m.snap.DeltaOf(tc.BytesRead) + m.snap.DeltaOf(tc.BytesWritten)
+		if i == 0 {
+			w.FastBytes = bytes
+		} else {
+			w.SlowBytes += bytes
+		}
+		if w.TierBytes != nil {
+			w.TierBytes[i] = bytes
+		}
+		w.EnergyPJ += m.snap.DeltaOfFloat(tc.EnergyPJ)
+		// The link/internal split exists at any tier count — a two-tier
+		// topology can already put its far tier behind a CXL link.
+		if tc.CXLLinkBytes != nil {
+			w.CXLLinkBytes += m.snap.DeltaOf(tc.CXLLinkBytes)
+			w.CXLInternalBytes += m.snap.DeltaOf(tc.CXLInternalBytes)
+		}
+	}
+	useful := m.snap.DeltaOf(hc.LLCMisses) * hybrid.CachelineSize
+	w.BloatFactor = sim.Ratio(w.FastBytes, useful)
 	return w
 }
 
@@ -566,7 +540,7 @@ func (r *Runner) newRunState() *runState {
 // is the harness for steady-state measurements — warm the simulation up
 // with one window, then probe subsequent windows (e.g. with
 // testing.AllocsPerRun) without the per-run construction costs. A Stepper
-// and Run/RunCtx must not be mixed on one Runner.
+// and RunCtx must not be mixed on one Runner.
 type Stepper struct {
 	r  *Runner
 	st *runState
@@ -585,20 +559,13 @@ func (s *Stepper) Window(perCore int) {
 // Accesses returns the cumulative accesses replayed so far.
 func (s *Stepper) Accesses() uint64 { return s.st.accesses }
 
-// Run replays the configured warmup window (if any), snapshots every
+// RunCtx replays the configured warmup window (if any), snapshots every
 // counter in the run registry, then replays accessesPerCore accesses on
 // each core and returns measurement-window metrics, plus the per-epoch
-// time-series when cfg.EpochAccesses > 0.
-func (r *Runner) Run() Result {
-	res, _ := r.RunCtx(context.Background())
-	return res
-}
-
-// RunCtx is Run with cooperative cancellation: when ctx is cancelled the
-// replay stops within ~1024 accesses and RunCtx returns the metrics
-// accumulated so far together with ctx's error. A context that cannot be
-// cancelled (context.Background()) adds zero checks to the hot loop, so Run
-// and RunCtx(context.Background()) are bit-identical.
+// time-series when cfg.EpochAccesses > 0. When ctx is cancelled the replay
+// stops within ~1024 accesses and RunCtx returns the metrics accumulated so
+// far together with ctx's error. A context that cannot be cancelled
+// (context.Background()) adds zero checks to the hot loop.
 func (r *Runner) RunCtx(ctx context.Context) (Result, error) {
 	r.ctxDone = ctx.Done()
 	st := r.newRunState()
@@ -638,19 +605,11 @@ func (r *Runner) RunCtx(ctx context.Context) (Result, error) {
 		Epochs:       epochs,
 		MeasureStart: warm.snap,
 	}
-	if ep, ok := r.ctrl.(hybrid.EngineProvider); ok {
-		if tiers := ep.Engine().Tiers(); len(tiers) > 2 {
-			res.TierNames = make([]string, len(tiers))
-			for i, t := range tiers {
-				res.TierNames[i] = t.Name()
-			}
+	if tiers := r.ctrl.Engine().Tiers(); len(tiers) > 2 {
+		res.TierNames = make([]string, len(tiers))
+		for i, t := range tiers {
+			res.TierNames[i] = t.Name()
 		}
-	}
-	if p, ok := r.ctrl.(MeanRangeCFProvider); ok {
-		res.MeanRangeCF = p.MeanRangeCF()
-	}
-	if p, ok := r.ctrl.(RemapCacheHitRateProvider); ok {
-		res.RemapCacheHitRate = p.RemapCacheHitRate()
 	}
 	res.Latency = make(map[string]sim.HistSummary)
 	for _, name := range r.stats.HistNames() {

@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"context"
 	"testing"
 
 	"baryon/internal/config"
@@ -25,14 +26,25 @@ func baryonFactory(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hyb
 	return core.New(cfg, store, stats)
 }
 
+// mustRun runs r to completion under a context that cannot be cancelled,
+// which never stops a run early.
+func mustRun(t testing.TB, r *cpu.Runner) cpu.Result {
+	t.Helper()
+	res, err := r.RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunnerEndToEnd(t *testing.T) {
 	cfg := smallConfig()
 	w, ok := trace.ByName("505.mcf_r")
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	r := cpu.NewRunner(cfg, w, baryonFactory)
-	res := r.Run()
+	r := cpu.NewRunnerSource(cfg, w, baryonFactory)
+	res := mustRun(t, r)
 	if res.Cycles == 0 {
 		t.Fatal("no cycles elapsed")
 	}
@@ -58,7 +70,7 @@ func TestRunnerDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	w, _ := trace.ByName("520.omnetpp_r")
 	run := func() cpu.Result {
-		return cpu.NewRunner(cfg, w, baryonFactory).Run()
+		return mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 	}
 	a, b := run(), run()
 	if a.Cycles != b.Cycles || a.FastBytes != b.FastBytes || a.Instructions != b.Instructions {
@@ -75,7 +87,7 @@ func TestRunnerAllWorkloadsSmoke(t *testing.T) {
 	for _, w := range trace.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+			res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 			if res.Cycles == 0 {
 				t.Fatal("no cycles")
 			}

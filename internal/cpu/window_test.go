@@ -18,7 +18,7 @@ func TestRunnerWarmupWindows(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 
 	wantWarm := uint64(cfg.WarmupAccessesPerCore * cfg.Cores)
 	wantMeas := uint64(cfg.AccessesPerCore * cfg.Cores)
@@ -46,11 +46,11 @@ func TestRunnerWarmupWindows(t *testing.T) {
 // the measurement window equal to the whole run.
 func TestRunnerWarmupZeroMatchesColdStart(t *testing.T) {
 	w, _ := trace.ByName("520.omnetpp_r")
-	cold := cpu.NewRunner(smallConfig(), w, baryonFactory).Run()
+	cold := mustRun(t, cpu.NewRunnerSource(smallConfig(), w, baryonFactory))
 
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 0
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 
 	if res.Cycles != cold.Cycles || res.Instructions != cold.Instructions ||
 		res.FastServeRate != cold.FastServeRate ||
@@ -74,7 +74,7 @@ func TestRunnerEpochSeries(t *testing.T) {
 	cfg.WarmupAccessesPerCore = 250
 	cfg.EpochAccesses = 7000 // not a divisor of 2000*16: forces a tail epoch
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 
 	if len(res.Epochs) == 0 {
 		t.Fatal("no epochs collected")
@@ -113,7 +113,7 @@ func TestRunnerMeasureStartDelta(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
 
 	d := res.Stats.Delta(res.MeasureStart)
 	if got := d.Get("hierarchy.demandLines"); got != res.Accesses {
@@ -137,7 +137,7 @@ func TestRunnerMeasureStartDelta(t *testing.T) {
 
 	// With warmup off, MeasureStart is the empty pre-run snapshot and the
 	// delta equals the cumulative registry.
-	cold := cpu.NewRunner(smallConfig(), w, baryonFactory).Run()
+	cold := mustRun(t, cpu.NewRunnerSource(smallConfig(), w, baryonFactory))
 	cd := cold.Stats.Delta(cold.MeasureStart)
 	for _, name := range cd.CounterNames() {
 		if cd.Get(name) != cold.Stats.Get(name) {
@@ -149,7 +149,7 @@ func TestRunnerMeasureStartDelta(t *testing.T) {
 // TestRunnerEpochsOffByDefault: no epoch collection unless configured.
 func TestRunnerEpochsOffByDefault(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(smallConfig(), w, baryonFactory).Run()
+	res := mustRun(t, cpu.NewRunnerSource(smallConfig(), w, baryonFactory))
 	if len(res.Epochs) != 0 {
 		t.Fatalf("epochs collected without EpochAccesses: %d", len(res.Epochs))
 	}

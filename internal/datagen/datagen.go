@@ -30,9 +30,6 @@ type Mix struct {
 	Weights [5]float64
 }
 
-// UniformMix spreads weight equally (useful in tests).
-func UniformMix() Mix { return Mix{Weights: [5]float64{1, 1, 1, 1, 1}} }
-
 // hash64 is a fixed avalanche hash (splitmix64 finaliser).
 func hash64(x uint64) uint64 {
 	x ^= x >> 30

@@ -34,6 +34,16 @@ func TestFillDeterministicQuick(t *testing.T) {
 	}
 }
 
+// achievedCF is len(data) divided by its best compressed size: the
+// unquantised compression factor of the data.
+func achievedCF(c *compress.Compressor, data []byte) float64 {
+	sz := c.CompressedSize(data)
+	if sz == 0 {
+		return float64(len(data))
+	}
+	return float64(len(data)) / float64(sz)
+}
+
 // TestClassCompressibilityOrdering verifies the value classes actually span
 // the CF spectrum the paper's workloads need: zero-heavy data compresses
 // best and random data not at all, with the structured classes in between.
@@ -44,7 +54,7 @@ func TestClassCompressibilityOrdering(t *testing.T) {
 		var buf [256]byte
 		for b := uint64(0); b < 64; b++ {
 			FillSub(buf[:], b, int(b%8), 0, c)
-			total += comp.AchievedCF(buf[:])
+			total += achievedCF(comp, buf[:])
 		}
 		return total / 64
 	}
@@ -79,7 +89,7 @@ func TestMixClassDistribution(t *testing.T) {
 			t.Fatalf("single-weight mix gave class %d", c)
 		}
 	}
-	uniform := UniformMix()
+	uniform := Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	counts := map[Class]int{}
 	for b := uint64(0); b < 10000; b++ {
 		counts[uniform.ClassFor(b)]++
@@ -106,9 +116,9 @@ func TestVersionDegradation(t *testing.T) {
 	var buf [256]byte
 	for b := uint64(0); b < 200; b++ {
 		FillSub(buf[:], b, 0, 0, ClassZero)
-		cf0 := comp.AchievedCF(buf[:])
+		cf0 := achievedCF(comp, buf[:])
 		FillSub(buf[:], b, 0, 8, ClassZero)
-		cf8 := comp.AchievedCF(buf[:])
+		cf8 := achievedCF(comp, buf[:])
 		if cf8 < cf0/2 {
 			degraded++
 		}

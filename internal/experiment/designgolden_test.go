@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/core"
 	"baryon/internal/trace"
 )
 
@@ -64,7 +65,8 @@ func dumpDesignRun(buf *bytes.Buffer, cfg config.Config, workload, design string
 	fmt.Fprintf(buf, "cycles=%d instructions=%d\n", res.Cycles, res.Instructions)
 	fmt.Fprintf(buf, "fastServeRate=%.6f bloatFactor=%.6f\n", res.FastServeRate, res.BloatFactor)
 	fmt.Fprintf(buf, "fastBytes=%d slowBytes=%d energyPJ=%.1f\n", res.FastBytes, res.SlowBytes, res.EnergyPJ)
-	fmt.Fprintf(buf, "meanRangeCF=%.6f remapCacheHitRate=%.6f\n", res.MeanRangeCF, res.RemapCacheHitRate)
+	measured := res.Stats.Delta(res.MeasureStart)
+	fmt.Fprintf(buf, "meanRangeCF=%.6f remapCacheHitRate=%.6f\n", core.MeanRangeCF(measured), core.RemapCacheHitRate(measured))
 
 	names := res.Stats.Names()
 	sort.Strings(names)

@@ -212,16 +212,6 @@ func LoadSpecFile(path string) (DesignSpec, error) {
 	return spec, nil
 }
 
-// SaveSpecFile writes a DesignSpec as indented JSON, the format
-// LoadSpecFile reads back.
-func SaveSpecFile(path string, spec DesignSpec) error {
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // ValidateSpec checks the parts of a spec that Register cannot see because
 // they depend on the run configuration: the overrides must apply cleanly to
 // the base config, and the policy knobs must be supported by the kind. The
@@ -242,31 +232,27 @@ func ValidateSpec(spec DesignSpec, cfg config.Config) error {
 }
 
 // FactorySpec returns the controller factory for a spec: it applies the
-// spec's config overrides, builds the kind's controller on the shared kit,
-// applies the policy knobs, and arms fault injection when the (overridden)
-// config asks for it. The panics below are programmer-error invariants —
-// Register and ValidateSpec reject every user-reachable bad spec first —
-// and the harness's per-pair panic isolation contains them regardless.
+// spec's config overrides, builds the kind's controller on the shared kit
+// with the spec's policy knobs, and arms fault injection when the
+// (overridden) config asks for it. The panics below are programmer-error
+// invariants — Register and ValidateSpec reject every user-reachable bad
+// spec first — and the harness's per-pair panic isolation contains them
+// regardless.
 func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 	return func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 		if err := spec.Overrides.Apply(&cfg); err != nil {
 			panic("experiment: design " + spec.Name + ": " + err.Error())
 		}
 		ctrl := buildKind(spec, cfg, store, stats)
-		if spec.Policy.Replacement != "" {
-			applyReplacement(spec, ctrl, cfg.Seed)
+		if cfg.Fault.Enabled() {
+			ctrl.Engine().EnableFaults(cfg.Fault, cfg.Seed)
 		}
-		if ep, ok := ctrl.(hybrid.EngineProvider); ok {
-			if cfg.Fault.Enabled() {
-				ep.Engine().EnableFaults(cfg.Fault, cfg.Seed)
-			}
-			// CXL expander-side compression estimates over the canonical
-			// store content; on topologies without a CXL tier the probe is
-			// never consulted and the attach is a no-op.
-			ep.Engine().SetContentProbe(func(addr, size uint64) []byte {
-				return store.Line(addr)
-			})
-		}
+		// CXL expander-side compression estimates over the canonical store
+		// content; on topologies without a CXL tier the probe is never
+		// consulted and the attach is a no-op.
+		ctrl.Engine().SetContentProbe(func(addr, size uint64) []byte {
+			return store.Line(addr)
+		})
 		return ctrl
 	}
 }
@@ -278,11 +264,17 @@ func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *s
 	if err != nil {
 		panic("experiment: design " + spec.Name + ": " + err.Error())
 	}
+	// Replacement is a policy knob of the kinds that take one (simple,
+	// unison); ValidateSpec rejects it on the others.
+	rep, ok := hybrid.ReplacerByName(spec.Policy.Replacement, cfg.Seed)
+	if !ok {
+		panic("experiment: design " + spec.Name + ": unknown replacement policy " + spec.Policy.Replacement)
+	}
 	switch spec.Kind {
 	case KindSimple:
-		return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, tiers)
+		return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, store, stats, tiers)
 	case KindUnison:
-		return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, tiers)
+		return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, store, stats, cfg.Seed, tiers)
 	case KindDICE:
 		return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)
 	case KindBaryon:
@@ -293,27 +285,4 @@ func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *s
 		return baselines.NewOSPaging(cfg.FastBytes, store, stats, tiers)
 	}
 	panic("experiment: unknown kind " + spec.Kind)
-}
-
-// applyReplacement wires the spec's replacement policy into controllers
-// that expose one via SetReplacer.
-func applyReplacement(spec DesignSpec, ctrl hybrid.Controller, seed uint64) {
-	r, ok := hybrid.ReplacerByName(spec.Policy.Replacement, seed)
-	if !ok {
-		panic("experiment: design " + spec.Name + ": unknown replacement policy " + spec.Policy.Replacement)
-	}
-	s, ok := ctrl.(interface{ SetReplacer(hybrid.Replacer) })
-	if !ok {
-		panic("experiment: design " + spec.Name + ": kind " + spec.Kind + " has no replacement-policy knob")
-	}
-	s.SetReplacer(r)
-}
-
-// Factory returns the controller factory for a registered design name.
-func Factory(design string) cpu.ControllerFactory {
-	spec, ok := Lookup(design)
-	if !ok {
-		panic("experiment: unknown design " + design)
-	}
-	return FactorySpec(spec)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,7 +29,11 @@ func TestDesignSpecJSONRoundTrip(t *testing.T) {
 		Policy: PolicySpec{Replacement: "lru"},
 	}
 	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := SaveSpecFile(path, spec); err != nil {
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSpecFile(path)

@@ -7,6 +7,8 @@ import (
 
 	"baryon/internal/config"
 	"baryon/internal/cpu"
+	"baryon/internal/hybrid"
+	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
 
@@ -54,13 +56,16 @@ func TestFactoryAllDesigns(t *testing.T) {
 	}
 }
 
+// TestFactoryUnknownPanics: FactorySpec's panics are programmer-error
+// invariants (Register rejects an unknown kind first); a spec that skipped
+// Register still cannot build a controller.
 func TestFactoryUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic for unknown design")
+			t.Fatal("no panic for unknown kind")
 		}
 	}()
-	Factory("nope")
+	FactorySpec(DesignSpec{Name: "nope", Kind: "alien"})(quickConfig(), hybrid.NewStore(nil), sim.NewStats())
 }
 
 func TestTableIRenders(t *testing.T) {

@@ -5,8 +5,7 @@ import (
 	"fmt"
 
 	"baryon/internal/config"
-	"baryon/internal/metadata"
-	"baryon/internal/sim"
+	"baryon/internal/core"
 	"baryon/internal/trace"
 )
 
@@ -95,8 +94,8 @@ func CompressorComparison(ctx context.Context, o Options, cfg config.Config) ([]
 		row := CPackRow{
 			Workload:        w.Name,
 			Speedup:         float64(base.Cycles) / float64(with.Cycles),
-			MeanCFDefault:   base.MeanRangeCF,
-			MeanCFWithCPack: with.MeanRangeCF,
+			MeanCFDefault:   core.MeanRangeCF(base.Stats.Delta(base.MeasureStart)),
+			MeanCFWithCPack: core.MeanRangeCF(with.Stats.Delta(with.MeasureStart)),
 		}
 		rows = append(rows, row)
 		t.AddRow(w.Name, f2(row.Speedup), f2(row.MeanCFDefault), f2(row.MeanCFWithCPack))
@@ -137,7 +136,8 @@ func RemapCacheSweep(ctx context.Context, o Options, cfg config.Config) ([]Remap
 	for wi, w := range workloads {
 		cells := []string{w.Name}
 		for si, sets := range setPoints {
-			hr := results[wi*len(setPoints)+si].RemapCacheHitRate
+			res := results[wi*len(setPoints)+si]
+			hr := core.RemapCacheHitRate(res.Stats.Delta(res.MeasureStart))
 			rows = append(rows, RemapCacheRow{Workload: w.Name, Sets: sets, HitRate: hr})
 			cells = append(cells, pct(hr))
 		}
@@ -233,27 +233,4 @@ func OSvsHW(ctx context.Context, o Options, cfg config.Config) ([]OSvsHWRow, *Ta
 		t.AddRow(cells...)
 	}
 	return rows, t, nil
-}
-
-// MetadataBudget computes the dual-format storage accounting of Section
-// III-B/C for an arbitrary configuration, exposed for tests and tools.
-type MetadataBudget struct {
-	StageTagArrayBytes uint64
-	RemapTableBytes    uint64
-	RemapCacheBytes    uint64
-	TotalSRAMBytes     uint64
-	TableFraction      float64 // remap table / total memory capacity
-}
-
-// Budget returns the metadata budget of cfg.
-func Budget(cfg config.Config) MetadataBudget {
-	rc := metadata.NewRemapCache(cfg.RemapCacheSets, cfg.RemapCacheWays, sim.NewStats())
-	b := MetadataBudget{
-		StageTagArrayBytes: cfg.StageTagArrayBytes(),
-		RemapTableBytes:    cfg.RemapTableBytes(),
-		RemapCacheBytes:    uint64(rc.StorageBytes()),
-	}
-	b.TotalSRAMBytes = b.StageTagArrayBytes + b.RemapCacheBytes
-	b.TableFraction = float64(b.RemapTableBytes) / float64(cfg.FastBytes+cfg.SlowBytes)
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"baryon/internal/config"
+	"baryon/internal/core"
 	"baryon/internal/trace"
 )
 
@@ -76,7 +77,7 @@ func Fig12(ctx context.Context, o Options, cfg config.Config) ([]Fig12Row, *Tabl
 				Workload:    w.Name,
 				Variant:     v.Name,
 				Speedup:     baseCycles / float64(res.Cycles),
-				MeanRangeCF: res.MeanRangeCF,
+				MeanRangeCF: core.MeanRangeCF(res.Stats.Delta(res.MeasureStart)),
 			}
 			rows = append(rows, row)
 			t.AddRow(w.Name, v.Name, f2(row.Speedup), f2(row.MeanRangeCF))

@@ -104,7 +104,8 @@ type RunObs struct {
 	// Introspector receives RunStatus snapshots from the run goroutine.
 	Introspector *obs.Introspector
 	// StagePhase receives the run's Fig. 4 stage-phase MPKI samples; only
-	// designs with a stage area (the Baryon controller) can be sampled.
+	// designs whose controller runs a stage area (Baryon and Hybrid2 with
+	// useStageArea on) can be sampled.
 	StagePhase *core.StagePhaseSampler
 }
 
@@ -164,12 +165,11 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return cpu.Result{}, err
 	}
-	var r *cpu.Runner
-	if p.Source != nil {
-		r = cpu.NewRunnerSource(p.Cfg, p.Source, FactorySpec(spec))
-	} else {
-		r = cpu.NewRunner(p.Cfg, p.Workload, FactorySpec(spec))
+	src := p.Source
+	if src == nil {
+		src = p.Workload
 	}
+	r := cpu.NewRunnerSource(p.Cfg, src, FactorySpec(spec))
 	r.SetDesign(p.Design)
 	if o := p.Obs; o != nil {
 		if o.Tracer != nil {
@@ -179,11 +179,17 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 			r.SetIntrospector(o.Introspector)
 		}
 		if o.StagePhase != nil {
-			c, ok := r.Controller().(*core.Controller)
+			// Only the controller knows its effective config, so it
+			// decides whether it has a stage area to sample.
+			c, ok := r.Controller().(interface {
+				SetStagePhaseSampler(*core.StagePhaseSampler) error
+			})
 			if !ok {
 				return cpu.Result{}, fmt.Errorf("experiment: design %s has no stage area to sample", p.Design)
 			}
-			c.SetStagePhaseSampler(o.StagePhase)
+			if err := c.SetStagePhaseSampler(o.StagePhase); err != nil {
+				return cpu.Result{}, fmt.Errorf("experiment: design %s: %w", p.Design, err)
+			}
 		}
 	}
 	return r.RunCtx(ctx)

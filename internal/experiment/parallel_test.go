@@ -135,15 +135,40 @@ func TestRunPairPublishesDesignName(t *testing.T) {
 }
 
 // TestRunPairStagePhaseNeedsStageArea: a stage-phase sampler on a design
-// without a stage area is an error, not a silently empty Fig. 4.
+// without a stage area is an error, not a silently empty Fig. 4, and a
+// design whose controller runs one samples phases whatever its Go type.
 func TestRunPairStagePhaseNeedsStageArea(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
-	_, err := RunPairCtx(context.Background(), Pair{
-		Cfg: parallelConfig(), Workload: w, Design: DesignSimple,
-		Obs: &RunObs{StagePhase: core.NewStagePhaseSampler()},
-	})
-	if err == nil || !strings.Contains(err.Error(), "no stage area") {
-		t.Fatalf("err = %v, want a no-stage-area error", err)
+	noStage := parallelConfig()
+	noStage.UseStageArea = false
+	for _, tc := range []struct {
+		name, design string
+		cfg          config.Config
+		wantErr      bool
+	}{
+		{"simple", DesignSimple, parallelConfig(), true},
+		{"baryon-no-stage-area", DesignBaryon, noStage, true},
+		{"hybrid2", DesignHybrid2, parallelConfig(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := core.NewStagePhaseSampler()
+			_, err := RunPairCtx(context.Background(), Pair{
+				Cfg: tc.cfg, Workload: w, Design: tc.design,
+				Obs: &RunObs{StagePhase: sp},
+			})
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "no stage area") {
+					t.Fatalf("err = %v, want a no-stage-area error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.Phases() == 0 {
+				t.Fatal("no stage phases sampled")
+			}
+		})
 	}
 }
 

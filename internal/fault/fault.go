@@ -290,6 +290,3 @@ func (in *Injector) Quarantine(addr, size uint64) {
 		in.remaps.Inc()
 	}
 }
-
-// QuarantinedLines returns the number of lines currently remapped to spares.
-func (in *Injector) QuarantinedLines() int { return len(in.quarantined) }

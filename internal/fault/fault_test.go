@@ -140,3 +140,6 @@ func TestEnabled(t *testing.T) {
 		t.Fatalf("default RemapPenaltyCycles = %d, want 512", got)
 	}
 }
+
+// QuarantinedLines returns the number of lines currently remapped to spares.
+func (in *Injector) QuarantinedLines() int { return len(in.quarantined) }

@@ -39,7 +39,7 @@ func BenchmarkEngineSwap(b *testing.B) {
 // and OSPaging do not; write-then-read reads its sub-block next, which runs
 // the block's fill, as a Baryon stage insert does.
 func BenchmarkStoreWriteLine(b *testing.B) {
-	fill := datagen.Filler(datagen.UniformMix())
+	fill := datagen.Filler(datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}})
 	const blocks = 2048
 	for _, bc := range []struct {
 		name string
@@ -56,7 +56,7 @@ func BenchmarkStoreWriteLine(b *testing.B) {
 				addr := uint64(i%blocks)*BlockSize + uint64(i/blocks%(BlockSize/CachelineSize))*CachelineSize
 				s.WriteLine(addr, line)
 				if bc.read {
-					s.Sub(BlockOf(addr), SubOf(addr))
+					s.Bytes(addr&^(SubBlockSize-1), SubBlockSize)
 				}
 			}
 		})

@@ -61,9 +61,6 @@ func NewDirSets[P any](nsets uint64, assoc int) *Dir[P] {
 // Sets returns the number of sets.
 func (d *Dir[P]) Sets() uint64 { return d.nsets }
 
-// Assoc returns the ways per set.
-func (d *Dir[P]) Assoc() int { return d.assoc }
-
 // SetIndex maps a key to its set.
 func (d *Dir[P]) SetIndex(key uint64) int { return int(key % d.nsets) }
 

@@ -33,9 +33,6 @@ func (t *Tier) Name() string { return t.name }
 // Device returns the tier's memory device.
 func (t *Tier) Device() *mem.Device { return t.dev }
 
-// Bytes returns the tier's far-window capacity (0 = catch-all or near tier).
-func (t *Tier) Bytes() uint64 { return t.bytes }
-
 // TierSpec describes one tier when building an engine: the device config
 // plus, for intermediate far tiers, the capacity window it serves. Bytes is
 // ignored on tier 0 and on the last tier (the catch-all).

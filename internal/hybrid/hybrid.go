@@ -6,8 +6,6 @@
 // that holds canonical data bytes.
 package hybrid
 
-import "baryon/internal/sim"
-
 // Geometry constants (Sections III-A and III-B).
 const (
 	CachelineSize = 64
@@ -26,44 +24,8 @@ type SuperBlockID uint64
 // BlockOf returns the block containing the physical address.
 func BlockOf(addr uint64) BlockID { return BlockID(addr / BlockSize) }
 
-// SubOf returns the sub-block index (0..7) of the address within its block.
-func SubOf(addr uint64) int { return int(addr % BlockSize / SubBlockSize) }
-
-// LineOf returns the cacheline index (0..3) within the sub-block.
-func LineOf(addr uint64) int { return int(addr % SubBlockSize / CachelineSize) }
-
 // LineAddr returns the address truncated to its cacheline.
 func LineAddr(addr uint64) uint64 { return addr &^ (CachelineSize - 1) }
-
-// SubAddr returns the base address of block b's sub-block s.
-func SubAddr(b BlockID, s int) uint64 {
-	return uint64(b)*BlockSize + uint64(s)*SubBlockSize
-}
-
-// Geometry carries the configurable super-block grouping (Fig. 13(b)).
-type Geometry struct {
-	// SuperBlockBlocks is the number of 2 kB blocks per super-block
-	// (default 8, i.e. 16 kB).
-	SuperBlockBlocks int
-}
-
-// DefaultGeometry returns the paper's default 8-block super-blocks.
-func DefaultGeometry() Geometry { return Geometry{SuperBlockBlocks: 8} }
-
-// SuperOf returns the super-block containing block b.
-func (g Geometry) SuperOf(b BlockID) SuperBlockID {
-	return SuperBlockID(uint64(b) / uint64(g.SuperBlockBlocks))
-}
-
-// BlockOffset returns b's index within its super-block (the BlkOff field).
-func (g Geometry) BlockOffset(b BlockID) int {
-	return int(uint64(b) % uint64(g.SuperBlockBlocks))
-}
-
-// BlockAt returns the blkOff-th block of super-block sb.
-func (g Geometry) BlockAt(sb SuperBlockID, blkOff int) BlockID {
-	return BlockID(uint64(sb)*uint64(g.SuperBlockBlocks) + uint64(blkOff))
-}
 
 // Result reports the outcome of one memory-controller access, consumed by
 // the cache hierarchy and the statistics harness.
@@ -80,34 +42,34 @@ type Result struct {
 }
 
 // Controller is a hybrid-memory controller: it owns both memory devices and
-// the canonical data plane below the processor caches.
+// the canonical data plane below the processor caches. It is the one
+// interface the simulator drives every design through, so the designs differ
+// only in what sits behind it.
 type Controller interface {
 	// Access performs a 64 B read or write at physical address addr (already
 	// line-aligned) starting at cycle now. For writes, data is the new line
 	// content. A read returns timing only; its content is observable
-	// through DataPeeker. Result.Prefetched is read-only and may alias
+	// through PeekLine. Result.Prefetched is read-only and may alias
 	// controller-owned scratch: consume (or copy) it before the next Access
 	// on the same controller.
 	Access(now uint64, addr uint64, write bool, data []byte) Result
-	// Stats exposes the controller's counters.
-	Stats() *sim.Stats
+	// Engine returns the shared migration/writeback engine the controller
+	// moves data through: its tiers and devices carry the run's traffic,
+	// faults and tracing.
+	Engine() *Engine
+	// PeekLine returns the current canonical content of the line at addr,
+	// with no timing or statistics side effects (integrity checks read
+	// through it).
+	PeekLine(addr uint64) []byte
 	// Name identifies the design (for reports).
 	Name() string
 }
 
-// EngineProvider is implemented by controllers built on the shared
-// migration/writeback Engine. It lets run setup reach the engine for
-// cross-cutting concerns — fault injection, tracing — without knowing the
-// concrete controller type.
+// EngineProvider is Controller's Engine method on its own. Every Controller
+// provides it; nothing in this module asserts it any more, and it stays only
+// because the end-to-end benchmark module (bench/) compiles against it.
 type EngineProvider interface {
 	Engine() *Engine
-}
-
-// DataPeeker is implemented by controllers that can expose the current
-// canonical content of a line for integrity testing (reads with no timing
-// or statistics side effects).
-type DataPeeker interface {
-	PeekLine(addr uint64) []byte
 }
 
 // InstructionSink is implemented by controllers that keep MPKI-style

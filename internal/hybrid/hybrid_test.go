@@ -13,48 +13,20 @@ func TestGeometryHelpers(t *testing.T) {
 	if BlockOf(addr) != 5 {
 		t.Fatalf("BlockOf=%d", BlockOf(addr))
 	}
-	if SubOf(addr) != 3 {
-		t.Fatalf("SubOf=%d", SubOf(addr))
-	}
-	if LineOf(addr) != 2 {
-		t.Fatalf("LineOf=%d", LineOf(addr))
-	}
-	if LineAddr(addr)%CachelineSize != 0 {
-		t.Fatal("LineAddr unaligned")
-	}
-	if SubAddr(5, 3) != 5*BlockSize+3*SubBlockSize {
-		t.Fatal("SubAddr wrong")
+	if LineAddr(addr) != 5*BlockSize+3*SubBlockSize+2*CachelineSize {
+		t.Fatalf("LineAddr=%#x", LineAddr(addr))
 	}
 }
 
 func TestGeometryRoundTripQuick(t *testing.T) {
 	f := func(raw uint32) bool {
 		addr := uint64(raw)
-		b, s, l := BlockOf(addr), SubOf(addr), LineOf(addr)
-		base := uint64(b)*BlockSize + uint64(s)*SubBlockSize + uint64(l)*CachelineSize
-		return base <= addr && addr < base+CachelineSize
+		base := LineAddr(addr)
+		return base <= addr && addr < base+CachelineSize &&
+			uint64(BlockOf(addr))*BlockSize <= base && base < uint64(BlockOf(addr)+1)*BlockSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSuperBlockGeometry(t *testing.T) {
-	g := DefaultGeometry()
-	if g.SuperOf(7) != 0 || g.SuperOf(8) != 1 {
-		t.Fatal("SuperOf wrong")
-	}
-	if g.BlockOffset(13) != 5 {
-		t.Fatalf("BlockOffset=%d", g.BlockOffset(13))
-	}
-	if g.BlockAt(1, 5) != 13 {
-		t.Fatalf("BlockAt=%d", g.BlockAt(1, 5))
-	}
-	// Round trip: BlockAt(SuperOf(b), BlockOffset(b)) == b.
-	for b := BlockID(0); b < 100; b++ {
-		if g.BlockAt(g.SuperOf(b), g.BlockOffset(b)) != b {
-			t.Fatalf("round trip failed for block %d", b)
-		}
 	}
 }
 
@@ -99,8 +71,8 @@ func TestStoreWriteRead(t *testing.T) {
 		t.Fatal("line write lost")
 	}
 	sub := bytes.Repeat([]byte{0xCD}, SubBlockSize)
-	copy(s.Sub(5, 2), sub)
-	if !bytes.Equal(s.Sub(5, 2), sub) {
+	copy(s.Bytes(5*BlockSize+2*SubBlockSize, SubBlockSize), sub)
+	if !bytes.Equal(s.Bytes(5*BlockSize+2*SubBlockSize, SubBlockSize), sub) {
 		t.Fatal("sub write lost")
 	}
 	// The line write at sub 0 must be untouched by the sub-2 write.
@@ -160,8 +132,8 @@ func TestStoreLazyFillMatchesEager(t *testing.T) {
 		case op == 6:
 			got, want = s.Line(addr), refBlock(b)[off:off+CachelineSize]
 		case op == 7:
-			sub := SubOf(addr)
-			got, want = s.Sub(b, sub), refBlock(b)[sub*SubBlockSize:(sub+1)*SubBlockSize]
+			sub := off &^ (SubBlockSize - 1)
+			got, want = s.Bytes(addr&^(SubBlockSize-1), SubBlockSize), refBlock(b)[sub:sub+SubBlockSize]
 		case op == 8:
 			n := int(rng.Uint64n(BlockSize-off)) + 1
 			got, want = s.Bytes(addr, n), refBlock(b)[off:off+uint64(n)]

@@ -187,3 +187,6 @@ func TestDirVictimAndLookup(t *testing.T) {
 		}
 	}
 }
+
+// Assoc returns the ways per set.
+func (d *Dir[P]) Assoc() int { return d.assoc }

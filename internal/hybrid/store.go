@@ -86,12 +86,6 @@ func (s *Store) Block(b BlockID) *[BlockSize]byte {
 	return &blk.data
 }
 
-// Sub returns the 256 B content of sub-block sub of block b.
-func (s *Store) Sub(b BlockID, sub int) []byte {
-	blk := s.Block(b)
-	return blk[sub*SubBlockSize : (sub+1)*SubBlockSize]
-}
-
 // Line returns the 64 B cacheline at addr. A written line needs no fill.
 func (s *Store) Line(addr uint64) []byte {
 	b := BlockOf(addr)

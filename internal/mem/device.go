@@ -129,7 +129,6 @@ type Device struct {
 	readLat                 *sim.Counter
 	queueHist, svcHist      *sim.Histogram
 	tracer                  *obs.Tracer
-	maxQueueing             uint64
 
 	// faults, when non-nil, injects read faults and tracks write wear; the
 	// outcome of the last demand access is kept for the engine's
@@ -188,9 +187,6 @@ func NewDevice(cfg Config, stats *sim.Stats) *Device {
 	}
 	return d
 }
-
-// HasCXL reports whether the device sits behind a CXL-expander link.
-func (d *Device) HasCXL() bool { return d.link != nil }
 
 // SetContentProbe attaches a function that returns the current bytes at a
 // device address, used by expander-side compression to estimate the
@@ -393,9 +389,6 @@ func (d *Device) access(now uint64, addr uint64, size uint64, write bool) uint64
 		start = float64(bk.busyUntil)
 	}
 	queue := uint64(start) - now
-	if queue > d.maxQueueing {
-		d.maxQueueing = queue
-	}
 	d.queueHist.Observe(queue)
 
 	lat := d.cfg.RowHitLatency
@@ -453,31 +446,6 @@ func (d *Device) inject(addr, size uint64, write bool) {
 	}
 }
 
-// EnergyPJ returns the accumulated access energy in picojoules. It is a
-// thin read of the registry accumulator.
-func (d *Device) EnergyPJ() float64 { return d.energy.Value() }
-
-// TotalBytes returns the total bytes moved in either direction.
-func (d *Device) TotalBytes() uint64 { return d.bytesRead.Value() + d.bytesWritten.Value() }
-
-// Reset clears all timing state and the non-registry accumulators. The
-// traffic/energy/latency counters live on the run's Stats registry and are
-// reset there (Stats.Reset on the device's scope).
-func (d *Device) Reset() {
-	for i := range d.channels {
-		d.channels[i].freeAt = 0
-		d.channels[i].bgBytes = 0
-		for j := range d.channels[i].banks {
-			d.channels[i].banks[j] = bank{}
-		}
-	}
-	d.maxQueueing = 0
-	d.lastFault = fault.None
-	if d.link != nil {
-		d.link.freeAt = 0
-	}
-}
-
 // accessDetailed serves one demand access through the protocol engine,
 // keeping the background-queue spill behaviour of the simple model.
 func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool) uint64 {
@@ -521,6 +489,3 @@ func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool
 	}
 	return done
 }
-
-// MaxQueueing returns the worst demand-access queueing delay observed.
-func (d *Device) MaxQueueing() uint64 { return d.maxQueueing }

@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 
+	"baryon/internal/fault"
 	"baryon/internal/sim"
 )
 
@@ -93,7 +94,7 @@ func TestZeroSizeAccess(t *testing.T) {
 	if done := ddr.Access(42, 0, 0, false); done != 42 {
 		t.Fatalf("zero-size access advanced time: %d", done)
 	}
-	if ddr.TotalBytes() != 0 {
+	if c := ddr.Counters(); c.BytesRead.Value()+c.BytesWritten.Value() != 0 {
 		t.Fatal("zero-size access moved bytes")
 	}
 }
@@ -145,11 +146,35 @@ func TestResetClearsMaxQueueing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		d.Access(0, uint64(i%2)*(DDR4Config().RowBufferBytes*32), 64, false)
 	}
-	if d.MaxQueueing() == 0 {
+	fresh := NewDevice(DDR4Config(), sim.NewStats()).Access(0, 0, 64, false)
+	if d.Access(0, 0, 64, false) <= fresh {
 		t.Fatal("expected some demand queueing before reset")
 	}
+	// After Reset no queue is left: the same access completes as on a
+	// fresh device.
 	d.Reset()
-	if d.MaxQueueing() != 0 {
-		t.Fatalf("Reset left maxQueueing at %d", d.MaxQueueing())
+	if got := d.Access(0, 0, 64, false); got != fresh {
+		t.Fatalf("after Reset an access completes at %d, a fresh device's at %d", got, fresh)
+	}
+}
+
+// EnergyPJ returns the accumulated access energy in picojoules. It is a
+// thin read of the registry accumulator.
+func (d *Device) EnergyPJ() float64 { return d.energy.Value() }
+
+// Reset clears all timing state and the non-registry accumulators. The
+// traffic/energy/latency counters live on the run's Stats registry and are
+// reset there (Stats.Reset on the device's scope).
+func (d *Device) Reset() {
+	for i := range d.channels {
+		d.channels[i].freeAt = 0
+		d.channels[i].bgBytes = 0
+		for j := range d.channels[i].banks {
+			d.channels[i].banks[j] = bank{}
+		}
+	}
+	d.lastFault = fault.None
+	if d.link != nil {
+		d.link.freeAt = 0
 	}
 }

@@ -13,8 +13,8 @@ import "math/bits"
 //
 // The hardware format gives CF2 four bits (one per aligned pair) and CF4 two
 // bits (one per aligned quad), with the all-ones combination of CF2+CF4
-// encoding Z; 8+2+4+2 = 16 bits. This struct keeps the fields explicit and
-// Encode/Decode produce the bit-exact layout.
+// encoding Z; 8+2+4+2 = 16 bits. This struct keeps the fields explicit; the
+// package's tests hold the bit-exact Encode/DecodeRemapEntry layout.
 type RemapEntry struct {
 	Remap   uint8 // bit i: sub-block i is in fast memory
 	Pointer uint8 // way within the set (2 bits at assoc 4)
@@ -69,30 +69,6 @@ func (e RemapEntry) SlotOffsetWithin(sub int) int {
 		s = start + cf
 	}
 	return n
-}
-
-// Encode packs the entry into its 2-byte hardware format.
-func (e RemapEntry) Encode() [RemapEntryBytes]byte {
-	if e.Z {
-		// All-ones CF2+CF4 is otherwise impossible (a CF4 range covers the
-		// sub-blocks a CF2 range would), so it encodes Z.
-		return [2]byte{e.Remap, (e.Pointer&3)<<6 | 0xF<<2 | 0x3}
-	}
-	return [2]byte{e.Remap, (e.Pointer&3)<<6 | (e.CF2&0xF)<<2 | e.CF4&0x3}
-}
-
-// DecodeRemapEntry unpacks a 2-byte entry.
-func DecodeRemapEntry(b [RemapEntryBytes]byte) RemapEntry {
-	e := RemapEntry{
-		Remap:   b[0],
-		Pointer: b[1] >> 6 & 3,
-		CF2:     b[1] >> 2 & 0xF,
-		CF4:     b[1] & 0x3,
-	}
-	if e.CF2 == 0xF && e.CF4 == 0x3 {
-		return RemapEntry{Remap: e.Remap, Pointer: e.Pointer, Z: true}
-	}
-	return e
 }
 
 // SuperEntries is the remap-cache line unit: the eight entries of one

@@ -100,11 +100,6 @@ func (c *RemapCache) MarkDirty(super uint64) bool {
 	return false
 }
 
-// HitRate returns hits/(hits+misses).
-func (c *RemapCache) HitRate() float64 {
-	return sim.Ratio(c.hits.Value(), c.hits.Value()+c.misses.Value())
-}
-
 // StorageBytes returns the SRAM budget of the cache: per line, eight 2-byte
 // entries plus a 26-bit tag+state rounded to 4 bytes.
 func (c *RemapCache) StorageBytes() int {

@@ -77,12 +77,6 @@ func NewTracer(sampleEvery uint64, capacity int) *Tracer {
 	return &Tracer{sampleEvery: sampleEvery, events: make([]Event, 0, capacity)}
 }
 
-// TracerSink is implemented by components that can attach a tracer
-// (controllers, devices). Components without it are silently skipped.
-type TracerSink interface {
-	SetTracer(*Tracer)
-}
-
 // BeginReq opens request accounting for one demand access and decides
 // whether it is sampled. Must be paired with EndReq.
 func (t *Tracer) BeginReq(core int, addr, now uint64) {

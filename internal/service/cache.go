@@ -383,14 +383,6 @@ func (c *Cache) insert(hash string, data []byte) {
 	}
 }
 
-// Degraded reports whether the store is currently memory-only (last disk
-// write failed).
-func (c *Cache) Degraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
-}
-
 // Stats returns the store's current counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -260,3 +260,11 @@ func TestStoreReadErrorCounted(t *testing.T) {
 		t.Fatal("entry not served after the read fault healed")
 	}
 }
+
+// Degraded reports whether the store is currently memory-only (last disk
+// write failed).
+func (c *Cache) Degraded() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.degraded
+}

@@ -71,9 +71,6 @@ type Outcome struct {
 	Result *cpu.Result
 }
 
-// ServedWithoutSim reports whether this submission cost zero simulations.
-func (o Outcome) ServedWithoutSim() bool { return o.CacheHit || o.Collapsed }
-
 // Service is the shared run-service core: resolve, cache, collapse, and
 // simulate jobs under a bounded worker pool.
 type Service struct {

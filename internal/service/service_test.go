@@ -921,3 +921,6 @@ func TestFailedRecordsRetainedAndRetried(t *testing.T) {
 		t.Fatal("the oldest failed record survived past the bound")
 	}
 }
+
+// ServedWithoutSim reports whether this submission cost zero simulations.
+func (o Outcome) ServedWithoutSim() bool { return o.CacheHit || o.Collapsed }

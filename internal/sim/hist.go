@@ -93,20 +93,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Merge folds every bucket of o into h. Merging is associative and
-// commutative bucket-for-bucket, so summaries of merged histograms do not
-// depend on merge order.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // delta returns the per-bucket change of h since the snapshotted copy prev.
 // The exact max of the window is unknowable from bucket subtraction, so the
 // delta's max is the tightest bucket-derived upper bound, capped by the

@@ -282,3 +282,17 @@ func TestStatsHistogramRegistry(t *testing.T) {
 		t.Fatalf("Reset left data: count=%d max=%d", h1.Count(), h1.Max())
 	}
 }
+
+// Merge folds every bucket of o into h. Merging is associative and
+// commutative bucket-for-bucket, so summaries of merged histograms do not
+// depend on merge order.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i] += o.buckets[i]
+	}
+	h.count += o.count
+	h.sum += o.sum
+	if o.max > h.max {
+		h.max = o.max
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -248,6 +249,43 @@ func TestZetaMemoBitIdentical(t *testing.T) {
 	for i, z := range zs {
 		if got := math.Float64bits(z.zetan); got != want {
 			t.Fatalf("worker %d: zetan %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// Mean returns the arithmetic mean, or 0 for an empty sample.
+func (s *Sample) Mean() float64 {
+	if len(s.xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range s.xs {
+		sum += x
+	}
+	return sum / float64(len(s.xs))
+}
+
+// Reset zeroes every counter, accumulator, gauge and histogram visible to
+// this view but keeps the registrations.
+func (s *Stats) Reset() {
+	for name, c := range s.reg.counters {
+		if strings.HasPrefix(name, s.prefix) {
+			c.v = 0
+		}
+	}
+	for name, f := range s.reg.floats {
+		if strings.HasPrefix(name, s.prefix) {
+			f.v = 0
+		}
+	}
+	for name, g := range s.reg.gauges {
+		if strings.HasPrefix(name, s.prefix) {
+			g.v = 0
+		}
+	}
+	for name, h := range s.reg.hists {
+		if strings.HasPrefix(name, s.prefix) {
+			*h = Histogram{name: h.name}
 		}
 	}
 }

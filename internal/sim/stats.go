@@ -22,9 +22,6 @@ func (c *Counter) Inc() { c.v++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// Name returns the counter's fully-qualified registered name.
-func (c *Counter) Name() string { return c.name }
-
 // FloatAccum is a monotonically accumulating float metric (energy,
 // latency-weighted sums). It lives in the same registry as Counters so
 // snapshots and window deltas cover it.
@@ -38,9 +35,6 @@ func (f *FloatAccum) Add(x float64) { f.v += x }
 
 // Value returns the accumulated total.
 func (f *FloatAccum) Value() float64 { return f.v }
-
-// Name returns the accumulator's fully-qualified registered name.
-func (f *FloatAccum) Name() string { return f.name }
 
 // Gauge is a point-in-time value (a queue depth, a cache size) that can go
 // down as well as up. Window deltas keep a gauge's current value.
@@ -211,31 +205,6 @@ func (s *Stats) FloatNames() []string {
 		}
 	}
 	return out
-}
-
-// Reset zeroes every counter, accumulator, gauge and histogram visible to
-// this view but keeps the registrations.
-func (s *Stats) Reset() {
-	for name, c := range s.reg.counters {
-		if strings.HasPrefix(name, s.prefix) {
-			c.v = 0
-		}
-	}
-	for name, f := range s.reg.floats {
-		if strings.HasPrefix(name, s.prefix) {
-			f.v = 0
-		}
-	}
-	for name, g := range s.reg.gauges {
-		if strings.HasPrefix(name, s.prefix) {
-			g.v = 0
-		}
-	}
-	for name, h := range s.reg.hists {
-		if strings.HasPrefix(name, s.prefix) {
-			*h = Histogram{name: h.name}
-		}
-	}
 }
 
 // String renders the visible counters as "name=value" lines in registration
@@ -420,18 +389,6 @@ func (s *Sample) Merge(o *Sample) {
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using
 // nearest-rank interpolation, or 0 for an empty sample.

@@ -17,7 +17,7 @@ const sampleTrace = `# comment line
 `
 
 func TestParseReplay(t *testing.T) {
-	rep, err := ParseReplay(strings.NewReader(sampleTrace), "t", datagen.UniformMix())
+	rep, err := ParseReplay(strings.NewReader(sampleTrace), "t", datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestParseReplayErrors(t *testing.T) {
 		"core gap":   "1 R 0x1000 5\n", // core 0 missing
 	}
 	for name, body := range cases {
-		if _, err := ParseReplay(strings.NewReader(body), "t", datagen.UniformMix()); err == nil {
+		if _, err := ParseReplay(strings.NewReader(body), "t", datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
@@ -79,7 +79,7 @@ func TestReplayWriteParseRoundTrip(t *testing.T) {
 
 func TestReplayStreamsWrapAndSpread(t *testing.T) {
 	rep := &Replay{
-		Name: "r", Mix: datagen.UniformMix(),
+		Name: "r", Mix: datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}},
 		PerCore: [][]Access{{{Addr: 64, Gap: 1}, {Addr: 128, Gap: 2}}},
 	}
 	streams := rep.Streams(3, 0, 0)

@@ -76,7 +76,7 @@ func TestBlockUtilRespected(t *testing.T) {
 		if subs[b] == nil {
 			subs[b] = map[int]bool{}
 		}
-		subs[b][hybrid.SubOf(a.Addr)] = true
+		subs[b][int(a.Addr%hybrid.BlockSize/hybrid.SubBlockSize)] = true
 	}
 	maxSubs := 0
 	for _, set := range subs {
