@@ -18,10 +18,10 @@ import (
 	"os/signal"
 	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 
 	"baryon/internal/config"
-	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 	"baryon/internal/obs"
 	"baryon/internal/report"
@@ -44,10 +44,9 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the run's final OpenMetrics exposition to this file (- for stdout)")
 	bundleOut := flag.String("bundle-out", "", "write the deterministic run-report bundle (see cmd/runreport) to this file (- for stdout)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	traceOut := flag.String("trace-out", "", "write sampled request lifecycles as Chrome trace_event JSON to this file (enables tracing)")
+	traceOut := flag.String("trace-out", "", "write sampled request lifecycles as Chrome trace_event JSON to this file (- for stdout; enables tracing)")
 	traceSample := flag.Uint64("trace-sample", 64, "with -trace-out, sample 1 in N requests (1 = every request)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /runz live run status on this address (e.g. localhost:6060)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "abort if the run makes no progress for this long (0 = off)")
 	verbose := flag.Bool("v", false, "dump every raw counter")
 	list := flag.Bool("list", false, "list workloads and exit")
 	common := service.RegisterFlags(flag.CommandLine,
@@ -103,8 +102,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-epoch-csv/-epoch-jsonl require -epoch > 0")
 		os.Exit(2)
 	}
-	if *metricsOut == "-" && *bundleOut == "-" {
-		fmt.Fprintln(os.Stderr, "-metrics-out and -bundle-out cannot both write to stdout")
+	// Each export may go to stdout ("-"), but only one at a time: a stream
+	// mixing two formats parses as neither.
+	var toStdout []string
+	for _, e := range []struct{ flag, path string }{
+		{"-trace-out", *traceOut}, {"-epoch-csv", *epochCSV}, {"-epoch-jsonl", *epochJSONL},
+		{"-metrics-out", *metricsOut}, {"-bundle-out", *bundleOut},
+	} {
+		if e.path == "-" {
+			toStdout = append(toStdout, e.flag)
+		}
+	}
+	if len(toStdout) > 1 {
+		fmt.Fprintf(os.Stderr, "only one export may write to stdout (-), not %s\n", strings.Join(toStdout, " and "))
 		os.Exit(2)
 	}
 	if *traceSample == 0 {
@@ -163,10 +173,8 @@ func main() {
 		tr = obs.NewTracer(*traceSample, 0)
 	}
 	var in *obs.Introspector
-	if *debugAddr != "" || *stallTimeout > 0 {
-		in = &obs.Introspector{}
-	}
 	if *debugAddr != "" {
+		in = &obs.Introspector{}
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "debug listener: %v\n", err)
@@ -180,53 +188,57 @@ func main() {
 		}()
 	}
 
-	// The service layer owns the run lifecycle: validation, stall watchdog,
-	// tracer/introspector attachment, cancellation.
-	res, runErr := service.RunSingle(ctx, service.SingleRun{
-		Cfg:           cfg,
-		Workload:      w,
-		Source:        src,
-		Design:        *design,
-		StallTimeout:  *stallTimeout,
-		Tracer:        tr,
-		Introspector:  in,
-		StallWarnings: os.Stderr,
-	})
+	pair := experiment.Pair{Cfg: cfg, Workload: w, Design: *design, Source: src}
+	if tr != nil || in != nil {
+		pair.Obs = &experiment.RunObs{Tracer: tr, Introspector: in}
+	}
+	res, runErr := experiment.RunPairCtx(ctx, pair)
 	if runErr != nil {
+		if res.Stats == nil {
+			// Stopped before the first access: no partial run to report.
+			fmt.Fprintf(os.Stderr, "run stopped before it started: %v\n", runErr)
+			os.Exit(1)
+		}
 		fmt.Fprintf(os.Stderr, "run stopped early: %v (reporting partial metrics)\n", runErr)
 	}
 	if tr != nil {
-		if err := writeTrace(*traceOut, tr); err != nil {
-			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tr.WriteFlameSummary(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "trace summary: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn("trace", writeOut(*traceOut, tr.WriteChromeJSON))
+		exitOn("trace summary", tr.WriteFlameSummary(os.Stderr))
 	}
-	writeEpochs(res, *epochCSV, experiment.WriteEpochCSV)
-	writeEpochs(res, *epochJSONL, experiment.WriteEpochJSONL)
+	if *epochCSV != "" {
+		exitOn("epoch CSV", writeOut(*epochCSV, func(w io.Writer) error { return experiment.WriteEpochCSV(w, res) }))
+	}
+	if *epochJSONL != "" {
+		exitOn("epoch JSONL", writeOut(*epochJSONL, func(w io.Writer) error { return experiment.WriteEpochJSONL(w, res) }))
+	}
 	if *metricsOut != "" {
-		if err := writeMetricsOut(*metricsOut, res, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
-			os.Exit(1)
-		}
+		// The measurement-window registry delta, labelled with the run
+		// identity: the end-of-run counterpart of the live /metrics endpoint.
+		opts := obs.OMOptions{Labels: []obs.OMLabel{
+			{Key: "design", Value: res.Design},
+			{Key: "workload", Value: res.Workload},
+			{Key: "seed", Value: strconv.FormatUint(cfg.Seed, 10)},
+		}}
+		snap := res.Stats.Delta(res.MeasureStart)
+		exitOn("metrics", writeOut(*metricsOut, func(w io.Writer) error { return obs.WriteOpenMetrics(w, snap, opts) }))
 	}
 	if *bundleOut != "" {
 		if runErr != nil {
 			// A partial run's counters are interleaving-dependent; a bundle of
 			// them would defeat the determinism contract.
 			fmt.Fprintln(os.Stderr, "-bundle-out: skipping bundle for a partial run")
-		} else if err := writeBundleOut(*bundleOut, *design, cfg, res); err != nil {
-			fmt.Fprintf(os.Stderr, "writing bundle: %v\n", err)
-			os.Exit(1)
+		} else {
+			b, err := report.PairBundle(pair, res)
+			exitOn("bundle", err)
+			data, err := b.MarshalCanonical()
+			exitOn("bundle", err)
+			exitOn("bundle", writeOut(*bundleOut, func(w io.Writer) error { _, err := w.Write(data); return err }))
 		}
 	}
-	if *metricsOut == "-" || *bundleOut == "-" {
+	if toStdout != nil {
 		// stdout is carrying a machine-readable export; skip the run report
-		// so the stream stays parseable (pipe straight into cmd/omlint or
-		// cmd/runreport).
+		// so the stream stays parseable (pipe straight into cmd/omlint,
+		// cmd/runreport or a CSV/JSONL reader).
 		if runErr != nil {
 			os.Exit(1)
 		}
@@ -323,81 +335,27 @@ func main() {
 	}
 }
 
-// writeMetricsOut renders the run's measurement-window registry delta as
-// OpenMetrics text ("-" = stdout), labelled with the run identity — the
-// end-of-run counterpart of the live /metrics endpoint.
-func writeMetricsOut(path string, res cpu.Result, cfg config.Config) error {
-	snap := res.Stats.Delta(res.MeasureStart)
-	opts := obs.OMOptions{Labels: []obs.OMLabel{
-		{Key: "design", Value: res.Design},
-		{Key: "workload", Value: res.Workload},
-		{Key: "seed", Value: strconv.FormatUint(cfg.Seed, 10)},
-	}}
+// writeOut writes one export to path, or to stdout when path is "-", and
+// returns the write error or else the file's Close error.
+func writeOut(path string, write func(io.Writer) error) error {
 	if path == "-" {
-		return obs.WriteOpenMetrics(os.Stdout, snap, opts)
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteOpenMetrics(f, snap, opts); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// writeBundleOut writes the run's deterministic report bundle ("-" =
-// stdout): the canonical spec key plus the full measurement-window metric
-// state, in the byte-stable shape cmd/runreport diffs.
-func writeBundleOut(path, design string, cfg config.Config, res cpu.Result) error {
-	b, err := service.BundleFor(design, cfg, res)
+// exitOn reports a failed export and exits 1; a nil err is a no-op.
+func exitOn(what string, err error) {
 	if err != nil {
-		return err
-	}
-	if path == "-" {
-		data, err := b.MarshalCanonical()
-		if err != nil {
-			return err
-		}
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return report.WriteFile(path, b)
-}
-
-// writeTrace dumps the tracer's ring buffer as Chrome trace_event JSON
-// (load via chrome://tracing or https://ui.perfetto.dev).
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeEpochs serialises the epoch series to path ("-" = stdout) with the
-// given writer; a no-op when path is empty.
-func writeEpochs(res cpu.Result, path string, write func(io.Writer, cpu.Result) error) {
-	if path == "" {
-		return
-	}
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := write(w, res); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "writing %s: %v\n", what, err)
 		os.Exit(1)
 	}
 }

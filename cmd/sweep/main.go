@@ -162,7 +162,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				fmt.Sprintf("%.1f", res.MemLat.P99),
 				strconv.FormatUint(res.MemLat.Max, 10),
 				strings.Join(res.TierNames, "+"),
-				tierBytesCell(res.TierBytes),
+				experiment.TierBytesCell(res.TierBytes),
 				errorCell(pr.Err),
 			}
 			if err := out.Write(row); err != nil {
@@ -189,19 +189,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// tierBytesCell renders the per-tier traffic breakdown as a ";"-joined cell
-// (empty on classic two-tier runs, like the tiers column).
-func tierBytesCell(b []uint64) string {
-	if len(b) == 0 {
-		return ""
-	}
-	parts := make([]string, len(b))
-	for i, v := range b {
-		parts[i] = strconv.FormatUint(v, 10)
-	}
-	return strings.Join(parts, ";")
 }
 
 // errorCell renders an error as a single-line CSV cell; panics carry a

@@ -31,7 +31,7 @@ func WriteEpochCSV(w io.Writer, res cpu.Result) error {
 			e.Index, e.EndAccesses, e.Accesses, e.Instructions, e.Cycles,
 			e.IPC(), e.FastServeRate, e.BloatFactor,
 			e.FastBytes, e.SlowBytes,
-			tierBytesField(e.TierBytes), e.CXLLinkBytes, e.CXLInternalBytes,
+			TierBytesCell(e.TierBytes), e.CXLLinkBytes, e.CXLInternalBytes,
 			e.EnergyPJ,
 			e.MemLat.P50, e.MemLat.P99, e.MemLat.Max)
 		if err != nil {
@@ -41,9 +41,9 @@ func WriteEpochCSV(w io.Writer, res cpu.Result) error {
 	return nil
 }
 
-// tierBytesField renders a per-tier byte breakdown as the ";"-joined cell
+// TierBytesCell renders a per-tier byte breakdown as the ";"-joined cell
 // shared by the sweep CSV and the epoch CSV (empty for two-tier runs).
-func tierBytesField(b []uint64) string {
+func TierBytesCell(b []uint64) string {
 	if len(b) == 0 {
 		return ""
 	}

@@ -320,7 +320,7 @@ func (d *Device) AccessBackground(now uint64, addr uint64, size uint64, write bo
 		// completion shifts by the queueing + flit latency.
 		nominal = uint64(d.link.admit(now, addr, size)) + d.link.p.LinkLatencyCycles
 	}
-	// Account bytes/energy/op counts identically to demand traffic.
+	// Bytes, energy and op counts are accounted as for demand traffic.
 	const interleave = 256
 	for off := uint64(0); off < size; off += interleave {
 		n := size - off
@@ -330,15 +330,7 @@ func (d *Device) AccessBackground(now uint64, addr uint64, size uint64, write bo
 		ch := &d.channels[((addr+off)/256)%uint64(d.cfg.Channels)]
 		d.drain(ch, now)
 		ch.bgBytes += float64(n)
-		if write {
-			d.writes.Inc()
-			d.bytesWritten.Add(n)
-			d.energy.Add(float64(n*8) * d.cfg.WritePJPerBit)
-		} else {
-			d.reads.Inc()
-			d.bytesRead.Add(n)
-			d.energy.Add(float64(n*8) * d.cfg.ReadPJPerBit)
-		}
+		d.account(n, write)
 		if d.faults != nil {
 			// Background traffic ages cells and suffers faults like demand
 			// traffic, but its nominal completion time absorbs the ECC
@@ -367,68 +359,92 @@ func (d *Device) drain(ch *channel, now uint64) {
 	}
 }
 
+// access serves one demand chunk: a timing model (the busy-until queue, or
+// the protocol engine when configured) yields its completion cycle and
+// row-buffer outcome, then the accounting common to both runs once.
 func (d *Device) access(now uint64, addr uint64, size uint64, write bool) uint64 {
+	var done uint64
+	var rowHit bool
 	if d.engine != nil {
-		return d.accessDetailed(now, addr, size, write)
-	}
-	ch := &d.channels[(addr/256)%uint64(d.cfg.Channels)]
-	bk := &ch.banks[(addr/d.cfg.RowBufferBytes)%uint64(d.cfg.Banks)]
-	row := addr / d.cfg.RowBufferBytes / uint64(d.cfg.Banks)
-
-	d.drain(ch, now)
-	start := float64(now)
-	if ch.freeAt > start {
-		start = ch.freeAt
-	}
-	// A saturated background queue spills onto the demand path.
-	if ch.bgBytes > bgHighWater {
-		start += (ch.bgBytes - bgHighWater) / d.cfg.BytesPerCycle
-		ch.bgBytes = bgHighWater
-	}
-	if float64(bk.busyUntil) > start {
-		start = float64(bk.busyUntil)
-	}
-	queue := uint64(start) - now
-	d.queueHist.Observe(queue)
-
-	lat := d.cfg.RowHitLatency
-	rowClass := "rowHit"
-	if !bk.hasRow || bk.openRow != row {
-		lat = d.cfg.RowMissLatency
-		bk.openRow, bk.hasRow = row, true
-		d.rowMisses.Inc()
-		d.energy.Add(d.cfg.ActivatePJ)
-		rowClass = "rowMiss"
+		done, rowHit = d.accessDetailed(now, addr, size, write)
 	} else {
-		d.rowHits.Inc()
-	}
-	if write {
-		lat += d.cfg.WriteLatency
+		ch := &d.channels[(addr/256)%uint64(d.cfg.Channels)]
+		bk := &ch.banks[(addr/d.cfg.RowBufferBytes)%uint64(d.cfg.Banks)]
+		row := addr / d.cfg.RowBufferBytes / uint64(d.cfg.Banks)
+
+		d.drain(ch, now)
+		start := float64(now)
+		if ch.freeAt > start {
+			start = ch.freeAt
+		}
+		// A saturated background queue spills onto the demand path.
+		if ch.bgBytes > bgHighWater {
+			start += (ch.bgBytes - bgHighWater) / d.cfg.BytesPerCycle
+			ch.bgBytes = bgHighWater
+		}
+		if float64(bk.busyUntil) > start {
+			start = float64(bk.busyUntil)
+		}
+		queue := uint64(start) - now
+		d.queueHist.Observe(queue)
+
+		lat := d.cfg.RowHitLatency
+		rowHit = bk.hasRow && bk.openRow == row
+		if !rowHit {
+			lat = d.cfg.RowMissLatency
+			bk.openRow, bk.hasRow = row, true
+		}
+		d.countRow(rowHit)
+		if write {
+			lat += d.cfg.WriteLatency
+		}
+
+		xfer := float64(size) / d.cfg.BytesPerCycle
+		ch.freeAt = start + xfer
+		done = uint64(start+xfer) + lat
+		// The bank is occupied for the transfer itself; subsequent row-hit
+		// accesses pipeline while earlier data is in flight.
+		bk.busyUntil = uint64(start + xfer)
 	}
 
-	xfer := float64(size) / d.cfg.BytesPerCycle
-	ch.freeAt = start + xfer
-	done := uint64(start+xfer) + lat
-	// The bank is occupied for the transfer itself; subsequent row-hit
-	// accesses pipeline while earlier data is in flight.
-	bk.busyUntil = uint64(start + xfer)
-
-	if write {
-		d.writes.Inc()
-		d.bytesWritten.Add(size)
-		d.energy.Add(float64(size*8) * d.cfg.WritePJPerBit)
-	} else {
-		d.reads.Inc()
-		d.bytesRead.Add(size)
-		d.energy.Add(float64(size*8) * d.cfg.ReadPJPerBit)
+	d.account(size, write)
+	if !write {
 		d.readLat.Add(done - now)
 	}
 	d.inject(addr, size, write)
 	d.svcHist.Observe(done - now)
 	if d.tracer != nil {
+		rowClass := "rowMiss"
+		if rowHit {
+			rowClass = "rowHit"
+		}
 		d.tracer.Span(d.cfg.Name, rowClass, now, done)
 	}
 	return done
+}
+
+// account counts one transfer's op, bytes and energy, for demand and
+// background traffic alike.
+func (d *Device) account(size uint64, write bool) {
+	if write {
+		d.writes.Inc()
+		d.bytesWritten.Add(size)
+		d.energy.Add(float64(size*8) * d.cfg.WritePJPerBit)
+		return
+	}
+	d.reads.Inc()
+	d.bytesRead.Add(size)
+	d.energy.Add(float64(size*8) * d.cfg.ReadPJPerBit)
+}
+
+// countRow counts one row-buffer outcome; a miss pays the activation energy.
+func (d *Device) countRow(hit bool) {
+	if hit {
+		d.rowHits.Inc()
+		return
+	}
+	d.rowMisses.Inc()
+	d.energy.Add(d.cfg.ActivatePJ)
 }
 
 // inject draws the fault outcome for one demand chunk, accumulating the
@@ -446,9 +462,10 @@ func (d *Device) inject(addr, size uint64, write bool) {
 	}
 }
 
-// accessDetailed serves one demand access through the protocol engine,
-// keeping the background-queue spill behaviour of the simple model.
-func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool) uint64 {
+// accessDetailed times one demand access through the protocol engine,
+// keeping the background-queue spill behaviour of the simple model; rowHit
+// is false when any of its bursts missed the open row.
+func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool) (done uint64, rowHit bool) {
 	ch := &d.channels[(addr/256)%uint64(d.cfg.Channels)]
 	d.drain(ch, now)
 	start := now
@@ -457,35 +474,14 @@ func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool
 		ch.bgBytes = bgHighWater
 	}
 	d.queueHist.Observe(start - now)
-	rowClass := "rowHit"
-	var done uint64
+	rowHit = true
 	for off := uint64(0); off < size; off += 64 {
-		_, last, rowHit := d.engine.Access(start, addr+off, write)
+		_, last, hit := d.engine.Access(start, addr+off, write)
 		if last > done {
 			done = last
 		}
-		if rowHit {
-			d.rowHits.Inc()
-		} else {
-			d.rowMisses.Inc()
-			d.energy.Add(d.cfg.ActivatePJ)
-			rowClass = "rowMiss"
-		}
+		d.countRow(hit)
+		rowHit = rowHit && hit
 	}
-	if write {
-		d.writes.Inc()
-		d.bytesWritten.Add(size)
-		d.energy.Add(float64(size*8) * d.cfg.WritePJPerBit)
-	} else {
-		d.reads.Inc()
-		d.bytesRead.Add(size)
-		d.energy.Add(float64(size*8) * d.cfg.ReadPJPerBit)
-		d.readLat.Add(done - now)
-	}
-	d.inject(addr, size, write)
-	d.svcHist.Observe(done - now)
-	if d.tracer != nil {
-		d.tracer.Span(d.cfg.Name, rowClass, now, done)
-	}
-	return done
+	return done, rowHit
 }

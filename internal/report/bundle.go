@@ -89,14 +89,11 @@ type TierTraffic struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-// EpochsRef references a run's epoch time-series without inlining it: the
-// bundle stays small and byte-stable while pointing at the (separately
-// written) series artifact.
+// EpochsRef records the length of a run's epoch time-series without
+// inlining it, so the bundle stays small and byte-stable; the series itself
+// is a separate artifact (baryonsim -epoch-csv/-epoch-jsonl).
 type EpochsRef struct {
 	Count int `json:"count"`
-	// Series is the relative path of the epoch CSV/JSONL artifact, when the
-	// caller wrote one alongside the bundle.
-	Series string `json:"series,omitempty"`
 }
 
 // Bundle is the deterministic run-report artifact. All metric sections are

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 )
 
@@ -20,23 +21,27 @@ func ObservePairs(dir string, errw io.Writer) (func(experiment.Pair, experiment.
 		return nil, err
 	}
 	return func(p experiment.Pair, pr experiment.PairResult) {
-		spec, ok := experiment.Lookup(p.Design)
-		if !ok {
-			fmt.Fprintf(errw, "report: design %q not registered, no bundle written\n", p.Design)
-			return
+		b, err := PairBundle(p, pr.Result)
+		if err == nil {
+			err = WriteFile(filepath.Join(dir, FileName(b)), b)
 		}
-		key, err := Key(spec, p.Cfg, p.Workload.Name)
 		if err != nil {
-			fmt.Fprintf(errw, "report: %v\n", err)
-			return
-		}
-		b, err := New(key, pr.Result)
-		if err != nil {
-			fmt.Fprintf(errw, "report: %v\n", err)
-			return
-		}
-		if err := WriteFile(filepath.Join(dir, FileName(b)), b); err != nil {
 			fmt.Fprintf(errw, "report: %v\n", err)
 		}
 	}, nil
+}
+
+// PairBundle builds the bundle of one completed pair: the pair's registered
+// design and config keyed with the workload the result names (a replayed
+// trace keys under its own name, not the synthetic workload's).
+func PairBundle(p experiment.Pair, res cpu.Result) (Bundle, error) {
+	spec, ok := experiment.Lookup(p.Design)
+	if !ok {
+		return Bundle{}, fmt.Errorf("design %q not registered", p.Design)
+	}
+	key, err := Key(spec, p.Cfg, res.Workload)
+	if err != nil {
+		return Bundle{}, err
+	}
+	return New(key, res)
 }

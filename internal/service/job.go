@@ -5,8 +5,8 @@
 // experiment.RunPairsCtx, singleflight collapsing of concurrent identical
 // submissions, and a content-addressed result store whose hits return
 // byte-identical bundles without simulating. cmd/baryonsim, cmd/sweep and
-// cmd/experiments share its flag plumbing and single-run wiring;
-// cmd/baryonsimd serves its HTTP API; cmd/loadgen drives that API.
+// cmd/experiments share its flag plumbing; cmd/baryonsimd serves its HTTP
+// API; cmd/loadgen drives that API.
 //
 // The cache is sound because runs are deterministic: the spec hash covers
 // the full design spec, every config value the run changes from the

@@ -6,7 +6,9 @@
 # end-to-end check that the signal path itself works. It then drives
 # cmd/experiments end to end: output independent of -parallel, one
 # -bundle-dir bundle per run (a sweep's config points included), and
-# -timeout reported as cancelled, not failed.
+# -timeout reported as cancelled, not failed. Last, a cmd/baryonsim run cut
+# by -timeout must report partial metrics, exit 1 and write no bundle, and
+# one whose deadline expires before it starts must exit 1 without a crash.
 set -eu
 
 tmp=$(mktemp -d)
@@ -14,6 +16,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/sweep" ./cmd/sweep
 go build -o "$tmp/experiments" ./cmd/experiments
+go build -o "$tmp/baryonsim" ./cmd/baryonsim
 
 # A grid long enough that SIGINT lands mid-run on any machine.
 "$tmp/sweep" -workloads 505.mcf_r -designs Simple,UnisonCache,DICE,Baryon \
@@ -107,3 +110,36 @@ for args in "-only fig10 -timeout 1s" "-only fig3a -timeout 100ms"; do
 done
 
 echo "cancel-smoke OK: experiments -parallel 1/2 identical, $bundles bundles, fig3b $bundles3b distinct bundles, -timeout cancelled"
+
+# cmd/baryonsim: -timeout stops the run with a partial report on stdout,
+# "run stopped early" on stderr and exit 1; a partial run writes no bundle.
+status=0
+"$tmp/baryonsim" -accesses 500000 -timeout 300ms -bundle-out "$tmp/partial.bundle.json" \
+    >"$tmp/sim.out" 2>"$tmp/sim.err" || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "FAIL: baryonsim -timeout exited $status, want 1" >&2
+    cat "$tmp/sim.err" >&2
+    exit 1
+fi
+if ! grep -q "run stopped early" "$tmp/sim.err" || ! grep -q "^cycles:" "$tmp/sim.out"; then
+    echo "FAIL: baryonsim -timeout did not report a partial run" >&2
+    cat "$tmp/sim.out" "$tmp/sim.err" >&2
+    exit 1
+fi
+if [ -e "$tmp/partial.bundle.json" ]; then
+    echo "FAIL: baryonsim wrote a bundle for a partial run" >&2
+    exit 1
+fi
+
+# A deadline that expires before the first access leaves nothing to report:
+# exit 1 with a message, not a crash on the missing metrics.
+status=0
+"$tmp/baryonsim" -accesses 1000 -timeout 1ns -v -metrics-out "$tmp/early.metrics.txt" \
+    >"$tmp/early.out" 2>"$tmp/early.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "run stopped before it started" "$tmp/early.err"; then
+    echo "FAIL: baryonsim -timeout 1ns exited $status, want 1 with \"run stopped before it started\"" >&2
+    cat "$tmp/early.err" >&2
+    exit 1
+fi
+
+echo "cancel-smoke OK: baryonsim -timeout partial report, exit 1, no bundle; expired before start, exit 1"

@@ -3,6 +3,8 @@
 # the bundle pipeline, end to end through the built commands. Two identical
 # runs must produce byte-identical bundles, cmd/runreport must accept the
 # pair as clean (exit 0), and a tampered counter must make it exit non-zero.
+# A pair's bundle must be the same bytes from cmd/sweep -bundle-dir and
+# cmd/baryonsim -bundle-out, and baryonsim must refuse two exports on stdout.
 # `make report-smoke` and CI run this; the same contract is covered
 # in-process by internal/report's and cmd/runreport's tests.
 set -eu
@@ -12,6 +14,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/baryonsim" ./cmd/baryonsim
 go build -o "$tmp/runreport" ./cmd/runreport
+go build -o "$tmp/sweep" ./cmd/sweep
 
 run_bundle() {
     "$tmp/baryonsim" -workload 505.mcf_r -design Baryon \
@@ -51,3 +54,30 @@ if ! grep -q "cycles" "$tmp/diff.out"; then
 fi
 
 echo "report-smoke OK: bundles byte-identical, self-diff clean, tamper caught (exit $status)"
+
+# One bundle builder: the same pair bundles to the same bytes through
+# cmd/sweep -bundle-dir and cmd/baryonsim -bundle-out.
+"$tmp/sweep" -workloads 505.mcf_r -designs Baryon,DICE -seeds 3 -accesses 1000 \
+    -bundle-dir "$tmp/bundles" >/dev/null 2>"$tmp/sweep.err"
+for design in Baryon DICE; do
+    "$tmp/baryonsim" -workload 505.mcf_r -design "$design" -seed 3 -accesses 1000 \
+        -bundle-out "$tmp/$design.sim.bundle.json" >/dev/null
+    set -- "$tmp"/bundles/"$design"__505.mcf_r__seed3__*.bundle.json
+    if [ "$#" -ne 1 ] || ! cmp -s "$1" "$tmp/$design.sim.bundle.json"; then
+        echo "FAIL: $design bundle differs between sweep -bundle-dir and baryonsim -bundle-out" >&2
+        exit 1
+    fi
+done
+
+# Two exports on stdout would interleave two formats: usage error (exit 2)
+# with nothing written to stdout.
+status=0
+"$tmp/baryonsim" -accesses 1000 -epoch 500 -epoch-jsonl - -bundle-out - \
+    >"$tmp/two.out" 2>"$tmp/two.err" || status=$?
+if [ "$status" -ne 2 ] || [ -s "$tmp/two.out" ]; then
+    echo "FAIL: two stdout exports exited $status with $(wc -c <"$tmp/two.out") stdout bytes, want exit 2 and none" >&2
+    cat "$tmp/two.err" >&2
+    exit 1
+fi
+
+echo "report-smoke OK: sweep and baryonsim bundles identical for Baryon and DICE, two stdout exports refused"
