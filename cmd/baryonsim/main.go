@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -26,6 +25,7 @@ import (
 	"baryon/internal/obs"
 	"baryon/internal/report"
 	"baryon/internal/service"
+	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
 
@@ -35,7 +35,8 @@ func main() {
 	traceFile := flag.String("trace-file", "", "replay a recorded trace file (see cmd/tracegen -replay)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON")
 	design := flag.String("design", "Baryon", "design name (built-in or loaded via -design-file)")
-	mode := flag.String("mode", "cache", "cache|flat")
+	cfg := config.Scaled()
+	flag.TextVar(&cfg.Mode, "mode", cfg.Mode, "fast-memory `mode`: cache|flat")
 	accesses := flag.Int("accesses", 0, "accesses per core (0 = config default)")
 	warmup := flag.Int("warmup", 0, "warmup accesses per core before measurement (0 = cold start)")
 	epoch := flag.Int("epoch", 0, "collect an epoch snapshot every N accesses (0 = off)")
@@ -90,10 +91,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, experiment.UnknownDesignError(*design))
 		os.Exit(2)
 	}
-	if *mode != "cache" && *mode != "flat" {
-		fmt.Fprintf(os.Stderr, "unknown mode %q; valid modes: cache, flat\n", *mode)
-		os.Exit(2)
-	}
 	if *warmup < 0 || *epoch < 0 {
 		fmt.Fprintln(os.Stderr, "-warmup and -epoch must be >= 0")
 		os.Exit(2)
@@ -138,16 +135,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	cfg := config.Scaled()
 	cfg.Seed = *seed
 	if *accesses > 0 {
 		cfg.AccessesPerCore = *accesses
 	}
 	cfg.WarmupAccessesPerCore = *warmup
 	cfg.EpochAccesses = *epoch
-	if *mode == "flat" {
-		cfg.Mode = config.ModeFlat
-	}
 	// Validate the run's device topology (the design's overrides applied to
 	// the base config) up front, so an unknown tier preset fails here with
 	// the registered-preset list instead of deep in construction.
@@ -160,7 +153,7 @@ func main() {
 
 	var src trace.Source
 	if *traceFile != "" {
-		rep, err := trace.LoadReplayFile(*traceFile, *traceFile, w.Mix)
+		rep, err := trace.LoadReplayFile(*traceFile, w)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loading trace: %v\n", err)
 			os.Exit(2)
@@ -201,6 +194,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "run stopped early: %v (reporting partial metrics)\n", runErr)
 	}
+	// Every section below reports the measurement window (warmup excluded),
+	// as the headline and the bundle do.
+	measured := res.Stats.Delta(res.MeasureStart)
+	latency := map[string]sim.HistSummary{}
+	for _, name := range measured.HistNames() {
+		if h, _ := measured.Hist(name); h.Count() > 0 {
+			latency[name] = h.Summary()
+		}
+	}
 	if tr != nil {
 		exitOn("trace", writeOut(*traceOut, tr.WriteChromeJSON))
 		exitOn("trace summary", tr.WriteFlameSummary(os.Stderr))
@@ -219,8 +221,7 @@ func main() {
 			{Key: "workload", Value: res.Workload},
 			{Key: "seed", Value: strconv.FormatUint(cfg.Seed, 10)},
 		}}
-		snap := res.Stats.Delta(res.MeasureStart)
-		exitOn("metrics", writeOut(*metricsOut, func(w io.Writer) error { return obs.WriteOpenMetrics(w, snap, opts) }))
+		exitOn("metrics", writeOut(*metricsOut, func(w io.Writer) error { return obs.WriteOpenMetrics(w, measured, opts) }))
 	}
 	if *bundleOut != "" {
 		if runErr != nil {
@@ -269,13 +270,13 @@ func main() {
 		if len(res.Epochs) > 0 {
 			out["epochs"] = res.Epochs
 		}
-		if len(res.Latency) > 0 {
-			out["latency"] = res.Latency
+		if len(latency) > 0 {
+			out["latency"] = latency
 		}
 		if *verbose {
 			counters := map[string]uint64{}
 			for _, name := range res.Stats.Names() {
-				counters[name] = res.Stats.Get(name)
+				counters[name] = measured.Get(name)
 			}
 			out["counters"] = counters
 		}
@@ -309,26 +310,30 @@ func main() {
 	if len(res.Epochs) > 0 {
 		fmt.Printf("epochs:          %d (every %d accesses)\n", len(res.Epochs), cfg.EpochAccesses)
 	}
-	if m, ok := res.Latency["hierarchy.lat.demand"]; ok {
+	if m, ok := latency["hierarchy.lat.demand"]; ok {
 		fmt.Printf("demand latency:  p50 %.0f, p99 %.0f, p99.9 %.0f, max %d cycles\n",
 			m.P50, m.P99, m.P999, m.Max)
 	}
 	if *verbose {
-		if len(res.Latency) > 0 {
+		if len(latency) > 0 {
 			fmt.Println("\nlatency histograms (cycles):")
-			names := make([]string, 0, len(res.Latency))
-			for name := range res.Latency {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				m := res.Latency[name]
+			for _, name := range measured.HistNames() {
+				m, ok := latency[name]
+				if !ok {
+					continue
+				}
 				fmt.Printf("  %-28s n=%-9d mean=%-8.1f p50=%-7.0f p90=%-7.0f p99=%-7.0f p99.9=%-7.0f max=%d\n",
 					name, m.Count, m.Mean, m.P50, m.P90, m.P99, m.P999, m.Max)
 			}
 		}
+		// Registration order, as Stats.String prints the cumulative registry.
 		fmt.Println("\ncounters:")
-		fmt.Print(res.Stats.String())
+		for _, name := range res.Stats.Names() {
+			fmt.Printf("%s=%d\n", name, measured.Get(name))
+		}
+		for _, name := range res.Stats.FloatNames() {
+			fmt.Printf("%s=%g\n", name, measured.GetFloat(name))
+		}
 	}
 	if runErr != nil {
 		os.Exit(1)

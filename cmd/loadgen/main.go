@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	client := &service.Client{
 		Base:  strings.TrimRight(*addr, "/"),
-		Retry: service.RetryPolicy{MaxAttempts: *retries, Disable: *retries <= 1},
+		Retry: service.RetryPolicy{MaxAttempts: max(1, *retries)},
 	}
 	var (
 		tallyMu sync.Mutex

@@ -43,10 +43,11 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := config.Scaled()
 	designs := fs.String("designs", "Simple,UnisonCache,DICE,Baryon-64B,Baryon",
 		"comma-separated design list")
 	workloads := fs.String("workloads", "", "comma-separated workload list (default: all)")
-	mode := fs.String("mode", "cache", "cache|flat")
+	fs.TextVar(&cfg.Mode, "mode", cfg.Mode, "fast-memory `mode`: cache|flat")
 	accesses := fs.Int("accesses", 0, "accesses per core (0 = config default)")
 	seeds := fs.String("seeds", "1", "comma-separated seeds (rows per seed)")
 	common := service.RegisterFlags(fs,
@@ -65,12 +66,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	defer cleanup()
 
-	cfg := config.Scaled()
 	if *accesses > 0 {
 		cfg.AccessesPerCore = *accesses
-	}
-	if *mode == "flat" {
-		cfg.Mode = config.ModeFlat
 	}
 
 	var ws []trace.Workload

@@ -174,3 +174,21 @@ func TestSweepCleanRun(t *testing.T) {
 		t.Fatalf("status counts = %v, want only ok rows", counts)
 	}
 }
+
+// TestSweepRejectsUnknownMode: a mode that is not exactly "cache" or
+// "flat" is a usage error before any output, not a silent cache-mode run.
+func TestSweepRejectsUnknownMode(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{
+		"-workloads", "505.mcf_r",
+		"-designs", "Simple",
+		"-accesses", "500",
+		"-mode", "Flat",
+	}, &out, &errb)
+	if code != 2 || out.Len() != 0 {
+		t.Fatalf("-mode Flat exited %d with %d stdout bytes, want 2 and none\nstderr: %s", code, out.Len(), errb.String())
+	}
+	if !strings.Contains(errb.String(), `unknown mode "Flat"`) {
+		t.Fatalf("stderr does not name the bad mode:\n%s", errb.String())
+	}
+}

@@ -7,7 +7,11 @@
 // block/sub-block/super-block sizes preserved.
 package config
 
-import "baryon/internal/fault"
+import (
+	"fmt"
+
+	"baryon/internal/fault"
+)
 
 // Mode selects how the fast memory is used (Section II-A).
 type Mode int
@@ -26,6 +30,31 @@ func (m Mode) String() string {
 		return "flat"
 	}
 	return "cache"
+}
+
+// ParseMode returns the Mode that String spells as s.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{ModeCache, ModeFlat} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return ModeCache, fmt.Errorf("config: unknown mode %q (want %s or %s)", s, ModeCache, ModeFlat)
+}
+
+// MarshalText spells m as String does, so JSON and flags carry the mode's
+// name rather than its number.
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses a mode name, rejecting any that ParseMode does not
+// know.
+func (m *Mode) UnmarshalText(text []byte) error {
+	v, err := ParseMode(string(text))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
 }
 
 // Config is the full system configuration for one run.

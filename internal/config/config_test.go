@@ -77,4 +77,14 @@ func TestModeString(t *testing.T) {
 	if ModeCache.String() != "cache" || ModeFlat.String() != "flat" {
 		t.Fatal("mode strings wrong")
 	}
+	for _, m := range []Mode{ModeCache, ModeFlat} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %v, %v", m, got, err)
+		}
+	}
+	for _, s := range []string{"", "Flat", "bogus"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Fatalf("ParseMode(%q) accepted", s)
+		}
+	}
 }

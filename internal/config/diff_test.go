@@ -59,9 +59,7 @@ func TestDiffRoundTrip(t *testing.T) {
 		c := perturb(t, rng, base, 0.3)
 		o := Diff(base, c)
 		got := base
-		if err := o.Apply(&got); err != nil {
-			t.Fatal(err)
-		}
+		o.Apply(&got)
 		if !reflect.DeepEqual(got, c) {
 			t.Fatalf("iteration %d: Apply(Diff(base, c)) = %+v, want %+v", i, got, c)
 		}
@@ -71,6 +69,34 @@ func TestDiffRoundTrip(t *testing.T) {
 	for i := 0; i < o.NumField(); i++ {
 		if o.Field(i).IsNil() {
 			t.Errorf("Diff leaves Overrides.%s nil for a differing value", o.Type().Field(i).Name)
+		}
+	}
+}
+
+// TestDiffWholesaleFields pins the two fields Diff compares with
+// reflect.DeepEqual: a config that differs from base only in Tiers, or only
+// in Fault, diffs to exactly that field and applies back to itself.
+func TestDiffWholesaleFields(t *testing.T) {
+	base := Scaled()
+	tiers, faulty := base, base
+	tiers.Tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "nvm"}, {Preset: "cxl-dram"}}
+	faulty.Fault = fault.Config{ECCCorrectBits: 2, Tiers: []fault.Params{{}, {BER: 1e-6}}}
+	for _, tc := range []struct {
+		name string
+		c    Config
+		want Overrides
+	}{
+		{"tiers", tiers, Overrides{Tiers: &tiers.Tiers}},
+		{"fault", faulty, Overrides{Fault: &faulty.Fault}},
+	} {
+		o := Diff(base, tc.c)
+		if !reflect.DeepEqual(o, tc.want) {
+			t.Fatalf("%s: Diff = %+v, want only that field set", tc.name, o)
+		}
+		got := base
+		o.Apply(&got)
+		if !reflect.DeepEqual(got, tc.c) {
+			t.Fatalf("%s: Apply(Diff(base, c)) = %+v, want %+v", tc.name, got, tc.c)
 		}
 	}
 }

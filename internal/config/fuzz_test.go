@@ -8,8 +8,9 @@ import (
 
 // FuzzOverridesJSON throws arbitrary JSON at the -design-file Overrides
 // schema: anything that decodes must Apply to the base config without
-// panicking, and the applied-then-marshalled form must decode again
-// (no write-only states).
+// panicking, the applied-then-marshalled form must decode again (no
+// write-only states), and a mode must re-marshal to the name it was
+// decoded from.
 func FuzzOverridesJSON(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"mode": "flat", "blockBytes": 512, "subBlockBytes": 64}`)
@@ -24,18 +25,10 @@ func FuzzOverridesJSON(f *testing.F) {
 		dec.DisallowUnknownFields()
 		var o Overrides
 		if err := dec.Decode(&o); err != nil {
-			t.Skip() // invalid JSON or unknown fields: rejected at load time
+			return // invalid JSON, unknown fields or an unknown mode: rejected at load time
 		}
 		cfg := Scaled()
-		if err := o.Apply(&cfg); err != nil {
-			// The only representable-but-invalid state is a bad mode string;
-			// anything else erroring means Apply grew an undocumented
-			// failure path.
-			if o.Mode == nil {
-				t.Fatalf("Apply failed without a mode override: %v", err)
-			}
-			return
-		}
+		o.Apply(&cfg)
 		// The applied overrides must survive re-marshalling: Overrides is
 		// the serialized half of a design spec.
 		out, err := json.Marshal(&o)
@@ -45,6 +38,12 @@ func FuzzOverridesJSON(f *testing.F) {
 		var o2 Overrides
 		if err := json.Unmarshal(out, &o2); err != nil {
 			t.Fatalf("re-decode of marshalled overrides failed: %v\njson: %s", err, out)
+		}
+		if o.Mode != nil {
+			var in, again struct{ Mode string }
+			if json.Unmarshal([]byte(raw), &in) != nil || json.Unmarshal(out, &again) != nil || again.Mode != in.Mode {
+				t.Fatalf("mode %q re-marshalled as %s", in.Mode, out)
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"fmt"
 	"reflect"
 
 	"baryon/internal/fault"
@@ -11,10 +10,14 @@ import (
 // fields are applied. It is the serializable half of a design spec — a
 // design is a controller kind plus the configuration deltas that define it
 // (e.g. Baryon-64B is the baryon kind with BlockBytes 512 and SubBlockBytes
-// 64) — and the JSON schema of -design-file.
+// 64) — and the JSON schema of -design-file. Apply and Diff walk these
+// fields by name, so each must have a same-named Config field of its
+// element type (checked when the package loads); adding an overridable
+// field is one line here.
 type Overrides struct {
-	// Mode is "cache" or "flat" (string form for JSON friendliness).
-	Mode *string `json:"mode,omitempty"`
+	// Mode is spelled by name in JSON ("cache" or "flat"); decoding
+	// rejects any other name.
+	Mode *Mode `json:"mode,omitempty"`
 
 	FastBytes  *uint64 `json:"fastBytes,omitempty"`
 	SlowBytes  *uint64 `json:"slowBytes,omitempty"`
@@ -67,54 +70,42 @@ type Overrides struct {
 	Fault *fault.Config `json:"fault,omitempty"`
 }
 
-// Apply copies every non-nil override onto c. It returns an error only for
-// values that cannot be represented in Config (an unknown Mode string).
-func (o *Overrides) Apply(c *Config) error {
-	if o == nil {
-		return nil
+// overrideField pairs an Overrides field with the same-named Config field it
+// overrides.
+type overrideField struct {
+	o, c int // field indices in Overrides and Config
+	// comparable is false for Tiers and Fault, which hold slices and are
+	// compared with reflect.DeepEqual.
+	comparable bool
+}
+
+// overrideFields lists every Overrides field, computed once: the struct
+// declaration is the only list of what a design or run may override.
+var overrideFields = func() []overrideField {
+	ot, ct := reflect.TypeOf(Overrides{}), reflect.TypeOf(Config{})
+	fs := make([]overrideField, ot.NumField())
+	for i := range fs {
+		of := ot.Field(i)
+		cf, ok := ct.FieldByName(of.Name)
+		if !ok || len(cf.Index) != 1 || of.Type != reflect.PointerTo(cf.Type) {
+			panic("config: Overrides." + of.Name + " has no Config field of its element type")
+		}
+		fs[i] = overrideField{o: i, c: cf.Index[0], comparable: cf.Type.Comparable()}
 	}
-	if o.Mode != nil {
-		switch *o.Mode {
-		case "cache":
-			c.Mode = ModeCache
-		case "flat":
-			c.Mode = ModeFlat
-		default:
-			return fmt.Errorf("config: unknown mode %q (want cache or flat)", *o.Mode)
+	return fs
+}()
+
+// Apply copies every non-nil override onto c.
+func (o *Overrides) Apply(c *Config) {
+	if o == nil {
+		return
+	}
+	ov, cv := reflect.ValueOf(o).Elem(), reflect.ValueOf(c).Elem()
+	for _, f := range overrideFields {
+		if p := ov.Field(f.o); !p.IsNil() {
+			cv.Field(f.c).Set(p.Elem())
 		}
 	}
-	setIf(&c.FastBytes, o.FastBytes)
-	setIf(&c.SlowBytes, o.SlowBytes)
-	setIf(&c.StageBytes, o.StageBytes)
-	setIf(&c.Assoc, o.Assoc)
-	setIf(&c.FullyAssociative, o.FullyAssociative)
-	setIf(&c.BlockBytes, o.BlockBytes)
-	setIf(&c.SubBlockBytes, o.SubBlockBytes)
-	setIf(&c.SuperBlockBlocks, o.SuperBlockBlocks)
-	setIf(&c.StageTagLatency, o.StageTagLatency)
-	setIf(&c.RemapCacheLatency, o.RemapCacheLatency)
-	setIf(&c.DecompressLatency, o.DecompressLatency)
-	setIf(&c.RemapCacheSets, o.RemapCacheSets)
-	setIf(&c.RemapCacheWays, o.RemapCacheWays)
-	setIf(&c.CompressionOff, o.CompressionOff)
-	setIf(&c.UseCPack, o.UseCPack)
-	setIf(&c.CachelineAligned, o.CachelineAligned)
-	setIf(&c.ZeroBlockOpt, o.ZeroBlockOpt)
-	setIf(&c.CompressedWriteback, o.CompressedWriteback)
-	setIf(&c.TwoLevelReplacement, o.TwoLevelReplacement)
-	setIf(&c.CommitK, o.CommitK)
-	setIf(&c.CommitAll, o.CommitAll)
-	setIf(&c.UseStageArea, o.UseStageArea)
-	setIf(&c.StageAgeInterval, o.StageAgeInterval)
-	setIf(&c.MLPOverlap, o.MLPOverlap)
-	setIf(&c.LLCKB, o.LLCKB)
-	setIf(&c.NoLLCPrefetch, o.NoLLCPrefetch)
-	setIf(&c.AccessesPerCore, o.AccessesPerCore)
-	setIf(&c.WarmupAccessesPerCore, o.WarmupAccessesPerCore)
-	setIf(&c.EpochAccesses, o.EpochAccesses)
-	setIf(&c.Tiers, o.Tiers)
-	setIf(&c.Fault, o.Fault)
-	return nil
 }
 
 // Diff returns the Overrides that turn base into c: one non-nil field per
@@ -123,57 +114,18 @@ func (o *Overrides) Apply(c *Config) error {
 // (Cores, Seed) are not compared.
 func Diff(base, c Config) Overrides {
 	var o Overrides
-	if base.Mode != c.Mode {
-		o.Mode = Ptr(c.Mode.String())
-	}
-	diffIf(&o.FastBytes, base.FastBytes, c.FastBytes)
-	diffIf(&o.SlowBytes, base.SlowBytes, c.SlowBytes)
-	diffIf(&o.StageBytes, base.StageBytes, c.StageBytes)
-	diffIf(&o.Assoc, base.Assoc, c.Assoc)
-	diffIf(&o.FullyAssociative, base.FullyAssociative, c.FullyAssociative)
-	diffIf(&o.BlockBytes, base.BlockBytes, c.BlockBytes)
-	diffIf(&o.SubBlockBytes, base.SubBlockBytes, c.SubBlockBytes)
-	diffIf(&o.SuperBlockBlocks, base.SuperBlockBlocks, c.SuperBlockBlocks)
-	diffIf(&o.StageTagLatency, base.StageTagLatency, c.StageTagLatency)
-	diffIf(&o.RemapCacheLatency, base.RemapCacheLatency, c.RemapCacheLatency)
-	diffIf(&o.DecompressLatency, base.DecompressLatency, c.DecompressLatency)
-	diffIf(&o.RemapCacheSets, base.RemapCacheSets, c.RemapCacheSets)
-	diffIf(&o.RemapCacheWays, base.RemapCacheWays, c.RemapCacheWays)
-	diffIf(&o.CompressionOff, base.CompressionOff, c.CompressionOff)
-	diffIf(&o.UseCPack, base.UseCPack, c.UseCPack)
-	diffIf(&o.CachelineAligned, base.CachelineAligned, c.CachelineAligned)
-	diffIf(&o.ZeroBlockOpt, base.ZeroBlockOpt, c.ZeroBlockOpt)
-	diffIf(&o.CompressedWriteback, base.CompressedWriteback, c.CompressedWriteback)
-	diffIf(&o.TwoLevelReplacement, base.TwoLevelReplacement, c.TwoLevelReplacement)
-	diffIf(&o.CommitK, base.CommitK, c.CommitK)
-	diffIf(&o.CommitAll, base.CommitAll, c.CommitAll)
-	diffIf(&o.UseStageArea, base.UseStageArea, c.UseStageArea)
-	diffIf(&o.StageAgeInterval, base.StageAgeInterval, c.StageAgeInterval)
-	diffIf(&o.MLPOverlap, base.MLPOverlap, c.MLPOverlap)
-	diffIf(&o.LLCKB, base.LLCKB, c.LLCKB)
-	diffIf(&o.NoLLCPrefetch, base.NoLLCPrefetch, c.NoLLCPrefetch)
-	diffIf(&o.AccessesPerCore, base.AccessesPerCore, c.AccessesPerCore)
-	diffIf(&o.WarmupAccessesPerCore, base.WarmupAccessesPerCore, c.WarmupAccessesPerCore)
-	diffIf(&o.EpochAccesses, base.EpochAccesses, c.EpochAccesses)
-	if !reflect.DeepEqual(base.Tiers, c.Tiers) {
-		o.Tiers = Ptr(c.Tiers)
-	}
-	if !reflect.DeepEqual(base.Fault, c.Fault) {
-		o.Fault = Ptr(c.Fault)
+	ov := reflect.ValueOf(&o).Elem()
+	bv, cv := reflect.ValueOf(&base).Elem(), reflect.ValueOf(&c).Elem()
+	for _, f := range overrideFields {
+		x, y := bv.Field(f.c), cv.Field(f.c)
+		if f.comparable && x.Equal(y) || !f.comparable && reflect.DeepEqual(x.Addr().Interface(), y.Addr().Interface()) {
+			continue
+		}
+		p := reflect.New(y.Type())
+		p.Elem().Set(y)
+		ov.Field(f.o).Set(p)
 	}
 	return o
-}
-
-func diffIf[T comparable](dst **T, base, c T) {
-	if base != c {
-		*dst = Ptr(c)
-	}
-}
-
-func setIf[T any](dst *T, src *T) {
-	if src != nil {
-		*dst = *src
-	}
 }
 
 // Ptr returns a pointer to v, for declaring Overrides literals.

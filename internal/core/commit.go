@@ -294,7 +294,7 @@ func (c *Controller) rebuildRemap(si, way int) {
 	super := hybrid.SuperBlockID(m.Key)
 	for i := range f.occ {
 		rg := &f.occ[i]
-		b := c.blockID(super, rg.BlkOffU8())
+		b := c.blockID(super, rg.blkOff)
 		ri := &c.remap[b]
 		// Reset the entry on the block's first range. occ holds at most 8
 		// entries, so a linear scan of the prefix beats any allocated set.
@@ -320,9 +320,6 @@ func (c *Controller) rebuildRemap(si, way int) {
 		}
 	}
 }
-
-// BlkOffU8 returns the range's block offset (helper for rebuildRemap).
-func (rg *occRange) BlkOffU8() uint8 { return rg.blkOff }
 
 // evictFastFrame evicts every block committed in frame (si, way) to slow
 // memory, handling the flat-scheme swap mechanics.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 	"baryon/internal/obs"
-	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
 
@@ -100,19 +98,22 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
-// TestResultLatencyHistograms checks the histogram summaries flow into the
-// Result: the whole-plane demand histogram and the per-class controller and
-// device histograms all show up with consistent counts.
+// TestResultLatencyHistograms checks the Result's measurement window
+// carries the latency histograms: the whole-plane demand histogram and the
+// per-class controller and device histograms all show up in
+// Stats.Delta(MeasureStart) with consistent counts.
 func TestResultLatencyHistograms(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
 	res := mustRun(t, cpu.NewRunnerSource(cfg, w, baryonFactory))
+	measured := res.Stats.Delta(res.MeasureStart)
 
-	demand, ok := res.Latency["hierarchy.lat.demand"]
+	h, ok := measured.Hist("hierarchy.lat.demand")
 	if !ok {
-		t.Fatalf("no hierarchy.lat.demand summary; have %v", keys(res.Latency))
+		t.Fatalf("no hierarchy.lat.demand histogram; have %v", measured.HistNames())
 	}
+	demand := h.Summary()
 	// Every post-warmup access lands in the demand histogram.
 	want := uint64(cfg.AccessesPerCore * cfg.Cores)
 	if demand.Count != want {
@@ -127,19 +128,10 @@ func TestResultLatencyHistograms(t *testing.T) {
 	}
 	// Device-level histograms exist for both tiers.
 	for _, name := range []string{"DDR4-3200.lat.service", "NVM.lat.service"} {
-		if s, ok := res.Latency[name]; !ok || s.Count == 0 {
-			t.Fatalf("missing device histogram %s (have %v)", name, keys(res.Latency))
+		if h, ok := measured.Hist(name); !ok || h.Count() == 0 {
+			t.Fatalf("missing device histogram %s (have %v)", name, measured.HistNames())
 		}
 	}
-}
-
-func keys(m map[string]sim.HistSummary) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TestRunzMatchesMetricsAfterWarmup: /runz and /metrics render the same

@@ -110,10 +110,6 @@ type Result struct {
 	// Epochs is the per-epoch time-series of the measurement window
 	// (nil unless cfg.EpochAccesses > 0).
 	Epochs []Epoch
-	// Latency holds the measurement-window delta summary of every latency
-	// histogram registered on the run (keyed by fully-qualified registry
-	// name, e.g. "hierarchy.lat.demand"); empty histograms are omitted.
-	Latency map[string]sim.HistSummary
 	// MeasureStart is the registry snapshot taken at the measurement-window
 	// boundary (after warmup, before the first measured access). Export
 	// layers delta the live Stats against it to recover the full
@@ -610,15 +606,6 @@ func (r *Runner) RunCtx(ctx context.Context) (Result, error) {
 		for i, t := range tiers {
 			res.TierNames[i] = t.Name()
 		}
-	}
-	res.Latency = make(map[string]sim.HistSummary)
-	for _, name := range r.stats.HistNames() {
-		h := r.stats.GetHistogram(name)
-		d := warm.snap.DeltaOfHist(h)
-		if d.Count() == 0 {
-			continue
-		}
-		res.Latency[name] = d.Summary()
 	}
 	if r.aborted {
 		return res, ctx.Err()

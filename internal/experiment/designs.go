@@ -100,7 +100,7 @@ var builtinSpecs = []DesignSpec{
 	}},
 	{Name: DesignBaryonFA, Kind: KindBaryon, Overrides: config.Overrides{
 		FullyAssociative: config.Ptr(true),
-		Mode:             config.Ptr("flat"),
+		Mode:             config.Ptr(config.ModeFlat),
 	}},
 	{Name: DesignHybrid2, Kind: KindHybrid2},
 	{Name: DesignOSPaging, Kind: KindOSPaging},
@@ -213,14 +213,12 @@ func LoadSpecFile(path string) (DesignSpec, error) {
 }
 
 // ValidateSpec checks the parts of a spec that Register cannot see because
-// they depend on the run configuration: the overrides must apply cleanly to
-// the base config, and the policy knobs must be supported by the kind. The
-// Ctx runners call it before building a controller so a bad spec surfaces as
-// a per-pair error instead of a mid-run panic.
+// they depend on the run configuration: the config with the overrides
+// applied must be valid, and the policy knobs must be supported by the
+// kind. The Ctx runners call it before building a controller so a bad spec
+// surfaces as a per-pair error instead of a mid-run panic.
 func ValidateSpec(spec DesignSpec, cfg config.Config) error {
-	if err := spec.Overrides.Apply(&cfg); err != nil {
-		return fmt.Errorf("experiment: design %q: %w", spec.Name, err)
-	}
+	spec.Overrides.Apply(&cfg)
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("experiment: design %q: %w", spec.Name, err)
 	}
@@ -240,9 +238,7 @@ func ValidateSpec(spec DesignSpec, cfg config.Config) error {
 // regardless.
 func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 	return func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-		if err := spec.Overrides.Apply(&cfg); err != nil {
-			panic("experiment: design " + spec.Name + ": " + err.Error())
-		}
+		spec.Overrides.Apply(&cfg)
 		ctrl := buildKind(spec, cfg, store, stats)
 		if cfg.Fault.Enabled() {
 			ctrl.Engine().EnableFaults(cfg.Fault, cfg.Seed)

@@ -20,7 +20,7 @@ func TestDesignSpecJSONRoundTrip(t *testing.T) {
 		Name: "RoundTrip-Baryon",
 		Kind: KindBaryon,
 		Overrides: config.Overrides{
-			Mode:          config.Ptr("flat"),
+			Mode:          config.Ptr(config.ModeFlat),
 			BlockBytes:    config.Ptr[uint64](512),
 			SubBlockBytes: config.Ptr[uint64](64),
 			CommitK:       config.Ptr(2.5),
@@ -75,6 +75,21 @@ func TestLoadSpecFileRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := LoadSpecFile(path); err == nil {
 		t.Fatal("LoadSpecFile accepted an unknown override field")
+	}
+}
+
+// TestLoadSpecFileRejectsUnknownMode: the mode is checked when the file is
+// decoded, so a bad -design-file fails at load instead of mid-batch.
+func TestLoadSpecFileRejectsUnknownMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mode.json")
+	if err := writeFile(path, `{"name":"X-BadMode","kind":"baryon","overrides":{"mode":"bogus"}}`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpecFile(path); err == nil || !strings.Contains(err.Error(), `unknown mode "bogus"`) {
+		t.Fatalf("LoadSpecFile(mode bogus) = %v, want an unknown-mode error", err)
+	}
+	if IsDesign("X-BadMode") {
+		t.Fatal("a spec with an unknown mode was registered")
 	}
 }
 

@@ -104,15 +104,16 @@ func NewDebugMux(in *Introspector) *http.ServeMux {
 	return mux
 }
 
-// omContentType is the OpenMetrics media type /metrics responds with.
-const omContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
+// OpenMetricsContentType is the OpenMetrics media type every /metrics
+// endpoint responds with.
+const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 // writeMetrics renders the latest published snapshot as OpenMetrics. Before
 // the first publish it serves an empty (but valid) exposition, so scrapers
 // that race the run's first progress tick see a clean document rather than
 // an error.
 func writeMetrics(w http.ResponseWriter, st *RunStatus) {
-	w.Header().Set("Content-Type", omContentType)
+	w.Header().Set("Content-Type", OpenMetricsContentType)
 	if st == nil {
 		fmt.Fprintln(w, "# EOF")
 		return

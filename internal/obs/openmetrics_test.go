@@ -241,7 +241,7 @@ func TestMetricsHandler(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != omContentType {
+	if ct := rec.Header().Get("Content-Type"); ct != OpenMetricsContentType {
 		t.Fatalf("content type %q", ct)
 	}
 	if err := LintOpenMetrics(rec.Body); err != nil {

@@ -239,7 +239,26 @@ func TestObservePairs(t *testing.T) {
 var (
 	marshalSink []byte
 	decodeSink  Bundle
+	hashSink    string
 )
+
+// BenchmarkKey times a run's spec key and hash, the work the service does
+// for every request before it looks the result up.
+func BenchmarkKey(b *testing.B) {
+	spec, _ := experiment.Lookup("Baryon")
+	cfg := config.Scaled()
+	cfg.Seed, cfg.AccessesPerCore, cfg.WarmupAccessesPerCore = 7, 2000, 500
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		key, err := Key(spec, cfg, "505.mcf_r")
+		if err == nil {
+			hashSink, err = key.Hash()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkMarshalCanonical times encoding one bundle, from a short Baryon
 // run, to its canonical bytes, the form the store hashes and serves.

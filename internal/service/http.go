@@ -44,8 +44,6 @@ const (
 	// Go duration string ("30s"); the server clamps it to its own
 	// -request-timeout when one is configured.
 	DeadlineHeader = "X-Baryon-Deadline"
-
-	omContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
 // HandlerOptions configures NewHandlerOpts beyond the service itself.
@@ -206,7 +204,7 @@ func NewHandlerOpts(s *Service, opts HandlerOptions) http.Handler {
 		writeJSON(w, http.StatusOK, names)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", omContentType)
+		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
 		if err := obs.WriteOpenMetrics(w, s.MetricsSnapshot(), obs.OMOptions{}); err != nil {
 			fmt.Fprintf(w, "# rendering error: %v\n", err)
 		}
@@ -317,8 +315,8 @@ func httpError(w http.ResponseWriter, code int, err error) {
 
 // --- Client --------------------------------------------------------------
 
-// RetryPolicy shapes the Client's backoff loop. The zero value retries:
-// tests that must observe single-attempt behavior set Disable.
+// RetryPolicy shapes the Client's backoff loop. The zero value retries;
+// MaxAttempts 1 makes a single-attempt client.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per call, first included
 	// (0 = default 5; 1 = a single try, no retries).
@@ -328,8 +326,6 @@ type RetryPolicy struct {
 	// is drawn uniformly from [0, cap) — "full jitter", so a thundering
 	// herd of rejected clients decorrelates instead of re-colliding.
 	BaseDelay, MaxDelay time.Duration
-	// Disable turns the client into a single-attempt client.
-	Disable bool
 	// Sleep overrides the backoff wait (tests count and skip real delays);
 	// nil sleeps on a timer, aborting early if ctx dies.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -382,9 +378,7 @@ func retryable(status int) bool {
 func (c *Client) do(ctx context.Context, method, path string, body []byte, want int) (data []byte, hdr http.Header, err error) {
 	pol := c.Retry
 	attempts := pol.MaxAttempts
-	if pol.Disable {
-		attempts = 1
-	} else if attempts <= 0 {
+	if attempts <= 0 {
 		attempts = 5
 	}
 	base := pol.BaseDelay

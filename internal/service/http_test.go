@@ -32,7 +32,7 @@ func testServerOpts(t *testing.T, sopts Options, hopts HandlerOptions) (*Service
 	}
 	srv := httptest.NewServer(NewHandlerOpts(s, hopts))
 	t.Cleanup(srv.Close)
-	return s, &Client{Base: srv.URL, Retry: RetryPolicy{Disable: true}}
+	return s, &Client{Base: srv.URL, Retry: RetryPolicy{MaxAttempts: 1}}
 }
 
 // TestHTTPRunSync drives the synchronous endpoint twice and checks the

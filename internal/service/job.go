@@ -36,7 +36,8 @@ type Job struct {
 	Design   string `json:"design"`
 	Workload string `json:"workload"`
 	Seed     uint64 `json:"seed"`
-	// Mode is "cache" or "flat"; empty keeps the base config's mode.
+	// Mode names a config.Mode ("cache" or "flat"); empty keeps the base
+	// config's mode.
 	Mode string `json:"mode,omitempty"`
 	// Accesses is the per-core access budget (0 = base config default).
 	Accesses int `json:"accesses,omitempty"`
@@ -83,14 +84,12 @@ func (j Job) resolve(base config.Config) (Resolved, error) {
 	}
 	cfg := base
 	cfg.Seed = j.Seed
-	switch j.Mode {
-	case "":
-	case "cache":
-		cfg.Mode = config.ModeCache
-	case "flat":
-		cfg.Mode = config.ModeFlat
-	default:
-		return Resolved{}, fmt.Errorf("service: unknown mode %q (want cache or flat)", j.Mode)
+	if j.Mode != "" {
+		m, err := config.ParseMode(j.Mode)
+		if err != nil {
+			return Resolved{}, err
+		}
+		cfg.Mode = m
 	}
 	if j.Accesses > 0 {
 		cfg.AccessesPerCore = j.Accesses

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -87,7 +89,7 @@ func (rc *replayCursor) Next() Access {
 //
 //	<core> <R|W> <hex-address> <gap>
 //
-// with '#' comment lines ignored. cmd/tracegen -replay-format emits it and
+// with '#' comment lines ignored. cmd/tracegen -replay emits it and
 // ParseReplay consumes it, so external tools only need to print four fields.
 
 // WriteReplayRecord formats one record line.
@@ -158,12 +160,17 @@ func ParseReplay(r io.Reader, name string, mix datagen.Mix) (*Replay, error) {
 	return rep, nil
 }
 
-// LoadReplayFile reads a trace file from disk.
-func LoadReplayFile(path, name string, mix datagen.Mix) (*Replay, error) {
-	f, err := os.Open(path)
+// LoadReplayFile reads a trace file from disk and fills the store with the
+// value mix of values. The replay is named after what runs, not where the
+// file lives: "trace-<hex>+<workload>", where <hex> is the first 12 hex
+// digits of the SHA-256 of the file's bytes. The same trace under two paths
+// gets one name, and two value mixes get two.
+func LoadReplayFile(path string, values Workload) (*Replay, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ParseReplay(f, name, mix)
+	sum := sha256.Sum256(data)
+	name := fmt.Sprintf("trace-%x+%s", sum[:6], values.Name)
+	return ParseReplay(bytes.NewReader(data), name, values.Mix)
 }

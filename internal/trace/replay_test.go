@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,4 +108,40 @@ func TestWorkloadImplementsSource(t *testing.T) {
 		t.Fatal("streams")
 	}
 	streams[0].Next()
+}
+
+// TestLoadReplayFileName: a replay is named after the trace's bytes and the
+// value mix, so the same trace under two paths is one run and the same
+// trace under two mixes is two.
+func TestLoadReplayFileName(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.txt"), filepath.Join(dir, "sub-b.txt")
+	for _, p := range []string{a, b} {
+		if err := os.WriteFile(p, []byte(sampleTrace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mcf, _ := ByName("505.mcf_r")
+	twi, _ := ByName("pr.twi")
+	load := func(path string, w Workload) string {
+		t.Helper()
+		rep, err := LoadReplayFile(path, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Mix != w.Mix {
+			t.Fatalf("replay mix %v, want %s's %v", rep.Mix, w.Name, w.Mix)
+		}
+		return rep.SourceName()
+	}
+	nameA := load(a, mcf)
+	if !strings.HasPrefix(nameA, "trace-") || !strings.HasSuffix(nameA, "+505.mcf_r") || len(nameA) != len("trace-")+12+len("+505.mcf_r") {
+		t.Fatalf("replay name %q, want trace-<12 hex>+505.mcf_r", nameA)
+	}
+	if nameB := load(b, mcf); nameB != nameA {
+		t.Fatalf("same bytes under two paths named %q and %q", nameA, nameB)
+	}
+	if nameTwi := load(a, twi); nameTwi == nameA {
+		t.Fatalf("two value mixes share the name %q", nameA)
+	}
 }

@@ -5,6 +5,7 @@
 # pair as clean (exit 0), and a tampered counter must make it exit non-zero.
 # A pair's bundle must be the same bytes from cmd/sweep -bundle-dir and
 # cmd/baryonsim -bundle-out, and baryonsim must refuse two exports on stdout.
+# A replayed trace is keyed by its bytes and value mix, not its path.
 # `make report-smoke` and CI run this; the same contract is covered
 # in-process by internal/report's and cmd/runreport's tests.
 set -eu
@@ -15,6 +16,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/baryonsim" ./cmd/baryonsim
 go build -o "$tmp/runreport" ./cmd/runreport
 go build -o "$tmp/sweep" ./cmd/sweep
+go build -o "$tmp/tracegen" ./cmd/tracegen
 
 run_bundle() {
     "$tmp/baryonsim" -workload 505.mcf_r -design Baryon \
@@ -80,4 +82,27 @@ if [ "$status" -ne 2 ] || [ -s "$tmp/two.out" ]; then
     exit 1
 fi
 
-echo "report-smoke OK: sweep and baryonsim bundles identical for Baryon and DICE, two stdout exports refused"
+
+# A replay run is named after the trace's bytes and the -workload value mix:
+# the same trace under two paths bundles to the same bytes, and the same
+# trace under two mixes does not.
+"$tmp/tracegen" -replay -n 200 >"$tmp/t.txt"
+mkdir "$tmp/elsewhere"
+cp "$tmp/t.txt" "$tmp/elsewhere/t2.txt"
+replay_bundle() {
+    "$tmp/baryonsim" -trace-file "$1" -workload "$2" -accesses 1000 -bundle-out "$3" >/dev/null
+}
+replay_bundle "$tmp/t.txt" 505.mcf_r "$tmp/replay-a.bundle.json"
+replay_bundle "$tmp/elsewhere/t2.txt" 505.mcf_r "$tmp/replay-b.bundle.json"
+replay_bundle "$tmp/t.txt" pr.twi "$tmp/replay-twi.bundle.json"
+if ! cmp -s "$tmp/replay-a.bundle.json" "$tmp/replay-b.bundle.json"; then
+    echo "FAIL: one trace replayed from two paths produced different bundles" >&2
+    diff "$tmp/replay-a.bundle.json" "$tmp/replay-b.bundle.json" >&2 || true
+    exit 1
+fi
+if cmp -s "$tmp/replay-a.bundle.json" "$tmp/replay-twi.bundle.json"; then
+    echo "FAIL: one trace replayed under two value mixes produced the same bundle" >&2
+    exit 1
+fi
+
+echo "report-smoke OK: sweep and baryonsim bundles identical for Baryon and DICE, two stdout exports refused, replays keyed by content"
