@@ -15,8 +15,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 build:
 	$(GO) build ./...
 
+# bench/ is its own Go module, so the root ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Runs staticcheck when available (PATH or GOPATH/bin), otherwise prints how
 # to get it and succeeds — offline and fresh checkouts must not fail the

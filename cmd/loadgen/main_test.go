@@ -52,7 +52,7 @@ func TestLoadgenAgainstService(t *testing.T) {
 	}
 	// 24 requests over a 2-job mix cost at most 2 simulations; everything
 	// else must be a hit or collapse.
-	if sims := s.Simulations(); sims > 2 {
+	if sims := s.MetricsSnapshot().Get("jobs.simulations"); sims > 2 {
 		t.Fatalf("%d simulations for a 2-job mix", sims)
 	}
 	if misses > 2 {

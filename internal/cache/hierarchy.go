@@ -297,8 +297,8 @@ func (h *Hierarchy) writeback(addr uint64, now uint64) {
 
 // Flush writes every dirty line in the hierarchy back to the memory
 // controller in ascending address order and invalidates all levels, leaving
-// the controller's data plane equal to the functional image. Used by
-// integrity tests and at end of runs.
+// the controller's data plane equal to the functional image. No run calls
+// it; integrity tests do, before they read memory back.
 func (h *Hierarchy) Flush(now uint64) {
 	dirty := h.llc.DirtyLines()
 	for core := 0; core < h.cfg.Cores; core++ {

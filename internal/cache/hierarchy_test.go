@@ -65,9 +65,9 @@ func TestHierarchyInclusionRandomStream(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h, ctrl := newStubHierarchy(tc.cfg)
 			driveRandom(t, h, 7, 5000, true)
-			if len(ctrl.writes) == 0 || h.Counters().PrefetchInstalls.Value() == 0 {
+			if len(ctrl.writes) == 0 || total(h.Counters().PrefetchInstalls) == 0 {
 				t.Fatalf("stream too gentle: %d writebacks, %d prefetch installs",
-					len(ctrl.writes), h.Counters().PrefetchInstalls.Value())
+					len(ctrl.writes), total(h.Counters().PrefetchInstalls))
 			}
 			h.Flush(1 << 20)
 			if err := h.CheckInclusion(); err != nil {

@@ -49,13 +49,16 @@ func TestHierarchyPerCoreCountersCount(t *testing.T) {
 		t.Errorf("l1.core1.hits = %d, want 0", got)
 	}
 	// Typed accessors read the same counters.
-	if h.Level(1, 0).Hits().Value() != stats.Get("l1.core0.hits") {
+	if total(h.Level(1, 0).Hits()) != stats.Get("l1.core0.hits") {
 		t.Error("Level(1,0).Hits() disagrees with registry")
 	}
-	if h.LLC().Hits().Value() != stats.Get("LLC.hits") {
+	if total(h.LLC().Hits()) != stats.Get("LLC.hits") {
 		t.Error("LLC().Hits() disagrees with registry")
 	}
 }
 
 // Hits returns the typed handle of the level's hit counter.
 func (c *Cache) Hits() *sim.Counter { return c.hits }
+
+// total reads c's running count: its advance since an empty snapshot.
+func total(c *sim.Counter) uint64 { return sim.Snapshot{}.DeltaOf(c) }

@@ -31,7 +31,7 @@ func randomLine(rng *sim.RNG) []byte {
 		}
 	default: // random
 		for i := range line {
-			line[i] = byte(rng.Uint32())
+			line[i] = byte(rng.Uint64() >> 32)
 		}
 	}
 	return line
@@ -141,7 +141,7 @@ func TestRangeFitsCF1Always(t *testing.T) {
 	for _, sub := range subBlockSizes {
 		data := make([]byte, sub)
 		for i := range data {
-			data[i] = byte(rng.Uint32())
+			data[i] = byte(rng.Uint64() >> 32)
 		}
 		if !c.RangeFits(data, 1) {
 			t.Fatalf("%d B sub-block: CF=1 must always fit", sub)

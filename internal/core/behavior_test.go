@@ -29,7 +29,7 @@ func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64)
 		if rng.Bool(0.3) {
 			data := make([]byte, 64)
 			for j := range data {
-				data[j] = byte(rng.Uint32())
+				data[j] = byte(rng.Uint64() >> 32)
 			}
 			c.Access(now, addr, true, data)
 		} else {
@@ -139,10 +139,10 @@ func TestCommitAllNeverEvicts(t *testing.T) {
 	cfg := testConfig()
 	cfg.CommitAll = true
 	c := stormController(t, cfg, 15000, 79)
-	if c.Stats().Get("baryon.evictsToSlow") != 0 {
+	if c.stats.Get("baryon.evictsToSlow") != 0 {
 		t.Fatal("commit-all still evicted stage frames to slow memory")
 	}
-	if c.Stats().Get("baryon.commits") == 0 {
+	if c.stats.Get("baryon.commits") == 0 {
 		t.Fatal("no commits at all")
 	}
 }
@@ -175,18 +175,18 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 	if c.remap[3].remap == 0 {
 		t.Skip("block was not committed by the storm; scenario not reachable at this size")
 	}
-	before := c.Stats().Get("baryon.fast.writeOverflows")
+	before := c.stats.Get("baryon.fast.writeOverflows")
 
 	// Write incompressible data into the committed compressed range.
 	rng := sim.NewRNG(5)
 	data := make([]byte, 64)
 	for j := range data {
-		data[j] = byte(rng.Uint32())
+		data[j] = byte(rng.Uint64() >> 32)
 	}
 	now += 100
 	c.Access(now, target, true, data)
 
-	if got := c.Stats().Get("baryon.fast.writeOverflows"); got != before+1 {
+	if got := c.stats.Get("baryon.fast.writeOverflows"); got != before+1 {
 		t.Fatalf("write overflows %d, want %d", got, before+1)
 	}
 	if c.remap[3].valid() {
@@ -206,7 +206,7 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 func TestCompressedWriteback(t *testing.T) {
 	cfg := testConfig()
 	c := stormController(t, cfg, 25000, 80)
-	if c.Stats().Get("baryon.compressedWritebacks") == 0 {
+	if c.stats.Get("baryon.compressedWritebacks") == 0 {
 		t.Fatal("no compressed writebacks despite compressible traffic")
 	}
 	hints := 0
@@ -224,7 +224,7 @@ func TestNoCompressedWritebackNoHints(t *testing.T) {
 	cfg := testConfig()
 	cfg.CompressedWriteback = false
 	c := stormController(t, cfg, 15000, 81)
-	if c.Stats().Get("baryon.compressedWritebacks") != 0 {
+	if c.stats.Get("baryon.compressedWritebacks") != 0 {
 		t.Fatal("compressed writebacks despite the option being off")
 	}
 	for b := range c.cf2Hint {
@@ -260,7 +260,7 @@ func TestStageBreakdownImproves(t *testing.T) {
 			}
 		}
 	}
-	bd := Breakdown(c.Stats())
+	bd := Breakdown(c.stats)
 	if bd.CHits == 0 {
 		t.Fatal("no committed activity")
 	}
@@ -275,13 +275,13 @@ func TestStageBreakdownImproves(t *testing.T) {
 func TestTwoLevelReplacementUsesMultipleFrames(t *testing.T) {
 	cfg := testConfig()
 	c := stormController(t, cfg, 25000, 83)
-	if c.Stats().Get("baryon.blockReplacements") == 0 {
+	if c.stats.Get("baryon.blockReplacements") == 0 {
 		t.Fatal("no block-level replacements")
 	}
 	cfg2 := testConfig()
 	cfg2.TwoLevelReplacement = false
 	c2 := stormController(t, cfg2, 25000, 83)
-	if c2.Stats().Get("baryon.subReplacements") <= c.Stats().Get("baryon.subReplacements") {
+	if c2.stats.Get("baryon.subReplacements") <= c.stats.Get("baryon.subReplacements") {
 		t.Fatal("disabling block-level replacement did not increase sub-block replacements")
 	}
 }
@@ -305,12 +305,12 @@ func TestFlatSwapsHappen(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = config.ModeFlat
 	c := stormController(t, cfg, 30000, 84)
-	spread := c.Stats().Get("baryon.swap.spread")
-	three := c.Stats().Get("baryon.swap.threeWay")
+	spread := c.stats.Get("baryon.swap.spread")
+	three := c.stats.Get("baryon.swap.threeWay")
 	if spread == 0 {
 		t.Fatal("no spread swaps in flat mode")
 	}
-	t.Logf("spread=%d threeWay=%d aborts=%d", spread, three, c.Stats().Get("baryon.commitAborts"))
+	t.Logf("spread=%d threeWay=%d aborts=%d", spread, three, c.stats.Get("baryon.commitAborts"))
 }
 
 // TestMultiFrameSupers checks that one super-block can occupy several fast
@@ -319,7 +319,7 @@ func TestFlatSwapsHappen(t *testing.T) {
 func TestMultiFrameSupers(t *testing.T) {
 	cfg := testConfig()
 	c := stormController(t, cfg, 40000, 85)
-	if c.Stats().Get("baryon.multiFrameSupers") == 0 {
+	if c.stats.Get("baryon.multiFrameSupers") == 0 {
 		t.Skip("storm produced no multi-frame supers at this size")
 	}
 }

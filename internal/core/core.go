@@ -361,9 +361,6 @@ func (c *Controller) Name() string {
 	}
 }
 
-// Stats returns the controller's counters.
-func (c *Controller) Stats() *sim.Stats { return c.stats }
-
 // AddInstructions advances the retired-instruction clock used by MPKI
 // statistics (called by the CPU runner).
 func (c *Controller) AddInstructions(n uint64) { c.instructionsSeen += n }

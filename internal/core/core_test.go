@@ -73,14 +73,14 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 		if write {
 			data := make([]byte, 64)
 			for j := range data {
-				data[j] = byte(rng.Uint32())
+				data[j] = byte(rng.Uint64() >> 32)
 			}
 			// Keep some writes compressible so CF transitions both ways.
 			if rng.Bool(0.5) {
 				for j := range data {
 					data[j] = 0
 				}
-				data[0] = byte(rng.Uint32())
+				data[0] = byte(rng.Uint64() >> 32)
 			}
 			ref.write(addr, data)
 			c.Access(now, addr, true, data)
@@ -119,10 +119,10 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 
 func TestIntegrityCacheMode(t *testing.T) {
 	c := runIntegrity(t, testConfig(), 30000, 42)
-	if c.Stats().Get("baryon.commits") == 0 {
+	if c.stats.Get("baryon.commits") == 0 {
 		t.Fatal("no commits happened; test did not exercise the commit path")
 	}
-	if c.Stats().Get("baryon.fast.hits") == 0 {
+	if c.stats.Get("baryon.fast.hits") == 0 {
 		t.Fatal("no committed-area hits; test did not exercise case 2")
 	}
 }
@@ -131,7 +131,7 @@ func TestIntegrityFlatMode(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = config.ModeFlat
 	c := runIntegrity(t, cfg, 30000, 43)
-	if c.Stats().Get("baryon.swap.spread")+c.Stats().Get("baryon.swap.threeWay") == 0 {
+	if c.stats.Get("baryon.swap.spread")+c.stats.Get("baryon.swap.threeWay") == 0 {
 		t.Fatal("flat mode never swapped")
 	}
 }
@@ -222,7 +222,7 @@ func TestZeroBlockService(t *testing.T) {
 
 func TestCounterSanity(t *testing.T) {
 	c := runIntegrity(t, testConfig(), 15000, 54)
-	s := c.Stats()
+	s := c.stats
 	if s.Get("baryon.accesses") != 15000 {
 		t.Fatalf("accesses=%d, want 15000", s.Get("baryon.accesses"))
 	}
@@ -241,7 +241,7 @@ func TestCounterSanity(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	collect := func() string {
 		c := runIntegrity(t, testConfig(), 8000, 99)
-		return c.Stats().String()
+		return c.stats.String()
 	}
 	if a, b := collect(), collect(); a != b {
 		t.Fatalf("two identical runs diverged:\n%s\nvs\n%s", a, b)

@@ -31,7 +31,7 @@ func integrityErr(cfg config.Config, accesses int, seed uint64) error {
 		if rng.Bool(0.35) {
 			data := make([]byte, 64)
 			for j := range data {
-				data[j] = byte(rng.Uint32())
+				data[j] = byte(rng.Uint64() >> 32)
 			}
 			if rng.Bool(0.5) {
 				for j := range data {

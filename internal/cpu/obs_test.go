@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -57,8 +58,16 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 				t.Fatal("tracer perturbed the run's counters")
 			}
 
-			if tr.Reqs() == 0 || tr.SampledReqs() != tr.Reqs() {
-				t.Fatalf("tracer saw %d reqs, sampled %d (want all at 1-in-1)", tr.Reqs(), tr.SampledReqs())
+			var summary strings.Builder
+			if err := tr.WriteFlameSummary(&summary); err != nil {
+				t.Fatal(err)
+			}
+			var seen, sampled uint64
+			if _, err := fmt.Sscanf(summary.String(), "trace: %d requests seen, %d sampled", &seen, &sampled); err != nil {
+				t.Fatalf("summary %q: %v", summary.String(), err)
+			}
+			if seen == 0 || sampled != seen {
+				t.Fatalf("tracer saw %d reqs, sampled %d (want all at 1-in-1)", seen, sampled)
 			}
 			// A run must produce at least one request that walked the full
 			// plane: issue -> caches -> controller decision -> device ->

@@ -24,10 +24,10 @@ import (
 // nonMemIPC is the retire rate of non-memory instructions.
 const nonMemIPC = 2.0
 
-// DeviceProvider exposes a controller's fast and slow devices. Nothing in
-// this module uses it: the runner reads device traffic through
-// hybrid.Controller's Engine, and no controller implements it. It stays only
-// because the end-to-end benchmark module (bench/) compiles against it.
+// DeviceProvider exposes a controller's fast and slow devices. The runner
+// reads device traffic through hybrid.Controller's Engine, and no
+// controller implements it; only the end-to-end benchmark module uses it
+// (see benchOnlyExports in the root exports_test.go).
 type DeviceProvider interface {
 	FastDevice() *mem.Device
 	SlowDevice() *mem.Device

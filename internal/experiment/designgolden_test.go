@@ -78,11 +78,10 @@ func dumpDesignRun(buf *bytes.Buffer, cfg config.Config, workload, design string
 	for _, name := range fnames {
 		fmt.Fprintf(buf, "float %s=%.3f\n", name, res.Stats.GetFloat(name))
 	}
-	hnames := res.Stats.HistNames()
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		h := res.Stats.GetHistogram(name)
-		fmt.Fprintf(buf, "hist %s count=%d sum=%d max=%d\n", name, h.Count(), h.Sum(), h.Max())
+	snap := res.Stats.Snapshot()
+	for _, name := range snap.HistNames() {
+		h, _ := snap.Hist(name)
+		fmt.Fprintf(buf, "hist %s count=%d sum=%d max=%d\n", name, h.Count(), h.Sum(), h.Summary().Max)
 	}
 }
 

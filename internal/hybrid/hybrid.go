@@ -66,8 +66,8 @@ type Controller interface {
 }
 
 // EngineProvider is Controller's Engine method on its own. Every Controller
-// provides it; nothing in this module asserts it any more, and it stays only
-// because the end-to-end benchmark module (bench/) compiles against it.
+// provides it; only the end-to-end benchmark module asserts it (see
+// benchOnlyExports in the root exports_test.go).
 type EngineProvider interface {
 	Engine() *Engine
 }

@@ -11,8 +11,6 @@ import "baryon/internal/sim"
 type Replacer interface {
 	// Victim returns the index of the way to replace. set is never empty.
 	Victim(set []WayMeta) int
-	// Name identifies the policy (for DesignSpec serialisation and reports).
-	Name() string
 }
 
 // LRU is least-recently-used replacement: the first invalid way wins,
@@ -35,9 +33,6 @@ func (LRU) Victim(set []WayMeta) int {
 	return victim
 }
 
-// Name implements Replacer.
-func (LRU) Name() string { return "lru" }
-
 // FIFO is first-in-first-out replacement: the first invalid way wins,
 // otherwise the way with the smallest AllocSeq. Baryon's fully-associative
 // area replaces in allocation order (Section III-E).
@@ -57,9 +52,6 @@ func (FIFO) Victim(set []WayMeta) int {
 	return victim
 }
 
-// Name implements Replacer.
-func (FIFO) Name() string { return "fifo" }
-
 // Random replacement fills invalid ways first (in way order) and otherwise
 // evicts a uniformly random way. It is not used by any paper design; it
 // exists as a DesignSpec policy knob for custom baseline variants.
@@ -77,9 +69,6 @@ func (r *Random) Victim(set []WayMeta) int {
 	}
 	return r.rng.Intn(len(set))
 }
-
-// Name implements Replacer.
-func (r *Random) Name() string { return "random" }
 
 // TwoLevelBlock is the block-level half of Baryon's two-level stage
 // replacement (Fig. 8): LRU over stage frames, scanning for invalid frames
@@ -102,9 +91,6 @@ func (TwoLevelBlock) Victim(set []WayMeta) int {
 	}
 	return victim
 }
-
-// Name implements Replacer.
-func (TwoLevelBlock) Name() string { return "two-level" }
 
 // SlotFIFO is the sub-block-level half of the two-level policy: it rotates
 // a FIFO pointer over a frame's n slots, skipping invalid slots, and

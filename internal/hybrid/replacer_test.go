@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"fmt"
 	"testing"
 
 	"baryon/internal/sim"
@@ -31,7 +32,7 @@ func TestVictimWithinSet(t *testing.T) {
 				set := randomSet(rng, n)
 				v := p.Victim(set)
 				if v < 0 || v >= n {
-					t.Fatalf("%s: victim %d out of range for %d-way set", p.Name(), v, n)
+					t.Fatalf("%s: victim %d out of range for %d-way set", fmt.Sprintf("%T", p), v, n)
 				}
 			}
 		}
@@ -139,15 +140,15 @@ func TestSlotFIFO(t *testing.T) {
 // TestReplacerByName pins the DesignSpec policy-name mapping.
 func TestReplacerByName(t *testing.T) {
 	for name, want := range map[string]string{
-		"": "lru", "lru": "lru", "fifo": "fifo",
-		"random": "random", "two-level": "two-level",
+		"": "hybrid.LRU", "lru": "hybrid.LRU", "fifo": "hybrid.FIFO",
+		"random": "*hybrid.Random", "two-level": "hybrid.TwoLevelBlock",
 	} {
 		r, ok := ReplacerByName(name, 1)
 		if !ok {
 			t.Fatalf("ReplacerByName(%q) not found", name)
 		}
-		if r.Name() != want {
-			t.Fatalf("ReplacerByName(%q).Name() = %q, want %q", name, r.Name(), want)
+		if got := fmt.Sprintf("%T", r); got != want {
+			t.Fatalf("ReplacerByName(%q) is a %s, want %s", name, got, want)
 		}
 	}
 	if _, ok := ReplacerByName("clock", 1); ok {
@@ -170,19 +171,19 @@ func TestDirVictimAndLookup(t *testing.T) {
 			if w < 0 {
 				w = d.Victim(si, p)
 				if w < 0 || w >= d.Assoc() {
-					t.Fatalf("%s: victim %d out of range", p.Name(), w)
+					t.Fatalf("%s: victim %d out of range", fmt.Sprintf("%T", p), w)
 				}
 				m, _ := d.Way(si, w)
 				*m = WayMeta{Key: key, Valid: true, AllocSeq: seq}
 			}
 			m, _ := d.Way(si, w)
 			if !m.Valid || m.Key != key {
-				t.Fatalf("%s: way (%d,%d) holds key %d valid=%v, want %d", p.Name(), si, w, m.Key, m.Valid, key)
+				t.Fatalf("%s: way (%d,%d) holds key %d valid=%v, want %d", fmt.Sprintf("%T", p), si, w, m.Key, m.Valid, key)
 			}
 			m.LastUse = seq
 			seq++
 			if again := d.Lookup(si, key); again != w {
-				t.Fatalf("%s: Lookup after install = %d, want %d", p.Name(), again, w)
+				t.Fatalf("%s: Lookup after install = %d, want %d", fmt.Sprintf("%T", p), again, w)
 			}
 		}
 	}

@@ -120,6 +120,3 @@ func (s *Store) Bytes(addr uint64, n int) []byte {
 	blk := s.Block(BlockOf(addr))
 	return blk[off : off+uint64(n)]
 }
-
-// Touched returns the number of materialised blocks (footprint tracking).
-func (s *Store) Touched() int { return len(s.blocks) }

@@ -72,16 +72,7 @@ func cxlEstimator(name string) func([]byte) int {
 	case "bdi":
 		return bdi.CompressedSize
 	case "best":
-		return func(data []byte) int {
-			best := fpc.CompressedSize(data)
-			if b := bdi.CompressedSize(data); b < best {
-				best = b
-			}
-			if best > len(data) {
-				best = len(data)
-			}
-			return best
-		}
+		return new(compress.Compressor).CompressedSize
 	}
 	return nil
 }

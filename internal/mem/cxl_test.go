@@ -53,7 +53,7 @@ func TestCXLZeroConfigNoOp(t *testing.T) {
 				t.Fatalf("counter %s: got %d, want %d", name, got, want)
 			}
 		}
-		if got, want := len(stats.HistNames()), len(wantStats.HistNames()); got != want {
+		if got, want := len(stats.Snapshot().HistNames()), len(wantStats.Snapshot().HistNames()); got != want {
 			t.Fatalf("histogram count: got %d, want %d", got, want)
 		}
 	}

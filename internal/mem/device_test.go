@@ -94,7 +94,7 @@ func TestZeroSizeAccess(t *testing.T) {
 	if done := ddr.Access(42, 0, 0, false); done != 42 {
 		t.Fatalf("zero-size access advanced time: %d", done)
 	}
-	if c := ddr.Counters(); c.BytesRead.Value()+c.BytesWritten.Value() != 0 {
+	if c, zero := ddr.Counters(), (sim.Snapshot{}); zero.DeltaOf(c.BytesRead)+zero.DeltaOf(c.BytesWritten) != 0 {
 		t.Fatal("zero-size access moved bytes")
 	}
 }
@@ -160,7 +160,7 @@ func TestResetClearsMaxQueueing(t *testing.T) {
 
 // EnergyPJ returns the accumulated access energy in picojoules. It is a
 // thin read of the registry accumulator.
-func (d *Device) EnergyPJ() float64 { return d.energy.Value() }
+func (d *Device) EnergyPJ() float64 { return sim.Snapshot{}.DeltaOfFloat(d.energy) }
 
 // Reset clears all timing state and the non-registry accumulators. The
 // traffic/energy/latency counters live on the run's Stats registry and are

@@ -106,10 +106,6 @@ func (t *Tracer) EndReq(done uint64) {
 	t.sampling = false
 }
 
-// Active reports whether the current request is sampled; layers use it to
-// skip building span arguments entirely on unsampled requests.
-func (t *Tracer) Active() bool { return t.sampling }
-
 // Span records a complete ('X') span [start, end) on the current request.
 // No-op unless the current request is sampled.
 func (t *Tracer) Span(name, cat string, start, end uint64) {
@@ -158,12 +154,6 @@ func (t *Tracer) Events() []Event {
 	out = append(out, t.events[:t.next]...)
 	return out
 }
-
-// Reqs returns the total number of requests seen; SampledReqs how many were
-// sampled; Dropped how many events were overwritten in the ring.
-func (t *Tracer) Reqs() uint64        { return t.reqs }
-func (t *Tracer) SampledReqs() uint64 { return t.sampled }
-func (t *Tracer) Dropped() uint64     { return t.dropped }
 
 // chromeEvent is the trace_event wire format. Timestamps are emitted with
 // 1 µs per simulated cycle (trace_event's ts unit is microseconds and has

@@ -25,12 +25,12 @@ func TestTracerSampling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		runReq(tr, i%16, uint64(i)*64, uint64(i)*300)
 	}
-	if tr.Reqs() != 100 {
-		t.Fatalf("Reqs() = %d, want 100", tr.Reqs())
+	if tr.reqs != 100 {
+		t.Fatalf("requests seen = %d, want 100", tr.reqs)
 	}
 	// 1-in-4 starting at the first request: 100/4 = 25.
-	if tr.SampledReqs() != 25 {
-		t.Fatalf("SampledReqs() = %d, want 25", tr.SampledReqs())
+	if tr.sampled != 25 {
+		t.Fatalf("requests sampled = %d, want 25", tr.sampled)
 	}
 	// 8 events per sampled request (issue + 5 spans + decision + req).
 	if got := len(tr.Events()); got != 25*8 {
@@ -56,12 +56,12 @@ func TestTracerSpansOutsideRequestIgnored(t *testing.T) {
 		t.Fatalf("events recorded outside a request: %d", len(tr.Events()))
 	}
 	tr.BeginReq(0, 64, 10)
-	if !tr.Active() {
-		t.Fatal("Active() false during sampled request")
+	if !tr.sampling {
+		t.Fatal("not sampling during a sampled request")
 	}
 	tr.EndReq(20)
-	if tr.Active() {
-		t.Fatal("Active() true after EndReq")
+	if tr.sampling {
+		t.Fatal("still sampling after EndReq")
 	}
 	tr.Span("L1", "hit", 20, 24) // after EndReq
 	if got := len(tr.Events()); got != 2 {
@@ -80,8 +80,8 @@ func TestTracerRingBound(t *testing.T) {
 	if len(evs) != capEvents {
 		t.Fatalf("ring grew past capacity: %d events", len(evs))
 	}
-	if tr.Dropped() != 200-capEvents {
-		t.Fatalf("Dropped() = %d, want %d", tr.Dropped(), 200-capEvents)
+	if tr.dropped != 200-capEvents {
+		t.Fatalf("events overwritten = %d, want %d", tr.dropped, 200-capEvents)
 	}
 	// The ring keeps the newest events in chronological order.
 	for i := 1; i < len(evs); i++ {

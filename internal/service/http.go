@@ -65,24 +65,30 @@ type HandlerOptions struct {
 	Log io.Writer
 }
 
-// requestBudget derives one request's execution context from the default
-// budget and the client's DeadlineHeader, clamped to the server cap.
-func requestBudget(parent context.Context, r *http.Request, cap time.Duration) (context.Context, context.CancelFunc, error) {
-	budget := cap
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		d, err := time.ParseDuration(h)
-		if err != nil || d <= 0 {
-			return nil, nil, fmt.Errorf("invalid %s header %q (want a positive Go duration like \"30s\")", DeadlineHeader, h)
-		}
-		if cap == 0 || d < cap {
-			budget = d
-		}
+// requestBudget returns one request's execution budget: the client's
+// DeadlineHeader clamped to the server cap, or the cap without the header
+// (0 = no budget).
+func requestBudget(r *http.Request, cap time.Duration) (time.Duration, error) {
+	h := r.Header.Get(DeadlineHeader)
+	if h == "" {
+		return cap, nil
 	}
+	d, err := time.ParseDuration(h)
+	if err != nil || d <= 0 {
+		return 0, fmt.Errorf("invalid %s header %q (want a positive Go duration like \"30s\")", DeadlineHeader, h)
+	}
+	if cap == 0 || d < cap {
+		return d, nil
+	}
+	return cap, nil
+}
+
+// withBudget bounds ctx by budget; a budget <= 0 leaves it unbounded.
+func withBudget(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
 	if budget <= 0 {
-		return parent, func() {}, nil
+		return ctx, func() {}
 	}
-	ctx, cancel := context.WithTimeout(parent, budget)
-	return ctx, cancel, nil
+	return context.WithTimeout(ctx, budget)
 }
 
 // NewHandlerOpts builds the daemon's HTTP API over s. The returned handler
@@ -109,11 +115,12 @@ func NewHandlerOpts(s *Service, opts HandlerOptions) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		ctx, cancel, err := requestBudget(r.Context(), r, opts.RequestTimeout)
+		budget, err := requestBudget(r, opts.RequestTimeout)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
+		ctx, cancel := withBudget(r.Context(), budget)
 		defer cancel()
 		out, err := s.RunResolved(ctx, res)
 		switch {
@@ -142,23 +149,18 @@ func NewHandlerOpts(s *Service, opts HandlerOptions) http.Handler {
 		if !ok {
 			return
 		}
-		// An async job's budget nests inside the daemon-lifetime context,
-		// not the request's: the submitting connection may close long
-		// before the job runs.
-		ctx := runCtx
+		// An async job waits inside the daemon-lifetime context, not the
+		// request's: the submitting connection may close long before the
+		// job runs. Only a DeadlineHeader gives it a budget.
+		var budget time.Duration
 		if r.Header.Get(DeadlineHeader) != "" {
-			bctx, cancel, err := requestBudget(runCtx, r, opts.RequestTimeout)
-			if err != nil {
+			var err error
+			if budget, err = requestBudget(r, opts.RequestTimeout); err != nil {
 				httpError(w, http.StatusBadRequest, err)
 				return
 			}
-			// Not deferred: the budget must keep ticking after this handler
-			// returns, until the job's deadline fires; the watcher then
-			// releases the context's resources.
-			go func() { <-bctx.Done(); cancel() }()
-			ctx = bctx
 		}
-		st, err := s.Submit(ctx, job)
+		st, err := s.Submit(runCtx, job, budget)
 		switch {
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter()))
@@ -490,43 +492,4 @@ func (c *Client) RunSync(ctx context.Context, job Job) (bundle []byte, status, h
 		return nil, "", "", err
 	}
 	return data, hdr.Get(CacheHeader), hdr.Get(HashHeader), nil
-}
-
-// Submit enqueues a job via POST /api/v1/jobs.
-func (c *Client) Submit(ctx context.Context, job Job) (JobStatus, error) {
-	body, err := json.Marshal(job)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	data, _, err := c.do(ctx, http.MethodPost, "/api/v1/jobs", body, http.StatusAccepted)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	var st JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
-}
-
-// Status fetches a submitted job's status by hash.
-func (c *Client) Status(ctx context.Context, hash string) (JobStatus, error) {
-	data, _, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+hash, nil, http.StatusOK)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	var st JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
-}
-
-// Result fetches a completed job's bundle bytes by hash.
-func (c *Client) Result(ctx context.Context, hash string) ([]byte, error) {
-	data, _, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+hash+"/result", nil, http.StatusOK)
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -279,6 +280,53 @@ func TestHTTPDeadline(t *testing.T) {
 	}
 }
 
+// TestAsyncDeadlineHeldOnlyByRuns pins where an async job's
+// X-Baryon-Deadline lives: in the wait on a run it starts or joins. A
+// submission answered from the store, or refused while draining, starts no
+// wait and so holds no goroutine or timer afterwards; a submission that
+// does wait still gives up when its budget runs out.
+func TestAsyncDeadlineHeldOnlyByRuns(t *testing.T) {
+	s := quickService(t, Options{Workers: 1})
+	h := NewHandlerOpts(s, HandlerOptions{RunCtx: context.Background()})
+	submit := func(job Job, deadline string, want int) {
+		t.Helper()
+		body, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body))
+		req.Header.Set(DeadlineHeader, deadline)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("submit: HTTP %d, want %d: %s", rec.Code, want, rec.Body)
+		}
+	}
+
+	// A budget on a job that waits still applies.
+	release := fillWorkers(s)
+	slow := quickJob
+	slow.Seed = 99
+	submit(slow, "30ms", http.StatusAccepted)
+	waitCond(t, "the async budget to expire", func() bool { return s.deadlinesExceeded.Load() == 1 })
+	release()
+
+	if _, err := s.Run(context.Background(), quickJob); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		submit(quickJob, "1h", http.StatusAccepted) // a store hit
+	}
+	s.Drain()
+	for i := 0; i < 50; i++ {
+		submit(quickJob, "1h", http.StatusServiceUnavailable)
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 10 {
+		t.Fatalf("100 submissions that started no run left %d goroutines behind", grew)
+	}
+}
+
 // TestPanicMiddleware: a panicking handler answers 500 with the panic logged
 // (stack included) instead of tearing down the server.
 func TestPanicMiddleware(t *testing.T) {
@@ -410,4 +458,46 @@ func TestHTTPCatalogs(t *testing.T) {
 			t.Fatalf("%s: status %d body %s", path, resp.StatusCode, buf.String())
 		}
 	}
+}
+
+// The async half of the Client. Only these tests drive the async API over
+// the wire; cmd/loadgen uses RunSync.
+
+// Submit enqueues a job via POST /api/v1/jobs.
+func (c *Client) Submit(ctx context.Context, job Job) (JobStatus, error) {
+	body, err := json.Marshal(job)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	data, _, err := c.do(ctx, http.MethodPost, "/api/v1/jobs", body, http.StatusAccepted)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		return JobStatus{}, err
+	}
+	return st, nil
+}
+
+// Status fetches a submitted job's status by hash.
+func (c *Client) Status(ctx context.Context, hash string) (JobStatus, error) {
+	data, _, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+hash, nil, http.StatusOK)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		return JobStatus{}, err
+	}
+	return st, nil
+}
+
+// Result fetches a completed job's bundle bytes by hash.
+func (c *Client) Result(ctx context.Context, hash string) ([]byte, error) {
+	data, _, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+hash+"/result", nil, http.StatusOK)
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }

@@ -143,7 +143,8 @@ func (s *Service) acquire() bool {
 	return true
 }
 
-// Cache exposes the underlying result store (read-mostly: metrics, tests).
+// Cache exposes the underlying result store. Only the end-to-end benchmark
+// module calls it, to time the store on its own.
 func (s *Service) Cache() *Cache { return s.cache }
 
 // Resolve validates and canonicalizes a job against the service's base
@@ -153,6 +154,8 @@ func (s *Service) Resolve(job Job) (Resolved, error) { return job.resolve(s.base
 
 // Run executes one job synchronously: result-store hit, collapse into an
 // identical in-flight submission, or a fresh simulation on the worker pool.
+// The HTTP API resolves first and calls RunResolved; only the end-to-end
+// benchmark module calls Run.
 func (s *Service) Run(ctx context.Context, job Job) (Outcome, error) {
 	r, err := s.Resolve(job)
 	if err != nil {
@@ -421,8 +424,10 @@ func (s *Service) runOnWorker(ctx context.Context, rec *record, r Resolved) (Out
 // The job is content-addressed: a stored result answers done at once, and
 // an identical in-flight job is joined instead of duplicated; a failed
 // record is retried. ctx bounds this submission's wait on the run — the
-// daemon passes its lifetime context, not the HTTP request's.
-func (s *Service) Submit(ctx context.Context, job Job) (JobStatus, error) {
+// daemon passes its lifetime context, not the HTTP request's — and budget,
+// when positive, caps that wait. The budget's timer starts with the wait,
+// so a submission that is refused or answered at once holds none.
+func (s *Service) Submit(ctx context.Context, job Job, budget time.Duration) (JobStatus, error) {
 	if s.draining.Load() {
 		return JobStatus{}, ErrDraining
 	}
@@ -461,6 +466,8 @@ func (s *Service) Submit(ctx context.Context, job Job) (JobStatus, error) {
 	go func() {
 		defer s.wg.Done()
 		defer s.asyncPending.Add(-1)
+		ctx, cancel := withBudget(ctx, budget)
+		defer cancel()
 		s.await(ctx, rec, leader)
 	}()
 	st := rec.status()
@@ -563,7 +570,3 @@ func (s *Service) RetryAfter() int {
 	}
 	return secs
 }
-
-// Simulations reports how many simulations have actually executed — the
-// denominator of every "identical requests cost one simulation" claim.
-func (s *Service) Simulations() uint64 { return s.simulations.Load() }

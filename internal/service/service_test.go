@@ -23,6 +23,10 @@ func quickConfig() config.Config {
 	return cfg
 }
 
+// simulations reads how many simulations s has run from its metrics: the
+// denominator of every "identical requests cost one simulation" claim.
+func simulations(s *Service) uint64 { return s.MetricsSnapshot().Get("jobs.simulations") }
+
 func quickService(t *testing.T, opts Options) *Service {
 	t.Helper()
 	if opts.BaseConfig == nil {
@@ -91,7 +95,7 @@ func TestRunCacheHit(t *testing.T) {
 	if first.Hash != second.Hash {
 		t.Fatalf("hashes differ: %s vs %s", first.Hash, second.Hash)
 	}
-	if n := s.Simulations(); n != 1 {
+	if n := simulations(s); n != 1 {
 		t.Fatalf("two identical runs cost %d simulations, want 1", n)
 	}
 	// A different seed is a different content-address and simulates again.
@@ -137,7 +141,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	if len(outs) != n {
 		t.Fatalf("%d/%d runs succeeded", len(outs), n)
 	}
-	if sims := s.Simulations(); sims != 1 {
+	if sims := simulations(s); sims != 1 {
 		t.Fatalf("%d identical concurrent runs cost %d simulations, want 1", n, sims)
 	}
 	served := 0
@@ -206,7 +210,7 @@ func TestDiskColdStartReload(t *testing.T) {
 	if !bytes.Equal(first.Bundle, second.Bundle) {
 		t.Fatal("cold-start reload returned different bundle bytes")
 	}
-	if s2.Simulations() != 0 {
+	if simulations(s2) != 0 {
 		t.Fatal("cold-start reload still simulated")
 	}
 	if st := s2.Cache().Stats(); st.DiskHits != 1 {
@@ -306,7 +310,7 @@ func TestResolveRejects(t *testing.T) {
 func TestSubmitAsync(t *testing.T) {
 	s := quickService(t, Options{})
 	ctx := context.Background()
-	st, err := s.Submit(ctx, quickJob)
+	st, err := s.Submit(ctx, quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,15 +339,15 @@ func TestSubmitAsync(t *testing.T) {
 		t.Fatal("no result bytes for a done job")
 	}
 	// Re-submitting the identical job reuses the table entry.
-	again, err := s.Submit(ctx, quickJob)
+	again, err := s.Submit(ctx, quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Hash != st.Hash || again.State != StateDone {
 		t.Fatalf("resubmission status = %+v, want done %s", again, st.Hash)
 	}
-	if s.Simulations() != 1 {
-		t.Fatalf("dedupe failed: %d simulations", s.Simulations())
+	if simulations(s) != 1 {
+		t.Fatalf("dedupe failed: %d simulations", simulations(s))
 	}
 }
 
@@ -370,14 +374,14 @@ func TestSyncRunFinishesJobTable(t *testing.T) {
 	}
 	// A subsequent Submit of the identical job must report done immediately:
 	// the old bug left the entry "running" forever, so a polling client hung.
-	sub, err := s.Submit(ctx, quickJob)
+	sub, err := s.Submit(ctx, quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sub.State != StateDone {
 		t.Fatalf("Submit after sync run = %q, want %q", sub.State, StateDone)
 	}
-	if n := s.Simulations(); n != 1 {
+	if n := simulations(s); n != 1 {
 		t.Fatalf("%d simulations, want 1", n)
 	}
 }
@@ -439,9 +443,9 @@ func TestDrainWaitRace(t *testing.T) {
 			t.Fatalf("Wait: %v", err)
 		}
 		cancel()
-		simsAtWait := s.Simulations()
+		simsAtWait := simulations(s)
 		wg.Wait()
-		if sims := s.Simulations(); sims != simsAtWait {
+		if sims := simulations(s); sims != simsAtWait {
 			t.Fatalf("a job started after Wait returned (%d -> %d simulations)", simsAtWait, sims)
 		}
 	}
@@ -462,7 +466,7 @@ func TestDrainRejects(t *testing.T) {
 	if _, err := s.Run(ctx, quickJob); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Run after Drain: %v, want ErrDraining", err)
 	}
-	if _, err := s.Submit(ctx, quickJob); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(ctx, quickJob, 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after Drain: %v, want ErrDraining", err)
 	}
 	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
@@ -583,16 +587,16 @@ func TestAsyncQueueBound(t *testing.T) {
 	release := fillWorkers(s)
 	t.Cleanup(release)
 
-	st, err := s.Submit(ctx, quickJob)
+	st, err := s.Submit(ctx, quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	over := quickJob
 	over.Seed = 2
-	if _, err := s.Submit(ctx, over); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.Submit(ctx, over, 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit past the queue bound: %v, want ErrOverloaded", err)
 	}
-	if _, err := s.Submit(ctx, quickJob); err != nil {
+	if _, err := s.Submit(ctx, quickJob, 0); err != nil {
 		t.Fatalf("identical re-submission refused: %v", err)
 	}
 	if n := s.admissionRejected.Load(); n != 1 {
@@ -605,7 +609,7 @@ func TestAsyncQueueBound(t *testing.T) {
 		return ok && cur.State == StateDone
 	})
 	waitCond(t, "the refused job to be admitted", func() bool {
-		_, err := s.Submit(ctx, over)
+		_, err := s.Submit(ctx, over, 0)
 		if err != nil && !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("resubmit: %v", err)
 		}
@@ -622,7 +626,7 @@ func TestDrainUnderRejectedSubmissions(t *testing.T) {
 	release := fillWorkers(s)
 	t.Cleanup(release)
 
-	st, err := s.Submit(ctx, quickJob)
+	st, err := s.Submit(ctx, quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +639,7 @@ func TestDrainUnderRejectedSubmissions(t *testing.T) {
 			<-start
 			job := quickJob
 			job.Seed = seed
-			if _, err := s.Submit(ctx, job); err != nil &&
+			if _, err := s.Submit(ctx, job, 0); err != nil &&
 				!errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrDraining) {
 				t.Errorf("submit seed %d: %v", seed, err)
 			}
@@ -694,7 +698,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if sims := s.Simulations(); sims != 4 {
+	if sims := simulations(s); sims != 4 {
 		t.Fatalf("%d simulations, want 4 distinct", sims)
 	}
 }
@@ -734,7 +738,7 @@ func TestSyncFollowerOutlivesLeaderDeadline(t *testing.T) {
 	if len(out.Bundle) == 0 {
 		t.Fatal("follower got no bundle")
 	}
-	if n := s.Simulations(); n != 1 {
+	if n := simulations(s); n != 1 {
 		t.Fatalf("%d simulations, want 1", n)
 	}
 }
@@ -755,7 +759,7 @@ func TestSubmitOutlivesSyncDeadline(t *testing.T) {
 		syncErr <- err
 	}()
 	waitCond(t, "the sync run to park at the worker pool", func() bool { return s.waiting.Load() == 1 })
-	st, err := s.Submit(context.Background(), quickJob)
+	st, err := s.Submit(context.Background(), quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +791,7 @@ func TestStatusDoneAfterRetriedFailure(t *testing.T) {
 
 	actx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	st, err := s.Submit(actx, quickJob)
+	st, err := s.Submit(actx, quickJob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -831,7 +835,7 @@ func TestResubmitAfterStoreEviction(t *testing.T) {
 	}
 	job := quickJob
 	job.Seed = 2
-	if _, err := s.Submit(ctx, job); err != nil {
+	if _, err := s.Submit(ctx, job, 0); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "the resubmitted job to finish", func() bool {
@@ -858,7 +862,7 @@ func TestLastWaiterCancelsRun(t *testing.T) {
 		_, err := s.Run(ctx, long)
 		done <- err
 	}()
-	waitCond(t, "the run to hold a worker", func() bool { return s.Simulations() == 1 })
+	waitCond(t, "the run to hold a worker", func() bool { return simulations(s) == 1 })
 	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("run: %v, want DeadlineExceeded", err)
 	}
@@ -890,7 +894,7 @@ func TestFailedRecordsRetainedAndRetried(t *testing.T) {
 	ctx := context.Background()
 	submitFailed := func(seed uint64) string {
 		t.Helper()
-		st, err := s.Submit(ctx, Job{Design: "Poisoned-Service", Workload: "505.mcf_r", Seed: seed})
+		st, err := s.Submit(ctx, Job{Design: "Poisoned-Service", Workload: "505.mcf_r", Seed: seed}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -906,7 +910,7 @@ func TestFailedRecordsRetainedAndRetried(t *testing.T) {
 	}
 	h1 := submitFailed(1)
 	submitFailed(1)
-	if n := s.Simulations(); n != 2 {
+	if n := simulations(s); n != 2 {
 		t.Fatalf("resubmitting a failed job ran %d simulations in total, want 2", n)
 	}
 	submitFailed(2)

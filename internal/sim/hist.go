@@ -72,18 +72,11 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Name returns the histogram's fully-qualified registered name (empty for
-// histograms created outside a registry, e.g. snapshot deltas).
-func (h *Histogram) Name() string { return h.name }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Max returns the largest observed value (exact, not bucket-quantised).
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {

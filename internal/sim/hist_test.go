@@ -63,8 +63,8 @@ func TestHistBucketClamp(t *testing.T) {
 	}
 	var h Histogram
 	h.Observe(math.MaxUint64)
-	if h.Max() != math.MaxUint64 || h.Count() != 1 {
-		t.Fatalf("after Observe(MaxUint64): max=%d count=%d", h.Max(), h.Count())
+	if h.max != math.MaxUint64 || h.Count() != 1 {
+		t.Fatalf("after Observe(MaxUint64): max=%d count=%d", h.max, h.Count())
 	}
 	if got := h.Percentile(100); got != float64(math.MaxUint64) {
 		t.Fatalf("Percentile(100) = %g, want exact max", got)
@@ -139,8 +139,8 @@ func TestHistogramPercentilesVsExact(t *testing.T) {
 					t.Errorf("p%.1f: hist %.1f, exact %.1f (tolerance %.1f)", p, got, want, tol)
 				}
 			}
-			if h.Percentile(100) != float64(h.Max()) {
-				t.Errorf("p100 %.1f != exact max %d", h.Percentile(100), h.Max())
+			if h.Percentile(100) != float64(h.max) {
+				t.Errorf("p100 %.1f != exact max %d", h.Percentile(100), h.max)
 			}
 		})
 	}
@@ -242,24 +242,24 @@ func TestHistogramDeltaWindow(t *testing.T) {
 	if d.Count() != 2000 || d.Sum() != winSum {
 		t.Fatalf("delta count=%d sum=%d, want 2000/%d", d.Count(), d.Sum(), winSum)
 	}
-	if d.Max() < trueMax {
-		t.Fatalf("delta max %d below true window max %d", d.Max(), trueMax)
+	if d.max < trueMax {
+		t.Fatalf("delta max %d below true window max %d", d.max, trueMax)
 	}
-	if d.Max() > h.Max() {
-		t.Fatalf("delta max %d above lifetime max %d", d.Max(), h.Max())
+	if d.max > h.max {
+		t.Fatalf("delta max %d above lifetime max %d", d.max, h.max)
 	}
-	if rel := float64(d.Max()-trueMax) / float64(trueMax); rel > 1.0/histSubBuckets {
-		t.Fatalf("delta max %d overshoots true max %d by %.3f", d.Max(), trueMax, rel)
+	if rel := float64(d.max-trueMax) / float64(trueMax); rel > 1.0/histSubBuckets {
+		t.Fatalf("delta max %d overshoots true max %d by %.3f", d.max, trueMax, rel)
 	}
 	// A delta over an idle window is empty.
 	idle := st.Snapshot().DeltaOfHist(h)
-	if idle.Count() != 0 || idle.Max() != 0 {
-		t.Fatalf("idle delta not empty: count=%d max=%d", idle.Count(), idle.Max())
+	if idle.Count() != 0 || idle.max != 0 {
+		t.Fatalf("idle delta not empty: count=%d max=%d", idle.Count(), idle.max)
 	}
 }
 
 // TestStatsHistogramRegistry checks registry integration: name scoping,
-// idempotent lookup, enumeration order, and Reset.
+// idempotent lookup, enumeration through a snapshot, and Reset.
 func TestStatsHistogramRegistry(t *testing.T) {
 	st := NewStats()
 	sc := st.Scope("dev")
@@ -268,18 +268,18 @@ func TestStatsHistogramRegistry(t *testing.T) {
 	if h1 != h2 {
 		t.Fatal("Histogram lookup not idempotent")
 	}
-	if h1.Name() != "dev.lat.queue" {
-		t.Fatalf("scoped name %q, want dev.lat.queue", h1.Name())
+	if h1.name != "dev.lat.queue" {
+		t.Fatalf("scoped name %q, want dev.lat.queue", h1.name)
 	}
-	st.Histogram("alat") // registered after, sorts before — order must be registration order
-	names := st.HistNames()
-	if len(names) != 2 || names[0] != "dev.lat.queue" || names[1] != "alat" {
-		t.Fatalf("HistNames() = %v, want registration order", names)
+	st.Histogram("alat")
+	names := st.Snapshot().HistNames()
+	if len(names) != 2 || names[0] != "alat" || names[1] != "dev.lat.queue" {
+		t.Fatalf("Snapshot().HistNames() = %v, want both names sorted", names)
 	}
 	h1.Observe(10)
 	st.Reset()
-	if h1.Count() != 0 || h1.Max() != 0 || h1.Percentile(50) != 0 {
-		t.Fatalf("Reset left data: count=%d max=%d", h1.Count(), h1.Max())
+	if h1.Count() != 0 || h1.max != 0 || h1.Percentile(50) != 0 {
+		t.Fatalf("Reset left data: count=%d max=%d", h1.Count(), h1.max)
 	}
 }
 

@@ -49,9 +49,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns 32 random bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -102,8 +102,8 @@ func TestFloatAccum(t *testing.T) {
 	f := root.Float("energy")
 	f.Add(0.25)
 	f.Add(0.5)
-	if f.Value() != 0.75 {
-		t.Fatalf("FloatAccum value = %v, want 0.75", f.Value())
+	if f.v != 0.75 {
+		t.Fatalf("FloatAccum value = %v, want 0.75", f.v)
 	}
 	if got := root.GetFloat("energy"); got != 0.75 {
 		t.Fatalf("GetFloat = %v, want 0.75", got)

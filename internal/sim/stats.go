@@ -19,9 +19,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v++ }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
 // FloatAccum is a monotonically accumulating float metric (energy,
 // latency-weighted sums). It lives in the same registry as Counters so
 // snapshots and window deltas cover it.
@@ -32,9 +29,6 @@ type FloatAccum struct {
 
 // Add accumulates x.
 func (f *FloatAccum) Add(x float64) { f.v += x }
-
-// Value returns the accumulated total.
-func (f *FloatAccum) Value() float64 { return f.v }
 
 // Gauge is a point-in-time value (a queue depth, a cache size) that can go
 // down as well as up. Window deltas keep a gauge's current value.
@@ -54,7 +48,6 @@ type registry struct {
 	forder   []string
 	floats   map[string]*FloatAccum
 	gauges   map[string]*Gauge
-	horder   []string
 	hists    map[string]*Histogram
 }
 
@@ -142,26 +135,7 @@ func (s *Stats) Histogram(name string) *Histogram {
 	}
 	h := &Histogram{name: full}
 	s.reg.hists[full] = h
-	s.reg.horder = append(s.reg.horder, full)
 	return h
-}
-
-// GetHistogram returns the live histogram registered under this view's
-// scope, or nil if it was never registered.
-func (s *Stats) GetHistogram(name string) *Histogram {
-	return s.reg.hists[s.prefix+name]
-}
-
-// HistNames returns the histogram names visible to this view in
-// registration order, relative to the view's scope.
-func (s *Stats) HistNames() []string {
-	out := make([]string, 0, len(s.reg.horder))
-	for _, name := range s.reg.horder {
-		if strings.HasPrefix(name, s.prefix) {
-			out = append(out, name[len(s.prefix):])
-		}
-	}
-	return out
 }
 
 // Get returns the value of a counter under this view's scope, or 0 if it
