@@ -50,10 +50,10 @@ race:
 
 # One-iteration benchmark smoke: the single-run benchmarks, the cache
 # hierarchy, bundle marshal/decode, the hybrid engine's migration swap, the
-# store's first line writes, datagen's line content and the compressor's
-# aligned fit trial must still build and run. Timing
-# comparisons belong to bench/ (see README "Benchmarks and the allocation
-# gate").
+# store's first line writes, datagen's line content, the compressor's
+# aligned fit trial and the result store's verified disk hit must still
+# build and run. Timing comparisons belong to bench/ (see README
+# "Benchmarks and the allocation gate").
 bench:
 	$(GO) test -run '^$$' -bench SingleRun -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench HierarchyAccess -benchtime 1x ./internal/cache
@@ -61,6 +61,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'EngineSwap|StoreWriteLine' -benchtime 1x ./internal/hybrid
 	$(GO) test -run '^$$' -bench FillLine -benchtime 1x ./internal/datagen
 	$(GO) test -run '^$$' -bench FitsWithin -benchtime 1x ./internal/compress
+	$(GO) test -run '^$$' -bench StoreGetDisk -benchtime 1x ./internal/service
 
 # Short native-fuzz bursts over the compressor round-trips, the design-file
 # Overrides schema, the service's job-decode and store-entry verification

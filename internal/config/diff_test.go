@@ -52,12 +52,12 @@ func perturb(t *testing.T, rng *rand.Rand, base Config, p float64) Config {
 func TestDiffRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := Scaled()
-	if o := Diff(base, base); !reflect.DeepEqual(o, Overrides{}) {
+	if o := Diff(&base, &base); !reflect.DeepEqual(o, Overrides{}) {
 		t.Fatalf("Diff(base, base) = %+v, want empty", o)
 	}
 	for i := 0; i < 200; i++ {
 		c := perturb(t, rng, base, 0.3)
-		o := Diff(base, c)
+		o := Diff(&base, &c)
 		got := base
 		o.Apply(&got)
 		if !reflect.DeepEqual(got, c) {
@@ -65,7 +65,8 @@ func TestDiffRoundTrip(t *testing.T) {
 		}
 	}
 	// With every field changed, every Overrides field must be set.
-	o := reflect.ValueOf(Diff(base, perturb(t, rng, base, 1)))
+	all := perturb(t, rng, base, 1)
+	o := reflect.ValueOf(Diff(&base, &all))
 	for i := 0; i < o.NumField(); i++ {
 		if o.Field(i).IsNil() {
 			t.Errorf("Diff leaves Overrides.%s nil for a differing value", o.Type().Field(i).Name)
@@ -89,7 +90,7 @@ func TestDiffWholesaleFields(t *testing.T) {
 		{"tiers", tiers, Overrides{Tiers: &tiers.Tiers}},
 		{"fault", faulty, Overrides{Fault: &faulty.Fault}},
 	} {
-		o := Diff(base, tc.c)
+		o := Diff(&base, &tc.c)
 		if !reflect.DeepEqual(o, tc.want) {
 			t.Fatalf("%s: Diff = %+v, want only that field set", tc.name, o)
 		}

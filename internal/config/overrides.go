@@ -112,10 +112,10 @@ func (o *Overrides) Apply(c *Config) {
 // overridable value that differs, so Apply(Diff(base, c)) onto base yields
 // c on every field Overrides covers. Fields Overrides cannot express
 // (Cores, Seed) are not compared.
-func Diff(base, c Config) Overrides {
+func Diff(base, c *Config) Overrides {
 	var o Overrides
 	ov := reflect.ValueOf(&o).Elem()
-	bv, cv := reflect.ValueOf(&base).Elem(), reflect.ValueOf(&c).Elem()
+	bv, cv := reflect.ValueOf(base).Elem(), reflect.ValueOf(c).Elem()
 	for _, f := range overrideFields {
 		x, y := bv.Field(f.c), cv.Field(f.c)
 		if f.comparable && x.Equal(y) || !f.comparable && reflect.DeepEqual(x.Addr().Interface(), y.Addr().Interface()) {

@@ -16,6 +16,7 @@
 package report
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -58,7 +59,7 @@ func Key(spec experiment.DesignSpec, cfg config.Config, workload string) (SpecKe
 	base, eff := config.Scaled(), cfg
 	spec.Overrides.Apply(&base)
 	spec.Overrides.Apply(&eff)
-	run := config.Diff(base, eff)
+	run := config.Diff(&base, &eff)
 	run.Mode = config.Ptr(eff.Mode)
 	run.AccessesPerCore = config.Ptr(eff.AccessesPerCore)
 	run.WarmupAccessesPerCore = config.Ptr(eff.WarmupAccessesPerCore)
@@ -202,16 +203,20 @@ func WriteFile(path string, b Bundle) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Decode parses bundle bytes, rejecting unknown fields and foreign schema
-// versions so corrupt or future-format data fails loudly instead of
-// diffing as a wall of spurious findings. It is the single strict entry
-// point for untrusted bundle bytes (files, cache entries, fuzz inputs).
+// Decode parses bundle bytes, rejecting unknown fields, foreign schema
+// versions and anything but whitespace after the bundle, so corrupt or
+// future-format data fails loudly instead of diffing as a wall of spurious
+// findings. It is the single strict entry point for untrusted bundle bytes
+// (files, cache entries, fuzz inputs).
 func Decode(data []byte) (Bundle, error) {
 	var b Bundle
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&b); err != nil {
 		return Bundle{}, err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return Bundle{}, fmt.Errorf("bundle is followed by %d byte(s) of trailing data", len(rest))
 	}
 	if b.Schema != SchemaVersion {
 		return Bundle{}, fmt.Errorf("bundle schema %d, this build reads %d", b.Schema, SchemaVersion)

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -31,6 +32,7 @@ func FuzzBundleDecode(f *testing.F) {
 	good := valid(1)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
+	f.Add(append(bytes.Clone(good), `{"schema":2}`...))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schema":2}`))
 	f.Add([]byte(`{"schema":1,"bogusField":true}`))

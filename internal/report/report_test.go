@@ -139,6 +139,31 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData: a bundle followed by anything but
+// whitespace is not a bundle, so a store entry or file carrying a second
+// value or garbage after it fails loudly.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	key := SpecKey{Workload: "synthetic", Seed: 1}
+	h, err := key.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := Bundle{Schema: SchemaVersion, SpecHash: h, Spec: key}.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", "\n", " \t\r\n "} {
+		if _, err := Decode(append(bytes.Clone(good), tail...)); err != nil {
+			t.Errorf("bundle + %q rejected: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{"{}", "garbage", `{"schema":2}`, "\n\n0", "]"} {
+		if _, err := Decode(append(bytes.Clone(good), tail...)); err == nil {
+			t.Errorf("bundle + %q accepted", tail)
+		}
+	}
+}
+
 func TestDiffSelfClean(t *testing.T) {
 	b := buildBundle(t, quickConfig(), "505.mcf_r", "Baryon")
 	r := Diff(b, b, Tolerance{})

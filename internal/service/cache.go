@@ -29,6 +29,10 @@ type CacheStats struct {
 	Evictions uint64
 	// Entries is the current in-memory entry count.
 	Entries int
+	// Verified counts disk reads that ran the full bundle check (strict
+	// decode and spec-hash recomputation). A disk read of bytes that already
+	// passed it in this process re-checks only the sha256 trailer.
+	Verified uint64
 	// Corrupt counts disk entries that failed verification (bad trailer,
 	// truncated bytes, spec-hash mismatch); Quarantined counts the subset
 	// successfully moved into the quarantine/ subdirectory. A corrupt entry
@@ -64,12 +68,14 @@ const quarantineDir = "quarantine"
 // predecessor's results cold (cold-start reload).
 //
 // The disk layer is verified and crash-safe: every file carries a sha256
-// trailer and is re-verified on read (trailer digest plus a recomputation
-// of the bundle's canonical spec hash against its key), writes fsync
-// before the publishing rename, corrupt or truncated files are moved to
-// quarantine/ and treated as misses (the deterministic run recomputes
-// byte-identical bytes), and a failed disk write degrades the store to
-// memory-only instead of failing the job.
+// trailer that every read re-checks, and the first read of each entry in a
+// process also strictly decodes the bundle and recomputes its canonical
+// spec hash against its key (later reads whose trailer digest matches the
+// verified bytes skip that decode); writes fsync before the publishing
+// rename, corrupt or truncated files are moved to quarantine/ and treated
+// as misses (the deterministic run recomputes byte-identical bytes), and a
+// failed disk write degrades the store to memory-only instead of failing
+// the job.
 type Cache struct {
 	mu  sync.Mutex
 	cap int
@@ -78,8 +84,13 @@ type Cache struct {
 	dir string
 	fs  storeFS
 	log io.Writer
+	// verifiedSums maps a spec hash to the sha256 of the disk bytes that last
+	// passed the full check in this process, at most cap*verifiedPerEntry
+	// digests (never bundle bytes).
+	verifiedSums map[string][sha256.Size]byte
 
 	hits, diskHits, misses, evictions uint64
+	verified                          uint64
 	corrupt, quarantined, diskErrors  uint64
 	recoveredTmp                      uint64
 	degraded                          bool
@@ -92,6 +103,12 @@ type cacheEntry struct {
 
 // defaultCacheEntries bounds the in-memory LRU when the caller does not.
 const defaultCacheEntries = 1024
+
+// verifiedPerEntry bounds the verified-digest memo at this multiple of the
+// LRU bound: 32-byte digests are cheap to hold for far more entries than
+// the LRU holds bundles, so the disk working set can outgrow the LRU and
+// still skip the decode.
+const verifiedPerEntry = 8
 
 // StoreConfig configures a Cache beyond the entry bound and directory:
 // where recovery and degradation messages go, and (for tests) the
@@ -128,12 +145,13 @@ func NewStore(cfg StoreConfig) (*Cache, error) {
 		logw = os.Stderr
 	}
 	c := &Cache{
-		cap: entries,
-		ll:  list.New(),
-		m:   make(map[string]*list.Element),
-		dir: cfg.Dir,
-		fs:  sfs,
-		log: logw,
+		cap:          entries,
+		ll:           list.New(),
+		m:            make(map[string]*list.Element),
+		dir:          cfg.Dir,
+		fs:           sfs,
+		log:          logw,
+		verifiedSums: make(map[string][sha256.Size]byte),
 	}
 	if c.dir != "" {
 		if err := sfs.MkdirAll(c.dir); err != nil {
@@ -218,11 +236,14 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 	return nil, false
 }
 
-// loadDisk reads and verifies hash's on-disk entry. Anything that fails
-// verification — unreadable trailer, digest mismatch, undecodable bundle,
-// spec hash not matching the filename key — is quarantined and reported as
-// a miss: the deterministic run recomputes identical bytes and Put rewrites
-// the entry.
+// loadDisk reads and verifies hash's on-disk entry. Every read re-checks the
+// sha256 trailer; the bundle check runs only when the trailer's digest is
+// not the one whose bytes already passed it in this process. The bundle
+// check is a pure function of the bytes, which that digest identifies, so
+// every byte served has passed every check. Anything that fails —
+// unreadable trailer, digest mismatch, undecodable bundle, spec hash not
+// matching the filename key — is quarantined and reported as a miss: the
+// deterministic run recomputes identical bytes and Put rewrites the entry.
 func (c *Cache) loadDisk(hash string) ([]byte, bool) {
 	raw, err := c.fs.ReadFile(c.path(hash))
 	if err != nil {
@@ -234,49 +255,86 @@ func (c *Cache) loadDisk(hash string) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	data, err := verifyStoreBytes(hash, raw)
+	data, sum, err := checkStoreTrailer(raw)
 	if err != nil {
 		c.quarantine(hash, err)
 		return nil, false
 	}
+	c.mu.Lock()
+	known, ok := c.verifiedSums[hash]
+	c.mu.Unlock()
+	if ok && known == sum {
+		return data, true
+	}
+	if err := checkStoreBundle(hash, data); err != nil {
+		c.quarantine(hash, err)
+		return nil, false
+	}
+	c.mu.Lock()
+	c.verified++
+	c.rememberVerified(hash, sum)
+	c.mu.Unlock()
 	return data, true
 }
 
-// verifyStoreBytes checks one on-disk store entry end to end and returns
-// the bundle bytes it carries: the sha256 trailer must match the preceding
-// bytes (catches torn/flipped/truncated writes), the bundle must decode
-// under the strict schema, and its canonical spec hash — both the recorded
-// field and a recomputation from the embedded spec key — must equal the
-// hash the entry is filed under (catches renamed or cross-wired entries).
-func verifyStoreBytes(hash string, raw []byte) ([]byte, error) {
+// rememberVerified records sum as the digest of hash's verified bytes,
+// first evicting an arbitrary digest when the memo is at its bound. Caller
+// holds the mutex.
+func (c *Cache) rememberVerified(hash string, sum [sha256.Size]byte) {
+	if _, ok := c.verifiedSums[hash]; !ok && len(c.verifiedSums) >= c.cap*verifiedPerEntry {
+		for h := range c.verifiedSums {
+			delete(c.verifiedSums, h)
+			break
+		}
+	}
+	c.verifiedSums[hash] = sum
+}
+
+// checkStoreTrailer checks an entry's integrity trailer: it must be present,
+// and the sha256 of every preceding byte must match it (catches torn,
+// flipped and truncated writes). It returns the bundle bytes and their
+// digest.
+func checkStoreTrailer(raw []byte) ([]byte, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
 	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
-		return nil, errors.New("store entry is truncated (no trailer line)")
+		return nil, sum, errors.New("store entry is truncated (no trailer line)")
 	}
 	idx := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
-	trailer := string(raw[idx+1 : len(raw)-1])
-	if !strings.HasPrefix(trailer, storeTrailerPrefix) {
-		return nil, errors.New("store entry has no integrity trailer")
+	trailer := raw[idx+1 : len(raw)-1]
+	if !bytes.HasPrefix(trailer, []byte(storeTrailerPrefix)) {
+		return nil, sum, errors.New("store entry has no integrity trailer")
 	}
 	data := raw[:idx+1]
-	sum := sha256.Sum256(data)
-	if want := strings.TrimPrefix(trailer, "#baryon-store "); want != "sha256:"+hex.EncodeToString(sum[:]) {
-		return nil, errors.New("store entry digest mismatch (torn or corrupted write)")
+	sum = sha256.Sum256(data)
+	var want [2 * sha256.Size]byte
+	hex.Encode(want[:], sum[:])
+	if !bytes.Equal(trailer[len(storeTrailerPrefix):], want[:]) {
+		return nil, sum, errors.New("store entry digest mismatch (torn or corrupted write)")
 	}
+	return data, sum, nil
+}
+
+// checkStoreBundle checks an entry's bundle bytes against the hash it is
+// filed under: the bundle must decode under the strict schema, and its
+// canonical spec hash — both the recorded field and a recomputation from
+// the embedded spec key — must equal hash (catches renamed or cross-wired
+// entries).
+func checkStoreBundle(hash string, data []byte) error {
 	b, err := report.Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("store entry bundle: %w", err)
+		return fmt.Errorf("store entry bundle: %w", err)
 	}
 	if b.SpecHash != hash {
-		return nil, fmt.Errorf("store entry carries spec hash %s, filed under %s", b.SpecHash, hash)
+		return fmt.Errorf("store entry carries spec hash %s, filed under %s", b.SpecHash, hash)
 	}
 	recomputed, err := b.Spec.Hash()
 	if err != nil {
-		return nil, fmt.Errorf("store entry spec rehash: %w", err)
+		return fmt.Errorf("store entry spec rehash: %w", err)
 	}
 	if recomputed != hash {
-		return nil, fmt.Errorf("store entry spec rehashes to %s, filed under %s", recomputed, hash)
+		return fmt.Errorf("store entry spec rehashes to %s, filed under %s", recomputed, hash)
 	}
-	return data, nil
+	return nil
 }
 
 // quarantine moves hash's corrupt on-disk entry into the quarantine/
@@ -286,6 +344,7 @@ func verifyStoreBytes(hash string, raw []byte) ([]byte, error) {
 func (c *Cache) quarantine(hash string, cause error) {
 	c.mu.Lock()
 	c.corrupt++
+	delete(c.verifiedSums, hash)
 	c.mu.Unlock()
 	src := c.path(hash)
 	qdir := filepath.Join(c.dir, quarantineDir)
@@ -390,6 +449,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Hits:         c.hits,
 		DiskHits:     c.diskHits,
+		Verified:     c.verified,
 		Misses:       c.misses,
 		Evictions:    c.evictions,
 		Entries:      c.ll.Len(),

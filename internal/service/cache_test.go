@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,45 +12,48 @@ import (
 	"testing"
 )
 
-// TestStoreCorruptionQuarantined covers the verified disk layer: every way a
-// store entry can rot — truncation, a flipped byte, a stripped trailer, a
-// valid entry filed under the wrong hash — must read as a miss, move the file
-// into quarantine/, and self-heal on the next Put with recomputed bytes.
+// storeCorruptions lists every way a store entry can rot: truncation, a
+// flipped byte, a stripped trailer, and a valid entry filed under the wrong
+// hash.
+var storeCorruptions = []struct {
+	name    string
+	corrupt func(t *testing.T, path string)
+}{
+	{"truncated", func(t *testing.T, path string) {
+		raw := mustRead(t, path)
+		if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"bitflip", func(t *testing.T, path string) {
+		raw := mustRead(t, path)
+		raw[len(raw)/3] ^= 0x40
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"no trailer", func(t *testing.T, path string) {
+		raw := mustRead(t, path)
+		idx := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
+		if err := os.WriteFile(path, raw[:idx+1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"cross-wired", func(t *testing.T, path string) {
+		// A perfectly valid entry — for a different spec. The trailer
+		// digest passes; only the spec-hash check can catch it.
+		_, other := fakeBundle(t, 99)
+		if err := os.WriteFile(path, appendStoreTrailer(other), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
+// TestStoreCorruptionQuarantined covers the verified disk layer: every
+// storeCorruptions case must read as a miss, move the file into quarantine/,
+// and self-heal on the next Put with recomputed bytes.
 func TestStoreCorruptionQuarantined(t *testing.T) {
-	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, path string)
-	}{
-		{"truncated", func(t *testing.T, path string) {
-			raw := mustRead(t, path)
-			if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"bitflip", func(t *testing.T, path string) {
-			raw := mustRead(t, path)
-			raw[len(raw)/3] ^= 0x40
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"no trailer", func(t *testing.T, path string) {
-			raw := mustRead(t, path)
-			idx := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
-			if err := os.WriteFile(path, raw[:idx+1], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"cross-wired", func(t *testing.T, path string) {
-			// A perfectly valid entry — for a different spec. The trailer
-			// digest passes; only the spec-hash check can catch it.
-			_, other := fakeBundle(t, 99)
-			if err := os.WriteFile(path, appendStoreTrailer(other), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range storeCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var log bytes.Buffer
@@ -96,6 +101,126 @@ func TestStoreCorruptionQuarantined(t *testing.T) {
 				t.Fatalf("healed store still reports corruption: %+v", st)
 			}
 		})
+	}
+}
+
+// TestStoreVerifiesOnce: a disk read of bytes that already passed the full
+// check in this process re-checks only the trailer. With a 1-entry LRU every
+// read below is a disk read, yet each entry is decoded once.
+func TestStoreVerifiesOnce(t *testing.T) {
+	const n = 4
+	c, err := NewStore(StoreConfig{Entries: 1, Dir: t.TempDir(), Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	var hashes []string
+	for i := range n {
+		hash, data := fakeBundle(t, uint64(i+1))
+		c.Put(hash, data)
+		want[hash] = data
+		hashes = append(hashes, hash)
+	}
+	if st := c.Stats(); st.Verified != 0 {
+		t.Fatalf("Put recorded %d verifications, want 0", st.Verified)
+	}
+	for range 2 {
+		for _, hash := range hashes {
+			got, ok := c.Get(hash)
+			if !ok || !bytes.Equal(got, want[hash]) {
+				t.Fatalf("Get(%s) = %v, wrong bytes", hash, ok)
+			}
+		}
+	}
+	st := c.Stats()
+	if st.DiskHits != 2*n || st.Verified != n {
+		t.Fatalf("stats = %+v, want %d disk hits and %d full verifications", st, 2*n, n)
+	}
+}
+
+// TestStoreRotAfterVerification: an entry that rots on disk after this
+// process verified it must still read as a miss and be quarantined, because
+// every disk read re-checks the trailer and a changed digest runs the full
+// check. The healed entry is verified in full again.
+func TestStoreRotAfterVerification(t *testing.T) {
+	for _, tc := range storeCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := NewStore(StoreConfig{Entries: 1, Dir: dir, Log: io.Discard})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, data := fakeBundle(t, 1)
+			filler, fillerData := fakeBundle(t, 2)
+			c.Put(hash, data)
+			c.Put(filler, fillerData) // evicts hash from the LRU
+			if got, ok := c.Get(hash); !ok || !bytes.Equal(got, data) {
+				t.Fatal("entry not served from disk before the rot")
+			}
+			c.Get(filler) // evicts the verified entry again
+			if st := c.Stats(); st.Verified != 2 {
+				t.Fatalf("stats = %+v, want 2 full verifications", st)
+			}
+
+			tc.corrupt(t, c.path(hash))
+			if _, ok := c.Get(hash); ok {
+				t.Fatal("entry that rotted after verification was served")
+			}
+			st := c.Stats()
+			if st.Corrupt != 1 || st.Quarantined != 1 {
+				t.Fatalf("stats = %+v, want 1 corrupt and 1 quarantined", st)
+			}
+			qnames, err := os.ReadDir(filepath.Join(dir, quarantineDir))
+			if err != nil || len(qnames) != 1 {
+				t.Fatalf("quarantine dir: %v, %d entries, want 1", err, len(qnames))
+			}
+
+			c.Put(hash, data)
+			c.Get(filler)
+			if got, ok := c.Get(hash); !ok || !bytes.Equal(got, data) {
+				t.Fatal("rewritten entry not served byte-identically")
+			}
+			if st := c.Stats(); st.Verified != 3 {
+				t.Fatalf("stats = %+v, want the healed entry verified in full (3)", st)
+			}
+		})
+	}
+}
+
+// TestStoreVerifiedMemoBound: with more distinct entries than the memo
+// holds, it stays within cap*verifiedPerEntry digests, and every read still
+// returns the bytes Put stored.
+func TestStoreVerifiedMemoBound(t *testing.T) {
+	const entries = 2
+	limit := entries * verifiedPerEntry
+	c, err := NewStore(StoreConfig{Entries: entries, Dir: t.TempDir(), Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	var hashes []string
+	for i := range 2*limit + 3 {
+		hash, data := fakeBundle(t, uint64(i+1))
+		c.Put(hash, data)
+		want[hash] = data
+		hashes = append(hashes, hash)
+	}
+	for round := range 2 {
+		for _, hash := range hashes {
+			got, ok := c.Get(hash)
+			if !ok || !bytes.Equal(got, want[hash]) {
+				t.Fatalf("round %d: Get(%s) = %v, wrong bytes", round, hash, ok)
+			}
+			c.mu.Lock()
+			size := len(c.verifiedSums)
+			c.mu.Unlock()
+			if size > limit {
+				t.Fatalf("verified memo holds %d digests, bound %d", size, limit)
+			}
+		}
+	}
+	if st := c.Stats(); st.Verified <= uint64(len(hashes)) {
+		t.Fatalf("stats = %+v: a memo over its bound must forget and re-verify", st)
 	}
 }
 
@@ -267,4 +392,45 @@ func (c *Cache) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.degraded
+}
+
+// BenchmarkStoreGetDisk times one disk hit on an entry this process has
+// already verified: two real bundles behind a 1-entry LRU, read in turn,
+// so every Get reads the file back from disk.
+func BenchmarkStoreGetDisk(b *testing.B) {
+	cfg := quickConfig()
+	s, err := New(Options{BaseConfig: &cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := NewStore(StoreConfig{Entries: 1, Dir: b.TempDir(), Log: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var hashes []string
+	for seed := uint64(1); seed <= 2; seed++ {
+		job := quickJob
+		job.Seed = seed
+		res, err := s.Run(context.Background(), job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Put(res.Hash, res.Bundle)
+		hashes = append(hashes, res.Hash)
+	}
+	for _, h := range hashes {
+		c.Get(h) // the first disk read of each entry verifies it in full
+	}
+	before := c.Stats().DiskHits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if _, ok := c.Get(hashes[i%2]); !ok {
+			b.Fatal("stored entry missing")
+		}
+	}
+	b.StopTimer()
+	if got := c.Stats().DiskHits - before; got != uint64(b.N) {
+		b.Fatalf("%d of %d reads were disk hits", got, b.N)
+	}
 }

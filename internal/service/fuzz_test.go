@@ -45,6 +45,20 @@ func FuzzJobDecode(f *testing.F) {
 	})
 }
 
+// verifyStoreBytes runs the full check a store entry passes on its first
+// disk read in a process, checkStoreTrailer then checkStoreBundle, and
+// returns the bundle bytes it carries.
+func verifyStoreBytes(hash string, raw []byte) ([]byte, error) {
+	data, _, err := checkStoreTrailer(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkStoreBundle(hash, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
 // FuzzStoreVerify throws arbitrary bytes at the verified disk-entry parser:
 // verifyStoreBytes must never panic, and must only accept bytes whose
 // trailer digest, bundle decode and spec hash all agree with the filed key.

@@ -533,6 +533,7 @@ func (s *Service) MetricsSnapshot() sim.Snapshot {
 	cs := s.cache.Stats()
 	st.Counter("cache.hits").Add(cs.Hits)
 	st.Counter("cache.diskHits").Add(cs.DiskHits)
+	st.Counter("cache.verified").Add(cs.Verified)
 	st.Counter("cache.misses").Add(cs.Misses)
 	st.Counter("cache.evictions").Add(cs.Evictions)
 	st.Gauge("cache.entries").Set(int64(cs.Entries))

@@ -216,6 +216,10 @@ func TestDiskColdStartReload(t *testing.T) {
 	if st := s2.Cache().Stats(); st.DiskHits != 1 {
 		t.Fatalf("cache stats = %+v, want 1 disk hit", st)
 	}
+	// The first disk read of an entry in a process verifies it in full.
+	if n := s2.MetricsSnapshot().Get("cache.verified"); n != 1 {
+		t.Fatalf("cache.verified = %d, want 1", n)
+	}
 	// An in-memory eviction falls back to the disk copy too.
 	c, err := NewStore(StoreConfig{Entries: 1, Dir: dir})
 	if err != nil {

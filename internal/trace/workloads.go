@@ -88,10 +88,6 @@ func All() []Workload {
 // Representative returns the per-domain subset used by the analysis figures
 // (Figs. 11-13 use representative workloads from each domain).
 func Representative() []Workload {
-	byName := make(map[string]Workload)
-	for _, w := range All() {
-		byName[w.Name] = w
-	}
 	names := []string{"505.mcf_r", "520.omnetpp_r", "549.fotonik3d_r", "pr.twi", "resnet50", "YCSB-A"}
 	out := make([]Workload, 0, len(names))
 	for _, n := range names {
@@ -100,12 +96,18 @@ func Representative() []Workload {
 	return out
 }
 
+// byName indexes All by name once, at package load: ByName runs on every
+// service request.
+var byName = func() map[string]Workload {
+	m := make(map[string]Workload)
+	for _, w := range All() {
+		m[w.Name] = w
+	}
+	return m
+}()
+
 // ByName returns the workload with the given name, or false.
 func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
+	w, ok := byName[name]
+	return w, ok
 }
