@@ -20,7 +20,7 @@ func main() {
 	cfg.StageBytes = 256 << 10
 	cfg.SlowBytes = 32 << 20
 
-	// The store is the canonical slow-memory image. A nil filler means
+	// The store is the memory image. A nil filler means
 	// untouched memory reads as zeros; here we make every block hold its
 	// own block number in every word, which compresses extremely well.
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
@@ -49,13 +49,13 @@ func main() {
 	}
 
 	// Write one line and read it back. Access returns timing only; the
-	// line's content is observed through PeekLine.
+	// line's content is read from the store, which holds every line.
 	addr := uint64(3 * 2048)
 	data := make([]byte, 64)
 	copy(data, []byte("hello, hybrid memory"))
 	ctrl.Access(now, addr, true, data)
 	ctrl.Access(now+100, addr, false, nil)
-	fmt.Printf("read back: %q\n", ctrl.PeekLine(addr)[:20])
+	fmt.Printf("read back: %q\n", store.Line(addr)[:20])
 
 	fmt.Printf("accesses:        %d\n", stats.Get("baryon.accesses"))
 	fmt.Printf("served by fast:  %d\n", stats.Get("baryon.servedFast"))

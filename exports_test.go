@@ -35,8 +35,6 @@ var exportAllowlist = map[string]string{
 		"the root allocation gate (allocs_test.go) and benchmarks measure the hot path through it",
 	"baryon/internal/cpu.Stepper.Window":   "one measured window of the allocation gate; same reason as Runner.Stepper",
 	"baryon/internal/cpu.Stepper.Accesses": "how far the allocation gate's run has come; same reason as Runner.Stepper",
-	"baryon/internal/hybrid.Controller.PeekLine": "the cross-design read-back oracle: " +
-		"tests in cpu, core and baselines check every design's functional image through it",
 	"baryon/internal/service.deadlineWriter.Unwrap": "net/http's ResponseController finds the ResponseWriter it wraps " +
 		"through an interface declared inside a function, which the scan cannot see",
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/core"
 	"baryon/internal/datagen"
 	"baryon/internal/hybrid"
 	"baryon/internal/mem"
@@ -33,10 +34,11 @@ func testLine(addr uint64) []byte {
 	return line
 }
 
-// driveController exercises a controller with mixed traffic over a
-// testStore and checks, through PeekLine, that every read sees the last
-// line written there, or testStore's fill if none was.
-func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footprint uint64, seed uint64) {
+// driveController exercises a controller with mixed traffic over store, a
+// testStore, and checks in the store that every write is visible when
+// Access returns and every read sees the last line written there, or
+// testStore's fill if none was.
+func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, accesses int, footprint uint64, seed uint64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	written := make(map[uint64][]byte)
@@ -50,7 +52,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 			}
 			ctrl.Access(now, addr, true, data)
 			written[addr] = data
-			if got := ctrl.PeekLine(addr); !bytes.Equal(got, data) {
+			if got := store.Line(addr); !bytes.Equal(got, data) {
 				t.Fatalf("%s: write not visible at %x", ctrl.Name(), addr)
 			}
 		} else {
@@ -59,7 +61,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 			if !ok {
 				want = testLine(addr)
 			}
-			if got := ctrl.PeekLine(addr); !bytes.Equal(got, want) {
+			if got := store.Line(addr); !bytes.Equal(got, want) {
 				t.Fatalf("%s: read mismatch at %x\n got %x\nwant %x", ctrl.Name(), addr, got, want)
 			}
 			if res.Done < now {
@@ -74,7 +76,7 @@ func TestSimpleBasics(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
 	s := NewSimple(64, 4, nil, store, stats, tableI())
-	driveController(t, s, 20000, 1<<20, 7)
+	driveController(t, s, store, 20000, 1<<20, 7)
 	if stats.Get("simple.hits") == 0 || stats.Get("simple.misses") == 0 {
 		t.Fatalf("hits=%d misses=%d; want both nonzero",
 			stats.Get("simple.hits"), stats.Get("simple.misses"))
@@ -148,7 +150,7 @@ func TestWriteOnlyStoreNeverFills(t *testing.T) {
 		// Reading a written line back runs no fill, so this proves the
 		// writes reached the store without disturbing the count below.
 		for addr, want := range written {
-			if got := ctrl.PeekLine(addr); !bytes.Equal(got, want) {
+			if got := store.Line(addr); !bytes.Equal(got, want) {
 				t.Fatalf("%s: line %#x reads back %x, want %x", ctrl.Name(), addr, got, want)
 			}
 		}
@@ -193,7 +195,7 @@ func TestUnisonDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
 	u := NewUnison(128, 4, nil, store, stats, 2, tableI())
-	driveController(t, u, 20000, 2<<20, 8)
+	driveController(t, u, store, 20000, 2<<20, 8)
 	if stats.Get("unison.blockMisses") == 0 || stats.Get("unison.subHits") == 0 {
 		t.Fatal("unison did not exercise hit and miss paths")
 	}
@@ -230,7 +232,7 @@ func TestDICEDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
 	d := NewDICE(1<<18, store, stats, 5, tableI())
-	driveController(t, d, 20000, 2<<20, 9)
+	driveController(t, d, store, 20000, 2<<20, 9)
 	if stats.Get("dice.hits") == 0 || stats.Get("dice.misses") == 0 {
 		t.Fatal("DICE did not exercise both paths")
 	}
@@ -244,7 +246,7 @@ func TestHybrid2Drive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
 	h := NewHybrid2(cfg, store, stats)
-	driveController(t, h, 10000, 2<<20, 10)
+	driveController(t, h, store, 10000, 2<<20, 10)
 	// The k=0 policy migrates when stage frames carry enough dirty data;
 	// write-heavy traffic must trigger it.
 	rng := sim.NewRNG(11)
@@ -271,6 +273,29 @@ func TestHybrid2Drive(t *testing.T) {
 	}
 }
 
+// TestBaryonCacheDrive runs Baryon in cache mode with compression on
+// through driveController, so write hits on compressed staged and
+// committed ranges, and the restaging and evictions their overflows
+// cause, are checked against the store like every other design.
+func TestBaryonCacheDrive(t *testing.T) {
+	cfg := config.Scaled()
+	cfg.FastBytes = 1 << 20
+	cfg.StageBytes = 128 << 10
+	cfg.SlowBytes = 8 << 20
+	store := testStore()
+	stats := sim.NewStats()
+	c := core.New(cfg, store, stats)
+	driveController(t, c, store, 20000, 2<<20, 14)
+	for _, name := range []string{"baryon.stage.writeOverflows", "baryon.fast.writeOverflows", "baryon.decompressions"} {
+		if stats.Get(name) == 0 {
+			t.Errorf("%s is zero; the drive missed that path", name)
+		}
+	}
+	if msg := c.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 func TestControllersImplementInterface(t *testing.T) {
 	store := testStore()
 	var _ hybrid.Controller = NewSimple(16, 4, nil, store, sim.NewStats(), tableI())
@@ -287,7 +312,7 @@ func TestOSPagingDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
 	o := NewOSPaging(1<<20, store, stats, tableI())
-	driveController(t, o, 120000, 2<<20, 12)
+	driveController(t, o, store, 120000, 2<<20, 12)
 	if stats.Get("ospaging.migrations") == 0 {
 		t.Fatal("no migrations across epochs")
 	}

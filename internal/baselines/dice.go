@@ -203,6 +203,3 @@ func (d *DICE) writebackSlot(now uint64, meta *hybrid.WayMeta, slot *diceSlot) {
 	d.eng.Writeback(now, meta.Key*uint64(slot.cf)*64, n*64)
 	slot.dirty = 0
 }
-
-// PeekLine implements hybrid.Controller.
-func (d *DICE) PeekLine(addr uint64) []byte { return d.store.Line(addr) }

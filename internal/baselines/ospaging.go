@@ -197,6 +197,3 @@ func (o *OSPaging) epoch(now uint64) {
 		}
 	}
 }
-
-// PeekLine implements hybrid.Controller.
-func (o *OSPaging) PeekLine(addr uint64) []byte { return o.store.Line(addr) }

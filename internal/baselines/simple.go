@@ -129,6 +129,3 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 func (s *Simple) frameAddr(block uint64, way int) uint64 {
 	return (block%s.dir.Sets())*uint64(s.assoc)*hybrid.BlockSize + uint64(way)*hybrid.BlockSize
 }
-
-// PeekLine implements hybrid.Controller (the store is always current).
-func (s *Simple) PeekLine(addr uint64) []byte { return s.store.Line(addr) }

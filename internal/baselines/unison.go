@@ -190,6 +190,3 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	}
 	return res
 }
-
-// PeekLine implements hybrid.Controller.
-func (u *Unison) PeekLine(addr uint64) []byte { return u.store.Line(addr) }

@@ -92,9 +92,8 @@ func (s *stubCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 		Prefetched: []uint64{addr ^ 64},
 	}
 }
-func (s *stubCtrl) Engine() *hybrid.Engine      { return nil }
-func (s *stubCtrl) PeekLine(addr uint64) []byte { return nil }
-func (s *stubCtrl) Name() string                { return "stub" }
+func (s *stubCtrl) Engine() *hybrid.Engine { return nil }
+func (s *stubCtrl) Name() string           { return "stub" }
 
 func newTestHierarchy(t *testing.T) (*Hierarchy, *stubCtrl, *sim.Stats) {
 	t.Helper()

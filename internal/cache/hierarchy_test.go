@@ -215,9 +215,8 @@ func (c *nullCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	}
 	return res
 }
-func (c *nullCtrl) Engine() *hybrid.Engine      { return nil }
-func (c *nullCtrl) PeekLine(addr uint64) []byte { return nil }
-func (c *nullCtrl) Name() string                { return "null" }
+func (c *nullCtrl) Engine() *hybrid.Engine { return nil }
+func (c *nullCtrl) Name() string           { return "null" }
 
 // BenchmarkHierarchyAccess drives the Table I hierarchy (16 cores, 64 kB
 // LLC) with a stream that thrashes the LLC: each core draws random lines from

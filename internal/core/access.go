@@ -1,6 +1,9 @@
 package core
 
-import "baryon/internal/hybrid"
+import (
+	"baryon/internal/hybrid"
+	"baryon/internal/metadata"
+)
 
 // Access implements the Baryon access flow of Fig. 6. addr is line-aligned;
 // for writes, data carries the new 64 B content (writes are LLC writebacks
@@ -109,8 +112,8 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 		}
 		// Writing non-zero data to an all-zero block: drop the zero
 		// descriptor and restage the written sub-block with real content.
-		c.store.WriteLine(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes+uint64(line)*64, data)
-		c.removeStageSlot(fr, slot)
+		c.store.WriteLine(c.lineAddr(b, s, line), data)
+		fr.tag.Slots[slot] = metadata.Range{}
 		c.stageInsertRange(now, ssi, sw, b, s, true)
 		return hybrid.Result{Done: now}
 	}
@@ -133,8 +136,8 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 
 	// Write hit in the stage area: update content, recompress; a CF change
 	// removes and reinserts the range as if newly fetched (Section III-D).
-	copy(fr.data[slot][lineInRange*64:], data)
-	if c.rangeFits(fr.data[slot], cf) {
+	c.store.WriteLine(c.lineAddr(b, s, line), data)
+	if c.rangeFits(c.rangeView(b, start, cf), cf) {
 		fr.tag.Slots[slot].Dirty = true
 		c.eng.FillFast(now, c.stageFrameAddr(ssi, sw, slot), 64)
 		return hybrid.Result{Done: now}
@@ -156,18 +159,14 @@ func (c *Controller) rangeFits(content []byte, cf int) bool {
 }
 
 // restageOverflowedRange removes the overflowed range and reinserts its
-// sub-blocks (with their freshest content) as newly fetched ranges.
+// sub-blocks as newly fetched ranges; the store already holds the write.
 func (c *Controller) restageOverflowedRange(now uint64, ssi, sw, slot int, b uint64) {
 	fr := c.stageDir.Payload(ssi, sw)
 	rg := fr.tag.Slots[slot]
-	content := fr.data[slot]
-	// Push the freshest content into the canonical store first; reinsertion
-	// refetches from there.
 	for i := 0; i < int(rg.CF); i++ {
-		copy(c.slowSub(b, int(rg.SubOff)+i), content[uint64(i)*c.geom.subBytes:])
 		c.clearHints(b, int(rg.SubOff)+i)
 	}
-	c.removeStageSlot(fr, slot)
+	fr.tag.Slots[slot] = metadata.Range{}
 	for i := 0; i < int(rg.CF); i++ {
 		sub := int(rg.SubOff) + i
 		if _, sl := c.stageFind(ssi, fr.tag.Super, int(rg.BlkOff), sub); sl >= 0 {
@@ -193,7 +192,7 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write
 	ri.z = false
 	ri.way = -1
 	c.metaUpdate(now, c.superOf(b))
-	c.store.WriteLine(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes+uint64(line)*64, data)
+	c.store.WriteLine(c.lineAddr(b, s, line), data)
 	c.clearHints(b, s)
 	c.eng.WriteSlowBG(now, c.slowAddr(b, s), 64)
 	return hybrid.Result{Done: now}
@@ -231,8 +230,8 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
 	// evicts the whole block to slow memory.
 	// Known defect (ROADMAP, "lost write"): a clean range's overflow never charges this write.
-	copy(rg.data[lineInRange*64:], data)
-	if c.rangeFits(rg.data, cf) {
+	c.store.WriteLine(c.lineAddr(b, s, line), data)
+	if c.rangeFits(c.rangeView(b, start, cf), cf) {
 		rg.dirty = true
 		c.eng.FillFast(now, c.frameAddr(si, int(ri.way), idx), 64)
 		return hybrid.Result{Done: now}
@@ -246,10 +245,9 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 
 func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
 	c.ctr.fastSubMiss.Inc()
-	lineAddr := b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*64
 	var res hybrid.Result
 	if write {
-		c.store.WriteLine(lineAddr, data)
+		c.store.WriteLine(c.lineAddr(b, s, line), data)
 		c.clearHints(b, s)
 		c.eng.WriteSlowBG(now, c.slowAddr(b, s)+uint64(line)*64, 64)
 		res = hybrid.Result{Done: now}
@@ -280,10 +278,9 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 	c.ctr.stageSubMiss.Inc()
 	c.recordStageEvent(fr, true)
 
-	lineAddr := b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*64
 	var res hybrid.Result
 	if write {
-		c.store.WriteLine(lineAddr, data)
+		c.store.WriteLine(c.lineAddr(b, s, line), data)
 		c.clearHints(b, s)
 		res = hybrid.Result{Done: now}
 	} else {
@@ -304,10 +301,9 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 	c.stageState[ssi].mruMissCnt++
 	c.ctr.blockMiss.Inc()
 
-	lineAddr := b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*64
 	var res hybrid.Result
 	if write {
-		c.store.WriteLine(lineAddr, data)
+		c.store.WriteLine(c.lineAddr(b, s, line), data)
 		c.clearHints(b, s)
 		res = hybrid.Result{Done: now}
 	} else {

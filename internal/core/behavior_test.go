@@ -192,7 +192,7 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 	if c.remap[3].valid() {
 		t.Fatal("overflowed block still committed")
 	}
-	if got := c.PeekLine(target); !bytes.Equal(got, data) {
+	if got := c.store.Line(target); !bytes.Equal(got, data) {
 		t.Fatal("overflow lost the written data")
 	}
 	if msg := c.CheckInvariants(); msg != "" {

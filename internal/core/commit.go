@@ -74,12 +74,6 @@ func (c *Controller) finishStageFrame(now uint64, ssi, w int) {
 		c.evictStageFrame(now, ssi, w)
 	}
 	fr.tag = metadata.StageTag{}
-	// Commit moved its slots' buffers into the committed frame (and nil'd
-	// them); whatever is left is dead and goes back to the pool.
-	for slot := range fr.data {
-		c.freeRangeBuf(fr.data[slot])
-		fr.data[slot] = nil
-	}
 	fr.events = fr.events[:0]
 	sm.Valid = false
 }
@@ -180,7 +174,7 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 	commitDone := now
 	if !appending || !tm.Valid {
 		*tm = hybrid.WayMeta{Key: uint64(fr.tag.Super), Valid: true}
-		target.occ = resetOcc(target.occ) // keep capacity; eviction freed the buffers
+		target.occ = target.occ[:0] // keep capacity
 	} else {
 		// Appending rewrites the frame's dense layout (a re-sort).
 		c.ctr.resortRewrites.Inc()
@@ -203,10 +197,8 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 			continue
 		}
 		target.occ = append(target.occ, occRange{
-			blkOff: rg.BlkOff, subOff: rg.SubOff, cf: rg.CF,
-			dirty: rg.Dirty, data: fr.data[slot],
+			blkOff: rg.BlkOff, subOff: rg.SubOff, cf: rg.CF, dirty: rg.Dirty,
 		})
-		fr.data[slot] = nil // ownership moved to the committed frame
 		// Traffic: stage read + cache/flat-area write, both in fast memory.
 		commitDone = maxU64(commitDone,
 			c.eng.ReadFastBG(now, c.stageFrameAddr(ssi, w, slot), c.geom.subBytes))
@@ -264,15 +256,6 @@ func (c *Controller) ensureOccCap(f *fastFrame) {
 	}
 	f.occ = c.occSlab[:0:ways]
 	c.occSlab = c.occSlab[ways:]
-}
-
-// resetOcc drops every entry (the caller has dealt with the buffers) and
-// returns the empty slice with its capacity kept for reuse.
-func resetOcc(occ []occRange) []occRange {
-	for i := range occ {
-		occ[i] = occRange{}
-	}
-	return occ[:0]
 }
 
 // findOcc returns the index of the range covering (blkOff, sub), or -1.
@@ -346,10 +329,8 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 		rg := &f.occ[i]
 		b := c.blockID(super, rg.blkOff)
 		isNative := flat && b == f.native
-		// Push content back to the canonical store.
-		for k := 0; k < int(rg.cf); k++ {
-			copy(c.slowSub(b, int(rg.subOff)+k), rg.data[uint64(k)*c.geom.subBytes:])
-			if rg.dirty {
+		if rg.dirty {
+			for k := 0; k < int(rg.cf); k++ {
 				c.clearHints(b, int(rg.subOff)+k)
 			}
 		}
@@ -359,7 +340,7 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 		case flat, rg.dirty:
 			// Migrated blocks swap back entirely (all sub-blocks move); in
 			// the cache scheme only dirty ranges write back.
-			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf), rg.data)
+			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf))
 		}
 	}
 	if nativeResident {
@@ -368,19 +349,17 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 		c.eng.WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
 	}
 
-	// Clear the remap entries of every block that lived here, and recycle
-	// the range buffers (the canonical store holds the content now).
+	// Clear the remap entries of every block that lived here.
 	for i := range f.occ {
 		b := c.blockID(super, f.occ[i].blkOff)
 		ri := &c.remap[b]
 		if ri.way == int32(way) {
 			*ri = remapInfo{way: -1}
 		}
-		c.freeRangeBuf(f.occ[i].data)
 	}
 	c.metaUpdate(now, super)
 	*m = hybrid.WayMeta{}
-	f.occ = resetOcc(f.occ)
+	f.occ = f.occ[:0]
 }
 
 // evictCommittedBlock evicts a single block from its committed frame
@@ -403,16 +382,14 @@ func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64, over
 			continue
 		}
 		removed++
-		for k := 0; k < int(rg.cf); k++ {
-			copy(c.slowSub(b, int(rg.subOff)+k), rg.data[uint64(k)*c.geom.subBytes:])
-			if rg.dirty {
+		if rg.dirty {
+			for k := 0; k < int(rg.cf); k++ {
 				c.clearHints(b, int(rg.subOff)+k)
 			}
 		}
 		if rg.dirty || c.cfg.Mode == config.ModeFlat {
-			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf), rg.data)
+			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf))
 		}
-		c.freeRangeBuf(rg.data)
 	}
 	f.occ = kept
 	if moved > 0 {
@@ -452,8 +429,6 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 			break
 		}
 	}
-	content := c.rangeContent(b, start, cf)
-
 	targetW := -1
 	for wi := 0; wi < c.geom.ways; wi++ {
 		m, f := c.fastDir.Way(si, wi)
@@ -468,7 +443,7 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 		if tm.Valid {
 			c.evictFastFrame(now, si, targetW)
 		}
-		native, occ := tf.native, resetOcc(tf.occ)
+		native, occ := tf.native, tf.occ[:0]
 		*tm = hybrid.WayMeta{Key: uint64(super), Valid: true}
 		*tf = fastFrame{native: native, occ: occ}
 	}
@@ -476,7 +451,7 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 	m.LastUse = c.seq
 	m.AllocSeq = c.seq
 	c.ensureOccCap(f)
-	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty, data: content})
+	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty})
 	sortOcc(f.occ)
 	// Every insertion re-sorts the dense layout: rewrite the frame.
 	c.ctr.resortRewrites.Inc()
@@ -518,7 +493,7 @@ func (c *Controller) directInsertSub(now uint64, b uint64, s int, dirty bool) {
 		}
 	}
 	c.ensureOccCap(f)
-	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty, data: c.rangeContent(b, start, cf)})
+	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty})
 	sortOcc(f.occ)
 	c.ctr.resortRewrites.Inc()
 	c.eng.FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)

@@ -23,9 +23,7 @@ type occRange struct {
 	blkOff uint8
 	subOff uint8
 	cf     uint8
-	zero   bool
 	dirty  bool
-	data   []byte // cf*subBytes of uncompressed content; nil when zero
 }
 
 // fastFrame is the payload of one cache/flat-area way in the kit's tag
@@ -39,12 +37,12 @@ type fastFrame struct {
 }
 
 // stageFrame is the payload of one stage-area way: the architectural stage
-// tag entry, the staged range content, and the Fig. 3/4 instrumentation.
+// tag entry and the Fig. 3/4 instrumentation. Range content lives in the
+// store (rangeView).
 // The recency/age ranks of the two-level replacement policy live in the
 // directory's WayMeta, whose Valid bit mirrors tag.Valid.
 type stageFrame struct {
-	tag  metadata.StageTag
-	data [8][]byte // uncompressed range content per slot
+	tag metadata.StageTag
 
 	// Instrumentation for Figs. 3 and 4.
 	events    []bool // per-access miss record during this stage phase
@@ -83,7 +81,7 @@ type Controller struct {
 
 	eng *hybrid.Engine
 
-	store *hybrid.Store // canonical content of every OS block
+	store *hybrid.Store // the whole memory image: no range keeps a copy
 
 	fastDir *hybrid.Dir[fastFrame]
 	fastRep hybrid.Replacer
@@ -120,18 +118,9 @@ type Controller struct {
 	// Access, the contract hybrid.Result documents.
 	prefetchScratch []uint64
 
-	// rangePool recycles range content buffers by CF class (index = cf;
-	// buffer length = cf*subBytes). Range buffers move between stage
-	// frames and committed frames and must own their storage, so every
-	// site that drops a range's last reference returns the buffer here
-	// (freeRangeBuf) and rangeContent draws from the pool first.
-	rangePool [5][][]byte
-	// rangeSlab backs pool misses: fresh buffers are carved from these
-	// per-CF slabs in rangeSlabBufs-buffer chunks.
-	rangeSlab [5][]byte
 	// occSlab backs first-touch occ slices: a fast frame holds at most
 	// SubBlocksPerBlock ranges, so each frame gets one full-capacity slice
-	// carved here and keeps it (resetOcc preserves capacity) forever.
+	// carved here and keeps it (emptying it keeps the capacity) forever.
 	occSlab []occRange
 }
 
@@ -290,11 +279,7 @@ func (c *Controller) initFlatResidents() {
 			f.occ = nil
 			c.ensureOccCap(f)
 			for s := 0; s < config.SubBlocksPerBlock; s++ {
-				data := c.newRangeBuf(1)
-				copy(data, c.slowSub(b, s))
-				f.occ = append(f.occ, occRange{
-					blkOff: uint8(c.blkOff(b)), subOff: uint8(s), cf: 1, data: data,
-				})
+				f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(s), cf: 1})
 			}
 			r := &c.remap[b]
 			r.remap = 0xFF
@@ -323,9 +308,9 @@ func (c *Controller) blockID(super hybrid.SuperBlockID, blkOff uint8) uint64 {
 	return uint64(super)*c.geom.superBlocks + uint64(blkOff)
 }
 
-// slowSub returns the canonical content of sub-block s of block b.
-func (c *Controller) slowSub(b uint64, s int) []byte {
-	return c.store.Bytes(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes, int(c.geom.subBytes))
+// lineAddr is the store address of line `line` of sub-block s of block b.
+func (c *Controller) lineAddr(b uint64, s, line int) uint64 {
+	return b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*hybrid.CachelineSize
 }
 
 // slowAddr maps block b to a slow-device address for timing purposes.

@@ -48,8 +48,8 @@ func (r *refModel) write(addr uint64, data []byte) {
 }
 
 // runIntegrity drives random traffic at the controller and verifies that
-// every read and every prefetched line matches the reference, that
-// PeekLine agrees for every touched line, and that the structural
+// every read and every prefetched line matches the reference in the store,
+// that the store agrees for every touched line, and that the structural
 // invariants hold.
 func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *Controller {
 	t.Helper()
@@ -86,14 +86,14 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 			c.Access(now, addr, true, data)
 		} else {
 			res := c.Access(now, addr, false, nil)
-			if got := c.PeekLine(addr); !bytes.Equal(got, ref.line(addr)) {
+			if got := c.store.Line(addr); !bytes.Equal(got, ref.line(addr)) {
 				t.Fatalf("access %d: read %x mismatch\n got %x\nwant %x", i, addr, got, ref.line(addr))
 			}
 			for _, p := range res.Prefetched {
 				if p%hybrid.CachelineSize != 0 || p == addr || p/cfg.BlockBytes != addr/cfg.BlockBytes {
 					t.Fatalf("access %d: prefetched %x is not another line of %x's block", i, p, addr)
 				}
-				if !bytes.Equal(c.PeekLine(p), ref.line(p)) {
+				if !bytes.Equal(c.store.Line(p), ref.line(p)) {
 					t.Fatalf("access %d: prefetched line %x mismatch", i, p)
 				}
 			}
@@ -110,8 +110,8 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 		t.Fatalf("final invariant violated: %s", msg)
 	}
 	for addr := range touched {
-		if got := c.PeekLine(addr); !bytes.Equal(got, ref.line(addr)) {
-			t.Fatalf("PeekLine(%x) mismatch\n got %x\nwant %x", addr, got, ref.line(addr))
+		if got := c.store.Line(addr); !bytes.Equal(got, ref.line(addr)) {
+			t.Fatalf("store line %x mismatch\n got %x\nwant %x", addr, got, ref.line(addr))
 		}
 	}
 	return c
@@ -208,7 +208,7 @@ func TestZeroBlockService(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		addr := uint64(i%512) * 64
 		c.Access(now, addr, false, nil)
-		for _, b := range c.PeekLine(addr) {
+		for _, b := range c.store.Line(addr) {
 			if b != 0 {
 				t.Fatal("zero block served non-zero data")
 			}

@@ -42,11 +42,11 @@ func integrityErr(cfg config.Config, accesses int, seed uint64) error {
 			c.Access(now, addr, true, data)
 		} else {
 			res := c.Access(now, addr, false, nil)
-			if !bytes.Equal(c.PeekLine(addr), ref.line(addr)) {
+			if !bytes.Equal(c.store.Line(addr), ref.line(addr)) {
 				return fmt.Errorf("access %d at %#x: read diverged", i, addr)
 			}
 			for _, p := range res.Prefetched {
-				if !bytes.Equal(c.PeekLine(p), ref.line(p)) {
+				if !bytes.Equal(c.store.Line(p), ref.line(p)) {
 					return fmt.Errorf("access %d at %#x: prefetched line %#x diverged", i, addr, p)
 				}
 			}

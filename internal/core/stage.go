@@ -1,6 +1,7 @@
 package core
 
 import (
+	"baryon/internal/config"
 	"baryon/internal/hybrid"
 	"baryon/internal/metadata"
 )
@@ -51,16 +52,6 @@ func (c *Controller) stageFindBlock(ssi int, super hybrid.SuperBlockID, blkOff i
 	return -1
 }
 
-// removeStageSlot clears one slot (no writeback; callers handle data) and
-// recycles its range buffer. Callers that move the buffer to another frame
-// must nil fr.data[slot] first, or the moved buffer would be recycled while
-// still referenced.
-func (c *Controller) removeStageSlot(fr *stageFrame, slot int) {
-	fr.tag.Slots[slot] = metadata.Range{}
-	c.freeRangeBuf(fr.data[slot])
-	fr.data[slot] = nil
-}
-
 // stageVictimSlot applies the sub-block half of the two-level policy
 // (hybrid.SlotFIFO): it frees and returns a slot in the frame, writing the
 // victim range back to slow memory if dirty.
@@ -70,32 +61,30 @@ func (c *Controller) stageVictimSlot(now uint64, ssi, sw int) int {
 	fr.tag.FIFO = next
 	c.ctr.subReplacements.Inc()
 	c.writebackStageSlot(now, fr, slot)
-	c.removeStageSlot(fr, slot)
+	fr.tag.Slots[slot] = metadata.Range{}
 	return slot
 }
 
-// writebackStageSlot pushes a dirty range's content to the canonical store
-// and charges the slow-memory write traffic (compressed when the
-// optimisation of Section III-F applies).
+// writebackStageSlot charges a dirty range's slow-memory write traffic
+// (compressed when the optimisation of Section III-F applies); the store
+// already holds its content.
 func (c *Controller) writebackStageSlot(now uint64, fr *stageFrame, slot int) {
 	rg := fr.tag.Slots[slot]
 	if !rg.Valid || rg.Zero || !rg.Dirty {
 		return
 	}
 	b := c.blockID(fr.tag.Super, rg.BlkOff)
-	content := fr.data[slot]
 	for i := 0; i < int(rg.CF); i++ {
-		copy(c.slowSub(b, int(rg.SubOff)+i), content[uint64(i)*c.geom.subBytes:])
 		c.clearHints(b, int(rg.SubOff)+i)
 	}
-	c.writeRangeToSlow(now, b, int(rg.SubOff), int(rg.CF), content)
+	c.writeRangeToSlow(now, b, int(rg.SubOff), int(rg.CF))
 }
 
 // writeRangeToSlow accounts the slow-device traffic of writing a range back,
 // keeping it compressed when enabled and recording the CF hint for future
 // slow-to-stage prefetching.
-func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int, content []byte) {
-	compressed := c.cfg.CompressedWriteback && cf > 1 && c.rangeFits(content, cf)
+func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int) {
+	compressed := c.cfg.CompressedWriteback && cf > 1 && c.rangeFits(c.rangeView(b, subOff, cf), cf)
 	bytes := uint64(cf) * c.geom.subBytes
 	if compressed {
 		bytes = c.geom.subBytes
@@ -151,66 +140,17 @@ func (c *Controller) chooseRange(ssi int, super hybrid.SuperBlockID, blkOff int,
 	return s, 1
 }
 
-// rangeView returns the canonical content of cf sub-blocks starting at
-// subOff of block b in place, as a view into the store. Fit trials read
-// it without a copy; nothing may write through it or keep it.
+// rangeView returns the content of cf sub-blocks starting at subOff of
+// block b in place, as a view into the store, which is the only copy:
+// staged and committed ranges keep none. Fit trials and writebacks read
+// it; nothing may write through it or keep it.
 func (c *Controller) rangeView(b uint64, subOff, cf int) []byte {
 	return c.store.Bytes(c.slowAddr(b, subOff), cf*int(c.geom.subBytes))
 }
 
-// rangeContent copies the canonical content of cf sub-blocks starting at
-// subOff of block b. The returned buffer is owned by the caller and may be
-// kept (range buffers move between frames and must own their storage); it
-// comes from the controller's per-CF free list when one is available.
-func (c *Controller) rangeContent(b uint64, subOff, cf int) []byte {
-	buf := c.newRangeBuf(cf)
-	copy(buf, c.rangeView(b, subOff, cf))
-	return buf
-}
-
-// newRangeBuf returns an owned buffer of cf sub-blocks, recycling a freed
-// one when possible. Buffers are pooled by exact length (cf in {1,2,4}), so
-// flat mode's many CF-1 resident buffers never bloat to 4*subBytes. Pool
-// misses carve from a per-CF slab, so growing the resident set costs one
-// allocation per rangeSlabBufs buffers rather than one per buffer.
-func (c *Controller) newRangeBuf(cf int) []byte {
-	pool := &c.rangePool[cf]
-	if n := len(*pool); n > 0 {
-		buf := (*pool)[n-1]
-		(*pool)[n-1] = nil
-		*pool = (*pool)[:n-1]
-		return buf
-	}
-	size := uint64(cf) * c.geom.subBytes
-	slab := &c.rangeSlab[cf]
-	if uint64(len(*slab)) < size {
-		*slab = make([]byte, rangeSlabBufs*size)
-	}
-	buf := (*slab)[:size:size]
-	*slab = (*slab)[size:]
-	return buf
-}
-
-// rangeSlabBufs is the number of range buffers carved from one slab chunk.
-const rangeSlabBufs = 64
-
-// freeRangeBuf returns a dead range buffer to its CF class's free list.
-func (c *Controller) freeRangeBuf(buf []byte) {
-	if buf == nil {
-		return
-	}
-	cf := uint64(len(buf)) / c.geom.subBytes
-	c.rangePool[cf] = append(c.rangePool[cf], buf)
-}
-
-// blockAllZero reports whether block b's full canonical content is zero.
+// blockAllZero reports whether block b's full content is zero.
 func (c *Controller) blockAllZero(b uint64) bool {
-	for s := 0; s < 8; s++ {
-		if !c.comp.IsZero(c.slowSub(b, s)) {
-			return false
-		}
-	}
-	return true
+	return c.comp.IsZero(c.rangeView(b, 0, config.SubBlocksPerBlock))
 }
 
 // stageInsertRange stages the maximal range around sub s of block b into the
@@ -242,12 +182,10 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 			fr = c.stageDir.Payload(ssi, sw)
 		}
 		fr.tag.Slots[slot] = metadata.Range{Valid: true, CF: 4, Zero: true, BlkOff: uint8(blkOff)}
-		fr.data[slot] = nil
 		return
 	}
 
 	start, cf := c.chooseRange(ssi, super, blkOff, b, s)
-	content := c.rangeContent(b, start, cf)
 
 	slot := fr.tag.FreeSlot()
 	if slot < 0 {
@@ -262,7 +200,6 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 		Valid: true, CF: uint8(cf), Dirty: dirty,
 		BlkOff: uint8(blkOff), SubOff: uint8(start),
 	}
-	fr.data[slot] = content
 	c.ctr.rangeFetches.Inc()
 	c.ctr.rangeCFSum.Add(uint64(cf))
 
@@ -306,7 +243,6 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 	old := c.stageDir.Payload(ssi, oldW)
 	nm, nw := c.stageDir.Way(ssi, lru)
 	nw.tag = metadata.StageTag{Valid: true, Super: super}
-	nw.data = [8][]byte{}
 	*nm = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
 	nw.events = nw.events[:0]
 	nw.accesses = 0
@@ -322,9 +258,7 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 			continue
 		}
 		nw.tag.Slots[slot] = old.tag.Slots[oldSlot]
-		nw.data[slot] = old.data[oldSlot]
-		old.data[oldSlot] = nil // ownership moved; removeStageSlot must not recycle
-		c.removeStageSlot(old, oldSlot)
+		old.tag.Slots[oldSlot] = metadata.Range{}
 		// Intra-fast-memory move traffic.
 		c.eng.FillFast(now, c.stageFrameAddr(ssi, lru, slot), c.geom.subBytes)
 		slot++
@@ -348,7 +282,6 @@ func (c *Controller) stageAllocate(now uint64, ssi int, super hybrid.SuperBlockI
 		c.finishStageFrame(now, ssi, w)
 	}
 	fr.tag = metadata.StageTag{Valid: true, Super: super}
-	fr.data = [8][]byte{}
 	*m = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
 	fr.events = fr.events[:0]
 	fr.accesses = 0

@@ -15,8 +15,9 @@ import (
 
 // endToEndIntegrity runs a workload through the full stack (cores -> L1/L2
 // -> LLC -> controller), checks the hierarchy's inclusion and sharer
-// invariant, flushes the hierarchy, and verifies that the controller's data
-// plane then equals the functional image for every line the run wrote — the strongest whole-system correctness check: every
+// invariant, flushes the hierarchy, and verifies that the store then equals
+// the functional image for every line the run wrote — the strongest
+// whole-system correctness check: every
 // migration, compression, commit, swap and writeback in between must have
 // preserved the bytes.
 func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactory, wname string) {
@@ -40,7 +41,7 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 	checked := 0
 	for addr := range r.world.dirty {
 		want := r.world.lineData(addr)
-		if got := r.ctrl.PeekLine(addr); !bytes.Equal(got, want) {
+		if got := r.store.Line(addr); !bytes.Equal(got, want) {
 			t.Fatalf("%s/%s: line %#x diverged after flush\n got %x\nwant %x",
 				r.ctrl.Name(), wname, addr, got, want)
 		}

@@ -2,8 +2,8 @@
 // shares: the address geometry of the baseline hybrid memory system
 // (Section III-A of the paper — 2 kB blocks, 256 B sub-blocks, 16 kB
 // super-blocks, set-associative fast memory), the controller interface the
-// CPU cache hierarchy drives, and the physical slow-memory backing store
-// that holds canonical data bytes.
+// CPU cache hierarchy drives, and the store that holds every byte of the
+// memory image.
 package hybrid
 
 // Geometry constants (Sections III-A and III-B).
@@ -41,26 +41,22 @@ type Result struct {
 	Prefetched []uint64
 }
 
-// Controller is a hybrid-memory controller: it owns both memory devices and
-// the canonical data plane below the processor caches. It is the one
+// Controller is a hybrid-memory controller: it owns both memory devices
+// below the processor caches and keeps its content in a Store. It is the one
 // interface the simulator drives every design through, so the designs differ
 // only in what sits behind it.
 type Controller interface {
 	// Access performs a 64 B read or write at physical address addr (already
 	// line-aligned) starting at cycle now. For writes, data is the new line
-	// content. A read returns timing only; its content is observable
-	// through PeekLine. Result.Prefetched is read-only and may alias
-	// controller-owned scratch: consume (or copy) it before the next Access
-	// on the same controller.
+	// content, which is in the Store when Access returns. A read returns
+	// timing only; content is read from the Store. Result.Prefetched is
+	// read-only and may alias controller-owned scratch: consume (or copy)
+	// it before the next Access on the same controller.
 	Access(now uint64, addr uint64, write bool, data []byte) Result
 	// Engine returns the shared migration/writeback engine the controller
 	// moves data through: its tiers and devices carry the run's traffic,
 	// faults and tracing.
 	Engine() *Engine
-	// PeekLine returns the current canonical content of the line at addr,
-	// with no timing or statistics side effects (integrity checks read
-	// through it).
-	PeekLine(addr uint64) []byte
 	// Name identifies the design (for reports).
 	Name() string
 }

@@ -2,11 +2,12 @@ package hybrid
 
 import "math/bits"
 
-// Store is the canonical slow-memory data plane: a lazily materialised map
-// from block to its 2 kB content. Controllers copy bytes out of and into the
-// store as they cache, migrate, stage and write back blocks, so the store
-// plus the controller's fast-memory copies always describe the current
-// memory image. A block's content comes from a deterministic fill function
+// Store is the whole memory image: a lazily materialised map from block to
+// its 2 kB content, and the only holder of content for every design. A
+// write reaches the store before Access returns; controllers record only
+// where a line lives (fast or slow memory, stage or committed frame), keep
+// no copy of it, and read content in place here for fit trials and
+// writeback decisions. A block's content comes from a deterministic fill function
 // supplied by the workload (see internal/datagen), run on the block's first
 // read: a block that is only ever written holds just its written lines and
 // never pays for the fill.
