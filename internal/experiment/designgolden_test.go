@@ -138,3 +138,46 @@ func TestDesignsGolden(t *testing.T) {
 		t.Fatalf("design dump diverges from golden in length: got %d lines, want %d", len(gl), len(wl))
 	}
 }
+
+// ablationGoldenPoints lists the non-default Baryon policies the ablation
+// golden pins: each point mutates designGoldenConfig, so a dump differs from
+// the designs_quick Baryon runs only by that policy.
+func ablationGoldenPoints() []struct {
+	name string
+	mut  func(*config.Config)
+} {
+	return []struct {
+		name string
+		mut  func(*config.Config)
+	}{
+		{"no-stage", func(c *config.Config) { c.UseStageArea = false }},
+		{"no-stage-flat", func(c *config.Config) { c.UseStageArea = false; c.Mode = config.ModeFlat }},
+		{"sub-block-only", func(c *config.Config) { c.TwoLevelReplacement = false }},
+		{"commit-all", func(c *config.Config) { c.CommitAll = true }},
+		{"k=0", func(c *config.Config) { c.CommitK = 0 }},
+		{"k=inf", func(c *config.Config) { c.CommitK = -1 }},
+		{"no-compressed-writeback", func(c *config.Config) { c.CompressedWriteback = false }},
+		{"no-zero-block", func(c *config.Config) { c.ZeroBlockOpt = false }},
+		{"unaligned", func(c *config.Config) { c.CachelineAligned = false }},
+	}
+}
+
+// TestAblationsGolden locks Baryon's observable behaviour under every
+// ablation knob the evaluation sweeps (Figs. 12 and 13): the no-stage-area
+// insert path, sub-block-only stage replacement, the commit-policy
+// extremes and the compression optimisations switched off. Regenerate
+// deliberately with
+//
+//	go test ./internal/experiment -run AblationsGolden -update-golden
+func TestAblationsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, workload := range []string{"505.mcf_r", "YCSB-A"} {
+		for _, p := range ablationGoldenPoints() {
+			cfg := designGoldenConfig()
+			p.mut(&cfg)
+			fmt.Fprintf(&buf, "-- point=%s\n", p.name)
+			dumpDesignRun(&buf, cfg, workload, DesignBaryon)
+		}
+	}
+	compareGolden(t, "ablations_quick.golden", buf.Bytes())
+}
