@@ -62,7 +62,6 @@ func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompress
 	d.writebacks = cstats.Counter("writebacks")
 	d.servedFast = cstats.Counter("servedFast")
 	d.decompressions = cstats.Counter("decompressions")
-	d.eng.CountWritebacks(d.writebacks)
 	d.eng.InstrumentLatency(cstats)
 	return d
 }
@@ -200,6 +199,7 @@ func (d *DICE) writebackSlot(now uint64, meta *hybrid.WayMeta, slot *diceSlot) {
 			n++
 		}
 	}
-	d.eng.Writeback(now, meta.Key*uint64(slot.cf)*64, n*64)
+	d.writebacks.Inc()
+	d.eng.WriteSlowBG(now, meta.Key*uint64(slot.cf)*64, n*64)
 	slot.dirty = 0
 }

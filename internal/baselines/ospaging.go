@@ -66,7 +66,6 @@ func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers 
 	o.misses = cstats.Counter("misses")
 	o.migrations = cstats.Counter("migrations")
 	o.writebacks = cstats.Counter("writebacks")
-	o.eng.CountWritebacks(o.writebacks)
 	o.eng.InstrumentLatency(cstats)
 	return o
 }
@@ -174,7 +173,8 @@ func (o *OSPaging) epoch(now uint64) {
 			evictIdx++
 			delete(o.inFast, victim)
 			if o.dirty[victim] {
-				o.eng.Writeback(now, victim*osPageSize, osPageSize)
+				o.writebacks.Inc()
+				o.eng.WriteSlowBG(now, victim*osPageSize, osPageSize)
 				delete(o.dirty, victim)
 			}
 		}

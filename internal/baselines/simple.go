@@ -64,7 +64,6 @@ func NewSimple(fastBlocks uint64, assoc int, rep hybrid.Replacer, store *hybrid.
 	s.misses = cstats.Counter("misses")
 	s.writebacks = cstats.Counter("writebacks")
 	s.servedFast = cstats.Counter("servedFast")
-	s.eng.CountWritebacks(s.writebacks)
 	s.eng.InstrumentLatency(cstats)
 	return s
 }
@@ -117,7 +116,8 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	victim := s.dir.Victim(si, s.rep)
 	meta, way := s.dir.Way(si, victim)
 	if meta.Valid && way.dirty {
-		s.eng.Writeback(now, meta.Key*hybrid.BlockSize, hybrid.BlockSize)
+		s.writebacks.Inc()
+		s.eng.WriteSlowBG(now, meta.Key*hybrid.BlockSize, hybrid.BlockSize)
 	}
 	s.eng.FetchSlow(now, block*hybrid.BlockSize, hybrid.BlockSize)
 	s.eng.FillFast(now, s.frameAddr(block, victim), hybrid.BlockSize)

@@ -79,7 +79,6 @@ func NewUnison(fastBlocks uint64, assoc int, rep hybrid.Replacer, store *hybrid.
 	u.wayMispredicts = cstats.Counter("wayMispredicts")
 	u.writebacks = cstats.Counter("writebacks")
 	u.servedFast = cstats.Counter("servedFast")
-	u.eng.CountWritebacks(u.writebacks)
 	u.eng.InstrumentLatency(cstats)
 	return u
 }
@@ -168,7 +167,8 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 		u.history[vm.Key] = vw.accessed
 		u.classHistory[vw.firstSub] = vw.accessed
 		if vw.dirty != 0 {
-			u.eng.Writeback(now, vm.Key*hybrid.BlockSize, uint64(bits.OnesCount32(vw.dirty))*unisonSub)
+			u.writebacks.Inc()
+			u.eng.WriteSlowBG(now, vm.Key*hybrid.BlockSize, uint64(bits.OnesCount32(vw.dirty))*unisonSub)
 		}
 	}
 

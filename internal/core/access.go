@@ -3,6 +3,7 @@ package core
 import (
 	"baryon/internal/hybrid"
 	"baryon/internal/metadata"
+	"baryon/internal/sim"
 )
 
 // Access implements the Baryon access flow of Fig. 6. addr is line-aligned;
@@ -32,7 +33,7 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 	c.ageStageSet(ssi)
 	sw, slot := c.stageFind(ssi, super, blkOff, s)
 	if sw >= 0 {
-		c.traceDecision(now, "stageHit")
+		c.eng.Decision(now, "stageHit")
 		return c.caseStageHit(now, stageT, ssi, sw, slot, b, s, line, write, data)
 	}
 
@@ -42,30 +43,23 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 
 	switch {
 	case ri.z:
-		c.traceDecision(now, "zeroBlock")
+		c.eng.Decision(now, "zeroBlock")
 		return c.caseZeroBlock(now, rmT, b, s, line, write, data)
 	case ri.remap&(1<<s) != 0:
-		c.traceDecision(now, "fastHit")
+		c.eng.Decision(now, "fastHit")
 		return c.caseFastHit(now, rmT, ri, b, s, line, write, data)
 	case ri.valid():
-		c.traceDecision(now, "fastSubMiss")
+		c.eng.Decision(now, "fastSubMiss")
 		return c.caseFastSubMiss(now, rmT, b, s, line, write, data)
 	}
 
 	// The block is not committed; is it staged (some other sub-block)?
 	if bw := c.stageFindBlock(ssi, super, blkOff); bw >= 0 {
-		c.traceDecision(now, "stageSubMiss")
+		c.eng.Decision(now, "stageSubMiss")
 		return c.caseStageSubMiss(now, stageT, ssi, bw, b, s, line, write, data)
 	}
-	c.traceDecision(now, "blockMiss")
-	return c.caseBlockMiss(now, maxU64(stageT, rmT), ssi, b, s, line, write, data)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	c.eng.Decision(now, "blockMiss")
+	return c.caseBlockMiss(now, max(stageT, rmT), ssi, b, s, line, write, data)
 }
 
 // remapLookup models the remap cache probe and, on a miss, the off-chip
@@ -120,18 +114,8 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 
 	start := int(rg.SubOff)
 	cf := int(rg.CF)
-	lineInRange := (s-start)*c.geom.linesPerSub + line
-
 	if !write {
-		devAddr := c.stageFrameAddr(ssi, sw, slot)
-		done := c.eng.FastRead(stageT, devAddr, c.readXferBytes(cf))
-		if cf > 1 {
-			done += c.cfg.DecompressLatency
-			c.ctr.decompressions.Inc()
-		}
-		c.ctr.servedFast.Inc()
-		c.ctr.latStageHit.Observe(done - now)
-		return hybrid.Result{Done: done, ServedByFast: true, Prefetched: c.chunkPrefetch(b, start, cf, lineInRange)}
+		return c.fastServe(now, stageT, c.stageFrameAddr(ssi, sw, slot), c.ctr.latStageHit, b, s, line, start, cf)
 	}
 
 	// Write hit in the stage area: update content, recompress; a CF change
@@ -163,9 +147,7 @@ func (c *Controller) rangeFits(content []byte, cf int) bool {
 func (c *Controller) restageOverflowedRange(now uint64, ssi, sw, slot int, b uint64) {
 	fr := c.stageDir.Payload(ssi, sw)
 	rg := fr.tag.Slots[slot]
-	for i := 0; i < int(rg.CF); i++ {
-		c.clearHints(b, int(rg.SubOff)+i)
-	}
+	c.clearHints(b, int(rg.SubOff), int(rg.CF))
 	fr.tag.Slots[slot] = metadata.Range{}
 	for i := 0; i < int(rg.CF); i++ {
 		sub := int(rg.SubOff) + i
@@ -193,7 +175,7 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write
 	ri.way = -1
 	c.metaUpdate(now, c.superOf(b))
 	c.store.WriteLine(c.lineAddr(b, s, line), data)
-	c.clearHints(b, s)
+	c.clearHints(b, s, 1)
 	c.eng.WriteSlowBG(now, c.slowAddr(b, s), 64)
 	return hybrid.Result{Done: now}
 }
@@ -212,19 +194,9 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 	rg := &fr.occ[idx]
 	start := int(rg.subOff)
 	cf := int(rg.cf)
-	lineInRange := (s-start)*c.geom.linesPerSub + line
 	c.ctr.fastHits.Inc()
-
 	if !write {
-		devAddr := c.frameAddr(si, int(ri.way), idx)
-		done := c.eng.FastRead(rmT, devAddr, c.readXferBytes(cf))
-		if cf > 1 {
-			done += c.cfg.DecompressLatency
-			c.ctr.decompressions.Inc()
-		}
-		c.ctr.servedFast.Inc()
-		c.ctr.latFastHit.Observe(done - now)
-		return hybrid.Result{Done: done, ServedByFast: true, Prefetched: c.chunkPrefetch(b, start, cf, lineInRange)}
+		return c.fastServe(now, rmT, c.frameAddr(si, int(ri.way), idx), c.ctr.latFastHit, b, s, line, start, cf)
 	}
 
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
@@ -245,23 +217,15 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 
 func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
 	c.ctr.fastSubMiss.Inc()
-	var res hybrid.Result
+	res := c.slowDemand(now, rmT, b, s, line, write, data)
 	if write {
-		c.store.WriteLine(c.lineAddr(b, s, line), data)
-		c.clearHints(b, s)
 		c.eng.WriteSlowBG(now, c.slowAddr(b, s)+uint64(line)*64, 64)
-		res = hybrid.Result{Done: now}
-	} else {
-		done := c.eng.SlowRead(rmT, c.slowAddr(b, s)+uint64(line)*64, 64)
-		c.ctr.servedSlow.Inc()
-		c.ctr.latSlowPath.Observe(done - now)
-		res = hybrid.Result{Done: done}
 	}
 	if !c.cfg.UseStageArea {
 		// Without a stage area there is no frozen-layout rule to respect:
 		// the new sub-block is inserted directly, re-sorting the frame
 		// (the costly behaviour Fig. 13(c)'s "no stage" bar shows).
-		c.directInsertSub(now, b, s, write)
+		c.directInsert(now, b, s, write)
 	}
 	return res
 }
@@ -278,17 +242,7 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 	c.ctr.stageSubMiss.Inc()
 	c.recordStageEvent(fr, true)
 
-	var res hybrid.Result
-	if write {
-		c.store.WriteLine(c.lineAddr(b, s, line), data)
-		c.clearHints(b, s)
-		res = hybrid.Result{Done: now}
-	} else {
-		done := c.eng.SlowRead(stageT, c.slowAddr(b, s)+uint64(line)*64, 64)
-		c.ctr.servedSlow.Inc()
-		c.ctr.latSlowPath.Observe(done - now)
-		res = hybrid.Result{Done: done}
-	}
+	res := c.slowDemand(now, stageT, b, s, line, write, data)
 	// Background: stage the maximal compressible range around s (Rule 3
 	// pins it to the same physical block as the block's other ranges).
 	c.stageInsertRange(now, ssi, sw, b, s, write)
@@ -300,19 +254,7 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line int, write bool, data []byte) hybrid.Result {
 	c.stageState[ssi].mruMissCnt++
 	c.ctr.blockMiss.Inc()
-
-	var res hybrid.Result
-	if write {
-		c.store.WriteLine(c.lineAddr(b, s, line), data)
-		c.clearHints(b, s)
-		res = hybrid.Result{Done: now}
-	} else {
-		done := c.eng.SlowRead(metaT, c.slowAddr(b, s)+uint64(line)*64, 64)
-		c.ctr.servedSlow.Inc()
-		c.ctr.latSlowPath.Observe(done - now)
-		res = hybrid.Result{Done: done}
-	}
-
+	res := c.slowDemand(now, metaT, b, s, line, write, data)
 	if !c.cfg.UseStageArea {
 		c.directInsert(now, b, s, write)
 		return res
@@ -333,10 +275,13 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 	var sw int
 	switch nc {
 	case 0:
-		sw = c.stageAllocate(now, ssi, super)
-		if sw < 0 {
-			return res // stage allocation impossible (all ways mid-operation)
+		// Block-level replacement: the set's victim way is retired and
+		// re-tagged for this super-block.
+		sw = c.stageDir.Victim(ssi, c.stageRep)
+		if c.stageDir.Payload(ssi, sw).tag.Valid {
+			c.ctr.blockReplacements.Inc()
 		}
+		c.claimStageFrame(now, ssi, sw, super)
 	case 1:
 		sw = candidates[0]
 	default:
@@ -347,12 +292,43 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 	return res
 }
 
+// slowDemand serves a demand access whose sub-block neither area holds
+// (cases 3, 4 and 5): a write lands in the store, where the caller stages
+// or bypasses it; a read is served by slow memory once the metadata is
+// known at t.
+func (c *Controller) slowDemand(now, t uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+	if write {
+		c.store.WriteLine(c.lineAddr(b, s, line), data)
+		c.clearHints(b, s, 1)
+		return hybrid.Result{Done: now}
+	}
+	done := c.eng.SlowRead(t, c.slowAddr(b, s)+uint64(line)*64, 64)
+	c.ctr.servedSlow.Inc()
+	c.ctr.latSlowPath.Observe(done - now)
+	return hybrid.Result{Done: done}
+}
+
+// fastServe serves a read hit on line `line` of sub s, held in the range of
+// cf sub-blocks from start stored at devAddr in fast memory (a stage or a
+// committed slot) once the metadata is known at t; lat takes the latency.
+func (c *Controller) fastServe(now, t, devAddr uint64, lat *sim.Histogram, b uint64, s, line, start, cf int) hybrid.Result {
+	done := c.eng.FastRead(t, devAddr, c.readXferBytes(cf))
+	if cf > 1 {
+		done += c.cfg.DecompressLatency
+		c.ctr.decompressions.Inc()
+	}
+	c.ctr.servedFast.Inc()
+	lat.Observe(done - now)
+	lineInRange := (s-start)*c.geom.linesPerSub + line
+	return hybrid.Result{Done: done, ServedByFast: true, Prefetched: c.chunkPrefetch(b, start, cf, lineInRange)}
+}
+
 // prefetchHintedRanges re-stages the ranges a previously evicted block left
 // behind in compressed form: the CF2/CF4 bits kept by the fast-to-slow
 // compressed writeback act as slow-to-stage prefetching hints when the block
 // is fetched again (Section III-F).
 func (c *Controller) prefetchHintedRanges(now uint64, ssi, sw int, b uint64, demanded int) {
-	if !c.cfg.CompressedWriteback || !c.cfg.UseStageArea {
+	if !c.cfg.CompressedWriteback {
 		return
 	}
 
@@ -420,8 +396,11 @@ func (c *Controller) chunkPrefetch(b uint64, start, cf, lineInRange int) []uint6
 	return out
 }
 
-// clearHints invalidates the compressed-writeback hints covering sub s.
-func (c *Controller) clearHints(b uint64, s int) {
-	c.cf2Hint[b] &^= 1 << (s / 2)
-	c.cf4Hint[b] &^= 1 << (s / 4)
+// clearHints invalidates the compressed-writeback hints covering sub-blocks
+// s..s+n-1 of block b.
+func (c *Controller) clearHints(b uint64, s, n int) {
+	for i := s; i < s+n; i++ {
+		c.cf2Hint[b] &^= 1 << (i / 2)
+		c.cf4Hint[b] &^= 1 << (i / 4)
+	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
-	"baryon/internal/metadata"
 )
 
 // This file implements the selective commit policy (Section III-E, Eq. 1),
@@ -14,9 +13,10 @@ import (
 // Section III-F.
 
 // finishStageFrame retires stage frame (ssi, w): it either commits the frame
-// to the cache/flat area or evicts it to slow memory, then clears it.
+// to the cache/flat area or evicts it to slow memory. The caller re-tags it
+// (claimStageFrame).
 func (c *Controller) finishStageFrame(now uint64, ssi, w int) {
-	sm, fr := c.stageDir.Way(ssi, w)
+	fr := c.stageDir.Payload(ssi, w)
 	if !fr.tag.Valid {
 		return
 	}
@@ -40,15 +40,7 @@ func (c *Controller) finishStageFrame(now uint64, ssi, w int) {
 	// multiple physical blocks only when needed), else the area's
 	// replacement victim (LRU for low-associative, FIFO for fully
 	// associative, Section III-E).
-	appendW := -1
-	for wi := 0; wi < c.geom.ways; wi++ {
-		m, f := c.fastDir.Way(si, wi)
-		if m.Valid && hybrid.SuperBlockID(m.Key) == fr.tag.Super &&
-			len(f.occ)+slotsNeeded <= 8 {
-			appendW = wi
-			break
-		}
-	}
+	appendW := c.frameWithRoom(si, fr.tag.Super, slotsNeeded)
 	victimW := appendW
 	dirtyVictim := 0
 	if victimW < 0 {
@@ -73,9 +65,17 @@ func (c *Controller) finishStageFrame(now uint64, ssi, w int) {
 	} else {
 		c.evictStageFrame(now, ssi, w)
 	}
-	fr.tag = metadata.StageTag{}
-	fr.events = fr.events[:0]
-	sm.Valid = false
+}
+
+// frameWithRoom returns the first way of fast set si committed to super
+// with room for n more ranges, or -1.
+func (c *Controller) frameWithRoom(si int, super hybrid.SuperBlockID, n int) int {
+	for w := 0; w < c.geom.ways; w++ {
+		if m, f := c.fastDir.Way(si, w); m.Valid && hybrid.SuperBlockID(m.Key) == super && len(f.occ)+n <= 8 {
+			return w
+		}
+	}
+	return -1
 }
 
 // shouldCommit evaluates Eq. 1: B = k*(MRUMissCnt/assoc - MissCnt) +
@@ -178,7 +178,7 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 	} else {
 		// Appending rewrites the frame's dense layout (a re-sort).
 		c.ctr.resortRewrites.Inc()
-		commitDone = maxU64(commitDone,
+		commitDone = max(commitDone,
 			c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
 	}
 	tm.LastUse = c.seq
@@ -200,11 +200,11 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 			blkOff: rg.BlkOff, subOff: rg.SubOff, cf: rg.CF, dirty: rg.Dirty,
 		})
 		// Traffic: stage read + cache/flat-area write, both in fast memory.
-		commitDone = maxU64(commitDone,
+		commitDone = max(commitDone,
 			c.eng.ReadFastBG(now, c.stageFrameAddr(ssi, w, slot), c.geom.subBytes))
 	}
 	sortOcc(target.occ)
-	commitDone = maxU64(commitDone,
+	commitDone = max(commitDone,
 		c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
 	c.ctr.latCommit.Observe(commitDone - now)
 	if t := c.eng.Tracer(); t != nil {
@@ -330,9 +330,7 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 		b := c.blockID(super, rg.blkOff)
 		isNative := flat && b == f.native
 		if rg.dirty {
-			for k := 0; k < int(rg.cf); k++ {
-				c.clearHints(b, int(rg.subOff)+k)
-			}
+			c.clearHints(b, int(rg.subOff), int(rg.cf))
 		}
 		switch {
 		case isNative:
@@ -383,9 +381,7 @@ func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64, over
 		}
 		removed++
 		if rg.dirty {
-			for k := 0; k < int(rg.cf); k++ {
-				c.clearHints(b, int(rg.subOff)+k)
-			}
+			c.clearHints(b, int(rg.subOff), int(rg.cf))
 		}
 		if rg.dirty || c.cfg.Mode == config.ModeFlat {
 			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf))
@@ -398,106 +394,50 @@ func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64, over
 	}
 	ri := &c.remap[b]
 	*ri = remapInfo{way: -1}
-	if len(f.occ) == 0 && !(c.cfg.Mode == config.ModeFlat && c.frameHoldsNative(m, f)) {
+	if len(f.occ) == 0 && !c.frameHoldsNative(m, f) {
 		*m = hybrid.WayMeta{} // occ is already empty; native stays with the frame
 	}
-	c.rebuildRemapSafe(si, way)
+	if m.Valid {
+		c.rebuildRemap(si, way)
+	}
 	c.metaUpdate(now, c.superOf(b))
 }
 
-// rebuildRemapSafe re-derives remap entries after a partial eviction when
-// the frame is still valid.
-func (c *Controller) rebuildRemapSafe(si, way int) {
-	if m, _ := c.fastDir.Way(si, way); m.Valid {
-		c.rebuildRemap(si, way)
-	}
-}
-
-// directInsert implements the no-stage-area ablation of Fig. 13(c): fetched
-// ranges are inserted straight into the committed area, and every insertion
-// re-sorts the frozen layout of its frame.
+// directInsert implements the no-stage-area ablation of Fig. 13(c): the
+// range around sub s of block b is fetched straight into the committed
+// area, and every insertion re-sorts the frozen layout of its frame. The
+// range goes to the frame already holding b (Rule 3), which takes nothing
+// more once full; else to a frame of b's super-block with room; else to
+// the area's victim, which a flat frame leaves with its native block. CF
+// hints are not trusted here: a stale one can outlive a lost write (ROADMAP,
+// "lost write").
 func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 	super := c.superOf(b)
 	si := c.setIdx(super)
-
-	// Choose the range (no stage-overlap concerns: the block is absent).
-	start, cf := s, 1
-	for _, try := range []int{4, 2} {
-		st := s &^ (try - 1)
-		if c.rangeFits(c.rangeView(b, st, try), try) {
-			start, cf = st, try
-			break
+	ri := &c.remap[b]
+	w := int(ri.way)
+	var start, cf int
+	if w >= 0 {
+		if len(c.fastDir.Payload(si, w).occ) >= 8 {
+			return
 		}
-	}
-	targetW := -1
-	for wi := 0; wi < c.geom.ways; wi++ {
-		m, f := c.fastDir.Way(si, wi)
-		if m.Valid && hybrid.SuperBlockID(m.Key) == super && len(f.occ) < 8 {
-			targetW = wi
-			break
+		start, cf = c.pickRange(b, s, ri.remap, false)
+	} else {
+		start, cf = c.pickRange(b, s, 0, false)
+		if w = c.frameWithRoom(si, super, 1); w < 0 {
+			w = c.fastDir.Victim(si, c.fastRep)
+			c.evictFastFrame(now, si, w)
 		}
+		c.fastDir.SetMeta(si)[w] = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
 	}
-	if targetW < 0 {
-		targetW = c.fastDir.Victim(si, c.fastRep)
-		tm, tf := c.fastDir.Way(si, targetW)
-		if tm.Valid {
-			c.evictFastFrame(now, si, targetW)
-		}
-		native, occ := tf.native, tf.occ[:0]
-		*tm = hybrid.WayMeta{Key: uint64(super), Valid: true}
-		*tf = fastFrame{native: native, occ: occ}
-	}
-	m, f := c.fastDir.Way(si, targetW)
-	m.LastUse = c.seq
-	m.AllocSeq = c.seq
+	f := c.fastDir.Payload(si, w)
 	c.ensureOccCap(f)
 	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty})
 	sortOcc(f.occ)
 	// Every insertion re-sorts the dense layout: rewrite the frame.
 	c.ctr.resortRewrites.Inc()
 	c.eng.FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
-	c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(f.occ))*c.geom.subBytes)
-	c.rebuildRemap(si, targetW)
-	c.metaUpdate(now, super)
-}
-
-// directInsertSub (no-stage ablation) adds one more range of an already
-// committed block into its frame, re-sorting the dense layout.
-func (c *Controller) directInsertSub(now uint64, b uint64, s int, dirty bool) {
-	ri := &c.remap[b]
-	if ri.way < 0 {
-		return
-	}
-	super := c.superOf(b)
-	si := c.setIdx(super)
-	m, f := c.fastDir.Way(si, int(ri.way))
-	if !m.Valid || len(f.occ) >= 8 {
-		return
-	}
-	start, cf := s, 1
-	for _, try := range []int{4, 2} {
-		st := s &^ (try - 1)
-		overlaps := false
-		for i := st; i < st+try; i++ {
-			if i != s && ri.remap&(1<<i) != 0 {
-				overlaps = true
-				break
-			}
-		}
-		if overlaps {
-			continue
-		}
-		if c.rangeFits(c.rangeView(b, st, try), try) {
-			start, cf = st, try
-			break
-		}
-	}
-	c.ensureOccCap(f)
-	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty})
-	sortOcc(f.occ)
-	c.ctr.resortRewrites.Inc()
-	c.eng.FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
-	c.eng.FillFast(now, c.frameAddr(si, int(ri.way), 0), uint64(len(f.occ))*c.geom.subBytes)
-	c.rebuildRemap(si, int(ri.way))
+	c.eng.FillFast(now, c.frameAddr(si, w, 0), uint64(len(f.occ))*c.geom.subBytes)
+	c.rebuildRemap(si, w)
 	c.metaUpdate(now, super)
 }

@@ -258,10 +258,6 @@ func (c *Controller) initCounters() {
 	c.ctr.latWriteback = s.Histogram("lat.writeback")
 }
 
-// traceDecision records the controller's access-flow case for the current
-// sampled request as an instant event (no-op when tracing is off).
-func (c *Controller) traceDecision(now uint64, cat string) { c.eng.Decision(now, cat) }
-
 // initFlatResidents fills every flat-area frame with its native OS block,
 // fully present and uncompressed (the paper's flat mode places blocks in
 // fast memory until the space is used up).

@@ -168,10 +168,31 @@ func TestIntegrityNoZeroOpt(t *testing.T) {
 	runIntegrity(t, cfg, 20000, 48)
 }
 
+// TestIntegrityNoStageArea drives the Fig. 13(c) ablation, whose fetched
+// ranges go straight into the committed area, in both schemes: a flat
+// frame it re-tags must keep its native block.
 func TestIntegrityNoStageArea(t *testing.T) {
-	cfg := testConfig()
-	cfg.UseStageArea = false
-	runIntegrity(t, cfg, 20000, 49)
+	for _, tc := range []struct {
+		name string
+		mode config.Mode
+		fa   bool
+		seed uint64
+	}{
+		{"cache", config.ModeCache, false, 49},
+		{"flat", config.ModeFlat, false, 54},
+		{"flat-FA", config.ModeFlat, true, 61},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.UseStageArea = false
+			cfg.Mode = tc.mode
+			cfg.FullyAssociative = tc.fa
+			c := runIntegrity(t, cfg, 20000, tc.seed)
+			if c.stats.Get("baryon.resortRewrites") == 0 {
+				t.Fatal("no direct inserts happened")
+			}
+		})
+	}
 }
 
 func TestIntegrityNoTwoLevel(t *testing.T) {

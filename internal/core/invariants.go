@@ -1,6 +1,9 @@
 package core
 
-import "baryon/internal/hybrid"
+import (
+	"baryon/internal/config"
+	"baryon/internal/hybrid"
+)
 
 // CheckInvariants validates the structural rules on demand (tests call this
 // after access storms):
@@ -9,7 +12,8 @@ import "baryon/internal/hybrid"
 //	        construction of the types; checked via remap consistency),
 //	Rule 3: all committed sub-blocks of a block live in one frame,
 //	Rule 4: committed layouts are sorted by (blkOff, subOff),
-//	plus: remap entries and frame occupancy agree, and
+//	plus: remap entries and frame occupancy agree, every flat-area frame
+//	keeps the native block initFlatResidents homed at it, and
 //	single residency: a block's staged ranges sit in one stage frame
 //	(Rule 3) and do not overlap, and no staged sub-block is also
 //	committed (remap bit or Z): each sub-block has one home, which is
@@ -23,6 +27,9 @@ func (c *Controller) CheckInvariants() string {
 	for si := 0; si < int(c.geom.sets); si++ {
 		for wi := 0; wi < c.geom.ways; wi++ {
 			m, f := c.fastDir.Way(si, wi)
+			if home := uint64(si)*c.geom.superBlocks + uint64(wi); c.cfg.Mode == config.ModeFlat && home < c.geom.osBlocks && f.native != home {
+				return "flat frame lost its native block"
+			}
 			if !m.Valid {
 				continue
 			}

@@ -74,9 +74,7 @@ func (c *Controller) writebackStageSlot(now uint64, fr *stageFrame, slot int) {
 		return
 	}
 	b := c.blockID(fr.tag.Super, rg.BlkOff)
-	for i := 0; i < int(rg.CF); i++ {
-		c.clearHints(b, int(rg.SubOff)+i)
-	}
+	c.clearHints(b, int(rg.SubOff), int(rg.CF))
 	c.writeRangeToSlow(now, b, int(rg.SubOff), int(rg.CF))
 }
 
@@ -103,41 +101,38 @@ func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int) {
 	}
 }
 
-// chooseRange picks the maximal contiguous aligned range containing sub s of
-// block b that (a) does not overlap sub-blocks already staged for b and
-// (b) compresses into one sub-block slot. It returns (start, cf).
-func (c *Controller) chooseRange(ssi int, super hybrid.SuperBlockID, blkOff int, b uint64, s int) (int, int) {
+// pickRange picks the maximal contiguous aligned range (Rule 2) containing
+// sub s of block b that overlaps no sub-block of taken other than s and
+// compresses into one sub-block slot. With hints, a matching CF hint stands
+// in for the fit trial: the data already sits compressed and grouped in
+// slow memory (Section III-F). It returns (start, cf).
+func (c *Controller) pickRange(b uint64, s int, taken uint8, hints bool) (int, int) {
 	if c.cfg.CompressionOff {
 		return s, 1
 	}
-	present := func(sub int) bool {
-		w, slot := c.stageFind(ssi, super, blkOff, sub)
-		return w >= 0 && slot >= 0
-	}
+	taken &^= 1 << s
 	for _, cf := range []int{4, 2} {
 		start := s &^ (cf - 1)
-		ok := true
-		for i := start; i < start+cf; i++ {
-			if i != s && present(i) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if taken>>start&(1<<cf-1) != 0 {
 			continue
 		}
-		// A matching CF hint means the data already sits compressed and
-		// grouped in slow memory; no trial is needed (Section III-F).
-		hinted := (cf == 2 && c.cf2Hint[b]&(1<<(start/2)) != 0) ||
-			(cf == 4 && c.cf4Hint[b]&(1<<(start/4)) != 0)
-		if hinted {
-			return start, cf
-		}
-		if c.rangeFits(c.rangeView(b, start, cf), cf) {
+		if hints && c.hinted(b, start, cf) || c.rangeFits(c.rangeView(b, start, cf), cf) {
 			return start, cf
 		}
 	}
 	return s, 1
+}
+
+// hinted reports whether a CF hint marks the range of cf sub-blocks from
+// start of block b as written back compressed.
+func (c *Controller) hinted(b uint64, start, cf int) bool {
+	switch cf {
+	case 2:
+		return c.cf2Hint[b]&(1<<(start/2)) != 0
+	case 4:
+		return c.cf4Hint[b]&(1<<(start/4)) != 0
+	}
+	return false
 }
 
 // rangeView returns the content of cf sub-blocks starting at subOff of
@@ -170,30 +165,29 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 		panic("core: stageInsertRange into a frame of another super-block")
 	}
 
+	// Rule 3 puts every staged sub-block of b in this frame.
+	var taken uint8
+	for _, r := range fr.tag.Slots {
+		if r.Valid && int(r.BlkOff) == blkOff {
+			taken |= (1<<r.CF - 1) << r.SubOff
+		}
+	}
 	// Z-bit: an all-zero block is staged as a single descriptor with no
 	// data movement at all.
-	if c.cfg.ZeroBlockOpt && !dirty && !fr.tag.HasBlock(blkOff) && c.blockAllZero(b) {
-		slot := fr.tag.FreeSlot()
-		if slot < 0 {
-			slot = c.stageFullSlot(now, ssi, &sw, b)
-			if slot < 0 {
-				return
-			}
-			fr = c.stageDir.Payload(ssi, sw)
-		}
-		fr.tag.Slots[slot] = metadata.Range{Valid: true, CF: 4, Zero: true, BlkOff: uint8(blkOff)}
-		return
+	zero := c.cfg.ZeroBlockOpt && !dirty && taken == 0 && c.blockAllZero(b)
+	var start, cf int
+	if !zero {
+		start, cf = c.pickRange(b, s, taken, true)
 	}
-
-	start, cf := c.chooseRange(ssi, super, blkOff, b, s)
 
 	slot := fr.tag.FreeSlot()
 	if slot < 0 {
 		slot = c.stageFullSlot(now, ssi, &sw, b)
-		if slot < 0 {
-			return
-		}
 		fr = c.stageDir.Payload(ssi, sw)
+	}
+	if zero {
+		fr.tag.Slots[slot] = metadata.Range{Valid: true, CF: 4, Zero: true, BlkOff: uint8(blkOff)}
+		return
 	}
 
 	fr.tag.Slots[slot] = metadata.Range{
@@ -207,8 +201,7 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 	// sub-block when a CF hint applies, the raw range otherwise) and written
 	// into the stage region of fast memory.
 	fetch := uint64(cf) * c.geom.subBytes
-	if c.cfg.CompressedWriteback &&
-		((cf == 2 && c.cf2Hint[b]&(1<<(start/2)) != 0) || (cf == 4 && c.cf4Hint[b]&(1<<(start/4)) != 0)) {
+	if c.cfg.CompressedWriteback && c.hinted(b, start, cf) {
 		fetch = c.geom.subBytes
 	}
 	if fetch > 64 {
@@ -219,39 +212,25 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 
 // stageFullSlot resolves a full target frame with the two-level policy of
 // Fig. 8: if the frame is the set's block-level victim, do a sub-block
-// (SlotFIFO) replacement inside it; otherwise evict the victim way at block
-// level (through the selective commit policy), re-tag it for this
-// super-block, move block b's existing ranges into it (Rule 3), and return
-// a free slot there. sw is updated to the frame finally holding the block.
-// Returns -1 when the single-way corner case cannot free a slot.
+// (SlotFIFO) replacement inside it; otherwise claim the victim way at block
+// level, move block b's existing ranges into it (Rule 3), and return a free
+// slot there. sw is updated to the frame finally holding the block.
 func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 	lru := c.stageDir.Victim(ssi, c.stageRep)
-
-	if !c.cfg.TwoLevelReplacement || lru == *sw || c.geom.stageWays == 1 {
-		// Sub-block-level replacement within the current frame.
+	if !c.cfg.TwoLevelReplacement || lru == *sw {
 		return c.stageVictimSlot(now, ssi, *sw)
 	}
 
-	// Block-level replacement: the victim way is committed or evicted, then
-	// reused for this super-block.
+	// Known defect (ROADMAP, "empty-way block replacements"): an empty victim way counts too.
 	c.ctr.blockReplacements.Inc()
-	c.finishStageFrame(now, ssi, lru)
-
-	super := c.superOf(b)
-	blkOff := c.blkOff(b)
-	oldW := *sw
-	old := c.stageDir.Payload(ssi, oldW)
-	nm, nw := c.stageDir.Way(ssi, lru)
-	nw.tag = metadata.StageTag{Valid: true, Super: super}
-	*nm = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
-	nw.events = nw.events[:0]
-	nw.accesses = 0
-	nw.instStart = c.instructionsSeen
+	nw := c.claimStageFrame(now, ssi, lru, c.superOf(b))
 
 	// Move b's ranges to the new frame to keep Rule 3 (the move also gives
 	// re-grouping a chance to reduce fragmentation, as the paper notes).
 	// Slots are scanned in ascending order, so b's ranges keep their
 	// relative order in the new frame.
+	blkOff := c.blkOff(b)
+	old := c.stageDir.Payload(ssi, *sw)
 	slot := 0
 	for oldSlot := range old.tag.Slots {
 		if r := old.tag.Slots[oldSlot]; !r.Valid || int(r.BlkOff) != blkOff {
@@ -271,20 +250,15 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 	return slot // first free slot after the moved ranges
 }
 
-// stageAllocate performs a block-level replacement to obtain a fresh frame
-// for super (case 5 with no frame holding the super-block). It returns the
-// way index, or -1 if allocation failed.
-func (c *Controller) stageAllocate(now uint64, ssi int, super hybrid.SuperBlockID) int {
-	w := c.stageDir.Victim(ssi, c.stageRep)
+// claimStageFrame retires stage way (ssi, w), committing or evicting what
+// it holds (finishStageFrame), and re-tags it, empty, for super.
+func (c *Controller) claimStageFrame(now uint64, ssi, w int, super hybrid.SuperBlockID) *stageFrame {
+	c.finishStageFrame(now, ssi, w)
 	m, fr := c.stageDir.Way(ssi, w)
-	if fr.tag.Valid {
-		c.ctr.blockReplacements.Inc()
-		c.finishStageFrame(now, ssi, w)
-	}
 	fr.tag = metadata.StageTag{Valid: true, Super: super}
 	*m = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
 	fr.events = fr.events[:0]
 	fr.accesses = 0
 	fr.instStart = c.instructionsSeen
-	return w
+	return fr
 }

@@ -45,7 +45,7 @@ type TierSpec struct {
 // owns the ordered memory-tier list of the hybrid system and issues all
 // device traffic on behalf of a controller, with the instrumentation
 // middleware — the per-design "lat.fastHit"/"lat.slowPath" read-latency
-// histograms, the writeback counter and the request-lifecycle tracer hooks —
+// histograms and the request-lifecycle tracer hooks —
 // attached once here instead of being re-implemented by every controller.
 //
 // Controllers address the far space canonically; the engine routes each far
@@ -63,7 +63,6 @@ type Engine struct {
 	stats *sim.Stats
 
 	latFast, latSlow *sim.Histogram
-	writebacks       *sim.Counter
 	tracer           *obs.Tracer
 
 	// Fault-degradation path (EnableFaults). faultsOn keeps the fault-free
@@ -229,11 +228,6 @@ func (e *Engine) InstrumentLatency(scope *sim.Stats) (latFast, latSlow *sim.Hist
 	return e.latFast, e.latSlow
 }
 
-// CountWritebacks points the engine's Writeback method at the controller's
-// writeback counter (each controller registers it among its own counters so
-// counter order is design-controlled).
-func (e *Engine) CountWritebacks(c *sim.Counter) { e.writebacks = c }
-
 // SetTracer attaches a request-lifecycle tracer to the engine and every
 // tier device. Nil detaches.
 func (e *Engine) SetTracer(t *obs.Tracer) {
@@ -302,17 +296,10 @@ func (e *Engine) FetchSlow(now, addr, size uint64) uint64 {
 	return t.dev.AccessBackground(now, local, size, false)
 }
 
-// WriteSlowBG writes the far path in the background without counting a
-// writeback (posted demand writes, partial-line updates).
+// WriteSlowBG writes the far path in the background (posted demand writes,
+// partial-line updates, dirty victims' writebacks, which each controller
+// counts itself).
 func (e *Engine) WriteSlowBG(now, addr, size uint64) uint64 {
-	t, local := e.farFor(addr)
-	return t.dev.AccessBackground(now, local, size, true)
-}
-
-// Writeback writes a dirty victim's bytes to the far path in the background
-// and counts one writeback (the per-design "writebacks" counter).
-func (e *Engine) Writeback(now, addr, size uint64) uint64 {
-	e.writebacks.Inc()
 	t, local := e.farFor(addr)
 	return t.dev.AccessBackground(now, local, size, true)
 }
