@@ -239,6 +239,25 @@ func BenchmarkSingleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleRunBaselines is BenchmarkSingleRun for a design that
+// never reads content: Simple on 519.lbm_r, the runner and the cache
+// hierarchy's share of the sim-baselines workload, including the LLC
+// writebacks' stores.
+func BenchmarkSingleRunBaselines(b *testing.B) {
+	cfg := benchConfig()
+	w, _ := trace.ByName("519.lbm_r")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := experiment.RunPairCtx(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: experiment.DesignSimple})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cycles == 0 {
+			b.Fatal("no cycles")
+		}
+	}
+}
+
 // BenchmarkSingleRunSteadyState isolates the post-construction hot path:
 // one runner is warmed outside the timer, then fixed windows are replayed
 // on the same Stepper. TestSingleRunAllocs gates the steady state's

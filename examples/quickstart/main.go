@@ -23,6 +23,8 @@ func main() {
 	// The store is the memory image. A nil filler means
 	// untouched memory reads as zeros; here we make every block hold its
 	// own block number in every word, which compresses extremely well.
+	// The second function makes lines written as versions, which only the
+	// simulator's runner writes; this example writes bytes.
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		for i := 0; i+8 <= len(dst); i += 8 {
 			v := uint64(b)
@@ -30,7 +32,7 @@ func main() {
 				dst[i+k] = byte(v >> (8 * k))
 			}
 		}
-	})
+	}, nil)
 
 	stats := sim.NewStats()
 	ctrl := core.New(cfg, store, stats)
@@ -48,12 +50,14 @@ func main() {
 		}
 	}
 
-	// Write one line and read it back. Access returns timing only; the
-	// line's content is read from the store, which holds every line.
+	// Write one line and read it back. The writer stores the line, then
+	// calls Access, which places and accounts it; Access returns timing
+	// only, and the line's content is read from the store.
 	addr := uint64(3 * 2048)
 	data := make([]byte, 64)
 	copy(data, []byte("hello, hybrid memory"))
-	ctrl.Access(now, addr, true, data)
+	store.WriteLine(addr, data)
+	ctrl.Access(now, addr, true, nil)
 	ctrl.Access(now+100, addr, false, nil)
 	fmt.Printf("read back: %q\n", store.Line(addr)[:20])
 

@@ -22,7 +22,7 @@ var testMix = datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 func testStore() *hybrid.Store {
 	return hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(testMix)(uint64(b), dst)
-	})
+	}, nil)
 }
 
 // testLine is the content testStore gives the unwritten line at addr.
@@ -35,7 +35,8 @@ func testLine(addr uint64) []byte {
 }
 
 // driveController exercises a controller with mixed traffic over store, a
-// testStore, and checks in the store that every write is visible when
+// testStore, writing each line to the store before its Access as the
+// runner does, and checks in the store that every write is visible when
 // Access returns and every read sees the last line written there, or
 // testStore's fill if none was.
 func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, accesses int, footprint uint64, seed uint64) {
@@ -50,7 +51,8 @@ func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, 
 			for j := range data {
 				data[j] = byte(rng.Uint64() >> 32)
 			}
-			ctrl.Access(now, addr, true, data)
+			store.WriteLine(addr, data)
+			ctrl.Access(now, addr, true, nil)
 			written[addr] = data
 			if got := store.Line(addr); !bytes.Equal(got, data) {
 				t.Fatalf("%s: write not visible at %x", ctrl.Name(), addr)
@@ -75,7 +77,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, 
 func TestSimpleBasics(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, nil, store, stats, tableI())
+	s := NewSimple(64, 4, nil, stats, tableI())
 	driveController(t, s, store, 20000, 1<<20, 7)
 	if stats.Get("simple.hits") == 0 || stats.Get("simple.misses") == 0 {
 		t.Fatalf("hits=%d misses=%d; want both nonzero",
@@ -86,84 +88,9 @@ func TestSimpleBasics(t *testing.T) {
 	}
 }
 
-// TestReadsLeaveStoreUntouched checks that designs which never inspect
-// content serve reads without materialising any store block: reads return
-// timing only.
-func TestReadsLeaveStoreUntouched(t *testing.T) {
-	for _, mk := range []func(*hybrid.Store) hybrid.Controller{
-		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, nil, st, sim.NewStats(), tableI()) },
-		func(st *hybrid.Store) hybrid.Controller {
-			return NewUnison(128, 4, nil, st, sim.NewStats(), 2, tableI())
-		},
-		func(st *hybrid.Store) hybrid.Controller { return NewOSPaging(1<<20, st, sim.NewStats(), tableI()) },
-	} {
-		// With nothing written, a block's first read runs the fill, so no
-		// fill means no block was read.
-		fills := 0
-		store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
-			fills++
-			datagen.Filler(testMix)(uint64(b), dst)
-		})
-		ctrl := mk(store)
-		rng := sim.NewRNG(13)
-		now := uint64(0)
-		for i := 0; i < 20000; i++ {
-			ctrl.Access(now, rng.Uint64n(4<<20)&^63, false, nil)
-			now += 40
-		}
-		if fills != 0 {
-			t.Errorf("%s: read-only stream read %d store blocks, want 0", ctrl.Name(), fills)
-		}
-	}
-}
-
-// TestWriteOnlyStoreNeverFills checks that designs which never inspect
-// content store written lines without running the store's fill: a block is
-// filled on its first read, and these designs never read one.
-func TestWriteOnlyStoreNeverFills(t *testing.T) {
-	for _, mk := range []func(*hybrid.Store) hybrid.Controller{
-		func(st *hybrid.Store) hybrid.Controller { return NewSimple(64, 4, nil, st, sim.NewStats(), tableI()) },
-		func(st *hybrid.Store) hybrid.Controller {
-			return NewUnison(128, 4, nil, st, sim.NewStats(), 2, tableI())
-		},
-		func(st *hybrid.Store) hybrid.Controller { return NewOSPaging(1<<20, st, sim.NewStats(), tableI()) },
-	} {
-		fills := 0
-		store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
-			fills++
-			datagen.Filler(testMix)(uint64(b), dst)
-		})
-		ctrl := mk(store)
-		rng := sim.NewRNG(17)
-		written := map[uint64][]byte{}
-		now := uint64(0)
-		for i := 0; i < 20000; i++ {
-			data := make([]byte, hybrid.CachelineSize)
-			for j := range data {
-				data[j] = byte(rng.Uint64() >> 32)
-			}
-			addr := rng.Uint64n(4<<20) &^ 63
-			ctrl.Access(now, addr, true, data)
-			written[addr] = data
-			now += 40
-		}
-		// Reading a written line back runs no fill, so this proves the
-		// writes reached the store without disturbing the count below.
-		for addr, want := range written {
-			if got := store.Line(addr); !bytes.Equal(got, want) {
-				t.Fatalf("%s: line %#x reads back %x, want %x", ctrl.Name(), addr, got, want)
-			}
-		}
-		if fills != 0 {
-			t.Errorf("%s: write-only stream ran the fill %d times, want 0", ctrl.Name(), fills)
-		}
-	}
-}
-
 func TestSimpleWholeBlockTraffic(t *testing.T) {
-	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, nil, store, stats, tableI())
+	s := NewSimple(64, 4, nil, stats, tableI())
 	s.Access(0, 0, false, nil)
 	// A single miss fills a whole 2 kB block from slow memory.
 	if got := stats.Get("NVM.bytesRead"); got < hybrid.BlockSize {
@@ -172,9 +99,8 @@ func TestSimpleWholeBlockTraffic(t *testing.T) {
 }
 
 func TestUnisonFootprintLearning(t *testing.T) {
-	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(16, 4, nil, store, stats, 1, tableI())
+	u := NewUnison(16, 4, nil, stats, 1, tableI())
 	// Touch two sub-blocks of block 0, then force an eviction by filling
 	// the set, then return: the footprint should be prefetched.
 	u.Access(0, 0, false, nil)
@@ -194,7 +120,7 @@ func TestUnisonFootprintLearning(t *testing.T) {
 func TestUnisonDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(128, 4, nil, store, stats, 2, tableI())
+	u := NewUnison(128, 4, nil, stats, 2, tableI())
 	driveController(t, u, store, 20000, 2<<20, 8)
 	if stats.Get("unison.blockMisses") == 0 || stats.Get("unison.subHits") == 0 {
 		t.Fatal("unison did not exercise hit and miss paths")
@@ -204,7 +130,7 @@ func TestUnisonDrive(t *testing.T) {
 func TestDICECompressionCapacity(t *testing.T) {
 	// An all-zero store compresses at CF 4: one slot holds 4 lines, so the
 	// second line of a group hits without a second miss.
-	store := hybrid.NewStore(nil)
+	store := hybrid.NewStore(nil, nil)
 	stats := sim.NewStats()
 	d := NewDICE(1<<16, store, stats, 5, tableI())
 	d.Access(0, 0, false, nil)
@@ -218,7 +144,7 @@ func TestDICECompressionCapacity(t *testing.T) {
 }
 
 func TestDICEPrefetchLines(t *testing.T) {
-	store := hybrid.NewStore(nil)
+	store := hybrid.NewStore(nil, nil)
 	stats := sim.NewStats()
 	d := NewDICE(1<<16, store, stats, 5, tableI())
 	d.Access(0, 0, false, nil)
@@ -257,7 +183,8 @@ func TestHybrid2Drive(t *testing.T) {
 		for j := range data {
 			data[j] = byte(rng.Uint64() >> 32)
 		}
-		h.Access(now, addr, true, data)
+		store.WriteLine(addr, data)
+		h.Access(now, addr, true, nil)
 		now += 40
 	}
 	if h.Name() != "Hybrid2" {
@@ -298,8 +225,8 @@ func TestBaryonCacheDrive(t *testing.T) {
 
 func TestControllersImplementInterface(t *testing.T) {
 	store := testStore()
-	var _ hybrid.Controller = NewSimple(16, 4, nil, store, sim.NewStats(), tableI())
-	var _ hybrid.Controller = NewUnison(16, 4, nil, store, sim.NewStats(), 1, tableI())
+	var _ hybrid.Controller = NewSimple(16, 4, nil, sim.NewStats(), tableI())
+	var _ hybrid.Controller = NewUnison(16, 4, nil, sim.NewStats(), 1, tableI())
 	var _ hybrid.Controller = NewDICE(1<<14, store, sim.NewStats(), 5, tableI())
 	cfg := config.Scaled()
 	cfg.FastBytes = 1 << 20
@@ -311,7 +238,7 @@ func TestControllersImplementInterface(t *testing.T) {
 func TestOSPagingDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, tableI())
+	o := NewOSPaging(1<<20, stats, tableI())
 	driveController(t, o, store, 120000, 2<<20, 12)
 	if stats.Get("ospaging.migrations") == 0 {
 		t.Fatal("no migrations across epochs")
@@ -322,9 +249,8 @@ func TestOSPagingDrive(t *testing.T) {
 }
 
 func TestOSPagingEpochMigratesHotPages(t *testing.T) {
-	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, tableI())
+	o := NewOSPaging(1<<20, stats, tableI())
 	// Hammer a small hot set across an epoch boundary; afterwards it must
 	// be fast-resident.
 	now := uint64(0)
@@ -343,9 +269,8 @@ func TestOSPagingCoarseGranularity(t *testing.T) {
 	// The structural point of the baseline: whole 4 kB pages move, so the
 	// migration traffic per epoch is page-sized even when only one line per
 	// page is hot.
-	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, tableI())
+	o := NewOSPaging(1<<20, stats, tableI())
 	now := uint64(0)
 	for i := 0; i < int(osEpochLen)+1; i++ {
 		addr := uint64(i%64) * osPageSize // one line per page

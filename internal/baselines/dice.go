@@ -109,10 +109,6 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 	meta, slot, run, slotAddr := d.slotFor(lineIdx, cf)
 	within := uint8(lineIdx % uint64(cf))
 
-	if write {
-		d.store.WriteLine(addr, data)
-	}
-
 	if meta.Valid && meta.Key == run && slot.cf == cf && slot.present&(1<<within) != 0 {
 		d.hits.Inc()
 		if write {

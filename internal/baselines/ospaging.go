@@ -15,8 +15,7 @@ import (
 // software-paced adaptation with per-migration overheads (page copy plus
 // TLB shootdown and kernel work).
 type OSPaging struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
+	eng *hybrid.Engine
 
 	fastPages int // capacity of the fast tier in 4 kB pages
 
@@ -50,10 +49,9 @@ const (
 
 // NewOSPaging builds the OS-managed baseline with fastBytes of fast memory.
 // tiers is the device topology (tier 0 = fast).
-func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *OSPaging {
+func NewOSPaging(fastBytes uint64, stats *sim.Stats, tiers []hybrid.TierSpec) *OSPaging {
 	o := &OSPaging{
 		eng:        hybrid.NewEngineTiers(tiers, stats),
-		store:      store,
 		fastPages:  int(fastBytes / osPageSize),
 		inFast:     make(map[uint64]bool),
 		hotness:    make(map[uint64]uint32),
@@ -81,10 +79,6 @@ func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	page := addr / osPageSize
 	o.accesses++
 	o.hotness[page]++
-
-	if write {
-		o.store.WriteLine(addr, data)
-	}
 
 	issue := now
 	if o.stallUntil > issue {

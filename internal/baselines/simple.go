@@ -7,9 +7,10 @@
 // commit policy, modelled as the paper frames it: Baryon's machinery with
 // compression disabled and k = 0).
 //
-// The baseline controllers have no data-layout transformations, so they use
-// the canonical store directly as their data plane and track presence and
-// dirtiness for timing and traffic only. All of them are built on the
+// The baseline controllers have no data-layout transformations: content
+// stays in the canonical store, which the writer updates before Access, and
+// they track presence and dirtiness for timing and traffic only. Only DICE
+// reads content, for its CF check. All of them are built on the
 // shared controller kit of package hybrid: the set-associative directory
 // (hybrid.Dir), the replacement policies (hybrid.Replacer) and the
 // migration/writeback engine with its instrumentation middleware
@@ -24,8 +25,7 @@ import (
 // Simple is the paper's Simple DRAM cache baseline: 2 kB blocks, 4-way
 // set-associative, LRU, whole-block fills and writebacks.
 type Simple struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
+	eng *hybrid.Engine
 
 	dir   *hybrid.Dir[simpleWay]
 	rep   hybrid.Replacer
@@ -46,15 +46,15 @@ type simpleWay struct {
 // NewSimple builds the Simple baseline with fastBlocks block frames at the
 // given associativity, replacing victims by rep (nil = LRU). tiers is the
 // device topology (tier 0 = fast).
-func NewSimple(fastBlocks uint64, assoc int, rep hybrid.Replacer, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
+func NewSimple(fastBlocks uint64, assoc int, rep hybrid.Replacer, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
 	if rep == nil {
 		rep = hybrid.LRU{}
 	}
 	s := &Simple{
-		store: store, assoc: assoc,
-		eng: hybrid.NewEngineTiers(tiers, stats),
-		dir: hybrid.NewDir[simpleWay](fastBlocks, assoc),
-		rep: rep,
+		assoc: assoc,
+		eng:   hybrid.NewEngineTiers(tiers, stats),
+		dir:   hybrid.NewDir[simpleWay](fastBlocks, assoc),
+		rep:   rep,
 		// Remap metadata lookup (on-chip remap cache path).
 		metaLatency: 3,
 	}
@@ -80,10 +80,6 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	s.accesses.Inc()
 	block := addr / hybrid.BlockSize
 	si := s.dir.SetIndex(block)
-
-	if write {
-		s.store.WriteLine(addr, data)
-	}
 
 	if w := s.dir.Lookup(si, block); w >= 0 {
 		meta, way := s.dir.Way(si, w)

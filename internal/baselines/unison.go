@@ -18,9 +18,8 @@ import (
 //     and data together when the way predictor is right, and an extra access
 //     when it is wrong.
 type Unison struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
-	rng   *sim.RNG
+	eng *hybrid.Engine
+	rng *sim.RNG
 
 	dir   *hybrid.Dir[unisonWay]
 	rep   hybrid.Replacer
@@ -58,12 +57,12 @@ const unisonSub = 64
 
 // NewUnison builds the Unison baseline, replacing victims by rep (nil =
 // LRU). tiers is the device topology (tier 0 = fast).
-func NewUnison(fastBlocks uint64, assoc int, rep hybrid.Replacer, store *hybrid.Store, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
+func NewUnison(fastBlocks uint64, assoc int, rep hybrid.Replacer, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
 	if rep == nil {
 		rep = hybrid.LRU{}
 	}
 	u := &Unison{
-		store: store, assoc: assoc,
+		assoc:   assoc,
 		eng:     hybrid.NewEngineTiers(tiers, stats),
 		dir:     hybrid.NewDir[unisonWay](fastBlocks, assoc),
 		rep:     rep,
@@ -101,10 +100,6 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	sub := uint(addr % hybrid.BlockSize / unisonSub)
 	si := u.dir.SetIndex(block)
 	setIdx := uint64(si)
-
-	if write {
-		u.store.WriteLine(addr, data)
-	}
 
 	if w := u.dir.Lookup(si, block); w >= 0 {
 		meta, way := u.dir.Way(si, w)

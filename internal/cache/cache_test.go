@@ -79,10 +79,17 @@ func TestDirtyLines(t *testing.T) {
 type stubCtrl struct {
 	reads  []uint64
 	writes []uint64
+	// stored is the last line the hierarchy's StoreLine hook stored;
+	// unstored counts writebacks that reached Access without it.
+	stored   uint64
+	unstored int
 }
 
 func (s *stubCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
 	if write {
+		if s.stored != addr {
+			s.unstored++
+		}
 		s.writes = append(s.writes, addr)
 		return hybrid.Result{Done: now}
 	}
@@ -107,7 +114,7 @@ func newTestHierarchy(t *testing.T) (*Hierarchy, *stubCtrl, *sim.Stats) {
 		InstallPrefetched: true,
 	}
 	h := NewHierarchy(cfg, ctrl, stats)
-	h.LineData = func(addr uint64) []byte { return make([]byte, 64) }
+	h.StoreLine = func(addr uint64) { ctrl.stored = addr }
 	return h, ctrl, stats
 }
 
@@ -167,6 +174,9 @@ func TestHierarchyDirtyEviction(t *testing.T) {
 	}
 	if len(ctrl.writes) == 0 {
 		t.Fatal("dirty line never written back")
+	}
+	if ctrl.unstored != 0 {
+		t.Fatalf("%d writebacks reached the controller before their line was stored", ctrl.unstored)
 	}
 }
 

@@ -52,8 +52,8 @@ func CheckCores(n int) error {
 }
 
 // Hierarchy drives per-core L1/L2 and a shared LLC in front of one memory
-// controller. LineData supplies the current functional content of a line for
-// dirty writebacks (owned by the run harness).
+// controller. StoreLine stores a dirty line's current content before its
+// writeback reaches the controller (owned by the run harness).
 type Hierarchy struct {
 	cfg  HierarchyConfig
 	l1   []*Cache
@@ -67,8 +67,9 @@ type Hierarchy struct {
 	// so back-invalidation probes only the cores it names.
 	sharers []uint64
 
-	// LineData returns the 64 B functional content of a line for writebacks.
-	LineData func(addr uint64) []byte
+	// StoreLine, when set, stores the functional content of the line at
+	// addr in the controller's store; a writeback calls it before Access.
+	StoreLine func(addr uint64)
 
 	llcMisses, llcWritebacks, prefetchInstalls *sim.Counter
 	demandLines, servedFast, servedSlow        *sim.Counter
@@ -288,11 +289,10 @@ func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) int {
 
 func (h *Hierarchy) writeback(addr uint64, now uint64) {
 	h.llcWritebacks.Inc()
-	var data []byte
-	if h.LineData != nil {
-		data = h.LineData(addr)
+	if h.StoreLine != nil {
+		h.StoreLine(addr)
 	}
-	h.ctrl.Access(now, addr, true, data)
+	h.ctrl.Access(now, addr, true, nil)
 }
 
 // Flush writes every dirty line in the hierarchy back to the memory

@@ -24,7 +24,7 @@ func newStubHierarchy(cfg HierarchyConfig) (*Hierarchy, *stubCtrl) {
 	stats := sim.NewStats()
 	ctrl := &stubCtrl{}
 	h := NewHierarchy(cfg, ctrl, stats)
-	h.LineData = func(addr uint64) []byte { return make([]byte, 64) }
+	h.StoreLine = func(addr uint64) { ctrl.stored = addr }
 	return h, ctrl
 }
 
@@ -72,6 +72,9 @@ func TestHierarchyInclusionRandomStream(t *testing.T) {
 			h.Flush(1 << 20)
 			if err := h.CheckInclusion(); err != nil {
 				t.Fatalf("after flush: %v", err)
+			}
+			if ctrl.unstored != 0 {
+				t.Fatalf("%d writebacks reached the controller before their line was stored", ctrl.unstored)
 			}
 		})
 	}

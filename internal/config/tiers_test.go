@@ -91,6 +91,9 @@ func TestValidateRejections(t *testing.T) {
 		}, "unknown cxl compression"},
 		{"no cores", func(c *Config) { c.Cores = 0 }, "want 1..64"},
 		{"too many cores", func(c *Config) { c.Cores = 65 }, "want 1..64"},
+		{"flat super-blocks below assoc", func(c *Config) {
+			c.Mode, c.SuperBlockBlocks = ModeFlat, 2
+		}, "superBlockBlocks >= assoc"},
 	}
 	for _, tc := range cases {
 		cfg := Scaled()
@@ -105,6 +108,18 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := Ptr(Scaled()).Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+	// Small super-blocks stay valid in cache mode (Fig. 13(b)) and in
+	// fully associative flat mode (Baryon-FA), which has one set.
+	for _, fa := range []bool{false, true} {
+		cfg := Scaled()
+		cfg.SuperBlockBlocks, cfg.FullyAssociative = 1, fa
+		if fa {
+			cfg.Mode = ModeFlat
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("super-blocks of one block rejected (mode %v, fully associative %v): %v", cfg.Mode, fa, err)
+		}
 	}
 	// The unknown-preset message must name the registry so the fix is
 	// discoverable from the error alone.

@@ -6,10 +6,10 @@ import (
 	"baryon/internal/sim"
 )
 
-// Access implements the Baryon access flow of Fig. 6. addr is line-aligned;
-// for writes, data carries the new 64 B content (writes are LLC writebacks
-// and are posted — they return immediately while their traffic is accounted
-// in the background).
+// Access implements the Baryon access flow of Fig. 6. addr is line-aligned.
+// Writes are LLC writebacks whose content is already in the store (data is
+// unused); they are posted — they return immediately while their traffic is
+// accounted in the background.
 func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
 	c.seq++
 	c.ctr.accesses.Inc()
@@ -34,7 +34,7 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 	sw, slot := c.stageFind(ssi, super, blkOff, s)
 	if sw >= 0 {
 		c.eng.Decision(now, "stageHit")
-		return c.caseStageHit(now, stageT, ssi, sw, slot, b, s, line, write, data)
+		return c.caseStageHit(now, stageT, ssi, sw, slot, b, s, line, write)
 	}
 
 	// Remap path (needed because the stage tag array missed the sub-block).
@@ -44,22 +44,22 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 	switch {
 	case ri.z:
 		c.eng.Decision(now, "zeroBlock")
-		return c.caseZeroBlock(now, rmT, b, s, line, write, data)
+		return c.caseZeroBlock(now, rmT, b, s, write)
 	case ri.remap&(1<<s) != 0:
 		c.eng.Decision(now, "fastHit")
-		return c.caseFastHit(now, rmT, ri, b, s, line, write, data)
+		return c.caseFastHit(now, rmT, ri, b, s, line, write)
 	case ri.valid():
 		c.eng.Decision(now, "fastSubMiss")
-		return c.caseFastSubMiss(now, rmT, b, s, line, write, data)
+		return c.caseFastSubMiss(now, rmT, b, s, line, write)
 	}
 
 	// The block is not committed; is it staged (some other sub-block)?
 	if bw := c.stageFindBlock(ssi, super, blkOff); bw >= 0 {
 		c.eng.Decision(now, "stageSubMiss")
-		return c.caseStageSubMiss(now, stageT, ssi, bw, b, s, line, write, data)
+		return c.caseStageSubMiss(now, stageT, ssi, bw, b, s, line, write)
 	}
 	c.eng.Decision(now, "blockMiss")
-	return c.caseBlockMiss(now, max(stageT, rmT), ssi, b, s, line, write, data)
+	return c.caseBlockMiss(now, max(stageT, rmT), ssi, b, s, line, write)
 }
 
 // remapLookup models the remap cache probe and, on a miss, the off-chip
@@ -88,7 +88,7 @@ func (c *Controller) metaUpdate(now uint64, super hybrid.SuperBlockID) {
 
 // --- Case 1: block in stage area, sub-block hit ------------------------
 
-func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint64, s, line int, write bool) hybrid.Result {
 	sm, fr := c.stageDir.Way(ssi, sw)
 	sm.LastUse = c.seq
 	c.stageState[ssi].mruWay = sw
@@ -106,7 +106,6 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 		}
 		// Writing non-zero data to an all-zero block: drop the zero
 		// descriptor and restage the written sub-block with real content.
-		c.store.WriteLine(c.lineAddr(b, s, line), data)
 		fr.tag.Slots[slot] = metadata.Range{}
 		c.stageInsertRange(now, ssi, sw, b, s, true)
 		return hybrid.Result{Done: now}
@@ -118,9 +117,9 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 		return c.fastServe(now, stageT, c.stageFrameAddr(ssi, sw, slot), c.ctr.latStageHit, b, s, line, start, cf)
 	}
 
-	// Write hit in the stage area: update content, recompress; a CF change
-	// removes and reinserts the range as if newly fetched (Section III-D).
-	c.store.WriteLine(c.lineAddr(b, s, line), data)
+	// Write hit in the stage area: recompress the updated content; a CF
+	// change removes and reinserts the range as if newly fetched (Section
+	// III-D).
 	if c.rangeFits(c.rangeView(b, start, cf), cf) {
 		fr.tag.Slots[slot].Dirty = true
 		c.eng.FillFast(now, c.stageFrameAddr(ssi, sw, slot), 64)
@@ -160,7 +159,7 @@ func (c *Controller) restageOverflowedRange(now uint64, ssi, sw, slot int, b uin
 
 // --- Z-block service ----------------------------------------------------
 
-func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s int, write bool) hybrid.Result {
 	if !write {
 		c.ctr.servedZero.Inc()
 		c.ctr.servedFast.Inc()
@@ -174,7 +173,6 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write
 	ri.z = false
 	ri.way = -1
 	c.metaUpdate(now, c.superOf(b))
-	c.store.WriteLine(c.lineAddr(b, s, line), data)
 	c.clearHints(b, s, 1)
 	c.eng.WriteSlowBG(now, c.slowAddr(b, s), 64)
 	return hybrid.Result{Done: now}
@@ -182,7 +180,7 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write
 
 // --- Case 2: block committed, sub-block hit -----------------------------
 
-func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, line int, write bool) hybrid.Result {
 	super := c.superOf(b)
 	si := c.setIdx(super)
 	m, fr := c.fastDir.Way(si, int(ri.way))
@@ -202,7 +200,6 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
 	// evicts the whole block to slow memory.
 	// Known defect (ROADMAP, "lost write"): a clean range's overflow never charges this write.
-	c.store.WriteLine(c.lineAddr(b, s, line), data)
 	if c.rangeFits(c.rangeView(b, start, cf), cf) {
 		rg.dirty = true
 		c.eng.FillFast(now, c.frameAddr(si, int(ri.way), idx), 64)
@@ -215,9 +212,9 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 
 // --- Case 4: block committed, sub-block miss -> bypass to slow ----------
 
-func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, write bool) hybrid.Result {
 	c.ctr.fastSubMiss.Inc()
-	res := c.slowDemand(now, rmT, b, s, line, write, data)
+	res := c.slowDemand(now, rmT, b, s, line, write)
 	if write {
 		c.eng.WriteSlowBG(now, c.slowAddr(b, s)+uint64(line)*64, 64)
 	}
@@ -232,7 +229,7 @@ func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, wri
 
 // --- Case 3: block staged, sub-block miss -------------------------------
 
-func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64, s, line int, write bool) hybrid.Result {
 	fr := c.stageDir.Payload(ssi, sw)
 	fr.tag.MissCnt = satAdd16(fr.tag.MissCnt, 1)
 	st := &c.stageState[ssi]
@@ -242,7 +239,7 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 	c.ctr.stageSubMiss.Inc()
 	c.recordStageEvent(fr, true)
 
-	res := c.slowDemand(now, stageT, b, s, line, write, data)
+	res := c.slowDemand(now, stageT, b, s, line, write)
 	// Background: stage the maximal compressible range around s (Rule 3
 	// pins it to the same physical block as the block's other ranges).
 	c.stageInsertRange(now, ssi, sw, b, s, write)
@@ -251,10 +248,10 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 
 // --- Case 5: block miss everywhere --------------------------------------
 
-func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line int, write bool) hybrid.Result {
 	c.stageState[ssi].mruMissCnt++
 	c.ctr.blockMiss.Inc()
-	res := c.slowDemand(now, metaT, b, s, line, write, data)
+	res := c.slowDemand(now, metaT, b, s, line, write)
 	if !c.cfg.UseStageArea {
 		c.directInsert(now, b, s, write)
 		return res
@@ -293,12 +290,11 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 }
 
 // slowDemand serves a demand access whose sub-block neither area holds
-// (cases 3, 4 and 5): a write lands in the store, where the caller stages
-// or bypasses it; a read is served by slow memory once the metadata is
-// known at t.
-func (c *Controller) slowDemand(now, t uint64, b uint64, s, line int, write bool, data []byte) hybrid.Result {
+// (cases 3, 4 and 5): a write, already in the store, is staged or bypassed
+// by the caller; a read is served by slow memory once the metadata is known
+// at t.
+func (c *Controller) slowDemand(now, t uint64, b uint64, s, line int, write bool) hybrid.Result {
 	if write {
-		c.store.WriteLine(c.lineAddr(b, s, line), data)
 		c.clearHints(b, s, 1)
 		return hybrid.Result{Done: now}
 	}

@@ -18,7 +18,7 @@ func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64)
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	})
+	}, nil)
 	c := New(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(seed)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
@@ -31,7 +31,8 @@ func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64)
 			for j := range data {
 				data[j] = byte(rng.Uint64() >> 32)
 			}
-			c.Access(now, addr, true, data)
+			store.WriteLine(addr, data)
+			c.Access(now, addr, true, nil)
 		} else {
 			c.Access(now, addr, false, nil)
 		}
@@ -153,8 +154,8 @@ func TestCommitAllNeverEvicts(t *testing.T) {
 // must still return the new data (Rule 4 consequence, Section III-D).
 func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 	cfg := testConfig()
-	store := hybrid.NewStore(nil) // all-zero: maximally compressible
-	cfg.ZeroBlockOpt = false      // force real CF-4 ranges, not Z entries
+	store := hybrid.NewStore(nil, nil) // all-zero: maximally compressible
+	cfg.ZeroBlockOpt = false           // force real CF-4 ranges, not Z entries
 	c := New(cfg, store, sim.NewStats())
 
 	// Touch a block until staged and committed: read it, then storm other
@@ -184,7 +185,8 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 		data[j] = byte(rng.Uint64() >> 32)
 	}
 	now += 100
-	c.Access(now, target, true, data)
+	store.WriteLine(target, data)
+	c.Access(now, target, true, nil)
 
 	if got := c.stats.Get("baryon.fast.writeOverflows"); got != before+1 {
 		t.Fatalf("write overflows %d, want %d", got, before+1)
@@ -244,7 +246,7 @@ func TestStageBreakdownImproves(t *testing.T) {
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	})
+	}, nil)
 	c := New(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(82)
 	hotBlocks := cfg.OSBlocks() / 16
@@ -289,7 +291,7 @@ func TestTwoLevelReplacementUsesMultipleFrames(t *testing.T) {
 func TestFlatModeInitialResidency(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = config.ModeFlat
-	store := hybrid.NewStore(nil)
+	store := hybrid.NewStore(nil, nil)
 	c := New(cfg, store, sim.NewStats())
 	// Every flat-area frame starts holding its native block, fully present.
 	res := c.Access(0, 0, false, nil) // OS block 0 is fast-native
@@ -298,6 +300,29 @@ func TestFlatModeInitialResidency(t *testing.T) {
 	}
 	if msg := c.CheckInvariants(); msg != "" {
 		t.Fatalf("initial flat state invalid: %s", msg)
+	}
+}
+
+// TestFlatGeometriesValidOrRejected checks that every flat geometry
+// config.Validate accepts builds a structurally valid controller: with
+// fewer blocks per super-block than ways, neighbouring sets would home the
+// same blocks, so Validate must reject that geometry.
+func TestFlatGeometriesValidOrRejected(t *testing.T) {
+	for _, fa := range []bool{false, true} {
+		for _, sb := range []int{1, 2, 4, 8} {
+			for _, assoc := range []int{1, 2, 4, 8} {
+				cfg := testConfig()
+				cfg.Mode = config.ModeFlat
+				cfg.FullyAssociative = fa
+				cfg.SuperBlockBlocks, cfg.Assoc = sb, assoc
+				if cfg.Validate() != nil {
+					continue
+				}
+				if msg := New(cfg, hybrid.NewStore(nil, nil), sim.NewStats()).CheckInvariants(); msg != "" {
+					t.Errorf("fully associative %v, super-blocks of %d, %d ways: accepted, but invalid after New: %s", fa, sb, assoc, msg)
+				}
+			}
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ func BenchmarkAccess(b *testing.B) {
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(blk hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(blk), dst)
-	})
+	}, nil)
 	c := New(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(1)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
@@ -27,7 +27,8 @@ func BenchmarkAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		addr := rng.Uint64n(footprint) &^ 63
 		if i%4 == 0 {
-			c.Access(now, addr, true, data)
+			store.WriteLine(addr, data)
+			c.Access(now, addr, true, nil)
 		} else {
 			c.Access(now, addr, false, nil)
 		}
@@ -38,7 +39,7 @@ func BenchmarkAccess(b *testing.B) {
 // BenchmarkAccessHot measures the fast-path (hit-dominated) throughput.
 func BenchmarkAccessHot(b *testing.B) {
 	cfg := testConfig()
-	store := hybrid.NewStore(nil)
+	store := hybrid.NewStore(nil, nil)
 	cfg.ZeroBlockOpt = false
 	c := New(cfg, store, sim.NewStats())
 	// Warm a small hot set.

@@ -46,7 +46,6 @@ type stageFrame struct {
 
 	// Instrumentation for Figs. 3 and 4.
 	events    []bool // per-access miss record during this stage phase
-	accesses  uint32
 	instStart uint64 // instruction clock at allocation (for MPKI)
 }
 
@@ -302,11 +301,6 @@ func (c *Controller) stageSetIdx(super hybrid.SuperBlockID) int {
 }
 func (c *Controller) blockID(super hybrid.SuperBlockID, blkOff uint8) uint64 {
 	return uint64(super)*c.geom.superBlocks + uint64(blkOff)
-}
-
-// lineAddr is the store address of line `line` of sub-block s of block b.
-func (c *Controller) lineAddr(b uint64, s, line int) uint64 {
-	return b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*hybrid.CachelineSize
 }
 
 // slowAddr maps block b to a slow-device address for timing purposes.

@@ -56,7 +56,7 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	})
+	}, nil)
 	stats := sim.NewStats()
 	c := New(cfg, store, stats)
 	ref := newRef(mix)
@@ -83,7 +83,8 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 				data[0] = byte(rng.Uint64() >> 32)
 			}
 			ref.write(addr, data)
-			c.Access(now, addr, true, data)
+			store.WriteLine(addr, data)
+			c.Access(now, addr, true, nil)
 		} else {
 			res := c.Access(now, addr, false, nil)
 			if got := c.store.Line(addr); !bytes.Equal(got, ref.line(addr)) {
@@ -222,7 +223,7 @@ func TestIntegrityNoCompressedWriteback(t *testing.T) {
 func TestZeroBlockService(t *testing.T) {
 	// An all-zero store: reads must be served as zeros and the Z path used.
 	cfg := testConfig()
-	store := hybrid.NewStore(nil) // zero fill
+	store := hybrid.NewStore(nil, nil) // zero fill
 	stats := sim.NewStats()
 	c := New(cfg, store, stats)
 	now := uint64(0)
@@ -281,7 +282,7 @@ func TestNameVariants(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig()
 		tc.mut(&cfg)
-		c := New(cfg, hybrid.NewStore(nil), sim.NewStats())
+		c := New(cfg, hybrid.NewStore(nil, nil), sim.NewStats())
 		if got := c.Name(); got != tc.want {
 			t.Errorf("Name()=%q, want %q", got, tc.want)
 		}
@@ -307,7 +308,7 @@ func TestTableIBudgets(t *testing.T) {
 }
 
 func ExampleController_Name() {
-	c := New(testConfig(), hybrid.NewStore(nil), sim.NewStats())
+	c := New(testConfig(), hybrid.NewStore(nil, nil), sim.NewStats())
 	fmt.Println(c.Name())
 	// Output: Baryon
 }

@@ -86,7 +86,6 @@ const maxStageEvents = 4096
 
 // recordStageEvent logs one access to a staged block for Fig. 4 sampling.
 func (c *Controller) recordStageEvent(fr *stageFrame, miss bool) {
-	fr.accesses++
 	if c.stagePhase == nil {
 		return
 	}

@@ -258,7 +258,6 @@ func (c *Controller) claimStageFrame(now uint64, ssi, w int, super hybrid.SuperB
 	fr.tag = metadata.StageTag{Valid: true, Super: super}
 	*m = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
 	fr.events = fr.events[:0]
-	fr.accesses = 0
 	fr.instStart = c.instructionsSeen
 	return fr
 }

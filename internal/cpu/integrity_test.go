@@ -8,6 +8,7 @@ import (
 	"baryon/internal/baselines"
 	"baryon/internal/config"
 	"baryon/internal/core"
+	"baryon/internal/datagen"
 	"baryon/internal/hybrid"
 	"baryon/internal/sim"
 	"baryon/internal/trace"
@@ -19,7 +20,9 @@ import (
 // the functional image for every line the run wrote — the strongest
 // whole-system correctness check: every
 // migration, compression, commit, swap and writeback in between must have
-// preserved the bytes.
+// preserved the bytes. Each expected line is generated with
+// datagen.FillLine at the version of its last write, apart from the
+// store's own way of making a written line.
 func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactory, wname string) {
 	t.Helper()
 	w, ok := trace.ByName(wname)
@@ -38,14 +41,21 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 		t.Fatalf("%s/%s: %v", r.ctrl.Name(), wname, err)
 	}
 	r.hier.Flush(res.Cycles)
+	want := make([]byte, hybrid.CachelineSize)
 	checked := 0
-	for addr := range r.world.dirty {
-		want := r.world.lineData(addr)
-		if got := r.store.Line(addr); !bytes.Equal(got, want) {
-			t.Fatalf("%s/%s: line %#x diverged after flush\n got %x\nwant %x",
-				r.ctrl.Name(), wname, addr, got, want)
+	for b, rec := range r.world.index {
+		for line, v := range rec {
+			if v == 0 {
+				continue // never written by a core
+			}
+			addr := b*hybrid.BlockSize + uint64(line)*hybrid.CachelineSize
+			datagen.FillLine(want, b, line/hybrid.LinesPerSub, line%hybrid.LinesPerSub, v, w.Mix.ClassFor(b))
+			if got := r.store.Line(addr); !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s: line %#x diverged after flush\n got %x\nwant %x",
+					r.ctrl.Name(), wname, addr, got, want)
+			}
+			checked++
 		}
-		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no written lines to check")
@@ -101,10 +111,10 @@ func TestEndToEndIntegrityBaselines(t *testing.T) {
 	}
 	factories := map[string]ControllerFactory{
 		"simple": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, nil, store, stats, tiers)
+			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, nil, stats, tiers)
 		},
 		"unison": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, nil, store, stats, cfg.Seed, tiers)
+			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, nil, stats, cfg.Seed, tiers)
 		},
 		"dice": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)
@@ -113,7 +123,7 @@ func TestEndToEndIntegrityBaselines(t *testing.T) {
 			return baselines.NewHybrid2(cfg, store, stats)
 		},
 		"ospaging": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewOSPaging(cfg.FastBytes, store, stats, tiers)
+			return baselines.NewOSPaging(cfg.FastBytes, stats, tiers)
 		},
 	}
 	for name, f := range factories {
@@ -125,24 +135,43 @@ func TestEndToEndIntegrityBaselines(t *testing.T) {
 
 // TestWorldWriteVersioning verifies the functional image: repeated writes to
 // a line change its value, a write to a neighbouring line of the same
-// sub-block leaves it as it was, and lineData always returns the latest.
+// sub-block leaves it as it was and takes the sub-block's next version, and
+// storeLine stores the latest write.
 func TestWorldWriteVersioning(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
-	store := hybrid.NewStore(nil)
-	wd := newWorld(w.Mix, store)
-	addr := uint64(4096)
+	store := newStore(w.Mix)
+	wd := newWorld(store)
+	stored := func(addr uint64) []byte {
+		wd.storeLine(addr)
+		return append([]byte(nil), store.Line(addr)...)
+	}
+	fillLine := func(line int, v uint32) []byte {
+		dst := make([]byte, hybrid.CachelineSize)
+		datagen.FillLine(dst, 2, 0, line, v, w.Mix.ClassFor(2))
+		return dst
+	}
+	addr := uint64(4096) // block 2, sub-block 0, line 0
 	wd.writeValue(addr)
-	v1 := append([]byte(nil), wd.lineData(addr)...)
+	v1 := stored(addr)
 	wd.writeValue(addr)
-	v2 := append([]byte(nil), wd.lineData(addr)...)
+	v2 := stored(addr)
 	if bytes.Equal(v1, v2) {
 		t.Fatal("two writes produced identical values")
 	}
+	if !bytes.Equal(v2, fillLine(0, 2)) {
+		t.Fatal("second write is not the sub-block's version 2")
+	}
 	wd.writeValue(addr + 64)
-	if !bytes.Equal(wd.lineData(addr), v2) {
-		t.Fatal("lineData not the latest write")
+	if !bytes.Equal(stored(addr), v2) {
+		t.Fatal("a neighbour's write changed the line")
 	}
-	if !bytes.Equal(wd.lineData(addr+128), store.Line(addr+128)) {
-		t.Fatal("clean line not served from store")
+	if !bytes.Equal(stored(addr+64), fillLine(1, 3)) {
+		t.Fatal("the neighbour's write is not the sub-block's version 3")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("storing a line no core wrote did not panic")
+		}
+	}()
+	wd.storeLine(1 << 20)
 }

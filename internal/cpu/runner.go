@@ -119,57 +119,68 @@ type Result struct {
 	MeasureStart sim.Snapshot
 }
 
-// world tracks the functional value of dirty lines (written by cores but not
-// necessarily propagated to the memory controller yet) with per-sub-block
-// version counters, so compressibility evolves as the paper's write-overflow
-// analysis requires. A written line's value is datagen.FillLine at its
-// sub-block's version when the line was last written, so the world keeps
-// versions and makes a line's bytes only when it is written back.
+// world tracks the functional value of lines written by cores but not
+// necessarily written back to the memory controller yet. A written line's
+// value is datagen.FillLine at its sub-block's version when the line was
+// last written, so compressibility evolves as the paper's write-overflow
+// analysis requires. The world keeps only versions: a writeback stores the
+// line's version in the store, which makes the bytes when they are read.
 type world struct {
-	mix      datagen.Mix
-	store    *hybrid.Store
-	versions map[uint64]uint32 // addr/SubBlockSize -> sub-block version
-	dirty    map[uint64]uint32 // lineAddr -> version at its last write
-	line     [hybrid.CachelineSize]byte
+	store *hybrid.Store
+	// index maps a written block to its record. Records are carved from
+	// slabs of worldSlabBlocks, never freed, so a new block rarely
+	// allocates.
+	index    map[uint64]*worldBlock
+	slab     *[worldSlabBlocks]worldBlock
+	slabUsed int
 }
 
-// worldSizeHint pre-sizes the world maps: runs touch thousands of distinct
-// lines, so starting at a few thousand buckets avoids the incremental map
-// growth (and rehashing) of the first accesses without over-reserving for
-// tiny test configurations.
+// worldBlock holds, per line of a block, the sub-block version of the
+// line's last write (0 for a line never written). Versions only grow, so
+// a sub-block's version is the largest of its lines'.
+type worldBlock [hybrid.BlockSize / hybrid.CachelineSize]uint32
+
+// worldSlabBlocks is the number of records in one slab: 64 kB.
+const worldSlabBlocks = 512
+
+// worldSizeHint pre-sizes the world's index: runs write thousands of
+// distinct blocks, so starting at a few thousand entries avoids the
+// incremental map growth (and rehashing) of the first accesses without
+// over-reserving for tiny test configurations.
 const worldSizeHint = 4096
 
-func newWorld(mix datagen.Mix, store *hybrid.Store) *world {
-	return &world{
-		mix:      mix,
-		store:    store,
-		versions: make(map[uint64]uint32, worldSizeHint),
-		dirty:    make(map[uint64]uint32, worldSizeHint),
-	}
+func newWorld(store *hybrid.Store) *world {
+	return &world{store: store, index: make(map[uint64]*worldBlock, worldSizeHint)}
 }
 
 // writeValue records a core's write to the line at addr: it bumps the
 // sub-block's version, which is the line's new value.
 func (w *world) writeValue(addr uint64) {
-	key := addr / hybrid.SubBlockSize
-	v := w.versions[key] + 1
-	w.versions[key] = v
-	w.dirty[addr] = v
+	b := addr / hybrid.BlockSize
+	rec, ok := w.index[b]
+	if !ok {
+		if w.slab == nil || w.slabUsed == worldSlabBlocks {
+			w.slab = new([worldSlabBlocks]worldBlock)
+			w.slabUsed = 0
+		}
+		rec = &w.slab[w.slabUsed]
+		w.slabUsed++
+		w.index[b] = rec
+	}
+	line := addr % hybrid.BlockSize / hybrid.CachelineSize
+	sub := rec[line&^(hybrid.LinesPerSub-1):][:hybrid.LinesPerSub]
+	rec[line] = max(sub[0], sub[1], sub[2], sub[3]) + 1
 }
 
-// lineData returns the latest functional value of a line (for writebacks).
-// A written line's bytes land in the world's one line buffer, rewritten by
-// the next call; callers must copy if they need the value to outlive that.
-func (w *world) lineData(addr uint64) []byte {
-	v, ok := w.dirty[addr]
+// storeLine stores the latest functional value of the line at addr as its
+// version, ahead of the line's writeback. Only lines a core wrote are
+// written back.
+func (w *world) storeLine(addr uint64) {
+	rec, ok := w.index[addr/hybrid.BlockSize]
 	if !ok {
-		return w.store.Line(addr)
+		panic("cpu: writeback of a line no core wrote")
 	}
-	block := addr / hybrid.BlockSize
-	sub := int(addr % hybrid.BlockSize / hybrid.SubBlockSize)
-	line := int(addr % hybrid.SubBlockSize / hybrid.CachelineSize)
-	datagen.FillLine(w.line[:], block, sub, line, v, w.mix.ClassFor(block))
-	return w.line[:]
+	w.store.WriteVersion(addr, rec[addr%hybrid.BlockSize/hybrid.CachelineSize])
 }
 
 // coreClock is one ready core in the scheduling heap.
@@ -265,23 +276,32 @@ type Runner struct {
 // ControllerFactory builds a controller over a canonical store.
 type ControllerFactory func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller
 
+// newStore makes the memory image of a value mix: blocks start as
+// datagen's fill, and a line written at version v holds datagen.FillLine's
+// content at v.
+func newStore(mix datagen.Mix) *hybrid.Store {
+	fill := datagen.Filler(mix)
+	return hybrid.NewStore(
+		func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) { fill(uint64(b), dst) },
+		func(b hybrid.BlockID, line int, v uint32, dst *[hybrid.CachelineSize]byte) {
+			datagen.FillLine(dst[:], uint64(b), line/hybrid.LinesPerSub, line%hybrid.LinesPerSub, v, mix.ClassFor(uint64(b)))
+		})
+}
+
 // NewRunnerSource wires a trace source (a synthetic trace.Workload or a
 // recorded replay, see trace.Source), a fresh canonical store filled with
 // the source's value mix, the cache hierarchy and the controller produced by
 // factory.
 func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFactory) *Runner {
 	stats := sim.NewStats()
-	mix := src.ValueMix()
-	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
-		datagen.Filler(mix)(uint64(b), dst)
-	})
+	store := newStore(src.ValueMix())
 	ctrl := factory(cfg, store, stats)
 	hcfg := cache.DefaultHierarchy(cfg.Cores, cfg.LLCKB)
 	hcfg.InstallPrefetched = !cfg.NoLLCPrefetch
 	hier := cache.NewHierarchy(hcfg, ctrl, stats)
 	r := &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats, design: ctrl.Name()}
-	r.world = newWorld(mix, store)
-	hier.LineData = r.world.lineData
+	r.world = newWorld(store)
+	hier.StoreLine = r.world.storeLine
 	return r
 }
 

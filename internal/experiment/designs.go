@@ -268,9 +268,9 @@ func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *s
 	}
 	switch spec.Kind {
 	case KindSimple:
-		return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, store, stats, tiers)
+		return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, stats, tiers)
 	case KindUnison:
-		return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, store, stats, cfg.Seed, tiers)
+		return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, stats, cfg.Seed, tiers)
 	case KindDICE:
 		return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)
 	case KindBaryon:
@@ -278,7 +278,7 @@ func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *s
 	case KindHybrid2:
 		return baselines.NewHybrid2(cfg, store, stats)
 	case KindOSPaging:
-		return baselines.NewOSPaging(cfg.FastBytes, store, stats, tiers)
+		return baselines.NewOSPaging(cfg.FastBytes, stats, tiers)
 	}
 	panic("experiment: unknown kind " + spec.Kind)
 }

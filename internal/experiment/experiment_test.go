@@ -65,7 +65,7 @@ func TestFactoryUnknownPanics(t *testing.T) {
 			t.Fatal("no panic for unknown kind")
 		}
 	}()
-	FactorySpec(DesignSpec{Name: "nope", Kind: "alien"})(quickConfig(), hybrid.NewStore(nil), sim.NewStats())
+	FactorySpec(DesignSpec{Name: "nope", Kind: "alien"})(quickConfig(), hybrid.NewStore(nil, nil), sim.NewStats())
 }
 
 func TestTableIRenders(t *testing.T) {

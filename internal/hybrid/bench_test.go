@@ -33,28 +33,32 @@ func BenchmarkEngineSwap(b *testing.B) {
 }
 
 // BenchmarkStoreWriteLine times the first write of a line into a block on
-// a store filled by the uniform datagen mix, as an LLC writeback stores it.
-// One op is one block's first write; a fresh store is started after every
-// 4 MB of blocks. write-only never reads the block back, as Simple, Unison
-// and OSPaging do not; write-then-read reads its sub-block next, which runs
-// the block's fill, as a Baryon stage insert does.
+// a store filled by the uniform datagen mix, as an LLC writeback stores
+// it: a version write. One op is one block's first write; a fresh store is
+// started after every 4 MB of blocks. write-only never reads the block
+// back, as Simple, Unison and OSPaging do not; write-then-read reads its
+// sub-block next, which runs the block's fill and makes the line, as a
+// Baryon stage insert does.
 func BenchmarkStoreWriteLine(b *testing.B) {
-	fill := datagen.Filler(datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}})
+	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
+	fill := datagen.Filler(mix)
+	line := func(blk BlockID, i int, v uint32, dst *[CachelineSize]byte) {
+		datagen.FillLine(dst[:], uint64(blk), i/LinesPerSub, i%LinesPerSub, v, mix.ClassFor(uint64(blk)))
+	}
 	const blocks = 2048
 	for _, bc := range []struct {
 		name string
 		read bool
 	}{{"write-only", false}, {"write-then-read", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			line := make([]byte, CachelineSize)
 			var s *Store
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%blocks == 0 {
-					s = NewStore(func(blk BlockID, dst *[BlockSize]byte) { fill(uint64(blk), dst) })
+					s = NewStore(func(blk BlockID, dst *[BlockSize]byte) { fill(uint64(blk), dst) }, line)
 				}
 				addr := uint64(i%blocks)*BlockSize + uint64(i/blocks%(BlockSize/CachelineSize))*CachelineSize
-				s.WriteLine(addr, line)
+				s.WriteVersion(addr, 1)
 				if bc.read {
 					s.Bytes(addr&^(SubBlockSize-1), SubBlockSize)
 				}

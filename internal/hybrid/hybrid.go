@@ -42,16 +42,18 @@ type Result struct {
 }
 
 // Controller is a hybrid-memory controller: it owns both memory devices
-// below the processor caches and keeps its content in a Store. It is the one
-// interface the simulator drives every design through, so the designs differ
-// only in what sits behind it.
+// below the processor caches and places content that lives in a Store. It
+// is the one interface the simulator drives every design through, so the
+// designs differ only in what sits behind it.
 type Controller interface {
 	// Access performs a 64 B read or write at physical address addr (already
-	// line-aligned) starting at cycle now. For writes, data is the new line
-	// content, which is in the Store when Access returns. A read returns
-	// timing only; content is read from the Store. Result.Prefetched is
-	// read-only and may alias controller-owned scratch: consume (or copy)
-	// it before the next Access on the same controller.
+	// line-aligned) starting at cycle now. The writer stores a written line
+	// in the Store first, then calls Access, which places and accounts it;
+	// no controller writes the Store. data is unused (the runner passes
+	// nil). A read returns timing only; content is read from the Store.
+	// Result.Prefetched is read-only and may alias controller-owned
+	// scratch: consume (or copy) it before the next Access on the same
+	// controller.
 	Access(now uint64, addr uint64, write bool, data []byte) Result
 	// Engine returns the shared migration/writeback engine the controller
 	// moves data through: its tiers and devices carry the run's traffic,
