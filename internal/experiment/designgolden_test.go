@@ -141,7 +141,9 @@ func TestDesignsGolden(t *testing.T) {
 
 // ablationGoldenPoints lists the non-default Baryon policies the ablation
 // golden pins: each point mutates designGoldenConfig, so a dump differs from
-// the designs_quick Baryon runs only by that policy.
+// the designs_quick Baryon runs only by that policy. The super-block sizes
+// are Fig. 13(b)'s sweep, and fa-cache is Baryon-FA in cache mode; both
+// pin the slot decode on super-blocks that span several frames.
 func ablationGoldenPoints() []struct {
 	name string
 	mut  func(*config.Config)
@@ -159,13 +161,18 @@ func ablationGoldenPoints() []struct {
 		{"no-compressed-writeback", func(c *config.Config) { c.CompressedWriteback = false }},
 		{"no-zero-block", func(c *config.Config) { c.ZeroBlockOpt = false }},
 		{"unaligned", func(c *config.Config) { c.CachelineAligned = false }},
+		{"super=1", func(c *config.Config) { c.SuperBlockBlocks = 1 }},
+		{"super=2", func(c *config.Config) { c.SuperBlockBlocks = 2 }},
+		{"super=32", func(c *config.Config) { c.SuperBlockBlocks = 32 }},
+		{"fa-cache", func(c *config.Config) { c.FullyAssociative = true }},
 	}
 }
 
 // TestAblationsGolden locks Baryon's observable behaviour under every
 // ablation knob the evaluation sweeps (Figs. 12 and 13): the no-stage-area
 // insert path, sub-block-only stage replacement, the commit-policy
-// extremes and the compression optimisations switched off. Regenerate
+// extremes, the compression optimisations switched off, the super-block
+// sizes and the fully-associative cache area. Regenerate
 // deliberately with
 //
 //	go test ./internal/experiment -run AblationsGolden -update-golden
