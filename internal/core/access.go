@@ -39,16 +39,16 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 
 	// Remap path (needed because the stage tag array missed the sub-block).
 	rmT := c.remapLookup(now, super)
-	ri := &c.remap[b]
+	e := &c.remap[b]
 
 	switch {
-	case ri.z:
+	case e.Z:
 		c.eng.Decision(now, "zeroBlock")
 		return c.caseZeroBlock(now, rmT, b, s, write)
-	case ri.remap&(1<<s) != 0:
+	case e.Remap&(1<<s) != 0:
 		c.eng.Decision(now, "fastHit")
-		return c.caseFastHit(now, rmT, ri, b, s, line, write)
-	case ri.valid():
+		return c.caseFastHit(now, rmT, b, s, line, write)
+	case e.Valid():
 		c.eng.Decision(now, "fastSubMiss")
 		return c.caseFastSubMiss(now, rmT, b, s, line, write)
 	}
@@ -169,9 +169,7 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s int, write bool)
 	}
 	// A non-zero write invalidates Z; the block falls back to the slow
 	// memory until it is staged again.
-	ri := &c.remap[b]
-	ri.z = false
-	ri.way = -1
+	c.uncommit(b)
 	c.metaUpdate(now, c.superOf(b))
 	c.clearHints(b, s, 1)
 	c.eng.WriteSlowBG(now, c.slowAddr(b, s), 64)
@@ -180,33 +178,30 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s int, write bool)
 
 // --- Case 2: block committed, sub-block hit -----------------------------
 
-func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, line int, write bool) hybrid.Result {
+func (c *Controller) caseFastHit(now, rmT uint64, b uint64, s, line int, write bool) hybrid.Result {
 	super := c.superOf(b)
 	si := c.setIdx(super)
-	m, fr := c.fastDir.Way(si, int(ri.way))
-	m.LastUse = c.seq
-	idx := findOcc(fr, uint8(c.blkOff(b)), uint8(s))
-	if idx < 0 {
-		panic("core: remap bit set but no committed range")
-	}
-	rg := &fr.occ[idx]
-	start := int(rg.subOff)
-	cf := int(rg.cf)
+	entries := c.superEntries(super)
+	off := c.blkOff(b)
+	way := int(entries[off].Pointer)
+	c.fastDir.SetMeta(si)[way].LastUse = c.seq
+	start, cf := entries[off].RangeOf(s)
+	addr := c.frameAddr(si, way, metadata.SlotPosition(entries, off, s))
 	c.ctr.fastHits.Inc()
 	if !write {
-		return c.fastServe(now, rmT, c.frameAddr(si, int(ri.way), idx), c.ctr.latFastHit, b, s, line, start, cf)
+		return c.fastServe(now, rmT, addr, c.ctr.latFastHit, b, s, line, start, cf)
 	}
 
 	// Committed layouts are frozen (Rule 4): a write that no longer fits
 	// evicts the whole block to slow memory.
 	// Known defect (ROADMAP, "lost write"): a clean range's overflow never charges this write.
 	if c.rangeFits(c.rangeView(b, start, cf), cf) {
-		rg.dirty = true
-		c.eng.FillFast(now, c.frameAddr(si, int(ri.way), idx), 64)
+		c.dirty[b] |= uint8(1<<cf-1) << start
+		c.eng.FillFast(now, addr, 64)
 		return hybrid.Result{Done: now}
 	}
 	c.ctr.fastOverflow.Inc()
-	c.evictCommittedBlock(now, si, int(ri.way), b, true)
+	c.evictCommittedBlock(now, si, way, b)
 	return hybrid.Result{Done: now}
 }
 

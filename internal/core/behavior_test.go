@@ -16,9 +16,14 @@ import (
 func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64) *Controller {
 	t.Helper()
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
-	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+	return stormStore(t, cfg, hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	}, nil)
+	}, nil), accesses, seed)
+}
+
+// stormStore is stormController over a given store.
+func stormStore(t *testing.T, cfg config.Config, store *hybrid.Store, accesses int, seed uint64) *Controller {
+	t.Helper()
 	c := New(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(seed)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
@@ -39,55 +44,6 @@ func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64)
 		now += 40
 	}
 	return c
-}
-
-// TestRemapPositionMatchesMetadataDecode cross-checks the simulator's
-// committed layout against the paper's architectural position calculation:
-// building the 2-byte remap entries for a super-block and running the
-// prefix-sum decode (Fig. 5(e)) must yield exactly the slot index where the
-// simulator stored each range.
-func TestRemapPositionMatchesMetadataDecode(t *testing.T) {
-	cfg := testConfig()
-	c := stormController(t, cfg, 25000, 77)
-
-	checked := 0
-	for si := 0; si < int(c.geom.sets); si++ {
-		for wi := 0; wi < c.geom.ways; wi++ {
-			m, f := c.fastDir.Way(si, wi)
-			if !m.Valid {
-				continue
-			}
-			// Build the architectural entries of this frame's super-block,
-			// restricted to blocks stored in this way.
-			var se metadata.SuperEntries
-			for off := 0; off < int(c.geom.superBlocks); off++ {
-				b := c.blockID(hybrid.SuperBlockID(m.Key), uint8(off))
-				if b >= uint64(len(c.remap)) {
-					continue
-				}
-				ri := &c.remap[b]
-				if ri.way != int32(wi) || ri.z {
-					continue
-				}
-				se[off] = metadata.RemapEntry{
-					Remap: ri.remap, CF2: ri.cf2, CF4: ri.cf4,
-					Pointer: uint8(wi) & 3,
-				}
-			}
-			for idx := range f.occ {
-				rg := &f.occ[idx]
-				got := se.SlotPosition(int(rg.blkOff), int(rg.subOff))
-				if got != idx {
-					t.Fatalf("set %d way %d: range (blk %d, sub %d) at slot %d but decode says %d",
-						si, wi, rg.blkOff, rg.subOff, idx, got)
-				}
-				checked++
-			}
-		}
-	}
-	if checked < 100 {
-		t.Fatalf("only %d ranges checked; storm too small", checked)
-	}
 }
 
 // slotEncodable reports whether r is a range the stage tag's 8-bit slot
@@ -173,7 +129,7 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 		now += 100
 		c.Access(now, b*cfg.BlockBytes, false, nil)
 	}
-	if c.remap[3].remap == 0 {
+	if c.remap[3].Remap == 0 {
 		t.Skip("block was not committed by the storm; scenario not reachable at this size")
 	}
 	before := c.stats.Get("baryon.fast.writeOverflows")
@@ -191,7 +147,7 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 	if got := c.stats.Get("baryon.fast.writeOverflows"); got != before+1 {
 		t.Fatalf("write overflows %d, want %d", got, before+1)
 	}
-	if c.remap[3].valid() {
+	if c.remap[3].Valid() {
 		t.Fatal("overflowed block still committed")
 	}
 	if got := c.store.Line(target); !bytes.Equal(got, data) {

@@ -5,12 +5,13 @@ import (
 
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
+	"baryon/internal/metadata"
 )
 
 // This file implements the selective commit policy (Section III-E, Eq. 1),
-// the commit operation itself (layout sorting and the compact remap format
-// of Rule 4), fast-area evictions, and the flat-scheme swap mechanics of
-// Section III-F.
+// the commit operation itself (the sorted layout of Rule 4, recorded only
+// in the compact remap entries), fast-area evictions, and the flat-scheme
+// swap mechanics of Section III-F.
 
 // finishStageFrame retires stage frame (ssi, w): it either commits the frame
 // to the cache/flat area or evicts it to slow memory. The caller re-tags it
@@ -45,17 +46,16 @@ func (c *Controller) finishStageFrame(now uint64, ssi, w int) {
 	dirtyVictim := 0
 	if victimW < 0 {
 		victimW = c.fastDir.Victim(si, c.fastRep)
-		vm, v := c.fastDir.Way(si, victimW)
-		if vm.Valid {
-			if c.cfg.Mode == config.ModeFlat {
-				dirtyVictim = len(v.occ) // all sub-blocks swap in flat mode
-			} else {
-				for _, rg := range v.occ {
-					if rg.dirty {
+		if c.cfg.Mode == config.ModeFlat {
+			dirtyVictim = c.frameSlots(si, victimW) // all sub-blocks swap in flat mode
+		} else {
+			c.eachFrameBlock(si, victimW, func(b uint64, e *metadata.RemapEntry) {
+				for start, cf := e.NextRange(0); cf > 0; start, cf = e.NextRange(start + cf) {
+					if c.dirty[b]&(1<<start) != 0 {
 						dirtyVictim++
 					}
 				}
-			}
+			})
 		}
 	}
 
@@ -70,12 +70,39 @@ func (c *Controller) finishStageFrame(now uint64, ssi, w int) {
 // frameWithRoom returns the first way of fast set si committed to super
 // with room for n more ranges, or -1.
 func (c *Controller) frameWithRoom(si int, super hybrid.SuperBlockID, n int) int {
-	for w := 0; w < c.geom.ways; w++ {
-		if m, f := c.fastDir.Way(si, w); m.Valid && hybrid.SuperBlockID(m.Key) == super && len(f.occ)+n <= 8 {
+	meta := c.fastDir.SetMeta(si)
+	for w := range meta {
+		if m := &meta[w]; m.Valid && hybrid.SuperBlockID(m.Key) == super && c.frameSlots(si, w)+n <= 8 {
 			return w
 		}
 	}
 	return -1
+}
+
+// eachFrameBlock calls fn, in block order, with each OS block committed in
+// fast frame (si, way) and its remap entry: the entries of the frame's
+// super-block (Rule 1) that point at the way. fn may clear the entry.
+func (c *Controller) eachFrameBlock(si, way int, fn func(b uint64, e *metadata.RemapEntry)) {
+	m := &c.fastDir.SetMeta(si)[way]
+	if !m.Valid {
+		return
+	}
+	super := hybrid.SuperBlockID(m.Key)
+	entries := c.superEntries(super)
+	for off := range entries {
+		if entries[off].PointsAt(uint32(way)) {
+			fn(c.blockID(super, uint8(off)), &entries[off])
+		}
+	}
+}
+
+// frameSlots returns how many slots fast frame (si, way) fills.
+func (c *Controller) frameSlots(si, way int) int {
+	m := &c.fastDir.SetMeta(si)[way]
+	if !m.Valid {
+		return 0
+	}
+	return metadata.SlotsAt(c.superEntries(hybrid.SuperBlockID(m.Key)), uint32(way))
 }
 
 // shouldCommit evaluates Eq. 1: B = k*(MRUMissCnt/assoc - MissCnt) +
@@ -99,14 +126,12 @@ func (c *Controller) flatCommitFeasible(si int, fr *stageFrame, victimW int, app
 	if c.cfg.Mode != config.ModeFlat || appending {
 		return true
 	}
-	vm, v := c.fastDir.Way(si, victimW)
-	if !vm.Valid {
-		return true // empty frame, nothing to swap out
-	}
 	// Victim holds its native block and that block is resident: its content
-	// must spread into the super-block's freed slow spaces.
-	if !c.frameHoldsNative(vm, v) {
-		return true // victim data returns to its original slow locations
+	// must spread into the super-block's freed slow spaces. An empty frame
+	// has nothing to swap out, and the blocks of any other victim return to
+	// their original slow locations.
+	if !c.frameHoldsNative(si, victimW) {
+		return true
 	}
 	free := 0
 	for _, rg := range fr.tag.Slots {
@@ -120,16 +145,11 @@ func (c *Controller) flatCommitFeasible(si int, fr *stageFrame, victimW int, app
 		}
 	}
 	// Plus spaces freed by blocks of this super already committed elsewhere.
-	base := uint64(fr.tag.Super) * c.geom.superBlocks
-	for off := uint64(0); off < c.geom.superBlocks; off++ {
-		b := base + off
-		if b < uint64(len(c.remap)) {
-			ri := &c.remap[b]
-			if ri.z {
-				free += config.SubBlocksPerBlock
-			} else {
-				free += bits.OnesCount8(ri.remap)
-			}
+	for _, e := range c.superEntries(fr.tag.Super) {
+		if e.Z {
+			free += config.SubBlocksPerBlock
+		} else {
+			free += bits.OnesCount8(e.Remap)
 		}
 	}
 	if free < config.SubBlocksPerBlock {
@@ -139,15 +159,12 @@ func (c *Controller) flatCommitFeasible(si int, fr *stageFrame, victimW int, app
 	return true
 }
 
-// frameHoldsNative reports whether a flat-mode frame still holds its native
-// block's content.
-func (c *Controller) frameHoldsNative(m *hybrid.WayMeta, f *fastFrame) bool {
-	if c.cfg.Mode != config.ModeFlat {
-		return false
-	}
-	ri := &c.remap[f.native]
-	return ri.remap != 0 && m.Valid && uint64(c.superOf(f.native)) == m.Key &&
-		findOcc(f, uint8(c.blkOff(f.native)), 0) >= 0
+// frameHoldsNative reports whether flat-area frame (si, way) still holds
+// its native block's content: the native block's sub-block 0 is remapped
+// to this way.
+func (c *Controller) frameHoldsNative(si, way int) bool {
+	b, ok := c.nativeOf(si, way)
+	return ok && c.remap[b].Remap&1 != 0 && c.remap[b].Pointer == uint32(way)
 }
 
 // evictStageFrame writes the frame's dirty ranges back to slow memory.
@@ -160,12 +177,12 @@ func (c *Controller) evictStageFrame(now uint64, ssi, w int) {
 }
 
 // commitStageFrame moves the frame's contents into the cache/flat area:
-// the victim frame is evicted (or an existing same-super frame appended to),
-// the ranges are sorted into the frozen dense layout of Rule 4, and the
-// remap entries are rewritten in the compact format.
+// the victim frame is evicted (or an existing same-super frame appended to)
+// and each range is recorded in its block's remap entry, which places it in
+// the frozen dense layout of Rule 4.
 func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appending bool) {
 	fr := c.stageDir.Payload(ssi, w)
-	tm, target := c.fastDir.Way(si, targetW)
+	tm := &c.fastDir.SetMeta(si)[targetW]
 
 	if !appending && tm.Valid {
 		c.evictFastFrame(now, si, targetW)
@@ -174,45 +191,40 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 	commitDone := now
 	if !appending || !tm.Valid {
 		*tm = hybrid.WayMeta{Key: uint64(fr.tag.Super), Valid: true}
-		target.occ = target.occ[:0] // keep capacity
 	} else {
 		// Appending rewrites the frame's dense layout (a re-sort).
 		c.ctr.resortRewrites.Inc()
 		commitDone = max(commitDone,
-			c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
+			c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(c.frameSlots(si, targetW))*c.geom.subBytes))
 	}
 	tm.LastUse = c.seq
 	tm.AllocSeq = c.seq
-	c.ensureOccCap(target)
 
-	// Gather the committed ranges; Z-descriptors become Z remap entries.
+	// Record the committed ranges; Z-descriptors become Z remap entries,
+	// unless the block also commits real ranges, which then win.
 	for slot, rg := range fr.tag.Slots {
 		if !rg.Valid {
 			continue
 		}
+		b := c.blockID(fr.tag.Super, rg.BlkOff)
 		if rg.Zero {
-			b := c.blockID(fr.tag.Super, rg.BlkOff)
-			ri := &c.remap[b]
-			*ri = remapInfo{z: true, way: -1}
+			if c.remap[b].Remap == 0 {
+				c.remap[b] = metadata.RemapEntry{Z: true}
+			}
 			continue
 		}
-		target.occ = append(target.occ, occRange{
-			blkOff: rg.BlkOff, subOff: rg.SubOff, cf: rg.CF, dirty: rg.Dirty,
-		})
+		c.commitRange(b, targetW, int(rg.SubOff), int(rg.CF), rg.Dirty)
 		// Traffic: stage read + cache/flat-area write, both in fast memory.
 		commitDone = max(commitDone,
 			c.eng.ReadFastBG(now, c.stageFrameAddr(ssi, w, slot), c.geom.subBytes))
 	}
-	sortOcc(target.occ)
 	commitDone = max(commitDone,
-		c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
+		c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(c.frameSlots(si, targetW))*c.geom.subBytes))
 	c.ctr.latCommit.Observe(commitDone - now)
 	if t := c.eng.Tracer(); t != nil {
 		t.Span("commit", "", now, commitDone)
 	}
 
-	// Rewrite the remap entries of every block present in the target frame.
-	c.rebuildRemap(si, targetW)
 	c.metaUpdate(now, fr.tag.Super)
 	c.ctr.commits.Inc()
 	for wi, m := range c.fastDir.SetMeta(si) {
@@ -223,182 +235,109 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 	}
 }
 
-// sortOcc orders ranges by (blkOff, subOff): the frozen sorted layout.
-// Insertion sort — a frame holds at most 8 ranges and sort.Slice's
-// reflection swapper allocates per call. Keys are unique within a frame, so
-// the order is identical to any comparison sort.
-func sortOcc(occ []occRange) {
-	for i := 1; i < len(occ); i++ {
-		for j := i; j > 0 && occLess(&occ[j], &occ[j-1]); j-- {
-			occ[j], occ[j-1] = occ[j-1], occ[j]
-		}
+// commitRange records sub-blocks start..start+cf-1 of block b, one aligned
+// range (Rule 2), as committed in way: its remap and CF bits, the way
+// pointer (Rule 3 keeps all of a block's ranges in one way) and, for a
+// written range, its dirty bits. A Z entry gives way to the range.
+func (c *Controller) commitRange(b uint64, way, start, cf int, dirty bool) {
+	e := &c.remap[b]
+	if e.Z {
+		*e = metadata.RemapEntry{}
+	}
+	mask := uint8(1<<cf-1) << start
+	e.Remap |= mask
+	e.Pointer = uint32(way)
+	switch cf {
+	case 2:
+		e.CF2 |= 1 << (start / 2)
+	case 4:
+		e.CF4 |= 1 << (start / 4)
+	}
+	if dirty {
+		c.dirty[b] |= mask
 	}
 }
 
-func occLess(a, b *occRange) bool {
-	if a.blkOff != b.blkOff {
-		return a.blkOff < b.blkOff
-	}
-	return a.subOff < b.subOff
-}
-
-// ensureOccCap gives a frame its permanent occ backing on first touch,
-// carved from the controller's shared slab. A frame holds at most
-// SubBlocksPerBlock ranges, so the capacity never needs to grow and the
-// append sites below never reallocate.
-func (c *Controller) ensureOccCap(f *fastFrame) {
-	if cap(f.occ) != 0 {
-		return
-	}
-	const ways = config.SubBlocksPerBlock
-	if len(c.occSlab) < ways {
-		c.occSlab = make([]occRange, 64*ways)
-	}
-	f.occ = c.occSlab[:0:ways]
-	c.occSlab = c.occSlab[ways:]
-}
-
-// findOcc returns the index of the range covering (blkOff, sub), or -1.
-func findOcc(f *fastFrame, blkOff, sub uint8) int {
-	for i := range f.occ {
-		rg := &f.occ[i]
-		if rg.blkOff == blkOff && sub >= rg.subOff && sub < rg.subOff+rg.cf {
-			return i
-		}
-	}
-	return -1
-}
-
-// rebuildRemap recomputes the remap entries of every block stored in frame
-// (si, way) from its occupancy (the architectural metadata the compact
-// format encodes).
-func (c *Controller) rebuildRemap(si, way int) {
-	m, f := c.fastDir.Way(si, way)
-	super := hybrid.SuperBlockID(m.Key)
-	for i := range f.occ {
-		rg := &f.occ[i]
-		b := c.blockID(super, rg.blkOff)
-		ri := &c.remap[b]
-		// Reset the entry on the block's first range. occ holds at most 8
-		// entries, so a linear scan of the prefix beats any allocated set.
-		first := true
-		for j := 0; j < i; j++ {
-			if f.occ[j].blkOff == rg.blkOff {
-				first = false
-				break
-			}
-		}
-		if first {
-			ri.remap, ri.cf2, ri.cf4, ri.z = 0, 0, 0, false
-			ri.way = int32(way)
-		}
-		for s := rg.subOff; s < rg.subOff+rg.cf; s++ {
-			ri.remap |= 1 << s
-		}
-		switch rg.cf {
-		case 2:
-			ri.cf2 |= 1 << (rg.subOff / 2)
-		case 4:
-			ri.cf4 |= 1 << (rg.subOff / 4)
-		}
-	}
+// uncommit clears block b's remap entry and dirty bits.
+func (c *Controller) uncommit(b uint64) {
+	c.remap[b] = metadata.RemapEntry{}
+	c.dirty[b] = 0
 }
 
 // evictFastFrame evicts every block committed in frame (si, way) to slow
 // memory, handling the flat-scheme swap mechanics.
 func (c *Controller) evictFastFrame(now uint64, si, way int) {
-	m, f := c.fastDir.Way(si, way)
+	m := &c.fastDir.SetMeta(si)[way]
 	if !m.Valid {
 		return
 	}
 	super := hybrid.SuperBlockID(m.Key)
 	flat := c.cfg.Mode == config.ModeFlat
-	nativeResident := c.frameHoldsNative(m, f)
+	native, homed := c.nativeOf(si, way)
+	nativeResident := c.frameHoldsNative(si, way)
 
-	if flat && !nativeResident && len(f.occ) > 0 {
+	if homed && !nativeResident && c.frameSlots(si, way) > 0 {
 		// Three-way swap (Section III-F): the frame's original content is
 		// spread over the super-block; rearranging it so the evicted
 		// committed blocks can return to their original slow locations
 		// costs one extra block move in slow memory.
 		c.ctr.swapThreeWay.Inc()
-		c.eng.FetchSlow(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
-		c.eng.WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
+		c.eng.FetchSlow(now, c.slowAddr(native, 0), c.geom.blockBytes)
+		c.eng.WriteSlowBG(now, c.slowAddr(native, 0), c.geom.blockBytes)
 	}
 
-	for i := range f.occ {
-		rg := &f.occ[i]
-		b := c.blockID(super, rg.blkOff)
-		isNative := flat && b == f.native
-		if rg.dirty {
-			c.clearHints(b, int(rg.subOff), int(rg.cf))
+	c.eachFrameBlock(si, way, func(b uint64, e *metadata.RemapEntry) {
+		for start, cf := e.NextRange(0); cf > 0; start, cf = e.NextRange(start + cf) {
+			dirty := c.dirty[b]&(1<<start) != 0
+			if dirty {
+				c.clearHints(b, start, cf)
+			}
+			switch {
+			case homed && b == native:
+				// Handled below as a single spread write.
+			case flat, dirty:
+				// Migrated blocks swap back entirely (all sub-blocks move);
+				// in the cache scheme only dirty ranges write back.
+				c.writeRangeToSlow(now, b, start, cf)
+			}
 		}
-		switch {
-		case isNative:
-			// Handled below as a single spread write.
-		case flat, rg.dirty:
-			// Migrated blocks swap back entirely (all sub-blocks move); in
-			// the cache scheme only dirty ranges write back.
-			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf))
-		}
-	}
+	})
 	if nativeResident {
 		// Spread the native block into the freed slow sub-block spaces.
 		c.ctr.swapSpread.Inc()
-		c.eng.WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
+		c.eng.WriteSlowBG(now, c.slowAddr(native, 0), c.geom.blockBytes)
 	}
 
 	// Clear the remap entries of every block that lived here.
-	for i := range f.occ {
-		b := c.blockID(super, f.occ[i].blkOff)
-		ri := &c.remap[b]
-		if ri.way == int32(way) {
-			*ri = remapInfo{way: -1}
-		}
-	}
+	c.eachFrameBlock(si, way, func(b uint64, _ *metadata.RemapEntry) { c.uncommit(b) })
 	c.metaUpdate(now, super)
 	*m = hybrid.WayMeta{}
-	f.occ = f.occ[:0]
 }
 
 // evictCommittedBlock evicts a single block from its committed frame
 // (the whole-block eviction of case 2 write overflows). The frozen dense
-// layout forces the remaining ranges to be compacted, which we charge as
+// layout forces the ranges behind it to be compacted, which we charge as
 // fast-memory move traffic.
-func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64, overflow bool) {
-	m, f := c.fastDir.Way(si, way)
-	blkOff := uint8(c.blkOff(b))
-	kept := f.occ[:0]
-	moved := 0
-	removed := 0
-	for i := range f.occ {
-		rg := f.occ[i]
-		if rg.blkOff != blkOff {
-			if removed > 0 {
-				moved++
-			}
-			kept = append(kept, rg)
-			continue
+func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64) {
+	entries := c.superEntries(c.superOf(b))
+	off := c.blkOff(b)
+	e := entries[off]
+	for start, cf := e.NextRange(0); cf > 0; start, cf = e.NextRange(start + cf) {
+		dirty := c.dirty[b]&(1<<start) != 0
+		if dirty {
+			c.clearHints(b, start, cf)
 		}
-		removed++
-		if rg.dirty {
-			c.clearHints(b, int(rg.subOff), int(rg.cf))
-		}
-		if rg.dirty || c.cfg.Mode == config.ModeFlat {
-			c.writeRangeToSlow(now, b, int(rg.subOff), int(rg.cf))
+		if dirty || c.cfg.Mode == config.ModeFlat {
+			c.writeRangeToSlow(now, b, start, cf)
 		}
 	}
-	f.occ = kept
-	if moved > 0 {
+	c.uncommit(b)
+	if moved := metadata.SlotsAt(entries[off+1:], uint32(way)); moved > 0 {
 		c.ctr.resortRewrites.Inc()
 		c.eng.FillFast(now, c.frameAddr(si, way, 0), uint64(moved)*c.geom.subBytes)
 	}
-	ri := &c.remap[b]
-	*ri = remapInfo{way: -1}
-	if len(f.occ) == 0 && !c.frameHoldsNative(m, f) {
-		*m = hybrid.WayMeta{} // occ is already empty; native stays with the frame
-	}
-	if m.Valid {
-		c.rebuildRemap(si, way)
+	if c.frameSlots(si, way) == 0 {
+		c.fastDir.SetMeta(si)[way] = hybrid.WayMeta{}
 	}
 	c.metaUpdate(now, c.superOf(b))
 }
@@ -408,20 +347,19 @@ func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64, over
 // area, and every insertion re-sorts the frozen layout of its frame. The
 // range goes to the frame already holding b (Rule 3), which takes nothing
 // more once full; else to a frame of b's super-block with room; else to
-// the area's victim, which a flat frame leaves with its native block. CF
-// hints are not trusted here: a stale one can outlive a lost write (ROADMAP,
-// "lost write").
+// the area's victim. CF hints are not trusted here: a stale one can
+// outlive a lost write (ROADMAP, "lost write").
 func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 	super := c.superOf(b)
 	si := c.setIdx(super)
-	ri := &c.remap[b]
-	w := int(ri.way)
-	var start, cf int
-	if w >= 0 {
-		if len(c.fastDir.Payload(si, w).occ) >= 8 {
+	e := &c.remap[b]
+	var w, start, cf int
+	if e.Remap != 0 {
+		w = int(e.Pointer)
+		if c.frameSlots(si, w) >= 8 {
 			return
 		}
-		start, cf = c.pickRange(b, s, ri.remap, false)
+		start, cf = c.pickRange(b, s, e.Remap, false)
 	} else {
 		start, cf = c.pickRange(b, s, 0, false)
 		if w = c.frameWithRoom(si, super, 1); w < 0 {
@@ -430,14 +368,10 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 		}
 		c.fastDir.SetMeta(si)[w] = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
 	}
-	f := c.fastDir.Payload(si, w)
-	c.ensureOccCap(f)
-	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty})
-	sortOcc(f.occ)
+	c.commitRange(b, w, start, cf, dirty)
 	// Every insertion re-sorts the dense layout: rewrite the frame.
 	c.ctr.resortRewrites.Inc()
 	c.eng.FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
-	c.eng.FillFast(now, c.frameAddr(si, w, 0), uint64(len(f.occ))*c.geom.subBytes)
-	c.rebuildRemap(si, w)
+	c.eng.FillFast(now, c.frameAddr(si, w, 0), uint64(c.frameSlots(si, w))*c.geom.subBytes)
 	c.metaUpdate(now, super)
 }

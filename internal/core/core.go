@@ -16,26 +16,6 @@ import (
 	"baryon/internal/sim"
 )
 
-// occRange is one committed range occupying one physical sub-block slot of a
-// fast-memory frame (Rule 2: contiguous and aligned; Rule 4: the slice is
-// kept sorted and dense).
-type occRange struct {
-	blkOff uint8
-	subOff uint8
-	cf     uint8
-	dirty  bool
-}
-
-// fastFrame is the payload of one cache/flat-area way in the kit's tag
-// directory (hybrid.Dir): the committed ranges of a single super-block
-// (Rule 1 — the super-block's ID is the way's key) plus, in flat mode, the
-// OS block homed at this frame. Validity and the LRU/FIFO ranks live in the
-// directory's WayMeta.
-type fastFrame struct {
-	occ    []occRange // sorted by (blkOff, subOff), at most 8 slots
-	native uint64     // flat mode: the OS block homed at this frame
-}
-
 // stageFrame is the payload of one stage-area way: the architectural stage
 // tag entry and the Fig. 3/4 instrumentation. Range content lives in the
 // store (rangeView).
@@ -57,20 +37,6 @@ type stageSetState struct {
 	accSinceAge uint32
 }
 
-// remapInfo is the simulator-side remap table entry: the architectural
-// 2-byte fields plus the resolved way index (which the hardware derives from
-// the Pointer field; we keep it explicit to support the fully-associative
-// variant whose pointer is wider).
-type remapInfo struct {
-	remap uint8
-	cf2   uint8
-	cf4   uint8
-	z     bool
-	way   int32 // way within the block's set; -1 when nothing is remapped
-}
-
-func (r *remapInfo) valid() bool { return r.remap != 0 || r.z }
-
 // Controller is the Baryon memory controller.
 type Controller struct {
 	cfg  config.Config
@@ -82,19 +48,36 @@ type Controller struct {
 
 	store *hybrid.Store // the whole memory image: no range keeps a copy
 
-	fastDir *hybrid.Dir[fastFrame]
+	// fastDir tags the cache/flat-area ways with the super-block they hold
+	// (Rule 1) and keeps their LRU/FIFO ranks. A way has no payload: what
+	// it holds is the remap entries that point at it, and a flat frame's
+	// native block is the one initFlatResidents homes there (nativeOf).
+	fastDir *hybrid.Dir[struct{}]
 	fastRep hybrid.Replacer
 
 	stageDir   *hybrid.Dir[stageFrame]
 	stageState []stageSetState
 	stageRep   hybrid.Replacer
 
-	remap  []remapInfo
+	// remap is the committed area's only layout record: Fig. 5(b)'s entry
+	// per OS block. A committed range's slot is the prefix-sum decode over
+	// its super-block's entries (metadata.SlotPosition), and a frame holds
+	// the ranges of the entries pointing at it, in block then sub-block
+	// order (Rule 4). Pointer is the full way index, wider than the
+	// hardware's log2(assoc) bits, so that Baryon-FA's single set works.
+	remap  []metadata.RemapEntry
 	rcache *metadata.RemapCache
+
+	// dirty is the simulator-side dirty state Fig. 5(b) has no bits for:
+	// bit s of dirty[b] marks committed sub-block s of block b as written
+	// since it was committed, set and cleared a whole range at a time.
+	dirty []uint8
 
 	// cfHints remembers ranges written back to slow memory in compressed
 	// form (Section III-F): bit i of cf4Hint marks quad i, bit i of cf2Hint
-	// marks pair i. Indexed by OS block.
+	// marks pair i. Indexed by OS block. They are not the entry's CF bits:
+	// a hint outlives the entry it came from (an evicted frame's writebacks
+	// set hints before its entries clear, and a Z commit keeps them).
 	cf2Hint, cf4Hint []uint8
 
 	seq uint64 // monotonic sequence for LRU/FIFO ordering
@@ -116,11 +99,6 @@ type Controller struct {
 	// to keep the hot path allocation-free; it is valid until the next
 	// Access, the contract hybrid.Result documents.
 	prefetchScratch []uint64
-
-	// occSlab backs first-touch occ slices: a fast frame holds at most
-	// SubBlocksPerBlock ranges, so each frame gets one full-capacity slice
-	// carved here and keeps it (emptying it keeps the capacity) forever.
-	occSlab []occRange
 }
 
 // geometry captures the per-variant sizes (Baryon vs Baryon-64B).
@@ -189,7 +167,7 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	}
 	c.eng = hybrid.NewEngineTiers(specs, stats)
 
-	c.fastDir = hybrid.NewDirSets[fastFrame](g.sets, g.ways)
+	c.fastDir = hybrid.NewDirSets[struct{}](g.sets, g.ways)
 	c.fastRep = hybrid.Replacer(hybrid.LRU{})
 	if cfg.FullyAssociative {
 		c.fastRep = hybrid.FIFO{}
@@ -200,10 +178,8 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	for i := range c.stageState {
 		c.stageState[i].mruWay = -1
 	}
-	c.remap = make([]remapInfo, g.osBlocks)
-	for i := range c.remap {
-		c.remap[i].way = -1
-	}
+	c.remap = make([]metadata.RemapEntry, g.osBlocks)
+	c.dirty = make([]uint8, g.osBlocks)
 	c.cf2Hint = make([]uint8, g.osBlocks)
 	c.cf4Hint = make([]uint8, g.osBlocks)
 	c.rcache = metadata.NewRemapCache(cfg.RemapCacheSets, cfg.RemapCacheWays, stats.Scope("remapCache"))
@@ -261,26 +237,25 @@ func (c *Controller) initCounters() {
 // fully present and uncompressed (the paper's flat mode places blocks in
 // fast memory until the space is used up).
 func (c *Controller) initFlatResidents() {
-	for q := uint64(0); q < c.geom.sets; q++ {
+	for q := 0; q < int(c.geom.sets); q++ {
 		for w := 0; w < c.geom.ways; w++ {
-			b := q*c.geom.superBlocks + uint64(w)
-			if b >= c.geom.osBlocks {
-				continue
+			if b, ok := c.nativeOf(q, w); ok {
+				c.fastDir.SetMeta(q)[w] = hybrid.WayMeta{Key: uint64(c.superOf(b)), Valid: true}
+				c.remap[b] = metadata.RemapEntry{Remap: 0xFF, Pointer: uint32(w)}
 			}
-			m, f := c.fastDir.Way(int(q), w)
-			m.Valid = true
-			m.Key = uint64(c.superOf(b))
-			f.native = b
-			f.occ = nil
-			c.ensureOccCap(f)
-			for s := 0; s < config.SubBlocksPerBlock; s++ {
-				f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(s), cf: 1})
-			}
-			r := &c.remap[b]
-			r.remap = 0xFF
-			r.way = int32(w)
 		}
 	}
+}
+
+// nativeOf returns the OS block homed at flat-area frame (si, way), and
+// false in cache mode or when the home lies past the last OS block. Way w
+// of set q homes block q*superBlocks+w: in set-associative mode a block of
+// super-block q, which maps to set q (config.Validate keeps flat
+// super-blocks at least as large as a set), and block w in Baryon-FA's
+// single set.
+func (c *Controller) nativeOf(si, way int) (uint64, bool) {
+	b := uint64(si)*c.geom.superBlocks + uint64(way)
+	return b, c.cfg.Mode == config.ModeFlat && b < c.geom.osBlocks
 }
 
 // --- geometry helpers -------------------------------------------------
@@ -301,6 +276,14 @@ func (c *Controller) stageSetIdx(super hybrid.SuperBlockID) int {
 }
 func (c *Controller) blockID(super hybrid.SuperBlockID, blkOff uint8) uint64 {
 	return uint64(super)*c.geom.superBlocks + uint64(blkOff)
+}
+
+// superEntries returns the remap entries of super's blocks in block order,
+// clipped at the last OS block: the slice the slot decode walks, indexed
+// by blkOff.
+func (c *Controller) superEntries(super hybrid.SuperBlockID) []metadata.RemapEntry {
+	base := uint64(super) * c.geom.superBlocks
+	return c.remap[base:min(base+c.geom.superBlocks, c.geom.osBlocks)]
 }
 
 // slowAddr maps block b to a slow-device address for timing purposes.

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"baryon/internal/config"
 	"baryon/internal/datagen"
 	"baryon/internal/hybrid"
+	"baryon/internal/metadata"
 	"baryon/internal/sim"
 )
 
@@ -304,6 +309,47 @@ func TestTableIBudgets(t *testing.T) {
 	}
 	if sets := cfg.StageSets(); sets != 8192 {
 		t.Fatalf("stage sets = %d, want 8192 (Table I)", sets)
+	}
+
+	// The simulator's own per-OS-block state: the hardware's 2 B entry,
+	// held unpacked with a full-width way pointer, plus the state the entry
+	// lacks. Every controller slice sized by the OS block count must be
+	// named here, and DESIGN.md must state the total.
+	perBlock := map[string]uintptr{
+		"remap":   unsafe.Sizeof(metadata.RemapEntry{}), // Fig. 5(b) entry, 32-bit pointer
+		"dirty":   1,                                    // per-sub-block dirty mask
+		"cf2Hint": 1,                                    // Section III-F CF-2 hints
+		"cf4Hint": 1,                                    // Section III-F CF-4 hints
+	}
+	c := New(testConfig(), hybrid.NewStore(nil, nil), sim.NewStats())
+	v := reflect.ValueOf(c).Elem()
+	var bytesPerBlock uintptr
+	found := map[string]bool{}
+	for i := 0; i < v.NumField(); i++ {
+		f, ft := v.Field(i), v.Type().Field(i)
+		if f.Kind() != reflect.Slice || uint64(f.Len()) != c.geom.osBlocks {
+			continue
+		}
+		want, ok := perBlock[ft.Name]
+		if !ok {
+			t.Errorf("per-OS-block field %s is not in the tally", ft.Name)
+		} else if got := ft.Type.Elem().Size(); got != want {
+			t.Errorf("per-OS-block field %s: %d B, tally says %d B", ft.Name, got, want)
+		}
+		found[ft.Name] = true
+		bytesPerBlock += ft.Type.Elem().Size()
+	}
+	for name := range perBlock {
+		if !found[name] {
+			t.Errorf("tally names %s, which is no per-OS-block field", name)
+		}
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%d B per OS block", bytesPerBlock); !strings.Contains(string(design), want) {
+		t.Errorf("DESIGN.md does not state the controller's %q", want)
 	}
 }
 

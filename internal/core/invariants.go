@@ -1,77 +1,78 @@
 package core
 
-import (
-	"baryon/internal/config"
-	"baryon/internal/hybrid"
-)
+import "baryon/internal/hybrid"
 
 // CheckInvariants validates the structural rules on demand (tests call this
-// after access storms):
+// after access storms). The remap table is the committed area's only
+// layout, so Rule 3 (one way per block) and Rule 4 (the sorted, dense
+// layout) hold by construction; what can break is an entry itself:
 //
-//	Rule 1: every frame holds ranges of a single super-block (by
-//	        construction of the types; checked via remap consistency),
-//	Rule 3: all committed sub-blocks of a block live in one frame,
-//	Rule 4: committed layouts are sorted by (blkOff, subOff),
-//	plus: remap entries and frame occupancy agree, every flat-area frame
-//	keeps the native block initFlatResidents homed at it, and
+//	well-formed: CF2 and CF4 bits sit only over remapped sub-blocks, never
+//	        over the same sub-block, and a Z entry has no remap bits,
+//	Rule 1: a remapped entry points at a valid way keyed by its own
+//	        super-block,
+//	capacity: the entries pointing at one way use at most 8 slots,
+//	dirty:  dirty bits sit only on remapped sub-blocks and cover each
+//	        range whole or not at all,
 //	single residency: a block's staged ranges sit in one stage frame
-//	(Rule 3) and do not overlap, and no staged sub-block is also
-//	committed (remap bit or Z): each sub-block has one home, which is
-//	what lets the store be the only copy of content.
+//	        (Rule 3) and do not overlap, and no staged sub-block is also
+//	        committed (remap bit or Z): each sub-block has one home, which
+//	        is what lets the store be the only copy of content.
 //
 // It returns a description of the first violation, or "".
 func (c *Controller) CheckInvariants() string {
 	if msg := c.checkStageResidency(); msg != "" {
 		return msg
 	}
+	for b := range c.remap {
+		if msg := c.checkEntry(uint64(b)); msg != "" {
+			return msg
+		}
+	}
 	for si := 0; si < int(c.geom.sets); si++ {
-		for wi := 0; wi < c.geom.ways; wi++ {
-			m, f := c.fastDir.Way(si, wi)
-			if home := uint64(si)*c.geom.superBlocks + uint64(wi); c.cfg.Mode == config.ModeFlat && home < c.geom.osBlocks && f.native != home {
-				return "flat frame lost its native block"
-			}
-			if !m.Valid {
-				continue
-			}
-			if len(f.occ) > 8 {
+		for w := 0; w < c.geom.ways; w++ {
+			if c.frameSlots(si, w) > 8 {
 				return "frame holds more than 8 slots"
-			}
-			for i := 1; i < len(f.occ); i++ {
-				a, b := f.occ[i-1], f.occ[i]
-				if a.blkOff > b.blkOff || (a.blkOff == b.blkOff && a.subOff >= b.subOff) {
-					return "frame occupancy not sorted (Rule 4)"
-				}
-			}
-			for i := range f.occ {
-				rg := &f.occ[i]
-				b := c.blockID(hybrid.SuperBlockID(m.Key), rg.blkOff)
-				ri := &c.remap[b]
-				if ri.way != int32(wi) {
-					return "occupied range's remap entry points elsewhere (Rule 3)"
-				}
-				for s := rg.subOff; s < rg.subOff+rg.cf; s++ {
-					if ri.remap&(1<<s) == 0 {
-						return "occupied sub-block missing from remap bits"
-					}
-				}
 			}
 		}
 	}
-	// Every set remap bit must have a backing range.
-	for b := range c.remap {
-		ri := &c.remap[b]
-		if ri.remap == 0 || ri.z {
-			continue
+	return ""
+}
+
+// checkEntry checks block b's remap entry and dirty bits.
+func (c *Controller) checkEntry(b uint64) string {
+	e := c.remap[b]
+	for j := 0; j < 8; j++ {
+		if e.CF2&(1<<j) != 0 && (j >= 4 || e.Remap>>(2*j)&0x3 != 0x3) {
+			return "CF2 bit over sub-blocks that are not remapped"
 		}
-		super := c.superOf(uint64(b))
-		m, f := c.fastDir.Way(c.setIdx(super), int(ri.way))
-		if !m.Valid || hybrid.SuperBlockID(m.Key) != super {
+		if e.CF4&(1<<j) != 0 && (j >= 2 || e.Remap>>(4*j)&0xF != 0xF) {
+			return "CF4 bit over sub-blocks that are not remapped"
+		}
+	}
+	for q := 0; q < 2; q++ {
+		if e.CF4&(1<<q) != 0 && e.CF2>>(2*q)&0x3 != 0 {
+			return "sub-block under both a CF2 and a CF4 bit"
+		}
+	}
+	if e.Z && e.Remap != 0 {
+		return "Z entry with remap bits"
+	}
+	if e.Remap != 0 {
+		super := c.superOf(b)
+		if e.Pointer >= uint32(c.geom.ways) {
+			return "remap entry points past the set's ways (Rule 1)"
+		}
+		if m := c.fastDir.SetMeta(c.setIdx(super))[e.Pointer]; !m.Valid || hybrid.SuperBlockID(m.Key) != super {
 			return "remap entry points at a frame of another super-block (Rule 1)"
 		}
-		for s := 0; s < 8; s++ {
-			if ri.remap&(1<<s) != 0 && findOcc(f, uint8(c.blkOff(uint64(b))), uint8(s)) < 0 {
-				return "remap bit set without a committed range"
-			}
+	}
+	if c.dirty[b]&^e.Remap != 0 {
+		return "dirty bit on a sub-block that is not remapped"
+	}
+	for start, cf := e.NextRange(0); cf > 0; start, cf = e.NextRange(start + cf) {
+		if d, m := c.dirty[b]>>start, uint8(1<<cf-1); d&m != 0 && d&m != m {
+			return "dirty bits cover part of a range"
 		}
 	}
 	return ""
@@ -96,9 +97,9 @@ func (c *Controller) checkStageResidency() string {
 						return "block staged in two stage frames (Rule 3)"
 					}
 				}
-				ri := &c.remap[c.blockID(fr.tag.Super, rg.BlkOff)]
+				e := c.remap[c.blockID(fr.tag.Super, rg.BlkOff)]
 				for s := int(rg.SubOff); s < int(rg.SubOff+rg.CF); s++ {
-					if ri.z || ri.remap&(1<<s) != 0 {
+					if e.Z || e.Remap&(1<<s) != 0 {
 						return "sub-block both staged and committed"
 					}
 					for j := i + 1; j < len(fr.tag.Slots); j++ {

@@ -102,16 +102,16 @@ func (e RemapEntry) Encode() [RemapEntryBytes]byte {
 	if e.Z {
 		// All-ones CF2+CF4 is otherwise impossible (a CF4 range covers the
 		// sub-blocks a CF2 range would), so it encodes Z.
-		return [2]byte{e.Remap, (e.Pointer&3)<<6 | 0xF<<2 | 0x3}
+		return [2]byte{e.Remap, byte(e.Pointer&3)<<6 | 0xF<<2 | 0x3}
 	}
-	return [2]byte{e.Remap, (e.Pointer&3)<<6 | (e.CF2&0xF)<<2 | e.CF4&0x3}
+	return [2]byte{e.Remap, byte(e.Pointer&3)<<6 | (e.CF2&0xF)<<2 | e.CF4&0x3}
 }
 
 // DecodeRemapEntry unpacks a 2-byte entry.
 func DecodeRemapEntry(b [RemapEntryBytes]byte) RemapEntry {
 	e := RemapEntry{
 		Remap:   b[0],
-		Pointer: b[1] >> 6 & 3,
+		Pointer: uint32(b[1] >> 6 & 3),
 		CF2:     b[1] >> 2 & 0xF,
 		CF4:     b[1] & 0x3,
 	}

@@ -6,15 +6,15 @@ import (
 	"baryon/internal/metadata"
 )
 
-// ExampleSuperEntries_SlotPosition reproduces the worked example of
-// Section III-C / Fig. 5(e): block A has sub-blocks A0, A2 and the CF-4
-// range A4-A7 in fast memory, block B has B1 and B3; looking up B3 walks
-// the super-block's remap entries and lands in the 5th slot (index 4).
-func ExampleSuperEntries_SlotPosition() {
-	var se metadata.SuperEntries
-	se[0] = metadata.RemapEntry{Remap: 0b11110101, CF4: 0b10, Pointer: 2} // block A
-	se[1] = metadata.RemapEntry{Remap: 0b00001010, Pointer: 2}            // block B
-	fmt.Println("B3 is in slot", se.SlotPosition(1, 3))
+// ExampleSlotPosition reproduces the worked example of Section III-C /
+// Fig. 5(e): block A has sub-blocks A0, A2 and the CF-4 range A4-A7 in
+// fast memory, block B has B1 and B3; looking up B3 walks the super-block's
+// remap entries and lands in the 5th slot (index 4).
+func ExampleSlotPosition() {
+	entries := make([]metadata.RemapEntry, 8)                                  // one super-block
+	entries[0] = metadata.RemapEntry{Remap: 0b11110101, CF4: 0b10, Pointer: 2} // block A
+	entries[1] = metadata.RemapEntry{Remap: 0b00001010, Pointer: 2}            // block B
+	fmt.Println("B3 is in slot", metadata.SlotPosition(entries, 1, 3))
 	// Output: B3 is in slot 4
 }
 

@@ -16,8 +16,12 @@ import "math/bits"
 // encoding Z; 8+2+4+2 = 16 bits. This struct keeps the fields explicit; the
 // package's tests hold the bit-exact Encode/DecodeRemapEntry layout.
 type RemapEntry struct {
+	// Pointer is the way index within the set. The hardware keeps its low
+	// log2(assoc) bits (2 at assoc 4); the full index serves the
+	// fully-associative variant, whose single set has thousands of ways.
+	// It comes first so the struct packs into 8 bytes.
+	Pointer uint32
 	Remap   uint8 // bit i: sub-block i is in fast memory
-	Pointer uint8 // way within the set (2 bits at assoc 4)
 	CF2     uint8 // bit j: sub-blocks {2j, 2j+1} form one CF=2 range
 	CF4     uint8 // bit j: sub-blocks {4j..4j+3} form one CF=4 range
 	Z       bool  // whole block is zero; no data stored anywhere
@@ -51,41 +55,50 @@ func (e RemapEntry) RangeOf(sub int) (start, cf int) {
 	return sub, 1
 }
 
-// SlotOffsetWithin returns how many slots the ranges of this entry occupy
-// before sub-block sub (for the sorted, dense committed layout of Rule 4).
-func (e RemapEntry) SlotOffsetWithin(sub int) int {
+// PointsAt reports whether the entry has ranges in way ptr. A Z entry has
+// no remap bits and belongs to no way.
+func (e RemapEntry) PointsAt(ptr uint32) bool { return e.Remap != 0 && e.Pointer == ptr }
+
+// NextRange returns the first remapped range that starts at sub-block s or
+// later, as (start, cf), or cf 0 when there is none. The loop
+//
+//	for start, cf := e.NextRange(0); cf > 0; start, cf = e.NextRange(start + cf)
+//
+// visits the entry's ranges in ascending sub-block order, which is the
+// order of their slots in the sorted, dense committed layout of Rule 4.
+func (e RemapEntry) NextRange(s int) (start, cf int) {
+	for ; s < 8; s++ {
+		if e.Remap&(1<<s) != 0 {
+			return e.RangeOf(s)
+		}
+	}
+	return 8, 0
+}
+
+// SlotsAt returns how many slots the entries pointing at way ptr fill: the
+// sum of their SlotsUsed.
+func SlotsAt(entries []RemapEntry, ptr uint32) int {
 	n := 0
-	for s := 0; s < sub; {
-		if e.Remap&(1<<s) == 0 {
-			s++
-			continue
+	for _, e := range entries {
+		if e.PointsAt(ptr) {
+			n += e.SlotsUsed()
 		}
-		start, cf := e.RangeOf(s)
-		if start < s { // shouldn't happen with aligned ranges, be safe
-			s++
-			continue
-		}
-		n++
-		s = start + cf
 	}
 	return n
 }
 
-// SuperEntries is the remap-cache line unit: the eight entries of one
-// super-block, read together for the position calculation.
-type SuperEntries [8]RemapEntry
-
 // SlotPosition computes where sub-block sub of block blkOff lives inside the
-// physical block both share: the number of slots used by earlier blocks of
-// the super-block with the same Pointer, plus the slot offset within the
-// block's own sorted ranges (the prefix-sum decode of Section III-C).
-func (se *SuperEntries) SlotPosition(blkOff, sub int) int {
-	ptr := se[blkOff].Pointer
-	pos := 0
-	for b := 0; b < blkOff; b++ {
-		if se[b].Valid() && !se[b].Z && se[b].Pointer == ptr {
-			pos += se[b].SlotsUsed()
-		}
+// physical block its entry points at (the prefix-sum decode of Section
+// III-C). entries are the remap entries of the block's super-block in block
+// order, which may be fewer or more than eight (Fig. 13(b) sweeps 1- to
+// 32-block super-blocks). The position is the slots used by earlier blocks
+// with the same Pointer, plus the block's own ranges before the one holding
+// sub.
+func SlotPosition(entries []RemapEntry, blkOff, sub int) int {
+	e := entries[blkOff]
+	pos := SlotsAt(entries[:blkOff], e.Pointer)
+	for start, cf := e.NextRange(0); cf > 0 && start+cf <= sub; start, cf = e.NextRange(start + cf) {
+		pos++
 	}
-	return pos + se[blkOff].SlotOffsetWithin(sub)
+	return pos
 }
