@@ -58,7 +58,7 @@ bench:
 	$(GO) test -run '^$$' -bench SingleRun -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench HierarchyAccess -benchtime 1x ./internal/cache
 	$(GO) test -run '^$$' -bench 'MarshalCanonical|Decode|Key' -benchtime 1x ./internal/report
-	$(GO) test -run '^$$' -bench 'EngineSwap|StoreWriteLine' -benchtime 1x ./internal/hybrid
+	$(GO) test -run '^$$' -bench 'EngineSwap|StoreWriteVersion' -benchtime 1x ./internal/hybrid
 	$(GO) test -run '^$$' -bench FillLine -benchtime 1x ./internal/datagen
 	$(GO) test -run '^$$' -bench FitsWithin -benchtime 1x ./internal/compress
 	$(GO) test -run '^$$' -bench StoreGetDisk -benchtime 1x ./internal/service

@@ -20,19 +20,31 @@ func main() {
 	cfg.StageBytes = 256 << 10
 	cfg.SlowBytes = 32 << 20
 
-	// The store is the memory image. A nil filler means
-	// untouched memory reads as zeros; here we make every block hold its
-	// own block number in every word, which compresses extremely well.
-	// The second function makes lines written as versions, which only the
-	// simulator's runner writes; this example writes bytes.
-	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+	// The store is the memory image, and it holds versions, not bytes. Its
+	// first function fills a block on the block's first read: a nil filler
+	// means untouched memory reads as zeros; here we make every block hold
+	// its own block number in every word, which compresses extremely well.
+	// The second makes a written line's bytes from its write version when a
+	// read covers it; version 0 must be the fill's own bytes. Here every
+	// later version of a line holds a greeting.
+	fill := func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		for i := 0; i+8 <= len(dst); i += 8 {
 			v := uint64(b)
 			for k := 0; k < 8; k++ {
 				dst[i+k] = byte(v >> (8 * k))
 			}
 		}
-	}, nil)
+	}
+	store := hybrid.NewStore(fill, func(b hybrid.BlockID, line int, version uint32, dst *[hybrid.CachelineSize]byte) {
+		if version == 0 {
+			var blk [hybrid.BlockSize]byte
+			fill(b, &blk)
+			copy(dst[:], blk[line*hybrid.CachelineSize:])
+			return
+		}
+		*dst = [hybrid.CachelineSize]byte{}
+		copy(dst[:], "hello, hybrid memory")
+	})
 
 	stats := sim.NewStats()
 	ctrl := core.New(cfg, store, stats)
@@ -50,13 +62,11 @@ func main() {
 		}
 	}
 
-	// Write one line and read it back. The writer stores the line, then
-	// calls Access, which places and accounts it; Access returns timing
-	// only, and the line's content is read from the store.
+	// Write one line and read it back. The writer stores the line's new
+	// version, then calls Access, which places and accounts it; Access
+	// returns timing only, and the line's content is read from the store.
 	addr := uint64(3 * 2048)
-	data := make([]byte, 64)
-	copy(data, []byte("hello, hybrid memory"))
-	store.WriteLine(addr, data)
+	store.WriteVersion(addr, 1)
 	ctrl.Access(now, addr, true, nil)
 	ctrl.Access(now+100, addr, false, nil)
 	fmt.Printf("read back: %q\n", store.Line(addr)[:20])

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"baryon/internal/config"
@@ -19,10 +20,33 @@ func tableI() []hybrid.TierSpec {
 
 var testMix = datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 
-func testStore() *hybrid.Store {
-	return hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+// testStore returns a store over the uniform datagen mix whose written
+// lines hold bytes the test chooses, and the write that stores them:
+// writeLine(addr, data) keeps a copy of data as the next version of the
+// line at addr and writes that version, and the store's line function
+// hands the copy back when a read makes the line. Only a line's latest
+// version is kept, and making any other version panics.
+func testStore() (*hybrid.Store, func(addr uint64, data []byte)) {
+	type payload struct {
+		v    uint32
+		data []byte
+	}
+	lines := make(map[uint64]payload)
+	var v uint32
+	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(testMix)(uint64(b), dst)
-	}, nil)
+	}, func(b hybrid.BlockID, line int, ver uint32, dst *[hybrid.CachelineSize]byte) {
+		p := lines[uint64(b)*hybrid.BlockSize+uint64(line)*hybrid.CachelineSize]
+		if p.v != ver {
+			panic(fmt.Sprintf("store made version %d of a line whose latest version is %d", ver, p.v))
+		}
+		copy(dst[:], p.data)
+	})
+	return store, func(addr uint64, data []byte) {
+		v++
+		lines[hybrid.LineAddr(addr)] = payload{v, append([]byte(nil), data...)}
+		store.WriteVersion(addr, v)
+	}
 }
 
 // testLine is the content testStore gives the unwritten line at addr.
@@ -35,11 +59,11 @@ func testLine(addr uint64) []byte {
 }
 
 // driveController exercises a controller with mixed traffic over store, a
-// testStore, writing each line to the store before its Access as the
+// testStore, writing each line with writeLine before its Access as the
 // runner does, and checks in the store that every write is visible when
 // Access returns and every read sees the last line written there, or
 // testStore's fill if none was.
-func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, accesses int, footprint uint64, seed uint64) {
+func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, writeLine func(addr uint64, data []byte), accesses int, footprint uint64, seed uint64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	written := make(map[uint64][]byte)
@@ -51,7 +75,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, 
 			for j := range data {
 				data[j] = byte(rng.Uint64() >> 32)
 			}
-			store.WriteLine(addr, data)
+			writeLine(addr, data)
 			ctrl.Access(now, addr, true, nil)
 			written[addr] = data
 			if got := store.Line(addr); !bytes.Equal(got, data) {
@@ -75,10 +99,10 @@ func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, 
 }
 
 func TestSimpleBasics(t *testing.T) {
-	store := testStore()
+	store, writeLine := testStore()
 	stats := sim.NewStats()
 	s := NewSimple(64, 4, nil, stats, tableI())
-	driveController(t, s, store, 20000, 1<<20, 7)
+	driveController(t, s, store, writeLine, 20000, 1<<20, 7)
 	if stats.Get("simple.hits") == 0 || stats.Get("simple.misses") == 0 {
 		t.Fatalf("hits=%d misses=%d; want both nonzero",
 			stats.Get("simple.hits"), stats.Get("simple.misses"))
@@ -118,10 +142,10 @@ func TestUnisonFootprintLearning(t *testing.T) {
 }
 
 func TestUnisonDrive(t *testing.T) {
-	store := testStore()
+	store, writeLine := testStore()
 	stats := sim.NewStats()
 	u := NewUnison(128, 4, nil, stats, 2, tableI())
-	driveController(t, u, store, 20000, 2<<20, 8)
+	driveController(t, u, store, writeLine, 20000, 2<<20, 8)
 	if stats.Get("unison.blockMisses") == 0 || stats.Get("unison.subHits") == 0 {
 		t.Fatal("unison did not exercise hit and miss paths")
 	}
@@ -155,10 +179,10 @@ func TestDICEPrefetchLines(t *testing.T) {
 }
 
 func TestDICEDrive(t *testing.T) {
-	store := testStore()
+	store, writeLine := testStore()
 	stats := sim.NewStats()
 	d := NewDICE(1<<18, store, stats, 5, tableI())
-	driveController(t, d, store, 20000, 2<<20, 9)
+	driveController(t, d, store, writeLine, 20000, 2<<20, 9)
 	if stats.Get("dice.hits") == 0 || stats.Get("dice.misses") == 0 {
 		t.Fatal("DICE did not exercise both paths")
 	}
@@ -169,10 +193,10 @@ func TestHybrid2Drive(t *testing.T) {
 	cfg.FastBytes = 1 << 20
 	cfg.StageBytes = 128 << 10
 	cfg.SlowBytes = 8 << 20
-	store := testStore()
+	store, writeLine := testStore()
 	stats := sim.NewStats()
 	h := NewHybrid2(cfg, store, stats)
-	driveController(t, h, store, 10000, 2<<20, 10)
+	driveController(t, h, store, writeLine, 10000, 2<<20, 10)
 	// The k=0 policy migrates when stage frames carry enough dirty data;
 	// write-heavy traffic must trigger it.
 	rng := sim.NewRNG(11)
@@ -183,7 +207,7 @@ func TestHybrid2Drive(t *testing.T) {
 		for j := range data {
 			data[j] = byte(rng.Uint64() >> 32)
 		}
-		store.WriteLine(addr, data)
+		writeLine(addr, data)
 		h.Access(now, addr, true, nil)
 		now += 40
 	}
@@ -209,10 +233,10 @@ func TestBaryonCacheDrive(t *testing.T) {
 	cfg.FastBytes = 1 << 20
 	cfg.StageBytes = 128 << 10
 	cfg.SlowBytes = 8 << 20
-	store := testStore()
+	store, writeLine := testStore()
 	stats := sim.NewStats()
 	c := core.New(cfg, store, stats)
-	driveController(t, c, store, 20000, 2<<20, 14)
+	driveController(t, c, store, writeLine, 20000, 2<<20, 14)
 	for _, name := range []string{"baryon.stage.writeOverflows", "baryon.fast.writeOverflows", "baryon.decompressions"} {
 		if stats.Get(name) == 0 {
 			t.Errorf("%s is zero; the drive missed that path", name)
@@ -224,7 +248,7 @@ func TestBaryonCacheDrive(t *testing.T) {
 }
 
 func TestControllersImplementInterface(t *testing.T) {
-	store := testStore()
+	store, _ := testStore()
 	var _ hybrid.Controller = NewSimple(16, 4, nil, sim.NewStats(), tableI())
 	var _ hybrid.Controller = NewUnison(16, 4, nil, sim.NewStats(), 1, tableI())
 	var _ hybrid.Controller = NewDICE(1<<14, store, sim.NewStats(), 5, tableI())
@@ -236,10 +260,10 @@ func TestControllersImplementInterface(t *testing.T) {
 }
 
 func TestOSPagingDrive(t *testing.T) {
-	store := testStore()
+	store, writeLine := testStore()
 	stats := sim.NewStats()
 	o := NewOSPaging(1<<20, stats, tableI())
-	driveController(t, o, store, 120000, 2<<20, 12)
+	driveController(t, o, store, writeLine, 120000, 2<<20, 12)
 	if stats.Get("ospaging.migrations") == 0 {
 		t.Fatal("no migrations across epochs")
 	}

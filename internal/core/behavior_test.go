@@ -16,14 +16,15 @@ import (
 func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64) *Controller {
 	t.Helper()
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
-	return stormStore(t, cfg, hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+	return stormStore(t, cfg, func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	}, nil), accesses, seed)
+	}, accesses, seed)
 }
 
-// stormStore is stormController over a given store.
-func stormStore(t *testing.T, cfg config.Config, store *hybrid.Store, accesses int, seed uint64) *Controller {
+// stormStore is stormController over a store with the given fill.
+func stormStore(t *testing.T, cfg config.Config, fill func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte), accesses int, seed uint64) *Controller {
 	t.Helper()
+	store, writeLine := payloadStore(fill)
 	c := New(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(seed)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
@@ -36,7 +37,7 @@ func stormStore(t *testing.T, cfg config.Config, store *hybrid.Store, accesses i
 			for j := range data {
 				data[j] = byte(rng.Uint64() >> 32)
 			}
-			store.WriteLine(addr, data)
+			writeLine(addr, data)
 			c.Access(now, addr, true, nil)
 		} else {
 			c.Access(now, addr, false, nil)
@@ -110,8 +111,8 @@ func TestCommitAllNeverEvicts(t *testing.T) {
 // must still return the new data (Rule 4 consequence, Section III-D).
 func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 	cfg := testConfig()
-	store := hybrid.NewStore(nil, nil) // all-zero: maximally compressible
-	cfg.ZeroBlockOpt = false           // force real CF-4 ranges, not Z entries
+	store, writeLine := payloadStore(nil) // all-zero: maximally compressible
+	cfg.ZeroBlockOpt = false              // force real CF-4 ranges, not Z entries
 	c := New(cfg, store, sim.NewStats())
 
 	// Touch a block until staged and committed: read it, then storm other
@@ -141,7 +142,7 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 		data[j] = byte(rng.Uint64() >> 32)
 	}
 	now += 100
-	store.WriteLine(target, data)
+	writeLine(target, data)
 	c.Access(now, target, true, nil)
 
 	if got := c.stats.Get("baryon.fast.writeOverflows"); got != before+1 {
@@ -218,7 +219,7 @@ func TestStageBreakdownImproves(t *testing.T) {
 			}
 		}
 	}
-	bd := Breakdown(c.stats)
+	bd := Breakdown(c.stats.Snapshot())
 	if bd.CHits == 0 {
 		t.Fatal("no committed activity")
 	}

@@ -14,20 +14,22 @@ import (
 func BenchmarkAccess(b *testing.B) {
 	cfg := testConfig()
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
+	// Every write stores an all-zero line as version 1.
 	store := hybrid.NewStore(func(blk hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(blk), dst)
-	}, nil)
+	}, func(_ hybrid.BlockID, _ int, _ uint32, dst *[hybrid.CachelineSize]byte) {
+		*dst = [hybrid.CachelineSize]byte{}
+	})
 	c := New(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(1)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
-	data := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := uint64(0)
 	for i := 0; i < b.N; i++ {
 		addr := rng.Uint64n(footprint) &^ 63
 		if i%4 == 0 {
-			store.WriteLine(addr, data)
+			store.WriteVersion(addr, 1)
 			c.Access(now, addr, true, nil)
 		} else {
 			c.Access(now, addr, false, nil)

@@ -27,6 +27,33 @@ func testConfig() config.Config {
 	return c
 }
 
+// payloadStore returns a store over fill whose written lines hold bytes
+// the test chooses, and the write that stores them: writeLine(addr, data)
+// keeps a copy of data as the next version of the line at addr and writes
+// that version, and the store's line function hands the copy back when a
+// read makes the line. Only a line's latest version is kept, and making
+// any other version panics.
+func payloadStore(fill func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte)) (*hybrid.Store, func(addr uint64, data []byte)) {
+	type payload struct {
+		v    uint32
+		data []byte
+	}
+	lines := make(map[uint64]payload)
+	var v uint32
+	store := hybrid.NewStore(fill, func(b hybrid.BlockID, line int, ver uint32, dst *[hybrid.CachelineSize]byte) {
+		p := lines[uint64(b)*hybrid.BlockSize+uint64(line)*hybrid.CachelineSize]
+		if p.v != ver {
+			panic(fmt.Sprintf("store made version %d of a line whose latest version is %d", ver, p.v))
+		}
+		copy(dst[:], p.data)
+	})
+	return store, func(addr uint64, data []byte) {
+		v++
+		lines[hybrid.LineAddr(addr)] = payload{v, append([]byte(nil), data...)}
+		store.WriteVersion(addr, v)
+	}
+}
+
 // refModel is the functional reference: the latest value of every line.
 type refModel struct {
 	mix    datagen.Mix
@@ -59,9 +86,9 @@ func (r *refModel) write(addr uint64, data []byte) {
 func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *Controller {
 	t.Helper()
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
-	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+	store, writeLine := payloadStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	}, nil)
+	})
 	stats := sim.NewStats()
 	c := New(cfg, store, stats)
 	ref := newRef(mix)
@@ -88,7 +115,7 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 				data[0] = byte(rng.Uint64() >> 32)
 			}
 			ref.write(addr, data)
-			store.WriteLine(addr, data)
+			writeLine(addr, data)
 			c.Access(now, addr, true, nil)
 		} else {
 			res := c.Access(now, addr, false, nil)

@@ -125,9 +125,10 @@ func RemapCacheHitRate(snap sim.Snapshot) float64 {
 	return sim.Ratio(hits, hits+snap.Get("remapCache.misses"))
 }
 
-// Breakdown computes the Fig. 3 ratios from a run's cumulative
-// "baryon.stage.*" and "baryon.fast.*" access counters.
-func Breakdown(st *sim.Stats) StageBreakdown {
+// Breakdown computes the Fig. 3 ratios from a run's "baryon.stage.*" and
+// "baryon.fast.*" access counters, e.g. the measured window's
+// res.Stats.Delta(res.MeasureStart).
+func Breakdown(st sim.Snapshot) StageBreakdown {
 	sHits, sMiss, sOvfl := st.Get("baryon.stage.hits"), st.Get("baryon.stage.subMisses"), st.Get("baryon.stage.writeOverflows")
 	cHits, cMiss, cOvfl := st.Get("baryon.fast.hits"), st.Get("baryon.fast.subMisses"), st.Get("baryon.fast.writeOverflows")
 	sTotal := float64(sHits + sMiss + sOvfl)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"baryon/internal/hybrid"
 	"baryon/internal/metadata"
 )
 
@@ -17,7 +16,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	// of random bytes as CF-1 ranges beside them.
 	cfg := testConfig()
 	cfg.ZeroBlockOpt = false
-	c := stormStore(t, cfg, hybrid.NewStore(nil, nil), 25000, 90)
+	c := stormStore(t, cfg, nil, 25000, 90)
 	if msg := c.CheckInvariants(); msg != "" {
 		t.Fatalf("storm left a violation before any corruption: %s", msg)
 	}

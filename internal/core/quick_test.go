@@ -17,9 +17,9 @@ import (
 // functional reference, or nil.
 func integrityErr(cfg config.Config, accesses int, seed uint64) error {
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
-	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
+	store, writeLine := payloadStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
-	}, nil)
+	})
 	c := New(cfg, store, sim.NewStats())
 	ref := newRef(mix)
 	rng := sim.NewRNG(seed)
@@ -39,7 +39,7 @@ func integrityErr(cfg config.Config, accesses int, seed uint64) error {
 				}
 			}
 			ref.write(addr, data)
-			store.WriteLine(addr, data)
+			writeLine(addr, data)
 			c.Access(now, addr, true, nil)
 		} else {
 			res := c.Access(now, addr, false, nil)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"baryon/internal/config"
 	"baryon/internal/mem"
-	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
 
@@ -100,8 +98,8 @@ func CXLSweep(ctx context.Context, o Options, cfg config.Config) ([]CXLRow, *Tab
 			LinkBW:        bw,
 			Cycles:        res.Cycles,
 			FastServeRate: res.FastServeRate,
-			LinkMB:        float64(sumCounterSuffix(res.Stats, ".cxlLinkBytes")) / (1 << 20),
-			InternalMB:    float64(sumCounterSuffix(res.Stats, ".cxlInternalBytes")) / (1 << 20),
+			LinkMB:        float64(res.CXLLinkBytes) / (1 << 20),
+			InternalMB:    float64(res.CXLInternalBytes) / (1 << 20),
 			P99:           res.MemLat.P99,
 		}
 		// The Unison run at this bandwidth is the first of its triplet.
@@ -117,17 +115,4 @@ func CXLSweep(ctx context.Context, o Options, cfg config.Config) ([]CXLRow, *Tab
 			fmt.Sprintf("%.1f", row.P99))
 	}
 	return rows, t, nil
-}
-
-// sumCounterSuffix totals every counter whose name ends in suffix across a
-// run's registry (the expander's device name depends on the tier preset, so
-// rows match by suffix rather than hardcoding it).
-func sumCounterSuffix(st *sim.Stats, suffix string) uint64 {
-	var total uint64
-	for _, n := range st.Names() {
-		if strings.HasSuffix(n, suffix) {
-			total += st.Get(n)
-		}
-	}
-	return total
 }

@@ -37,7 +37,7 @@ func Fig3a(ctx context.Context, o Options, cfg config.Config) ([]Fig3aRow, *Tabl
 	}
 	rows := make([]Fig3aRow, len(results))
 	for i, res := range results {
-		bd := core.Breakdown(res.Stats)
+		bd := core.Breakdown(res.Stats.Delta(res.MeasureStart))
 		rows[i] = Fig3aRow{Workload: workloads[i].Name, Breakdown: bd}
 		t.AddRow(workloads[i].Name, pct(bd.SHits), pct(bd.SReadMisses), pct(bd.SWriteOverflows),
 			pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
@@ -85,7 +85,7 @@ func Fig3b(ctx context.Context, o Options, cfg config.Config) ([]Fig3bRow, *Tabl
 	rows := make([]Fig3bRow, len(results))
 	for i, res := range results {
 		p := pairs[i]
-		bd := core.Breakdown(res.Stats)
+		bd := core.Breakdown(res.Stats.Delta(res.MeasureStart))
 		rows[i] = Fig3bRow{Workload: p.Workload.Name, StageBytes: p.Cfg.StageBytes, Breakdown: bd}
 		t.AddRow(p.Workload.Name, byteSize(p.Cfg.StageBytes), pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"baryon/internal/config"
 	"baryon/internal/fault"
@@ -73,10 +74,11 @@ func Resilience(ctx context.Context, o Options, cfg config.Config) ([]Resilience
 	}
 	for i, res := range results {
 		p := pairs[i]
-		checked := sumFaultCounter(res.Stats, "checked")
-		corrected := sumFaultCounter(res.Stats, "corrected")
-		uncorr := sumFaultCounter(res.Stats, "uncorrectable")
-		remaps := sumFaultCounter(res.Stats, "remaps")
+		window := res.Stats.Delta(res.MeasureStart)
+		checked := sumFaultCounter(window, "checked")
+		corrected := sumFaultCounter(window, "corrected")
+		uncorr := sumFaultCounter(window, "uncorrectable")
+		remaps := sumFaultCounter(window, "remaps")
 		clean := 1.0
 		if checked > 0 {
 			clean = 1 - float64(corrected+uncorr)/float64(checked)
@@ -105,8 +107,14 @@ func Resilience(ctx context.Context, o Options, cfg config.Config) ([]Resilience
 }
 
 // sumFaultCounter totals "<device>.fault.<name>" across every device of a
-// run's registry (device names depend on the slow-memory preset, so rows
-// match by suffix rather than hardcoding them).
-func sumFaultCounter(st *sim.Stats, name string) uint64 {
-	return sumCounterSuffix(st, ".fault."+name)
+// run's measured window (device names depend on the slow-memory preset, so
+// rows match by suffix rather than hardcoding them).
+func sumFaultCounter(window sim.Snapshot, name string) uint64 {
+	var total uint64
+	for _, n := range window.CounterNames() {
+		if strings.HasSuffix(n, ".fault."+name) {
+			total += window.Get(n)
+		}
+	}
+	return total
 }

@@ -32,14 +32,14 @@ func BenchmarkEngineSwap(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreWriteLine times the first write of a line into a block on
-// a store filled by the uniform datagen mix, as an LLC writeback stores
-// it: a version write. One op is one block's first write; a fresh store is
-// started after every 4 MB of blocks. write-only never reads the block
-// back, as Simple, Unison and OSPaging do not; write-then-read reads its
-// sub-block next, which runs the block's fill and makes the line, as a
-// Baryon stage insert does.
-func BenchmarkStoreWriteLine(b *testing.B) {
+// BenchmarkStoreWriteVersion times the first write of a line into a block
+// on a store filled by the uniform datagen mix, as an LLC writeback stores
+// it. One op is one block's first write; a fresh store is started after
+// every 4 MB of blocks. write-only never reads the block back, as Simple,
+// Unison and OSPaging do not, so it carves only the block's record;
+// write-then-read reads its sub-block next, which carves and fills the
+// block's bytes and makes the line, as a Baryon stage insert does.
+func BenchmarkStoreWriteVersion(b *testing.B) {
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	fill := datagen.Filler(mix)
 	line := func(blk BlockID, i int, v uint32, dst *[CachelineSize]byte) {

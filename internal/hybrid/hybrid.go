@@ -2,8 +2,8 @@
 // shares: the address geometry of the baseline hybrid memory system
 // (Section III-A of the paper — 2 kB blocks, 256 B sub-blocks, 16 kB
 // super-blocks, set-associative fast memory), the controller interface the
-// CPU cache hierarchy drives, and the store that holds every byte of the
-// memory image.
+// CPU cache hierarchy drives, and the store that holds the memory image
+// as versions, making bytes only for its readers.
 package hybrid
 
 // Geometry constants (Sections III-A and III-B).
@@ -47,8 +47,8 @@ type Result struct {
 // designs differ only in what sits behind it.
 type Controller interface {
 	// Access performs a 64 B read or write at physical address addr (already
-	// line-aligned) starting at cycle now. The writer stores a written line
-	// in the Store first, then calls Access, which places and accounts it;
+	// line-aligned) starting at cycle now. The writer stores a written line's
+	// version in the Store first, then calls Access, which places and accounts it;
 	// no controller writes the Store. data is unused (the runner passes
 	// nil). A read returns timing only; content is read from the Store.
 	// Result.Prefetched is read-only and may alias controller-owned

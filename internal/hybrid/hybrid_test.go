@@ -65,20 +65,30 @@ func TestStoreNilFillZero(t *testing.T) {
 }
 
 func TestStoreWriteRead(t *testing.T) {
-	s := NewStore(nil, nil)
-	data := bytes.Repeat([]byte{0xAB}, 64)
-	s.WriteLine(5*BlockSize+128, data)
-	if !bytes.Equal(s.Line(5*BlockSize+128), data) {
+	// Version 1 of a line is 0xAB repeated, version 2 is 0xCD; version 0 is
+	// the nil fill's zeros.
+	s := NewStore(nil, func(b BlockID, line int, v uint32, dst *[CachelineSize]byte) {
+		for i := range dst {
+			dst[i] = [3]byte{0, 0xAB, 0xCD}[v]
+		}
+	})
+	addr := uint64(5*BlockSize + 128)
+	s.WriteVersion(addr, 1)
+	if !bytes.Equal(s.Line(addr), bytes.Repeat([]byte{0xAB}, CachelineSize)) {
 		t.Fatal("line write lost")
 	}
-	sub := bytes.Repeat([]byte{0xCD}, SubBlockSize)
-	copy(s.Bytes(5*BlockSize+2*SubBlockSize, SubBlockSize), sub)
-	if !bytes.Equal(s.Bytes(5*BlockSize+2*SubBlockSize, SubBlockSize), sub) {
-		t.Fatal("sub write lost")
+	other := uint64(5*BlockSize + 2*SubBlockSize + CachelineSize)
+	s.WriteVersion(other, 2)
+	if !bytes.Equal(s.Line(other), bytes.Repeat([]byte{0xCD}, CachelineSize)) {
+		t.Fatal("second line write lost")
 	}
-	// The line write at sub 0 must be untouched by the sub-2 write.
-	if !bytes.Equal(s.Line(5*BlockSize+128), data) {
+	// The line at sub 0 must be untouched by the sub-2 write.
+	if !bytes.Equal(s.Line(addr), bytes.Repeat([]byte{0xAB}, CachelineSize)) {
 		t.Fatal("unrelated write clobbered line")
+	}
+	s.WriteVersion(addr, 0)
+	if !bytes.Equal(s.Line(addr), make([]byte, CachelineSize)) {
+		t.Fatal("version 0 does not read as the fill")
 	}
 }
 
@@ -95,10 +105,10 @@ func TestStoreBytesWithinBlock(t *testing.T) {
 	s.Bytes(BlockSize-10, 20)
 }
 
-// TestStoreLazyFillMatchesEager drives a seeded random mix of byte writes,
-// version writes and reads through every view, and checks each read
-// against an eager reference that fills a block on its first touch and
-// copies writes in, making a version's line at once.
+// TestStoreLazyFillMatchesEager drives a seeded random mix of version
+// writes and reads through every view, and checks each read against an
+// eager reference that fills a block on its first touch and makes a
+// version's line at once.
 func TestStoreLazyFillMatchesEager(t *testing.T) {
 	fill := func(b BlockID, dst *[BlockSize]byte) {
 		for i := range dst {
@@ -127,26 +137,18 @@ func TestStoreLazyFillMatchesEager(t *testing.T) {
 		addr := rng.Uint64n(blocks*BlockSize) &^ (CachelineSize - 1)
 		b, off := BlockOf(addr), addr%BlockSize
 		var got, want []byte
-		switch op := rng.Intn(12); {
+		switch op := rng.Intn(8); {
 		case op < 4:
-			data := make([]byte, CachelineSize)
-			for j := range data {
-				data[j] = byte(rng.Uint64() >> 32)
-			}
-			s.WriteLine(addr, data)
-			copy(refBlock(b)[off:], data)
-			continue
-		case op < 8:
 			v := uint32(rng.Uint64n(1 << 20))
 			s.WriteVersion(addr, v)
 			line(b, int(off/CachelineSize), v, (*[CachelineSize]byte)(refBlock(b)[off:]))
 			continue
-		case op == 8:
+		case op == 4:
 			got, want = s.Line(addr), refBlock(b)[off:off+CachelineSize]
-		case op == 9:
+		case op == 5:
 			sub := off &^ (SubBlockSize - 1)
 			got, want = s.Bytes(addr&^(SubBlockSize-1), SubBlockSize), refBlock(b)[sub:sub+SubBlockSize]
-		case op == 10:
+		case op == 6:
 			n := int(rng.Uint64n(BlockSize-off)) + 1
 			got, want = s.Bytes(addr, n), refBlock(b)[off:off+uint64(n)]
 		default:
@@ -161,8 +163,8 @@ func TestStoreLazyFillMatchesEager(t *testing.T) {
 // TestStoreVersionWrites checks the simulator's write path on a store made
 // as the runner makes it, over datagen: a version-written line reads back
 // as datagen.FillLine at its version, version 0 is the fill's own content,
-// reading one written line leaves its block unfilled, and a block read
-// after mixed writes keeps every written line.
+// and a block read keeps every written line, whether it was written before
+// the block's fill or after.
 func TestStoreVersionWrites(t *testing.T) {
 	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
 	blockFill := datagen.Filler(mix)
@@ -185,18 +187,15 @@ func TestStoreVersionWrites(t *testing.T) {
 		return dst
 	}
 
-	// A pending line reads back as FillLine at its version, without the fill.
+	// A written line reads back as FillLine at its version.
 	addr := uint64(7*BlockSize + 5*SubBlockSize + 3*CachelineSize)
 	s.WriteVersion(addr, 9)
 	if got := s.Line(addr); !bytes.Equal(got, want(addr, 9)) {
-		t.Fatalf("pending line reads %x, want FillLine at version 9 %x", got, want(addr, 9))
+		t.Fatalf("written line reads %x, want FillLine at version 9 %x", got, want(addr, 9))
 	}
 	s.WriteVersion(addr, 10)
 	if got := s.Line(addr); !bytes.Equal(got, want(addr, 10)) {
 		t.Fatal("rewritten line does not read as its new version")
-	}
-	if fills != 0 {
-		t.Fatalf("reading a written line ran the fill %d times, want 0", fills)
 	}
 
 	// Version 0 is the fill's own content.
@@ -206,28 +205,28 @@ func TestStoreVersionWrites(t *testing.T) {
 		t.Fatalf("version 0 reads %x, want the fill's %x", got, fill)
 	}
 
-	// A block read after mixed writes keeps every written line: pending
-	// versions, made lines and bytes survive the fill that sets them aside.
+	// A block read keeps every written line: lines written before the fill
+	// runs, lines written after it, and a line made and then rewritten.
 	const b = 6 // ClassRandom: no two versions of a line agree
 	base := uint64(b * BlockSize)
-	payload := bytes.Repeat([]byte{0x5A}, CachelineSize)
 	s.WriteVersion(base+0*CachelineSize, 4)
 	s.WriteVersion(base+1*CachelineSize, 6)
-	s.Line(base + 1*CachelineSize) // made before the fill
-	s.WriteLine(base+2*CachelineSize, payload)
 	s.WriteVersion(base+31*CachelineSize, 2)
-	s.WriteLine(base+30*CachelineSize, payload)
-	s.WriteVersion(base+30*CachelineSize, 3) // a version replaces bytes
-	s.WriteVersion(base+29*CachelineSize, 8)
-	s.WriteLine(base+29*CachelineSize, payload) // and bytes a version
+	s.WriteVersion(base+30*CachelineSize, 5)
+	s.WriteVersion(base+30*CachelineSize, 3) // a later version replaces an earlier one
 	fills = 0
-	got := s.Bytes(base+SubBlockSize, SubBlockSize) // the fill runs here
+	if got := s.Line(base + 1*CachelineSize); !bytes.Equal(got, want(base+1*CachelineSize, 6)) { // the fill runs here
+		t.Fatal("first read of a written line does not read as its version")
+	}
 	if fills != 1 {
 		t.Fatalf("first read of a written block ran the fill %d times, want 1", fills)
 	}
-	if !bytes.Equal(got, fillOf(b)[SubBlockSize:2*SubBlockSize]) {
+	if got := s.Bytes(base+SubBlockSize, SubBlockSize); !bytes.Equal(got, fillOf(b)[SubBlockSize:2*SubBlockSize]) {
 		t.Fatal("unwritten sub-block does not read as the fill")
 	}
+	s.WriteVersion(base+2*CachelineSize, 5)
+	s.WriteVersion(base+1*CachelineSize, 7) // rewrites a made line
+	s.WriteVersion(base+29*CachelineSize, 8)
 	blk := s.Bytes(base, BlockSize)
 	fill := fillOf(b)
 	for i := 0; i < BlockSize/CachelineSize; i++ {
@@ -237,9 +236,11 @@ func TestStoreVersionWrites(t *testing.T) {
 		case 0:
 			w = want(addr, 4)
 		case 1:
-			w = want(addr, 6)
-		case 2, 29:
-			w = payload
+			w = want(addr, 7)
+		case 2:
+			w = want(addr, 5)
+		case 29:
+			w = want(addr, 8)
 		case 30:
 			w = want(addr, 3)
 		case 31:
@@ -253,5 +254,34 @@ func TestStoreVersionWrites(t *testing.T) {
 	}
 	if fills != 1 {
 		t.Fatalf("block filled %d times, want 1", fills)
+	}
+}
+
+// TestStoreWritesMakeNoBytes writes versions to many distinct blocks, as a
+// design that never reads content does, and checks that the store carves
+// no block bytes until a read: a written block holds only its record.
+func TestStoreWritesMakeNoBytes(t *testing.T) {
+	fills, lines := 0, 0
+	s := NewStore(func(b BlockID, dst *[BlockSize]byte) { fills++ }, func(b BlockID, line int, v uint32, dst *[CachelineSize]byte) { lines++ })
+	const blocks = 3 * storeRecSlab // spans several record slabs
+	for blk := uint64(0); blk < blocks; blk++ {
+		for line := uint64(0); line < 3; line++ {
+			s.WriteVersion(blk*BlockSize+line*7*CachelineSize, uint32(blk+line+1))
+		}
+	}
+	if len(s.blocks) != blocks {
+		t.Fatalf("store holds %d records, want %d", len(s.blocks), blocks)
+	}
+	if len(s.slabs) != 0 || s.carved != 0 || fills != 0 || lines != 0 {
+		t.Fatalf("writes alone made %d slabs, carved %d blocks of bytes, ran the fill %d times and made %d lines", len(s.slabs), s.carved, fills, lines)
+	}
+	for b, blk := range s.blocks {
+		if blk.data != 0 {
+			t.Fatalf("written block %d holds bytes before any read", b)
+		}
+	}
+	s.Line(5*BlockSize + 7*CachelineSize)
+	if s.carved != 1 || fills != 1 || lines != 1 {
+		t.Fatalf("one line read carved %d blocks, ran %d fills and made %d lines, want 1, 1, 1", s.carved, fills, lines)
 	}
 }
