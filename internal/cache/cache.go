@@ -1,9 +1,11 @@
-// Package cache models the processor-side cache hierarchy of Table I:
-// per-core L1/L2 and a shared, inclusive LLC with back-invalidation, all
-// metadata-only (the functional data plane lives in the memory controller
-// and the run harness). Dirty LLC evictions become memory-controller writes;
-// LLC misses become controller reads; decompression by-products can be
-// installed as free prefetches (Section III-E, memory-to-LLC prefetching).
+// Package cache models the set-associative caches of Table I. Hierarchy
+// runs the processor side: per-core L1/L2 and a shared, inclusive LLC with
+// back-invalidation, all metadata-only (the functional data plane lives in
+// the memory controller and the run harness). Dirty LLC evictions become
+// memory-controller writes; LLC misses become controller reads;
+// decompression by-products can be installed as free prefetches (Section
+// III-E, memory-to-LLC prefetching). Baryon's on-chip remap cache (Section
+// III-B) is one more Cache, one line per super-block.
 package cache
 
 import (
@@ -115,17 +117,17 @@ func (c *Cache) Probe(addr uint64) bool {
 	return s >= 0
 }
 
-// Victim describes a line displaced by Install.
+// Victim describes a line displaced by InstallAbsent.
 type Victim struct {
 	Addr  uint64
 	Dirty bool
 	Valid bool
 }
 
-// installAbsent installs addr, which must be absent, and returns the
+// InstallAbsent installs addr, which must be absent, and returns the
 // displaced victim and the slot that now holds addr. The victim is the
 // first empty way of the set, otherwise its least recently used way.
-func (c *Cache) installAbsent(addr uint64, dirty bool) (Victim, int) {
+func (c *Cache) InstallAbsent(addr uint64, dirty bool) (Victim, int) {
 	c.tick++
 	si := c.index(addr)
 	base := si * c.cfg.Ways

@@ -52,6 +52,37 @@ func TestCacheDirtyTracking(t *testing.T) {
 	}
 }
 
+// TestCacheAsRemapCache drives a Cache the way Baryon's remap cache does:
+// one line per super-block at key super*64, a probe with Access, an
+// InstallAbsent after a miss, and MarkDirty on an entry update.
+func TestCacheAsRemapCache(t *testing.T) {
+	c, stats := newTestCache(4, 2)
+	key := func(super uint64) uint64 { return super * 64 }
+	if c.Access(key(100), false) {
+		t.Fatal("empty cache hit")
+	}
+	c.InstallAbsent(key(100), false)
+	if !c.Access(key(100), false) {
+		t.Fatal("inserted line missed")
+	}
+	if !c.MarkDirty(key(100)) {
+		t.Fatal("MarkDirty on cached line returned false")
+	}
+	// Supers 100 and 104 share set 0 of 4; 104 becomes MRU.
+	c.InstallAbsent(key(104), false)
+	c.Access(key(104), false)
+	// The next insert into that set evicts the dirty LRU line, 100.
+	if v, _ := c.InstallAbsent(key(108), false); v != (Victim{Addr: key(100), Dirty: true, Valid: true}) {
+		t.Fatalf("victim %+v, want dirty super 100", v)
+	}
+	if c.Access(key(100), false) {
+		t.Fatal("evicted line still present")
+	}
+	if stats.Get("t.hits") != 2 || stats.Get("t.misses") != 2 {
+		t.Fatalf("hits=%d misses=%d, want 2 and 2", stats.Get("t.hits"), stats.Get("t.misses"))
+	}
+}
+
 func TestCacheInvalidate(t *testing.T) {
 	c, _ := newTestCache(2, 2)
 	c.Install(0, true)
@@ -318,14 +349,14 @@ func TestCacheMatchesReference(t *testing.T) {
 					}
 				case 2:
 					if _, w := ref.way(addr); w >= 0 {
-						continue // installAbsent requires an absent line
+						continue // InstallAbsent requires an absent line
 					}
-					got, slot := c.installAbsent(addr, flag)
+					got, slot := c.InstallAbsent(addr, flag)
 					if want := ref.install(addr, flag); got != want {
-						t.Fatalf("op %d: installAbsent(%#x, %v) = %+v, want %+v", i, addr, flag, got, want)
+						t.Fatalf("op %d: InstallAbsent(%#x, %v) = %+v, want %+v", i, addr, flag, got, want)
 					}
 					if c.tags[slot] != addr {
-						t.Fatalf("op %d: installAbsent returned slot %d holding %#x", i, slot, c.tags[slot])
+						t.Fatalf("op %d: InstallAbsent returned slot %d holding %#x", i, slot, c.tags[slot])
 					}
 				case 3:
 					set, w := ref.way(addr)
@@ -381,6 +412,6 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 		c.dirty[s] = c.dirty[s] || dirty
 		return Victim{}
 	}
-	v, _ := c.installAbsent(addr, dirty)
+	v, _ := c.InstallAbsent(addr, dirty)
 	return v
 }

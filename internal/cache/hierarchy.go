@@ -166,7 +166,7 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 		h.tracer.Span("L1", "miss", now, now+lat)
 	}
 	if l2.Access(addr, false) {
-		h.fillL1(core, addr, write, now)
+		h.fillL1(core, addr, write)
 		done := now + lat + h.cfg.L2.Latency
 		h.latL2.Observe(done - now)
 		h.lat.Observe(done - now)
@@ -180,8 +180,8 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 	}
 	lat += h.cfg.L2.Latency
 	if slot := h.llc.access(addr, false); slot >= 0 {
-		h.fillL2(core, addr, slot, now)
-		h.fillL1(core, addr, write, now)
+		h.fillL2(core, addr, slot)
+		h.fillL1(core, addr, write)
 		done := now + lat + h.cfg.LLC.Latency
 		h.latLLC.Observe(done - now)
 		h.lat.Observe(done - now)
@@ -223,22 +223,18 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 			}
 		}
 	}
-	h.fillL2(core, addr, slot, now)
-	h.fillL1(core, addr, write, now)
+	h.fillL2(core, addr, slot)
+	h.fillL1(core, addr, write)
 	return res.Done
 }
 
 // fillL1 installs addr, which just missed it, into a core's L1; a displaced
-// dirty victim propagates its dirtiness to the L2 copy (present by
-// inclusion).
-func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool, now uint64) {
-	v, _ := h.l1[core].installAbsent(addr, dirty)
-	if v.Valid && v.Dirty {
-		if !h.l2[core].MarkDirty(v.Addr) {
-			// Inclusion was broken by a concurrent back-invalidate path;
-			// write the line back directly.
-			h.writeback(v.Addr, now)
-		}
+// dirty victim propagates its dirtiness to the L2 copy, present by
+// inclusion.
+func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool) {
+	v, _ := h.l1[core].InstallAbsent(addr, dirty)
+	if v.Valid && v.Dirty && !h.l2[core].MarkDirty(v.Addr) {
+		panic(fmt.Sprintf("cache: core %d: dirty L1 victim %#x is not in L2: L1 ⊆ L2 is broken", core, v.Addr))
 	}
 }
 
@@ -247,17 +243,15 @@ func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool, now uint64) {
 // copy of any displaced victim and propagating dirtiness to the LLC. The
 // victim's sharer bit is left set: a stale bit costs one wasted probe at LLC
 // eviction, clearing it an LLC lookup on every L2 eviction.
-func (h *Hierarchy) fillL2(core int, addr uint64, llcSlot int, now uint64) {
+func (h *Hierarchy) fillL2(core int, addr uint64, llcSlot int) {
 	h.sharers[llcSlot] |= 1 << core
-	v, _ := h.l2[core].installAbsent(addr, false)
+	v, _ := h.l2[core].InstallAbsent(addr, false)
 	if !v.Valid {
 		return
 	}
 	_, l1Dirty := h.l1[core].Invalidate(v.Addr)
-	if v.Dirty || l1Dirty {
-		if !h.llc.MarkDirty(v.Addr) {
-			h.writeback(v.Addr, now)
-		}
+	if (v.Dirty || l1Dirty) && !h.llc.MarkDirty(v.Addr) {
+		panic(fmt.Sprintf("cache: core %d: dirty L2 victim %#x is not in the LLC: L2 ⊆ LLC is broken", core, v.Addr))
 	}
 }
 
@@ -265,7 +259,7 @@ func (h *Hierarchy) fillL2(core int, addr uint64, llcSlot int, now uint64) {
 // returns its slot. The victim's upper-level copies are back-invalidated in
 // the cores its sharer mask names, and it is written back if dirty anywhere.
 func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) int {
-	v, slot := h.llc.installAbsent(addr, dirty)
+	v, slot := h.llc.InstallAbsent(addr, dirty)
 	sharers := h.sharers[slot]
 	h.sharers[slot] = 0
 	if !v.Valid {

@@ -157,6 +157,30 @@ func TestCheckInclusionDetectsViolations(t *testing.T) {
 	if err := h.CheckInclusion(); err == nil || !strings.Contains(err.Error(), "not in L2") {
 		t.Fatalf("L1 line missing from L2 not reported: %v", err)
 	}
+	// A fill that evicts the L1 line L2 lacks, dirty, fails loudly: lines
+	// 0x40, 0xc0 and 0x140 share L1 set 1 of core 2.
+	l1.MarkDirty(0x40)
+	h.Access(2, 0, 0xc0, false)
+	expectPanic(t, "L1 ⊆ L2 is broken", func() { h.Access(2, 0, 0x140, false) })
+
+	// So does an L2 fill that evicts a dirty line the LLC lacks: lines 0x40,
+	// 0x140 and 0x240 share L2 set 1 of core 0.
+	h, _ = newStubHierarchy(sharedConfig)
+	h.Access(0, 0, 0x40, true)
+	h.LLC().Invalidate(0x40)
+	h.Access(0, 0, 0x140, false)
+	expectPanic(t, "L2 ⊆ LLC is broken", func() { h.Access(0, 0, 0x240, false) })
+}
+
+// expectPanic runs f and fails unless it panics with a message holding want.
+func expectPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want one naming %q", msg, want)
+		}
+	}()
+	f()
 }
 
 // TestHierarchyFlushOrderDeterministic drives two hierarchies identically and

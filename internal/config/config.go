@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"baryon/internal/fault"
+	"baryon/internal/metadata"
 )
 
 // Mode selects how the fast memory is used (Section II-A).
@@ -241,4 +242,11 @@ func (c *Config) StageTagArrayBytes() uint64 { return c.StageBlocks() * 14 }
 
 // RemapTableBytes returns the off-chip remap table budget: one 2 B entry
 // per OS-visible block (0.1% of system capacity at paper scale).
-func (c *Config) RemapTableBytes() uint64 { return c.OSBlocks() * 2 }
+func (c *Config) RemapTableBytes() uint64 { return c.OSBlocks() * metadata.RemapEntryBytes }
+
+// RemapCacheBytes returns the on-chip remap cache budget: per line, a
+// super-block's eight 2 B entries plus a 26-bit tag and state rounded to
+// 4 B (40 kB at Table I's 256 sets x 8 ways).
+func (c *Config) RemapCacheBytes() uint64 {
+	return uint64(c.RemapCacheSets*c.RemapCacheWays) * (8*metadata.RemapEntryBytes + 4)
+}

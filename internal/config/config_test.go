@@ -30,6 +30,15 @@ func TestPaperScaleBudgets(t *testing.T) {
 	}
 }
 
+func TestRemapCacheStorageBudget(t *testing.T) {
+	// Table I: 32 kB remap cache (256 sets x 8 ways x 16 B of entries),
+	// plus tag overhead.
+	p := PaperScale()
+	if got := p.RemapCacheBytes(); got < 32*1024 || got > 42*1024 {
+		t.Fatalf("remap cache %d B, want ~32-40 kB", got)
+	}
+}
+
 func TestGeometryCounts(t *testing.T) {
 	s := Scaled()
 	if s.FastBlocks() != (s.FastBytes-s.StageBytes)/2048 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"baryon/internal/config"
 	"baryon/internal/hybrid"
 	"baryon/internal/metadata"
 	"baryon/internal/sim"
@@ -67,21 +68,26 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 // is known.
 func (c *Controller) remapLookup(now uint64, super hybrid.SuperBlockID) uint64 {
 	t := now + c.cfg.RemapCacheLatency
-	if c.rcache.Lookup(uint64(super)) {
+	if c.remapCache.Access(remapKey(super), false) {
 		return t
 	}
 	t = c.eng.FastRead(t, c.tableBase+uint64(super)*16, 64)
-	if c.rcache.Insert(uint64(super)) {
+	if v, _ := c.remapCache.InstallAbsent(remapKey(super), false); v.Valid && v.Dirty {
 		// Dirty victim line written back to the off-chip table.
+		c.remapWritebacks.Inc()
 		c.eng.FillFast(now, c.tableBase+uint64(super)*16, 64)
 	}
 	return t
 }
 
+// remapKey is super's line address in the remap cache: one 64 B line per
+// super-block, so super-block n maps to set n mod sets.
+func remapKey(super hybrid.SuperBlockID) uint64 { return uint64(super) * hybrid.CachelineSize }
+
 // metaUpdate records a remap-entry update: absorbed on chip when the line is
 // cached, otherwise written through to the table in fast memory.
 func (c *Controller) metaUpdate(now uint64, super hybrid.SuperBlockID) {
-	if !c.rcache.MarkDirty(uint64(super)) {
+	if !c.remapCache.MarkDirty(remapKey(super)) {
 		c.eng.FillFast(now, c.tableBase+uint64(super)*16, 64)
 	}
 }
@@ -325,17 +331,12 @@ func (c *Controller) prefetchHintedRanges(now uint64, ssi, sw int, b uint64, dem
 
 	super := c.superOf(b)
 	blkOff := c.blkOff(b)
-	for q := 0; q < 2; q++ {
-		if c.cf4Hint[b]&(1<<q) != 0 && demanded/4 != q {
-			if w, _ := c.stageFind(ssi, super, blkOff, q*4); w < 0 {
-				c.stageInsertRange(now, ssi, sw, b, q*4, false)
-			}
-		}
-	}
-	for p := 0; p < 4; p++ {
-		if c.cf2Hint[b]&(1<<p) != 0 && demanded/2 != p {
-			if w, _ := c.stageFind(ssi, super, blkOff, p*2); w < 0 {
-				c.stageInsertRange(now, ssi, sw, b, p*2, false)
+	for _, cf := range []int{4, 2} {
+		for start := 0; start < config.SubBlocksPerBlock; start += cf {
+			if c.cfHint[b]&hintBit(start, cf) != 0 && demanded/cf != start/cf {
+				if w, _ := c.stageFind(ssi, super, blkOff, start); w < 0 {
+					c.stageInsertRange(now, ssi, sw, b, start, false)
+				}
 			}
 		}
 	}
@@ -391,7 +392,19 @@ func (c *Controller) chunkPrefetch(b uint64, start, cf, lineInRange int) []uint6
 // s..s+n-1 of block b.
 func (c *Controller) clearHints(b uint64, s, n int) {
 	for i := s; i < s+n; i++ {
-		c.cf2Hint[b] &^= 1 << (i / 2)
-		c.cf4Hint[b] &^= 1 << (i / 4)
+		c.cfHint[b] &^= hintBit(i, 2) | hintBit(i, 4)
 	}
+}
+
+// hintBit returns the cfHint bit marking the range of cf sub-blocks that
+// holds sub-block start: bit start/2 for a pair, bit 4+start/4 for a quad,
+// and no bit for any other cf.
+func hintBit(start, cf int) uint8 {
+	switch cf {
+	case 2:
+		return 1 << (start / 2)
+	case 4:
+		return 1 << (4 + start/4)
+	}
+	return 0
 }

@@ -169,8 +169,8 @@ func TestCompressedWriteback(t *testing.T) {
 		t.Fatal("no compressed writebacks despite compressible traffic")
 	}
 	hints := 0
-	for b := range c.cf2Hint {
-		if c.cf2Hint[b] != 0 || c.cf4Hint[b] != 0 {
+	for _, h := range c.cfHint {
+		if h != 0 {
 			hints++
 		}
 	}
@@ -186,8 +186,8 @@ func TestNoCompressedWritebackNoHints(t *testing.T) {
 	if c.stats.Get("baryon.compressedWritebacks") != 0 {
 		t.Fatal("compressed writebacks despite the option being off")
 	}
-	for b := range c.cf2Hint {
-		if c.cf2Hint[b] != 0 || c.cf4Hint[b] != 0 {
+	for _, h := range c.cfHint {
+		if h != 0 {
 			t.Fatal("hints recorded despite the option being off")
 		}
 	}

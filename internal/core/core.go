@@ -9,6 +9,7 @@
 package core
 
 import (
+	"baryon/internal/cache"
 	"baryon/internal/compress"
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
@@ -65,20 +66,25 @@ type Controller struct {
 	// the ranges of the entries pointing at it, in block then sub-block
 	// order (Rule 4). Pointer is the full way index, wider than the
 	// hardware's log2(assoc) bits, so that Baryon-FA's single set works.
-	remap  []metadata.RemapEntry
-	rcache *metadata.RemapCache
+	remap []metadata.RemapEntry
+
+	// remapCache is the on-chip remap cache of Table I, one line per
+	// super-block at key remapKey(super); a dirty victim is written back
+	// to the table in fast memory.
+	remapCache      *cache.Cache
+	remapWritebacks *sim.Counter
 
 	// dirty is the simulator-side dirty state Fig. 5(b) has no bits for:
 	// bit s of dirty[b] marks committed sub-block s of block b as written
 	// since it was committed, set and cleared a whole range at a time.
 	dirty []uint8
 
-	// cfHints remembers ranges written back to slow memory in compressed
-	// form (Section III-F): bit i of cf4Hint marks quad i, bit i of cf2Hint
-	// marks pair i. Indexed by OS block. They are not the entry's CF bits:
-	// a hint outlives the entry it came from (an evicted frame's writebacks
+	// cfHint remembers ranges written back to slow memory in compressed
+	// form (Section III-F), at the bits hintBit names: bits 0-3 mark pairs,
+	// bits 4-5 quads. Indexed by OS block. It is not the entry's CF bits: a
+	// hint outlives the entry it came from (an evicted frame's writebacks
 	// set hints before its entries clear, and a Z commit keeps them).
-	cf2Hint, cf4Hint []uint8
+	cfHint []uint8
 
 	seq uint64 // monotonic sequence for LRU/FIFO ordering
 
@@ -180,9 +186,9 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	}
 	c.remap = make([]metadata.RemapEntry, g.osBlocks)
 	c.dirty = make([]uint8, g.osBlocks)
-	c.cf2Hint = make([]uint8, g.osBlocks)
-	c.cf4Hint = make([]uint8, g.osBlocks)
-	c.rcache = metadata.NewRemapCache(cfg.RemapCacheSets, cfg.RemapCacheWays, stats.Scope("remapCache"))
+	c.cfHint = make([]uint8, g.osBlocks)
+	c.remapCache = cache.New(cache.Config{Name: "remapCache", Sets: cfg.RemapCacheSets, Ways: cfg.RemapCacheWays}, stats)
+	c.remapWritebacks = stats.Scope("remapCache").Counter("writebacks")
 
 	c.stageBase = g.fastBlocks * g.blockBytes
 	c.tableBase = c.stageBase + cfg.StageBlocks()*g.blockBytes

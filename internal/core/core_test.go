@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"os"
 	"reflect"
 	"strings"
@@ -195,6 +196,50 @@ func TestIntegrityUnaligned(t *testing.T) {
 	runIntegrity(t, cfg, 20000, 47)
 }
 
+// TestIntegrityOneSetRemapCache storms a controller whose remap cache is a
+// single set, so that dirty remap lines are evicted and written back to the
+// table, and checks data and invariants through it.
+func TestIntegrityOneSetRemapCache(t *testing.T) {
+	cfg := testConfig()
+	cfg.RemapCacheSets, cfg.RemapCacheWays = 1, 2
+	c := runIntegrity(t, cfg, 20000, 53)
+	if c.stats.Get("remapCache.writebacks") == 0 {
+		t.Fatal("no remap-cache writebacks from a one-set remap cache")
+	}
+	if c.stats.Get("remapCache.misses") <= c.stats.Get("remapCache.writebacks") {
+		t.Fatalf("remapCache.misses = %d, writebacks = %d: every writeback follows a miss",
+			c.stats.Get("remapCache.misses"), c.stats.Get("remapCache.writebacks"))
+	}
+}
+
+// TestHintBitLayout checks that the CF hints fit one byte: each aligned
+// pair and quad of a block's eight sub-blocks owns one distinct bit, pairs
+// in bits 0-3 and quads in bits 4-5, and every sub-block of a range names
+// the range's bit.
+func TestHintBitLayout(t *testing.T) {
+	var seen uint8
+	for _, g := range []struct {
+		cf   int
+		bits uint8
+	}{{2, 0x0F}, {4, 0x30}} {
+		for start := 0; start < config.SubBlocksPerBlock; start += g.cf {
+			bit := hintBit(start, g.cf)
+			if bits.OnesCount8(bit) != 1 || bit&g.bits == 0 || bit&seen != 0 {
+				t.Fatalf("hintBit(%d, %d) = %#x: not a fresh bit of %#x", start, g.cf, bit, g.bits)
+			}
+			seen |= bit
+			for s := start; s < start+g.cf; s++ {
+				if got := hintBit(s, g.cf); got != bit {
+					t.Fatalf("hintBit(%d, %d) = %#x, want the range's %#x", s, g.cf, got, bit)
+				}
+			}
+		}
+	}
+	if hintBit(0, 1) != 0 {
+		t.Fatal("an uncompressed range has a hint bit")
+	}
+}
+
 func TestIntegrityNoZeroOpt(t *testing.T) {
 	cfg := testConfig()
 	cfg.ZeroBlockOpt = false
@@ -343,10 +388,9 @@ func TestTableIBudgets(t *testing.T) {
 	// lacks. Every controller slice sized by the OS block count must be
 	// named here, and DESIGN.md must state the total.
 	perBlock := map[string]uintptr{
-		"remap":   unsafe.Sizeof(metadata.RemapEntry{}), // Fig. 5(b) entry, 32-bit pointer
-		"dirty":   1,                                    // per-sub-block dirty mask
-		"cf2Hint": 1,                                    // Section III-F CF-2 hints
-		"cf4Hint": 1,                                    // Section III-F CF-4 hints
+		"remap":  unsafe.Sizeof(metadata.RemapEntry{}), // Fig. 5(b) entry, 32-bit pointer
+		"dirty":  1,                                    // per-sub-block dirty mask
+		"cfHint": 1,                                    // Section III-F CF-2 and CF-4 hints
 	}
 	c := New(testConfig(), hybrid.NewStore(nil, nil), sim.NewStats())
 	v := reflect.ValueOf(c).Elem()

@@ -86,12 +86,7 @@ func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int) {
 	bytes := uint64(cf) * c.geom.subBytes
 	if compressed {
 		bytes = c.geom.subBytes
-		switch cf {
-		case 2:
-			c.cf2Hint[b] |= 1 << (subOff / 2)
-		case 4:
-			c.cf4Hint[b] |= 1 << (subOff / 4)
-		}
+		c.cfHint[b] |= hintBit(subOff, cf)
 		c.ctr.compressedWritebacks.Inc()
 	}
 	wbDone := c.eng.WriteSlowBG(now, c.slowAddr(b, subOff), bytes)
@@ -126,13 +121,7 @@ func (c *Controller) pickRange(b uint64, s int, taken uint8, hints bool) (int, i
 // hinted reports whether a CF hint marks the range of cf sub-blocks from
 // start of block b as written back compressed.
 func (c *Controller) hinted(b uint64, start, cf int) bool {
-	switch cf {
-	case 2:
-		return c.cf2Hint[b]&(1<<(start/2)) != 0
-	case 4:
-		return c.cf4Hint[b]&(1<<(start/4)) != 0
-	}
-	return false
+	return c.cfHint[b]&hintBit(start, cf) != 0
 }
 
 // rangeView returns the content of cf sub-blocks starting at subOff of

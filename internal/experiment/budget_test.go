@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"baryon/internal/config"
-	"baryon/internal/metadata"
-	"baryon/internal/sim"
-)
+import "baryon/internal/config"
 
 // MetadataBudget computes the dual-format storage accounting of Section
 // III-B/C for an arbitrary configuration (the test oracle behind
@@ -19,11 +15,10 @@ type MetadataBudget struct {
 
 // Budget returns the metadata budget of cfg.
 func Budget(cfg config.Config) MetadataBudget {
-	rc := metadata.NewRemapCache(cfg.RemapCacheSets, cfg.RemapCacheWays, sim.NewStats())
 	b := MetadataBudget{
 		StageTagArrayBytes: cfg.StageTagArrayBytes(),
 		RemapTableBytes:    cfg.RemapTableBytes(),
-		RemapCacheBytes:    uint64(rc.StorageBytes()),
+		RemapCacheBytes:    cfg.RemapCacheBytes(),
 	}
 	b.TotalSRAMBytes = b.StageTagArrayBytes + b.RemapCacheBytes
 	b.TableFraction = float64(b.RemapTableBytes) / float64(cfg.FastBytes+cfg.SlowBytes)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"baryon/internal/config"
-	"baryon/internal/metadata"
-	"baryon/internal/sim"
 )
 
 // TableI renders the Table I system configuration and verifies the paper's
@@ -14,7 +12,6 @@ import (
 func TableI() *Table {
 	paper := config.PaperScale()
 	scaled := config.Scaled()
-	rc := metadata.NewRemapCache(paper.RemapCacheSets, paper.RemapCacheWays, sim.NewStats())
 
 	t := &Table{
 		Title:  "Table I: system configuration and metadata budgets",
@@ -33,13 +30,13 @@ func TableI() *Table {
 	row("remap table (2B/block)", byteSize(paper.RemapTableBytes()), byteSize(scaled.RemapTableBytes()))
 	row("remap table / capacity", fmt.Sprintf("%.3f%%",
 		100*float64(paper.RemapTableBytes())/float64(paper.FastBytes+paper.SlowBytes)), "")
-	row("remap cache (256x8, 16B lines)", byteSize(uint64(rc.StorageBytes())), "same")
+	row("remap cache (256x8, 16B lines)", byteSize(paper.RemapCacheBytes()), "same")
 	row("stage tag latency", fmt.Sprintf("%d cycles", paper.StageTagLatency), "same")
 	row("remap cache latency", fmt.Sprintf("%d cycles", paper.RemapCacheLatency), "same")
 	row("decompression latency", fmt.Sprintf("%d cycles", paper.DecompressLatency), "same")
 	t.Notes = append(t.Notes,
 		"paper budgets: stage tag 448 kB, remap cache 32 kB, table ~0.1% of capacity",
 		fmt.Sprintf("total controller SRAM at paper scale: %s",
-			byteSize(paper.StageTagArrayBytes()+uint64(rc.StorageBytes()))))
+			byteSize(paper.StageTagArrayBytes()+paper.RemapCacheBytes())))
 	return t
 }

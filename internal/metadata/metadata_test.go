@@ -214,41 +214,6 @@ func TestSlotPositionPrefixSum(t *testing.T) {
 	}
 }
 
-func TestRemapCacheBasics(t *testing.T) {
-	stats := sim.NewStats()
-	rc := NewRemapCache(4, 2, stats)
-	if rc.Lookup(100) {
-		t.Fatal("empty cache hit")
-	}
-	rc.Insert(100)
-	if !rc.Lookup(100) {
-		t.Fatal("inserted line missed")
-	}
-	if !rc.MarkDirty(100) {
-		t.Fatal("MarkDirty on cached line returned false")
-	}
-	// Fill the set of super 100 (sets=4: supers 100, 104 share set 0).
-	rc.Insert(104)
-	rc.Lookup(104)
-	// Next insert to the same set evicts LRU (100, dirty) -> writeback.
-	if !rc.Insert(108) {
-		t.Fatal("expected dirty writeback on eviction")
-	}
-	if rc.Lookup(100) {
-		t.Fatal("evicted line still present")
-	}
-}
-
-func TestRemapCacheStorageBudget(t *testing.T) {
-	stats := sim.NewStats()
-	rc := NewRemapCache(256, 8, stats)
-	// Table I: 32 kB remap cache (256 sets x 8 ways x 16 B of entries,
-	// plus tag overhead).
-	if got := rc.StorageBytes(); got < 32*1024 || got > 42*1024 {
-		t.Fatalf("remap cache storage %d B, want ~32-40 kB", got)
-	}
-}
-
 func TestRangeCovers(t *testing.T) {
 	r := Range{Valid: true, CF: 4, BlkOff: 2, SubOff: 4}
 	for s := 0; s < 8; s++ {

@@ -1,10 +1,11 @@
-// Package metadata implements Baryon's dual-format metadata scheme
-// (Section III-C): the flexible 14-byte stage tag entries backing the
-// on-chip stage tag array, and the compact 2-byte remap entries backing the
-// off-chip remap table with its on-chip super-block-granularity remap cache.
-// The package's tests encode and decode both formats to their exact bit
-// budgets, so the storage claims of the paper are verified rather than
-// assumed.
+// Package metadata holds the formats of Baryon's dual-format metadata
+// scheme (Section III-C) and their decode: the flexible 14-byte stage tag
+// entries backing the on-chip stage tag array, and the compact 2-byte remap
+// entries backing the off-chip remap table, with the prefix-sum decode of a
+// committed range's slot. The on-chip remap cache in front of the table is
+// a cache.Cache in the controller. The package's tests encode and decode
+// both formats to their exact bit budgets, so the storage claims of the
+// paper are verified rather than assumed.
 package metadata
 
 import "baryon/internal/hybrid"

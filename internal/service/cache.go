@@ -89,11 +89,9 @@ type Cache struct {
 	// digests (never bundle bytes).
 	verifiedSums map[string][sha256.Size]byte
 
-	hits, diskHits, misses, evictions uint64
-	verified                          uint64
-	corrupt, quarantined, diskErrors  uint64
-	recoveredTmp                      uint64
-	degraded                          bool
+	// stats holds every counter; its Entries field stays zero, since Stats
+	// reads the count off the LRU list.
+	stats CacheStats
 }
 
 type cacheEntry struct {
@@ -168,7 +166,7 @@ func NewStore(cfg StoreConfig) (*Cache, error) {
 func (c *Cache) recoverDir() {
 	names, err := c.fs.ReadDir(c.dir)
 	if err != nil {
-		c.diskErrors++
+		c.stats.DiskErrors++
 		fmt.Fprintf(c.log, "service: store recovery: reading %s: %v\n", c.dir, err)
 		return
 	}
@@ -177,7 +175,7 @@ func (c *Cache) recoverDir() {
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
 			if err := c.fs.Remove(filepath.Join(c.dir, name)); err != nil {
-				c.diskErrors++
+				c.stats.DiskErrors++
 				failed++
 			} else {
 				swept++
@@ -186,7 +184,7 @@ func (c *Cache) recoverDir() {
 			bundles++
 		}
 	}
-	c.recoveredTmp = uint64(swept)
+	c.stats.RecoveredTmp = uint64(swept)
 	quarantined := 0
 	if qnames, err := c.fs.ReadDir(filepath.Join(c.dir, quarantineDir)); err == nil {
 		quarantined = len(qnames)
@@ -205,7 +203,7 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.m[hash]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
+		c.stats.Hits++
 		data := el.Value.(*cacheEntry).data
 		c.mu.Unlock()
 		return data, true
@@ -221,17 +219,17 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 			defer c.mu.Unlock()
 			if el, ok := c.m[hash]; ok {
 				c.ll.MoveToFront(el)
-				c.hits++
+				c.stats.Hits++
 				return el.Value.(*cacheEntry).data, true
 			}
-			c.hits++
-			c.diskHits++
+			c.stats.Hits++
+			c.stats.DiskHits++
 			c.insert(hash, data)
 			return data, true
 		}
 	}
 	c.mu.Lock()
-	c.misses++
+	c.stats.Misses++
 	c.mu.Unlock()
 	return nil, false
 }
@@ -249,7 +247,7 @@ func (c *Cache) loadDisk(hash string) ([]byte, bool) {
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			c.mu.Lock()
-			c.diskErrors++
+			c.stats.DiskErrors++
 			c.mu.Unlock()
 			fmt.Fprintf(c.log, "service: store: reading %s: %v\n", c.path(hash), err)
 		}
@@ -271,7 +269,7 @@ func (c *Cache) loadDisk(hash string) ([]byte, bool) {
 		return nil, false
 	}
 	c.mu.Lock()
-	c.verified++
+	c.stats.Verified++
 	c.rememberVerified(hash, sum)
 	c.mu.Unlock()
 	return data, true
@@ -343,7 +341,7 @@ func checkStoreBundle(hash string, data []byte) error {
 // served again either way.
 func (c *Cache) quarantine(hash string, cause error) {
 	c.mu.Lock()
-	c.corrupt++
+	c.stats.Corrupt++
 	delete(c.verifiedSums, hash)
 	c.mu.Unlock()
 	src := c.path(hash)
@@ -357,13 +355,13 @@ func (c *Cache) quarantine(hash string, cause error) {
 	if !moved {
 		if err := c.fs.Remove(src); err != nil {
 			c.mu.Lock()
-			c.diskErrors++
+			c.stats.DiskErrors++
 			c.mu.Unlock()
 		}
 	}
 	c.mu.Lock()
 	if moved {
-		c.quarantined++
+		c.stats.Quarantined++
 	}
 	c.mu.Unlock()
 	fmt.Fprintf(c.log, "service: store: quarantined %s (moved=%v): %v\n", filepath.Base(src), moved, cause)
@@ -398,12 +396,12 @@ func (c *Cache) Put(hash string, data []byte) {
 		}
 	}
 	c.mu.Lock()
-	wasDegraded := c.degraded
+	wasDegraded := c.stats.Degraded
 	if err != nil {
-		c.diskErrors++
-		c.degraded = true
+		c.stats.DiskErrors++
+		c.stats.Degraded = true
 	} else {
-		c.degraded = false
+		c.stats.Degraded = false
 	}
 	c.mu.Unlock()
 	if err != nil && !wasDegraded {
@@ -438,7 +436,7 @@ func (c *Cache) insert(hash string, data []byte) {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.m, back.Value.(*cacheEntry).hash)
-		c.evictions++
+		c.stats.Evictions++
 	}
 }
 
@@ -446,19 +444,9 @@ func (c *Cache) insert(hash string, data []byte) {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:         c.hits,
-		DiskHits:     c.diskHits,
-		Verified:     c.verified,
-		Misses:       c.misses,
-		Evictions:    c.evictions,
-		Entries:      c.ll.Len(),
-		Corrupt:      c.corrupt,
-		Quarantined:  c.quarantined,
-		DiskErrors:   c.diskErrors,
-		Degraded:     c.degraded,
-		RecoveredTmp: c.recoveredTmp,
-	}
+	st := c.stats
+	st.Entries = c.ll.Len()
+	return st
 }
 
 // path maps a spec hash ("sha256:<hex>") to its bundle file in the disk

@@ -391,7 +391,7 @@ func TestStoreReadErrorCounted(t *testing.T) {
 func (c *Cache) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.degraded
+	return c.stats.Degraded
 }
 
 // BenchmarkStoreGetDisk times one disk hit on an entry this process has

@@ -99,12 +99,13 @@ func (h *Histogram) delta(prev Histogram) Histogram {
 			top = i
 		}
 	}
-	if top >= 0 {
+	switch {
+	case top == HistBuckets-1:
+		// The last bucket clamps every larger value, so it bounds nothing.
+		d.max = h.max
+	case top >= 0:
 		_, hi := histBucketBounds(top)
-		d.max = hi - 1
-		if h.max < d.max {
-			d.max = h.max
-		}
+		d.max = min(h.max, hi-1)
 	}
 	return d
 }

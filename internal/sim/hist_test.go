@@ -258,6 +258,22 @@ func TestHistogramDeltaWindow(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsHistogramExactly checks that a snapshot, the delta
+// against nothing, copies a histogram whole: count, sum, buckets and the
+// exact max, also when the max clamps into the last bucket.
+func TestSnapshotKeepsHistogramExactly(t *testing.T) {
+	for _, top := range []uint64{0, 1000, 1<<histMaxOctave + 12345} {
+		st := NewStats()
+		h := st.Histogram("lat")
+		for _, v := range []uint64{3, 77, top} {
+			h.Observe(v)
+		}
+		if got, _ := st.Snapshot().Hist("lat"); got != *h {
+			t.Errorf("max %d: snapshot %+v, want %+v", top, got, *h)
+		}
+	}
+}
+
 // TestStatsHistogramRegistry checks registry integration: name scoping,
 // idempotent lookup, enumeration through a snapshot, and Reset.
 func TestStatsHistogramRegistry(t *testing.T) {

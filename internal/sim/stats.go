@@ -211,35 +211,7 @@ type Snapshot struct {
 // histogram visible to this view. It must be called from the run's own
 // goroutine (the registry is not goroutine-safe); the returned value can
 // then be shared freely.
-func (s *Stats) Snapshot() Snapshot {
-	sn := Snapshot{
-		counters: make(map[string]uint64, len(s.reg.counters)),
-		floats:   make(map[string]float64, len(s.reg.floats)),
-		gauges:   make(map[string]int64, len(s.reg.gauges)),
-		hists:    make(map[string]Histogram, len(s.reg.hists)),
-	}
-	for name, c := range s.reg.counters {
-		if strings.HasPrefix(name, s.prefix) {
-			sn.counters[name] = c.v
-		}
-	}
-	for name, f := range s.reg.floats {
-		if strings.HasPrefix(name, s.prefix) {
-			sn.floats[name] = f.v
-		}
-	}
-	for name, g := range s.reg.gauges {
-		if strings.HasPrefix(name, s.prefix) {
-			sn.gauges[name] = g.v
-		}
-	}
-	for name, h := range s.reg.hists {
-		if strings.HasPrefix(name, s.prefix) {
-			sn.hists[name] = *h
-		}
-	}
-	return sn
-}
+func (s *Stats) Snapshot() Snapshot { return s.Delta(Snapshot{}) }
 
 // Delta returns the per-metric change since snap, as a new Snapshot whose
 // values are current-minus-snapshotted. Counters registered after snap was
