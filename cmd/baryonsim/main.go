@@ -8,7 +8,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +32,6 @@ func main() {
 	workload := flag.String("workload", "505.mcf_r", "workload name (see -list)")
 	workloadFile := flag.String("workload-file", "", "JSON file with a custom workload definition")
 	traceFile := flag.String("trace-file", "", "replay a recorded trace file (see cmd/tracegen -replay)")
-	jsonOut := flag.Bool("json", false, "emit the result as JSON")
 	design := flag.String("design", "Baryon", "design name (built-in or loaded via -design-file)")
 	cfg := config.Scaled()
 	flag.TextVar(&cfg.Mode, "mode", cfg.Mode, "fast-memory `mode`: cache|flat")
@@ -240,52 +238,6 @@ func main() {
 		// stdout is carrying a machine-readable export; skip the run report
 		// so the stream stays parseable (pipe straight into cmd/omlint,
 		// cmd/runreport or a CSV/JSONL reader).
-		if runErr != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		out := map[string]any{
-			"workload":      res.Workload,
-			"design":        res.Design,
-			"mode":          cfg.Mode.String(),
-			"cycles":        res.Cycles,
-			"instructions":  res.Instructions,
-			"ipc":           res.IPC(),
-			"fastServeRate": res.FastServeRate,
-			"bloatFactor":   res.BloatFactor,
-			"fastBytes":     res.FastBytes,
-			"slowBytes":     res.SlowBytes,
-			"energyPJ":      res.EnergyPJ,
-		}
-		if len(res.TierNames) > 0 {
-			out["tiers"] = res.TierNames
-			out["tierBytes"] = res.TierBytes
-		}
-		if cfg.WarmupAccessesPerCore > 0 {
-			out["warmup"] = res.Warmup
-			out["measured"] = res.Window
-		}
-		if len(res.Epochs) > 0 {
-			out["epochs"] = res.Epochs
-		}
-		if len(latency) > 0 {
-			out["latency"] = latency
-		}
-		if *verbose {
-			counters := map[string]uint64{}
-			for _, name := range res.Stats.Names() {
-				counters[name] = measured.Get(name)
-			}
-			out["counters"] = counters
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		if runErr != nil {
 			os.Exit(1)
 		}

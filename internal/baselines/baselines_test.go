@@ -79,7 +79,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, 
 			ctrl.Access(now, addr, true, nil)
 			written[addr] = data
 			if got := store.Line(addr); !bytes.Equal(got, data) {
-				t.Fatalf("%s: write not visible at %x", ctrl.Name(), addr)
+				t.Fatalf("write not visible at %x", addr)
 			}
 		} else {
 			res := ctrl.Access(now, addr, false, nil)
@@ -88,10 +88,10 @@ func driveController(t *testing.T, ctrl hybrid.Controller, store *hybrid.Store, 
 				want = testLine(addr)
 			}
 			if got := store.Line(addr); !bytes.Equal(got, want) {
-				t.Fatalf("%s: read mismatch at %x\n got %x\nwant %x", ctrl.Name(), addr, got, want)
+				t.Fatalf("read mismatch at %x\n got %x\nwant %x", addr, got, want)
 			}
 			if res.Done < now {
-				t.Fatalf("%s: completion %d before issue %d", ctrl.Name(), res.Done, now)
+				t.Fatalf("completion %d before issue %d", res.Done, now)
 			}
 		}
 		now += 40
@@ -210,9 +210,6 @@ func TestHybrid2Drive(t *testing.T) {
 		writeLine(addr, data)
 		h.Access(now, addr, true, nil)
 		now += 40
-	}
-	if h.Name() != "Hybrid2" {
-		t.Fatalf("name=%q", h.Name())
 	}
 	// Compression must be fully disabled: every staged range is CF 1, so no
 	// decompressions can occur.

@@ -66,9 +66,6 @@ func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompress
 	return d
 }
 
-// Name identifies the design.
-func (d *DICE) Name() string { return "DICE" }
-
 // Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (d *DICE) Engine() *hybrid.Engine { return d.eng }
 

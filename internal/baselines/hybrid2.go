@@ -7,11 +7,12 @@ import (
 	"baryon/internal/sim"
 )
 
-// Hybrid2 models the flat-scheme baseline of Vasilakis et al. (HPCA 2020):
-// fully-associative hybrid memory with 2 kB blocks and 256 B sub-blocking,
-// a fixed fast-memory cache portion buffering incoming sub-blocks, and a
-// migration policy driven purely by write(back) traffic — no compression,
-// no layout stability term.
+// Hybrid2Config derives the configuration of the Hybrid2 baseline from a
+// Baryon config. Hybrid2 is the flat-scheme design of Vasilakis et al.
+// (HPCA 2020): fully-associative hybrid memory with 2 kB blocks and 256 B
+// sub-blocking, a fixed fast-memory cache portion buffering incoming
+// sub-blocks, and a migration policy driven purely by write(back) traffic —
+// no compression, no layout stability term.
 //
 // The paper itself frames Hybrid2's commit policy as the k = 0 special case
 // of Baryon's Eq. 1, and its cache portion plays the role of the stage area
@@ -20,11 +21,6 @@ import (
 // disabled, which yields exactly the paper's described behaviour: 256 B
 // sub-block fetches, uncompressed one-range-per-slot frames, dirty-count
 // migration decisions.
-type Hybrid2 struct {
-	*core.Controller
-}
-
-// Hybrid2Config derives the Hybrid2 configuration from a Baryon config.
 func Hybrid2Config(cfg config.Config) config.Config {
 	cfg.Mode = config.ModeFlat
 	cfg.FullyAssociative = true
@@ -43,9 +39,6 @@ func Hybrid2Config(cfg config.Config) config.Config {
 }
 
 // NewHybrid2 builds the Hybrid2 baseline over the canonical store.
-func NewHybrid2(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Hybrid2 {
-	return &Hybrid2{Controller: core.New(Hybrid2Config(cfg), store, stats)}
+func NewHybrid2(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *core.Controller {
+	return core.New(Hybrid2Config(cfg), store, stats)
 }
-
-// Name identifies the design.
-func (h *Hybrid2) Name() string { return "Hybrid2" }

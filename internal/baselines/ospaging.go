@@ -68,9 +68,6 @@ func NewOSPaging(fastBytes uint64, stats *sim.Stats, tiers []hybrid.TierSpec) *O
 	return o
 }
 
-// Name identifies the design.
-func (o *OSPaging) Name() string { return "OSPaging" }
-
 // Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (o *OSPaging) Engine() *hybrid.Engine { return o.eng }
 

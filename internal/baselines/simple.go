@@ -68,9 +68,6 @@ func NewSimple(fastBlocks uint64, assoc int, rep hybrid.Replacer, stats *sim.Sta
 	return s
 }
 
-// Name identifies the design.
-func (s *Simple) Name() string { return "Simple" }
-
 // Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (s *Simple) Engine() *hybrid.Engine { return s.eng }
 

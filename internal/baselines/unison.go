@@ -82,9 +82,6 @@ func NewUnison(fastBlocks uint64, assoc int, rep hybrid.Replacer, stats *sim.Sta
 	return u
 }
 
-// Name identifies the design.
-func (u *Unison) Name() string { return "UnisonCache" }
-
 // Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (u *Unison) Engine() *hybrid.Engine { return u.eng }
 

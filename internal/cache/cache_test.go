@@ -131,7 +131,6 @@ func (s *stubCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	}
 }
 func (s *stubCtrl) Engine() *hybrid.Engine { return nil }
-func (s *stubCtrl) Name() string           { return "stub" }
 
 func newTestHierarchy(t *testing.T) (*Hierarchy, *stubCtrl, *sim.Stats) {
 	t.Helper()

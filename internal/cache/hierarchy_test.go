@@ -243,7 +243,6 @@ func (c *nullCtrl) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	return res
 }
 func (c *nullCtrl) Engine() *hybrid.Engine { return nil }
-func (c *nullCtrl) Name() string           { return "null" }
 
 // BenchmarkHierarchyAccess drives the Table I hierarchy (16 cores, 64 kB
 // LLC) with a stream that thrashes the LLC: each core draws random lines from

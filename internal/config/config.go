@@ -78,9 +78,7 @@ type Config struct {
 	SubBlockBytes    uint64
 	SuperBlockBlocks int
 
-	// Latencies in CPU cycles (Table I).
-	StageTagLatency   uint64
-	RemapCacheLatency uint64
+	// DecompressLatency is in CPU cycles (Table I).
 	DecompressLatency uint64
 
 	// Remap cache organisation (Table I: 256 sets, 8 ways).
@@ -103,8 +101,7 @@ type Config struct {
 	StageAgeInterval uint32
 
 	// CPU model.
-	MLPOverlap float64 // memory stalls divided by this overlap factor
-	LLCKB      int     // shared LLC size
+	LLCKB int // shared LLC size
 	// NoLLCPrefetch disables installing decompression by-products in the
 	// LLC (the memory-to-LLC prefetching of Section III-E).
 	NoLLCPrefetch bool
@@ -151,8 +148,6 @@ func Scaled() Config {
 		BlockBytes:        2048,
 		SubBlockBytes:     256,
 		SuperBlockBlocks:  8,
-		StageTagLatency:   5,
-		RemapCacheLatency: 3,
 		DecompressLatency: 5,
 		RemapCacheSets:    256,
 		RemapCacheWays:    8,
@@ -165,7 +160,6 @@ func Scaled() Config {
 		UseStageArea:        true,
 		StageAgeInterval:    64,
 
-		MLPOverlap:      2.0,
 		LLCKB:           64,
 		AccessesPerCore: 30000,
 		Seed:            1,
@@ -235,6 +229,13 @@ func (c *Config) StageSets() uint64 {
 
 // SubBlocksPerBlock is fixed at eight by the metadata formats.
 const SubBlocksPerBlock = 8
+
+// Table I's metadata latencies in CPU cycles. Every access probes the stage
+// tag array and the remap cache in parallel (Section III-D).
+const (
+	StageTagLatency   = 5
+	RemapCacheLatency = 3
+)
 
 // StageTagArrayBytes returns the on-chip stage tag array budget: one 14 B
 // entry per stage block (448 kB at paper scale).

@@ -30,8 +30,6 @@ type Overrides struct {
 	SubBlockBytes    *uint64 `json:"subBlockBytes,omitempty"`
 	SuperBlockBlocks *int    `json:"superBlockBlocks,omitempty"`
 
-	StageTagLatency   *uint64 `json:"stageTagLatency,omitempty"`
-	RemapCacheLatency *uint64 `json:"remapCacheLatency,omitempty"`
 	DecompressLatency *uint64 `json:"decompressLatency,omitempty"`
 
 	RemapCacheSets *int `json:"remapCacheSets,omitempty"`
@@ -48,9 +46,8 @@ type Overrides struct {
 	UseStageArea        *bool    `json:"useStageArea,omitempty"`
 	StageAgeInterval    *uint32  `json:"stageAgeInterval,omitempty"`
 
-	MLPOverlap    *float64 `json:"mlpOverlap,omitempty"`
-	LLCKB         *int     `json:"llcKB,omitempty"`
-	NoLLCPrefetch *bool    `json:"noLLCPrefetch,omitempty"`
+	LLCKB         *int  `json:"llcKB,omitempty"`
+	NoLLCPrefetch *bool `json:"noLLCPrefetch,omitempty"`
 
 	// Run shape. Designs rarely pin these; they exist so a run's full
 	// configuration delta — including the access budget and window layout —

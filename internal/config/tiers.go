@@ -75,12 +75,28 @@ func (c *Config) TierSpecs() ([]hybrid.TierSpec, error) {
 // unknown preset or a malformed tier list fails at config-validation time
 // with an actionable message instead of deep in construction. It mirrors
 // how unknown -design names are rejected. It also bounds the core count to
-// what the cache hierarchy supports, and rejects a set-associative flat
-// mode whose super-blocks hold fewer blocks than a set has ways: a flat
-// set's frames start out holding its own super-block's blocks, one per way.
+// what the cache hierarchy supports, rejects geometry counts below one
+// (each divides an address or sizes an array), and rejects a
+// set-associative flat mode whose super-blocks hold fewer blocks than a set
+// has ways: a flat set's frames start out holding its own super-block's
+// blocks, one per way.
 func (c *Config) Validate() error {
 	if err := cache.CheckCores(c.Cores); err != nil {
 		return fmt.Errorf("config: %w", err)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"assoc", c.Assoc},
+		{"superBlockBlocks", c.SuperBlockBlocks},
+		{"remapCacheSets", c.RemapCacheSets},
+		{"remapCacheWays", c.RemapCacheWays},
+		{"llcKB", c.LLCKB},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("config: %s = %d, want >= 1", f.name, f.v)
+		}
 	}
 	if c.Mode == ModeFlat && !c.FullyAssociative && c.SuperBlockBlocks < c.Assoc {
 		return fmt.Errorf("config: flat mode needs superBlockBlocks >= assoc (%d < %d): each set's ways start out holding blocks of its own super-block",

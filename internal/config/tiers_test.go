@@ -94,6 +94,19 @@ func TestValidateRejections(t *testing.T) {
 		{"flat super-blocks below assoc", func(c *Config) {
 			c.Mode, c.SuperBlockBlocks = ModeFlat, 2
 		}, "superBlockBlocks >= assoc"},
+		{"no remap-cache sets", func(c *Config) { c.RemapCacheSets = 0 }, "remapCacheSets = 0, want >= 1"},
+		{"no remap-cache ways", func(c *Config) { c.RemapCacheWays = 0 }, "remapCacheWays = 0, want >= 1"},
+		{"negative remap-cache ways", func(c *Config) { c.RemapCacheWays = -2 }, "remapCacheWays = -2, want >= 1"},
+		{"no ways", func(c *Config) { c.Assoc = 0 }, "assoc = 0, want >= 1"},
+		{"fully associative, no ways", func(c *Config) {
+			c.Mode, c.FullyAssociative, c.Assoc = ModeFlat, true, 0
+		}, "assoc = 0, want >= 1"},
+		{"no super-block blocks", func(c *Config) { c.SuperBlockBlocks = 0 }, "superBlockBlocks = 0, want >= 1"},
+		{"flat, no super-block blocks", func(c *Config) {
+			c.Mode, c.SuperBlockBlocks = ModeFlat, 0
+		}, "superBlockBlocks = 0, want >= 1"},
+		{"no LLC", func(c *Config) { c.LLCKB = 0 }, "llcKB = 0, want >= 1"},
+		{"negative LLC", func(c *Config) { c.LLCKB = -1 }, "llcKB = -1, want >= 1"},
 	}
 	for _, tc := range cases {
 		cfg := Scaled()

@@ -28,7 +28,7 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 
 	// Metadata phase: the stage tag array and the remap cache are searched
 	// in parallel (Section III-D); stage hits have priority.
-	stageT := now + c.cfg.StageTagLatency
+	stageT := now + config.StageTagLatency
 
 	ssi := c.stageSetIdx(super)
 	c.ageStageSet(ssi)
@@ -67,7 +67,7 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, data []byte) hy
 // table read in fast memory. It returns the cycle at which the remap entry
 // is known.
 func (c *Controller) remapLookup(now uint64, super hybrid.SuperBlockID) uint64 {
-	t := now + c.cfg.RemapCacheLatency
+	t := now + config.RemapCacheLatency
 	if c.remapCache.Access(remapKey(super), false) {
 		return t
 	}

@@ -230,9 +230,8 @@ func (c *Controller) initCounters() {
 		compressedWritebacks: s.Counter("compressedWritebacks"),
 		multiFrameSupers:     s.Counter("multiFrameSupers"),
 	}
-	// Histogram registration order is part of the report format: the stage
-	// histogram precedes the engine's fastHit/slowPath pair, commit and
-	// writeback follow.
+	// The registry keeps no histogram order (every reader sorts the names),
+	// so the engine's fastHit/slowPath pair may register among these.
 	c.ctr.latStageHit = s.Histogram("lat.stageHit")
 	c.ctr.latFastHit, c.ctr.latSlowPath = c.eng.InstrumentLatency(s)
 	c.ctr.latCommit = s.Histogram("lat.commit")
@@ -312,18 +311,6 @@ func (c *Controller) stageFrameAddr(setIdx, way, slot int) uint64 {
 
 // Engine returns the shared migration/writeback engine (hybrid.Controller).
 func (c *Controller) Engine() *hybrid.Engine { return c.eng }
-
-// Name identifies the configuration for reports.
-func (c *Controller) Name() string {
-	switch {
-	case c.cfg.FullyAssociative:
-		return "Baryon-FA"
-	case c.cfg.SubBlockBytes == 64:
-		return "Baryon-64B"
-	default:
-		return "Baryon"
-	}
-}
 
 // AddInstructions advances the retired-instruction clock used by MPKI
 // statistics (called by the CPU runner).

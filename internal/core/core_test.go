@@ -347,25 +347,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestNameVariants(t *testing.T) {
-	cases := []struct {
-		mut  func(*config.Config)
-		want string
-	}{
-		{func(c *config.Config) {}, "Baryon"},
-		{func(c *config.Config) { c.FullyAssociative = true }, "Baryon-FA"},
-		{func(c *config.Config) { c.BlockBytes = 512; c.SubBlockBytes = 64 }, "Baryon-64B"},
-	}
-	for _, tc := range cases {
-		cfg := testConfig()
-		tc.mut(&cfg)
-		c := New(cfg, hybrid.NewStore(nil, nil), sim.NewStats())
-		if got := c.Name(); got != tc.want {
-			t.Errorf("Name()=%q, want %q", got, tc.want)
-		}
-	}
-}
-
 func TestTableIBudgets(t *testing.T) {
 	// Section III-B storage claims at paper scale: stage tag array 448 kB,
 	// remap table ~0.1% of capacity, remap cache 32 kB.
@@ -422,10 +403,4 @@ func TestTableIBudgets(t *testing.T) {
 	if want := fmt.Sprintf("%d B per OS block", bytesPerBlock); !strings.Contains(string(design), want) {
 		t.Errorf("DESIGN.md does not state the controller's %q", want)
 	}
-}
-
-func ExampleController_Name() {
-	c := New(testConfig(), hybrid.NewStore(nil, nil), sim.NewStats())
-	fmt.Println(c.Name())
-	// Output: Baryon
 }

@@ -38,7 +38,7 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 		t.Fatal("no cycles")
 	}
 	if err := r.hier.CheckInclusion(); err != nil {
-		t.Fatalf("%s/%s: %v", r.ctrl.Name(), wname, err)
+		t.Fatalf("%s: %v", wname, err)
 	}
 	r.hier.Flush(res.Cycles)
 	want := make([]byte, hybrid.CachelineSize)
@@ -51,8 +51,8 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 			addr := b*hybrid.BlockSize + uint64(line)*hybrid.CachelineSize
 			datagen.FillLine(want, b, line/hybrid.LinesPerSub, line%hybrid.LinesPerSub, v, w.Mix.ClassFor(b))
 			if got := r.store.Line(addr); !bytes.Equal(got, want) {
-				t.Fatalf("%s/%s: line %#x diverged after flush\n got %x\nwant %x",
-					r.ctrl.Name(), wname, addr, got, want)
+				t.Fatalf("%s: line %#x diverged after flush\n got %x\nwant %x",
+					wname, addr, got, want)
 			}
 			checked++
 		}
@@ -60,7 +60,7 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 	if checked == 0 {
 		t.Fatal("no written lines to check")
 	}
-	t.Logf("%s on %s: %d written lines verified", r.ctrl.Name(), wname, checked)
+	t.Logf("%s: %d written lines verified", wname, checked)
 }
 
 func smallIntegrityConfig() config.Config {

@@ -24,6 +24,10 @@ import (
 // nonMemIPC is the retire rate of non-memory instructions.
 const nonMemIPC = 2.0
 
+// mlpOverlap is the memory-level parallelism factor: a core's memory stall
+// is the access latency divided by it.
+const mlpOverlap = 2
+
 // DeviceProvider exposes a controller's fast and slow devices. The runner
 // reads device traffic through hybrid.Controller's Engine, and no
 // controller implements it; only the end-to-end benchmark module uses it
@@ -254,7 +258,7 @@ type Runner struct {
 	world *world
 	stats *sim.Stats
 	// design labels the run's Result and published RunStatus snapshots;
-	// ctrl.Name() unless SetDesign names the design spec.
+	// empty unless SetDesign names the design spec.
 	design string
 
 	// tracer, when set, brackets every demand access with request-lifecycle
@@ -299,7 +303,7 @@ func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFact
 	hcfg := cache.DefaultHierarchy(cfg.Cores, cfg.LLCKB)
 	hcfg.InstallPrefetched = !cfg.NoLLCPrefetch
 	hier := cache.NewHierarchy(hcfg, ctrl, stats)
-	r := &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats, design: ctrl.Name()}
+	r := &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats}
 	r.world = newWorld(store)
 	hier.StoreLine = r.world.storeLine
 	return r
@@ -323,9 +327,9 @@ const statusEvery = 65536
 // HTTP handlers read only the published immutable snapshots.
 func (r *Runner) SetIntrospector(in *obs.Introspector) { r.intro = in }
 
-// SetDesign labels the run with a design name — the design spec's, where
-// several designs share one controller kind — in its Result and in every
-// published RunStatus. Must be called before Run.
+// SetDesign labels the run with its design spec's name, the only name a
+// design has, in its Result and in every published RunStatus. Must be
+// called before Run.
 func (r *Runner) SetDesign(name string) { r.design = name }
 
 // Controller returns the controller under test.
@@ -410,7 +414,7 @@ func (r *Runner) runWindow(st *runState, perCore int, epochEvery uint64, onEpoch
 		if r.tracer != nil {
 			r.tracer.EndReq(done)
 		}
-		stall := (done - now) / uint64(r.cfg.MLPOverlap)
+		stall := (done - now) / mlpOverlap
 		finish := now + stall + 1
 		if finish > st.cycles {
 			st.cycles = finish

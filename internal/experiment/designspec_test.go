@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/cpu"
+	"baryon/internal/sim"
 	"baryon/internal/trace"
 )
 
@@ -103,6 +105,9 @@ func TestLoadSpecFileRejectsRemovedKeys(t *testing.T) {
 		{"detailedDDR", `{"detailedDDR":true}`, "detailedDDR"},
 		{"fault.fast", `{"fault":{"fast":{"ber":1e-6}}}`, "fast"},
 		{"fault.slow", `{"fault":{"slow":{"ber":1e-4}}}`, "slow"},
+		{"mlpOverlap", `{"mlpOverlap":2}`, "mlpOverlap"},
+		{"stageTagLatency", `{"stageTagLatency":5}`, "stageTagLatency"},
+		{"remapCacheLatency", `{"remapCacheLatency":3}`, "remapCacheLatency"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +205,52 @@ func TestSpecOverridesDoNotLeak(t *testing.T) {
 	if !reflect.DeepEqual(cfg, before) {
 		t.Fatalf("RunPairCtx mutated the caller's config:\n got %+v\nwant %+v", cfg, before)
 	}
+}
+
+// TestSpecOverridesReachTheRun pins that a design's overrides configure the
+// whole run, not only its controller. The LLC's size and its prefetch
+// installs belong to the cache hierarchy, which the runner builds: a Baryon
+// spec that sets one must run as plain Baryon with the same value set on
+// Pair.Cfg, and differently from plain Baryon.
+func TestSpecOverridesReachTheRun(t *testing.T) {
+	cfg := parallelConfig()
+	w, _ := trace.ByName("505.mcf_r")
+	plain := measured(runOne(t, cfg, w, DesignBaryon))
+	for _, tc := range []struct {
+		name string
+		o    config.Overrides
+	}{
+		{"llcKB", config.Overrides{LLCKB: config.Ptr(1024)}},
+		{"noLLCPrefetch", config.Overrides{NoLLCPrefetch: config.Ptr(true)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := DesignSpec{Name: "X-Run-" + tc.name, Kind: KindBaryon, Overrides: tc.o}
+			if err := Register(spec); err != nil {
+				t.Fatal(err)
+			}
+			onCfg := cfg
+			tc.o.Apply(&onCfg)
+			viaSpec := measured(runOne(t, cfg, w, spec.Name))
+			if viaCfg := measured(runOne(t, onCfg, w, DesignBaryon)); !reflect.DeepEqual(viaSpec, viaCfg) {
+				t.Errorf("the spec's override ran differently from the same value on Pair.Cfg:\nspec: %+v\ncfg:  %+v",
+					viaSpec.Window, viaCfg.Window)
+			}
+			if reflect.DeepEqual(viaSpec, plain) {
+				t.Errorf("the spec's override did not change the run")
+			}
+		})
+	}
+}
+
+// runMeasure is everything a run's bundle records besides its spec key.
+type runMeasure struct {
+	Window cpu.Window
+	Tiers  []string
+	Stats  sim.Snapshot
+}
+
+func measured(res cpu.Result) runMeasure {
+	return runMeasure{res.Window, res.TierNames, res.Stats.Delta(res.MeasureStart)}
 }
 
 func writeFile(path, content string) error {

@@ -169,7 +169,11 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	if src == nil {
 		src = p.Workload
 	}
-	r := cpu.NewRunnerSource(p.Cfg, src, FactorySpec(spec))
+	// The design's overrides reach the whole run (cache hierarchy, OS space,
+	// access budget), not only the controller that FactorySpec builds.
+	cfg := p.Cfg
+	spec.Overrides.Apply(&cfg)
+	r := cpu.NewRunnerSource(cfg, src, FactorySpec(spec))
 	r.SetDesign(p.Design)
 	if o := p.Obs; o != nil {
 		if o.Tracer != nil {

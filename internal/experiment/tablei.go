@@ -31,8 +31,8 @@ func TableI() *Table {
 	row("remap table / capacity", fmt.Sprintf("%.3f%%",
 		100*float64(paper.RemapTableBytes())/float64(paper.FastBytes+paper.SlowBytes)), "")
 	row("remap cache (256x8, 16B lines)", byteSize(paper.RemapCacheBytes()), "same")
-	row("stage tag latency", fmt.Sprintf("%d cycles", paper.StageTagLatency), "same")
-	row("remap cache latency", fmt.Sprintf("%d cycles", paper.RemapCacheLatency), "same")
+	row("stage tag latency", fmt.Sprintf("%d cycles", config.StageTagLatency), "same")
+	row("remap cache latency", fmt.Sprintf("%d cycles", config.RemapCacheLatency), "same")
 	row("decompression latency", fmt.Sprintf("%d cycles", paper.DecompressLatency), "same")
 	t.Notes = append(t.Notes,
 		"paper budgets: stage tag 448 kB, remap cache 32 kB, table ~0.1% of capacity",

@@ -59,8 +59,6 @@ type Controller interface {
 	// moves data through: its tiers and devices carry the run's traffic,
 	// faults and tracing.
 	Engine() *Engine
-	// Name identifies the design (for reports).
-	Name() string
 }
 
 // EngineProvider is Controller's Engine method on its own. Every Controller
