@@ -34,12 +34,16 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "use a reduced access budget per core")
-	only := flag.String("only", "", "run a single experiment: tablei|fig3a|fig3b|fig4|fig9|fig10|fig11|fig12|fig13a-d|energy|assoc|subblock|cpack|remapcache|slowmem|llcprefetch|osvshw|ddrfidelity|taillat|resilience|cxl")
+	only := flag.String("only", "", "run a single experiment: "+experimentNames())
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	common := service.RegisterFlags(flag.CommandLine,
 		service.FlagTimeout|service.FlagBundleDir|service.FlagParallel,
 		"overall wall-clock budget (0 = none); on expiry remaining experiments are cancelled and the exit status is non-zero")
 	flag.Parse()
+	if *only != "" && !isExperiment(*only) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", *only, experimentNames())
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -57,38 +61,6 @@ func main() {
 	cfg.Seed = *seed
 	if *quick {
 		cfg.AccessesPerCore = 8000
-	}
-
-	experiments := []struct {
-		name string
-		run  harness
-	}{
-		{"tablei", func(context.Context, experiment.Options, config.Config) (*experiment.Table, error) {
-			return experiment.TableI(), nil
-		}},
-		{"fig3a", tableOf(experiment.Fig3a)},
-		{"fig3b", tableOf(experiment.Fig3b)},
-		{"fig4", tableOf(experiment.Fig4)},
-		{"fig9", tableOf(experiment.Fig9)},
-		{"fig10", tableOf(experiment.Fig10)},
-		{"fig11", tableOf(experiment.Fig11)},
-		{"fig12", tableOf(experiment.Fig12)},
-		{"fig13a", tableOf(experiment.Fig13a)},
-		{"fig13b", tableOf(experiment.Fig13b)},
-		{"fig13c", tableOf(experiment.Fig13c)},
-		{"fig13d", tableOf(experiment.Fig13d)},
-		{"energy", tableOf(experiment.Energy)},
-		{"assoc", tableOf(experiment.AssocSweep)},
-		{"subblock", tableOf(experiment.SubBlockSweep)},
-		{"cpack", tableOf(experiment.CompressorComparison)},
-		{"remapcache", tableOf(experiment.RemapCacheSweep)},
-		{"slowmem", tableOf(experiment.SlowMemSweep)},
-		{"llcprefetch", tableOf(experiment.PrefetchAblation)},
-		{"osvshw", tableOf(experiment.OSvsHW)},
-		{"ddrfidelity", tableOf(experiment.DDRFidelitySweep)},
-		{"taillat", experiment.TailLatency},
-		{"resilience", tableOf(experiment.Resilience)},
-		{"cxl", tableOf(experiment.CXLSweep)},
 	}
 
 	// Buffer stdout and check the flush: a deferred or implicit flush would
@@ -124,14 +96,62 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[%s done in %.1fs]\n", e.name, time.Since(start).Seconds())
 		ran++
 	}
-	if ran+failed+skipped == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
-		os.Exit(2)
-	}
 	fmt.Fprintf(os.Stderr, "experiments: %d ok, %d failed, %d cancelled\n", ran, failed, skipped)
 	if failed > 0 || skipped > 0 || ctx.Err() != nil {
 		os.Exit(1)
 	}
+}
+
+// experiments is the one list of experiment names -only accepts, in the
+// order a full run prints them.
+var experiments = []struct {
+	name string
+	run  harness
+}{
+	{"tablei", func(context.Context, experiment.Options, config.Config) (*experiment.Table, error) {
+		return experiment.TableI(), nil
+	}},
+	{"fig3a", tableOf(experiment.Fig3a)},
+	{"fig3b", tableOf(experiment.Fig3b)},
+	{"fig4", tableOf(experiment.Fig4)},
+	{"fig9", tableOf(experiment.Fig9)},
+	{"fig10", tableOf(experiment.Fig10)},
+	{"fig11", tableOf(experiment.Fig11)},
+	{"fig12", tableOf(experiment.Fig12)},
+	{"fig13a", tableOf(experiment.Fig13a)},
+	{"fig13b", tableOf(experiment.Fig13b)},
+	{"fig13c", tableOf(experiment.Fig13c)},
+	{"fig13d", tableOf(experiment.Fig13d)},
+	{"energy", tableOf(experiment.Energy)},
+	{"assoc", tableOf(experiment.AssocSweep)},
+	{"subblock", tableOf(experiment.SubBlockSweep)},
+	{"cpack", tableOf(experiment.CompressorComparison)},
+	{"remapcache", tableOf(experiment.RemapCacheSweep)},
+	{"slowmem", tableOf(experiment.SlowMemSweep)},
+	{"llcprefetch", tableOf(experiment.PrefetchAblation)},
+	{"osvshw", tableOf(experiment.OSvsHW)},
+	{"ddrfidelity", tableOf(experiment.DDRFidelitySweep)},
+	{"taillat", experiment.TailLatency},
+	{"cxl", tableOf(experiment.CXLSweep)},
+}
+
+// experimentNames lists the experiment names for -only's usage text and its
+// error.
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, "|")
+}
+
+func isExperiment(name string) bool {
+	for _, e := range experiments {
+		if e.name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // harness is the shape every experiment runs through: a batch under ctx and

@@ -10,7 +10,6 @@ package config
 import (
 	"fmt"
 
-	"baryon/internal/fault"
 	"baryon/internal/metadata"
 )
 
@@ -72,10 +71,9 @@ type Config struct {
 	Assoc            int  // fast blocks per set (4 default)
 	FullyAssociative bool // Baryon-FA / Hybrid2 comparisons
 
-	// Geometry. BlockBytes/SubBlockBytes give the 2 kB/256 B default; the
-	// Baryon-64B variant uses 512/64 (eight sub-blocks per block always).
+	// Geometry. BlockBytes is 2 kB by default and 512 B in the Baryon-64B
+	// variant; a block always holds SubBlocksPerBlock sub-blocks.
 	BlockBytes       uint64
-	SubBlockBytes    uint64
 	SuperBlockBlocks int
 
 	// DecompressLatency is in CPU cycles (Table I).
@@ -125,11 +123,6 @@ type Config struct {
 	// Result.Epochs. 0 disables epoch collection.
 	EpochAccesses int
 	Seed          uint64
-
-	// Fault configures device fault injection and the ECC degradation path
-	// (internal/fault). The zero value — the default everywhere — disables
-	// injection entirely and keeps runs byte-identical to historical output.
-	Fault fault.Config
 }
 
 // Scaled returns the default configuration for timing runs: Table I scaled
@@ -146,7 +139,6 @@ func Scaled() Config {
 		Mode:              ModeCache,
 		Assoc:             4,
 		BlockBytes:        2048,
-		SubBlockBytes:     256,
 		SuperBlockBlocks:  8,
 		DecompressLatency: 5,
 		RemapCacheSets:    256,

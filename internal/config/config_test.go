@@ -73,7 +73,6 @@ func TestFlatModeOSBlocks(t *testing.T) {
 func Test64BVariantGeometry(t *testing.T) {
 	s := Scaled()
 	s.BlockBytes = 512
-	s.SubBlockBytes = 64
 	if s.FastBlocks() != (s.FastBytes-s.StageBytes)/512 {
 		t.Fatal("64B-variant FastBlocks wrong")
 	}

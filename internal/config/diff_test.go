@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"baryon/internal/fault"
 )
 
 // perturb returns base with each field Overrides can express changed with
@@ -30,8 +28,6 @@ func perturb(t *testing.T, rng *rand.Rand, base Config, p float64) Config {
 			c.Mode = map[Mode]Mode{ModeCache: ModeFlat, ModeFlat: ModeCache}[c.Mode]
 		case name == "Tiers":
 			c.Tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "pcm", Bytes: rng.Uint64()}}
-		case name == "Fault":
-			c.Fault = fault.Config{ECCCorrectBits: 2, Seed: rng.Uint64() | 1}
 		case f.Kind() == reflect.Bool:
 			f.SetBool(!f.Bool())
 		case f.CanInt():
@@ -74,21 +70,19 @@ func TestDiffRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiffWholesaleFields pins the two fields Diff compares with
-// reflect.DeepEqual: a config that differs from base only in Tiers, or only
-// in Fault, diffs to exactly that field and applies back to itself.
+// TestDiffWholesaleFields pins the field Diff compares with
+// reflect.DeepEqual: a config that differs from base only in Tiers diffs to
+// exactly that field and applies back to itself.
 func TestDiffWholesaleFields(t *testing.T) {
 	base := Scaled()
-	tiers, faulty := base, base
+	tiers := base
 	tiers.Tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "nvm"}, {Preset: "cxl-dram"}}
-	faulty.Fault = fault.Config{ECCCorrectBits: 2, Tiers: []fault.Params{{}, {BER: 1e-6}}}
 	for _, tc := range []struct {
 		name string
 		c    Config
 		want Overrides
 	}{
 		{"tiers", tiers, Overrides{Tiers: &tiers.Tiers}},
-		{"fault", faulty, Overrides{Fault: &faulty.Fault}},
 	} {
 		o := Diff(&base, &tc.c)
 		if !reflect.DeepEqual(o, tc.want) {

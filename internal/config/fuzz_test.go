@@ -13,13 +13,13 @@ import (
 // decoded from.
 func FuzzOverridesJSON(f *testing.F) {
 	f.Add(`{}`)
-	f.Add(`{"mode": "flat", "blockBytes": 512, "subBlockBytes": 64}`)
+	f.Add(`{"mode": "flat", "blockBytes": 512}`)
 	f.Add(`{"commitK": -1, "fullyAssociative": true}`)
-	f.Add(`{"fault": {"tiers": [{}, {"ber": 1e-4, "stuckAt": [{"addr": 0, "size": 4096}]}], "eccCorrectBits": 2}}`)
+	f.Add(`{"remapCacheSets": 128, "remapCacheWays": 4, "superBlockBlocks": 4, "llcKB": 128, "noLLCPrefetch": true}`)
 	f.Add(`{"mode": "bogus"}`)
 	f.Add(`{"tiers": [{"preset": "ddr4"}, {"preset": "nvm", "bytes": 67108864}, {"preset": "cxl-dram"}]}`)
 	f.Add(`{"tiers": [{"preset": "ddr4"}, {"preset": "cxl-ibex", "name": "far", "cxl": {"linkLatencyCycles": 96, "linkBytesPerCycle": 8, "internalBytesPerCycle": 12, "compression": "best"}}]}`)
-	f.Add(`{"fault": {"tiers": [{"ber": 1e-6}, {}, {"ber": 1e-5, "wearUnit": 4, "wearRBERStep": 1e-7}]}}`)
+	f.Add(`{"commitAll": true, "useStageArea": false, "stageAgeInterval": 16, "useCPack": true, "decompressLatency": 9}`)
 	f.Fuzz(func(t *testing.T, raw string) {
 		dec := json.NewDecoder(strings.NewReader(raw))
 		dec.DisallowUnknownFields()

@@ -1,19 +1,14 @@
 package config
 
-import (
-	"reflect"
-
-	"baryon/internal/fault"
-)
+import "reflect"
 
 // Overrides is a partial Config: every field is a pointer, and only non-nil
 // fields are applied. It is the serializable half of a design spec — a
 // design is a controller kind plus the configuration deltas that define it
-// (e.g. Baryon-64B is the baryon kind with BlockBytes 512 and SubBlockBytes
-// 64) — and the JSON schema of -design-file. Apply and Diff walk these
-// fields by name, so each must have a same-named Config field of its
-// element type (checked when the package loads); adding an overridable
-// field is one line here.
+// (e.g. Baryon-64B is the baryon kind with BlockBytes 512) — and the JSON
+// schema of -design-file. Apply and Diff walk these fields by name, so each
+// must have a same-named Config field of its element type (checked when the
+// package loads); adding an overridable field is one line here.
 type Overrides struct {
 	// Mode is spelled by name in JSON ("cache" or "flat"); decoding
 	// rejects any other name.
@@ -27,7 +22,6 @@ type Overrides struct {
 	FullyAssociative *bool `json:"fullyAssociative,omitempty"`
 
 	BlockBytes       *uint64 `json:"blockBytes,omitempty"`
-	SubBlockBytes    *uint64 `json:"subBlockBytes,omitempty"`
 	SuperBlockBlocks *int    `json:"superBlockBlocks,omitempty"`
 
 	DecompressLatency *uint64 `json:"decompressLatency,omitempty"`
@@ -57,21 +51,16 @@ type Overrides struct {
 	WarmupAccessesPerCore *int `json:"warmupAccessesPerCore,omitempty"`
 	EpochAccesses         *int `json:"epochAccesses,omitempty"`
 
-	// Tiers replaces the run's device topology wholesale (like Fault, a
-	// partial merge of an ordered list would be ambiguous).
+	// Tiers replaces the run's device topology wholesale (a partial merge
+	// of an ordered list would be ambiguous).
 	Tiers *[]TierConfig `json:"tiers,omitempty"`
-
-	// Fault replaces the run's fault-injection config wholesale (a partial
-	// merge of nested fault fields would be ambiguous between "unset" and
-	// "zero").
-	Fault *fault.Config `json:"fault,omitempty"`
 }
 
 // overrideField pairs an Overrides field with the same-named Config field it
 // overrides.
 type overrideField struct {
 	o, c int // field indices in Overrides and Config
-	// comparable is false for Tiers and Fault, which hold slices and are
+	// comparable is false only for Tiers, which holds a slice and is
 	// compared with reflect.DeepEqual.
 	comparable bool
 }

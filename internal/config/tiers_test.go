@@ -144,7 +144,7 @@ func TestValidateRejections(t *testing.T) {
 }
 
 // TestOverridesTiersRoundTrip checks the wholesale-replace semantics and the
-// JSON round-trip of the tiers and per-tier fault override fields.
+// JSON round-trip of the tiers override field.
 func TestOverridesTiersRoundTrip(t *testing.T) {
 	raw := `{
 		"tiers": [
@@ -152,8 +152,7 @@ func TestOverridesTiersRoundTrip(t *testing.T) {
 			{"preset": "nvm", "bytes": 67108864},
 			{"preset": "cxl-ibex", "name": "expander",
 			 "cxl": {"linkLatencyCycles": 64, "linkBytesPerCycle": 4, "internalBytesPerCycle": 6, "compression": "bdi"}}
-		],
-		"fault": {"tiers": [{}, {"ber": 1e-6}, {"ber": 1e-5}]}
+		]
 	}`
 	dec := json.NewDecoder(strings.NewReader(raw))
 	dec.DisallowUnknownFields()
@@ -170,12 +169,6 @@ func TestOverridesTiersRoundTrip(t *testing.T) {
 	}
 	if cfg.Tiers[2].CXL == nil || cfg.Tiers[2].CXL.Compression != "bdi" {
 		t.Fatalf("tier CXL params lost in Apply: %+v", cfg.Tiers[2].CXL)
-	}
-	if got := cfg.Fault.ForTier(2).BER; got != 1e-5 {
-		t.Fatalf("per-tier fault params lost: tier 2 BER = %g", got)
-	}
-	if beyond := cfg.Fault.ForTier(7); beyond.Enabled() {
-		t.Fatalf("fault params beyond the tier list must be disabled")
 	}
 
 	// Marshal/decode round-trip preserves the override exactly.

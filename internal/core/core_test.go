@@ -186,7 +186,6 @@ func TestIntegrityFlatFullyAssociative(t *testing.T) {
 func TestIntegrity64BVariant(t *testing.T) {
 	cfg := testConfig()
 	cfg.BlockBytes = 512
-	cfg.SubBlockBytes = 64
 	runIntegrity(t, cfg, 20000, 46)
 }
 

@@ -78,7 +78,7 @@ func TestIntegrityRandomConfigsQuick(t *testing.T) {
 			cfg.FullyAssociative = true
 		}
 		if flags&128 != 0 {
-			cfg.BlockBytes, cfg.SubBlockBytes = 512, 64
+			cfg.BlockBytes = 512
 		}
 		cfg.CommitK = float64(k%6) - 1 // -1 (inf) .. 4
 		if err := integrityErr(cfg, 3000, uint64(seed)); err != nil {

@@ -95,8 +95,7 @@ var builtinSpecs = []DesignSpec{
 	{Name: DesignDICE, Kind: KindDICE},
 	{Name: DesignBaryon, Kind: KindBaryon},
 	{Name: DesignBaryon64B, Kind: KindBaryon, Overrides: config.Overrides{
-		BlockBytes:    config.Ptr[uint64](512),
-		SubBlockBytes: config.Ptr[uint64](64),
+		BlockBytes: config.Ptr[uint64](512),
 	}},
 	{Name: DesignBaryonFA, Kind: KindBaryon, Overrides: config.Overrides{
 		FullyAssociative: config.Ptr(true),
@@ -230,9 +229,8 @@ func ValidateSpec(spec DesignSpec, cfg config.Config) error {
 }
 
 // FactorySpec returns the controller factory for a spec: it applies the
-// spec's config overrides, builds the kind's controller on the shared kit
-// with the spec's policy knobs, and arms fault injection when the
-// (overridden) config asks for it. The panics below are programmer-error
+// spec's config overrides and builds the kind's controller on the shared kit
+// with the spec's policy knobs. The panics below are programmer-error
 // invariants — Register and ValidateSpec reject every user-reachable bad
 // spec first — and the harness's per-pair panic isolation contains them
 // regardless.
@@ -240,9 +238,6 @@ func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 	return func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 		spec.Overrides.Apply(&cfg)
 		ctrl := buildKind(spec, cfg, store, stats)
-		if cfg.Fault.Enabled() {
-			ctrl.Engine().EnableFaults(cfg.Fault, cfg.Seed)
-		}
 		// CXL expander-side compression estimates over the canonical store
 		// content; on topologies without a CXL tier the probe is never
 		// consulted and the attach is a no-op.

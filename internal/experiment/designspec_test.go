@@ -22,11 +22,10 @@ func TestDesignSpecJSONRoundTrip(t *testing.T) {
 		Name: "RoundTrip-Baryon",
 		Kind: KindBaryon,
 		Overrides: config.Overrides{
-			Mode:          config.Ptr(config.ModeFlat),
-			BlockBytes:    config.Ptr[uint64](512),
-			SubBlockBytes: config.Ptr[uint64](64),
-			CommitK:       config.Ptr(2.5),
-			CommitAll:     config.Ptr(false),
+			Mode:       config.Ptr(config.ModeFlat),
+			BlockBytes: config.Ptr[uint64](512),
+			CommitK:    config.Ptr(2.5),
+			CommitAll:  config.Ptr(false),
 		},
 		Policy: PolicySpec{Replacement: "lru"},
 	}
@@ -95,16 +94,17 @@ func TestLoadSpecFileRejectsUnknownMode(t *testing.T) {
 	}
 }
 
-// TestLoadSpecFileRejectsRemovedKeys pins that the deleted two-tier
-// shorthands fail with an unknown-field error instead of being ignored:
-// "tiers" replaces slowMemory and detailedDDR, and "fault.tiers" replaces
-// fault.fast and fault.slow.
+// TestLoadSpecFileRejectsRemovedKeys pins that deleted override keys fail
+// with an unknown-field error instead of being ignored: "tiers" replaces
+// slowMemory and detailedDDR, device fault injection ("fault") is gone, the
+// sub-block size is always an eighth of blockBytes, and the Table I
+// latencies and MLP factor are constants.
 func TestLoadSpecFileRejectsRemovedKeys(t *testing.T) {
 	cases := []struct{ name, overrides, field string }{
 		{"slowMemory", `{"slowMemory":"pcm"}`, "slowMemory"},
 		{"detailedDDR", `{"detailedDDR":true}`, "detailedDDR"},
-		{"fault.fast", `{"fault":{"fast":{"ber":1e-6}}}`, "fast"},
-		{"fault.slow", `{"fault":{"slow":{"ber":1e-4}}}`, "slow"},
+		{"fault", `{"fault":{"tiers":[{},{"ber":1e-4}]}}`, "fault"},
+		{"subBlockBytes", `{"subBlockBytes":64}`, "subBlockBytes"},
 		{"mlpOverlap", `{"mlpOverlap":2}`, "mlpOverlap"},
 		{"stageTagLatency", `{"stageTagLatency":5}`, "stageTagLatency"},
 		{"remapCacheLatency", `{"remapCacheLatency":3}`, "remapCacheLatency"},

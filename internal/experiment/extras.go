@@ -37,7 +37,7 @@ func AssocSweep(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, 
 
 // SubBlockSweep sweeps the sub-block size: the paper evaluates 256 B
 // (default) and 64 B (Baryon-64B); 128 B completes the trade-off curve.
-// Geometry keeps eight sub-blocks per block, so the block size scales too.
+// A block always holds eight sub-blocks, so each point sets the block size.
 func SubBlockSweep(ctx context.Context, o Options, cfg config.Config) ([]Fig13Row, *Table, error) {
 	points := []string{"64B", "128B", "256B"}
 	return sweepTable(ctx, o, cfg,
@@ -48,11 +48,11 @@ func SubBlockSweep(ctx context.Context, o Options, cfg config.Config) ([]Fig13Ro
 		func(c *config.Config, p string) {
 			switch p {
 			case "64B":
-				c.BlockBytes, c.SubBlockBytes = 512, 64
+				c.BlockBytes = 512
 			case "128B":
-				c.BlockBytes, c.SubBlockBytes = 1024, 128
+				c.BlockBytes = 1024
 			case "256B":
-				c.BlockBytes, c.SubBlockBytes = 2048, 256
+				c.BlockBytes = 2048
 			}
 		},
 		"256B")

@@ -78,19 +78,17 @@ func TestExperimentTablesGolden(t *testing.T) {
 	}
 }
 
-// TestExtraTablesGolden pins the three extra experiments that vary the
-// device topology or its faults — the slow-memory technology sweep, the
-// fast-memory timing-model sweep and the resilience ramp — at
-// goldenConfig. Regenerate deliberately with
+// TestExtraTablesGolden pins the two extra experiments that vary the
+// device topology — the slow-memory technology sweep and the fast-memory
+// timing-model sweep — at goldenConfig. Regenerate deliberately with
 //
 //	go test ./internal/experiment -run ExtraTablesGolden -update-golden
 func TestExtraTablesGolden(t *testing.T) {
 	cfg := goldenConfig()
 	_, slow := harness(t, SlowMemSweep, cfg)
 	_, ddr := harness(t, DDRFidelitySweep, cfg)
-	_, res := harness(t, Resilience, cfg)
 	var buf bytes.Buffer
-	for _, tab := range []*Table{slow, ddr, res} {
+	for _, tab := range []*Table{slow, ddr} {
 		tab.Render(&buf)
 	}
 	compareGolden(t, "extras_quick.golden", buf.Bytes())

@@ -5,18 +5,17 @@ import (
 
 	"baryon/internal/config"
 	"baryon/internal/core"
-	"baryon/internal/fault"
 	"baryon/internal/trace"
 )
 
-// TestHarnessesReadMeasuredWindow runs Fig. 3(a), the CXL sweep and the
-// resilience grid with a warmup and checks every row against the measured
+// TestHarnessesReadMeasuredWindow runs Fig. 3(a) and the CXL sweep with a
+// warmup and checks every row against the measured
 // window of the same run, so no warmup counter leaks into a row. Each part
 // also checks that its warmup moved the counters it reads, without which
 // the comparison could not tell the window from the whole run.
 func TestHarnessesReadMeasuredWindow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("reruns three harness grids")
+		t.Skip("reruns two harness grids")
 	}
 	cfg := config.Scaled()
 	cfg.AccessesPerCore = 300
@@ -57,39 +56,6 @@ func TestHarnessesReadMeasuredWindow(t *testing.T) {
 		}
 		if !warm {
 			t.Fatal("the warmup moved no CXL link byte")
-		}
-	})
-
-	t.Run("resilience", func(t *testing.T) {
-		rows, _ := harness(t, Resilience, cfg)
-		w := trace.Representative()[0]
-		warm := false
-		for _, r := range rows {
-			c := cfg
-			c.Fault.Tiers = []fault.Params{{}, {BER: r.BER}}
-			c.Fault.ECCCorrectBits = 2
-			res := runOne(t, c, w, r.Design)
-			window, whole := res.Stats.Delta(res.MeasureStart), res.Stats.Snapshot()
-			for _, f := range []struct {
-				name string
-				got  uint64
-			}{{"corrected", r.Corrected}, {"uncorrectable", r.Uncorrectable}, {"remaps", r.Remaps}} {
-				if want := sumFaultCounter(window, f.name); f.got != want {
-					t.Errorf("%s at BER %g: %s %d, want the window's %d", r.Design, r.BER, f.name, f.got, want)
-				}
-			}
-			checked := sumFaultCounter(window, "checked")
-			clean := 1.0
-			if checked > 0 {
-				clean = 1 - float64(sumFaultCounter(window, "corrected")+sumFaultCounter(window, "uncorrectable"))/float64(checked)
-			}
-			if r.CleanServe != clean {
-				t.Errorf("%s at BER %g: clean serve %g, want the window's %g", r.Design, r.BER, r.CleanServe, clean)
-			}
-			warm = warm || sumFaultCounter(whole, "checked") != checked
-		}
-		if !warm {
-			t.Fatal("the warmup moved no fault counter")
 		}
 	})
 }

@@ -3,7 +3,6 @@ package hybrid
 import (
 	"fmt"
 
-	"baryon/internal/fault"
 	"baryon/internal/mem"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
@@ -60,18 +59,9 @@ type TierSpec struct {
 // (see mem.Device.AccessBackground).
 type Engine struct {
 	tiers []*Tier
-	stats *sim.Stats
 
 	latFast, latSlow *sim.Histogram
 	tracer           *obs.Tracer
-
-	// Fault-degradation path (EnableFaults). faultsOn keeps the fault-free
-	// hot path on a single branch; with it false the engine is
-	// bit-identical to a build without fault support.
-	faultsOn     bool
-	retryPenalty uint64
-	remapPenalty uint64
-	latRetry     map[*mem.Device]*sim.Histogram
 }
 
 // NewEngineTiers builds the engine over an ordered tier list. Devices are
@@ -83,7 +73,7 @@ func NewEngineTiers(specs []TierSpec, stats *sim.Stats) *Engine {
 	if len(specs) < 2 {
 		panic(fmt.Sprintf("hybrid: engine needs at least 2 tiers, got %d", len(specs)))
 	}
-	e := &Engine{stats: stats, tiers: make([]*Tier, 0, len(specs))}
+	e := &Engine{tiers: make([]*Tier, 0, len(specs))}
 	var base uint64
 	for i, spec := range specs {
 		t := &Tier{
@@ -121,46 +111,6 @@ func (e *Engine) farFor(addr uint64) (*Tier, uint64) {
 	return t, addr - t.base
 }
 
-// tierFaultSalt keeps each tier's fault stream independent. Tiers 0 and 1
-// keep their historical salts (part of the determinism contract pinned by
-// the fault goldens); higher tiers get fixed derived constants.
-func tierFaultSalt(i int) uint64 {
-	switch i {
-	case 0:
-		return 0xFA57FA57
-	case 1:
-		return 0x510A510A
-	}
-	return 0x71E20000 + uint64(i)
-}
-
-// EnableFaults attaches seeded fault injectors to the tiers that have a
-// fault source configured and arms the engine's degradation path: demand
-// reads whose ECC outcome is Corrected are retried once (injection
-// suppressed) with a timing penalty; Uncorrectable reads quarantine the
-// affected lines in the injector (the line-remap-to-spare of a real
-// controller) and refetch from the spare. All outcomes land in the
-// "<device>.fault.*" counters and the "<device>.fault.lat.retry"
-// histograms. A no-op when fc describes no fault source.
-func (e *Engine) EnableFaults(fc fault.Config, seed uint64) {
-	if !fc.Enabled() {
-		return
-	}
-	e.faultsOn = true
-	e.retryPenalty = fc.RetryPenaltyCycles()
-	e.remapPenalty = fc.RemapPenaltyCycles()
-	e.latRetry = make(map[*mem.Device]*sim.Histogram, len(e.tiers))
-	for i, t := range e.tiers {
-		p := fc.ForTier(i)
-		if !p.Enabled() {
-			continue
-		}
-		scope := e.stats.Scope(t.dev.Config().Name)
-		t.dev.SetFaults(fault.NewInjector(p, fc.CorrectBits(), seed^fc.Seed^tierFaultSalt(i), scope))
-		e.latRetry[t.dev] = scope.Histogram("fault.lat.retry")
-	}
-}
-
 // SetContentProbe attaches a content probe, addressed canonically, to every
 // tier device: each tier's probe re-adds its base so a CXL expander's
 // compression estimator sees the bytes actually stored at the canonical
@@ -177,37 +127,6 @@ func (e *Engine) SetContentProbe(fn func(addr, size uint64) []byte) {
 			return fn(addr+base, size)
 		})
 	}
-}
-
-// demandRead issues one demand read and applies the ECC degradation path to
-// its outcome.
-func (e *Engine) demandRead(d *mem.Device, issue, addr, size uint64) uint64 {
-	done := d.Access(issue, addr, size, false)
-	if !e.faultsOn {
-		return done
-	}
-	switch d.TakeFault() {
-	case fault.Corrected:
-		// ECC caught flips within budget: the controller re-reads the line
-		// and pays the correction pipeline's penalty.
-		d.Faults().CountRetry()
-		done = d.AccessClean(done, addr, size, false) + e.retryPenalty
-		e.latRetry[d].Observe(done - issue)
-		if e.tracer != nil {
-			e.tracer.Instant("fault", "corrected", issue)
-		}
-	case fault.Uncorrectable:
-		// Beyond the ECC budget: quarantine the lines (remap to spares) so
-		// they stop faulting, then refetch from the spare. Without this the
-		// simulation would silently serve corrupted data.
-		d.Faults().Quarantine(addr, size)
-		done = d.AccessClean(done+e.remapPenalty, addr, size, false)
-		e.latRetry[d].Observe(done - issue)
-		if e.tracer != nil {
-			e.tracer.Instant("fault", "remap", issue)
-		}
-	}
-	return done
 }
 
 // InstrumentLatency registers the kit's read-latency histograms under the
@@ -263,14 +182,14 @@ func (e *Engine) ObserveSlow(now, done uint64, cat string) {
 
 // FastRead is a demand read from fast memory issued at cycle issue.
 func (e *Engine) FastRead(issue, addr, size uint64) uint64 {
-	return e.demandRead(e.tiers[0].dev, issue, addr, size)
+	return e.tiers[0].dev.Access(issue, addr, size, false)
 }
 
 // SlowRead is a demand read from the far path issued at cycle issue: the
 // canonical address routes to its owning tier.
 func (e *Engine) SlowRead(issue, addr, size uint64) uint64 {
 	t, local := e.farFor(addr)
-	done := e.demandRead(t.dev, issue, local, size)
+	done := t.dev.Access(issue, local, size, false)
 	if t.lat != nil {
 		t.lat.Observe(done - issue)
 	}

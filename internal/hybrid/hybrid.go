@@ -56,8 +56,8 @@ type Controller interface {
 	// controller.
 	Access(now uint64, addr uint64, write bool, data []byte) Result
 	// Engine returns the shared migration/writeback engine the controller
-	// moves data through: its tiers and devices carry the run's traffic,
-	// faults and tracing.
+	// moves data through: its tiers and devices carry the run's traffic
+	// and tracing.
 	Engine() *Engine
 }
 

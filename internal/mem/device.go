@@ -8,7 +8,6 @@
 package mem
 
 import (
-	"baryon/internal/fault"
 	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
@@ -130,12 +129,6 @@ type Device struct {
 	queueHist, svcHist      *sim.Histogram
 	tracer                  *obs.Tracer
 
-	// faults, when non-nil, injects read faults and tracks write wear; the
-	// outcome of the last demand access is kept for the engine's
-	// degradation path. Nil (the default) keeps the hot path fault-free.
-	faults    *fault.Injector
-	lastFault fault.Class
-
 	// link, when non-nil, is the CXL-expander front end every access goes
 	// through (see cxl.go). Nil keeps the direct-attached hot path.
 	link *cxlLink
@@ -203,35 +196,6 @@ func (d *Device) SetContentProbe(fn func(addr, size uint64) []byte) {
 // recorded for sampled requests. Nil detaches.
 func (d *Device) SetTracer(t *obs.Tracer) { d.tracer = t }
 
-// SetFaults attaches a fault injector: demand and background reads draw
-// fault outcomes, writes advance wear counters. Nil (the default) detaches;
-// a detached device behaves bit-identically to a build without injection.
-func (d *Device) SetFaults(in *fault.Injector) { d.faults = in }
-
-// Faults returns the attached injector (nil when injection is off).
-func (d *Device) Faults() *fault.Injector { return d.faults }
-
-// TakeFault returns the ECC outcome of the most recent demand access and
-// resets it to None. Background accesses never set it.
-func (d *Device) TakeFault() fault.Class {
-	f := d.lastFault
-	d.lastFault = fault.None
-	return f
-}
-
-// AccessClean performs a demand access with fault injection suppressed: the
-// ECC-corrected retry and remapped-spare refetch paths, which re-read known
-// good data.
-func (d *Device) AccessClean(now uint64, addr uint64, size uint64, write bool) uint64 {
-	if d.faults == nil {
-		return d.Access(now, addr, size, write)
-	}
-	d.faults.Suppress(true)
-	done := d.Access(now, addr, size, write)
-	d.faults.Suppress(false)
-	return done
-}
-
 // Counters returns the device's typed metric handles.
 func (d *Device) Counters() Counters {
 	c := Counters{
@@ -245,9 +209,6 @@ func (d *Device) Counters() Counters {
 	}
 	return c
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // Access performs a read or write of size bytes at device address addr
 // starting no earlier than cycle now, and returns the completion cycle.
@@ -331,17 +292,6 @@ func (d *Device) AccessBackground(now uint64, addr uint64, size uint64, write bo
 		d.drain(ch, now)
 		ch.bgBytes += float64(n)
 		d.account(n, write)
-		if d.faults != nil {
-			// Background traffic ages cells and suffers faults like demand
-			// traffic, but its nominal completion time absorbs the ECC
-			// handling; outcomes are counted, not retimed, and never
-			// surface through TakeFault.
-			if write {
-				d.faults.OnWrite(addr+off, n)
-			} else {
-				d.faults.OnRead(addr+off, n)
-			}
-		}
 	}
 	return nominal + d.cfg.RowMissLatency + uint64(float64(size)/d.cfg.BytesPerCycle)
 }
@@ -411,7 +361,6 @@ func (d *Device) access(now uint64, addr uint64, size uint64, write bool) uint64
 	if !write {
 		d.readLat.Add(done - now)
 	}
-	d.inject(addr, size, write)
 	d.svcHist.Observe(done - now)
 	if d.tracer != nil {
 		rowClass := "rowMiss"
@@ -445,21 +394,6 @@ func (d *Device) countRow(hit bool) {
 	}
 	d.rowMisses.Inc()
 	d.energy.Add(d.cfg.ActivatePJ)
-}
-
-// inject draws the fault outcome for one demand chunk, accumulating the
-// worst outcome across the chunks of a striped access for TakeFault.
-func (d *Device) inject(addr, size uint64, write bool) {
-	if d.faults == nil {
-		return
-	}
-	if write {
-		d.faults.OnWrite(addr, size)
-		return
-	}
-	if f := d.faults.OnRead(addr, size); f > d.lastFault {
-		d.lastFault = f
-	}
 }
 
 // accessDetailed times one demand access through the protocol engine,

@@ -3,7 +3,6 @@ package mem
 import (
 	"testing"
 
-	"baryon/internal/fault"
 	"baryon/internal/sim"
 )
 
@@ -68,7 +67,7 @@ func TestChannelsParallel(t *testing.T) {
 	ddr.Reset()
 	ddr.Access(0, 0, 2048, false)
 	d2 := ddr.Access(0, 256, 2048, false) // different channel
-	if d2 > d1+ddr.Config().RowMissLatency {
+	if d2 > d1+DDR4Config().RowMissLatency {
 		t.Fatalf("parallel channels serialized: first=%d second=%d", d1, d2)
 	}
 }
@@ -173,7 +172,6 @@ func (d *Device) Reset() {
 			d.channels[i].banks[j] = bank{}
 		}
 	}
-	d.lastFault = fault.None
 	if d.link != nil {
 		d.link.freeAt = 0
 	}

@@ -29,7 +29,7 @@ import (
 // Job is one simulation request: a registered design, a named workload, the
 // seed and the run-shape knobs. It is the wire schema of cmd/baryonsimd's
 // submit endpoints. Anything beyond the run shape — device topologies,
-// compression knobs, fault injection — belongs in the design spec, which the
+// compression knobs, policies — belongs in the design spec, which the
 // spec hash covers in full; that keeps every field that can change a result
 // inside the cache key.
 type Job struct {

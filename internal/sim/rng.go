@@ -73,26 +73,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Poisson returns a sample from a Poisson distribution with mean lambda,
-// using Knuth's product-of-uniforms method. It is exact for the small means
-// the fault models use (lambda well below ~30); larger lambdas are clamped
-// to 64 draws to bound worst-case work, which only matters for absurd error
-// rates. Non-positive lambda returns 0.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l || k >= 64 {
-			return k
-		}
-		k++
-	}
-}
-
 // Zipf samples integers in [0, n) with a Zipfian (power-law) distribution of
 // exponent theta, using the Gray et al. rejection-free method. Rank 0 is the
 // hottest item. The mapping from rank to item is scrambled with a fixed
