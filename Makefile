@@ -69,7 +69,7 @@ bench:
 # per invocation, hence the loops).
 FUZZTIME ?= 10s
 fuzz-smoke:
-	for t in FuzzFPCRoundTrip FuzzBDIRoundTrip FuzzCPackRoundTrip; do \
+	for t in FuzzFPCRoundTrip FuzzBDIRoundTrip; do \
 		$(GO) test ./internal/compress -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzOverridesJSON -fuzztime $(FUZZTIME)

@@ -167,13 +167,6 @@ func BenchmarkExtra_SubBlockSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkExtra_CompressorComparison(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		run(b, experiment.CompressorComparison, cfg)
-	}
-}
-
 func BenchmarkExtra_RemapCacheSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {

@@ -39,7 +39,6 @@ func main() {
 	warmup := flag.Int("warmup", 0, "warmup accesses per core before measurement (0 = cold start)")
 	epoch := flag.Int("epoch", 0, "collect an epoch snapshot every N accesses (0 = off)")
 	epochCSV := flag.String("epoch-csv", "", "write the epoch time-series as CSV to this file (- for stdout)")
-	epochJSONL := flag.String("epoch-jsonl", "", "write the epoch time-series as JSONL to this file (- for stdout)")
 	metricsOut := flag.String("metrics-out", "", "write the run's final OpenMetrics exposition to this file (- for stdout)")
 	bundleOut := flag.String("bundle-out", "", "write the deterministic run-report bundle (see cmd/runreport) to this file (- for stdout)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -89,19 +88,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, experiment.UnknownDesignError(*design))
 		os.Exit(2)
 	}
-	if *warmup < 0 || *epoch < 0 {
-		fmt.Fprintln(os.Stderr, "-warmup and -epoch must be >= 0")
+	if *accesses < 0 || *warmup < 0 || *epoch < 0 {
+		fmt.Fprintln(os.Stderr, "-accesses, -warmup and -epoch must be >= 0")
 		os.Exit(2)
 	}
-	if (*epochCSV != "" || *epochJSONL != "") && *epoch == 0 {
-		fmt.Fprintln(os.Stderr, "-epoch-csv/-epoch-jsonl require -epoch > 0")
+	if *epochCSV != "" && *epoch == 0 {
+		fmt.Fprintln(os.Stderr, "-epoch-csv requires -epoch > 0")
 		os.Exit(2)
 	}
 	// Each export may go to stdout ("-"), but only one at a time: a stream
 	// mixing two formats parses as neither.
 	var toStdout []string
 	for _, e := range []struct{ flag, path string }{
-		{"-trace-out", *traceOut}, {"-epoch-csv", *epochCSV}, {"-epoch-jsonl", *epochJSONL},
+		{"-trace-out", *traceOut}, {"-epoch-csv", *epochCSV},
 		{"-metrics-out", *metricsOut}, {"-bundle-out", *bundleOut},
 	} {
 		if e.path == "-" {
@@ -208,9 +207,6 @@ func main() {
 	if *epochCSV != "" {
 		exitOn("epoch CSV", writeOut(*epochCSV, func(w io.Writer) error { return experiment.WriteEpochCSV(w, res) }))
 	}
-	if *epochJSONL != "" {
-		exitOn("epoch JSONL", writeOut(*epochJSONL, func(w io.Writer) error { return experiment.WriteEpochJSONL(w, res) }))
-	}
 	if *metricsOut != "" {
 		// The measurement-window registry delta, labelled with the run
 		// identity: the end-of-run counterpart of the live /metrics endpoint.
@@ -237,7 +233,7 @@ func main() {
 	if toStdout != nil {
 		// stdout is carrying a machine-readable export; skip the run report
 		// so the stream stays parseable (pipe straight into cmd/omlint,
-		// cmd/runreport or a CSV/JSONL reader).
+		// cmd/runreport or a CSV reader).
 		if runErr != nil {
 			os.Exit(1)
 		}

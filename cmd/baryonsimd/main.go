@@ -41,6 +41,10 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", time.Minute, "per-response write deadline: a slower client has its connection dropped (0 = none)")
 	common := service.RegisterFlags(flag.CommandLine, service.FlagDesignFiles, "")
 	flag.Parse()
+	if *accesses < 0 {
+		fmt.Fprintln(os.Stderr, "-accesses must be >= 0")
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

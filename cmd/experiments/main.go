@@ -125,13 +125,11 @@ var experiments = []struct {
 	{"energy", tableOf(experiment.Energy)},
 	{"assoc", tableOf(experiment.AssocSweep)},
 	{"subblock", tableOf(experiment.SubBlockSweep)},
-	{"cpack", tableOf(experiment.CompressorComparison)},
 	{"remapcache", tableOf(experiment.RemapCacheSweep)},
 	{"slowmem", tableOf(experiment.SlowMemSweep)},
 	{"llcprefetch", tableOf(experiment.PrefetchAblation)},
 	{"osvshw", tableOf(experiment.OSvsHW)},
 	{"ddrfidelity", tableOf(experiment.DDRFidelitySweep)},
-	{"taillat", experiment.TailLatency},
 	{"cxl", tableOf(experiment.CXLSweep)},
 }
 

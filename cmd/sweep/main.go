@@ -56,6 +56,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *accesses < 0 {
+		fmt.Fprintln(stderr, "-accesses must be >= 0")
+		return 2
+	}
 
 	// The shared service-layer lifecycle: -timeout deadline, -parallel pool
 	// size, -design-files registration, -bundle-dir observer.

@@ -192,3 +192,20 @@ func TestSweepRejectsUnknownMode(t *testing.T) {
 		t.Fatalf("stderr does not name the bad mode:\n%s", errb.String())
 	}
 }
+
+// TestSweepRejectsNegativeAccesses: a negative access budget is a usage
+// error before any output, not a silent run at the config default.
+func TestSweepRejectsNegativeAccesses(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{
+		"-workloads", "505.mcf_r",
+		"-designs", "Simple",
+		"-accesses", "-5",
+	}, &out, &errb)
+	if code != 2 || out.Len() != 0 {
+		t.Fatalf("-accesses -5 exited %d with %d stdout bytes, want 2 and none\nstderr: %s", code, out.Len(), errb.String())
+	}
+	if !strings.Contains(errb.String(), "-accesses") {
+		t.Fatalf("stderr does not name -accesses:\n%s", errb.String())
+	}
+}

@@ -1,6 +1,6 @@
 package compress
 
-// The full FPC, BDI and C-Pack encoders and decoders. The simulator only
+// The full FPC and BDI encoders and decoders. The simulator only
 // needs the size estimators (CompressedSize, SizeAtMost, RangeFits); these
 // codecs are the test oracle that proves every estimated size is the length
 // of a real encoding that decodes back to its input.
@@ -242,102 +242,6 @@ func (BDI) AppendDecompress(dst, comp []byte, origLen int) []byte {
 			v = base + sd
 		}
 		putChunk(out, i*cfg.base, v, cfg.base)
-	}
-	return full
-}
-
-// C-Pack stream opcodes for the explicit encoder/decoder.
-const (
-	cpZZZZ = 0x0 // 00
-	cpMMMM = 0x2 // 10
-	cpXXXX = 0x1 // 01
-	cpMMXX = 0xC // 1100
-	cpZZZX = 0xD // 1101
-	cpMMMX = 0xE // 1110
-)
-
-// Compress encodes data into a C-Pack bit stream.
-func (c CPack) Compress(data []byte) []byte { return c.AppendCompress(nil, data) }
-
-// AppendCompress appends the C-Pack encoding of data to dst and returns the
-// extended slice.
-func (CPack) AppendCompress(dst, data []byte) []byte {
-	var d cpackDict
-	w := &bitWriter{buf: dst}
-	for off := 0; off+4 <= len(data); off += 4 {
-		word := binary.LittleEndian.Uint32(data[off:])
-		switch {
-		case word == 0:
-			w.writeBits(cpZZZZ, 2)
-			continue
-		case word&0xFFFFFF00 == 0:
-			w.writeBits(cpZZZX, 4)
-			w.writeBits(uint64(word&0xFF), 8)
-			continue
-		}
-		kind, idx := d.match(word)
-		switch kind {
-		case 2:
-			w.writeBits(cpMMMM, 2)
-			w.writeBits(uint64(idx), 4)
-		case 1:
-			w.writeBits(cpMMMX, 4)
-			w.writeBits(uint64(idx), 4)
-			w.writeBits(uint64(word&0xFF), 8)
-			d.push(word)
-		case 0:
-			w.writeBits(cpMMXX, 4)
-			w.writeBits(uint64(idx), 4)
-			w.writeBits(uint64(word&0xFFFF), 16)
-			d.push(word)
-		default:
-			w.writeBits(cpXXXX, 2)
-			w.writeBits(uint64(word), 32)
-			d.push(word)
-		}
-	}
-	return w.bytes()
-}
-
-// Decompress reconstructs origLen bytes from a C-Pack stream.
-func (c CPack) Decompress(comp []byte, origLen int) []byte {
-	return c.AppendDecompress(nil, comp, origLen)
-}
-
-// AppendDecompress appends the origLen reconstructed bytes to dst and
-// returns the extended slice.
-func (CPack) AppendDecompress(dst, comp []byte, origLen int) []byte {
-	var d cpackDict
-	r := &bitReader{buf: comp}
-	full := growZero(dst, origLen)
-	out := full[len(full)-origLen:]
-	for off := 0; off+4 <= origLen; off += 4 {
-		var word uint32
-		switch r.readBits(2) {
-		case cpZZZZ:
-			word = 0
-		case cpMMMM:
-			word = d.entries[r.readBits(4)]
-		case cpXXXX:
-			word = uint32(r.readBits(32))
-			d.push(word)
-		default: // 11xx: one more bit selects among the 4-bit opcodes
-			switch r.readBits(2) {
-			case 0: // 1100 mmxx
-				idx := r.readBits(4)
-				low := r.readBits(16)
-				word = d.entries[idx]&0xFFFF0000 | uint32(low)
-				d.push(word)
-			case 1: // 1101 zzzx
-				word = uint32(r.readBits(8))
-			case 2: // 1110 mmmx
-				idx := r.readBits(4)
-				low := r.readBits(8)
-				word = d.entries[idx]&0xFFFFFF00 | uint32(low)
-				d.push(word)
-			}
-		}
-		binary.LittleEndian.PutUint32(out[off:], word)
 	}
 	return full
 }

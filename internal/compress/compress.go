@@ -21,38 +21,28 @@ package compress
 // III-B), the unit of cacheline-aligned compression.
 const CachelineSize = 64
 
-// Compressor selects the best of its enabled algorithms per unit and
-// applies Baryon's fit rules. The zero value is a plain (non-aligned)
-// FPC+BDI compressor, the paper's default pairing.
+// Compressor selects the better of FPC and BDI per unit and applies
+// Baryon's fit rules. The zero value is a plain (non-aligned) compressor.
 type Compressor struct {
 	// Aligned enforces cacheline-aligned compression: every 64·n-byte chunk
 	// of a CF=n range must independently compress into 64 bytes, so a single
 	// DDRx burst returns decodable data (Fig. 7).
 	Aligned bool
-	// WithCPack adds the C-Pack algorithm to the best-of selection (the
-	// alternative scheme the paper cites; "the exact choices are orthogonal
-	// to our design").
-	WithCPack bool
-	fpc       FPC
-	bdi       BDI
-	cpack     CPack
+	fpc     FPC
+	bdi     BDI
 }
 
 // New returns a compressor; aligned selects cacheline-aligned mode
 // (Baryon's default).
 func New(aligned bool) *Compressor { return &Compressor{Aligned: aligned} }
 
-// CompressedSize returns the smallest enabled encoding of data, clamped to
-// len(data) (hardware stores the original when compression loses).
+// CompressedSize returns the smaller of the FPC and BDI encodings of data,
+// clamped to len(data) (hardware stores the original when compression
+// loses).
 func (c *Compressor) CompressedSize(data []byte) int {
 	best := c.fpc.CompressedSize(data)
 	if b := c.bdi.CompressedSize(data); b < best {
 		best = b
-	}
-	if c.WithCPack {
-		if p := c.cpack.CompressedSize(data); p < best {
-			best = p
-		}
 	}
 	if best > len(data) {
 		best = len(data)
@@ -60,8 +50,8 @@ func (c *Compressor) CompressedSize(data []byte) int {
 	return best
 }
 
-// FitsWithin reports whether the best enabled encoding of data fits in
-// budget bytes — exactly CompressedSize(data) <= budget, but without the
+// FitsWithin reports whether the better of the FPC and BDI encodings of
+// data fits in budget bytes — exactly CompressedSize(data) <= budget, but without the
 // full best-of search: each algorithm's size-only fast path bails out as
 // soon as the budget is exceeded, and the first algorithm that fits ends
 // the search. This is the predicate behind every fit trial (RangeFits,
@@ -74,10 +64,7 @@ func (c *Compressor) FitsWithin(data []byte, budget int) bool {
 	if c.fpc.SizeAtMost(data, budget) {
 		return true
 	}
-	if c.bdi.SizeAtMost(data, budget) {
-		return true
-	}
-	return c.WithCPack && c.cpack.SizeAtMost(data, budget)
+	return c.bdi.SizeAtMost(data, budget)
 }
 
 // IsZero reports whether data is entirely zero (the Z-bit special case).

@@ -252,7 +252,7 @@ func TestAppendAPIsPreservePrefix(t *testing.T) {
 		AppendCompress(dst, data []byte) []byte
 		AppendDecompress(dst, comp []byte, origLen int) []byte
 	}
-	algos := []appender{FPC{}, BDI{}, CPack{}}
+	algos := []appender{FPC{}, BDI{}}
 	for _, a := range algos {
 		for trial := 0; trial < 200; trial++ {
 			line := randomLine(rng)

@@ -71,25 +71,3 @@ func FuzzBDIRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCPackRoundTrip does the same for C-Pack.
-func FuzzCPackRoundTrip(f *testing.F) {
-	f.Add(make([]byte, 64))
-	f.Add(bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, 16))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		data := fuzzInput(raw)
-		if len(data) == 0 {
-			t.Skip()
-		}
-		var c CPack
-		comp := c.Compress(data)
-		if got := c.CompressedSize(data); got != len(comp) {
-			t.Fatalf("CompressedSize=%d but Compress produced %d bytes", got, len(comp))
-		}
-		checkSizeAtMost(t, raw, data, len(comp), c.SizeAtMost)
-		back := c.Decompress(comp, len(data))
-		if !bytes.Equal(back, data) {
-			t.Fatalf("round trip mismatch:\n in  %x\n out %x", data, back)
-		}
-	})
-}

@@ -84,7 +84,6 @@ type Config struct {
 
 	// Baryon policy knobs (defaults are the paper's).
 	CompressionOff      bool    // disable compression entirely (Hybrid2 model)
-	UseCPack            bool    // add C-Pack to the FPC+BDI best-of selection
 	CachelineAligned    bool    // Fig. 7 / Fig. 12
 	ZeroBlockOpt        bool    // Z-bit, Fig. 12
 	CompressedWriteback bool    // Section III-F optimisation

@@ -19,7 +19,7 @@ func FuzzOverridesJSON(f *testing.F) {
 	f.Add(`{"mode": "bogus"}`)
 	f.Add(`{"tiers": [{"preset": "ddr4"}, {"preset": "nvm", "bytes": 67108864}, {"preset": "cxl-dram"}]}`)
 	f.Add(`{"tiers": [{"preset": "ddr4"}, {"preset": "cxl-ibex", "name": "far", "cxl": {"linkLatencyCycles": 96, "linkBytesPerCycle": 8, "internalBytesPerCycle": 12, "compression": "best"}}]}`)
-	f.Add(`{"commitAll": true, "useStageArea": false, "stageAgeInterval": 16, "useCPack": true, "decompressLatency": 9}`)
+	f.Add(`{"commitAll": true, "useStageArea": false, "stageAgeInterval": 16, "decompressLatency": 9}`)
 	f.Fuzz(func(t *testing.T, raw string) {
 		dec := json.NewDecoder(strings.NewReader(raw))
 		dec.DisallowUnknownFields()

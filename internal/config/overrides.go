@@ -30,7 +30,6 @@ type Overrides struct {
 	RemapCacheWays *int `json:"remapCacheWays,omitempty"`
 
 	CompressionOff      *bool    `json:"compressionOff,omitempty"`
-	UseCPack            *bool    `json:"useCPack,omitempty"`
 	CachelineAligned    *bool    `json:"cachelineAligned,omitempty"`
 	ZeroBlockOpt        *bool    `json:"zeroBlockOpt,omitempty"`
 	CompressedWriteback *bool    `json:"compressedWriteback,omitempty"`

@@ -147,7 +147,7 @@ type counters struct {
 func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	c := &Controller{
 		cfg:   cfg,
-		comp:  &compress.Compressor{Aligned: cfg.CachelineAligned, WithCPack: cfg.UseCPack},
+		comp:  compress.New(cfg.CachelineAligned),
 		rng:   sim.NewRNG(cfg.Seed ^ 0xBA51C0DE),
 		store: store,
 		stats: stats,

@@ -97,14 +97,16 @@ func TestLoadSpecFileRejectsUnknownMode(t *testing.T) {
 // TestLoadSpecFileRejectsRemovedKeys pins that deleted override keys fail
 // with an unknown-field error instead of being ignored: "tiers" replaces
 // slowMemory and detailedDDR, device fault injection ("fault") is gone, the
-// sub-block size is always an eighth of blockBytes, and the Table I
-// latencies and MLP factor are constants.
+// sub-block size is always an eighth of blockBytes, the compressor is always
+// the FPC+BDI pair ("useCPack"), and the Table I latencies and MLP factor
+// are constants.
 func TestLoadSpecFileRejectsRemovedKeys(t *testing.T) {
 	cases := []struct{ name, overrides, field string }{
 		{"slowMemory", `{"slowMemory":"pcm"}`, "slowMemory"},
 		{"detailedDDR", `{"detailedDDR":true}`, "detailedDDR"},
 		{"fault", `{"fault":{"tiers":[{},{"ber":1e-4}]}}`, "fault"},
 		{"subBlockBytes", `{"subBlockBytes":64}`, "subBlockBytes"},
+		{"useCPack", `{"useCPack":true}`, "useCPack"},
 		{"mlpOverlap", `{"mlpOverlap":2}`, "mlpOverlap"},
 		{"stageTagLatency", `{"stageTagLatency":5}`, "stageTagLatency"},
 		{"remapCacheLatency", `{"remapCacheLatency":3}`, "remapCacheLatency"},

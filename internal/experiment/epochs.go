@@ -1,18 +1,16 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
 	"baryon/internal/cpu"
-	"baryon/internal/sim"
 )
 
 // Epoch time-series export. A run configured with EpochAccesses > 0 carries
-// a per-epoch window series in Result.Epochs; these writers serialise it for
+// a per-epoch window series in Result.Epochs; WriteEpochCSV serialises it for
 // offline plotting (warmup behaviour, layout stabilisation, phase changes).
 
 // WriteEpochCSV writes the epoch series of res as CSV with a header row.
@@ -52,61 +50,4 @@ func TierBytesCell(b []uint64) string {
 		parts[i] = strconv.FormatUint(v, 10)
 	}
 	return strings.Join(parts, ";")
-}
-
-// epochRecord is the JSONL shape of one epoch, stamped with the run's
-// workload/design so concatenated streams from sweeps stay self-describing.
-type epochRecord struct {
-	Workload      string  `json:"workload"`
-	Design        string  `json:"design"`
-	Epoch         int     `json:"epoch"`
-	EndAccesses   uint64  `json:"endAccesses"`
-	Accesses      uint64  `json:"accesses"`
-	Instructions  uint64  `json:"instructions"`
-	Cycles        uint64  `json:"cycles"`
-	IPC           float64 `json:"ipc"`
-	FastServeRate float64 `json:"fastServeRate"`
-	BloatFactor   float64 `json:"bloatFactor"`
-	FastBytes     uint64  `json:"fastBytes"`
-	SlowBytes     uint64  `json:"slowBytes"`
-	// TierBytes is the per-tier traffic breakdown of N-tier runs (omitted
-	// on two-tier runs); the CXL fields split expander traffic into
-	// host-link and expander-internal bytes (omitted without a CXL tier).
-	TierBytes        []uint64 `json:"tierBytes,omitempty"`
-	CXLLinkBytes     uint64   `json:"cxlLinkBytes,omitempty"`
-	CXLInternalBytes uint64   `json:"cxlInternalBytes,omitempty"`
-	EnergyPJ         float64  `json:"energyPJ"`
-	// MemLat is the epoch's whole-plane demand-latency summary.
-	MemLat sim.HistSummary `json:"memLat"`
-}
-
-// WriteEpochJSONL writes the epoch series of res as one JSON object per
-// line, suitable for appending across runs of a sweep.
-func WriteEpochJSONL(w io.Writer, res cpu.Result) error {
-	enc := json.NewEncoder(w)
-	for _, e := range res.Epochs {
-		rec := epochRecord{
-			Workload:         res.Workload,
-			Design:           res.Design,
-			Epoch:            e.Index,
-			EndAccesses:      e.EndAccesses,
-			Accesses:         e.Accesses,
-			Instructions:     e.Instructions,
-			Cycles:           e.Cycles,
-			IPC:              e.IPC(),
-			FastServeRate:    e.FastServeRate,
-			BloatFactor:      e.BloatFactor,
-			FastBytes:        e.FastBytes,
-			SlowBytes:        e.SlowBytes,
-			TierBytes:        e.TierBytes,
-			CXLLinkBytes:     e.CXLLinkBytes,
-			CXLInternalBytes: e.CXLInternalBytes,
-			EnergyPJ:         e.EnergyPJ,
-			MemLat:           e.MemLat,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

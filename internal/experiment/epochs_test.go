@@ -3,7 +3,9 @@ package experiment
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/csv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -70,15 +72,6 @@ func TestEpochSeriesTwoTierOmitsTierColumns(t *testing.T) {
 			t.Fatalf("two-tier epoch row has CXL traffic: %s", sc.Text())
 		}
 	}
-
-	// The JSONL shape omits the N-tier fields entirely on two-tier runs.
-	var jsonBuf bytes.Buffer
-	if err := WriteEpochJSONL(&jsonBuf, res); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(jsonBuf.String(), "tierBytes") || strings.Contains(jsonBuf.String(), "cxlLinkBytes") {
-		t.Fatalf("two-tier JSONL carries N-tier fields:\n%s", jsonBuf.String())
-	}
 }
 
 func TestEpochSeriesThreeTierCXLColumns(t *testing.T) {
@@ -115,50 +108,63 @@ func TestEpochSeriesThreeTierCXLColumns(t *testing.T) {
 		t.Fatal("no epoch recorded CXL link traffic on a CXL topology")
 	}
 
-	// CSV rows carry the ";"-joined breakdown and nonzero link bytes.
+	// Every CSV cell parses back to the value its Epoch struct carries;
+	// floats are printed rounded, so they match within half the last digit.
 	var csvBuf bytes.Buffer
 	if err := WriteEpochCSV(&csvBuf, res); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	idx := map[string]int{}
-	for i, h := range strings.Split(lines[0], ",") {
-		idx[h] = i
-	}
-	var csvLink bool
-	for _, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if parts := strings.Split(f[idx["tierBytes"]], ";"); len(parts) != 3 {
-			t.Fatalf("tierBytes cell %q does not hold 3 tiers", f[idx["tierBytes"]])
-		}
-		if f[idx["cxlLinkBytes"]] != "0" {
-			csvLink = true
-		}
-	}
-	if !csvLink {
-		t.Fatal("CSV series shows no CXL link traffic")
-	}
-
-	// JSONL rows decode with the same values the Epoch structs carry.
-	var jsonBuf bytes.Buffer
-	if err := WriteEpochJSONL(&jsonBuf, res); err != nil {
+	rows, err := csv.NewReader(&csvBuf).ReadAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(&jsonBuf)
-	for i := 0; dec.More(); i++ {
-		var rec struct {
-			TierBytes        []uint64 `json:"tierBytes"`
-			CXLLinkBytes     uint64   `json:"cxlLinkBytes"`
-			CXLInternalBytes uint64   `json:"cxlInternalBytes"`
+	if len(rows)-1 != len(res.Epochs) {
+		t.Fatalf("CSV has %d rows, want one per epoch (%d)", len(rows)-1, len(res.Epochs))
+	}
+	for i, row := range rows[1:] {
+		e := res.Epochs[i]
+		cell := make(map[string]string, len(row))
+		for j, h := range rows[0] {
+			cell[h] = row[j]
 		}
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatal(err)
+		ints := []struct {
+			col  string
+			want uint64
+		}{
+			{"epoch", uint64(e.Index)}, {"endAccesses", e.EndAccesses}, {"accesses", e.Accesses},
+			{"instructions", e.Instructions}, {"cycles", e.Cycles},
+			{"fastBytes", e.FastBytes}, {"slowBytes", e.SlowBytes},
+			{"cxlLinkBytes", e.CXLLinkBytes}, {"cxlInternalBytes", e.CXLInternalBytes},
+			{"memLatMax", e.MemLat.Max},
 		}
-		if len(rec.TierBytes) != 3 {
-			t.Fatalf("JSONL record %d: tierBytes %v", i, rec.TierBytes)
+		for _, c := range ints {
+			if got, err := strconv.ParseUint(cell[c.col], 10, 64); err != nil || got != c.want {
+				t.Fatalf("epoch %d: %s cell %q, want %d", i, c.col, cell[c.col], c.want)
+			}
 		}
-		if rec.CXLLinkBytes != res.Epochs[i].CXLLinkBytes {
-			t.Fatalf("JSONL record %d: link bytes %d != epoch %d", i, rec.CXLLinkBytes, res.Epochs[i].CXLLinkBytes)
+		floats := []struct {
+			col       string
+			want, tol float64
+		}{
+			{"ipc", e.IPC(), 5e-7}, {"fastServeRate", e.FastServeRate, 5e-7}, {"bloatFactor", e.BloatFactor, 5e-7},
+			{"energyPJ", e.EnergyPJ, 0.05}, {"memLatP50", e.MemLat.P50, 0.05}, {"memLatP99", e.MemLat.P99, 0.05},
+		}
+		for _, c := range floats {
+			if got, err := strconv.ParseFloat(cell[c.col], 64); err != nil || math.Abs(got-c.want) > c.tol*1.001 {
+				t.Fatalf("epoch %d: %s cell %q, want %g", i, c.col, cell[c.col], c.want)
+			}
+		}
+		tiers := strings.Split(cell["tierBytes"], ";")
+		if len(tiers) != len(e.TierBytes) {
+			t.Fatalf("epoch %d: tierBytes cell %q, want %v", i, cell["tierBytes"], e.TierBytes)
+		}
+		for k, v := range tiers {
+			if got, err := strconv.ParseUint(v, 10, 64); err != nil || got != e.TierBytes[k] {
+				t.Fatalf("epoch %d: tierBytes cell %q, want %v", i, cell["tierBytes"], e.TierBytes)
+			}
+		}
+		if checked := len(ints) + len(floats) + 1; checked != len(rows[0]) {
+			t.Fatalf("checked %d of the %d CSV columns %v", checked, len(rows[0]), rows[0])
 		}
 	}
 }

@@ -11,10 +11,8 @@ import (
 
 // The experiments in this file go beyond the paper's figures: they cover
 // the discussion points of Section III-F (higher associativities), the
-// sub-block size trade-off beyond the two points the paper evaluates, the
-// remap cache sizing claim (">90% hit rates" with 32 kB), and the
-// orthogonal-compressor claim (Section III-B: "alternative schemes can also
-// be used") via the optional C-Pack algorithm.
+// sub-block size trade-off beyond the two points the paper evaluates, and
+// the remap cache sizing claim (">90% hit rates" with 32 kB).
 
 // AssocSweep sweeps the fast-memory associativity (the paper fixes 4 and
 // discusses higher associativities in Section III-F; fully-associative is
@@ -56,51 +54,6 @@ func SubBlockSweep(ctx context.Context, o Options, cfg config.Config) ([]Fig13Ro
 			}
 		},
 		"256B")
-}
-
-// CPackRow compares the default FPC+BDI pairing against adding C-Pack.
-type CPackRow struct {
-	Workload        string
-	Speedup         float64 // with C-Pack, relative to FPC+BDI
-	MeanCFDefault   float64
-	MeanCFWithCPack float64
-}
-
-// CompressorComparison evaluates the orthogonal-compressor claim: adding
-// C-Pack to the best-of selection should shift CFs slightly without
-// changing the design's behaviour.
-func CompressorComparison(ctx context.Context, o Options, cfg config.Config) ([]CPackRow, *Table, error) {
-	var rows []CPackRow
-	t := &Table{
-		Title:  "Extra: compressor choice (FPC+BDI vs FPC+BDI+C-Pack)",
-		Header: []string{"workload", "speedup", "meanCF", "meanCF+cpack"},
-		Notes:  []string{"the paper: exact algorithm choices are orthogonal to the design"},
-	}
-	c2 := cfg
-	c2.UseCPack = true
-	workloads := trace.Representative()
-	pairs := make([]Pair, 0, 2*len(workloads))
-	for _, w := range workloads {
-		pairs = append(pairs,
-			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
-			Pair{Cfg: c2, Workload: w, Design: DesignBaryon})
-	}
-	results, err := runPairs(ctx, o, pairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	for wi, w := range workloads {
-		base, with := results[2*wi], results[2*wi+1]
-		row := CPackRow{
-			Workload:        w.Name,
-			Speedup:         float64(base.Cycles) / float64(with.Cycles),
-			MeanCFDefault:   core.MeanRangeCF(base.Stats.Delta(base.MeasureStart)),
-			MeanCFWithCPack: core.MeanRangeCF(with.Stats.Delta(with.MeasureStart)),
-		}
-		rows = append(rows, row)
-		t.AddRow(w.Name, f2(row.Speedup), f2(row.MeanCFDefault), f2(row.MeanCFWithCPack))
-	}
-	return rows, t, nil
 }
 
 // RemapCacheRow reports one remap-cache configuration's hit rate.

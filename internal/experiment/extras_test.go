@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"baryon/internal/config"
-	"baryon/internal/trace"
 )
 
 func TestBudgetPaperScale(t *testing.T) {
@@ -39,28 +38,6 @@ func TestRemapCacheSweepMonotonicIsh(t *testing.T) {
 		if big[w] < s-0.02 {
 			t.Fatalf("%s: 256-set hit rate %.3f below 32-set %.3f", w, big[w], s)
 		}
-	}
-}
-
-func TestCompressorComparisonRuns(t *testing.T) {
-	cfg := quickConfig()
-	rows, tab := harness(t, CompressorComparison, cfg)
-	if len(rows) != len(trace.Representative()) {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		// C-Pack adds an algorithm to a best-of selection: CFs move a
-		// little, performance stays in a sane band.
-		if r.Speedup < 0.7 || r.Speedup > 1.4 {
-			t.Fatalf("%s: C-Pack speedup %.2f out of band", r.Workload, r.Speedup)
-		}
-		if r.MeanCFWithCPack < r.MeanCFDefault-0.1 {
-			t.Fatalf("%s: adding C-Pack reduced mean CF %.2f -> %.2f",
-				r.Workload, r.MeanCFDefault, r.MeanCFWithCPack)
-		}
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("empty table")
 	}
 }
 

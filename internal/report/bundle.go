@@ -91,7 +91,7 @@ type TierTraffic struct {
 
 // EpochsRef records the length of a run's epoch time-series without
 // inlining it, so the bundle stays small and byte-stable; the series itself
-// is a separate artifact (baryonsim -epoch-csv/-epoch-jsonl).
+// is a separate artifact (baryonsim -epoch-csv).
 type EpochsRef struct {
 	Count int `json:"count"`
 }

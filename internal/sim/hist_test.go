@@ -87,7 +87,7 @@ func TestHistogramEmpty(t *testing.T) {
 // histDistributions are the known shapes the percentile-accuracy test draws:
 // uniform (flat), geometric (heavy head, thin tail — the shape cache-hit
 // latencies take), constant (degenerate), and bimodal (fast-hit vs slow-path
-// split, the distribution the tail-latency experiment exists to expose).
+// split, the shape Baryon's stage hits and slow-path reads produce).
 var histDistributions = []struct {
 	name string
 	gen  func(r *RNG) uint64

@@ -74,7 +74,7 @@ done
 # Two exports on stdout would interleave two formats: usage error (exit 2)
 # with nothing written to stdout.
 status=0
-"$tmp/baryonsim" -accesses 1000 -epoch 500 -epoch-jsonl - -bundle-out - \
+"$tmp/baryonsim" -accesses 1000 -epoch 500 -epoch-csv - -bundle-out - \
     >"$tmp/two.out" 2>"$tmp/two.err" || status=$?
 if [ "$status" -ne 2 ] || [ -s "$tmp/two.out" ]; then
     echo "FAIL: two stdout exports exited $status with $(wc -c <"$tmp/two.out") stdout bytes, want exit 2 and none" >&2
