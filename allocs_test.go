@@ -3,6 +3,7 @@ package baryon
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"baryon/internal/experiment"
@@ -82,5 +83,34 @@ func TestSingleRunAllocs(t *testing.T) {
 				t.Logf("%.0f allocations (limit %.0f)", got, c.limit)
 			}
 		})
+	}
+}
+
+// TestSingleRunBytes is the memory gate beside the allocation gate: the
+// bytes one cold Baryon run on 505.mcf_r at benchConfig allocates
+// (runtime.MemStats.TotalAlloc over the run, after a warm-up run). The
+// limit is the recorded baseline of 5.89 MB plus 10%. Before hybrid.Store
+// bounded its block bytes at 1024 blocks, the run allocated 18.1 MB, most
+// of it 2 kB per block read; a store that goes back to unbounded fails
+// here. Raise the limit only with the change that needs it.
+func TestSingleRunBytes(t *testing.T) {
+	cfg := benchConfig()
+	w, _ := trace.ByName("505.mcf_r")
+	run := func() {
+		p := experiment.Pair{Cfg: cfg, Workload: w, Design: experiment.DesignBaryon}
+		if _, err := experiment.RunPairCtx(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const limit = 6.48e6
+	run() // warms the process-wide memos, as AllocsPerRun's first call does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("the cold run allocated %d bytes, over the limit of %.0f", got, limit)
+	} else {
+		t.Logf("the cold run allocated %d bytes (limit %.0f)", got, limit)
 	}
 }

@@ -37,6 +37,10 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// runPairs runs one seed's grid: experiment.RunPairsCtx, which the
+// command's tests wrap to poison a design's pairs.
+var runPairs = experiment.RunPairsCtx
+
 // run is the whole command behind a testable seam: flags in, CSV to stdout,
 // diagnostics to stderr, exit code out. Cancelling ctx (the signal handler,
 // -timeout, or a test) stops new runs and flushes the partial CSV.
@@ -133,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				pairs = append(pairs, experiment.Pair{Cfg: cfg, Workload: w, Design: d})
 			}
 		}
-		results := experiment.RunPairsCtx(ctx, opts, pairs)
+		results := runPairs(ctx, opts, pairs)
 		for i, pr := range results {
 			res := pr.Result
 			status := "ok"

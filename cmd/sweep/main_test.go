@@ -10,21 +10,41 @@ import (
 	"testing"
 	"time"
 
+	"baryon/internal/datagen"
+	"baryon/internal/experiment"
 	"baryon/internal/report"
+	"baryon/internal/trace"
 )
 
-// writeSpec writes a JSON DesignSpec with a unique name to dir and returns
-// its path. BlockBytes 0 passes load-time validation but panics in the
-// factory — the poisoned-pair shape the resilient sweep must contain.
+// writePoisonedSpec writes a JSON DesignSpec named name, a plain baryon
+// design, to dir and returns its path, and for the rest of the test runs
+// that design's pairs on a workload that panics when the runner asks it
+// for streams: the poisoned-pair shape the resilient sweep must contain.
 func writePoisonedSpec(t *testing.T, dir, name string) string {
 	t.Helper()
 	path := filepath.Join(dir, name+".json")
-	spec := `{"name": "` + name + `", "kind": "baryon", "overrides": {"blockBytes": 0}}`
+	spec := `{"name": "` + name + `", "kind": "baryon"}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { runPairs = experiment.RunPairsCtx })
+	runPairs = func(ctx context.Context, o experiment.Options, pairs []experiment.Pair) []experiment.PairResult {
+		for i := range pairs {
+			if pairs[i].Design == name {
+				pairs[i].Source = panicSource{}
+			}
+		}
+		return experiment.RunPairsCtx(ctx, o, pairs)
+	}
 	return path
 }
+
+// panicSource is a workload that panics when a runner asks it for streams.
+type panicSource struct{}
+
+func (panicSource) SourceName() string                           { return "poisoned" }
+func (panicSource) ValueMix() datagen.Mix                        { return datagen.Mix{} }
+func (panicSource) Streams(int, uint64, uint64) []trace.Streamer { panic("poisoned workload") }
 
 // parseCSV asserts the sweep output is valid CSV and returns the rows
 // (header included). encoding/csv errors on ragged rows, so a truncated or
@@ -69,8 +89,8 @@ func TestSweepPanicIsolation(t *testing.T) {
 	if counts["ok"] != 1 || counts["error"] != 1 {
 		t.Fatalf("status counts = %v, want 1 ok + 1 error\ncsv:\n%s", counts, out.String())
 	}
-	if !strings.Contains(errb.String(), "Poisoned-SweepErr") {
-		t.Fatalf("stderr does not report the failed pair:\n%s", errb.String())
+	if !strings.Contains(errb.String(), "Poisoned-SweepErr") || !strings.Contains(errb.String(), "panicked") {
+		t.Fatalf("stderr does not report the failed pair's panic:\n%s", errb.String())
 	}
 	if !strings.Contains(errb.String(), "1 ok, 1 failed, 0 cancelled") {
 		t.Fatalf("stderr missing summary:\n%s", errb.String())

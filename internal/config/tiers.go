@@ -98,6 +98,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: %s = %d, want >= 1", f.name, f.v)
 		}
 	}
+	if err := c.validateGeometry(); err != nil {
+		return err
+	}
 	if c.Mode == ModeFlat && !c.FullyAssociative && c.SuperBlockBlocks < c.Assoc {
 		return fmt.Errorf("config: flat mode needs superBlockBlocks >= assoc (%d < %d): each set's ways start out holding blocks of its own super-block",
 			c.SuperBlockBlocks, c.Assoc)
@@ -117,6 +120,31 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: tier %d (%s): unknown cxl compression %q (want one of: fpc, bdi, best, or empty)",
 				i, spec.Cfg.Name, spec.Cfg.CXL.Compression)
 		}
+	}
+	return nil
+}
+
+// Block geometry bounds: a sub-block holds at least one cacheline, and a
+// block lies within one of the store's blocks (hybrid.Store.Bytes).
+const (
+	minBlockBytes = SubBlocksPerBlock * hybrid.CachelineSize
+	maxBlockBytes = hybrid.BlockSize
+)
+
+// validateGeometry checks what the constructors divide by and size tables
+// with: blockBytes is a power of two from minBlockBytes to maxBlockBytes,
+// fast memory beyond the stage area holds at least one set of assoc
+// blocks, and slow memory at least one super-block.
+func (c *Config) validateGeometry() error {
+	if c.BlockBytes < minBlockBytes || c.BlockBytes > maxBlockBytes || c.BlockBytes&(c.BlockBytes-1) != 0 {
+		return fmt.Errorf("config: blockBytes = %d, want a power of two from %d to %d", c.BlockBytes, minBlockBytes, maxBlockBytes)
+	}
+	if set := uint64(c.Assoc) * c.BlockBytes; c.FastBytes < c.StageBytes || c.FastBytes-c.StageBytes < set {
+		return fmt.Errorf("config: fastBytes = %d, want >= stageBytes + assoc * blockBytes = %d (one set beside the stage area)",
+			c.FastBytes, c.StageBytes+set)
+	}
+	if super := uint64(c.SuperBlockBlocks) * c.BlockBytes; c.SlowBytes < super {
+		return fmt.Errorf("config: slowBytes = %d, want >= superBlockBlocks * blockBytes = %d (one super-block)", c.SlowBytes, super)
 	}
 	return nil
 }

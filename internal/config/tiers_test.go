@@ -105,6 +105,15 @@ func TestValidateRejections(t *testing.T) {
 		{"flat, no super-block blocks", func(c *Config) {
 			c.Mode, c.SuperBlockBlocks = ModeFlat, 0
 		}, "superBlockBlocks = 0, want >= 1"},
+		// The geometries that used to pass and then panic in construction
+		// or on the first store read.
+		{"no block bytes", func(c *Config) { c.BlockBytes = 0 }, "blockBytes = 0, want a power of two from 512 to 2048"},
+		{"block not a power of two", func(c *Config) { c.BlockBytes = 1000 }, "blockBytes = 1000, want a power of two"},
+		{"block past the store block", func(c *Config) { c.BlockBytes = 4096 }, "blockBytes = 4096, want a power of two"},
+		{"sub-block below a line", func(c *Config) { c.BlockBytes = 256 }, "blockBytes = 256, want a power of two"},
+		{"no fast memory", func(c *Config) { c.FastBytes = 0 }, "fastBytes = 0, want >= stageBytes"},
+		{"stage fills fast memory", func(c *Config) { c.StageBytes = c.FastBytes }, "fastBytes = 16777216, want >= stageBytes"},
+		{"no slow memory", func(c *Config) { c.SlowBytes = 0 }, "slowBytes = 0, want >= superBlockBlocks * blockBytes"},
 		{"no LLC", func(c *Config) { c.LLCKB = 0 }, "llcKB = 0, want >= 1"},
 		{"negative LLC", func(c *Config) { c.LLCKB = -1 }, "llcKB = -1, want >= 1"},
 	}

@@ -7,39 +7,28 @@ import (
 	"testing"
 	"time"
 
-	"baryon/internal/config"
+	"baryon/internal/datagen"
 	"baryon/internal/trace"
 )
 
-// registerPoisonedDesign registers a design that passes every load-time and
-// spec-level validation but panics inside the controller factory (BlockBytes
-// 0 divides by zero in the geometry math) — the shape of bug panic isolation
-// exists for. Each test registers its own name; the registry is global, so
-// a repeated run (-count) reuses the earlier registration.
-func registerPoisonedDesign(t *testing.T, name string) {
-	t.Helper()
-	if _, ok := Lookup(name); ok {
-		return
-	}
-	err := Register(DesignSpec{
-		Name:      name,
-		Kind:      KindBaryon,
-		Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
-	})
-	if err != nil {
-		t.Fatalf("registering poisoned design: %v", err)
-	}
-}
+// panicSource is a workload that panics when the runner asks it for
+// streams, inside the run a pair's panic boundary guards: the shape of bug
+// panic isolation exists for, needing no config that validation lets
+// through by mistake.
+type panicSource struct{}
+
+func (panicSource) SourceName() string                           { return "poisoned" }
+func (panicSource) ValueMix() datagen.Mix                        { return datagen.Mix{} }
+func (panicSource) Streams(int, uint64, uint64) []trace.Streamer { panic("poisoned workload") }
 
 // TestPanicIsolation runs a grid with one poisoned pair and checks that the
 // panic is contained to its slot while every other pair completes.
 func TestPanicIsolation(t *testing.T) {
-	registerPoisonedDesign(t, "Poisoned-Isolation")
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	pairs := []Pair{
 		{Cfg: cfg, Workload: w, Design: DesignSimple},
-		{Cfg: cfg, Workload: w, Design: "Poisoned-Isolation"},
+		{Cfg: cfg, Workload: w, Source: panicSource{}, Design: DesignBaryon},
 		{Cfg: cfg, Workload: w, Design: DesignBaryon},
 	}
 	out := RunPairsCtx(context.Background(), Options{}, pairs)
@@ -116,16 +105,19 @@ func TestCancellationMidSweep(t *testing.T) {
 	}
 }
 
-// TestStrictHarnessReturnsPairError: the Fig. 9/10 harness core, built on
-// runPairs, returns the failing pair's error — here a design that panics in
-// its factory — instead of panicking or dropping it.
+// TestStrictHarnessReturnsPairError: runPairs, the strict core of the
+// Fig. 9/10 harnesses, returns the failing pair's error — here a pair whose
+// workload panics — instead of panicking or dropping it.
 func TestStrictHarnessReturnsPairError(t *testing.T) {
-	registerPoisonedDesign(t, "Poisoned-Strict")
-	workloads := trace.Representative()[:2]
-	_, err := runMatrix(context.Background(), Options{Workers: 2}, parallelConfig(),
-		workloads, []string{DesignSimple, "Poisoned-Strict"}, DesignSimple)
-	if err == nil || !strings.Contains(err.Error(), "Poisoned-Strict") || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("runMatrix with a poisoned design: err = %v, want the pair's captured panic", err)
+	cfg := parallelConfig()
+	w := trace.Representative()[0]
+	pairs := []Pair{
+		{Cfg: cfg, Workload: w, Design: DesignSimple},
+		{Cfg: cfg, Workload: w, Source: panicSource{}, Design: DesignDICE},
+	}
+	_, err := runPairs(context.Background(), Options{Workers: 2}, pairs)
+	if err == nil || !strings.Contains(err.Error(), DesignDICE) || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("runPairs with a poisoned pair: err = %v, want the pair's captured panic", err)
 	}
 }
 

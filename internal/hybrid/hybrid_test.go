@@ -108,7 +108,9 @@ func TestStoreBytesWithinBlock(t *testing.T) {
 // TestStoreLazyFillMatchesEager drives a seeded random mix of version
 // writes and reads through every view, and checks each read against an
 // eager reference that fills a block on its first touch and makes a
-// version's line at once.
+// version's line at once. It runs at the store's budget, which holds all
+// 64 blocks, and at a budget of two blocks, where almost every read
+// recycles a slot and remakes its owner's written lines on the next read.
 func TestStoreLazyFillMatchesEager(t *testing.T) {
 	fill := func(b BlockID, dst *[BlockSize]byte) {
 		for i := range dst {
@@ -116,47 +118,142 @@ func TestStoreLazyFillMatchesEager(t *testing.T) {
 		}
 	}
 	line := func(b BlockID, i int, v uint32, dst *[CachelineSize]byte) {
+		if v == 0 { // NewStore's contract: version 0 is the fill's line
+			var blk [BlockSize]byte
+			fill(b, &blk)
+			copy(dst[:], blk[i*CachelineSize:])
+			return
+		}
 		for j := range dst {
 			dst[j] = byte(uint64(b)*13 + uint64(i)*5 + uint64(v)*3 + uint64(j))
 		}
 	}
-	s := NewStore(fill, line)
-	ref := map[BlockID]*[BlockSize]byte{}
-	refBlock := func(b BlockID) *[BlockSize]byte {
-		if blk, ok := ref[b]; ok {
+	for _, budget := range []uint32{storeBudget, 2} {
+		s := NewStore(fill, line)
+		s.budget = budget
+		ref := map[BlockID]*[BlockSize]byte{}
+		refBlock := func(b BlockID) *[BlockSize]byte {
+			if blk, ok := ref[b]; ok {
+				return blk
+			}
+			blk := new([BlockSize]byte)
+			fill(b, blk)
+			ref[b] = blk
 			return blk
 		}
-		blk := new([BlockSize]byte)
-		fill(b, blk)
-		ref[b] = blk
+		rng := sim.NewRNG(21)
+		const blocks = 64
+		for i := 0; i < 20000; i++ {
+			addr := rng.Uint64n(blocks*BlockSize) &^ (CachelineSize - 1)
+			b, off := BlockOf(addr), addr%BlockSize
+			var got, want []byte
+			switch op := rng.Intn(8); {
+			case op < 4:
+				v := uint32(rng.Uint64n(1 << 20))
+				if op == 0 {
+					v = 0 // a write back to the fill's content
+				}
+				s.WriteVersion(addr, v)
+				line(b, int(off/CachelineSize), v, (*[CachelineSize]byte)(refBlock(b)[off:]))
+				continue
+			case op == 4:
+				got, want = s.Line(addr), refBlock(b)[off:off+CachelineSize]
+			case op == 5:
+				sub := off &^ (SubBlockSize - 1)
+				got, want = s.Bytes(addr&^(SubBlockSize-1), SubBlockSize), refBlock(b)[sub:sub+SubBlockSize]
+			case op == 6:
+				n := int(rng.Uint64n(BlockSize-off)) + 1
+				got, want = s.Bytes(addr, n), refBlock(b)[off:off+uint64(n)]
+			default:
+				got, want = s.Bytes(uint64(b)*BlockSize, BlockSize), refBlock(b)[:]
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("budget %d, op %d at %#x: lazy store diverged from the eager reference", budget, i, addr)
+			}
+		}
+		if held := uint32(len(s.owner)); held != min(budget, blocks) {
+			t.Fatalf("budget %d: store carved %d slots of bytes, want %d", budget, held, min(budget, blocks))
+		}
+	}
+}
+
+// TestStoreRecycledSlotNilFill checks the zero store at a budget of two
+// blocks: a block that takes a recycled slot reads as zeros plus its own
+// written lines, with nothing left of the slot's previous owner.
+func TestStoreRecycledSlotNilFill(t *testing.T) {
+	s := NewStore(nil, func(b BlockID, line int, v uint32, dst *[CachelineSize]byte) {
+		for i := range dst {
+			dst[i] = byte(v)
+		}
+	})
+	s.budget = 2
+	// Block b has line b written at version b+1, so every block leaves
+	// non-zero bytes in its slot.
+	want := func(b uint64) []byte {
+		blk := make([]byte, BlockSize)
+		copy(blk[b*CachelineSize:(b+1)*CachelineSize], bytes.Repeat([]byte{byte(b + 1)}, CachelineSize))
 		return blk
 	}
-	rng := sim.NewRNG(21)
-	const blocks = 64
-	for i := 0; i < 20000; i++ {
-		addr := rng.Uint64n(blocks*BlockSize) &^ (CachelineSize - 1)
-		b, off := BlockOf(addr), addr%BlockSize
-		var got, want []byte
-		switch op := rng.Intn(8); {
-		case op < 4:
-			v := uint32(rng.Uint64n(1 << 20))
-			s.WriteVersion(addr, v)
-			line(b, int(off/CachelineSize), v, (*[CachelineSize]byte)(refBlock(b)[off:]))
-			continue
-		case op == 4:
-			got, want = s.Line(addr), refBlock(b)[off:off+CachelineSize]
-		case op == 5:
-			sub := off &^ (SubBlockSize - 1)
-			got, want = s.Bytes(addr&^(SubBlockSize-1), SubBlockSize), refBlock(b)[sub:sub+SubBlockSize]
-		case op == 6:
-			n := int(rng.Uint64n(BlockSize-off)) + 1
-			got, want = s.Bytes(addr, n), refBlock(b)[off:off+uint64(n)]
-		default:
-			got, want = s.Bytes(uint64(b)*BlockSize, BlockSize), refBlock(b)[:]
+	for b := uint64(0); b < 5; b++ {
+		s.WriteVersion(b*BlockSize+b*CachelineSize, uint32(b+1))
+	}
+	for _, b := range []uint64{0, 1, 2, 3, 0, 4, 1, 2} {
+		if got := s.Bytes(b*BlockSize, BlockSize); !bytes.Equal(got, want(b)) {
+			t.Fatalf("block %d in a recycled slot does not read as zeros plus its written line", b)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("op %d at %#x: lazy store diverged from the eager reference", i, addr)
+	}
+	if len(s.owner) != 2 {
+		t.Fatalf("store carved %d slots of bytes, want 2", len(s.owner))
+	}
+}
+
+// TestStoreEvictedBlockKeepsVersions writes a block's lines before and
+// after its first read, evicts its bytes at a budget of two blocks, and
+// checks that the re-read refills the block and returns every line at its
+// latest version: the record, not the bytes, carries the writes.
+func TestStoreEvictedBlockKeepsVersions(t *testing.T) {
+	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
+	blockFill := datagen.Filler(mix)
+	fills := 0
+	s := NewStore(func(b BlockID, dst *[BlockSize]byte) {
+		fills++
+		blockFill(uint64(b), dst)
+	}, func(b BlockID, line int, v uint32, dst *[CachelineSize]byte) {
+		datagen.FillLine(dst[:], uint64(b), line/LinesPerSub, line%LinesPerSub, v, mix.ClassFor(uint64(b)))
+	})
+	s.budget = 2
+	const b = 7
+	versions := map[int]uint32{}
+	write := func(line int, v uint32) {
+		s.WriteVersion(b*BlockSize+uint64(line)*CachelineSize, v)
+		versions[line] = v
+	}
+	write(2, 1)
+	write(9, 4)
+	s.Bytes(b*BlockSize, BlockSize) // makes lines 2 and 9
+	write(2, 3)                     // after the read: stale until the next
+	write(30, 2)
+	s.Line(b*BlockSize + 30*CachelineSize) // makes line 30 only; line 2 stays stale
+	s.Line(8 * BlockSize)
+	s.Line(9 * BlockSize) // recycles block 7's slot
+	if s.blocks[b].data != 0 {
+		t.Fatal("block 7 still holds bytes after two other blocks took the budget")
+	}
+	got := s.Bytes(b*BlockSize, BlockSize)
+	var fill [BlockSize]byte
+	blockFill(b, &fill)
+	for line := 0; line < BlockSize/CachelineSize; line++ {
+		want := fill[line*CachelineSize : (line+1)*CachelineSize]
+		if v, ok := versions[line]; ok {
+			want = make([]byte, CachelineSize)
+			datagen.FillLine(want, b, line/LinesPerSub, line%LinesPerSub, v, mix.ClassFor(b))
 		}
+		if !bytes.Equal(got[line*CachelineSize:(line+1)*CachelineSize], want) {
+			t.Fatalf("line %d after eviction does not read at version %d", line, versions[line])
+		}
+	}
+	if fills != 4 {
+		t.Fatalf("%d fills, want 4: block 7 twice, blocks 8 and 9 once", fills)
 	}
 }
 
@@ -272,8 +369,8 @@ func TestStoreWritesMakeNoBytes(t *testing.T) {
 	if len(s.blocks) != blocks {
 		t.Fatalf("store holds %d records, want %d", len(s.blocks), blocks)
 	}
-	if len(s.slabs) != 0 || s.carved != 0 || fills != 0 || lines != 0 {
-		t.Fatalf("writes alone made %d slabs, carved %d blocks of bytes, ran the fill %d times and made %d lines", len(s.slabs), s.carved, fills, lines)
+	if len(s.slabs) != 0 || len(s.owner) != 0 || fills != 0 || lines != 0 {
+		t.Fatalf("writes alone made %d slabs, carved %d blocks of bytes, ran the fill %d times and made %d lines", len(s.slabs), len(s.owner), fills, lines)
 	}
 	for b, blk := range s.blocks {
 		if blk.data != 0 {
@@ -281,7 +378,7 @@ func TestStoreWritesMakeNoBytes(t *testing.T) {
 		}
 	}
 	s.Line(5*BlockSize + 7*CachelineSize)
-	if s.carved != 1 || fills != 1 || lines != 1 {
-		t.Fatalf("one line read carved %d blocks, ran %d fills and made %d lines, want 1, 1, 1", s.carved, fills, lines)
+	if len(s.owner) != 1 || fills != 1 || lines != 1 {
+		t.Fatalf("one line read carved %d blocks, ran %d fills and made %d lines, want 1, 1, 1", len(s.owner), fills, lines)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -95,10 +96,25 @@ type Service struct {
 
 	asyncPending, syncWaiters            atomic.Int64
 	admissionRejected, deadlinesExceeded atomic.Uint64
+
+	// runPairs is the pool entry point a job runs through:
+	// experiment.RunPairsCtx, which the package's tests wrap to poison a
+	// pair.
+	runPairs func(context.Context, experiment.Options, []experiment.Pair) []experiment.PairResult
 }
 
-// New builds a Service.
+// New builds a Service. A negative bound is an error: none of them has a
+// meaning below 0, and a negative MaxQueue or MaxSyncWaiters would turn
+// backpressure off as 0 does.
 func New(opts Options) (*Service, error) {
+	for _, o := range []struct {
+		name string
+		v    int
+	}{{"Workers", opts.Workers}, {"MaxQueue", opts.MaxQueue}, {"MaxSyncWaiters", opts.MaxSyncWaiters}} {
+		if o.v < 0 {
+			return nil, fmt.Errorf("service: %s = %d, want >= 0", o.name, o.v)
+		}
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -122,7 +138,8 @@ func New(opts Options) (*Service, error) {
 		// The job table keeps as many failed records as the cache keeps
 		// bundles; older failures report not-found and are retried on
 		// resubmission.
-		jobsCap: cache.cap,
+		jobsCap:  cache.cap,
+		runPairs: experiment.RunPairsCtx,
 	}, nil
 }
 
@@ -401,7 +418,7 @@ func (s *Service) runOnWorker(ctx context.Context, rec *record, r Resolved) (Out
 	// per-pair panic isolation sweeps get: a controller bug fails the job,
 	// not the server. Zero Options: the batch has no observer, so no CLI
 	// export in the same process sees server jobs.
-	pr := experiment.RunPairsCtx(ctx, experiment.Options{}, []experiment.Pair{pair})[0]
+	pr := s.runPairs(ctx, experiment.Options{}, []experiment.Pair{pair})[0]
 	if pr.Err != nil {
 		return Outcome{}, pr.Err
 	}

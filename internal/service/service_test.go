@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"baryon/internal/config"
+	"baryon/internal/datagen"
 	"baryon/internal/experiment"
 	"baryon/internal/report"
+	"baryon/internal/trace"
 )
 
 // quickConfig is a base configuration small enough that a full simulation
@@ -21,6 +23,26 @@ func quickConfig() config.Config {
 	cfg := config.Scaled()
 	cfg.AccessesPerCore = 1200
 	return cfg
+}
+
+// panicSource is a workload that panics when a runner asks it for streams.
+type panicSource struct{}
+
+func (panicSource) SourceName() string                           { return "poisoned" }
+func (panicSource) ValueMix() datagen.Mix                        { return datagen.Mix{} }
+func (panicSource) Streams(int, uint64, uint64) []trace.Streamer { panic("poisoned workload") }
+
+// poisonPairs returns a pool entry point that runs design's pairs on
+// panicSource and every other pair as given.
+func poisonPairs(design string) func(context.Context, experiment.Options, []experiment.Pair) []experiment.PairResult {
+	return func(ctx context.Context, o experiment.Options, pairs []experiment.Pair) []experiment.PairResult {
+		for i := range pairs {
+			if pairs[i].Design == design {
+				pairs[i].Source = panicSource{}
+			}
+		}
+		return experiment.RunPairsCtx(ctx, o, pairs)
+	}
 }
 
 // simulations reads how many simulations s has run from its metrics: the
@@ -38,6 +60,28 @@ func quickService(t *testing.T, opts Options) *Service {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestNewRejectsNegativeBounds: a negative worker count, queue bound or
+// sync-waiter bound is an error naming the option, not a silent 0 (which
+// for the two bounds turns 429 backpressure off).
+func TestNewRejectsNegativeBounds(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"Workers", Options{Workers: -1}},
+		{"MaxQueue", Options{MaxQueue: -1}},
+		{"MaxSyncWaiters", Options{MaxSyncWaiters: -3}},
+	} {
+		s, err := New(c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.name+" = ") {
+			t.Fatalf("New with a negative %s: service %v, error %v; want an error naming %s", c.name, s != nil, err, c.name)
+		}
+	}
+	if _, err := New(Options{}); err != nil {
+		t.Fatalf("New with zero bounds: %v", err)
+	}
 }
 
 var quickJob = Job{Design: "Baryon", Workload: "505.mcf_r", Seed: 1}
@@ -882,19 +926,17 @@ func TestLastWaiterCancelsRun(t *testing.T) {
 // table as failed (bounded by the cache capacity), and resubmitting it
 // starts a fresh run instead of returning the stale failure.
 func TestFailedRecordsRetainedAndRetried(t *testing.T) {
-	// BlockBytes 0 passes spec validation but panics in the controller
-	// factory, so every run of this design fails. The registry is global
+	// Every run of this design fails: the service's pool entry point hands
+	// its pairs a workload that panics when the runner asks it for streams,
+	// inside experiment's per-pair panic isolation. The registry is global
 	// and outlives one test run (-count).
 	if _, ok := experiment.Lookup("Poisoned-Service"); !ok {
-		if err := experiment.Register(experiment.DesignSpec{
-			Name:      "Poisoned-Service",
-			Kind:      experiment.KindBaryon,
-			Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
-		}); err != nil {
+		if err := experiment.Register(experiment.DesignSpec{Name: "Poisoned-Service", Kind: experiment.KindBaryon}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := quickService(t, Options{CacheEntries: 2})
+	s.runPairs = poisonPairs("Poisoned-Service")
 	ctx := context.Background()
 	submitFailed := func(seed uint64) string {
 		t.Helper()
