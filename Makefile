@@ -64,15 +64,17 @@ bench:
 	$(GO) test -run '^$$' -bench StoreGetDisk -benchtime 1x ./internal/service
 
 # Short native-fuzz bursts over the compressor round-trips, the design-file
-# Overrides schema, the service's job-decode and store-entry verification
-# surfaces, and the strict bundle decoder (go test allows one -fuzz target
-# per invocation, hence the loops).
+# Overrides schema, the configs Validate accepts (each must run under every
+# kind), the service's job-decode and store-entry verification surfaces,
+# and the strict bundle decoder (go test allows one -fuzz target per
+# invocation, hence the loops).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	for t in FuzzFPCRoundTrip FuzzBDIRoundTrip; do \
 		$(GO) test ./internal/compress -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzOverridesJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzConfigRuns -fuzztime $(FUZZTIME)
 	for t in FuzzJobDecode FuzzStoreVerify; do \
 		$(GO) test ./internal/service -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) || exit 1; \
 	done

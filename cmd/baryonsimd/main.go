@@ -45,6 +45,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-accesses must be >= 0")
 		os.Exit(2)
 	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if d, ok := f.Value.(flag.Getter).Get().(time.Duration); ok && d < 0 {
+			fmt.Fprintf(os.Stderr, "-%s must be >= 0, got %v\n", f.Name, d)
+			os.Exit(2)
+		}
+	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

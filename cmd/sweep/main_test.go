@@ -213,19 +213,23 @@ func TestSweepRejectsUnknownMode(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsNegativeAccesses: a negative access budget is a usage
-// error before any output, not a silent run at the config default.
-func TestSweepRejectsNegativeAccesses(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run(context.Background(), []string{
-		"-workloads", "505.mcf_r",
-		"-designs", "Simple",
-		"-accesses", "-5",
-	}, &out, &errb)
-	if code != 2 || out.Len() != 0 {
-		t.Fatalf("-accesses -5 exited %d with %d stdout bytes, want 2 and none\nstderr: %s", code, out.Len(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "-accesses") {
-		t.Fatalf("stderr does not name -accesses:\n%s", errb.String())
+// TestSweepRejectsNegativeFlags: a negative access budget, worker count or
+// timeout is a usage error naming the flag, before any output, not a
+// silent run at the config default, on GOMAXPROCS workers or without a
+// deadline.
+func TestSweepRejectsNegativeFlags(t *testing.T) {
+	for _, c := range [][]string{{"-accesses", "-5"}, {"-parallel", "-1"}, {"-timeout", "-1s"}} {
+		var out, errb bytes.Buffer
+		code := run(context.Background(), append([]string{
+			"-workloads", "505.mcf_r",
+			"-designs", "Simple",
+			"-accesses", "100",
+		}, c...), &out, &errb)
+		if code != 2 || out.Len() != 0 {
+			t.Fatalf("%s %s exited %d with %d stdout bytes, want 2 and none\nstderr: %s", c[0], c[1], code, out.Len(), errb.String())
+		}
+		if !strings.Contains(errb.String(), c[0]) {
+			t.Fatalf("stderr does not name %s:\n%s", c[0], errb.String())
+		}
 	}
 }

@@ -153,6 +153,7 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 		d.eng.ObserveSlow(now, done, "miss")
 		res = hybrid.Result{Done: done}
 	}
+	// Known defect (ROADMAP, "stale CF on write misses"): a write miss installs at the CF cached before the write.
 	d.installRun(now, lineIdx, cf, write)
 	return res
 }

@@ -76,10 +76,10 @@ func (c *Config) TierSpecs() ([]hybrid.TierSpec, error) {
 // with an actionable message instead of deep in construction. It mirrors
 // how unknown -design names are rejected. It also bounds the core count to
 // what the cache hierarchy supports, rejects geometry counts below one
-// (each divides an address or sizes an array), and rejects a
-// set-associative flat mode whose super-blocks hold fewer blocks than a set
-// has ways: a flat set's frames start out holding its own super-block's
-// blocks, one per way.
+// (each divides an address or sizes an array), super-blocks larger than a
+// stage tag can name a block in, and a set-associative flat mode whose
+// super-blocks hold fewer blocks than a set has ways: a flat set's frames
+// start out holding its own super-block's blocks, one per way.
 func (c *Config) Validate() error {
 	if err := cache.CheckCores(c.Cores); err != nil {
 		return fmt.Errorf("config: %w", err)
@@ -97,6 +97,9 @@ func (c *Config) Validate() error {
 		if f.v < 1 {
 			return fmt.Errorf("config: %s = %d, want >= 1", f.name, f.v)
 		}
+	}
+	if c.SuperBlockBlocks > maxSuperBlockBlocks {
+		return fmt.Errorf("config: superBlockBlocks = %d, want <= %d (a stage tag range's BlkOff has 8 bits)", c.SuperBlockBlocks, maxSuperBlockBlocks)
 	}
 	if err := c.validateGeometry(); err != nil {
 		return err
@@ -124,11 +127,13 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Block geometry bounds: a sub-block holds at least one cacheline, and a
-// block lies within one of the store's blocks (hybrid.Store.Bytes).
+// Block geometry bounds: a sub-block holds at least one cacheline, a
+// block lies within one of the store's blocks (hybrid.Store.Bytes), and a
+// super-block's blocks fit metadata.Range's 8-bit BlkOff.
 const (
-	minBlockBytes = SubBlocksPerBlock * hybrid.CachelineSize
-	maxBlockBytes = hybrid.BlockSize
+	minBlockBytes       = SubBlocksPerBlock * hybrid.CachelineSize
+	maxBlockBytes       = hybrid.BlockSize
+	maxSuperBlockBlocks = 1 << 8
 )
 
 // validateGeometry checks what the constructors divide by and size tables

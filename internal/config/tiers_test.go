@@ -114,6 +114,7 @@ func TestValidateRejections(t *testing.T) {
 		{"no fast memory", func(c *Config) { c.FastBytes = 0 }, "fastBytes = 0, want >= stageBytes"},
 		{"stage fills fast memory", func(c *Config) { c.StageBytes = c.FastBytes }, "fastBytes = 16777216, want >= stageBytes"},
 		{"no slow memory", func(c *Config) { c.SlowBytes = 0 }, "slowBytes = 0, want >= superBlockBlocks * blockBytes"},
+		{"super-block past a stage tag's block offset", func(c *Config) { c.SuperBlockBlocks = 257 }, "superBlockBlocks = 257, want <= 256"},
 		{"no LLC", func(c *Config) { c.LLCKB = 0 }, "llcKB = 0, want >= 1"},
 		{"negative LLC", func(c *Config) { c.LLCKB = -1 }, "llcKB = -1, want >= 1"},
 	}

@@ -20,16 +20,18 @@ import (
 // the functional image for every line the run wrote — the strongest
 // whole-system correctness check: every
 // migration, compression, commit, swap and writeback in between must have
-// preserved the bytes. Each expected line is generated with
-// datagen.FillLine at the version of its last write, apart from the
-// store's own way of making a written line.
+// preserved the bytes. The reference is built outside hybrid.Store: a
+// recorder logs every write the cores issue, in issue order, and a replay
+// of that log through the version rule gives each written line's version;
+// each expected line is generated with datagen.FillLine at that version.
 func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactory, wname string) {
 	t.Helper()
 	w, ok := trace.ByName(wname)
 	if !ok {
 		t.Fatalf("workload %s missing", wname)
 	}
-	r := NewRunnerSource(cfg, w, factory)
+	src := &writeRecorder{Source: w}
+	r := NewRunnerSource(cfg, src, factory)
 	res, err := r.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +45,7 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 	r.hier.Flush(res.Cycles)
 	want := make([]byte, hybrid.CachelineSize)
 	checked := 0
-	for b, rec := range r.world.index {
+	for b, rec := range replayWrites(src.writes, cfg.OSBlocks()*cfg.BlockBytes) {
 		for line, v := range rec {
 			if v == 0 {
 				continue // never written by a core
@@ -61,6 +63,59 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 		t.Fatal("no written lines to check")
 	}
 	t.Logf("%s: %d written lines verified", wname, checked)
+}
+
+// writeRecorder is a trace.Source whose streamers log the address of every
+// write they hand out. The runner draws accesses one Next call at a time
+// in its interleaved issue order, so the log is the order the cores wrote
+// in.
+type writeRecorder struct {
+	trace.Source
+	writes []uint64
+}
+
+func (s *writeRecorder) Streams(cores int, fastBlocks uint64, seed uint64) []trace.Streamer {
+	streams := s.Source.Streams(cores, fastBlocks, seed)
+	for c, st := range streams {
+		streams[c] = recordingStreamer{st, s}
+	}
+	return streams
+}
+
+type recordingStreamer struct {
+	trace.Streamer
+	rec *writeRecorder
+}
+
+func (s recordingStreamer) Next() trace.Access {
+	acc := s.Streamer.Next()
+	if acc.Write {
+		s.rec.writes = append(s.rec.writes, acc.Addr)
+	}
+	return acc
+}
+
+// replayWrites maps each written block to its lines' versions after the
+// logged writes: a write folds its address into the OS space as the runner
+// does, and the line takes its sub-block's next version, the largest of the
+// sub-block's four lines' plus one.
+func replayWrites(writes []uint64, osBytes uint64) map[uint64]*[hybrid.BlockSize / hybrid.CachelineSize]uint32 {
+	image := map[uint64]*[hybrid.BlockSize / hybrid.CachelineSize]uint32{}
+	for _, a := range writes {
+		addr := a % osBytes
+		rec := image[addr/hybrid.BlockSize]
+		if rec == nil {
+			rec = new([hybrid.BlockSize / hybrid.CachelineSize]uint32)
+			image[addr/hybrid.BlockSize] = rec
+		}
+		line := addr % hybrid.BlockSize / hybrid.CachelineSize
+		next := uint32(0)
+		for _, v := range rec[line&^(hybrid.LinesPerSub-1):][:hybrid.LinesPerSub] {
+			next = max(next, v)
+		}
+		rec[line] = next + 1
+	}
+	return image
 }
 
 func smallIntegrityConfig() config.Config {
@@ -131,47 +186,4 @@ func TestEndToEndIntegrityBaselines(t *testing.T) {
 			endToEndIntegrity(t, cfg, f, "507.cactuBSSN_r")
 		})
 	}
-}
-
-// TestWorldWriteVersioning verifies the functional image: repeated writes to
-// a line change its value, a write to a neighbouring line of the same
-// sub-block leaves it as it was and takes the sub-block's next version, and
-// storeLine stores the latest write.
-func TestWorldWriteVersioning(t *testing.T) {
-	w, _ := trace.ByName("505.mcf_r")
-	store := newStore(w.Mix)
-	wd := newWorld(store)
-	stored := func(addr uint64) []byte {
-		wd.storeLine(addr)
-		return append([]byte(nil), store.Line(addr)...)
-	}
-	fillLine := func(line int, v uint32) []byte {
-		dst := make([]byte, hybrid.CachelineSize)
-		datagen.FillLine(dst, 2, 0, line, v, w.Mix.ClassFor(2))
-		return dst
-	}
-	addr := uint64(4096) // block 2, sub-block 0, line 0
-	wd.writeValue(addr)
-	v1 := stored(addr)
-	wd.writeValue(addr)
-	v2 := stored(addr)
-	if bytes.Equal(v1, v2) {
-		t.Fatal("two writes produced identical values")
-	}
-	if !bytes.Equal(v2, fillLine(0, 2)) {
-		t.Fatal("second write is not the sub-block's version 2")
-	}
-	wd.writeValue(addr + 64)
-	if !bytes.Equal(stored(addr), v2) {
-		t.Fatal("a neighbour's write changed the line")
-	}
-	if !bytes.Equal(stored(addr+64), fillLine(1, 3)) {
-		t.Fatal("the neighbour's write is not the sub-block's version 3")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("storing a line no core wrote did not panic")
-		}
-	}()
-	wd.storeLine(1 << 20)
 }

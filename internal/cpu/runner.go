@@ -123,70 +123,6 @@ type Result struct {
 	MeasureStart sim.Snapshot
 }
 
-// world tracks the functional value of lines written by cores but not
-// necessarily written back to the memory controller yet. A written line's
-// value is datagen.FillLine at its sub-block's version when the line was
-// last written, so compressibility evolves as the paper's write-overflow
-// analysis requires. The world keeps only versions: a writeback stores the
-// line's version in the store, which makes the bytes when they are read.
-type world struct {
-	store *hybrid.Store
-	// index maps a written block to its record. Records are carved from
-	// slabs of worldSlabBlocks, never freed, so a new block rarely
-	// allocates.
-	index    map[uint64]*worldBlock
-	slab     *[worldSlabBlocks]worldBlock
-	slabUsed int
-}
-
-// worldBlock holds, per line of a block, the sub-block version of the
-// line's last write (0 for a line never written). Versions only grow, so
-// a sub-block's version is the largest of its lines'.
-type worldBlock [hybrid.BlockSize / hybrid.CachelineSize]uint32
-
-// worldSlabBlocks is the number of records in one slab: 64 kB.
-const worldSlabBlocks = 512
-
-// worldSizeHint pre-sizes the world's index: runs write thousands of
-// distinct blocks, so starting at a few thousand entries avoids the
-// incremental map growth (and rehashing) of the first accesses without
-// over-reserving for tiny test configurations.
-const worldSizeHint = 4096
-
-func newWorld(store *hybrid.Store) *world {
-	return &world{store: store, index: make(map[uint64]*worldBlock, worldSizeHint)}
-}
-
-// writeValue records a core's write to the line at addr: it bumps the
-// sub-block's version, which is the line's new value.
-func (w *world) writeValue(addr uint64) {
-	b := addr / hybrid.BlockSize
-	rec, ok := w.index[b]
-	if !ok {
-		if w.slab == nil || w.slabUsed == worldSlabBlocks {
-			w.slab = new([worldSlabBlocks]worldBlock)
-			w.slabUsed = 0
-		}
-		rec = &w.slab[w.slabUsed]
-		w.slabUsed++
-		w.index[b] = rec
-	}
-	line := addr % hybrid.BlockSize / hybrid.CachelineSize
-	sub := rec[line&^(hybrid.LinesPerSub-1):][:hybrid.LinesPerSub]
-	rec[line] = max(sub[0], sub[1], sub[2], sub[3]) + 1
-}
-
-// storeLine stores the latest functional value of the line at addr as its
-// version, ahead of the line's writeback. Only lines a core wrote are
-// written back.
-func (w *world) storeLine(addr uint64) {
-	rec, ok := w.index[addr/hybrid.BlockSize]
-	if !ok {
-		panic("cpu: writeback of a line no core wrote")
-	}
-	w.store.WriteVersion(addr, rec[addr%hybrid.BlockSize/hybrid.CachelineSize])
-}
-
 // coreClock is one ready core in the scheduling heap.
 type coreClock struct {
 	time uint64
@@ -255,7 +191,6 @@ type Runner struct {
 	ctrl  hybrid.Controller
 	hier  *cache.Hierarchy
 	store *hybrid.Store
-	world *world
 	stats *sim.Stats
 	// design labels the run's Result and published RunStatus snapshots;
 	// empty unless SetDesign names the design spec.
@@ -303,10 +238,8 @@ func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFact
 	hcfg := cache.DefaultHierarchy(cfg.Cores, cfg.LLCKB)
 	hcfg.InstallPrefetched = !cfg.NoLLCPrefetch
 	hier := cache.NewHierarchy(hcfg, ctrl, stats)
-	r := &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats}
-	r.world = newWorld(store)
-	hier.StoreLine = r.world.storeLine
-	return r
+	hier.StoreLine = store.WriteBack
+	return &Runner{cfg: cfg, src: src, ctrl: ctrl, hier: hier, store: store, stats: stats}
 }
 
 // SetTracer attaches a request-lifecycle tracer to the runner, the cache
@@ -405,7 +338,7 @@ func (r *Runner) runWindow(st *runState, perCore int, epochEvery uint64, onEpoch
 		now := st.ready[0].time + uint64(float64(gap)/nonMemIPC)
 
 		if acc.Write {
-			r.world.writeValue(addr)
+			r.store.Write(addr)
 		}
 		if r.tracer != nil {
 			r.tracer.BeginReq(core, addr, now)

@@ -382,3 +382,116 @@ func TestStoreWritesMakeNoBytes(t *testing.T) {
 		t.Fatalf("one line read carved %d blocks, ran %d fills and made %d lines, want 1, 1, 1", len(s.owner), fills, lines)
 	}
 }
+
+// datagenStore makes a store as the runner makes it, over datagen with
+// every value class weighted alike; block 6 is ClassRandom, where no two
+// versions of a line agree.
+func datagenStore() (*Store, func(addr uint64, v uint32) []byte) {
+	mix := datagen.Mix{Weights: [5]float64{1, 1, 1, 1, 1}}
+	fill := datagen.Filler(mix)
+	s := NewStore(func(b BlockID, dst *[BlockSize]byte) { fill(uint64(b), dst) },
+		func(b BlockID, line int, v uint32, dst *[CachelineSize]byte) {
+			datagen.FillLine(dst[:], uint64(b), line/LinesPerSub, line%LinesPerSub, v, mix.ClassFor(uint64(b)))
+		})
+	at := func(addr uint64, v uint32) []byte {
+		b := addr / BlockSize
+		dst := make([]byte, CachelineSize)
+		if v == 0 {
+			var blk [BlockSize]byte
+			fill(b, &blk)
+			return append(dst[:0], blk[addr%BlockSize/CachelineSize*CachelineSize:][:CachelineSize]...)
+		}
+		datagen.FillLine(dst, b, int(addr%BlockSize/SubBlockSize), int(addr%SubBlockSize/CachelineSize), v, mix.ClassFor(b))
+		return dst
+	}
+	return s, at
+}
+
+// TestStoreWriteVersioning checks the core write path: repeated writes to
+// a line change its value, a write to a neighbouring line of the same
+// sub-block leaves it as it was and takes the sub-block's next version,
+// WriteBack stores the latest write, and a line no core wrote cannot be
+// written back.
+func TestStoreWriteVersioning(t *testing.T) {
+	s, at := datagenStore()
+	stored := func(addr uint64) []byte {
+		s.WriteBack(addr)
+		return append([]byte(nil), s.Line(addr)...)
+	}
+	addr := uint64(6 * BlockSize) // block 6, sub-block 0, line 0
+	s.Write(addr)
+	v1 := stored(addr)
+	s.Write(addr)
+	v2 := stored(addr)
+	if bytes.Equal(v1, v2) {
+		t.Fatal("two writes produced identical values")
+	}
+	if !bytes.Equal(v2, at(addr, 2)) {
+		t.Fatal("second write is not the sub-block's version 2")
+	}
+	s.Write(addr + CachelineSize)
+	if !bytes.Equal(stored(addr), v2) {
+		t.Fatal("a neighbour's write changed the line")
+	}
+	if !bytes.Equal(stored(addr+CachelineSize), at(addr+CachelineSize, 3)) {
+		t.Fatal("the neighbour's write is not the sub-block's version 3")
+	}
+	for _, a := range []uint64{1 << 20, addr + SubBlockSize} { // an untouched block, an unwritten line of a written block
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("writing back the line at %#x, which no core wrote, did not panic", a)
+				}
+			}()
+			s.WriteBack(a)
+		}()
+	}
+}
+
+// TestStoreWriteKeepsMemoryVersion checks that a core's write does not
+// reach memory: until WriteBack, the line reads at memory's version, the
+// fill's before its first writeback and the written-back one after.
+func TestStoreWriteKeepsMemoryVersion(t *testing.T) {
+	s, at := datagenStore()
+	addr := uint64(6*BlockSize + 3*SubBlockSize + 2*CachelineSize)
+	s.Write(addr)
+	s.Write(addr)
+	if !bytes.Equal(s.Line(addr), at(addr, 0)) {
+		t.Fatal("a line written but not written back does not read as the fill")
+	}
+	s.WriteBack(addr)
+	s.Write(addr)
+	if !bytes.Equal(s.Line(addr), at(addr, 2)) {
+		t.Fatal("a line rewritten after its writeback does not read at the written-back version 2")
+	}
+}
+
+// TestStoreWriteBackRecycledSlot writes back a block's line, lets two other
+// blocks recycle its slot at a budget of two blocks, then writes and writes
+// back the line again: the re-read refills the block and reads the new
+// version, and a line written since but not written back reads as the fill.
+func TestStoreWriteBackRecycledSlot(t *testing.T) {
+	s, at := datagenStore()
+	s.budget = 2
+	const b = 6
+	line, other := uint64(b*BlockSize+3*CachelineSize), uint64(b*BlockSize+9*CachelineSize)
+	s.Write(line)
+	s.WriteBack(line)
+	if !bytes.Equal(s.Line(line), at(line, 1)) {
+		t.Fatal("written-back line does not read at version 1")
+	}
+	s.Line(8 * BlockSize)
+	s.Line(9 * BlockSize) // recycles block 6's slot
+	if s.blocks[b].data != 0 {
+		t.Fatal("block 6 still holds bytes after two other blocks took the budget")
+	}
+	s.Write(line)
+	s.WriteBack(line)
+	s.Write(other)
+	if !bytes.Equal(s.Line(line), at(line, 2)) {
+		t.Fatal("a line written back after its slot was recycled does not read at its new version 2")
+	}
+	if !bytes.Equal(s.Line(other), at(other, 0)) {
+		t.Fatal("a line written but not written back does not read as the fill after a refill")
+	}
+}

@@ -3,15 +3,16 @@ package hybrid
 import "math/bits"
 
 // Store is the whole memory image and the only holder of content for
-// every design. It holds versions, not bytes: the writer records a written
-// line's version before it calls Access (see Controller), and controllers
-// record only where a line lives (fast or slow memory, stage or committed
-// frame), keep no copy of it, and read content in place here for fit
-// trials and writeback decisions. Bytes are made on demand from two
-// deterministic functions supplied by the workload (see internal/datagen):
-// a block's fill runs on the block's first read, and a line written since
-// is made at its version when a read covers it. A block that is only ever
-// written never pays for either.
+// every design. It holds versions, not bytes, two per line: its last core
+// write's (Write) and memory's (WriteBack, called before a writeback's
+// Access). Controllers see memory's only: they record only where a line
+// lives (fast or slow memory, stage or committed frame), keep no copy of
+// it, and read content in place here for fit trials and writeback
+// decisions. Bytes are made on demand from two deterministic functions
+// supplied by the workload (see internal/datagen): a block's fill runs on
+// the block's first read, and a line written back since is made at its
+// version when a read covers it. A block that is only ever written never
+// pays for either.
 //
 // Bytes are a cache, records are not: the store holds the bytes of at most
 // storeBudget blocks (2 MB) and keeps every touched block's record for the
@@ -29,31 +30,40 @@ type Store struct {
 	blocks map[BlockID]*storeBlock
 	fill   func(b BlockID, dst *[BlockSize]byte)
 	line   func(b BlockID, line int, version uint32, dst *[CachelineSize]byte)
-	// Records and block bytes are carved from slabs instead of allocated
-	// one by one, cutting first-touch allocations on the access hot path by
-	// the slab factor. Neither slab holds a pointer, so the collector never
-	// scans the store's content.
+	// Records, core versions and block bytes are carved from slabs instead
+	// of allocated one by one, cutting first-touch allocations on the
+	// access hot path by the slab factor. No slab holds a pointer, so the
+	// collector never scans the store's content.
 	recs     *[storeRecSlab]storeBlock
 	recsUsed int
+	cores    []*[storeCoreSlab]lineVersions
+	coreUsed uint32
 	slabs    []*[storeDataSlab][BlockSize]byte
 	owner    []*storeBlock // the record holding each carved slot of bytes
 	budget   uint32        // most slots carved: storeBudget, lowered by hybrid's tests
 	hand     uint32        // the slot recycled next once the budget is carved
 }
 
-// storeBlock is the record of one touched block: the write version of
-// each line, the lines written since their bytes were last made (stale),
-// and where the block's bytes are while it holds a slot.
+// storeBlock is the record of one touched block: memory's version of each
+// line, the lines written back since their bytes were last made (stale),
+// and where the block's bytes and core versions are, while it has them.
 type storeBlock struct {
-	version [BlockSize / CachelineSize]uint32
+	version lineVersions
 	stale   uint32
 	data    uint32 // 1 + the index of the block's slot of bytes; 0 while it holds none
+	core    uint32 // 1 + the index of the block's core versions; 0 while no core wrote it
 }
 
-// Slab sizes: 2048 records (272 kB) and 64 blocks of bytes (128 kB). The
-// budget is 1024 blocks of bytes (2 MB, 16 slabs), carved as reads need it.
+// lineVersions holds one version per line of a block; 0 is the fill's.
+type lineVersions [BlockSize / CachelineSize]uint32
+
+// Slab sizes: 2048 records (280 kB), 512 blocks' core versions (64 kB),
+// carved only for blocks a core writes, and 64 blocks of bytes (128 kB).
+// The budget is 1024 blocks of bytes (2 MB, 16 slabs), carved as reads
+// need it.
 const (
 	storeRecSlab  = 2048
+	storeCoreSlab = 512
 	storeDataSlab = 64
 	storeBudget   = 1024
 )
@@ -91,6 +101,43 @@ func (s *Store) WriteVersion(addr uint64, v uint32) {
 	i := addr % BlockSize / CachelineSize
 	blk.version[i] = v
 	blk.stale |= 1 << i
+}
+
+// Write records a core's write to the line at addr: the line takes its
+// sub-block's next version, the largest of its four lines' plus one, so
+// its content changes as the paper's write-overflow analysis needs.
+// Memory keeps its own version until WriteBack.
+func (s *Store) Write(addr uint64) {
+	blk := s.block(BlockOf(addr))
+	if blk.core == 0 {
+		if s.coreUsed%storeCoreSlab == 0 {
+			s.cores = append(s.cores, new([storeCoreSlab]lineVersions))
+		}
+		s.coreUsed++
+		blk.core = s.coreUsed
+	}
+	v := s.coreVersions(blk.core - 1)
+	i := addr % BlockSize / CachelineSize
+	sub := v[i&^(LinesPerSub-1):][:LinesPerSub]
+	v[i] = max(sub[0], sub[1], sub[2], sub[3]) + 1
+}
+
+// WriteBack stores the version of the line at addr's last core write as
+// memory's version, ahead of the line's writeback. Only lines a core wrote
+// are written back.
+func (s *Store) WriteBack(addr uint64) {
+	blk := s.blocks[BlockOf(addr)]
+	i := addr % BlockSize / CachelineSize
+	if blk == nil || blk.core == 0 || s.coreVersions(blk.core - 1)[i] == 0 {
+		panic("hybrid: writeback of a line no core wrote")
+	}
+	blk.version[i] = s.coreVersions(blk.core - 1)[i]
+	blk.stale |= 1 << i
+}
+
+// coreVersions returns the core versions carved at index i.
+func (s *Store) coreVersions(i uint32) *lineVersions {
+	return &s.cores[i/storeCoreSlab][i%storeCoreSlab]
 }
 
 // Line returns the 64 B cacheline at addr.

@@ -73,10 +73,17 @@ func RegisterFlags(fs *flag.FlagSet, which FlagOpt, timeoutUsage string) *Flags 
 // the -timeout deadline, loads and registers every -design-file(s) spec
 // (exposed as Specs), and returns the experiment.Options for the command's
 // batches: -parallel as Workers and the -bundle-dir bundle writer as
-// Observe. The returned cancel releases the deadline; it is safe to skip on
-// process exit.
+// Observe. A negative -parallel or -timeout is an error naming the flag.
+// The returned cancel releases the deadline; it is safe to skip on process
+// exit.
 func (f *Flags) Setup(ctx context.Context, errw io.Writer) (context.Context, experiment.Options, context.CancelFunc, error) {
 	opts := experiment.Options{Workers: f.Parallel}
+	if f.Parallel < 0 {
+		return ctx, opts, func() {}, fmt.Errorf("-parallel must be >= 0, got %d", f.Parallel)
+	}
+	if f.Timeout < 0 {
+		return ctx, opts, func() {}, fmt.Errorf("-timeout must be >= 0, got %v", f.Timeout)
+	}
 	if f.designFiles != "" {
 		for _, path := range strings.Split(f.designFiles, ",") {
 			spec, err := experiment.LoadSpecFile(strings.TrimSpace(path))

@@ -110,7 +110,7 @@ func New(opts Options) (*Service, error) {
 	for _, o := range []struct {
 		name string
 		v    int
-	}{{"Workers", opts.Workers}, {"MaxQueue", opts.MaxQueue}, {"MaxSyncWaiters", opts.MaxSyncWaiters}} {
+	}{{"Workers", opts.Workers}, {"MaxQueue", opts.MaxQueue}, {"MaxSyncWaiters", opts.MaxSyncWaiters}, {"CacheEntries", opts.CacheEntries}} {
 		if o.v < 0 {
 			return nil, fmt.Errorf("service: %s = %d, want >= 0", o.name, o.v)
 		}

@@ -62,9 +62,10 @@ func quickService(t *testing.T, opts Options) *Service {
 	return s
 }
 
-// TestNewRejectsNegativeBounds: a negative worker count, queue bound or
-// sync-waiter bound is an error naming the option, not a silent 0 (which
-// for the two bounds turns 429 backpressure off).
+// TestNewRejectsNegativeBounds: a negative worker count, queue bound,
+// sync-waiter bound or cache size is an error naming the option, not a
+// silent default (which for the two bounds turns 429 backpressure off, and
+// for the cache size keeps 1024 entries).
 func TestNewRejectsNegativeBounds(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -73,6 +74,7 @@ func TestNewRejectsNegativeBounds(t *testing.T) {
 		{"Workers", Options{Workers: -1}},
 		{"MaxQueue", Options{MaxQueue: -1}},
 		{"MaxSyncWaiters", Options{MaxSyncWaiters: -3}},
+		{"CacheEntries", Options{CacheEntries: -1}},
 	} {
 		s, err := New(c.opts)
 		if err == nil || !strings.Contains(err.Error(), c.name+" = ") {
