@@ -15,8 +15,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -29,37 +31,44 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", 1024, "in-memory result cache capacity in entries")
-	cacheDir := flag.String("cache-dir", "", "persist result bundles to this directory; a restarted daemon re-serves them")
-	accesses := flag.Int("accesses", 0, "base accesses per core for jobs that leave accesses unset (0 = config default)")
-	drainTimeout := flag.Duration("drain-timeout", time.Minute, "wall-clock budget for in-flight jobs after a shutdown signal")
-	maxQueue := flag.Int("max-queue", 256, "max accepted-but-unfinished async jobs; beyond it submissions get 429 + Retry-After (0 = unbounded)")
-	maxSyncWaiters := flag.Int("max-sync-waiters", 64, "max synchronous cache-miss requests waiting for a simulation; beyond it requests get 429 + Retry-After (0 = unbounded)")
-	requestTimeout := flag.Duration("request-timeout", 0, "default and maximum per-request execution budget; clients lower it via the X-Baryon-Deadline header (0 = none)")
-	writeTimeout := flag.Duration("write-timeout", time.Minute, "per-response write deadline: a slower client has its connection dropped (0 = none)")
-	common := service.RegisterFlags(flag.CommandLine, service.FlagDesignFiles, "")
-	flag.Parse()
-	if *accesses < 0 {
-		fmt.Fprintln(os.Stderr, "-accesses must be >= 0")
-		os.Exit(2)
-	}
-	flag.VisitAll(func(f *flag.Flag) {
-		if d, ok := f.Value.(flag.Getter).Get().(time.Duration); ok && d < 0 {
-			fmt.Fprintf(os.Stderr, "-%s must be >= 0, got %v\n", f.Name, d)
-			os.Exit(2)
-		}
-	})
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the daemon's lifecycle from its arguments to its exit code: it
+// serves until ctx is done, then drains.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("baryonsimd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
+	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	cacheEntries := fs.Int("cache-entries", 1024, "in-memory result cache capacity in entries")
+	cacheDir := fs.String("cache-dir", "", "persist result bundles to this directory; a restarted daemon re-serves them")
+	accesses := fs.Int("accesses", 0, "base accesses per core for jobs that leave accesses unset (0 = config default)")
+	drainTimeout := fs.Duration("drain-timeout", time.Minute, "wall-clock budget for in-flight jobs after a shutdown signal")
+	maxQueue := fs.Int("max-queue", 256, "max accepted-but-unfinished async jobs; beyond it submissions get 429 + Retry-After (0 = unbounded)")
+	maxSyncWaiters := fs.Int("max-sync-waiters", 64, "max synchronous cache-miss requests waiting for a simulation; beyond it requests get 429 + Retry-After (0 = unbounded)")
+	requestTimeout := fs.Duration("request-timeout", 0, "default and maximum per-request execution budget; clients lower it via the X-Baryon-Deadline header (0 = none)")
+	writeTimeout := fs.Duration("write-timeout", time.Minute, "per-response write deadline: a slower client has its connection dropped (0 = none)")
+	common := service.RegisterFlags(fs, service.FlagDesignFiles, "")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if err := nonNegativeFlags(fs); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
 	// Setup registers -design-files specs so clients can run custom designs
 	// by name. No timeout flag: the daemon runs until signalled.
-	_, _, cleanup, err := common.Setup(ctx, os.Stderr)
+	_, _, cleanup, err := common.Setup(ctx, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer cleanup()
 
@@ -74,21 +83,21 @@ func main() {
 		BaseConfig:     &cfg,
 		MaxQueue:       *maxQueue,
 		MaxSyncWaiters: *maxSyncWaiters,
-		Log:            os.Stderr,
+		Log:            stderr,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	// The address announcement is a contract: scripts/serve_smoke.sh parses
 	// this exact line to find an ephemeral port.
-	fmt.Fprintf(os.Stderr, "baryonsimd listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stderr, "baryonsimd listening on http://%s\n", ln.Addr())
 
 	// Async jobs run on runCtx, not the signal context: a drain lets them
 	// finish and only cancels them if the drain budget expires.
@@ -98,7 +107,7 @@ func main() {
 		RunCtx:         runCtx,
 		RequestTimeout: *requestTimeout,
 		WriteTimeout:   *writeTimeout,
-		Log:            os.Stderr,
+		Log:            stderr,
 	})
 	srv := &http.Server{Handler: handler}
 	errc := make(chan error, 1)
@@ -107,21 +116,45 @@ func main() {
 	select {
 	case <-ctx.Done():
 	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "baryonsimd: serve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "baryonsimd: serve: %v\n", err)
+		return 1
 	}
 
-	fmt.Fprintln(os.Stderr, "baryonsimd: draining (shutdown signal received)")
+	fmt.Fprintln(stderr, "baryonsimd: draining (shutdown signal received)")
 	svc.Drain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "baryonsimd: shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "baryonsimd: shutdown: %v\n", err)
 	}
 	if err := svc.Wait(dctx); err != nil {
 		cancelRuns()
-		fmt.Fprintln(os.Stderr, "baryonsimd: drain budget expired; cancelling in-flight jobs")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "baryonsimd: drain budget expired; cancelling in-flight jobs")
+		return 1
 	}
-	fmt.Fprintln(os.Stderr, "baryonsimd: drained cleanly")
+	fmt.Fprintln(stderr, "baryonsimd: drained cleanly")
+	return 0
+}
+
+// nonNegativeFlags rejects a negative value of any int or duration flag,
+// naming the flag: none of the daemon's counts, bounds or budgets has a
+// meaning below zero.
+func nonNegativeFlags(fs *flag.FlagSet) error {
+	var err error
+	fs.VisitAll(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			if v < 0 {
+				err = fmt.Errorf("-%s must be >= 0, got %d", f.Name, v)
+			}
+		case time.Duration:
+			if v < 0 {
+				err = fmt.Errorf("-%s must be >= 0, got %v", f.Name, v)
+			}
+		}
+	})
+	return err
 }

@@ -20,7 +20,7 @@ func main() {
 	core := flag.Int("core", 0, "core whose stream to dump")
 	n := flag.Int("n", 50, "number of accesses")
 	seed := flag.Uint64("seed", 1, "stream seed")
-	replay := flag.Bool("replay", false, "emit the machine-readable replay format for all 16 cores (core op addr gap)")
+	replay := flag.Bool("replay", false, "emit the machine-readable replay format for every core of the scaled config (core op addr gap)")
 	flag.Parse()
 
 	w, ok := trace.ByName(*workload)
@@ -29,13 +29,13 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := config.Scaled()
-	fp2k := (cfg.FastBytes - cfg.StageBytes) / 2048
+	fp2k := cfg.TraceFastBlocks()
 	s := w.NewStream(*core, fp2k, *seed)
 
 	out := bufio.NewWriter(os.Stdout)
 	if *replay {
 		fmt.Fprintf(out, "# %s replay trace, %d accesses per core\n", w.Name, *n)
-		for c := 0; c < 16; c++ {
+		for c := 0; c < cfg.Cores; c++ {
 			s := w.NewStream(c, fp2k, *seed)
 			for i := 0; i < *n; i++ {
 				if err := trace.WriteReplayRecord(out, c, s.Next()); err != nil {

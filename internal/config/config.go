@@ -176,6 +176,13 @@ func (c *Config) FastBlocks() uint64 {
 	return (c.FastBytes - c.StageBytes) / c.BlockBytes
 }
 
+// TraceFastBlocks returns the fast-memory capacity beside the stage area
+// in 2 kB blocks, the unit every workload's footprint scales with
+// (trace.Workload.Blocks) whatever the controller's block size.
+func (c *Config) TraceFastBlocks() uint64 {
+	return (c.FastBytes - c.StageBytes) / 2048
+}
+
 // OSBlocks returns the number of blocks in the OS-visible physical space.
 func (c *Config) OSBlocks() uint64 {
 	if c.Mode == ModeFlat {

@@ -1,6 +1,9 @@
 package config
 
-import "reflect"
+import (
+	"reflect"
+	"strings"
+)
 
 // Overrides is a partial Config: every field is a pointer, and only non-nil
 // fields are applied. It is the serializable half of a design spec — a
@@ -58,7 +61,8 @@ type Overrides struct {
 // overrideField pairs an Overrides field with the same-named Config field it
 // overrides.
 type overrideField struct {
-	o, c int // field indices in Overrides and Config
+	o, c int    // field indices in Overrides and Config
+	name string // the JSON name, as a design file spells it
 	// comparable is false only for Tiers, which holds a slice and is
 	// compared with reflect.DeepEqual.
 	comparable bool
@@ -75,7 +79,8 @@ var overrideFields = func() []overrideField {
 		if !ok || len(cf.Index) != 1 || of.Type != reflect.PointerTo(cf.Type) {
 			panic("config: Overrides." + of.Name + " has no Config field of its element type")
 		}
-		fs[i] = overrideField{o: i, c: cf.Index[0], comparable: cf.Type.Comparable()}
+		name, _, _ := strings.Cut(of.Tag.Get("json"), ",")
+		fs[i] = overrideField{o: i, c: cf.Index[0], name: name, comparable: cf.Type.Comparable()}
 	}
 	return fs
 }()
@@ -91,6 +96,19 @@ func (o *Overrides) Apply(c *Config) {
 			cv.Field(f.c).Set(p.Elem())
 		}
 	}
+}
+
+// SetFields returns the JSON names of the fields o sets, in declaration
+// order.
+func (o *Overrides) SetFields() []string {
+	var names []string
+	ov := reflect.ValueOf(o).Elem()
+	for _, f := range overrideFields {
+		if !ov.Field(f.o).IsNil() {
+			names = append(names, f.name)
+		}
+	}
+	return names
 }
 
 // Diff returns the Overrides that turn base into c: one non-nil field per

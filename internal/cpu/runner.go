@@ -472,13 +472,10 @@ func (r *Runner) windowSince(m mark, st *runState) Window {
 }
 
 // newRunState seeds the replay frontier: fresh per-core streams and clocks.
-// Footprints are defined in 2 kB blocks regardless of the controller's
-// internal geometry.
 func (r *Runner) newRunState() *runState {
 	cores := r.cfg.Cores
-	fp2k := (r.cfg.FastBytes - r.cfg.StageBytes) / 2048
 	st := &runState{
-		streams: r.src.Streams(cores, fp2k, r.cfg.Seed),
+		streams: r.src.Streams(cores, r.cfg.TraceFastBlocks(), r.cfg.Seed),
 		osBytes: r.cfg.OSBlocks() * r.cfg.BlockBytes,
 		clock:   make([]uint64, cores),
 		left:    make([]int, cores),

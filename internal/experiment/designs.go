@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,6 +66,78 @@ const (
 	KindHybrid2  = "hybrid2"
 	KindOSPaging = "ospaging"
 )
+
+// kindDef is one controller kind: its constructor and what it reads of a
+// spec. Register accepts only the overrides a kind reads, so a setting that
+// cannot change a run cannot change its spec key either.
+type kindDef struct {
+	name string
+	// reads names, by their JSON names, the overrides fields the kind's
+	// controller reads beyond runReads.
+	reads []string
+	// replacement is whether the kind takes policy.replacement.
+	replacement bool
+	build       func(cfg config.Config, k kit) hybrid.Controller
+}
+
+// kit is what a kind's constructor gets beside the config.
+type kit struct {
+	store *hybrid.Store
+	stats *sim.Stats
+	tiers []hybrid.TierSpec
+	rep   hybrid.Replacer
+}
+
+// runReads are the overrides every kind reads because the runner reads
+// them: the geometry sizes the workload footprint (TraceFastBlocks) and the
+// OS space (OSBlocks), the LLC is the runner's, the run shape is the
+// replay's, and the tier list reaches every controller.
+var runReads = []string{"mode", "fastBytes", "slowBytes", "stageBytes", "blockBytes",
+	"llcKB", "noLLCPrefetch", "accessesPerCore", "warmupAccessesPerCore", "epochAccesses", "tiers"}
+
+// kinds is the one list of controller kinds, in declaration order. Adding a
+// kind is one row here.
+var kinds = []kindDef{
+	{name: KindSimple, reads: []string{"assoc"}, replacement: true,
+		build: func(cfg config.Config, k kit) hybrid.Controller {
+			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, k.rep, k.stats, k.tiers)
+		}},
+	{name: KindUnison, reads: []string{"assoc"}, replacement: true,
+		build: func(cfg config.Config, k kit) hybrid.Controller {
+			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, k.rep, k.stats, cfg.Seed, k.tiers)
+		}},
+	{name: KindDICE, reads: []string{"decompressLatency"},
+		build: func(cfg config.Config, k kit) hybrid.Controller {
+			return baselines.NewDICE(cfg.FastBytes, k.store, k.stats, cfg.DecompressLatency, k.tiers)
+		}},
+	{name: KindBaryon, reads: []string{"assoc", "fullyAssociative", "superBlockBlocks", "decompressLatency",
+		"remapCacheSets", "remapCacheWays", "compressionOff", "cachelineAligned", "zeroBlockOpt",
+		"compressedWriteback", "twoLevelReplacement", "commitK", "commitAll", "useStageArea", "stageAgeInterval"},
+		build: func(cfg config.Config, k kit) hybrid.Controller { return core.New(cfg, k.store, k.stats) }},
+	// Hybrid2 is Baryon's machinery under baselines.Hybrid2Config, which
+	// pins fullyAssociative, compressionOff, cachelineAligned, zeroBlockOpt,
+	// compressedWriteback and commitK. Fully associative, it has no sets for
+	// assoc to size; uncompressed, it never pays decompressLatency; and with
+	// k = 0 the stage miss counters that stageAgeInterval ages never reach
+	// a commit decision (Eq. 1).
+	{name: KindHybrid2, reads: []string{"superBlockBlocks", "remapCacheSets", "remapCacheWays",
+		"twoLevelReplacement", "commitAll", "useStageArea"},
+		build: func(cfg config.Config, k kit) hybrid.Controller { return baselines.NewHybrid2(cfg, k.store, k.stats) }},
+	{name: KindOSPaging,
+		build: func(cfg config.Config, k kit) hybrid.Controller {
+			return baselines.NewOSPaging(cfg.FastBytes, k.stats, k.tiers)
+		}},
+}
+
+// kindOf returns the table row of a kind name.
+func kindOf(name string) (*kindDef, bool) {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i], true
+		}
+	}
+	return nil, false
+}
 
 // PolicySpec holds controller policy knobs that are not Config fields.
 type PolicySpec struct {
@@ -123,21 +196,12 @@ func init() {
 }
 
 // Register adds a design to the registry. It rejects empty or duplicate
-// names, unknown kinds, and unknown replacement-policy names, so a bad
-// -design-file fails at load time rather than mid-run.
+// names, unknown kinds, overrides the kind does not read, and unknown or
+// unsupported replacement policies, so a bad -design-file fails at load
+// time rather than mid-run or under a key naming a run that never happened.
 func Register(spec DesignSpec) error {
-	if spec.Name == "" {
-		return fmt.Errorf("experiment: design spec has no name")
-	}
-	switch spec.Kind {
-	case KindSimple, KindUnison, KindDICE, KindBaryon, KindHybrid2, KindOSPaging:
-	default:
-		return fmt.Errorf("experiment: design %q has unknown kind %q (want %s)",
-			spec.Name, spec.Kind, strings.Join(Kinds(), ", "))
-	}
-	if _, ok := hybrid.ReplacerByName(spec.Policy.Replacement, 0); !ok {
-		return fmt.Errorf("experiment: design %q has unknown replacement policy %q",
-			spec.Name, spec.Policy.Replacement)
+	if err := checkSpec(spec); err != nil {
+		return err
 	}
 	registry.Lock()
 	defer registry.Unlock()
@@ -149,9 +213,47 @@ func Register(spec DesignSpec) error {
 	return nil
 }
 
+// checkSpec is Register's check of a spec on its own, before the registry
+// is consulted. Beyond a name, a known kind and a known replacement policy,
+// it rejects what the kind cannot honour: overrides the kind does not read,
+// or a replacement policy on a kind that takes none.
+func checkSpec(spec DesignSpec) error {
+	if spec.Name == "" {
+		return fmt.Errorf("experiment: design spec has no name")
+	}
+	k, ok := kindOf(spec.Kind)
+	if !ok {
+		return fmt.Errorf("experiment: design %q has unknown kind %q (want %s)",
+			spec.Name, spec.Kind, strings.Join(Kinds(), ", "))
+	}
+	if _, ok := hybrid.ReplacerByName(spec.Policy.Replacement, 0); !ok {
+		return fmt.Errorf("experiment: design %q has unknown replacement policy %q",
+			spec.Name, spec.Policy.Replacement)
+	}
+	var unread []string
+	for _, f := range spec.Overrides.SetFields() {
+		if !slices.Contains(runReads, f) && !slices.Contains(k.reads, f) {
+			unread = append(unread, "overrides."+f)
+		}
+	}
+	if len(unread) > 0 {
+		return fmt.Errorf("experiment: design %q sets %s, which kind %q does not read (it reads %s)",
+			spec.Name, strings.Join(unread, ", "), k.name, strings.Join(append(slices.Clone(runReads), k.reads...), ", "))
+	}
+	if spec.Policy.Replacement != "" && !k.replacement {
+		return fmt.Errorf("experiment: design %q: kind %q has no replacement-policy knob",
+			spec.Name, k.name)
+	}
+	return nil
+}
+
 // Kinds lists the controller kinds Register accepts.
 func Kinds() []string {
-	return []string{KindSimple, KindUnison, KindDICE, KindBaryon, KindHybrid2, KindOSPaging}
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.name
+	}
+	return out
 }
 
 // Designs lists every registered design name: the built-ins in declaration
@@ -211,21 +313,24 @@ func LoadSpecFile(path string) (DesignSpec, error) {
 	return spec, nil
 }
 
-// ValidateSpec checks the parts of a spec that Register cannot see because
-// they depend on the run configuration: the config with the overrides
-// applied must be valid, and the policy knobs must be supported by the
-// kind. The Ctx runners call it before building a controller so a bad spec
-// surfaces as a per-pair error instead of a mid-run panic.
+// ValidateSpec checks the part of a spec that Register cannot see because
+// it depends on the run configuration: the config with the overrides
+// applied must be valid. The Ctx runners check it before building a
+// controller so a bad spec surfaces as a per-pair error instead of a mid-run
+// panic.
 func ValidateSpec(spec DesignSpec, cfg config.Config) error {
+	_, err := resolve(spec, cfg)
+	return err
+}
+
+// resolve returns a run's effective config, cfg with the spec's overrides
+// applied, once it is valid.
+func resolve(spec DesignSpec, cfg config.Config) (config.Config, error) {
 	spec.Overrides.Apply(&cfg)
 	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("experiment: design %q: %w", spec.Name, err)
+		return cfg, fmt.Errorf("experiment: design %q: %w", spec.Name, err)
 	}
-	if spec.Policy.Replacement != "" && spec.Kind != KindSimple && spec.Kind != KindUnison {
-		return fmt.Errorf("experiment: design %q: kind %q has no replacement-policy knob",
-			spec.Name, spec.Kind)
-	}
-	return nil
+	return cfg, nil
 }
 
 // FactorySpec returns the controller factory for a spec: it applies the
@@ -236,8 +341,22 @@ func ValidateSpec(spec DesignSpec, cfg config.Config) error {
 // regardless.
 func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 	return func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
+		k, ok := kindOf(spec.Kind)
+		if !ok {
+			panic("experiment: unknown kind " + spec.Kind)
+		}
 		spec.Overrides.Apply(&cfg)
-		ctrl := buildKind(spec, cfg, store, stats)
+		// The tier list reaches every kind: Baryon/Hybrid2 resolve it inside
+		// core.New from the config; the other baselines take it directly.
+		tiers, err := cfg.TierSpecs()
+		if err != nil {
+			panic("experiment: design " + spec.Name + ": " + err.Error())
+		}
+		rep, ok := hybrid.ReplacerByName(spec.Policy.Replacement, cfg.Seed)
+		if !ok {
+			panic("experiment: design " + spec.Name + ": unknown replacement policy " + spec.Policy.Replacement)
+		}
+		ctrl := k.build(cfg, kit{store: store, stats: stats, tiers: tiers, rep: rep})
 		// CXL expander-side compression estimates over the canonical store
 		// content; on topologies without a CXL tier the probe is never
 		// consulted and the attach is a no-op.
@@ -246,34 +365,4 @@ func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 		})
 		return ctrl
 	}
-}
-
-func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-	// The tier list reaches every kind: Baryon/Hybrid2 resolve it inside
-	// core.New from the config; the other baselines take it directly.
-	tiers, err := cfg.TierSpecs()
-	if err != nil {
-		panic("experiment: design " + spec.Name + ": " + err.Error())
-	}
-	// Replacement is a policy knob of the kinds that take one (simple,
-	// unison); ValidateSpec rejects it on the others.
-	rep, ok := hybrid.ReplacerByName(spec.Policy.Replacement, cfg.Seed)
-	if !ok {
-		panic("experiment: design " + spec.Name + ": unknown replacement policy " + spec.Policy.Replacement)
-	}
-	switch spec.Kind {
-	case KindSimple:
-		return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, stats, tiers)
-	case KindUnison:
-		return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, stats, cfg.Seed, tiers)
-	case KindDICE:
-		return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)
-	case KindBaryon:
-		return core.New(cfg, store, stats)
-	case KindHybrid2:
-		return baselines.NewHybrid2(cfg, store, stats)
-	case KindOSPaging:
-		return baselines.NewOSPaging(cfg.FastBytes, stats, tiers)
-	}
-	panic("experiment: unknown kind " + spec.Kind)
 }

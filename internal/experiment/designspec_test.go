@@ -19,13 +19,13 @@ import (
 // level, and loading registers the design.
 func TestDesignSpecJSONRoundTrip(t *testing.T) {
 	spec := DesignSpec{
-		Name: "RoundTrip-Baryon",
-		Kind: KindBaryon,
+		Name: "RoundTrip-Unison",
+		Kind: KindUnison,
 		Overrides: config.Overrides{
-			Mode:       config.Ptr(config.ModeFlat),
-			BlockBytes: config.Ptr[uint64](512),
-			CommitK:    config.Ptr(2.5),
-			CommitAll:  config.Ptr(false),
+			Mode:          config.Ptr(config.ModeFlat),
+			BlockBytes:    config.Ptr[uint64](512),
+			Assoc:         config.Ptr(8),
+			NoLLCPrefetch: config.Ptr(false),
 		},
 		Policy: PolicySpec{Replacement: "lru"},
 	}

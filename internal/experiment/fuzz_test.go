@@ -16,16 +16,23 @@ import (
 	"baryon/internal/trace"
 )
 
-// FuzzConfigRuns checks that Validate is the one gate of a run's config.
-// Its bytes pick an Overrides (see overridesFrom), applied to a tiny base
-// config through ValidateSpec. A rejected config's error names a JSON field
-// of the design-file schema. An accepted one runs a few hundred accesses
-// under every registered kind without a panic, and Baryon's controller
-// still satisfies CheckInvariants afterwards.
+// FuzzConfigRuns checks that Validate is the one gate of a run's config
+// and that Register gates each kind's overrides. Its bytes pick an
+// Overrides (see overridesFrom), applied to tinyConfig through
+// ValidateSpec, and a kind (the byte after the overrides). For every kind,
+// Register's check rejects the overrides exactly when they set a field
+// outside the kind's list, and names that field. A rejected config's error
+// names a JSON field of the design-file schema. An accepted one runs a few
+// hundred accesses under the picked kind (a missing byte picks the first)
+// without a panic, and Baryon's
+// controller still satisfies CheckInvariants afterwards.
 //
 // The fuzz bounds what a run may cost, not what Validate accepts: the
 // access budgets are clamped to a few hundred, and an accepted config
-// whose sizes would allocate more than a few hundred MB is not run.
+// whose tables are too large (smallEnoughToRun) is not run. One kind per
+// input keeps an iteration to one simulation, so the engine's minimizer,
+// which runs each of its O(len(data)^2) candidates, does not stall on
+// six.
 func FuzzConfigRuns(f *testing.F) {
 	seeds := []config.Overrides{
 		// The five geometries Validate once accepted and a run then
@@ -47,18 +54,16 @@ func FuzzConfigRuns(f *testing.F) {
 		{Tiers: &fuzzTiers[1]},
 	}
 	for _, o := range seeds {
-		if got := overridesFrom(overrideBytes(o)); !reflect.DeepEqual(got, o) {
+		data := overrideBytes(o)
+		if got := overridesFrom(data); !reflect.DeepEqual(got, o) {
 			f.Fatalf("seed %+v decodes as %+v", o, got)
 		}
-		f.Add(overrideBytes(o))
+		for k := range kinds {
+			f.Add(append(slices.Clone(data), byte(k)))
+		}
 	}
-	base := config.Scaled()
-	base.Cores = 4
-	base.FastBytes = 2 << 20
-	base.StageBytes = 128 << 10
-	base.SlowBytes = 16 << 20
-	base.LLCKB = 32
-	base.AccessesPerCore = 100
+	kindAt := len(overrideBytes(config.Overrides{}))
+	base := tinyConfig()
 	w, ok := trace.ByName("505.mcf_r")
 	if !ok {
 		f.Fatal("workload 505.mcf_r missing")
@@ -72,6 +77,19 @@ func FuzzConfigRuns(f *testing.F) {
 		if o.WarmupAccessesPerCore != nil {
 			*o.WarmupAccessesPerCore = min(*o.WarmupAccessesPerCore, 50)
 		}
+		set := o.SetFields()
+		for _, k := range kinds {
+			unread := slices.IndexFunc(set, func(f string) bool {
+				return !slices.Contains(runReads, f) && !slices.Contains(k.reads, f)
+			})
+			err := checkSpec(DesignSpec{Name: "fuzz", Kind: k.name, Overrides: o})
+			if unread < 0 && err != nil {
+				t.Fatalf("%s: Register rejected overrides it reads (%v): %v", k.name, set, err)
+			}
+			if unread >= 0 && (err == nil || !strings.Contains(err.Error(), "overrides."+set[unread])) {
+				t.Fatalf("%s: Register = %v for overrides %v, want a rejection naming %s", k.name, err, set, set[unread])
+			}
+		}
 		if err := ValidateSpec(DesignSpec{Name: "fuzz", Kind: KindBaryon, Overrides: o}, base); err != nil {
 			if !fields.MatchString(err.Error()) {
 				t.Fatalf("rejection names no JSON field: %v", err)
@@ -83,15 +101,18 @@ func FuzzConfigRuns(f *testing.F) {
 		if !smallEnoughToRun(cfg) {
 			return
 		}
-		for _, kind := range Kinds() {
-			r := cpu.NewRunnerSource(cfg, w, FactorySpec(DesignSpec{Name: "fuzz-" + kind, Kind: kind, Overrides: o}))
-			if _, err := r.RunCtx(context.Background()); err != nil {
-				t.Fatalf("%s: accepted config failed to run: %v", kind, err)
-			}
-			if c, ok := r.Controller().(*core.Controller); ok && kind == KindBaryon {
-				if msg := c.CheckInvariants(); msg != "" {
-					t.Fatalf("baryon: invariant broken after an accepted config's run: %s", msg)
-				}
+		var pick byte
+		if len(data) > kindAt {
+			pick = data[kindAt]
+		}
+		kind := kinds[int(pick)%len(kinds)].name
+		r := cpu.NewRunnerSource(cfg, w, FactorySpec(DesignSpec{Name: "fuzz-" + kind, Kind: kind, Overrides: o}))
+		if _, err := r.RunCtx(context.Background()); err != nil {
+			t.Fatalf("%s: accepted config failed to run: %v", kind, err)
+		}
+		if c, ok := r.Controller().(*core.Controller); ok && kind == KindBaryon {
+			if msg := c.CheckInvariants(); msg != "" {
+				t.Fatalf("baryon: invariant broken after an accepted config's run: %s", msg)
 			}
 		}
 	})
@@ -214,17 +235,13 @@ func jsonFieldPattern() *regexp.Regexp {
 	return regexp.MustCompile(`\b(` + strings.Join(names, "|") + `)\b`)
 }
 
-// smallEnoughToRun bounds the tables an accepted config makes each kind
-// allocate, so that one fuzz iteration stays within a few hundred MB.
+// smallEnoughToRun bounds the table entries an accepted config makes a
+// kind allocate and scan, which is what a run's cost grows with: OS blocks
+// (the remap, dirty and hint arrays), fast frames (the directories, and the
+// ways a fully-associative victim search scans on every miss), remap-cache
+// lines and LLC lines. Byte sizes alone bound none of these: 64 MB of fast
+// memory is 32k frames at 2 kB blocks and 128k at 512 B.
 func smallEnoughToRun(c config.Config) bool {
-	if c.FastBytes > 64<<20 || c.SlowBytes > 256<<20 || c.LLCKB > 4096 || c.Assoc > 256 ||
-		c.SuperBlockBlocks > 4096 || c.RemapCacheSets > 1<<16 || c.RemapCacheWays > 1<<8 {
-		return false
-	}
-	for _, t := range c.Tiers {
-		if t.Bytes > 256<<20 {
-			return false
-		}
-	}
-	return true
+	return c.OSBlocks() <= 1<<20 && c.FastBytes/c.BlockBytes <= 1<<17 &&
+		c.RemapCacheSets*c.RemapCacheWays <= 1<<16 && c.LLCKB <= 4096
 }

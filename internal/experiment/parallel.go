@@ -159,7 +159,10 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	if !ok {
 		return cpu.Result{}, UnknownDesignError(p.Design)
 	}
-	if err := ValidateSpec(spec, p.Cfg); err != nil {
+	// The design's overrides reach the whole run (cache hierarchy, OS space,
+	// access budget), not only the controller that FactorySpec builds.
+	cfg, err := resolve(spec, p.Cfg)
+	if err != nil {
 		return cpu.Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -169,10 +172,6 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	if src == nil {
 		src = p.Workload
 	}
-	// The design's overrides reach the whole run (cache hierarchy, OS space,
-	// access budget), not only the controller that FactorySpec builds.
-	cfg := p.Cfg
-	spec.Overrides.Apply(&cfg)
 	r := cpu.NewRunnerSource(cfg, src, FactorySpec(spec))
 	r.SetDesign(p.Design)
 	if o := p.Obs; o != nil {

@@ -53,17 +53,17 @@ func TestRunPairCtxErrors(t *testing.T) {
 	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "No-Such-Design"}); err == nil {
 		t.Fatal("unknown design did not error")
 	}
-	// A replacement knob on a kind without one is a spec-level error.
+	// A replacement knob on a kind without one is rejected when the spec
+	// is registered, so no run can name it.
 	if err := Register(DesignSpec{
 		Name:   "BadKnob-Baryon",
 		Kind:   KindBaryon,
 		Policy: PolicySpec{Replacement: "lru"},
-	}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil ||
-		!strings.Contains(err.Error(), "replacement-policy") {
+	}); err == nil || !strings.Contains(err.Error(), "replacement-policy") {
 		t.Fatalf("bad knob error = %v, want replacement-policy error", err)
+	}
+	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil {
+		t.Fatal("a rejected spec ran")
 	}
 	// A pre-cancelled context refuses to run at all.
 	done, cancel := context.WithCancel(context.Background())
